@@ -5,7 +5,7 @@ depends on:
 
 1. every block is tracked from admission until it must divert into the
    final key-add instance (one 113-bit LUT shift register per pipeline
-   slot; only the final bit is read);
+   slot, held as an int; only the final bit is read);
 2. the mode of the block in each stage is delivered where needed (a
    12-bit mode register rotating in lockstep with the loop);
 3. new inputs stall while pipeline data is moving from the key-add
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .datapath import NUM_LOOP_STAGES, TRACK_CYCLES, RoundDatapath, Word
-from .fabric import LutShiftRegister
+from .fabric import SimulationFault
 
 RESET = "reset"
 KEY_INIT = "key_init"
@@ -44,13 +44,15 @@ RUN = "run"
 STAGE_PHASE_OFFSET = 3
 
 _OCC_MASK = (1 << NUM_LOOP_STAGES) - 1
+_TRACK_MASK = (1 << TRACK_CYCLES) - 1
+_TRACK_FINAL = TRACK_CYCLES - 1
 
 
-class ControlFault(RuntimeError):
+class ControlFault(SimulationFault):
     """The controller's registers disagree with the datapath's tags."""
 
 
-class AdmissionError(RuntimeError):
+class AdmissionError(SimulationFault):
     """Admission attempted outside the run state."""
 
 
@@ -75,9 +77,10 @@ class Controller:
     def __init__(self):
         self.fsm = RESET
         self.cycle = 0
-        self.track = [
-            LutShiftRegister(TRACK_CYCLES, name=f"track{i}") for i in range(NUM_LOOP_STAGES)
-        ]
+        # One LUT shift-register chain per slot, newest bit lowest. Like the
+        # fabric chains, it is read only at its final bit, plus the
+        # model-level any-set inspection.
+        self.track = [0] * NUM_LOOP_STAGES
         self.occupancy = 0
         self.modes = 0
         # Mirrors the two initial key-add ranks: tags en route to stage 0.
@@ -103,7 +106,7 @@ class Controller:
         if self.fsm != RUN:
             return False
         stage9_busy = bool(self.occupancy >> 9 & 1)
-        slot_free = not self.track[self.cycle % NUM_LOOP_STAGES].any_set
+        slot_free = not self.track[self.cycle % NUM_LOOP_STAGES]
         if stage9_busy == slot_free:
             # The two views are equivalent by the phase math; disagreement
             # means a tracking register slipped.
@@ -124,7 +127,7 @@ class Controller:
 
     def divert_decision(self, datapath: RoundDatapath) -> bool:
         slot = (self.cycle - STAGE_PHASE_OFFSET - 2) % NUM_LOOP_STAGES
-        divert = self.fsm == RUN and self.track[slot].final == 1
+        divert = self.fsm == RUN and self.track[slot] >> _TRACK_FINAL == 1
         tag = datapath.loop_tags[2]
         if divert:
             if tag is None or tag.slot != slot:
@@ -183,10 +186,9 @@ class Controller:
     def commit(self) -> None:
         # Track registers shift every cycle; the admitted slot's register
         # takes the tracking bit at the admission commit itself.
-        inject_slot = self._admitted_now.slot if self._admitted_now is not None else None
-        for i, sr in enumerate(self.track):
-            sr.present(1 if i == inject_slot else 0)
-            sr.commit()
+        self.track = [(chain << 1) & _TRACK_MASK for chain in self.track]
+        if self._admitted_now is not None:
+            self.track[self._admitted_now.slot] |= 1
 
         entering = self._arriving[1]
         wrap_occ = self.occupancy >> (NUM_LOOP_STAGES - 1) & 1

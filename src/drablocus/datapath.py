@@ -30,11 +30,25 @@ pipeline here shifts on exactly the commits that move the data, and the
 controller's shift registers mirror it. Inputs to the substitution and
 product RAMs are OR-multiplexed; the controller's reset sequencing must
 keep all but one source at zero, and the mux asserts that.
+
+Two descriptions of the same hardware live here. The unit classes
+(:class:`SubBytesUnit`, :class:`ShiftRowsUnit`, :class:`MixColumnsUnit`,
+:class:`AddRoundKeyUnit`) compose the fabric primitives one RAM, slice
+and register at a time; they are the unit-tested specification.
+:class:`RoundDatapath` is what runs: it holds every rank as a named int
+(several registers of one rank as bit fields of one int) and steps them
+in straight-line code, with substitution as ``bytes.translate`` and the
+product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
+makes no per-primitive calls. A lockstep test replays a simulator run
+into both and compares every tap on every cycle.
 """
 
 from __future__ import annotations
 
-from .fabric import BramModel, DspXorSlice, Register
+from operator import itemgetter
+
+from .aesref import _DEC_SHIFT, _ENC_SHIFT
+from .fabric import BramModel, DspXorSlice, Register, SimulationFault
 from .tables import build_mixcolumns_image, build_sbox_image
 
 NUM_LOOP_STAGES = 12
@@ -54,9 +68,13 @@ BLOCK_LATENCY = TRACK_CYCLES + ARK_EDGE_LATENCY
 _MASK48 = (1 << 48) - 1
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
+_MASK256 = (1 << 256) - 1
+
+# Row shift of a 16-byte state, per mode bit.
+_SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(SimulationFault):
     """Two OR-multiplexed sources drove data in the same cycle."""
 
 
@@ -88,12 +106,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word(seq={self.seq}, mode={self.mode}, slot={self.slot})"
-
-
-# Row r rotates left by r for encryption, right for decryption; entries are
-# source byte positions in the serialized column-major order.
-_ENC_PERM = tuple(4 * ((n // 4 + n % 4) % 4) + n % 4 for n in range(16))
-_DEC_PERM = tuple(4 * ((n // 4 - n % 4) % 4) + n % 4 for n in range(16))
 
 
 def _permute_bytes(data: int, perm: tuple[int, ...]) -> int:
@@ -141,7 +153,7 @@ class ShiftRowsUnit:
         self.reg = Register(128, name="shift_rows")
 
     def present(self, data: int, mode: int) -> None:
-        self.reg.present(_permute_bytes(data, _DEC_PERM if mode else _ENC_PERM))
+        self.reg.present(_permute_bytes(data, _DEC_SHIFT if mode else _ENC_SHIFT))
 
     @property
     def reset_in(self) -> bool:
@@ -308,33 +320,107 @@ class AddRoundKeyUnit:
             s.commit()
 
 
-class CollisionError(RuntimeError):
+class CollisionError(SimulationFault):
     """Two valid words tried to claim the same stage register."""
 
 
+def _checked_image(image, width: int, name: str) -> list[int]:
+    """The 512 addressable words of a {mode, byte} RAM image, range-checked once.
+
+    A 9-bit address can only fall outside the image when the image is
+    short, so this replaces the per-read address check of :class:`BramModel`.
+    """
+    words = list(image)[:512]
+    if len(words) < 512:
+        raise SimulationFault(
+            f"{name}: image has {len(words)} entries, the 9-bit address needs 512"
+        )
+    for addr, word in enumerate(words):
+        if not 0 <= word < 1 << width:
+            raise SimulationFault(
+                f"{name}: entry {addr:#x} = {word:#x} exceeds the {width}-bit RAM word"
+            )
+    return words
+
+
+def _rotate_right(entry: int, k: int) -> int:
+    return ((entry >> 8 * k) | (entry << 32 - 8 * k)) & _MASK32
+
+
+class DatapathTables:
+    """Lookup tables of the flat step, derived once from the two RAM images.
+
+    ``sbox[mode]`` is the 256-byte ``bytes.translate`` table of one half of
+    the substitution image. ``lanes[mode][k][b]`` is the product entry for
+    {mode, b} rotated right by k bytes: lane k of column j then lines up
+    field (i - k) mod 4 of entry 4j + k under output row i, which is the
+    :data:`PACK_MAP` wiring with the cascade groups side by side.
+    """
+
+    __slots__ = ("sbox", "lanes")
+
+    def __init__(self, sbox_image=None, mc_image=None):
+        sbox = _checked_image(build_sbox_image() if sbox_image is None else sbox_image, 8, "sbox")
+        mc = _checked_image(
+            build_mixcolumns_image() if mc_image is None else mc_image, 32, "mcprod"
+        )
+        self.sbox = (bytes(sbox[:256]), bytes(sbox[256:]))
+        self.lanes = tuple(
+            tuple(tuple(_rotate_right(e, k) for e in mc[base : base + 256]) for k in range(4))
+            for base in (0, 256)
+        )
+
+
 class RoundDatapath:
-    """The composed loop plus initial/final key-add instances and tap points.
+    """The loop plus initial/final key-add instances and tap points.
 
     Per cycle, drive :meth:`compute_cycle` with this cycle's control and
     key values, then :meth:`commit_cycle`. Tag accessors reflect the word
     whose data is visible at the matching tap in the same cycle.
+
+    Every register rank is one int attribute; a rank built from several
+    registers holds them as bit fields, first register most significant:
+
+    ======= =============================================================
+    rank    fields
+    ======= =============================================================
+    s0, s1  16 substituted bytes (RAM read latch, RAM output register)
+    s2      row-shifted state
+    s3, s4  16 product entries as four 128-bit lanes (lane 0 first)
+    s5      slice-1 operands a and b, slice-2 first b register, fabric
+            rank: lanes 0, 1, 2, 3
+    s6      slice-1 output, slice-2 second b register, slice-3 first b
+            register: lanes 0^1, 2, 3
+    s7      slice-2 output, slice-3 second b register: lanes 0^1^2, 3
+    s8      slice-3 output: the mixed columns
+    s9, s10 main key-add input ranks: data, key
+    s11     main key-add output
+    ia_in   initial key-add input rank: block, key
+    ia_out  initial key-add output
+    fa_in   final key-add input rank: data, key
+    fa_out  final key-add output
+    ======= =============================================================
+
+    Each 128-bit field spans the 48/48/32-bit slices (or the three
+    cascade groups) side by side; XOR is bitwise, so one int per rank
+    computes what the slices compute.
     """
 
-    def __init__(self, sbox_image=None, mc_image=None):
-        self.sub_bytes = SubBytesUnit(sbox_image)
-        self.shift_rows = ShiftRowsUnit()
-        self.mix_columns = MixColumnsUnit(mc_image)
-        self.main_ark = AddRoundKeyUnit(input_regs=2, name="ark_main")
-        self.initial_ark = AddRoundKeyUnit(input_regs=1, name="ark_init")
-        self.final_ark = AddRoundKeyUnit(input_regs=1, name="ark_final")
-        self._units = (
-            self.sub_bytes,
-            self.shift_rows,
-            self.mix_columns,
-            self.main_ark,
-            self.initial_ark,
-            self.final_ark,
-        )
+    __slots__ = (
+        "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
+        "ia_in", "ia_out", "fa_in", "fa_out",
+        "loop_tags", "initial_tags", "final_tags",
+        "_sbox", "_lanes", "_next", "_pending_admit", "_pending_divert",
+    )
+
+    def __init__(self, tables: DatapathTables | None = None):
+        tables = DatapathTables() if tables is None else tables
+        self._sbox = tables.sbox
+        self._lanes = tables.lanes
+        self.s0 = self.s1 = self.s2 = self.s3 = self.s4 = self.s5 = 0
+        self.s6 = self.s7 = self.s8 = self.s9 = self.s10 = self.s11 = 0
+        self.ia_in = self.ia_out = self.fa_in = self.fa_out = 0
+        self._next = None
         # Tag pipelines: entry k holds the tag of the word occupying that
         # register rank in the current cycle (None when the rank carries
         # no live word).
@@ -358,62 +444,103 @@ class RoundDatapath:
         ks_sub_bytes: tuple[int, int] = (0, 0),
         ks_mix_columns: tuple[int, int] = (0, 0),
     ) -> None:
-        recirc = self.main_ark.out
-        arriving = self.initial_ark.out
+        # Locals named after a rank hold its next value; committed values
+        # are read from the attributes, so taps do not move until commit.
+        tags = self.loop_tags
+        recirc = self.s11
+        arriving = self.ia_out
         ks_sb_data, ks_sb_mode = ks_sub_bytes
         ks_mc_data, ks_mc_mode = ks_mix_columns
 
-        sb_in = or_mux_tap(recirc, arriving, ks_sb_data)
-        if self.loop_tags[11] is not None:
-            sb_mode = self.loop_tags[11].mode
-        elif self.initial_tags[1] is not None:
-            sb_mode = self.initial_tags[1].mode
+        # Substitution RAMs behind the OR mux; the driving word's tag (the
+        # key schedule's mode when none) selects the table half. The mux
+        # check is called only when two sources drive, to raise its fault.
+        if (recirc and (arriving or ks_sb_data)) or (arriving and ks_sb_data):
+            or_mux_tap(recirc, arriving, ks_sb_data)
+        tag = tags[11] or self.initial_tags[1]
+        s0 = int.from_bytes(
+            (recirc | arriving | ks_sb_data).to_bytes(16, "big").translate(
+                self._sbox[ks_sb_mode if tag is None else tag.mode]
+            ),
+            "big",
+        )
+
+        # Row shift of the substitution RAM output register.
+        if shift_rows_reset:
+            s2 = 0
         else:
-            sb_mode = ks_sb_mode
-        self.sub_bytes.present(sb_in, sb_mode)
+            tag = tags[1]
+            s2 = int.from_bytes(
+                bytes(_SHIFT_ROWS[0 if tag is None else tag.mode](self.s1.to_bytes(16, "big"))),
+                "big",
+            )
 
-        sr_tag = self.loop_tags[1]
-        self.shift_rows.present(self.sub_bytes.out, sr_tag.mode if sr_tag else 0)
+        # Product RAMs behind the OR mux, read straight into lane order.
+        shifted = self.s2
+        if shifted and ks_mc_data:
+            or_mux_tap(shifted, ks_mc_data)
+        tag = tags[2]
+        t0, t1, t2, t3 = self._lanes[ks_mc_mode if tag is None else tag.mode]
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
+            (shifted | ks_mc_data).to_bytes(16, "big")
+        )
+        s3 = (
+            (t0[b0] << 480) | (t0[b4] << 448) | (t0[b8] << 416) | (t0[b12] << 384)
+            | (t1[b1] << 352) | (t1[b5] << 320) | (t1[b9] << 288) | (t1[b13] << 256)
+            | (t2[b2] << 224) | (t2[b6] << 192) | (t2[b10] << 160) | (t2[b14] << 128)
+            | (t3[b3] << 96) | (t3[b7] << 64) | (t3[b11] << 32) | t3[b15]
+        )
 
-        mc_in = or_mux_tap(self.shift_rows.out, ks_mc_data)
-        mc_tag = self.loop_tags[2]
-        self.mix_columns.present(mc_in, mc_tag.mode if mc_tag else ks_mc_mode)
+        # XOR cascade: each rank folds the next lane into the running sum.
+        rank = self.s5
+        s6 = ((((rank >> 256) ^ (rank >> 384)) & _MASK128) << 256) | (rank & _MASK256)
+        rank = self.s6
+        s7 = ((((rank >> 128) ^ (rank >> 256)) & _MASK128) << 128) | (rank & _MASK128)
+        rank = self.s7
+        s8 = (rank >> 128) ^ (rank & _MASK128)
 
-        self.main_ark.present(self.mix_columns.out, main_key)
-        self.final_ark.present(self.shift_rows.out, final_key)
-
+        # Key-add outputs: the XOR of the last input rank's data and key.
+        rank = self.s10
+        s11 = 0 if main_reset else (rank >> 128) ^ (rank & _MASK128)
+        rank = self.fa_in
+        fa_out = 0 if final_reset else (rank >> 128) ^ (rank & _MASK128)
+        rank = self.ia_in
+        ia_out = 0 if initial_reset else (rank >> 128) ^ (rank & _MASK128)
         if admit is not None:
-            block, key, tag = admit
-            self.initial_ark.present(block, key)
-            self._pending_admit = tag
+            block, key, self._pending_admit = admit
+            ia_in = (block << 128) | key
         else:
-            self.initial_ark.present(0, 0)
+            ia_in = 0
             self._pending_admit = None
         self._pending_divert = divert
 
-        self.initial_ark.reset_in = initial_reset
-        self.main_ark.reset_in = main_reset
-        self.shift_rows.reset_in = shift_rows_reset
-        self.final_ark.reset_in = final_reset
-
-        for unit in self._units:
-            unit.compute()
+        self._next = (
+            s0, self.s0, s2, s3, self.s3, self.s4, s6, s7, s8,
+            (self.s8 << 128) | main_key, self.s9, s11,
+            ia_in, ia_out, (shifted << 128) | final_key, fa_out,
+        )
 
     def commit_cycle(self) -> None:
-        for unit in self._units:
-            unit.commit()
+        (
+            self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
+            self.s9, self.s10, self.s11,
+            self.ia_in, self.ia_out, self.fa_in, self.fa_out,
+        ) = self._next
 
         tags = self.loop_tags
         entering = self.initial_tags[1]
-        wrapping = tags[11]
+        wrapping = tags.pop()
         if entering is not None and wrapping is not None:
+            tags.append(wrapping)
             raise CollisionError(
                 f"stage S0 claimed by arriving {entering} and recirculating {wrapping}"
             )
-        diverted = tags[2] if self._pending_divert else None
-        into_s3 = None if self._pending_divert else tags[2]
-        self.loop_tags = [entering or wrapping] + tags[0:2] + [into_s3] + tags[3:11]
-        self.final_tags = [diverted, self.final_tags[0]]
+        tags.insert(0, entering or wrapping)
+        if self._pending_divert:
+            self.final_tags = [tags[3], self.final_tags[0]]
+            tags[3] = None
+        else:
+            self.final_tags = [None, self.final_tags[0]]
         self.initial_tags = [self._pending_admit, self.initial_tags[0]]
         self._pending_admit = None
         self._pending_divert = False
@@ -421,28 +548,28 @@ class RoundDatapath:
     # Tap points; each value is aligned with its tag for the current cycle.
     @property
     def sub_bytes_tap(self) -> tuple[int, Word | None]:
-        return self.sub_bytes.out, self.loop_tags[1]
+        return self.s1, self.loop_tags[1]
 
     @property
     def shift_rows_tap(self) -> tuple[int, Word | None]:
-        return self.shift_rows.out, self.loop_tags[2]
+        return self.s2, self.loop_tags[2]
 
     @property
     def mix_columns_tap(self) -> tuple[int, Word | None]:
-        return self.mix_columns.out, self.loop_tags[8]
+        return self.s8, self.loop_tags[8]
 
     @property
     def main_ark_tap(self) -> tuple[int, Word | None]:
-        return self.main_ark.out, self.loop_tags[11]
+        return self.s11, self.loop_tags[11]
 
     @property
     def initial_ark_tap(self) -> tuple[int, Word | None]:
-        return self.initial_ark.out, self.initial_tags[1]
+        return self.ia_out, self.initial_tags[1]
 
     @property
     def final_output(self) -> tuple[int, Word | None]:
-        return self.final_ark.out, self.final_tags[1]
+        return self.fa_out, self.final_tags[1]
 
     @property
     def occupied_loop_slots(self) -> int:
-        return sum(1 for tag in self.loop_tags if tag is not None)
+        return NUM_LOOP_STAGES - self.loop_tags.count(None)

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 
 class SimulationFault(RuntimeError):
-    """A modeled hardware fault; the simulation halts with a diagnostic."""
+    """A modeled hardware fault; the simulation halts with a diagnostic.
+
+    The root of every fault the model raises: the datapath's OR-mux and
+    collision checks, the controller's tracking checks and the
+    simulator's timing checks all derive from it.
+    """
 
 
 class CombinationalLoopError(ValueError):

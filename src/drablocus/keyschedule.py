@@ -156,7 +156,7 @@ class KeyScheduler:
             self._inject_sb = (_rot_word(current & _MASK32) << 96, MODE_ENCRYPT)
             yield
             yield
-            substituted = (datapath.sub_bytes.out >> 96) & _MASK32
+            substituted = (datapath.sub_bytes_tap[0] >> 96) & _MASK32
             w0 = (current >> 96) ^ substituted ^ (rcon[r] << 24)
             w1 = ((current >> 64) & _MASK32) ^ w0
             w2 = ((current >> 32) & _MASK32) ^ w1
@@ -195,7 +195,7 @@ class KeyScheduler:
                 source_round = injected[cycle_in_phase - 7]
                 self.store.present_write(
                     key_store_address(MODE_DECRYPT, FINAL_ROUND - source_round),
-                    datapath.mix_columns.out,
+                    datapath.mix_columns_tap[0],
                 )
                 written += 1
             cycle_in_phase += 1

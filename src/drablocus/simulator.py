@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .controller import FLUSH, RUN, ControlFault, Controller
-from .datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, RoundDatapath
+from .datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, DatapathTables, RoundDatapath
+from .fabric import SimulationFault
 from .keyschedule import KeyScheduler
-from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
+from .tables import MODE_DECRYPT, MODE_ENCRYPT
 
 MODE_NAMES = {MODE_ENCRYPT: "enc", MODE_DECRYPT: "dec"}
 MODE_VALUES = {"enc": MODE_ENCRYPT, "dec": MODE_DECRYPT}
@@ -37,6 +38,11 @@ NOMINAL_BLOCKS_PER_CYCLE = NUM_LOOP_STAGES / BLOCK_LATENCY
 
 class JobError(ValueError):
     """A malformed job or job file."""
+
+
+class TimingFault(SimulationFault):
+    """A run broke the fixed-latency contract: a block completed off its
+    latency, or the pipeline wedged."""
 
 
 @dataclass(frozen=True)
@@ -92,11 +98,11 @@ _TAPS = ("ia", "sb", "sr", "mc", "ark", "fin")
 
 
 class PipelineSimulator:
-    """Builds the table images once; each run re-initializes a fresh core."""
+    """Derives the datapath tables from the RAM images once (the built-in
+    images unless given); each run re-initializes a fresh core on them."""
 
     def __init__(self, sbox_image=None, mc_image=None):
-        self._sbox_image = build_sbox_image() if sbox_image is None else list(sbox_image)
-        self._mc_image = build_mixcolumns_image() if mc_image is None else list(mc_image)
+        self._tables = DatapathTables(sbox_image, mc_image)
         self.last_core: tuple[RoundDatapath, Controller, KeyScheduler] | None = None
 
     def run(
@@ -115,7 +121,7 @@ class PipelineSimulator:
         if seqs != list(range(len(jobs))):
             raise JobError("job sequence ids must be unique and dense from 0")
 
-        dp = RoundDatapath(self._sbox_image, self._mc_image)
+        dp = RoundDatapath(self._tables)
         ctrl = Controller()
         ks = KeyScheduler()
         ks.load_key(int.from_bytes(key, "big"))
@@ -129,8 +135,9 @@ class PipelineSimulator:
 
         while len(outputs) < len(jobs):
             if ctrl.cycle > budget:
-                raise RuntimeError(
-                    f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
+                raise TimingFault(
+                    f"cycle {ctrl.cycle}: simulation exceeded its cycle budget ({budget}); "
+                    f"pipeline wedged"
                 )
             ctrl.begin_cycle(ks.ready)
             phase_starts.setdefault(ctrl.fsm, ctrl.cycle)
@@ -176,9 +183,9 @@ class PipelineSimulator:
                 summary.completion_cycles[tag.seq] = ctrl.cycle
                 latency = ctrl.cycle - summary.admission_cycles[tag.seq]
                 if latency != BLOCK_LATENCY:
-                    raise RuntimeError(
-                        f"block {tag.seq} completed after {latency} cycles, "
-                        f"expected {BLOCK_LATENCY}"
+                    raise TimingFault(
+                        f"cycle {ctrl.cycle}: block {tag.seq} completed after {latency} "
+                        f"cycles, expected {BLOCK_LATENCY}"
                     )
 
             ctrl.check_against(dp)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
-from .gf256 import gf_mul, sbox_forward, sbox_inverse
+from .gf256 import INV_SBOX, SBOX, gf_mul
 
 MODE_ENCRYPT = 0
 MODE_DECRYPT = 1
@@ -29,8 +29,12 @@ KEY_STORE_WIDTH = 128
 
 
 def build_sbox_image() -> list[int]:
-    """Forward S-box in entries 0..255, inverse S-box in entries 256..511."""
-    return [sbox_forward(b) for b in range(256)] + [sbox_inverse(b) for b in range(256)]
+    """Forward S-box in entries 0..255, inverse S-box in entries 256..511.
+
+    The halves are :mod:`gf256`'s tables, which it computes once from the
+    field primitives at import.
+    """
+    return list(SBOX) + list(INV_SBOX)
 
 
 def build_mixcolumns_image() -> list[int]:

@@ -1,0 +1,157 @@
+"""Reference composition of the round datapath from the unit classes.
+
+:class:`drablocus.datapath.RoundDatapath` steps flat register ranks with
+no per-primitive calls. This module keeps the composition it replaced:
+the substitution, row-shift, column-mix and key-add units, each built
+from the fabric primitives and clocked through their own compute/commit
+methods. ``test_lockstep.py`` replays the inputs of a simulator run into
+both and compares every tap on every cycle.
+"""
+
+from __future__ import annotations
+
+from drablocus.datapath import (
+    NUM_LOOP_STAGES,
+    AddRoundKeyUnit,
+    CollisionError,
+    MixColumnsUnit,
+    ShiftRowsUnit,
+    SubBytesUnit,
+    Word,
+    or_mux_tap,
+)
+
+
+class ComposedDatapath:
+    """The loop composed from the unit classes, stepped unit by unit.
+
+    Same interface and tag pipeline as :class:`RoundDatapath`; the lockstep
+    test drives both with identical per-cycle inputs.
+    """
+
+    def __init__(self, sbox_image=None, mc_image=None):
+        self.sub_bytes = SubBytesUnit(sbox_image)
+        self.shift_rows = ShiftRowsUnit()
+        self.mix_columns = MixColumnsUnit(mc_image)
+        self.main_ark = AddRoundKeyUnit(input_regs=2, name="ark_main")
+        self.initial_ark = AddRoundKeyUnit(input_regs=1, name="ark_init")
+        self.final_ark = AddRoundKeyUnit(input_regs=1, name="ark_final")
+        self._units = (
+            self.sub_bytes,
+            self.shift_rows,
+            self.mix_columns,
+            self.main_ark,
+            self.initial_ark,
+            self.final_ark,
+        )
+        # Tag pipelines: entry k holds the tag of the word occupying that
+        # register rank in the current cycle (None when the rank carries
+        # no live word).
+        self.loop_tags: list[Word | None] = [None] * NUM_LOOP_STAGES
+        self.initial_tags: list[Word | None] = [None, None]
+        self.final_tags: list[Word | None] = [None, None]
+        self._pending_admit: Word | None = None
+        self._pending_divert = False
+
+    def compute_cycle(
+        self,
+        *,
+        admit: tuple[int, int, Word] | None = None,
+        divert: bool = False,
+        main_key: int = 0,
+        final_key: int = 0,
+        initial_reset: bool = True,
+        main_reset: bool = False,
+        shift_rows_reset: bool = False,
+        final_reset: bool = False,
+        ks_sub_bytes: tuple[int, int] = (0, 0),
+        ks_mix_columns: tuple[int, int] = (0, 0),
+    ) -> None:
+        recirc = self.main_ark.out
+        arriving = self.initial_ark.out
+        ks_sb_data, ks_sb_mode = ks_sub_bytes
+        ks_mc_data, ks_mc_mode = ks_mix_columns
+
+        sb_in = or_mux_tap(recirc, arriving, ks_sb_data)
+        if self.loop_tags[11] is not None:
+            sb_mode = self.loop_tags[11].mode
+        elif self.initial_tags[1] is not None:
+            sb_mode = self.initial_tags[1].mode
+        else:
+            sb_mode = ks_sb_mode
+        self.sub_bytes.present(sb_in, sb_mode)
+
+        sr_tag = self.loop_tags[1]
+        self.shift_rows.present(self.sub_bytes.out, sr_tag.mode if sr_tag else 0)
+
+        mc_in = or_mux_tap(self.shift_rows.out, ks_mc_data)
+        mc_tag = self.loop_tags[2]
+        self.mix_columns.present(mc_in, mc_tag.mode if mc_tag else ks_mc_mode)
+
+        self.main_ark.present(self.mix_columns.out, main_key)
+        self.final_ark.present(self.shift_rows.out, final_key)
+
+        if admit is not None:
+            block, key, tag = admit
+            self.initial_ark.present(block, key)
+            self._pending_admit = tag
+        else:
+            self.initial_ark.present(0, 0)
+            self._pending_admit = None
+        self._pending_divert = divert
+
+        self.initial_ark.reset_in = initial_reset
+        self.main_ark.reset_in = main_reset
+        self.shift_rows.reset_in = shift_rows_reset
+        self.final_ark.reset_in = final_reset
+
+        for unit in self._units:
+            unit.compute()
+
+    def commit_cycle(self) -> None:
+        for unit in self._units:
+            unit.commit()
+
+        tags = self.loop_tags
+        entering = self.initial_tags[1]
+        wrapping = tags[11]
+        if entering is not None and wrapping is not None:
+            raise CollisionError(
+                f"stage S0 claimed by arriving {entering} and recirculating {wrapping}"
+            )
+        diverted = tags[2] if self._pending_divert else None
+        into_s3 = None if self._pending_divert else tags[2]
+        self.loop_tags = [entering or wrapping] + tags[0:2] + [into_s3] + tags[3:11]
+        self.final_tags = [diverted, self.final_tags[0]]
+        self.initial_tags = [self._pending_admit, self.initial_tags[0]]
+        self._pending_admit = None
+        self._pending_divert = False
+
+    # Tap points; each value is aligned with its tag for the current cycle.
+    @property
+    def sub_bytes_tap(self) -> tuple[int, Word | None]:
+        return self.sub_bytes.out, self.loop_tags[1]
+
+    @property
+    def shift_rows_tap(self) -> tuple[int, Word | None]:
+        return self.shift_rows.out, self.loop_tags[2]
+
+    @property
+    def mix_columns_tap(self) -> tuple[int, Word | None]:
+        return self.mix_columns.out, self.loop_tags[8]
+
+    @property
+    def main_ark_tap(self) -> tuple[int, Word | None]:
+        return self.main_ark.out, self.loop_tags[11]
+
+    @property
+    def initial_ark_tap(self) -> tuple[int, Word | None]:
+        return self.initial_ark.out, self.initial_tags[1]
+
+    @property
+    def final_output(self) -> tuple[int, Word | None]:
+        return self.final_ark.out, self.final_tags[1]
+
+    @property
+    def occupied_loop_slots(self) -> int:
+        return sum(1 for tag in self.loop_tags if tag is not None)

@@ -6,6 +6,7 @@ import pytest
 
 from drablocus import aesref
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
+from drablocus.controller import RUN, Controller
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -130,6 +131,27 @@ def test_simulate_bad_jobs_file_line_number(tmp_path, capsys):
     jobs.write_text("0 enc 00112233445566778899aabbccddeeff\nbogus line\n")
     assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_USAGE
     assert "line 2" in capsys.readouterr().err
+
+
+def test_simulate_modelled_fault_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # Flip an occupancy bit on the first run cycle; the controller check
+    # catches it in the same cycle.
+    original = Controller.begin_cycle
+    upset_cycles = []
+
+    def begin_cycle(self, key_schedule_ready):
+        original(self, key_schedule_ready)
+        if self.fsm == RUN and not upset_cycles:
+            upset_cycles.append(self.cycle)
+            self.occupancy ^= 1 << 5
+
+    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
+    assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"simulation fault: cycle {upset_cycles[0]}: occupancy register")
 
 
 def test_metrics_prints_both_bram_factors(capsys):

@@ -1,0 +1,159 @@
+"""Modelled faults: each check the per-cycle step makes is shown to fire.
+
+Every fault type derives from :class:`SimulationFault`. The datapath
+faults are raised by driving the flat :class:`RoundDatapath` and the
+composition of the unit classes with the same inputs; both must fail
+the same way. The controller faults come from single-bit upsets of its
+registers in the middle of a simulator run.
+"""
+
+import random
+
+import pytest
+
+from composed_datapath import ComposedDatapath
+from drablocus.controller import RUN, AdmissionError, ControlFault, Controller
+from drablocus.datapath import CollisionError, ProtocolError, RoundDatapath, Word
+from drablocus.fabric import SimulationFault
+from drablocus.simulator import Job, PipelineSimulator, TimingFault
+from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
+
+FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+
+
+def mixed_jobs(n, seed=7):
+    rng = random.Random(seed)
+    return [
+        Job(i, rng.choice((MODE_ENCRYPT, MODE_DECRYPT)),
+            bytes(rng.randrange(256) for _ in range(16)))
+        for i in range(n)
+    ]
+
+
+def drive_both(schedule, fault):
+    """Step both datapaths through ``schedule``; both must raise ``fault``, with one message."""
+    messages = []
+    for dp in (ComposedDatapath(), RoundDatapath()):
+        with pytest.raises(fault) as err:
+            for kwargs in schedule:
+                dp.compute_cycle(**kwargs)
+                dp.commit_cycle()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    return messages[1]
+
+
+@pytest.mark.parametrize(
+    "fault", [ProtocolError, CollisionError, ControlFault, AdmissionError, TimingFault]
+)
+def test_every_modelled_fault_is_a_simulation_fault(fault):
+    assert issubclass(fault, SimulationFault)
+
+
+def test_substitution_mux_with_two_sources_raises_protocol_error():
+    # The admitted block leaves the initial key-add on cycle 2, when the
+    # key schedule also drives the substitution input.
+    tag = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
+    schedule = [
+        {"admit": (0xAB, 0, tag)},
+        {"initial_reset": False},
+        {"ks_sub_bytes": (0xCD, MODE_ENCRYPT)},
+    ]
+    message = drive_both(schedule, ProtocolError)
+    assert message == (
+        "OR-mux driven by multiple nonzero sources: "
+        "0x00000000000000000000000000000000, "
+        "0x000000000000000000000000000000ab, "
+        "0x000000000000000000000000000000cd"
+    )
+
+
+def test_product_mux_with_two_sources_raises_protocol_error():
+    # Out of reset the shift-rows register holds the substitution of zero,
+    # so an injected key on the product path collides with it.
+    schedule = [{}, {}, {}, {"ks_mix_columns": (0x1, MODE_DECRYPT)}]
+    message = drive_both(schedule, ProtocolError)
+    assert message == (
+        "OR-mux driven by multiple nonzero sources: "
+        f"{int.from_bytes(bytes([0x63] * 16), 'big'):#034x}, "
+        "0x00000000000000000000000000000001"
+    )
+
+
+def test_word_arriving_at_s0_as_another_wraps_raises_collision_error():
+    # The first word wraps from S11 into S0 at the end of cycle 14; the
+    # second, admitted at cycle 12 with zero data and key, arrives then.
+    first = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
+    second = Word(seq=1, mode=MODE_ENCRYPT, slot=0)
+    schedule = []
+    for cycle in range(15):
+        admit = {0: (0x1234, 0, first), 12: (0, 0, second)}.get(cycle)
+        schedule.append({"admit": admit, "initial_reset": cycle not in (1, 13)})
+    message = drive_both(schedule, CollisionError)
+    assert message == f"stage S0 claimed by arriving {second} and recirculating {first}"
+
+
+def run_with_upset(monkeypatch, upset, jobs):
+    """Run ``jobs`` and apply ``upset(controller)`` at the start of the first run cycle."""
+    original = Controller.begin_cycle
+    state = {"done": False}
+
+    def begin_cycle(self, key_schedule_ready):
+        original(self, key_schedule_ready)
+        if self.fsm == RUN and not state["done"]:
+            state["done"] = True
+            upset(self)
+
+    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
+    return PipelineSimulator().run(FIPS_KEY, jobs)
+
+
+def test_unupset_run_completes(monkeypatch):
+    result = run_with_upset(monkeypatch, lambda ctrl: None, mixed_jobs(13))
+    assert result.summary.blocks_completed == 13
+
+
+def test_flipped_track_bit_in_a_free_slot_raises_control_fault(monkeypatch):
+    # The next cycle's slot now looks taken while stage 9 is free.
+    def upset(ctrl):
+        ctrl.track[(ctrl.cycle + 1) % 12] ^= 1
+
+    with pytest.raises(ControlFault, match="stage-9 occupancy and slot tracking disagree"):
+        run_with_upset(monkeypatch, upset, mixed_jobs(13))
+
+
+def test_flipped_track_final_bit_raises_control_fault(monkeypatch):
+    # The chain read for this cycle's divert now expires with no block at S2.
+    def upset(ctrl):
+        ctrl.track[(ctrl.cycle - 5) % 12] ^= 1 << 112
+
+    with pytest.raises(ControlFault, match="expired without its block"):
+        run_with_upset(monkeypatch, upset, mixed_jobs(13))
+
+
+def test_flipped_occupancy_bit_raises_control_fault(monkeypatch):
+    def upset(ctrl):
+        ctrl.occupancy ^= 1 << 5
+
+    with pytest.raises(ControlFault, match="occupancy register"):
+        run_with_upset(monkeypatch, upset, mixed_jobs(13))
+
+
+def test_wedged_pipeline_raises_timing_fault(monkeypatch):
+    monkeypatch.setattr(Controller, "admission_allowed", lambda self: False)
+    with pytest.raises(TimingFault, match="pipeline wedged"):
+        PipelineSimulator().run(FIPS_KEY, mixed_jobs(1))
+
+
+@pytest.mark.parametrize(
+    "image_arg, broken, match",
+    [
+        ("sbox_image", build_sbox_image()[:511], "511 entries"),
+        ("sbox_image", build_sbox_image()[:7] + [0x100] + build_sbox_image()[8:], "exceeds"),
+        ("mc_image", build_mixcolumns_image()[:511], "511 entries"),
+        ("mc_image", [1 << 32] + build_mixcolumns_image()[1:], "exceeds"),
+    ],
+)
+def test_bad_image_raises_at_construction(image_arg, broken, match):
+    with pytest.raises(SimulationFault, match=match):
+        PipelineSimulator(**{image_arg: broken})

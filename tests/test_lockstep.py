@@ -1,0 +1,72 @@
+"""Lockstep: the flat round datapath against the composition of the unit classes.
+
+A seeded simulator run records the arguments of every ``compute_cycle``
+call, through reset, key initialization, flush and run. The same
+arguments drive :class:`ComposedDatapath` (the unit classes stepped
+through the fabric primitives) and a fresh :class:`RoundDatapath`; every
+tap, its tag, and the substitution and column-mix outputs must agree on
+every cycle.
+"""
+
+import io
+import random
+
+from composed_datapath import ComposedDatapath
+from drablocus.datapath import RoundDatapath
+from drablocus.simulator import Job, PipelineSimulator
+from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
+
+FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+
+
+def recorded_run(monkeypatch, jobs):
+    """The per-cycle ``compute_cycle`` arguments of one run, and the FSM state of each cycle."""
+    calls = []
+    original = RoundDatapath.compute_cycle
+
+    def recording(self, **kwargs):
+        calls.append(kwargs)
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(RoundDatapath, "compute_cycle", recording)
+    trace = io.StringIO()
+    PipelineSimulator().run(FIPS_KEY, jobs, trace=trace)
+    monkeypatch.undo()
+    phases = [line.split()[1].removeprefix("fsm=")
+              for line in trace.getvalue().splitlines() if " fsm=" in line]
+    return calls, phases
+
+
+def taps(dp):
+    return (
+        dp.initial_ark_tap,
+        dp.sub_bytes_tap,
+        dp.shift_rows_tap,
+        dp.mix_columns_tap,
+        dp.main_ark_tap,
+        dp.final_output,
+    )
+
+
+def test_flat_step_matches_composed_units_every_cycle(monkeypatch):
+    rng = random.Random(0xD12AB)
+    jobs = [
+        Job(i, rng.choice((MODE_ENCRYPT, MODE_DECRYPT)),
+            bytes(rng.randrange(256) for _ in range(16)))
+        for i in range(100)
+    ]
+    calls, phases = recorded_run(monkeypatch, jobs)
+    assert len(calls) == len(phases)
+    assert set(phases) == {"reset", "key_init", "flush", "run"}
+
+    composed, flat = ComposedDatapath(), RoundDatapath()
+    for cycle, kwargs in enumerate(calls):
+        composed.compute_cycle(**kwargs)
+        flat.compute_cycle(**kwargs)
+        assert taps(flat) == taps(composed), f"cycle {cycle} ({phases[cycle]})"
+        assert flat.s1 == composed.sub_bytes.out, f"cycle {cycle}"
+        assert flat.s8 == composed.mix_columns.out, f"cycle {cycle}"
+        assert flat.loop_tags == composed.loop_tags, f"cycle {cycle}"
+        composed.commit_cycle()
+        flat.commit_cycle()
+    assert taps(flat) == taps(composed)
