@@ -5,7 +5,7 @@ depends on:
 
 1. every block is tracked from admission until it must divert into the
    final key-add instance (one 113-bit LUT shift register per pipeline
-   slot, held as an int; only the final bit is read);
+   slot; only the final bit is read);
 2. the mode of the block in each stage is delivered where needed (a
    12-bit mode register rotating in lockstep with the loop);
 3. new inputs stall while pipeline data is moving from the key-add
@@ -24,11 +24,15 @@ LUT chains have no reset line), then run. Slot numbering is anchored to
 the admission cycle modulo 12, which makes the slot of the word in loop
 stage k equal to (cycle - 3 - k) mod 12; the tag pipeline is checked
 against this every cycle.
+
+Like the datapath's ranks, the twelve track chains are held as one int:
+chain s is the bit field 113s..113s+112, newest bit lowest, so a commit
+shifts all twelve with one shift and one mask. The reset lines are plain
+attributes that :meth:`Controller.begin_cycle` sets; they depend only on
+the FSM state and the previous cycle's admission.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .datapath import NUM_LOOP_STAGES, TRACK_CYCLES, RoundDatapath, Word
 from .fabric import SimulationFault
@@ -44,8 +48,26 @@ RUN = "run"
 STAGE_PHASE_OFFSET = 3
 
 _OCC_MASK = (1 << NUM_LOOP_STAGES) - 1
-_TRACK_MASK = (1 << TRACK_CYCLES) - 1
+_STAGE9 = 1 << 9
+_DIVERT_STAGE = 1 << 3
+_WRAP_SHIFT = NUM_LOOP_STAGES - 1
 _TRACK_FINAL = TRACK_CYCLES - 1
+
+# Track rank: per slot, its admission bit (bit 0 of its field), its whole
+# field and its final bit. A commit shifts every field by one; the mask
+# drops each chain's carry-out into the next field and clears bit 0.
+_TRACK_ADMIT = tuple(1 << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
+_TRACK_FIELDS = tuple(((1 << TRACK_CYCLES) - 1) << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
+_TRACK_FINALS = tuple(bit << _TRACK_FINAL for bit in _TRACK_ADMIT)
+_TRACK_SHIFT_MASK = sum(_TRACK_FIELDS) ^ sum(_TRACK_ADMIT)
+
+# Per cycle phase (cycle mod 12): the slot the phase math requires in each
+# loop stage, and the stage's occupancy bit.
+_EXPECTED_SLOTS = tuple(
+    tuple((phase - STAGE_PHASE_OFFSET - k) % NUM_LOOP_STAGES for k in range(NUM_LOOP_STAGES))
+    for phase in range(NUM_LOOP_STAGES)
+)
+_STAGE_BITS = tuple(1 << k for k in range(NUM_LOOP_STAGES))
 
 
 class ControlFault(SimulationFault):
@@ -56,35 +78,24 @@ class AdmissionError(SimulationFault):
     """Admission attempted outside the run state."""
 
 
-@dataclass(frozen=True)
-class ControlSignals:
-    initial_reset: bool
-    main_reset: bool
-    shift_rows_reset: bool
-    final_reset: bool
-    divert: bool
-
-
-@dataclass(frozen=True)
-class ControllerStatus:
-    cycle: int
-    fsm: str
-    occupancy: int
-    stalled: bool
-
-
 class Controller:
     def __init__(self):
         self.fsm = RESET
         self.cycle = 0
-        # One LUT shift-register chain per slot, newest bit lowest. Like the
-        # fabric chains, it is read only at its final bit, plus the
-        # model-level any-set inspection.
-        self.track = [0] * NUM_LOOP_STAGES
+        # The twelve LUT shift-register chains, one per slot, as bit fields.
+        # Like the fabric chains, each is read only at its final bit, plus
+        # the model-level any-set inspection.
+        self.track = 0
         self.occupancy = 0
         self.modes = 0
+        # Reset lines for this cycle, set by begin_cycle.
+        self.initial_reset = True
+        self.main_reset = True
+        self.shift_rows_reset = True
+        self.final_reset = True
         # Mirrors the two initial key-add ranks: tags en route to stage 0.
-        self._arriving: list[Word | None] = [None, None]
+        self._arriving0: Word | None = None
+        self._arriving1: Word | None = None
         self._admitted_now: Word | None = None
         self._admitted_prev = False
         self._flush_count = 0
@@ -93,20 +104,28 @@ class Controller:
     # FSM sequencing, evaluated from registered conditions at the top of
     # each cycle.
     def begin_cycle(self, key_schedule_ready: bool) -> None:
-        if self.fsm == RESET:
-            if self.cycle > 0:
-                self.fsm = KEY_INIT
-        elif self.fsm == KEY_INIT and key_schedule_ready:
-            self.fsm = FLUSH
-            self._flush_count = 0
-        elif self.fsm == FLUSH and self._flush_count >= TRACK_CYCLES:
-            self.fsm = RUN
+        fsm = self.fsm
+        if fsm != RUN:
+            if fsm == RESET:
+                if self.cycle > 0:
+                    fsm = KEY_INIT
+            elif fsm == KEY_INIT and key_schedule_ready:
+                fsm = FLUSH
+                self._flush_count = 0
+            elif fsm == FLUSH and self._flush_count >= TRACK_CYCLES:
+                fsm = RUN
+            self.fsm = fsm
+            # The hold lines follow the FSM alone, which never leaves run.
+            self.shift_rows_reset = self.final_reset = fsm == RESET or fsm == KEY_INIT
+        admitted = self._admitted_prev
+        self.initial_reset = not admitted
+        self.main_reset = admitted or fsm != RUN
 
     def admission_allowed(self) -> bool:
         if self.fsm != RUN:
             return False
-        stage9_busy = bool(self.occupancy >> 9 & 1)
-        slot_free = not self.track[self.cycle % NUM_LOOP_STAGES]
+        stage9_busy = bool(self.occupancy & _STAGE9)
+        slot_free = not self.track & _TRACK_FIELDS[self.cycle % NUM_LOOP_STAGES]
         if stage9_busy == slot_free:
             # The two views are equivalent by the phase math; disagreement
             # means a tracking register slipped.
@@ -117,19 +136,20 @@ class Controller:
 
     def admit(self, seq: int, mode: int) -> Word:
         if self.fsm != RUN:
-            raise AdmissionError(f"admission while controller is in {self.fsm}")
+            raise AdmissionError(
+                f"cycle {self.cycle}: admission while controller is in {self.fsm}"
+            )
         if not self.admission_allowed():
-            raise AdmissionError("admission attempted on a stalled cycle")
-        slot = self.cycle % NUM_LOOP_STAGES
-        tag = Word(seq=seq, mode=mode, slot=slot)
+            raise AdmissionError(f"cycle {self.cycle}: admission attempted on a stalled cycle")
+        tag = Word(seq=seq, mode=mode, slot=self.cycle % NUM_LOOP_STAGES)
         self._admitted_now = tag
         return tag
 
     def divert_decision(self, datapath: RoundDatapath) -> bool:
         slot = (self.cycle - STAGE_PHASE_OFFSET - 2) % NUM_LOOP_STAGES
-        divert = self.fsm == RUN and self.track[slot] >> _TRACK_FINAL == 1
-        tag = datapath.loop_tags[2]
+        divert = self.fsm == RUN and bool(self.track & _TRACK_FINALS[slot])
         if divert:
+            tag = datapath.loop_tags[2]
             if tag is None or tag.slot != slot:
                 raise ControlFault(
                     f"cycle {self.cycle}: track {slot} expired without its block at "
@@ -138,61 +158,54 @@ class Controller:
         self._divert = divert
         return divert
 
-    def signals(self) -> ControlSignals:
-        holding = self.fsm in (RESET, KEY_INIT)
-        return ControlSignals(
-            initial_reset=not self._admitted_prev,
-            main_reset=self._admitted_prev or self.fsm != RUN,
-            shift_rows_reset=holding,
-            final_reset=holding,
-            divert=self._divert,
-        )
+    def check_against(self, datapath: RoundDatapath) -> int:
+        """Reconcile the tracking registers with the datapath's tag pipeline.
 
-    def status(self, stalled: bool = False) -> ControllerStatus:
-        return ControllerStatus(
-            cycle=self.cycle, fsm=self.fsm, occupancy=self.occupancy, stalled=stalled
-        )
-
-    def check_against(self, datapath: RoundDatapath) -> None:
-        """Reconcile the tracking registers with the datapath's tag pipeline."""
+        Returns the datapath's occupancy, one bit per live loop stage.
+        """
+        cycle = self.cycle
         occ = 0
         modes = 0
-        for k, tag in enumerate(datapath.loop_tags):
+        for tag, expected_slot, bit in zip(
+            datapath.loop_tags, _EXPECTED_SLOTS[cycle % NUM_LOOP_STAGES], _STAGE_BITS
+        ):
             if tag is None:
                 continue
-            occ |= 1 << k
-            modes |= (tag.mode & 1) << k
-            expected_slot = (self.cycle - STAGE_PHASE_OFFSET - k) % NUM_LOOP_STAGES
+            occ |= bit
+            if tag.mode & 1:
+                modes |= bit
             if tag.slot != expected_slot:
                 raise ControlFault(
-                    f"cycle {self.cycle}: stage {k} holds slot {tag.slot}, "
+                    f"cycle {cycle}: stage {bit.bit_length() - 1} holds slot {tag.slot}, "
                     f"phase math requires {expected_slot}"
                 )
         if occ != self.occupancy:
             raise ControlFault(
-                f"cycle {self.cycle}: occupancy register {self.occupancy:012b} "
+                f"cycle {cycle}: occupancy register {self.occupancy:012b} "
                 f"vs datapath {occ:012b}"
             )
         if modes != self.modes & occ:
             raise ControlFault(
-                f"cycle {self.cycle}: mode register {self.modes:012b} disagrees "
+                f"cycle {cycle}: mode register {self.modes:012b} disagrees "
                 f"with datapath tags"
             )
-        arriving = self._arriving[1]
-        dp_arriving = datapath.initial_tags[1]
-        if (arriving is None) != (dp_arriving is None):
-            raise ControlFault(f"cycle {self.cycle}: initial-stage tracking out of step")
+        if (self._arriving1 is None) != (datapath.initial_tags[1] is None):
+            raise ControlFault(f"cycle {cycle}: initial-stage tracking out of step")
+        return occ
 
     def commit(self) -> None:
         # Track registers shift every cycle; the admitted slot's register
         # takes the tracking bit at the admission commit itself.
-        self.track = [(chain << 1) & _TRACK_MASK for chain in self.track]
-        if self._admitted_now is not None:
-            self.track[self._admitted_now.slot] |= 1
+        admitted = self._admitted_now
+        track = (self.track << 1) & _TRACK_SHIFT_MASK
+        if admitted is not None:
+            track |= _TRACK_ADMIT[admitted.slot]
+        self.track = track
 
-        entering = self._arriving[1]
-        wrap_occ = self.occupancy >> (NUM_LOOP_STAGES - 1) & 1
-        wrap_mode = self.modes >> (NUM_LOOP_STAGES - 1) & 1
+        entering = self._arriving1
+        occ = self.occupancy
+        modes = self.modes
+        wrap_occ = occ >> _WRAP_SHIFT & 1
         if entering is not None:
             if wrap_occ:
                 raise ControlFault(
@@ -200,19 +213,20 @@ class Controller:
                 )
             bit0_occ, bit0_mode = 1, entering.mode & 1
         else:
-            bit0_occ, bit0_mode = wrap_occ, wrap_mode
-        occ = ((self.occupancy << 1) & _OCC_MASK) | bit0_occ
-        modes = ((self.modes << 1) & _OCC_MASK) | bit0_mode
+            bit0_occ, bit0_mode = wrap_occ, modes >> _WRAP_SHIFT & 1
+        occ = ((occ << 1) & _OCC_MASK) | bit0_occ
+        modes = ((modes << 1) & _OCC_MASK) | bit0_mode
         if self._divert:
-            occ &= ~(1 << 3)
-            modes &= ~(1 << 3)
+            occ &= ~_DIVERT_STAGE
+            modes &= ~_DIVERT_STAGE
+            self._divert = False
         self.occupancy = occ
         self.modes = modes
 
-        self._arriving = [self._admitted_now, self._arriving[0]]
-        self._admitted_prev = self._admitted_now is not None
+        self._arriving1 = self._arriving0
+        self._arriving0 = admitted
+        self._admitted_prev = admitted is not None
         self._admitted_now = None
-        self._divert = False
         if self.fsm == FLUSH:
             self._flush_count += 1
         self.cycle += 1

@@ -569,7 +569,3 @@ class RoundDatapath:
     @property
     def final_output(self) -> tuple[int, Word | None]:
         return self.fa_out, self.final_tags[1]
-
-    @property
-    def occupied_loop_slots(self) -> int:
-        return NUM_LOOP_STAGES - self.loop_tags.count(None)

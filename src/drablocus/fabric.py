@@ -5,12 +5,17 @@ Everything clocked follows one two-phase contract: during a cycle,
 committed in *prior* cycles) plus values presented this cycle, and derives
 pending next state; ``commit()`` then latches pending state everywhere.
 Outputs never change during the compute phase, so compute order is free
-between components whose same-cycle links go through registers. Purely
-combinational links must be declared to :class:`Circuit`, which orders
-evaluation and rejects combinational loops.
+between components whose same-cycle links go through registers; a purely
+combinational link (an unregistered output read the same cycle) needs its
+source computed first.
 
 Presented inputs persist until re-presented, mirroring input lines driven
 by an upstream register.
+
+These classes are the unit-tested specification of the primitives. The
+simulator's per-cycle step (:class:`~drablocus.datapath.RoundDatapath`,
+:class:`~drablocus.controller.Controller`) holds their state as plain ints
+and does not call them, except the key store's :class:`BramModel`.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ class SimulationFault(RuntimeError):
     collision checks, the controller's tracking checks and the
     simulator's timing checks all derive from it.
     """
-
-
-class CombinationalLoopError(ValueError):
-    """The declared combinational dependencies contain a cycle."""
 
 
 class Clocked:
@@ -293,63 +294,3 @@ class LutShiftRegister(Clocked):
     def any_set(self) -> bool:
         """Model-level inspection only; real chains expose no such signal."""
         return self._state != 0
-
-
-class Circuit(Clocked):
-    """A set of clocked components stepped under one global two-phase clock.
-
-    ``add`` registers a component; ``reads`` names components whose
-    *combinational* (unregistered) outputs it consumes within a cycle.
-    Construction orders the compute phase accordingly and rejects
-    combinational loops. Identical input schedules give identical traces.
-    """
-
-    def __init__(self):
-        self._parts: list[Clocked] = []
-        self._reads: dict[int, list[Clocked]] = {}
-        self._order: list[Clocked] | None = None
-        self.cycle = 0
-
-    def add(self, part, reads: tuple = ()):
-        self._parts.append(part)
-        if reads:
-            self._reads[id(part)] = list(reads)
-        self._order = None
-        return part
-
-    def _sequence(self) -> list[Clocked]:
-        if self._order is None:
-            remaining = list(self._parts)
-            placed: set[int] = set()
-            order: list[Clocked] = []
-            while remaining:
-                ready = [
-                    p
-                    for p in remaining
-                    if all(id(d) in placed for d in self._reads.get(id(p), ()))
-                ]
-                if not ready:
-                    names = [getattr(p, "name", type(p).__name__) for p in remaining]
-                    raise CombinationalLoopError(
-                        f"combinational loop among components: {', '.join(names)}"
-                    )
-                for p in ready:
-                    order.append(p)
-                    placed.add(id(p))
-                    remaining.remove(p)
-            self._order = order
-        return self._order
-
-    def compute(self) -> None:
-        for part in self._sequence():
-            part.compute()
-
-    def commit(self) -> None:
-        for part in self._sequence():
-            part.commit()
-        self.cycle += 1
-
-    def step(self, cycles: int = 1) -> None:
-        for _ in range(cycles):
-            self.compute()
-            self.commit()

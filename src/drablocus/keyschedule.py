@@ -23,9 +23,9 @@ back, reading each result 6 cycles after injection.
 
 from __future__ import annotations
 
-from .datapath import MAIN_ROUNDS, RoundDatapath
+from .aesref import RCON
+from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, RoundDatapath
 from .fabric import BramModel, SimulationFault
-from .gf256 import gf_pow
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
 IDLE = "idle"
@@ -35,8 +35,7 @@ READY = "ready"
 
 FINAL_ROUND = 10
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_NO_INJECT = (0, 0)
 
 
 def _rot_word(w: int) -> int:
@@ -55,8 +54,10 @@ class KeyScheduler:
         self.init_cycles = 0
         self._cipher_key = 0
         self._program = None
-        self._inject_sb = (0, 0)
-        self._inject_mc = (0, 0)
+        # (data, mode) the schedule drives into the substitution and
+        # product RAMs this cycle; zero outside initialization.
+        self.sub_bytes_inject = _NO_INJECT
+        self.mix_columns_inject = _NO_INJECT
         self._pending_increment: int | None = None
 
     @property
@@ -87,17 +88,42 @@ class KeyScheduler:
     def final_key_out(self) -> int:
         return self.store.out_b
 
-    @property
-    def sub_bytes_inject(self) -> tuple[int, int]:
-        return self._inject_sb
-
-    @property
-    def mix_columns_inject(self) -> tuple[int, int]:
-        return self._inject_mc
-
     def compute(self, datapath: RoundDatapath, controller_fsm: str) -> None:
-        self._inject_sb = (0, 0)
-        self._inject_mc = (0, 0)
+        if self.fsm == READY:
+            # Service: the port reads go straight to the image and into the
+            # store's read latches, which commit latches as for any read. A
+            # {mode, round <= 10} address is below the depth of 32, so the
+            # range check of BramModel.compute cannot fire here. The injects
+            # stay zero, as cleared on the last initialization cycle.
+            store = self.store
+            image = store.image
+            tags = datapath.loop_tags
+            # Arbitrary-round consumer: the word now in stage 7 presents to
+            # the main key-add next cycle, together with this port read's
+            # result.
+            tag = tags[7]
+            if tag is not None:
+                round_index = self.round_counters[tag.slot] + 1
+                if round_index > MAIN_ROUNDS:
+                    raise SimulationFault(
+                        f"slot {tag.slot} requested main-loop key for round {round_index}"
+                    )
+                addr_a = (tag.mode & 1) << 4 | round_index
+            else:
+                addr_a = 0
+            # Final-key consumer: constantly reads round 10 for the mode of
+            # the word that would reach the final instance two cycles from now.
+            tag = tags[1]
+            addr_b = FINAL_ROUND if tag is None else (tag.mode & 1) << 4 | FINAL_ROUND
+            store.addr_a = addr_a
+            store.addr_b = addr_b
+            store._pend_a = image[addr_a]
+            store._pend_b = image[addr_b]
+            # The word in stage 8 consumes its key at the next commit.
+            tag = tags[8]
+            self._pending_increment = None if tag is None else tag.slot
+            return
+        self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
         if self.fsm in (EXPANDING, INVERTING):
             if controller_fsm != "key_init":
                 return
@@ -110,33 +136,7 @@ class KeyScheduler:
                 self._program = None
             else:
                 self.init_cycles += 1
-            self.store.compute()
-            return
-        if self.fsm == READY:
-            self._serve(datapath)
         self.store.compute()
-
-    def _serve(self, datapath: RoundDatapath) -> None:
-        tags = datapath.loop_tags
-        # Arbitrary-round consumer: the word now in stage 7 presents to the
-        # main key-add next cycle, together with this port read's result.
-        tag = tags[7]
-        if tag is not None:
-            round_index = self.round_counters[tag.slot] + 1
-            if round_index > MAIN_ROUNDS:
-                raise SimulationFault(
-                    f"slot {tag.slot} requested main-loop key for round {round_index}"
-                )
-            self.store.addr_a = key_store_address(tag.mode, round_index)
-        else:
-            self.store.addr_a = 0
-        # Final-key consumer: constantly reads round 10 for the mode of the
-        # word that would reach the final instance two cycles from now.
-        tag1 = tags[1]
-        self.store.addr_b = key_store_address(tag1.mode if tag1 else MODE_ENCRYPT, FINAL_ROUND)
-        # The word in stage 8 consumes its key at the next commit.
-        tag8 = tags[8]
-        self._pending_increment = tag8.slot if tag8 is not None else None
 
     def commit(self) -> None:
         self.store.commit()
@@ -145,7 +145,6 @@ class KeyScheduler:
             self._pending_increment = None
 
     def _initialization(self, datapath: RoundDatapath):
-        rcon = [0] + [gf_pow(2, r - 1) for r in range(1, FINAL_ROUND + 1)]
         key = self._cipher_key
         self.initial_keys[MODE_ENCRYPT] = key
         self.store.present_write(key_store_address(MODE_ENCRYPT, 0), key)
@@ -153,11 +152,11 @@ class KeyScheduler:
         current = key
         round_keys = [key]
         for r in range(1, FINAL_ROUND + 1):
-            self._inject_sb = (_rot_word(current & _MASK32) << 96, MODE_ENCRYPT)
+            self.sub_bytes_inject = (_rot_word(current & _MASK32) << 96, MODE_ENCRYPT)
             yield
             yield
             substituted = (datapath.sub_bytes_tap[0] >> 96) & _MASK32
-            w0 = (current >> 96) ^ substituted ^ (rcon[r] << 24)
+            w0 = (current >> 96) ^ substituted ^ (RCON[r] << 24)
             w1 = ((current >> 64) & _MASK32) ^ w0
             w2 = ((current >> 32) & _MASK32) ^ w1
             w3 = (current & _MASK32) ^ w2
@@ -187,10 +186,10 @@ class KeyScheduler:
                 self.store.present_write(key_store_address(MODE_DECRYPT, FINAL_ROUND), key)
             if 1 <= cycle_in_phase <= len(reads):
                 source_round = reads[cycle_in_phase - 1]
-                self._inject_mc = (self.store.out_a, MODE_DECRYPT)
+                self.mix_columns_inject = (self.store.out_a, MODE_DECRYPT)
                 injected.append(source_round)
             else:
-                self._inject_mc = (0, 0)
+                self.mix_columns_inject = _NO_INJECT
             if cycle_in_phase >= 7:
                 source_round = injected[cycle_in_phase - 7]
                 self.store.present_write(

@@ -24,8 +24,16 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .controller import FLUSH, RUN, ControlFault, Controller
-from .datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, DatapathTables, RoundDatapath
+from .datapath import (
+    BLOCK_LATENCY,
+    NUM_LOOP_STAGES,
+    CollisionError,
+    DatapathTables,
+    ProtocolError,
+    RoundDatapath,
+)
 from .fabric import SimulationFault
+from .keyschedule import READY as KEY_SCHEDULE_READY
 from .keyschedule import KeyScheduler
 from .tables import MODE_DECRYPT, MODE_ENCRYPT
 
@@ -130,85 +138,109 @@ class PipelineSimulator:
         pending = deque(jobs)
         outputs: dict[int, bytes] = {}
         summary = RunSummary()
+        admission_cycles = summary.admission_cycles
+        completion_cycles = summary.completion_cycles
         budget = 600 + 130 * (len(jobs) // NUM_LOOP_STAGES + 2)
         phase_starts: dict[str, int] = {}
+        max_occupancy = 0
+        stall_cycles = 0
 
-        while len(outputs) < len(jobs):
-            if ctrl.cycle > budget:
-                raise TimingFault(
-                    f"cycle {ctrl.cycle}: simulation exceeded its cycle budget ({budget}); "
-                    f"pipeline wedged"
-                )
-            ctrl.begin_cycle(ks.ready)
-            phase_starts.setdefault(ctrl.fsm, ctrl.cycle)
-            if ctrl.fsm == RUN and summary.run_start_cycle == 0:
-                summary.run_start_cycle = ctrl.cycle
+        # The per-cycle methods, looked up once per run.
+        begin_cycle = ctrl.begin_cycle
+        admission_allowed = ctrl.admission_allowed
+        divert_decision = ctrl.divert_decision
+        check_against = ctrl.check_against
+        ctrl_commit = ctrl.commit
+        ks_compute = ks.compute
+        ks_commit = ks.commit
+        dp_compute = dp.compute_cycle
+        dp_commit = dp.commit_cycle
+        store = ks.store
+        fsm = None
 
-            admit_arg = None
-            stalled = False
-            if pending and ctrl.fsm == RUN:
-                if ctrl.admission_allowed():
-                    job = pending.popleft()
-                    tag = ctrl.admit(job.seq, job.mode)
-                    ks.on_admission(tag.slot)
-                    admit_arg = (
-                        int.from_bytes(job.block, "big"),
-                        ks.initial_key(job.mode),
-                        tag,
-                    )
-                    summary.admission_cycles[job.seq] = ctrl.cycle
-                else:
-                    stalled = True
-                    summary.stall_cycles += 1
-
-            divert = ctrl.divert_decision(dp)
-            ks.compute(dp, ctrl.fsm)
-            sig = ctrl.signals()
-            dp.compute_cycle(
-                admit=admit_arg,
-                divert=divert,
-                main_key=ks.main_key_out,
-                final_key=ks.final_key_out,
-                initial_reset=sig.initial_reset,
-                main_reset=sig.main_reset,
-                shift_rows_reset=sig.shift_rows_reset,
-                final_reset=sig.final_reset,
-                ks_sub_bytes=ks.sub_bytes_inject,
-                ks_mix_columns=ks.mix_columns_inject,
-            )
-
-            value, tag = dp.final_output
-            if tag is not None:
-                outputs[tag.seq] = value.to_bytes(16, "big")
-                summary.completion_cycles[tag.seq] = ctrl.cycle
-                latency = ctrl.cycle - summary.admission_cycles[tag.seq]
-                if latency != BLOCK_LATENCY:
+        try:
+            while len(outputs) < len(jobs):
+                cycle = ctrl.cycle
+                if cycle > budget:
                     raise TimingFault(
-                        f"cycle {ctrl.cycle}: block {tag.seq} completed after {latency} "
-                        f"cycles, expected {BLOCK_LATENCY}"
+                        f"cycle {cycle}: simulation exceeded its cycle budget ({budget}); "
+                        f"pipeline wedged"
                     )
+                begin_cycle(ks.fsm == KEY_SCHEDULE_READY)
+                if ctrl.fsm != fsm:
+                    fsm = ctrl.fsm
+                    phase_starts.setdefault(fsm, cycle)
 
-            ctrl.check_against(dp)
-            if sig.main_reset and dp.loop_tags[10] is not None:
-                raise ControlFault(
-                    f"cycle {ctrl.cycle}: output reset would scrub live block "
-                    f"{dp.loop_tags[10]}"
+                admit_arg = None
+                stalled = False
+                if pending and fsm == RUN:
+                    if admission_allowed():
+                        job = pending.popleft()
+                        tag = ctrl.admit(job.seq, job.mode)
+                        ks.on_admission(tag.slot)
+                        admit_arg = (
+                            int.from_bytes(job.block, "big"),
+                            ks.initial_key(job.mode),
+                            tag,
+                        )
+                        admission_cycles[job.seq] = cycle
+                    else:
+                        stalled = True
+                        stall_cycles += 1
+
+                divert = divert_decision(dp)
+                ks_compute(dp, fsm)
+                main_reset = ctrl.main_reset
+                dp_compute(
+                    admit=admit_arg,
+                    divert=divert,
+                    main_key=store.out_a,
+                    final_key=store.out_b,
+                    initial_reset=ctrl.initial_reset,
+                    main_reset=main_reset,
+                    shift_rows_reset=ctrl.shift_rows_reset,
+                    final_reset=ctrl.final_reset,
+                    ks_sub_bytes=ks.sub_bytes_inject,
+                    ks_mix_columns=ks.mix_columns_inject,
                 )
-            occupancy = dp.occupied_loop_slots
-            if occupancy > summary.max_loop_occupancy:
-                summary.max_loop_occupancy = occupancy
 
-            if trace is not None:
-                self._emit_trace(trace, ctrl, dp, stalled)
+                tag = dp.final_tags[1]
+                if tag is not None:
+                    outputs[tag.seq] = dp.fa_out.to_bytes(16, "big")
+                    completion_cycles[tag.seq] = cycle
+                    latency = cycle - admission_cycles[tag.seq]
+                    if latency != BLOCK_LATENCY:
+                        raise TimingFault(
+                            f"cycle {cycle}: block {tag.seq} completed after {latency} "
+                            f"cycles, expected {BLOCK_LATENCY}"
+                        )
 
-            dp.commit_cycle()
-            ctrl.commit()
-            ks.commit()
+                occupancy = check_against(dp).bit_count()
+                if main_reset and dp.loop_tags[10] is not None:
+                    raise ControlFault(
+                        f"cycle {cycle}: output reset would scrub live block "
+                        f"{dp.loop_tags[10]}"
+                    )
+                if occupancy > max_occupancy:
+                    max_occupancy = occupancy
+
+                if trace is not None:
+                    self._emit_trace(trace, ctrl, dp, stalled)
+
+                dp_commit()
+                ctrl_commit()
+                ks_commit()
+        except (ProtocolError, CollisionError) as fault:
+            # The datapath keeps no cycle count; name the cycle here.
+            raise type(fault)(f"cycle {ctrl.cycle}: {fault}") from fault
 
         summary.total_cycles = ctrl.cycle
         summary.blocks_completed = len(outputs)
+        summary.stall_cycles = stall_cycles
+        summary.max_loop_occupancy = max_occupancy
         summary.key_init_cycles = ks.init_cycles
-        summary.flush_cycles = phase_starts.get(RUN, 0) - phase_starts.get(FLUSH, 0)
+        summary.run_start_cycle = phase_starts.get(RUN, 0)
+        summary.flush_cycles = summary.run_start_cycle - phase_starts.get(FLUSH, 0)
         return RunResult(outputs=outputs, summary=summary)
 
     @staticmethod

@@ -151,7 +151,3 @@ class ComposedDatapath:
     @property
     def final_output(self) -> tuple[int, Word | None]:
         return self.final_ark.out, self.final_tags[1]
-
-    @property
-    def occupied_loop_slots(self) -> int:
-        return sum(1 for tag in self.loop_tags if tag is not None)

@@ -1,0 +1,67 @@
+"""The per-cycle protocol of a core, for tests that step one by hand.
+
+:func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes each
+cycle, in its order: the controller's FSM step, admission, the divert
+decision, the key schedule, the datapath, the controller's check, then
+the three commits.
+"""
+
+from drablocus.controller import RUN, Controller
+from drablocus.datapath import RoundDatapath
+from drablocus.keyschedule import KeyScheduler
+
+
+def new_core(key: int):
+    """A datapath, controller and key schedule with ``key`` loaded."""
+    dp, ctrl, ks = RoundDatapath(), Controller(), KeyScheduler()
+    ks.load_key(key)
+    return dp, ctrl, ks
+
+
+def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
+    """One cycle; returns the admitted tag, or None.
+
+    ``job`` is ``(seq, mode, block)`` with the block as an int; it is
+    admitted if the controller allows it this cycle. ``mid_cycle(divert)``
+    runs once the controller and key schedule have decided the cycle,
+    before the datapath computes it.
+    """
+    ctrl.begin_cycle(ks.ready)
+    admitted = None
+    admit_arg = None
+    if job is not None and ctrl.fsm == RUN and ctrl.admission_allowed():
+        seq, mode, block = job
+        admitted = ctrl.admit(seq, mode)
+        ks.on_admission(admitted.slot)
+        admit_arg = (block, ks.initial_key(mode), admitted)
+    divert = ctrl.divert_decision(dp)
+    ks.compute(dp, ctrl.fsm)
+    if mid_cycle is not None:
+        mid_cycle(divert)
+    dp.compute_cycle(
+        admit=admit_arg,
+        divert=divert,
+        main_key=ks.main_key_out,
+        final_key=ks.final_key_out,
+        initial_reset=ctrl.initial_reset,
+        main_reset=ctrl.main_reset,
+        shift_rows_reset=ctrl.shift_rows_reset,
+        final_reset=ctrl.final_reset,
+        ks_sub_bytes=ks.sub_bytes_inject,
+        ks_mix_columns=ks.mix_columns_inject,
+    )
+    ctrl.check_against(dp)
+    dp.commit_cycle()
+    ctrl.commit()
+    ks.commit()
+    return admitted
+
+
+def core_in_run(key: int, limit: int = 400):
+    """A core with ``key`` loaded, stepped through reset, key_init and flush into run."""
+    dp, ctrl, ks = new_core(key)
+    while ctrl.fsm != RUN:
+        step_cycle(dp, ctrl, ks)
+        if ctrl.cycle > limit:
+            raise AssertionError("never reached run")
+    return dp, ctrl, ks

@@ -7,6 +7,8 @@ import pytest
 from drablocus import aesref
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, Controller
+from drablocus.keyschedule import KeyScheduler
+from drablocus.tables import MODE_ENCRYPT
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -152,6 +154,33 @@ def test_simulate_modelled_fault_exits_1_with_one_line(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"simulation fault: cycle {upset_cycles[0]}: occupancy register")
+
+
+def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
+    # The key schedule drives the substitution input on the cycle the
+    # admitted block leaves the initial key-add: two sources reach the OR mux.
+    original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
+    cycles = []
+
+    def begin_cycle(self, key_schedule_ready):
+        original_begin(self, key_schedule_ready)
+        cycles.append(self.cycle)
+
+    def compute(self, datapath, controller_fsm):
+        original_compute(self, datapath, controller_fsm)
+        if datapath.initial_tags[1] is not None:
+            self.sub_bytes_inject = (1, MODE_ENCRYPT)
+
+    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
+    monkeypatch.setattr(KeyScheduler, "compute", compute)
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
+    assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(
+        f"simulation fault: cycle {cycles[-1]}: OR-mux driven by multiple nonzero sources"
+    )
 
 
 def test_metrics_prints_both_bram_factors(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cycle_protocol import core_in_run, new_core, step_cycle
 from drablocus.controller import (
     FLUSH,
     KEY_INIT,
@@ -12,60 +13,19 @@ from drablocus.controller import (
     AdmissionError,
     Controller,
 )
-from drablocus.datapath import TRACK_CYCLES, RoundDatapath
-from drablocus.keyschedule import KeyScheduler
+from drablocus.datapath import NUM_LOOP_STAGES, TRACK_CYCLES
+from drablocus.fabric import LutShiftRegister
 from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
 
 
 def drive_to_run():
     """Bring a composed core through reset/key_init/flush into run."""
-    dp = RoundDatapath()
-    ctrl = Controller()
-    ks = KeyScheduler()
-    ks.load_key(0x000102030405060708090A0B0C0D0E0F)
-    while ctrl.fsm != RUN:
-        step_cycle(dp, ctrl, ks)
-    return dp, ctrl, ks
-
-
-def step_cycle(dp, ctrl, ks, job=None):
-    """One composed cycle; returns the admitted tag or None."""
-    ctrl.begin_cycle(ks.ready)
-    admitted = None
-    admit_arg = None
-    if job is not None and ctrl.fsm == RUN and ctrl.admission_allowed():
-        seq, mode, block = job
-        admitted = ctrl.admit(seq, mode)
-        ks.on_admission(admitted.slot)
-        admit_arg = (block, ks.initial_key(mode), admitted)
-    divert = ctrl.divert_decision(dp)
-    ks.compute(dp, ctrl.fsm)
-    sig = ctrl.signals()
-    dp.compute_cycle(
-        admit=admit_arg,
-        divert=divert,
-        main_key=ks.main_key_out,
-        final_key=ks.final_key_out,
-        initial_reset=sig.initial_reset,
-        main_reset=sig.main_reset,
-        shift_rows_reset=sig.shift_rows_reset,
-        final_reset=sig.final_reset,
-        ks_sub_bytes=ks.sub_bytes_inject,
-        ks_mix_columns=ks.mix_columns_inject,
-    )
-    ctrl.check_against(dp)
-    dp.commit_cycle()
-    ctrl.commit()
-    ks.commit()
-    return admitted
+    return core_in_run(0x000102030405060708090A0B0C0D0E0F)
 
 
 def test_power_up_sequence_order():
-    dp = RoundDatapath()
-    ctrl = Controller()
-    ks = KeyScheduler()
-    ks.load_key(0)
+    dp, ctrl, ks = new_core(0)
     states = []
     while ctrl.fsm != RUN:
         if not states or states[-1][0] != ctrl.fsm:
@@ -90,7 +50,7 @@ def test_empty_pipeline_admits_immediately():
 
 def test_admission_rejected_outside_run():
     ctrl = Controller()
-    with pytest.raises(AdmissionError):
+    with pytest.raises(AdmissionError, match="^cycle 0: admission while controller is in reset$"):
         ctrl.admit(0, MODE_ENCRYPT)
 
 
@@ -114,24 +74,14 @@ def test_track_final_bit_marks_final_arrival():
     t0 = ctrl.cycle
     tag = step_cycle(dp, ctrl, ks, job=(0, MODE_DECRYPT, 0xCD))
     diverted_at = None
-    for _ in range(TRACK_CYCLES + 4):
-        ctrl.begin_cycle(ks.ready)
-        if ctrl.divert_decision(dp):
+
+    def record(divert):
+        nonlocal diverted_at
+        if divert:
             diverted_at = ctrl.cycle
-        ks.compute(dp, ctrl.fsm)
-        sig = ctrl.signals()
-        dp.compute_cycle(
-            divert=sig.divert,
-            main_key=ks.main_key_out,
-            final_key=ks.final_key_out,
-            initial_reset=sig.initial_reset,
-            main_reset=sig.main_reset,
-            shift_rows_reset=sig.shift_rows_reset,
-            final_reset=sig.final_reset,
-        )
-        dp.commit_cycle()
-        ctrl.commit()
-        ks.commit()
+
+    for _ in range(TRACK_CYCLES + 4):
+        step_cycle(dp, ctrl, ks, mid_cycle=record)
     assert diverted_at == t0 + TRACK_CYCLES
     assert dp.loop_tags.count(tag) == 0
 
@@ -161,36 +111,15 @@ def test_requirement5_reset_never_hits_valid_data():
     dp, ctrl, ks = drive_to_run()
     rng = random.Random(52)
     sent = 0
+
+    def scrubs_only_stale_contents(divert):
+        if ctrl.main_reset:
+            assert dp.loop_tags[10] is None
+
     for _ in range(400):
         job = (sent, rng.getrandbits(1), rng.getrandbits(128)) if sent < 30 else None
-        ctrl.begin_cycle(ks.ready)
-        admit_arg = None
-        if job is not None and ctrl.admission_allowed():
-            tag = ctrl.admit(job[0], job[1])
-            ks.on_admission(tag.slot)
-            admit_arg = (job[2], ks.initial_key(job[1]), tag)
+        if step_cycle(dp, ctrl, ks, job=job, mid_cycle=scrubs_only_stale_contents) is not None:
             sent += 1
-        divert = ctrl.divert_decision(dp)
-        ks.compute(dp, ctrl.fsm)
-        sig = ctrl.signals()
-        if sig.main_reset:
-            assert dp.loop_tags[10] is None
-        dp.compute_cycle(
-            admit=admit_arg,
-            divert=divert,
-            main_key=ks.main_key_out,
-            final_key=ks.final_key_out,
-            initial_reset=sig.initial_reset,
-            main_reset=sig.main_reset,
-            shift_rows_reset=sig.shift_rows_reset,
-            final_reset=sig.final_reset,
-            ks_sub_bytes=ks.sub_bytes_inject,
-            ks_mix_columns=ks.mix_columns_inject,
-        )
-        ctrl.check_against(dp)
-        dp.commit_cycle()
-        ctrl.commit()
-        ks.commit()
 
 
 def test_mode_register_tracks_word_modes():
@@ -202,3 +131,46 @@ def test_mode_register_tracks_word_modes():
         for k, tag in enumerate(dp.loop_tags):
             if tag is not None:
                 assert (ctrl.modes >> k) & 1 == tag.mode
+
+
+def test_packed_track_rank_matches_lut_chains(monkeypatch):
+    # Specification of Controller.track: twelve fabric chains, one per slot,
+    # stepped on the controller's commits and fed by its admissions.
+    chains = [LutShiftRegister(TRACK_CYCLES) for _ in range(NUM_LOOP_STAGES)]
+    field = (1 << TRACK_CYCLES) - 1
+    occupancies = []
+    admit, check_against, commit = Controller.admit, Controller.check_against, Controller.commit
+
+    def admit_into_chain(self, seq, mode):
+        tag = admit(self, seq, mode)
+        chains[tag.slot].present(1)
+        return tag
+
+    def counted_check(self, datapath):
+        occ = check_against(self, datapath)
+        live = NUM_LOOP_STAGES - datapath.loop_tags.count(None)
+        assert occ.bit_count() == live, f"cycle {self.cycle}"
+        occupancies.append(live)
+        return occ
+
+    def lockstep_commit(self):
+        commit(self)
+        for slot, chain in enumerate(chains):
+            chain.commit()
+            bits = self.track >> TRACK_CYCLES * slot & field
+            assert chain.final == bits >> TRACK_CYCLES - 1, f"cycle {self.cycle} slot {slot}"
+            assert chain.any_set == (bits != 0), f"cycle {self.cycle} slot {slot}"
+
+    monkeypatch.setattr(Controller, "admit", admit_into_chain)
+    monkeypatch.setattr(Controller, "check_against", counted_check)
+    monkeypatch.setattr(Controller, "commit", lockstep_commit)
+    rng = random.Random(0x7AC)
+    jobs = [
+        Job(i, rng.choice((MODE_ENCRYPT, MODE_DECRYPT)),
+            bytes(rng.randrange(256) for _ in range(16)))
+        for i in range(100)
+    ]
+    result = PipelineSimulator().run(bytes(range(16)), jobs)
+    assert result.summary.blocks_completed == 100
+    assert len(occupancies) == result.summary.total_cycles
+    assert max(occupancies) == NUM_LOOP_STAGES

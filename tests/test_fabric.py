@@ -6,8 +6,6 @@ import pytest
 
 from drablocus.fabric import (
     BramModel,
-    Circuit,
-    CombinationalLoopError,
     DspXorSlice,
     LutShiftRegister,
     Register,
@@ -185,12 +183,11 @@ class TestLutShiftRegister:
 
 
 class TestCircuit:
+    """Primitives wired together and stepped by hand under one clock."""
+
     def test_series_latency_is_additive(self):
         # Three registered stages in series: total latency 3.
         regs = [Register(8) for _ in range(3)]
-        circuit = Circuit()
-        for r in regs:
-            circuit.add(r)
 
         def wire():
             regs[1].present(regs[0].out)
@@ -198,11 +195,11 @@ class TestCircuit:
 
         regs[0].present(0x5A)
         wire()
-        circuit.step()
+        step(*regs)
         for _ in range(2):
             regs[0].present(0)
             wire()
-            circuit.step()
+            step(*regs)
         assert regs[2].out == 0x5A
 
     def test_mixed_chain_latency_is_additive(self):
@@ -222,36 +219,12 @@ class TestCircuit:
             rng = random.Random(4)
             bram = BramModel(list(range(64)), output_register=True)
             dsp = DspXorSlice(32, a_regs=1, b_regs=1)
-            circuit = Circuit()
-            circuit.add(bram)
-            circuit.add(dsp)
             trace = []
             for _ in range(200):
                 bram.present(addr_a=rng.randrange(64), addr_b=rng.randrange(64))
                 dsp.present(a=bram.out_a, b=bram.out_b)
-                circuit.step()
+                step(bram, dsp)
                 trace.append((bram.out_a, bram.out_b, dsp.out))
             return trace
 
         assert run() == run()
-
-    def test_combinational_loop_rejected(self):
-        a = DspXorSlice(32, a_regs=0, b_regs=0, output_register=False, name="a")
-        b = DspXorSlice(32, a_regs=0, b_regs=0, output_register=False, name="b")
-        circuit = Circuit()
-        circuit.add(a, reads=(b,))
-        circuit.add(b, reads=(a,))
-        with pytest.raises(CombinationalLoopError):
-            circuit.step()
-
-    def test_combinational_order_respected(self):
-        upstream = Register(8)
-        comb = DspXorSlice(32, a_regs=0, b_regs=0, output_register=False)
-        downstream = Register(8)
-        circuit = Circuit()
-        # Added out of dependency order on purpose.
-        circuit.add(downstream, reads=(comb,))
-        circuit.add(comb, reads=(upstream,))
-        circuit.add(upstream)
-        order = circuit._sequence()
-        assert order.index(upstream) < order.index(comb) < order.index(downstream)

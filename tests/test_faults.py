@@ -13,7 +13,7 @@ import pytest
 
 from composed_datapath import ComposedDatapath
 from drablocus.controller import RUN, AdmissionError, ControlFault, Controller
-from drablocus.datapath import CollisionError, ProtocolError, RoundDatapath, Word
+from drablocus.datapath import TRACK_CYCLES, CollisionError, ProtocolError, RoundDatapath, Word
 from drablocus.fabric import SimulationFault
 from drablocus.simulator import Job, PipelineSimulator, TimingFault
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
@@ -116,7 +116,7 @@ def test_unupset_run_completes(monkeypatch):
 def test_flipped_track_bit_in_a_free_slot_raises_control_fault(monkeypatch):
     # The next cycle's slot now looks taken while stage 9 is free.
     def upset(ctrl):
-        ctrl.track[(ctrl.cycle + 1) % 12] ^= 1
+        ctrl.track ^= 1 << TRACK_CYCLES * ((ctrl.cycle + 1) % 12)
 
     with pytest.raises(ControlFault, match="stage-9 occupancy and slot tracking disagree"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13))
@@ -125,7 +125,7 @@ def test_flipped_track_bit_in_a_free_slot_raises_control_fault(monkeypatch):
 def test_flipped_track_final_bit_raises_control_fault(monkeypatch):
     # The chain read for this cycle's divert now expires with no block at S2.
     def upset(ctrl):
-        ctrl.track[(ctrl.cycle - 5) % 12] ^= 1 << 112
+        ctrl.track ^= 1 << TRACK_CYCLES * ((ctrl.cycle - 5) % 12) + TRACK_CYCLES - 1
 
     with pytest.raises(ControlFault, match="expired without its block"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13))

@@ -2,9 +2,9 @@
 
 import pytest
 
+from cycle_protocol import core_in_run
 from drablocus import aesref
-from drablocus.controller import RUN, Controller
-from drablocus.datapath import RoundDatapath, Word
+from drablocus.datapath import Word
 from drablocus.fabric import SimulationFault
 from drablocus.keyschedule import READY, KeyScheduler
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, key_store_address
@@ -13,32 +13,7 @@ FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
 
 def initialize(key: bytes):
-    dp = RoundDatapath()
-    ctrl = Controller()
-    ks = KeyScheduler()
-    ks.load_key(int.from_bytes(key, "big"))
-    while ctrl.fsm != RUN:
-        ctrl.begin_cycle(ks.ready)
-        divert = ctrl.divert_decision(dp)
-        ks.compute(dp, ctrl.fsm)
-        sig = ctrl.signals()
-        dp.compute_cycle(
-            divert=divert,
-            main_key=ks.main_key_out,
-            final_key=ks.final_key_out,
-            initial_reset=sig.initial_reset,
-            main_reset=sig.main_reset,
-            shift_rows_reset=sig.shift_rows_reset,
-            final_reset=sig.final_reset,
-            ks_sub_bytes=ks.sub_bytes_inject,
-            ks_mix_columns=ks.mix_columns_inject,
-        )
-        dp.commit_cycle()
-        ctrl.commit()
-        ks.commit()
-        if ctrl.cycle > 400:
-            raise AssertionError("initialization never finished")
-    return dp, ctrl, ks
+    return core_in_run(int.from_bytes(key, "big"))
 
 
 def stored(ks, mode, round_index):

@@ -2,6 +2,7 @@
 
 import io
 import random
+import sys
 
 import pytest
 
@@ -151,6 +152,31 @@ def test_rekeying_with_fresh_run(sim):
     r2 = sim.run(key2, [Job(0, MODE_ENCRYPT, FIPS_PT)])
     assert r1.outputs[0] == aesref.encrypt_block(FIPS_KEY, FIPS_PT)
     assert r2.outputs[0] == aesref.encrypt_block(key2, FIPS_PT)
+
+
+# Python-level calls per simulated cycle of the 120-job run below: 10.46
+# when this bound was set. The count is deterministic, so the bound catches
+# per-object dispatch returning to the per-cycle path without timing noise.
+CALLS_PER_CYCLE_BOUND = 11.0
+
+
+def test_python_calls_per_cycle_stay_bounded(sim):
+    jobs = mixed_jobs(120, seed=0xD12AB)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = sim.run(FIPS_KEY, jobs)
+    finally:
+        sys.setprofile(previous)
+    per_cycle = calls / result.summary.total_cycles
+    assert per_cycle <= CALLS_PER_CYCLE_BOUND, f"{per_cycle:.2f} Python calls per cycle"
 
 
 class TestJobFile:
