@@ -42,9 +42,6 @@ _MB = tuple(gf_mul(0x0B, b) for b in range(256))
 _MD = tuple(gf_mul(0x0D, b) for b in range(256))
 _ME = tuple(gf_mul(0x0E, b) for b in range(256))
 
-# First rows of the fixed matrices; the other rows are rotations.
-MIX_COLUMNS_ROW = {ENCRYPT: (0x02, 0x03, 0x01, 0x01), DECRYPT: (0x0E, 0x0B, 0x0D, 0x09)}
-
 
 def state_index(row: int, col: int) -> int:
     """Serialized byte position of state entry s(row, col)."""

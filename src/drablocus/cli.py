@@ -253,11 +253,9 @@ def _cmd_dump_tables(args) -> int:
     written = ["sbox.hex", "mixcolumns.hex"]
     if args.key or os.environ.get(KEY_ENV_VAR):
         key = _parse_key(args)
-        sim = PipelineSimulator()
-        sim.run(key, [Job(0, MODE_ENCRYPT, bytes(16))])
-        _, _, scheduler = sim.last_core
+        result = PipelineSimulator().run(key, [Job(0, MODE_ENCRYPT, bytes(16))])
         with open(out_dir / "keystore.hex", "w") as stream:
-            dump_image_hex(scheduler.store.image, 128, stream)
+            dump_image_hex(result.key_store, 128, stream)
         written.append("keystore.hex")
     print(f"wrote {', '.join(written)} to {out_dir}")
     return EXIT_OK

@@ -115,6 +115,16 @@ def _permute_bytes(data: int, perm: tuple[int, ...]) -> int:
     return v
 
 
+def _present_bytes(brams: list[BramModel], data: int, mode: int) -> None:
+    """Address eight dual-port {mode, byte} RAMs with a word's 16 bytes, two per RAM."""
+    base = (mode & 1) << 8
+    shift = 120
+    for bram in brams:
+        bram.addr_a = base | ((data >> shift) & 0xFF)
+        bram.addr_b = base | ((data >> (shift - 8)) & 0xFF)
+        shift -= 16
+
+
 class SubBytesUnit:
     """16 parallel {mode, byte} substitutions in 8 dual-port RAMs; 2 cycles."""
 
@@ -123,12 +133,7 @@ class SubBytesUnit:
         self.brams = [BramModel(image, output_register=True, name=f"sbox{i}") for i in range(8)]
 
     def present(self, data: int, mode: int) -> None:
-        base = (mode & 1) << 8
-        shift = 120
-        for bram in self.brams:
-            bram.addr_a = base | ((data >> shift) & 0xFF)
-            bram.addr_b = base | ((data >> (shift - 8)) & 0xFF)
-            shift -= 16
+        _present_bytes(self.brams, data, mode)
 
     @property
     def out(self) -> int:
@@ -228,12 +233,7 @@ class MixColumnsUnit:
             self._parts.extend(cascade)
 
     def present(self, data: int, mode: int) -> None:
-        base = (mode & 1) << 8
-        shift = 120
-        for bram in self.brams:
-            bram.addr_a = base | ((data >> shift) & 0xFF)
-            bram.addr_b = base | ((data >> (shift - 8)) & 0xFF)
-            shift -= 16
+        _present_bytes(self.brams, data, mode)
 
     def _wire_cascade(self) -> None:
         lookups = []

@@ -14,8 +14,9 @@ by an upstream register.
 
 These classes are the unit-tested specification of the primitives. The
 simulator's per-cycle step (:class:`~drablocus.datapath.RoundDatapath`,
-:class:`~drablocus.controller.Controller`) holds their state as plain ints
-and does not call them, except the key store's :class:`BramModel`.
+:class:`~drablocus.controller.Controller`,
+:class:`~drablocus.keyschedule.KeyScheduler`) holds their state as plain
+ints and does not call them.
 """
 
 from __future__ import annotations
@@ -25,24 +26,12 @@ class SimulationFault(RuntimeError):
     """A modeled hardware fault; the simulation halts with a diagnostic.
 
     The root of every fault the model raises: the datapath's OR-mux and
-    collision checks, the controller's tracking checks and the
-    simulator's timing checks all derive from it.
+    collision checks, the controller's tracking checks, the key store's
+    round check and the simulator's timing checks all derive from it.
     """
 
 
-class Clocked:
-    """Base for components with registered state."""
-
-    __slots__ = ()
-
-    def compute(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def commit(self) -> None:
-        raise NotImplementedError
-
-
-class Register(Clocked):
+class Register:
     """A rank of flip flops with a synchronous reset held at zero."""
 
     __slots__ = ("width", "_mask", "_in", "_pending", "out", "reset_in", "name")
@@ -66,7 +55,7 @@ class Register(Clocked):
         self.out = self._pending
 
 
-class BramModel(Clocked):
+class BramModel:
     """True dual-port block RAM with an optional built-in output register.
 
     Read latency is one cycle, or two with the output register enabled.
@@ -86,8 +75,8 @@ class BramModel(Clocked):
         "out_b",
         "_mid_a",
         "_mid_b",
-        "_pend_a",
-        "_pend_b",
+        "_read_a",
+        "_read_b",
         "_write",
     )
 
@@ -102,8 +91,8 @@ class BramModel(Clocked):
         self.out_b = 0
         self._mid_a = 0
         self._mid_b = 0
-        self._pend_a = 0
-        self._pend_b = 0
+        self._read_a = 0
+        self._read_b = 0
         self._write = None
 
     def present(self, addr_a: int | None = None, addr_b: int | None = None) -> None:
@@ -129,25 +118,25 @@ class BramModel(Clocked):
             raise SimulationFault(
                 f"{self.name}: port b address {b:#x} outside image of depth {self.depth}"
             )
-        self._pend_a = self.image[a]
-        self._pend_b = self.image[b]
+        self._read_a = self.image[a]
+        self._read_b = self.image[b]
 
     def commit(self) -> None:
         if self.output_register:
             self.out_a = self._mid_a
             self.out_b = self._mid_b
-            self._mid_a = self._pend_a
-            self._mid_b = self._pend_b
+            self._mid_a = self._read_a
+            self._mid_b = self._read_b
         else:
-            self.out_a = self._pend_a
-            self.out_b = self._pend_b
+            self.out_a = self._read_a
+            self.out_b = self._read_b
         if self._write is not None:
             addr, data = self._write
             self.image[addr] = data
             self._write = None
 
 
-class DspXorSlice(Clocked):
+class DspXorSlice:
     """DSP slice configured as a wide XOR with selectable register stages.
 
     Each input may pass through 0, 1 or 2 internal registers; the output
@@ -252,7 +241,7 @@ class DspXorSlice(Clocked):
         return (va ^ vb) & self._mask
 
 
-class LutShiftRegister(Clocked):
+class LutShiftRegister:
     """LUT-based shift register; shifts exactly one position per commit.
 
     M-type LUT chains only bring out the final bit, so tap access is
@@ -274,6 +263,9 @@ class LutShiftRegister(Clocked):
 
     def present(self, bit_in: int) -> None:
         self._in = bit_in & 1
+
+    def compute(self) -> None:
+        """Nothing to derive: the chain shifts its presented bit in at commit."""
 
     def commit(self) -> None:
         self._state = ((self._state << 1) | self._in) & self._mask

@@ -23,9 +23,9 @@ back, reading each result 6 cycles after injection.
 
 from __future__ import annotations
 
-from .aesref import RCON
-from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, RoundDatapath
-from .fabric import BramModel, SimulationFault
+from .aesref import NUM_ROUNDS, RCON
+from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, MIX_COLUMNS_LATENCY, RoundDatapath
+from .fabric import SimulationFault
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
 IDLE = "idle"
@@ -33,9 +33,19 @@ EXPANDING = "expanding"
 INVERTING = "inverting"
 READY = "ready"
 
-FINAL_ROUND = 10
+# An inner encryption key read from the store at cycle t is injected into
+# the product path at t + 1 and leaves it, inverse-mixed, at t + 7.
+_INVERSION_DELAY = 1 + MIX_COLUMNS_LATENCY
+
+# Cycles the initialization program runs: three per expansion round, then
+# the nine inner keys streamed back to back through the product path.
+KEY_INIT_CYCLES = 3 * NUM_ROUNDS + MAIN_ROUNDS + _INVERSION_DELAY
 
 _NO_INJECT = (0, 0)
+
+
+class KeyStoreFault(SimulationFault):
+    """A slot asked the key store for a round past the last main round."""
 
 
 def _rot_word(w: int) -> int:
@@ -43,8 +53,27 @@ def _rot_word(w: int) -> int:
 
 
 class KeyScheduler:
+    """The initialization program and the round-key store it fills.
+
+    The store, a dual-port RAM without an output register, is held as
+    plain attributes: ``image``, the port addresses ``addr_a``/``addr_b``,
+    their read latches, ``pending_write`` and the outputs ``out_a``/``out_b``.
+    Every cycle :meth:`compute` sets both addresses and reads them;
+    :meth:`commit` latches the reads, then applies the write, so a word
+    written and read in one cycle reads old. :class:`~drablocus.fabric.BramModel`
+    is its specification.
+    """
+
     def __init__(self):
-        self.store = BramModel(build_empty_key_store(), name="key_store")
+        self.image = build_empty_key_store()
+        self.addr_a = 0
+        self.addr_b = 0
+        self.out_a = 0
+        self.out_b = 0
+        self._read_a = 0
+        self._read_b = 0
+        # (address, data) for the write port this cycle, or None.
+        self.pending_write: tuple[int, int] | None = None
         # Initial-round keys per mode: the cipher key for encryption, the
         # last expansion key for decryption. Two holding registers with a
         # mode mux stand in for the single register plus routing.
@@ -60,15 +89,11 @@ class KeyScheduler:
         self.mix_columns_inject = _NO_INJECT
         self._pending_increment: int | None = None
 
-    @property
-    def ready(self) -> bool:
-        return self.fsm == READY
-
     def load_key(self, key: int) -> None:
         if self.fsm not in (IDLE, READY):
             raise SimulationFault("key load attempted while initialization is running")
         self._cipher_key = key & _MASK128
-        self.store.image = build_empty_key_store()
+        self.image = build_empty_key_store()
         self.round_counters = [0] * 12
         self.init_cycles = 0
         self.fsm = EXPANDING
@@ -80,66 +105,54 @@ class KeyScheduler:
     def initial_key(self, mode: int) -> int:
         return self.initial_keys[mode & 1]
 
-    @property
-    def main_key_out(self) -> int:
-        return self.store.out_a
-
-    @property
-    def final_key_out(self) -> int:
-        return self.store.out_b
-
     def compute(self, datapath: RoundDatapath, controller_fsm: str) -> None:
         if self.fsm == READY:
-            # Service: the port reads go straight to the image and into the
-            # store's read latches, which commit latches as for any read. A
-            # {mode, round <= 10} address is below the depth of 32, so the
-            # range check of BramModel.compute cannot fire here. The injects
-            # stay zero, as cleared on the last initialization cycle.
-            store = self.store
-            image = store.image
+            # Service. A {mode, round <= 10} address is below the depth of
+            # 32, so neither port can leave the image. The injects stay
+            # zero, as cleared on the last initialization cycle.
             tags = datapath.loop_tags
             # Arbitrary-round consumer: the word now in stage 7 presents to
-            # the main key-add next cycle, together with this port read's
-            # result.
+            # the main key-add next cycle, together with port a's read.
             tag = tags[7]
             if tag is not None:
                 round_index = self.round_counters[tag.slot] + 1
                 if round_index > MAIN_ROUNDS:
-                    raise SimulationFault(
+                    raise KeyStoreFault(
                         f"slot {tag.slot} requested main-loop key for round {round_index}"
                     )
-                addr_a = (tag.mode & 1) << 4 | round_index
+                self.addr_a = (tag.mode & 1) << 4 | round_index
             else:
-                addr_a = 0
+                self.addr_a = 0
             # Final-key consumer: constantly reads round 10 for the mode of
             # the word that would reach the final instance two cycles from now.
             tag = tags[1]
-            addr_b = FINAL_ROUND if tag is None else (tag.mode & 1) << 4 | FINAL_ROUND
-            store.addr_a = addr_a
-            store.addr_b = addr_b
-            store._pend_a = image[addr_a]
-            store._pend_b = image[addr_b]
+            self.addr_b = NUM_ROUNDS if tag is None else (tag.mode & 1) << 4 | NUM_ROUNDS
             # The word in stage 8 consumes its key at the next commit.
             tag = tags[8]
             self._pending_increment = None if tag is None else tag.slot
-            return
-        self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
-        if self.fsm in (EXPANDING, INVERTING):
-            if controller_fsm != "key_init":
-                return
-            if self._program is None:
-                self._program = self._initialization(datapath)
-            try:
-                next(self._program)
-            except StopIteration:
-                self.fsm = READY
-                self._program = None
-            else:
-                self.init_cycles += 1
-        self.store.compute()
+        else:
+            self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
+            if self.fsm != IDLE and controller_fsm == "key_init":
+                if self._program is None:
+                    self._program = self._initialization(datapath)
+                try:
+                    next(self._program)
+                except StopIteration:
+                    self.fsm = READY
+                    self._program = None
+                else:
+                    self.init_cycles += 1
+        image = self.image
+        self._read_a = image[self.addr_a]
+        self._read_b = image[self.addr_b]
 
     def commit(self) -> None:
-        self.store.commit()
+        self.out_a = self._read_a
+        self.out_b = self._read_b
+        if self.pending_write is not None:
+            addr, data = self.pending_write
+            self.image[addr] = data
+            self.pending_write = None
         if self._pending_increment is not None:
             self.round_counters[self._pending_increment] += 1
             self._pending_increment = None
@@ -147,11 +160,11 @@ class KeyScheduler:
     def _initialization(self, datapath: RoundDatapath):
         key = self._cipher_key
         self.initial_keys[MODE_ENCRYPT] = key
-        self.store.present_write(key_store_address(MODE_ENCRYPT, 0), key)
+        self.pending_write = (key_store_address(MODE_ENCRYPT, 0), key)
 
         current = key
         round_keys = [key]
-        for r in range(1, FINAL_ROUND + 1):
+        for r in range(1, NUM_ROUNDS + 1):
             self.sub_bytes_inject = (_rot_word(current & _MASK32) << 96, MODE_ENCRYPT)
             yield
             yield
@@ -162,38 +175,39 @@ class KeyScheduler:
             w3 = (current & _MASK32) ^ w2
             current = (w0 << 96) | (w1 << 64) | (w2 << 32) | w3
             round_keys.append(current)
-            self.store.present_write(key_store_address(MODE_ENCRYPT, r), current)
+            self.pending_write = (key_store_address(MODE_ENCRYPT, r), current)
             yield
 
-        self.initial_keys[MODE_DECRYPT] = round_keys[FINAL_ROUND]
+        self.initial_keys[MODE_DECRYPT] = round_keys[NUM_ROUNDS]
         self.fsm = INVERTING
 
         # Stream encryption keys 9..1 back through the store and into the
-        # product path; each inverse-transformed key returns 6 cycles after
-        # injection and is stored as the decrypt key for round 10 - source.
+        # product path; each inverse-transformed key returns
+        # _INVERSION_DELAY cycles after its read and is stored as the
+        # decrypt key for round 10 - source.
         reads = list(range(MAIN_ROUNDS, 0, -1))
         injected: list[int] = []
         written = 0
         cycle_in_phase = 0
         while written < MAIN_ROUNDS:
             if cycle_in_phase < len(reads):
-                self.store.addr_a = key_store_address(MODE_ENCRYPT, reads[cycle_in_phase])
+                self.addr_a = key_store_address(MODE_ENCRYPT, reads[cycle_in_phase])
             if cycle_in_phase == 0:
-                self.store.present_write(
-                    key_store_address(MODE_DECRYPT, 0), round_keys[FINAL_ROUND]
+                self.pending_write = (
+                    key_store_address(MODE_DECRYPT, 0), round_keys[NUM_ROUNDS]
                 )
             elif cycle_in_phase == 1:
-                self.store.present_write(key_store_address(MODE_DECRYPT, FINAL_ROUND), key)
+                self.pending_write = (key_store_address(MODE_DECRYPT, NUM_ROUNDS), key)
             if 1 <= cycle_in_phase <= len(reads):
                 source_round = reads[cycle_in_phase - 1]
-                self.mix_columns_inject = (self.store.out_a, MODE_DECRYPT)
+                self.mix_columns_inject = (self.out_a, MODE_DECRYPT)
                 injected.append(source_round)
             else:
                 self.mix_columns_inject = _NO_INJECT
-            if cycle_in_phase >= 7:
-                source_round = injected[cycle_in_phase - 7]
-                self.store.present_write(
-                    key_store_address(MODE_DECRYPT, FINAL_ROUND - source_round),
+            if cycle_in_phase >= _INVERSION_DELAY:
+                source_round = injected[cycle_in_phase - _INVERSION_DELAY]
+                self.pending_write = (
+                    key_store_address(MODE_DECRYPT, NUM_ROUNDS - source_round),
                     datapath.mix_columns_tap[0],
                 )
                 written += 1

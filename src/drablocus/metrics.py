@@ -9,6 +9,7 @@ accelerators it is compared against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
@@ -32,25 +33,18 @@ class ResourceVector:
     brams: int | None = None
     dsps: int | None = None
 
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        def sub(a, b):
-            if a is None or b is None:
-                return None
-            return a - b
-
+    def _componentwise(self, other: "ResourceVector", op) -> "ResourceVector":
+        """``op`` per component; a component unknown on either side stays unknown."""
+        pairs = ((getattr(self, f), getattr(other, f)) for f in _RESOURCE_FIELDS)
         return ResourceVector(
-            *(sub(getattr(self, f), getattr(other, f)) for f in _RESOURCE_FIELDS)
+            *(None if a is None or b is None else op(a, b) for a, b in pairs)
         )
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        def add(a, b):
-            if a is None or b is None:
-                return None
-            return a + b
+        return self._componentwise(other, operator.add)
 
-        return ResourceVector(
-            *(add(getattr(self, f), getattr(other, f)) for f in _RESOURCE_FIELDS)
-        )
+    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
+        return self._componentwise(other, operator.sub)
 
 
 @dataclass(frozen=True)
@@ -229,6 +223,7 @@ _DESIGN_FIELDS = {
 }
 _DEVICE_FIELDS = {"slices": int, "brams": int, "dsps": int}
 _ACCELERATOR_FIELDS = {"device": str, "slices": int, "brams": int, "dsps": int}
+_SCHEMAS = {"design": _DESIGN_FIELDS, "device": _DEVICE_FIELDS, "accelerator": _ACCELERATOR_FIELDS}
 
 
 def parse_catalog(text: str | Iterable[str]) -> Catalog:
@@ -253,10 +248,11 @@ def parse_catalog(text: str | Iterable[str]) -> Catalog:
         if section is None:
             return
         kind, name = section
+        if kind != "device" and "device" not in fields:
+            raise CatalogError(f"line {section_line}: {kind} {name!r} needs a device")
+        # Devices and accelerators carry slices, brams and dsps only.
+        total = ResourceVector(*(fields.get(f) for f in _RESOURCE_FIELDS))
         if kind == "design":
-            total = ResourceVector(
-                *(fields.get(f) for f in _RESOURCE_FIELDS)
-            )
             dp_fields = [fields.get(f"datapath_{f}") for f in _RESOURCE_FIELDS]
             datapath = (
                 ResourceVector(*dp_fields) if any(v is not None for v in dp_fields) else None
@@ -266,8 +262,6 @@ def parse_catalog(text: str | Iterable[str]) -> Catalog:
                 for key, value in fields.items()
                 if key.startswith("power_") and value is not None
             }
-            if "device" not in fields:
-                raise CatalogError(f"line {section_line}: design {name!r} needs a device")
             catalog.designs[name] = DesignCatalogEntry(
                 name=name,
                 device=fields["device"],
@@ -281,27 +275,10 @@ def parse_catalog(text: str | Iterable[str]) -> Catalog:
                 energy_nws=fields.get("energy_nws"),
             )
         elif kind == "device":
-            catalog.devices[name] = DeviceCatalogEntry(
-                name=name,
-                capacity=ResourceVector(
-                    slices=fields.get("slices"),
-                    brams=fields.get("brams"),
-                    dsps=fields.get("dsps"),
-                ),
-            )
+            catalog.devices[name] = DeviceCatalogEntry(name=name, capacity=total)
         else:
-            if "device" not in fields:
-                raise CatalogError(
-                    f"line {section_line}: accelerator {name!r} needs a device"
-                )
             catalog.accelerators[name] = AcceleratorCatalogEntry(
-                name=name,
-                device=fields["device"],
-                usage=ResourceVector(
-                    slices=fields.get("slices"),
-                    brams=fields.get("brams"),
-                    dsps=fields.get("dsps"),
-                ),
+                name=name, device=fields["device"], usage=total
             )
 
     for number, raw in enumerate(lines, start=1):
@@ -317,7 +294,7 @@ def parse_catalog(text: str | Iterable[str]) -> Catalog:
                     f"line {number}: section header needs a kind and a name, got {raw!r}"
                 )
             kind, name = parts
-            if kind not in ("design", "device", "accelerator"):
+            if kind not in _SCHEMAS:
                 raise CatalogError(f"line {number}: unknown section kind {kind!r}")
             finish()
             section = (kind, name.strip())
@@ -331,11 +308,7 @@ def parse_catalog(text: str | Iterable[str]) -> Catalog:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        schema = {
-            "design": _DESIGN_FIELDS,
-            "device": _DEVICE_FIELDS,
-            "accelerator": _ACCELERATOR_FIELDS,
-        }[section[0]]
+        schema = _SCHEMAS[section[0]]
         if key not in schema:
             raise CatalogError(
                 f"line {number}: unknown field {key!r} in {section[0]} section"
@@ -364,43 +337,40 @@ def default_catalog() -> Catalog:
     return parse_catalog(text)
 
 
+def _figures(r: EfficiencyReport, digits: int) -> list[str]:
+    """The five per-resource figures of a report, ``n/a`` where absent."""
+    return [
+        "n/a" if v is None else f"{v:.{digits}f}"
+        for v in (r.mbps_per_lut, r.mbps_per_flip_flop, r.mbps_per_bram, r.mbps_per_dsp,
+                  r.mbps_per_slice)
+    ]
+
+
+def _aligned(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    )
+
+
 def render_efficiency(reports: list[EfficiencyReport]) -> str:
     """Aligned throughput-per-resource table (Mbps per unit)."""
     headers = ("Design", "Mbps/LUT", "Mbps/FF", "Mbps/BRAM", "Mbps/DSP", "Mbps/slice", "util")
-    rows = [headers]
-    for r in reports:
-        def fmt(v):
-            return "n/a" if v is None else f"{v:.2f}"
-
-        rows.append(
-            (
-                r.design,
-                fmt(r.mbps_per_lut),
-                fmt(r.mbps_per_flip_flop),
-                fmt(r.mbps_per_bram),
-                fmt(r.mbps_per_dsp),
-                fmt(r.mbps_per_slice),
-                f"{r.bram_utilization:.4f}",
-            )
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return _aligned(
+        [headers]
+        + [(r.design, *_figures(r, 2), f"{r.bram_utilization:.4f}") for r in reports]
+    )
 
 
 def efficiency_records(reports: list[EfficiencyReport]) -> str:
     """Machine-readable one-line-per-design record stream."""
     lines = []
     for r in reports:
-        def fmt(v):
-            return "n/a" if v is None else f"{v:.4f}"
-
+        lut, ff, bram, dsp, slice_ = _figures(r, 4)
         lines.append(
-            f"design={r.design} lut={fmt(r.mbps_per_lut)} ff={fmt(r.mbps_per_flip_flop)} "
-            f"bram={fmt(r.mbps_per_bram)} dsp={fmt(r.mbps_per_dsp)} "
-            f"slice={fmt(r.mbps_per_slice)} util={r.bram_utilization:.4f}"
+            f"design={r.design} lut={lut} ff={ff} bram={bram} dsp={dsp} "
+            f"slice={slice_} util={r.bram_utilization:.4f}"
         )
     return "\n".join(lines)
 
@@ -408,21 +378,13 @@ def efficiency_records(reports: list[EfficiencyReport]) -> str:
 def render_colocation(results: list[ColocationResult]) -> str:
     """Aligned remainder table in the published row shape."""
     headers = ("Accelerator", "Design", "Slices", "B.RAMs", "DSPs", "Fit")
-    rows = [headers]
-    for r in results:
-        rows.append(
-            (
-                r.accelerator,
-                r.design,
-                str(r.remainder.slices),
-                str(r.remainder.brams),
-                str(r.remainder.dsps),
-                "feasible" if r.feasible else "infeasible",
-            )
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    return _aligned(
+        [headers]
+        + [
+            (r.accelerator, r.design, str(r.remainder.slices), str(r.remainder.brams),
+             str(r.remainder.dsps), "feasible" if r.feasible else "infeasible")
+            for r in results
+        ]
     )
 
 

@@ -26,22 +26,43 @@ from typing import IO, Iterable, Sequence
 from .controller import FLUSH, RUN, ControlFault, Controller
 from .datapath import (
     BLOCK_LATENCY,
+    MAIN_ROUNDS,
     NUM_LOOP_STAGES,
+    TRACK_CYCLES,
     CollisionError,
     DatapathTables,
     ProtocolError,
     RoundDatapath,
 )
 from .fabric import SimulationFault
+from .keyschedule import KEY_INIT_CYCLES, KeyScheduler, KeyStoreFault
 from .keyschedule import READY as KEY_SCHEDULE_READY
-from .keyschedule import KeyScheduler
 from .tables import MODE_DECRYPT, MODE_ENCRYPT
 
 MODE_NAMES = {MODE_ENCRYPT: "enc", MODE_DECRYPT: "dec"}
 MODE_VALUES = {"enc": MODE_ENCRYPT, "dec": MODE_DECRYPT}
 
-# Loop capacity over the batch period greedy admission sustains.
+# Loop capacity over block latency: the cadence the loop could sustain.
 NOMINAL_BLOCKS_PER_CYCLE = NUM_LOOP_STAGES / BLOCK_LATENCY
+
+# Greedy admission refills the loop's twelve slots once per batch period:
+# a slot stays reserved for its block's main rounds and its final pass.
+BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
+
+# The first run cycle: one reset cycle, key initialization (its program,
+# then the cycle that reports the schedule ready), and the flush.
+RUN_START_CYCLE = 1 + KEY_INIT_CYCLES + 1 + TRACK_CYCLES
+
+
+def cycle_budget(n_jobs: int) -> int:
+    """Cycles a run of ``n_jobs`` may take before it counts as wedged.
+
+    Every batch of twelve is admitted within one batch period of the
+    previous one, and its last block completes BLOCK_LATENCY cycles after
+    its admission.
+    """
+    batches = -(-n_jobs // NUM_LOOP_STAGES)
+    return RUN_START_CYCLE + batches * BATCH_PERIOD + BLOCK_LATENCY
 
 
 class JobError(ValueError):
@@ -100,6 +121,8 @@ class CadenceReport:
 class RunResult:
     outputs: dict[int, bytes]
     summary: RunSummary
+    # The 32-word key-store image the run's key schedule wrote.
+    key_store: tuple[int, ...]
 
 
 _TAPS = ("ia", "sb", "sr", "mc", "ark", "fin")
@@ -111,7 +134,6 @@ class PipelineSimulator:
 
     def __init__(self, sbox_image=None, mc_image=None):
         self._tables = DatapathTables(sbox_image, mc_image)
-        self.last_core: tuple[RoundDatapath, Controller, KeyScheduler] | None = None
 
     def run(
         self,
@@ -133,14 +155,13 @@ class PipelineSimulator:
         ctrl = Controller()
         ks = KeyScheduler()
         ks.load_key(int.from_bytes(key, "big"))
-        self.last_core = (dp, ctrl, ks)
 
         pending = deque(jobs)
         outputs: dict[int, bytes] = {}
         summary = RunSummary()
         admission_cycles = summary.admission_cycles
         completion_cycles = summary.completion_cycles
-        budget = 600 + 130 * (len(jobs) // NUM_LOOP_STAGES + 2)
+        budget = cycle_budget(len(jobs))
         phase_starts: dict[str, int] = {}
         max_occupancy = 0
         stall_cycles = 0
@@ -155,13 +176,12 @@ class PipelineSimulator:
         ks_commit = ks.commit
         dp_compute = dp.compute_cycle
         dp_commit = dp.commit_cycle
-        store = ks.store
         fsm = None
 
         try:
             while len(outputs) < len(jobs):
                 cycle = ctrl.cycle
-                if cycle > budget:
+                if cycle >= budget:
                     raise TimingFault(
                         f"cycle {cycle}: simulation exceeded its cycle budget ({budget}); "
                         f"pipeline wedged"
@@ -194,8 +214,8 @@ class PipelineSimulator:
                 dp_compute(
                     admit=admit_arg,
                     divert=divert,
-                    main_key=store.out_a,
-                    final_key=store.out_b,
+                    main_key=ks.out_a,
+                    final_key=ks.out_b,
                     initial_reset=ctrl.initial_reset,
                     main_reset=main_reset,
                     shift_rows_reset=ctrl.shift_rows_reset,
@@ -230,8 +250,8 @@ class PipelineSimulator:
                 dp_commit()
                 ctrl_commit()
                 ks_commit()
-        except (ProtocolError, CollisionError) as fault:
-            # The datapath keeps no cycle count; name the cycle here.
+        except (ProtocolError, CollisionError, KeyStoreFault) as fault:
+            # The datapath and key store keep no cycle count; name the cycle here.
             raise type(fault)(f"cycle {ctrl.cycle}: {fault}") from fault
 
         summary.total_cycles = ctrl.cycle
@@ -241,7 +261,7 @@ class PipelineSimulator:
         summary.key_init_cycles = ks.init_cycles
         summary.run_start_cycle = phase_starts.get(RUN, 0)
         summary.flush_cycles = summary.run_start_cycle - phase_starts.get(FLUSH, 0)
-        return RunResult(outputs=outputs, summary=summary)
+        return RunResult(outputs=outputs, summary=summary, key_store=tuple(ks.image))
 
     @staticmethod
     def _emit_trace(trace: IO[str], ctrl: Controller, dp: RoundDatapath, stalled: bool) -> None:

@@ -25,7 +25,6 @@ MC_IMAGE_BITS = 512 * 32
 # Round-key store: {mode bit, round index} in a 32 x 128-bit RAM image,
 # 11 entries used per mode.
 KEY_STORE_DEPTH = 32
-KEY_STORE_WIDTH = 128
 
 
 def build_sbox_image() -> list[int]:

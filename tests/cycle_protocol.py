@@ -8,7 +8,7 @@ the three commits.
 
 from drablocus.controller import RUN, Controller
 from drablocus.datapath import RoundDatapath
-from drablocus.keyschedule import KeyScheduler
+from drablocus.keyschedule import READY, KeyScheduler
 
 
 def new_core(key: int):
@@ -26,7 +26,7 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     runs once the controller and key schedule have decided the cycle,
     before the datapath computes it.
     """
-    ctrl.begin_cycle(ks.ready)
+    ctrl.begin_cycle(ks.fsm == READY)
     admitted = None
     admit_arg = None
     if job is not None and ctrl.fsm == RUN and ctrl.admission_allowed():
@@ -41,8 +41,8 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     dp.compute_cycle(
         admit=admit_arg,
         divert=divert,
-        main_key=ks.main_key_out,
-        final_key=ks.final_key_out,
+        main_key=ks.out_a,
+        final_key=ks.out_b,
         initial_reset=ctrl.initial_reset,
         main_reset=ctrl.main_reset,
         shift_rows_reset=ctrl.shift_rows_reset,

@@ -7,8 +7,9 @@ import pytest
 from drablocus import aesref
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, Controller
+from drablocus.datapath import MAIN_ROUNDS
 from drablocus.keyschedule import KeyScheduler
-from drablocus.tables import MODE_ENCRYPT
+from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, key_store_address
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -183,6 +184,32 @@ def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_simulate_key_store_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
+    # The admitted block's round counter starts past the last main round, so
+    # its first request for a main-loop key overflows.
+    original_begin, original_admission = Controller.begin_cycle, KeyScheduler.on_admission
+    cycles, slots = [], []
+
+    def begin_cycle(self, key_schedule_ready):
+        original_begin(self, key_schedule_ready)
+        cycles.append(self.cycle)
+
+    def on_admission(self, slot):
+        original_admission(self, slot)
+        self.round_counters[slot] = MAIN_ROUNDS
+        slots.append(slot)
+
+    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
+    monkeypatch.setattr(KeyScheduler, "on_admission", on_admission)
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
+    assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        f"simulation fault: cycle {cycles[-1]}: slot {slots[0]} requested main-loop key "
+        f"for round {MAIN_ROUNDS + 1}\n"
+    )
+
+
 def test_metrics_prints_both_bram_factors(capsys):
     assert main(["metrics", "--design", "DRAB-LOCUS"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -224,10 +251,14 @@ def test_dump_tables(tmp_path, capsys):
     assert len(mc) == 512
     assert mc[1] == "02010103"
     assert mc[0x101] == "0e090d0b"
-    keystore = (tmp_path / "keystore.hex").read_text().splitlines()
-    assert len(keystore) == 32
-    expansion = aesref.key_expand(bytes.fromhex(FIPS_KEY_HEX)).keys
-    assert keystore[10] == expansion[10].hex()
+    # {mode, round} addressing: 11 keys per mode, the other 10 words zero.
+    key = bytes.fromhex(FIPS_KEY_HEX)
+    expected = ["0" * 32] * 32
+    for mode, keys in ((MODE_ENCRYPT, aesref.key_expand(key).keys),
+                       (MODE_DECRYPT, aesref.key_expand_equivalent_inverse(key).keys)):
+        for r, round_key in enumerate(keys):
+            expected[key_store_address(mode, r)] = round_key.hex()
+    assert (tmp_path / "keystore.hex").read_text().splitlines() == expected
 
 
 def test_custom_catalog_file(tmp_path, capsys):

@@ -15,6 +15,7 @@ from composed_datapath import ComposedDatapath
 from drablocus.controller import RUN, AdmissionError, ControlFault, Controller
 from drablocus.datapath import TRACK_CYCLES, CollisionError, ProtocolError, RoundDatapath, Word
 from drablocus.fabric import SimulationFault
+from drablocus.keyschedule import KeyStoreFault
 from drablocus.simulator import Job, PipelineSimulator, TimingFault
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
 
@@ -44,7 +45,8 @@ def drive_both(schedule, fault):
 
 
 @pytest.mark.parametrize(
-    "fault", [ProtocolError, CollisionError, ControlFault, AdmissionError, TimingFault]
+    "fault",
+    [ProtocolError, CollisionError, ControlFault, AdmissionError, TimingFault, KeyStoreFault],
 )
 def test_every_modelled_fault_is_a_simulation_fault(fault):
     assert issubclass(fault, SimulationFault)

@@ -1,13 +1,21 @@
 """Key schedule: stored contents, consumer service, and fault paths."""
 
+import random
+
 import pytest
 
 from cycle_protocol import core_in_run
 from drablocus import aesref
 from drablocus.datapath import Word
-from drablocus.fabric import SimulationFault
-from drablocus.keyschedule import READY, KeyScheduler
-from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, key_store_address
+from drablocus.fabric import BramModel, SimulationFault
+from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
+from drablocus.simulator import Job, PipelineSimulator
+from drablocus.tables import (
+    MODE_DECRYPT,
+    MODE_ENCRYPT,
+    build_empty_key_store,
+    key_store_address,
+)
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -17,7 +25,7 @@ def initialize(key: bytes):
 
 
 def stored(ks, mode, round_index):
-    return ks.store.image[key_store_address(mode, round_index)]
+    return ks.image[key_store_address(mode, round_index)]
 
 
 def test_stored_encrypt_keys_match_expansion():
@@ -59,7 +67,7 @@ def test_unused_store_entries_are_zero():
     used = {key_store_address(m, r) for m in (0, 1) for r in range(11)}
     for addr in range(32):
         if addr not in used:
-            assert ks.store.image[addr] == 0
+            assert ks.image[addr] == 0
 
 
 def test_three_consumers_served_same_cycle():
@@ -71,8 +79,8 @@ def test_three_consumers_served_same_cycle():
     ks.round_counters[3] = 3
     ks.compute(dp, ctrl.fsm)
     ks.commit()
-    assert ks.main_key_out == int.from_bytes(oracle[4], "big")
-    assert ks.final_key_out == int.from_bytes(oracle[10], "big")
+    assert ks.out_a == int.from_bytes(oracle[4], "big")
+    assert ks.out_b == int.from_bytes(oracle[10], "big")
     assert ks.initial_key(MODE_ENCRYPT) == int.from_bytes(oracle[0], "big")
 
 
@@ -84,14 +92,14 @@ def test_decrypt_arbitrary_round_is_transformed_key():
     ks.compute(dp, ctrl.fsm)
     ks.commit()
     expected = aesref.mix_columns(enc[6], inverse=True)
-    assert ks.main_key_out == int.from_bytes(expected, "big")
+    assert ks.out_a == int.from_bytes(expected, "big")
 
 
 def test_counter_past_final_main_round_faults():
     dp, ctrl, ks = initialize(FIPS_KEY)
     dp.loop_tags[7] = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
     ks.round_counters[0] = 9
-    with pytest.raises(SimulationFault):
+    with pytest.raises(SimulationFault, match="slot 0 requested main-loop key for round 10"):
         ks.compute(dp, ctrl.fsm)
 
 
@@ -114,4 +122,41 @@ def test_taps_quiet_once_ready():
 
 def test_initialization_cycle_count_reported():
     _, _, ks = initialize(FIPS_KEY)
-    assert ks.init_cycles == 46
+    assert ks.init_cycles == KEY_INIT_CYCLES == 46
+
+
+def test_flat_store_matches_bram_model(monkeypatch):
+    # Specification of the store: a fabric BramModel fed the same addresses
+    # and writes every cycle, through reset, key_init, flush and run.
+    store = BramModel(build_empty_key_store(), name="key_store")
+    phases = []
+    compute, commit = KeyScheduler.compute, KeyScheduler.commit
+
+    def mirrored_compute(self, datapath, controller_fsm):
+        compute(self, datapath, controller_fsm)
+        phases.append(controller_fsm)
+        store.present(self.addr_a, self.addr_b)
+        if self.pending_write is not None:
+            store.present_write(*self.pending_write)
+        store.compute()
+
+    def lockstep_commit(self):
+        commit(self)
+        store.commit()
+        cycle = f"cycle {len(phases) - 1} ({phases[-1]})"
+        assert (self.out_a, self.out_b) == (store.out_a, store.out_b), cycle
+        assert self.image == store.image, cycle
+
+    monkeypatch.setattr(KeyScheduler, "compute", mirrored_compute)
+    monkeypatch.setattr(KeyScheduler, "commit", lockstep_commit)
+    rng = random.Random(0x5E1)
+    jobs = [
+        Job(i, rng.choice((MODE_ENCRYPT, MODE_DECRYPT)),
+            bytes(rng.randrange(256) for _ in range(16)))
+        for i in range(100)
+    ]
+    result = PipelineSimulator().run(FIPS_KEY, jobs)
+    assert result.summary.blocks_completed == 100
+    assert len(phases) == result.summary.total_cycles
+    assert set(phases) == {"reset", "key_init", "flush", "run"}
+    assert result.key_store == tuple(store.image)

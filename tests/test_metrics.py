@@ -268,3 +268,112 @@ class TestRendering:
             "device=xc7z020 accel=Video design=DRAB-LOCUS "
             "slices=4675 brams=19 dsps=176 feasible=1"
         )
+
+
+# The whole shipped catalog through the four renderers: every design with a
+# throughput figure at its catalog memory factor, then DRAB-LOCUS at the
+# factor its packed tables imply (as `drablocus metrics` prints them), and
+# every accelerator with every design that has slice/RAM/DSP figures.
+# AES-Expanded has neither, so both reports refuse it.
+EFFICIENCY_TABLE = """\
+Design         Mbps/LUT  Mbps/FF  Mbps/BRAM  Mbps/DSP  Mbps/slice  util
+DRAB-LOCUS     26.52     27.56    220.47     391.94    22.76       0.3750
+AES-EncDec     n/a       n/a      n/a        n/a       13.94       1.0000
+AES-Modes      n/a       n/a      n/a        n/a       0.78        1.0000
+AES-Efficient  19.82     10.74    837.50     418.75    22.64       1.0000
+DRAB-LOCUS     26.52     27.56    195.97     391.94    22.76       0.3333"""
+
+EFFICIENCY_RECORDS = """\
+design=DRAB-LOCUS lut=26.5226 ff=27.5586 bram=220.4688 dsp=391.9444 slice=22.7581 util=0.3750
+design=AES-EncDec lut=n/a ff=n/a bram=n/a dsp=n/a slice=13.9355 util=1.0000
+design=AES-Modes lut=n/a ff=n/a bram=n/a dsp=n/a slice=0.7799 util=1.0000
+design=AES-Efficient lut=19.8225 ff=10.7372 bram=837.5000 dsp=418.7500 slice=22.6351 util=1.0000
+design=DRAB-LOCUS lut=26.5226 ff=27.5586 bram=195.9722 dsp=391.9444 slice=22.7581 util=0.3333"""
+
+COLOCATION_RENDERED = """\
+Accelerator  Design         Slices  B.RAMs  DSPs  Fit
+Video        DRAB-LOCUS     4675    19      176   feasible
+Video        AES-EncDec     -628    -365    50    infeasible
+Video        AES-Modes      4826    20      166   feasible
+Video        AES-Efficient  4689    26      178   feasible
+DLAU         DRAB-LOCUS     3894    89      35    feasible
+DLAU         AES-EncDec     -1409   -295    -91   infeasible
+DLAU         AES-Modes      4045    90      25    feasible
+DLAU         AES-Efficient  3908    96      37    feasible
+CNN          DRAB-LOCUS     8686    43      102   feasible
+CNN          AES-EncDec     3383    -341    -24   infeasible
+CNN          AES-Modes      8837    44      92    feasible
+CNN          AES-Efficient  8700    50      104   feasible
+DNN 1        DRAB-LOCUS     2017    -10     0     infeasible
+DNN 1        AES-EncDec     -3286   -394    -126  infeasible
+DNN 1        AES-Modes      2168    -9      -10   infeasible
+DNN 1        AES-Efficient  2031    -3      2     infeasible
+DNN 2        DRAB-LOCUS     2829    15      16    feasible
+DNN 2        AES-EncDec     -2474   -369    -110  infeasible
+DNN 2        AES-Modes      2980    16      6     feasible
+DNN 2        AES-Efficient  2843    22      18    feasible
+DNN 3        DRAB-LOCUS     1286    16      30    feasible
+DNN 3        AES-EncDec     -4017   -368    -96   infeasible
+DNN 3        AES-Modes      1437    17      20    feasible
+DNN 3        AES-Efficient  1300    23      32    feasible"""
+
+COLOCATION_RECORDS = """\
+device=xc7z020 accel=Video design=DRAB-LOCUS slices=4675 brams=19 dsps=176 feasible=1
+device=xc7z020 accel=Video design=AES-EncDec slices=-628 brams=-365 dsps=50 feasible=0
+device=xc7z020 accel=Video design=AES-Modes slices=4826 brams=20 dsps=166 feasible=1
+device=xc7z020 accel=Video design=AES-Efficient slices=4689 brams=26 dsps=178 feasible=1
+device=xc7z020 accel=DLAU design=DRAB-LOCUS slices=3894 brams=89 dsps=35 feasible=1
+device=xc7z020 accel=DLAU design=AES-EncDec slices=-1409 brams=-295 dsps=-91 feasible=0
+device=xc7z020 accel=DLAU design=AES-Modes slices=4045 brams=90 dsps=25 feasible=1
+device=xc7z020 accel=DLAU design=AES-Efficient slices=3908 brams=96 dsps=37 feasible=1
+device=xc7z045 accel=CNN design=DRAB-LOCUS slices=8686 brams=43 dsps=102 feasible=1
+device=xc7z045 accel=CNN design=AES-EncDec slices=3383 brams=-341 dsps=-24 feasible=0
+device=xc7z045 accel=CNN design=AES-Modes slices=8837 brams=44 dsps=92 feasible=1
+device=xc7z045 accel=CNN design=AES-Efficient slices=8700 brams=50 dsps=104 feasible=1
+device=xc7z020 accel=DNN 1 design=DRAB-LOCUS slices=2017 brams=-10 dsps=0 feasible=0
+device=xc7z020 accel=DNN 1 design=AES-EncDec slices=-3286 brams=-394 dsps=-126 feasible=0
+device=xc7z020 accel=DNN 1 design=AES-Modes slices=2168 brams=-9 dsps=-10 feasible=0
+device=xc7z020 accel=DNN 1 design=AES-Efficient slices=2031 brams=-3 dsps=2 feasible=0
+device=xc7z020 accel=DNN 2 design=DRAB-LOCUS slices=2829 brams=15 dsps=16 feasible=1
+device=xc7z020 accel=DNN 2 design=AES-EncDec slices=-2474 brams=-369 dsps=-110 feasible=0
+device=xc7z020 accel=DNN 2 design=AES-Modes slices=2980 brams=16 dsps=6 feasible=1
+device=xc7z020 accel=DNN 2 design=AES-Efficient slices=2843 brams=22 dsps=18 feasible=1
+device=xc7z020 accel=DNN 3 design=DRAB-LOCUS slices=1286 brams=16 dsps=30 feasible=1
+device=xc7z020 accel=DNN 3 design=AES-EncDec slices=-4017 brams=-368 dsps=-96 feasible=0
+device=xc7z020 accel=DNN 3 design=AES-Modes slices=1437 brams=17 dsps=20 feasible=1
+device=xc7z020 accel=DNN 3 design=AES-Efficient slices=1300 brams=23 dsps=32 feasible=1"""
+
+
+class TestShippedCatalogText:
+    def test_efficiency_table_and_records(self, catalog):
+        reports = [
+            m.efficiency_report(entry, entry.bram_utilization or 1.0)
+            for entry in catalog.designs.values()
+            if entry.throughput_mbps is not None
+        ]
+        reports.append(
+            m.efficiency_report(catalog.design("DRAB-LOCUS"), datapath_bram_utilization())
+        )
+        assert m.render_efficiency(reports) == EFFICIENCY_TABLE
+        assert m.efficiency_records(reports) == EFFICIENCY_RECORDS
+        with pytest.raises(ValueError, match="no throughput figure"):
+            m.efficiency_report(catalog.design("AES-Expanded"), 1.0)
+
+    def test_colocation_table_and_records(self, catalog):
+        results = []
+        for accel in catalog.accelerators.values():
+            device = catalog.device(accel.device)
+            for design in catalog.designs.values():
+                if design.name == "AES-Expanded":
+                    with pytest.raises(m.CatalogError, match="needs slice/brams/dsps"):
+                        m.colocate(device, accel, design)
+                    continue
+                results.append(m.colocate(device, accel, design))
+        assert m.render_colocation(results) == COLOCATION_RENDERED
+        assert m.colocation_records(results) == COLOCATION_RECORDS
+
+    def test_resource_arithmetic_is_componentwise_with_unknowns(self):
+        a = m.ResourceVector(slices=10, luts=None, flip_flops=3, brams=4, dsps=5)
+        b = m.ResourceVector(slices=1, luts=7, flip_flops=None, brams=2, dsps=9)
+        assert a + b == m.ResourceVector(11, None, None, 6, 14)
+        assert a - b == m.ResourceVector(9, None, None, 2, -4)
