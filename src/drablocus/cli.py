@@ -207,9 +207,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_metrics(args) -> int:
     catalog = _load_catalog(args)
     entry = catalog.design(args.design)
-    reports = []
-    factor = args.bram_utilization or entry.bram_utilization or 1.0
-    reports.append(metrics.efficiency_report(entry, factor))
+    factor = args.bram_utilization
+    if factor is None:
+        factor = entry.bram_utilization or 1.0
+    try:
+        reports = [metrics.efficiency_report(entry, factor)]
+    except ValueError as exc:
+        # A factor outside (0, 1], or a design with no throughput figure.
+        raise UsageError(str(exc)) from None
     if args.design == "DRAB-LOCUS" and args.bram_utilization is None:
         # The catalog factor reproduces the published figure; the factor
         # implied by the actual table contents is reported alongside.

@@ -27,9 +27,15 @@ against this every cycle.
 
 Like the datapath's ranks, the twelve track chains are held as one int:
 chain s is the bit field 113s..113s+112, newest bit lowest, so a commit
-shifts all twelve with one shift and one mask. The reset lines are plain
-attributes that :meth:`Controller.begin_cycle` sets; they depend only on
-the FSM state and the previous cycle's admission.
+shifts all twelve with one shift and one mask.
+
+Each cycle has one shape. :meth:`Controller.begin_cycle` decides every
+control line from registered state alone (the FSM, the cycle, the track
+rank and the occupancy register) and sets it as a plain attribute: the
+four reset lines, ``divert`` into the final key-add and ``admit_ready``.
+:meth:`Controller.check_against` is the one reconciliation of those
+registers and lines with the datapath's tags, made once the datapath has
+computed the cycle, and :meth:`Controller.commit` shifts the registers.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ _EXPECTED_SLOTS = tuple(
     for phase in range(NUM_LOOP_STAGES)
 )
 _STAGE_BITS = tuple(1 << k for k in range(NUM_LOOP_STAGES))
+# Per cycle phase: the final bit of the chain whose block the phase math
+# puts at the shift-rows register (loop stage 2), the divert point.
+_DIVERT_FINALS = tuple(_TRACK_FINALS[expected[2]] for expected in _EXPECTED_SLOTS)
 
 
 class ControlFault(SimulationFault):
@@ -88,21 +97,21 @@ class Controller:
         self.track = 0
         self.occupancy = 0
         self.modes = 0
-        # Reset lines for this cycle, set by begin_cycle.
+        # Control lines for this cycle, set by begin_cycle.
         self.initial_reset = True
         self.main_reset = True
         self.shift_rows_reset = True
         self.final_reset = True
+        self.divert = False
+        self.admit_ready = False
         # Mirrors the two initial key-add ranks: tags en route to stage 0.
         self._arriving0: Word | None = None
         self._arriving1: Word | None = None
         self._admitted_now: Word | None = None
-        self._admitted_prev = False
         self._flush_count = 0
-        self._divert = False
 
-    # FSM sequencing, evaluated from registered conditions at the top of
-    # each cycle.
+    # FSM sequencing and every control line, evaluated from registered
+    # conditions at the top of each cycle.
     def begin_cycle(self, key_schedule_ready: bool) -> None:
         fsm = self.fsm
         if fsm != RUN:
@@ -117,58 +126,53 @@ class Controller:
             self.fsm = fsm
             # The hold lines follow the FSM alone, which never leaves run.
             self.shift_rows_reset = self.final_reset = fsm == RESET or fsm == KEY_INIT
-        admitted = self._admitted_prev
+        admitted = self._arriving0 is not None
         self.initial_reset = not admitted
         self.main_reset = admitted or fsm != RUN
-
-    def admission_allowed(self) -> bool:
-        if self.fsm != RUN:
-            return False
+        if fsm != RUN:
+            self.divert = self.admit_ready = False
+            return
+        phase = self.cycle % NUM_LOOP_STAGES
+        track = self.track
         stage9_busy = bool(self.occupancy & _STAGE9)
-        slot_free = not self.track & _TRACK_FIELDS[self.cycle % NUM_LOOP_STAGES]
-        if stage9_busy == slot_free:
+        if stage9_busy == (not track & _TRACK_FIELDS[phase]):
             # The two views are equivalent by the phase math; disagreement
             # means a tracking register slipped.
             raise ControlFault(
                 f"cycle {self.cycle}: stage-9 occupancy and slot tracking disagree"
             )
-        return not stage9_busy
+        self.admit_ready = not stage9_busy
+        self.divert = bool(track & _DIVERT_FINALS[phase])
 
     def admit(self, seq: int, mode: int) -> Word:
         if self.fsm != RUN:
             raise AdmissionError(
                 f"cycle {self.cycle}: admission while controller is in {self.fsm}"
             )
-        if not self.admission_allowed():
+        if not self.admit_ready:
             raise AdmissionError(f"cycle {self.cycle}: admission attempted on a stalled cycle")
         tag = Word(seq=seq, mode=mode, slot=self.cycle % NUM_LOOP_STAGES)
         self._admitted_now = tag
         return tag
 
-    def divert_decision(self, datapath: RoundDatapath) -> bool:
-        slot = (self.cycle - STAGE_PHASE_OFFSET - 2) % NUM_LOOP_STAGES
-        divert = self.fsm == RUN and bool(self.track & _TRACK_FINALS[slot])
-        if divert:
-            tag = datapath.loop_tags[2]
-            if tag is None or tag.slot != slot:
-                raise ControlFault(
-                    f"cycle {self.cycle}: track {slot} expired without its block at "
-                    f"the shift-rows register (found {tag})"
-                )
-        self._divert = divert
-        return divert
-
     def check_against(self, datapath: RoundDatapath) -> int:
-        """Reconcile the tracking registers with the datapath's tag pipeline.
+        """Reconcile the registers and this cycle's lines with the datapath's tags.
 
         Returns the datapath's occupancy, one bit per live loop stage.
         """
         cycle = self.cycle
+        tags = datapath.loop_tags
+        expected = _EXPECTED_SLOTS[cycle % NUM_LOOP_STAGES]
+        if self.divert:
+            tag = tags[2]
+            if tag is None or tag.slot != expected[2]:
+                raise ControlFault(
+                    f"cycle {cycle}: track {expected[2]} expired without its block at "
+                    f"the shift-rows register (found {tag})"
+                )
         occ = 0
         modes = 0
-        for tag, expected_slot, bit in zip(
-            datapath.loop_tags, _EXPECTED_SLOTS[cycle % NUM_LOOP_STAGES], _STAGE_BITS
-        ):
+        for tag, expected_slot, bit in zip(tags, expected, _STAGE_BITS):
             if tag is None:
                 continue
             occ |= bit
@@ -191,6 +195,10 @@ class Controller:
             )
         if (self._arriving1 is None) != (datapath.initial_tags[1] is None):
             raise ControlFault(f"cycle {cycle}: initial-stage tracking out of step")
+        if self.main_reset and tags[10] is not None:
+            raise ControlFault(
+                f"cycle {cycle}: output reset would scrub live block {tags[10]}"
+            )
         return occ
 
     def commit(self) -> None:
@@ -216,16 +224,14 @@ class Controller:
             bit0_occ, bit0_mode = wrap_occ, modes >> _WRAP_SHIFT & 1
         occ = ((occ << 1) & _OCC_MASK) | bit0_occ
         modes = ((modes << 1) & _OCC_MASK) | bit0_mode
-        if self._divert:
+        if self.divert:
             occ &= ~_DIVERT_STAGE
             modes &= ~_DIVERT_STAGE
-            self._divert = False
         self.occupancy = occ
         self.modes = modes
 
         self._arriving1 = self._arriving0
         self._arriving0 = admitted
-        self._admitted_prev = admitted is not None
         self._admitted_now = None
         if self.fsm == FLUSH:
             self._flush_count += 1

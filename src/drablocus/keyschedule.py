@@ -24,11 +24,11 @@ back, reading each result 6 cycles after injection.
 from __future__ import annotations
 
 from .aesref import NUM_ROUNDS, RCON
+from .controller import KEY_INIT
 from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, MIX_COLUMNS_LATENCY, RoundDatapath
 from .fabric import SimulationFault
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
-IDLE = "idle"
 EXPANDING = "expanding"
 INVERTING = "inverting"
 READY = "ready"
@@ -53,7 +53,8 @@ def _rot_word(w: int) -> int:
 
 
 class KeyScheduler:
-    """The initialization program and the round-key store it fills.
+    """The initialization program for one cipher key and the round-key
+    store it fills.
 
     The store, a dual-port RAM without an output register, is held as
     plain attributes: ``image``, the port addresses ``addr_a``/``addr_b``,
@@ -64,7 +65,7 @@ class KeyScheduler:
     is its specification.
     """
 
-    def __init__(self):
+    def __init__(self, key: int):
         self.image = build_empty_key_store()
         self.addr_a = 0
         self.addr_b = 0
@@ -79,9 +80,9 @@ class KeyScheduler:
         # mode mux stand in for the single register plus routing.
         self.initial_keys = [0, 0]
         self.round_counters = [0] * 12
-        self.fsm = IDLE
+        self.fsm = EXPANDING
         self.init_cycles = 0
-        self._cipher_key = 0
+        self._cipher_key = key & _MASK128
         self._program = None
         # (data, mode) the schedule drives into the substitution and
         # product RAMs this cycle; zero outside initialization.
@@ -89,21 +90,8 @@ class KeyScheduler:
         self.mix_columns_inject = _NO_INJECT
         self._pending_increment: int | None = None
 
-    def load_key(self, key: int) -> None:
-        if self.fsm not in (IDLE, READY):
-            raise SimulationFault("key load attempted while initialization is running")
-        self._cipher_key = key & _MASK128
-        self.image = build_empty_key_store()
-        self.round_counters = [0] * 12
-        self.init_cycles = 0
-        self.fsm = EXPANDING
-        self._program = None
-
     def on_admission(self, slot: int) -> None:
         self.round_counters[slot] = 0
-
-    def initial_key(self, mode: int) -> int:
-        return self.initial_keys[mode & 1]
 
     def compute(self, datapath: RoundDatapath, controller_fsm: str) -> None:
         if self.fsm == READY:
@@ -132,14 +120,13 @@ class KeyScheduler:
             self._pending_increment = None if tag is None else tag.slot
         else:
             self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
-            if self.fsm != IDLE and controller_fsm == "key_init":
+            if controller_fsm == KEY_INIT:
                 if self._program is None:
                     self._program = self._initialization(datapath)
                 try:
                     next(self._program)
                 except StopIteration:
                     self.fsm = READY
-                    self._program = None
                 else:
                     self.init_cycles += 1
         image = self.image
@@ -185,32 +172,22 @@ class KeyScheduler:
         # product path; each inverse-transformed key returns
         # _INVERSION_DELAY cycles after its read and is stored as the
         # decrypt key for round 10 - source.
-        reads = list(range(MAIN_ROUNDS, 0, -1))
-        injected: list[int] = []
-        written = 0
-        cycle_in_phase = 0
-        while written < MAIN_ROUNDS:
-            if cycle_in_phase < len(reads):
-                self.addr_a = key_store_address(MODE_ENCRYPT, reads[cycle_in_phase])
-            if cycle_in_phase == 0:
+        reads = range(MAIN_ROUNDS, 0, -1)
+        for t in range(MAIN_ROUNDS + _INVERSION_DELAY):
+            if t < MAIN_ROUNDS:
+                self.addr_a = key_store_address(MODE_ENCRYPT, reads[t])
+            if t == 0:
                 self.pending_write = (
                     key_store_address(MODE_DECRYPT, 0), round_keys[NUM_ROUNDS]
                 )
-            elif cycle_in_phase == 1:
+            elif t == 1:
                 self.pending_write = (key_store_address(MODE_DECRYPT, NUM_ROUNDS), key)
-            if 1 <= cycle_in_phase <= len(reads):
-                source_round = reads[cycle_in_phase - 1]
+            if 1 <= t <= MAIN_ROUNDS:
+                # The key read last cycle enters the product path.
                 self.mix_columns_inject = (self.out_a, MODE_DECRYPT)
-                injected.append(source_round)
-            else:
-                self.mix_columns_inject = _NO_INJECT
-            if cycle_in_phase >= _INVERSION_DELAY:
-                source_round = injected[cycle_in_phase - _INVERSION_DELAY]
+            if t >= _INVERSION_DELAY:
                 self.pending_write = (
-                    key_store_address(MODE_DECRYPT, NUM_ROUNDS - source_round),
+                    key_store_address(MODE_DECRYPT, NUM_ROUNDS - reads[t - _INVERSION_DELAY]),
                     datapath.mix_columns_tap[0],
                 )
-                written += 1
-            cycle_in_phase += 1
             yield
-        self.fsm = READY

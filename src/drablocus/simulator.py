@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .controller import FLUSH, RUN, ControlFault, Controller
+from .controller import FLUSH, RUN, Controller
 from .datapath import (
     BLOCK_LATENCY,
     MAIN_ROUNDS,
@@ -153,8 +153,7 @@ class PipelineSimulator:
 
         dp = RoundDatapath(self._tables)
         ctrl = Controller()
-        ks = KeyScheduler()
-        ks.load_key(int.from_bytes(key, "big"))
+        ks = KeyScheduler(int.from_bytes(key, "big"))
 
         pending = deque(jobs)
         outputs: dict[int, bytes] = {}
@@ -168,8 +167,6 @@ class PipelineSimulator:
 
         # The per-cycle methods, looked up once per run.
         begin_cycle = ctrl.begin_cycle
-        admission_allowed = ctrl.admission_allowed
-        divert_decision = ctrl.divert_decision
         check_against = ctrl.check_against
         ctrl_commit = ctrl.commit
         ks_compute = ks.compute
@@ -194,13 +191,13 @@ class PipelineSimulator:
                 admit_arg = None
                 stalled = False
                 if pending and fsm == RUN:
-                    if admission_allowed():
+                    if ctrl.admit_ready:
                         job = pending.popleft()
                         tag = ctrl.admit(job.seq, job.mode)
                         ks.on_admission(tag.slot)
                         admit_arg = (
                             int.from_bytes(job.block, "big"),
-                            ks.initial_key(job.mode),
+                            ks.initial_keys[job.mode],
                             tag,
                         )
                         admission_cycles[job.seq] = cycle
@@ -208,16 +205,14 @@ class PipelineSimulator:
                         stalled = True
                         stall_cycles += 1
 
-                divert = divert_decision(dp)
                 ks_compute(dp, fsm)
-                main_reset = ctrl.main_reset
                 dp_compute(
                     admit=admit_arg,
-                    divert=divert,
+                    divert=ctrl.divert,
                     main_key=ks.out_a,
                     final_key=ks.out_b,
                     initial_reset=ctrl.initial_reset,
-                    main_reset=main_reset,
+                    main_reset=ctrl.main_reset,
                     shift_rows_reset=ctrl.shift_rows_reset,
                     final_reset=ctrl.final_reset,
                     ks_sub_bytes=ks.sub_bytes_inject,
@@ -236,11 +231,6 @@ class PipelineSimulator:
                         )
 
                 occupancy = check_against(dp).bit_count()
-                if main_reset and dp.loop_tags[10] is not None:
-                    raise ControlFault(
-                        f"cycle {cycle}: output reset would scrub live block "
-                        f"{dp.loop_tags[10]}"
-                    )
                 if occupancy > max_occupancy:
                     max_occupancy = occupancy
 

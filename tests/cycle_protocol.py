@@ -1,8 +1,8 @@
 """The per-cycle protocol of a core, for tests that step one by hand.
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes each
-cycle, in its order: the controller's FSM step, admission, the divert
-decision, the key schedule, the datapath, the controller's check, then
+cycle, in its order: the controller's FSM step and control lines,
+admission, the key schedule, the datapath, the controller's check, then
 the three commits.
 """
 
@@ -13,9 +13,7 @@ from drablocus.keyschedule import READY, KeyScheduler
 
 def new_core(key: int):
     """A datapath, controller and key schedule with ``key`` loaded."""
-    dp, ctrl, ks = RoundDatapath(), Controller(), KeyScheduler()
-    ks.load_key(key)
-    return dp, ctrl, ks
+    return RoundDatapath(), Controller(), KeyScheduler(key)
 
 
 def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
@@ -29,18 +27,17 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     ctrl.begin_cycle(ks.fsm == READY)
     admitted = None
     admit_arg = None
-    if job is not None and ctrl.fsm == RUN and ctrl.admission_allowed():
+    if job is not None and ctrl.admit_ready:
         seq, mode, block = job
         admitted = ctrl.admit(seq, mode)
         ks.on_admission(admitted.slot)
-        admit_arg = (block, ks.initial_key(mode), admitted)
-    divert = ctrl.divert_decision(dp)
+        admit_arg = (block, ks.initial_keys[mode], admitted)
     ks.compute(dp, ctrl.fsm)
     if mid_cycle is not None:
-        mid_cycle(divert)
+        mid_cycle(ctrl.divert)
     dp.compute_cycle(
         admit=admit_arg,
-        divert=divert,
+        divert=ctrl.divert,
         main_key=ks.out_a,
         final_key=ks.out_b,
         initial_reset=ctrl.initial_reset,

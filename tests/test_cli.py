@@ -224,6 +224,19 @@ def test_metrics_unknown_design_lists_alternatives(capsys):
     assert "available:" in err
 
 
+def test_metrics_design_without_throughput_is_usage_error(capsys):
+    assert main(["metrics", "--design", "AES-Expanded"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: AES-Expanded: no throughput figure in catalog\n"
+
+
+@pytest.mark.parametrize("factor", ["2", "0"])
+def test_metrics_bram_utilization_outside_unit_interval_is_usage_error(capsys, factor):
+    assert main(["metrics", "--design", "DRAB-LOCUS", "--bram-utilization", factor]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: bram utilization must be in (0, 1], got {float(factor)}\n"
+    )
+
+
 def test_colocate_feasible_row(capsys):
     assert main(["colocate", "--accel", "Video", "--aes", "DRAB-LOCUS"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "4675 19 176 feasible"

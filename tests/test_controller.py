@@ -43,7 +43,7 @@ def test_power_up_sequence_order():
 
 def test_empty_pipeline_admits_immediately():
     dp, ctrl, ks = drive_to_run()
-    assert ctrl.admission_allowed()
+    assert ctrl.admit_ready
     tag = step_cycle(dp, ctrl, ks, job=(0, MODE_ENCRYPT, 0x1234))
     assert tag is not None and tag.slot == (ctrl.cycle - 1) % 12
 
@@ -62,10 +62,13 @@ def test_stall_exactly_when_stage9_occupied():
     # The block occupies stage 9 during t0 + 12(m+1): admission must stall
     # on exactly those cycles for nine traversals.
     stalled_cycles = []
-    for _ in range(130):
-        if ctrl.fsm == RUN and not ctrl.admission_allowed():
+
+    def record(divert):
+        if not ctrl.admit_ready:
             stalled_cycles.append(ctrl.cycle)
-        step_cycle(dp, ctrl, ks)
+
+    for _ in range(130):
+        step_cycle(dp, ctrl, ks, mid_cycle=record)
     assert stalled_cycles == [t0 + 12 * (m + 1) for m in range(9)]
 
 

@@ -3,8 +3,9 @@
 Every fault type derives from :class:`SimulationFault`. The datapath
 faults are raised by driving the flat :class:`RoundDatapath` and the
 composition of the unit classes with the same inputs; both must fail
-the same way. The controller faults come from single-bit upsets of its
-registers in the middle of a simulator run.
+the same way. The controller faults come from single upsets of its
+registers or control lines in the middle of a simulator run, made after
+:meth:`Controller.begin_cycle` has decided the cycle.
 """
 
 import random
@@ -12,10 +13,18 @@ import random
 import pytest
 
 from composed_datapath import ComposedDatapath
+from cycle_protocol import core_in_run, step_cycle
 from drablocus.controller import RUN, AdmissionError, ControlFault, Controller
-from drablocus.datapath import TRACK_CYCLES, CollisionError, ProtocolError, RoundDatapath, Word
+from drablocus.datapath import (
+    NUM_LOOP_STAGES,
+    TRACK_CYCLES,
+    CollisionError,
+    ProtocolError,
+    RoundDatapath,
+    Word,
+)
 from drablocus.fabric import SimulationFault
-from drablocus.keyschedule import KeyStoreFault
+from drablocus.keyschedule import READY, KeyStoreFault
 from drablocus.simulator import Job, PipelineSimulator, TimingFault
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
 
@@ -95,14 +104,20 @@ def test_word_arriving_at_s0_as_another_wraps_raises_collision_error():
     assert message == f"stage S0 claimed by arriving {second} and recirculating {first}"
 
 
-def run_with_upset(monkeypatch, upset, jobs):
-    """Run ``jobs`` and apply ``upset(controller)`` at the start of the first run cycle."""
+FULL_LOOP = (1 << NUM_LOOP_STAGES) - 1
+
+
+def run_with_upset(monkeypatch, upset, jobs, loop_full=False):
+    """Run ``jobs`` and apply ``upset(controller)`` once the cycle is decided:
+    on the first run cycle, or with ``loop_full`` on the first cycle all
+    twelve loop stages are live."""
     original = Controller.begin_cycle
     state = {"done": False}
 
     def begin_cycle(self, key_schedule_ready):
         original(self, key_schedule_ready)
-        if self.fsm == RUN and not state["done"]:
+        if (self.fsm == RUN and not state["done"]
+                and (not loop_full or self.occupancy == FULL_LOOP)):
             state["done"] = True
             upset(self)
 
@@ -125,9 +140,10 @@ def test_flipped_track_bit_in_a_free_slot_raises_control_fault(monkeypatch):
 
 
 def test_flipped_track_final_bit_raises_control_fault(monkeypatch):
-    # The chain read for this cycle's divert now expires with no block at S2.
+    # The chain read for the next cycle's divert reaches its final bit at
+    # the next commit and expires with no block at S2.
     def upset(ctrl):
-        ctrl.track ^= 1 << TRACK_CYCLES * ((ctrl.cycle - 5) % 12) + TRACK_CYCLES - 1
+        ctrl.track ^= 1 << TRACK_CYCLES * ((ctrl.cycle - 4) % 12) + TRACK_CYCLES - 2
 
     with pytest.raises(ControlFault, match="expired without its block"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13))
@@ -141,8 +157,63 @@ def test_flipped_occupancy_bit_raises_control_fault(monkeypatch):
         run_with_upset(monkeypatch, upset, mixed_jobs(13))
 
 
+def test_flipped_mode_bit_raises_control_fault(monkeypatch):
+    def upset(ctrl):
+        ctrl.modes ^= 1 << 5
+
+    with pytest.raises(ControlFault, match="mode register [01]{12} disagrees with datapath tags"):
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+
+
+def test_slipped_phase_counter_raises_control_fault(monkeypatch):
+    # Every live stage now holds the slot of the previous phase.
+    def upset(ctrl):
+        ctrl.cycle += 1
+
+    with pytest.raises(ControlFault, match=r"stage 0 holds slot \d+, phase math requires \d+"):
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+
+
+def test_phantom_arrival_raises_control_fault(monkeypatch):
+    # The initial key-add tracking claims a block the datapath does not hold.
+    def upset(ctrl):
+        ctrl._arriving1 = Word(seq=99, mode=MODE_ENCRYPT, slot=0)
+
+    with pytest.raises(ControlFault, match="initial-stage tracking out of step"):
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+
+
+def test_output_reset_on_a_live_block_raises_control_fault(monkeypatch):
+    def upset(ctrl):
+        ctrl.main_reset = True
+
+    with pytest.raises(ControlFault, match="output reset would scrub live block"):
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+
+
+def test_admission_on_a_stalled_cycle_raises_admission_error():
+    # Twelve cycles after its admission the first block is in stage 9, so
+    # the controller stalls that cycle; a caller admitting anyway is refused.
+    dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
+    step_cycle(dp, ctrl, ks, job=(0, MODE_ENCRYPT, 0xAB))
+    for _ in range(11):
+        step_cycle(dp, ctrl, ks)
+    ctrl.begin_cycle(ks.fsm == READY)
+    assert not ctrl.admit_ready
+    with pytest.raises(
+        AdmissionError, match=f"^cycle {ctrl.cycle}: admission attempted on a stalled cycle$"
+    ):
+        ctrl.admit(1, MODE_ENCRYPT)
+
+
 def test_wedged_pipeline_raises_timing_fault(monkeypatch):
-    monkeypatch.setattr(Controller, "admission_allowed", lambda self: False)
+    original = Controller.begin_cycle
+
+    def begin_cycle(self, key_schedule_ready):
+        original(self, key_schedule_ready)
+        self.admit_ready = False
+
+    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     with pytest.raises(TimingFault, match="pipeline wedged"):
         PipelineSimulator().run(FIPS_KEY, mixed_jobs(1))
 

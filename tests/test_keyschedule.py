@@ -58,8 +58,8 @@ def test_zero_key_round_1():
 def test_initial_key_registers():
     _, _, ks = initialize(FIPS_KEY)
     oracle = aesref.key_expand(FIPS_KEY).keys
-    assert ks.initial_key(MODE_ENCRYPT) == int.from_bytes(oracle[0], "big")
-    assert ks.initial_key(MODE_DECRYPT) == int.from_bytes(oracle[10], "big")
+    assert ks.initial_keys[MODE_ENCRYPT] == int.from_bytes(oracle[0], "big")
+    assert ks.initial_keys[MODE_DECRYPT] == int.from_bytes(oracle[10], "big")
 
 
 def test_unused_store_entries_are_zero():
@@ -81,7 +81,7 @@ def test_three_consumers_served_same_cycle():
     ks.commit()
     assert ks.out_a == int.from_bytes(oracle[4], "big")
     assert ks.out_b == int.from_bytes(oracle[10], "big")
-    assert ks.initial_key(MODE_ENCRYPT) == int.from_bytes(oracle[0], "big")
+    assert ks.initial_keys[MODE_ENCRYPT] == int.from_bytes(oracle[0], "big")
 
 
 def test_decrypt_arbitrary_round_is_transformed_key():
@@ -101,13 +101,6 @@ def test_counter_past_final_main_round_faults():
     ks.round_counters[0] = 9
     with pytest.raises(SimulationFault, match="slot 0 requested main-loop key for round 10"):
         ks.compute(dp, ctrl.fsm)
-
-
-def test_load_key_rejected_mid_initialization():
-    ks = KeyScheduler()
-    ks.load_key(1)
-    with pytest.raises(SimulationFault):
-        ks.load_key(2)
 
 
 def test_taps_quiet_once_ready():

@@ -167,10 +167,10 @@ def test_cycle_budget_bounds_each_run_tightly(sim, n):
     assert cycle_budget(n) < summary.total_cycles + BATCH_PERIOD + BLOCK_LATENCY
 
 
-# Python-level calls per simulated cycle of the 120-job run below: 9.41
+# Python-level calls per simulated cycle of the 120-job run below: 7.44
 # when this bound was set. The count is deterministic, so the bound catches
 # per-object dispatch returning to the per-cycle path without timing noise.
-CALLS_PER_CYCLE_BOUND = 10.0
+CALLS_PER_CYCLE_BOUND = 8.0
 
 
 def test_python_calls_per_cycle_stay_bounded(sim):
