@@ -25,11 +25,12 @@ one input rank and one output rank each. A block makes the initial pass
 last substitution and row shift and diverts from S2 into the final
 instance (2 + 1 + 2), 115 cycles in all.
 
-Data and its (valid, mode, slot) tag advance in lockstep: the tag
-pipeline here shifts on exactly the commits that move the data, and the
-controller's shift registers mirror it. Inputs to the substitution and
-product RAMs are OR-multiplexed; the controller's reset sequencing must
-keep all but one source at zero, and the mux asserts that.
+Data and its (valid, mode, slot) tag advance in lockstep: each tag's
+next value is computed with the data's and latched by the same commit,
+and the controller's shift registers mirror the tag pipeline. Inputs to
+the substitution and product RAMs are OR-multiplexed; the controller's
+reset sequencing must keep all but one source at zero, and the mux
+asserts that.
 
 Two descriptions of the same hardware live here. The unit classes
 (:class:`SubBytesUnit`, :class:`ShiftRowsUnit`, :class:`MixColumnsUnit`,
@@ -57,7 +58,6 @@ MAIN_ROUNDS = 9
 SUB_BYTES_LATENCY = 2
 SHIFT_ROWS_LATENCY = 1
 MIX_COLUMNS_LATENCY = 6
-ARK_MAIN_LATENCY = 3
 ARK_EDGE_LATENCY = 2
 
 # Admission to the last use of the shift-rows register: the track-register
@@ -375,8 +375,11 @@ class RoundDatapath:
     """The loop plus initial/final key-add instances and tap points.
 
     Per cycle, drive :meth:`compute_cycle` with this cycle's control and
-    key values, then :meth:`commit_cycle`. Tag accessors reflect the word
-    whose data is visible at the matching tap in the same cycle.
+    key values, then :meth:`commit_cycle`. Compute derives the next value
+    of every rank and tag (raising the S0 collision there); commit only
+    latches them. Between the two, :meth:`taps` and the tag lists show
+    the committed state, each tag naming the word whose data its rank
+    holds.
 
     Every register rank is one int attribute; a rank built from several
     registers holds them as bit fields, first register most significant:
@@ -410,7 +413,7 @@ class RoundDatapath:
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
         "loop_tags", "initial_tags", "final_tags",
-        "_sbox", "_lanes", "_next", "_pending_admit", "_pending_divert",
+        "_sbox", "_lanes", "_next",
     )
 
     def __init__(self, tables: DatapathTables | None = None):
@@ -427,8 +430,6 @@ class RoundDatapath:
         self.loop_tags: list[Word | None] = [None] * NUM_LOOP_STAGES
         self.initial_tags: list[Word | None] = [None, None]
         self.final_tags: list[Word | None] = [None, None]
-        self._pending_admit: Word | None = None
-        self._pending_divert = False
 
     def compute_cycle(
         self,
@@ -446,7 +447,10 @@ class RoundDatapath:
     ) -> None:
         # Locals named after a rank hold its next value; committed values
         # are read from the attributes, so taps do not move until commit.
-        tags = self.loop_tags
+        # t0..t11 are the committed loop tags.
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11 = self.loop_tags
+        entering = self.initial_tags[1]
+        into_s0 = entering or t11
         recirc = self.s11
         arriving = self.ia_out
         ks_sb_data, ks_sb_mode = ks_sub_bytes
@@ -457,10 +461,9 @@ class RoundDatapath:
         # check is called only when two sources drive, to raise its fault.
         if (recirc and (arriving or ks_sb_data)) or (arriving and ks_sb_data):
             or_mux_tap(recirc, arriving, ks_sb_data)
-        tag = tags[11] or self.initial_tags[1]
         s0 = int.from_bytes(
             (recirc | arriving | ks_sb_data).to_bytes(16, "big").translate(
-                self._sbox[ks_sb_mode if tag is None else tag.mode]
+                self._sbox[ks_sb_mode if into_s0 is None else into_s0.mode]
             ),
             "big",
         )
@@ -469,9 +472,8 @@ class RoundDatapath:
         if shift_rows_reset:
             s2 = 0
         else:
-            tag = tags[1]
             s2 = int.from_bytes(
-                bytes(_SHIFT_ROWS[0 if tag is None else tag.mode](self.s1.to_bytes(16, "big"))),
+                bytes(_SHIFT_ROWS[0 if t1 is None else t1.mode](self.s1.to_bytes(16, "big"))),
                 "big",
             )
 
@@ -479,16 +481,15 @@ class RoundDatapath:
         shifted = self.s2
         if shifted and ks_mc_data:
             or_mux_tap(shifted, ks_mc_data)
-        tag = tags[2]
-        t0, t1, t2, t3 = self._lanes[ks_mc_mode if tag is None else tag.mode]
+        l0, l1, l2, l3 = self._lanes[ks_mc_mode if t2 is None else t2.mode]
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
             (shifted | ks_mc_data).to_bytes(16, "big")
         )
         s3 = (
-            (t0[b0] << 480) | (t0[b4] << 448) | (t0[b8] << 416) | (t0[b12] << 384)
-            | (t1[b1] << 352) | (t1[b5] << 320) | (t1[b9] << 288) | (t1[b13] << 256)
-            | (t2[b2] << 224) | (t2[b6] << 192) | (t2[b10] << 160) | (t2[b14] << 128)
-            | (t3[b3] << 96) | (t3[b7] << 64) | (t3[b11] << 32) | t3[b15]
+            (l0[b0] << 480) | (l0[b4] << 448) | (l0[b8] << 416) | (l0[b12] << 384)
+            | (l1[b1] << 352) | (l1[b5] << 320) | (l1[b9] << 288) | (l1[b13] << 256)
+            | (l2[b2] << 224) | (l2[b6] << 192) | (l2[b10] << 160) | (l2[b14] << 128)
+            | (l3[b3] << 96) | (l3[b7] << 64) | (l3[b11] << 32) | l3[b15]
         )
 
         # XOR cascade: each rank folds the next lane into the running sum.
@@ -507,17 +508,27 @@ class RoundDatapath:
         rank = self.ia_in
         ia_out = 0 if initial_reset else (rank >> 128) ^ (rank & _MASK128)
         if admit is not None:
-            block, key, self._pending_admit = admit
+            block, key, admitted = admit
             ia_in = (block << 128) | key
         else:
             ia_in = 0
-            self._pending_admit = None
-        self._pending_divert = divert
+            admitted = None
+
+        # Tags take their next value beside the data: S0 takes the arriving
+        # or the recirculating word (never both), and a divert sends S2's
+        # word into the final instance instead of S3.
+        if entering is not None and t11 is not None:
+            raise CollisionError(
+                f"stage S0 claimed by arriving {entering} and recirculating {t11}"
+            )
+        loop_tags = [into_s0, t0, t1, None if divert else t2, t3, t4, t5, t6, t7, t8, t9, t10]
+        final_tags = [t2 if divert else None, self.final_tags[0]]
 
         self._next = (
             s0, self.s0, s2, s3, self.s3, self.s4, s6, s7, s8,
             (self.s8 << 128) | main_key, self.s9, s11,
             ia_in, ia_out, (shifted << 128) | final_key, fa_out,
+            loop_tags, [admitted, self.initial_tags[0]], final_tags,
         )
 
     def commit_cycle(self) -> None:
@@ -525,47 +536,18 @@ class RoundDatapath:
             self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
             self.s9, self.s10, self.s11,
             self.ia_in, self.ia_out, self.fa_in, self.fa_out,
+            self.loop_tags, self.initial_tags, self.final_tags,
         ) = self._next
 
+    def taps(self) -> tuple[tuple[int, Word | None], ...]:
+        """The six tap points in trace order (ia, sb, sr, mc, ark, fin),
+        each value with the tag of the word it carries this cycle."""
         tags = self.loop_tags
-        entering = self.initial_tags[1]
-        wrapping = tags.pop()
-        if entering is not None and wrapping is not None:
-            tags.append(wrapping)
-            raise CollisionError(
-                f"stage S0 claimed by arriving {entering} and recirculating {wrapping}"
-            )
-        tags.insert(0, entering or wrapping)
-        if self._pending_divert:
-            self.final_tags = [tags[3], self.final_tags[0]]
-            tags[3] = None
-        else:
-            self.final_tags = [None, self.final_tags[0]]
-        self.initial_tags = [self._pending_admit, self.initial_tags[0]]
-        self._pending_admit = None
-        self._pending_divert = False
-
-    # Tap points; each value is aligned with its tag for the current cycle.
-    @property
-    def sub_bytes_tap(self) -> tuple[int, Word | None]:
-        return self.s1, self.loop_tags[1]
-
-    @property
-    def shift_rows_tap(self) -> tuple[int, Word | None]:
-        return self.s2, self.loop_tags[2]
-
-    @property
-    def mix_columns_tap(self) -> tuple[int, Word | None]:
-        return self.s8, self.loop_tags[8]
-
-    @property
-    def main_ark_tap(self) -> tuple[int, Word | None]:
-        return self.s11, self.loop_tags[11]
-
-    @property
-    def initial_ark_tap(self) -> tuple[int, Word | None]:
-        return self.ia_out, self.initial_tags[1]
-
-    @property
-    def final_output(self) -> tuple[int, Word | None]:
-        return self.fa_out, self.final_tags[1]
+        return (
+            (self.ia_out, self.initial_tags[1]),
+            (self.s1, tags[1]),
+            (self.s2, tags[2]),
+            (self.s8, tags[8]),
+            (self.s11, tags[11]),
+            (self.fa_out, self.final_tags[1]),
+        )

@@ -30,7 +30,6 @@ from .fabric import SimulationFault
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
 EXPANDING = "expanding"
-INVERTING = "inverting"
 READY = "ready"
 
 # An inner encryption key read from the store at cycle t is injected into
@@ -155,7 +154,7 @@ class KeyScheduler:
             self.sub_bytes_inject = (_rot_word(current & _MASK32) << 96, MODE_ENCRYPT)
             yield
             yield
-            substituted = (datapath.sub_bytes_tap[0] >> 96) & _MASK32
+            substituted = (datapath.s1 >> 96) & _MASK32
             w0 = (current >> 96) ^ substituted ^ (RCON[r] << 24)
             w1 = ((current >> 64) & _MASK32) ^ w0
             w2 = ((current >> 32) & _MASK32) ^ w1
@@ -166,7 +165,6 @@ class KeyScheduler:
             yield
 
         self.initial_keys[MODE_DECRYPT] = round_keys[NUM_ROUNDS]
-        self.fsm = INVERTING
 
         # Stream encryption keys 9..1 back through the store and into the
         # product path; each inverse-transformed key returns
@@ -188,6 +186,6 @@ class KeyScheduler:
             if t >= _INVERSION_DELAY:
                 self.pending_write = (
                     key_store_address(MODE_DECRYPT, NUM_ROUNDS - reads[t - _INVERSION_DELAY]),
-                    datapath.mix_columns_tap[0],
+                    datapath.s8,
                 )
             yield

@@ -259,15 +259,7 @@ class PipelineSimulator:
             f"cycle={ctrl.cycle} fsm={ctrl.fsm} occ={ctrl.occupancy:012b} "
             f"stall={1 if stalled else 0}\n"
         )
-        taps = (
-            dp.initial_ark_tap,
-            dp.sub_bytes_tap,
-            dp.shift_rows_tap,
-            dp.mix_columns_tap,
-            dp.main_ark_tap,
-            dp.final_output,
-        )
-        for stage_id, (value, tag) in zip(_TAPS, taps):
+        for stage_id, (value, tag) in zip(_TAPS, dp.taps()):
             if tag is None:
                 continue
             trace.write(

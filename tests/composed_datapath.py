@@ -25,8 +25,10 @@ from drablocus.datapath import (
 class ComposedDatapath:
     """The loop composed from the unit classes, stepped unit by unit.
 
-    Same interface and tag pipeline as :class:`RoundDatapath`; the lockstep
-    test drives both with identical per-cycle inputs.
+    Same interface as :class:`RoundDatapath`, with its own list-based tag
+    pipeline shifted at commit (where it raises the S0 collision), so the
+    flat step's next-state tags are checked against an independent
+    derivation; the lockstep test drives both with identical inputs.
     """
 
     def __init__(self, sbox_image=None, mc_image=None):
@@ -50,8 +52,9 @@ class ComposedDatapath:
         self.loop_tags: list[Word | None] = [None] * NUM_LOOP_STAGES
         self.initial_tags: list[Word | None] = [None, None]
         self.final_tags: list[Word | None] = [None, None]
-        self._pending_admit: Word | None = None
-        self._pending_divert = False
+        # This cycle's tag-pipeline inputs, latched at commit: the
+        # admitted tag and the divert line.
+        self._tag_inputs: tuple[Word | None, bool] = (None, False)
 
     def compute_cycle(
         self,
@@ -94,11 +97,10 @@ class ComposedDatapath:
         if admit is not None:
             block, key, tag = admit
             self.initial_ark.present(block, key)
-            self._pending_admit = tag
         else:
             self.initial_ark.present(0, 0)
-            self._pending_admit = None
-        self._pending_divert = divert
+            tag = None
+        self._tag_inputs = (tag, divert)
 
         self.initial_ark.reset_in = initial_reset
         self.main_ark.reset_in = main_reset
@@ -119,35 +121,22 @@ class ComposedDatapath:
             raise CollisionError(
                 f"stage S0 claimed by arriving {entering} and recirculating {wrapping}"
             )
-        diverted = tags[2] if self._pending_divert else None
-        into_s3 = None if self._pending_divert else tags[2]
+        admitted, divert = self._tag_inputs
+        diverted = tags[2] if divert else None
+        into_s3 = None if divert else tags[2]
         self.loop_tags = [entering or wrapping] + tags[0:2] + [into_s3] + tags[3:11]
         self.final_tags = [diverted, self.final_tags[0]]
-        self.initial_tags = [self._pending_admit, self.initial_tags[0]]
-        self._pending_admit = None
-        self._pending_divert = False
+        self.initial_tags = [admitted, self.initial_tags[0]]
+        self._tag_inputs = (None, False)
 
-    # Tap points; each value is aligned with its tag for the current cycle.
-    @property
-    def sub_bytes_tap(self) -> tuple[int, Word | None]:
-        return self.sub_bytes.out, self.loop_tags[1]
-
-    @property
-    def shift_rows_tap(self) -> tuple[int, Word | None]:
-        return self.shift_rows.out, self.loop_tags[2]
-
-    @property
-    def mix_columns_tap(self) -> tuple[int, Word | None]:
-        return self.mix_columns.out, self.loop_tags[8]
-
-    @property
-    def main_ark_tap(self) -> tuple[int, Word | None]:
-        return self.main_ark.out, self.loop_tags[11]
-
-    @property
-    def initial_ark_tap(self) -> tuple[int, Word | None]:
-        return self.initial_ark.out, self.initial_tags[1]
-
-    @property
-    def final_output(self) -> tuple[int, Word | None]:
-        return self.final_ark.out, self.final_tags[1]
+    def taps(self) -> tuple[tuple[int, Word | None], ...]:
+        """The six tap points in trace order (ia, sb, sr, mc, ark, fin)."""
+        tags = self.loop_tags
+        return (
+            (self.initial_ark.out, self.initial_tags[1]),
+            (self.sub_bytes.out, tags[1]),
+            (self.shift_rows.out, tags[2]),
+            (self.mix_columns.out, tags[8]),
+            (self.main_ark.out, tags[11]),
+            (self.final_ark.out, self.final_tags[1]),
+        )

@@ -4,12 +4,12 @@ import os
 
 import pytest
 
-from drablocus import aesref
+from drablocus import aesref, datapath
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, Controller
 from drablocus.datapath import MAIN_ROUNDS
 from drablocus.keyschedule import KeyScheduler
-from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, key_store_address
+from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_sbox_image, key_store_address
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -30,8 +30,15 @@ def test_vectors_ref_only(capsys):
     assert "12/12 vectors passed" in out
 
 
-def test_vectors_corrupted_table_detected(capsys):
-    assert main(["vectors", "--corrupt-tables"]) == EXIT_FAILURE
+def test_vectors_corrupted_table_detected(capsys, monkeypatch):
+    # One bit flipped in S-box entry 0x53 of the image the simulator builds.
+    def corrupted_sbox_image():
+        image = build_sbox_image()
+        image[0x53] ^= 0x01
+        return image
+
+    monkeypatch.setattr(datapath, "build_sbox_image", corrupted_sbox_image)
+    assert main(["vectors"]) == EXIT_FAILURE
     out = capsys.readouterr().out
     assert "FAIL" in out
     # The reference engine is unaffected by the table fault.

@@ -242,7 +242,7 @@ class TestSingleRoundTraversal:
                         main_key=key if cycle == 11 else 0,
                     )
                     if cycle == 14:
-                        value, out_tag = dp.main_ark_tap
+                        value, out_tag = dp.s11, dp.loop_tags[11]
                         assert out_tag is tag
                         inverse = mode == MODE_DECRYPT
                         block = as_block(x)

@@ -107,17 +107,19 @@ def test_word_arriving_at_s0_as_another_wraps_raises_collision_error():
 FULL_LOOP = (1 << NUM_LOOP_STAGES) - 1
 
 
-def run_with_upset(monkeypatch, upset, jobs, loop_full=False):
-    """Run ``jobs`` and apply ``upset(controller)`` once the cycle is decided:
-    on the first run cycle, or with ``loop_full`` on the first cycle all
-    twelve loop stages are live."""
+def loop_full(ctrl):
+    return ctrl.occupancy == FULL_LOOP
+
+
+def run_with_upset(monkeypatch, upset, jobs, when=lambda ctrl: True):
+    """Run ``jobs`` and apply ``upset(controller)`` once the cycle is decided,
+    on the first run cycle for which ``when(controller)`` holds."""
     original = Controller.begin_cycle
     state = {"done": False}
 
     def begin_cycle(self, key_schedule_ready):
         original(self, key_schedule_ready)
-        if (self.fsm == RUN and not state["done"]
-                and (not loop_full or self.occupancy == FULL_LOOP)):
+        if self.fsm == RUN and not state["done"] and when(self):
             state["done"] = True
             upset(self)
 
@@ -162,7 +164,7 @@ def test_flipped_mode_bit_raises_control_fault(monkeypatch):
         ctrl.modes ^= 1 << 5
 
     with pytest.raises(ControlFault, match="mode register [01]{12} disagrees with datapath tags"):
-        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
 
 
 def test_slipped_phase_counter_raises_control_fault(monkeypatch):
@@ -171,7 +173,7 @@ def test_slipped_phase_counter_raises_control_fault(monkeypatch):
         ctrl.cycle += 1
 
     with pytest.raises(ControlFault, match=r"stage 0 holds slot \d+, phase math requires \d+"):
-        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
 
 
 def test_phantom_arrival_raises_control_fault(monkeypatch):
@@ -180,7 +182,7 @@ def test_phantom_arrival_raises_control_fault(monkeypatch):
         ctrl._arriving1 = Word(seq=99, mode=MODE_ENCRYPT, slot=0)
 
     with pytest.raises(ControlFault, match="initial-stage tracking out of step"):
-        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
 
 
 def test_output_reset_on_a_live_block_raises_control_fault(monkeypatch):
@@ -188,7 +190,21 @@ def test_output_reset_on_a_live_block_raises_control_fault(monkeypatch):
         ctrl.main_reset = True
 
     with pytest.raises(ControlFault, match="output reset would scrub live block"):
-        run_with_upset(monkeypatch, upset, mixed_jobs(13), loop_full=True)
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
+
+
+def test_dropped_divert_raises_key_store_fault(monkeypatch):
+    # The first block due to divert stays in the loop; the controller's
+    # occupancy follows the same dropped line, so no check of it fires.
+    # Five cycles on the block reaches stage 7 and asks for a tenth
+    # main-loop key.
+    def upset(ctrl):
+        assert ctrl.cycle == 274
+        ctrl.divert = False
+
+    with pytest.raises(KeyStoreFault) as err:
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=lambda ctrl: ctrl.divert)
+    assert str(err.value) == "cycle 279: slot 5 requested main-loop key for round 10"
 
 
 def test_admission_on_a_stalled_cycle_raises_admission_error():

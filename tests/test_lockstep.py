@@ -37,17 +37,6 @@ def recorded_run(monkeypatch, jobs):
     return calls, phases
 
 
-def taps(dp):
-    return (
-        dp.initial_ark_tap,
-        dp.sub_bytes_tap,
-        dp.shift_rows_tap,
-        dp.mix_columns_tap,
-        dp.main_ark_tap,
-        dp.final_output,
-    )
-
-
 def test_flat_step_matches_composed_units_every_cycle(monkeypatch):
     rng = random.Random(0xD12AB)
     jobs = [
@@ -63,10 +52,10 @@ def test_flat_step_matches_composed_units_every_cycle(monkeypatch):
     for cycle, kwargs in enumerate(calls):
         composed.compute_cycle(**kwargs)
         flat.compute_cycle(**kwargs)
-        assert taps(flat) == taps(composed), f"cycle {cycle} ({phases[cycle]})"
+        assert flat.taps() == composed.taps(), f"cycle {cycle} ({phases[cycle]})"
         assert flat.s1 == composed.sub_bytes.out, f"cycle {cycle}"
         assert flat.s8 == composed.mix_columns.out, f"cycle {cycle}"
         assert flat.loop_tags == composed.loop_tags, f"cycle {cycle}"
         composed.commit_cycle()
         flat.commit_cycle()
-    assert taps(flat) == taps(composed)
+    assert flat.taps() == composed.taps()

@@ -171,9 +171,12 @@ def test_cycle_budget_bounds_each_run_tightly(sim, n):
 # when this bound was set. The count is deterministic, so the bound catches
 # per-object dispatch returning to the per-cycle path without timing noise.
 CALLS_PER_CYCLE_BOUND = 8.0
+# The same run writing a trace: 9.42 when this bound was set, with the six
+# taps read through one call per cycle.
+TRACED_CALLS_PER_CYCLE_BOUND = 10.0
 
 
-def test_python_calls_per_cycle_stay_bounded(sim):
+def python_calls_per_cycle(sim, trace=None):
     jobs = mixed_jobs(120, seed=0xD12AB)
     calls = 0
 
@@ -185,11 +188,22 @@ def test_python_calls_per_cycle_stay_bounded(sim):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        result = sim.run(FIPS_KEY, jobs)
+        result = sim.run(FIPS_KEY, jobs, trace=trace)
     finally:
         sys.setprofile(previous)
-    per_cycle = calls / result.summary.total_cycles
+    return calls / result.summary.total_cycles
+
+
+def test_python_calls_per_cycle_stay_bounded(sim):
+    per_cycle = python_calls_per_cycle(sim)
     assert per_cycle <= CALLS_PER_CYCLE_BOUND, f"{per_cycle:.2f} Python calls per cycle"
+
+
+def test_traced_python_calls_per_cycle_stay_bounded(sim):
+    per_cycle = python_calls_per_cycle(sim, trace=io.StringIO())
+    assert per_cycle <= TRACED_CALLS_PER_CYCLE_BOUND, (
+        f"{per_cycle:.2f} Python calls per cycle with a trace"
+    )
 
 
 class TestJobFile:
