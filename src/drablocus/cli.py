@@ -59,7 +59,7 @@ def _load_catalog(args) -> metrics.Catalog:
     if args.catalog:
         try:
             text = Path(args.catalog).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read catalog: {exc}") from None
         return metrics.parse_catalog(text)
     return metrics.default_catalog()
@@ -156,7 +156,7 @@ def _cmd_simulate(args) -> int:
     key = _parse_key(args)
     try:
         text = Path(args.jobs).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read jobs file: {exc}") from None
     jobs = parse_jobs(text)
 

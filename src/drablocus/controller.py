@@ -23,7 +23,9 @@ Power-up sequence: reset, key_init, flush (113 zero-shifts, since the
 LUT chains have no reset line), then run. Slot numbering is anchored to
 the admission cycle modulo 12, which makes the slot of the word in loop
 stage k equal to (cycle - 3 - k) mod 12; the tag pipeline is checked
-against this every cycle.
+against this every cycle. The datapath carries the slot with the word,
+in its slot rank, and never derives it from the phase, so the check
+compares two independent records.
 
 Like the datapath's ranks, the twelve track chains are held as one int:
 chain s is the bit field 113s..113s+112, newest bit lowest, so a commit
@@ -36,11 +38,17 @@ four reset lines, ``divert`` into the final key-add and ``admit_ready``.
 :meth:`Controller.check_against` is the one reconciliation of those
 registers and lines with the datapath's tags, made once the datapath has
 computed the cycle, and :meth:`Controller.commit` shifts the registers.
+Both sides hold their per-stage state as packed ranks, so on a passing
+cycle the check is a few int compares: the occupancy register against
+the datapath's valid rank, the mode registers against its mode rank on
+the live stages, and its slot rank, masked to the live stages' fields,
+against the rank the phase math requires. Only a failed compare walks
+the stages, to name the one at fault.
 """
 
 from __future__ import annotations
 
-from .datapath import NUM_LOOP_STAGES, TRACK_CYCLES, RoundDatapath, Word
+from .datapath import NUM_LOOP_STAGES, SLOT_BITS, SLOT_FIELD, TRACK_CYCLES, RoundDatapath, Word
 from .fabric import SimulationFault
 
 RESET = "reset"
@@ -68,12 +76,31 @@ _TRACK_FINALS = tuple(bit << _TRACK_FINAL for bit in _TRACK_ADMIT)
 _TRACK_SHIFT_MASK = sum(_TRACK_FIELDS) ^ sum(_TRACK_ADMIT)
 
 # Per cycle phase (cycle mod 12): the slot the phase math requires in each
-# loop stage, and the stage's occupancy bit.
+# loop stage.
 _EXPECTED_SLOTS = tuple(
     tuple((phase - STAGE_PHASE_OFFSET - k) % NUM_LOOP_STAGES for k in range(NUM_LOOP_STAGES))
     for phase in range(NUM_LOOP_STAGES)
 )
-_STAGE_BITS = tuple(1 << k for k in range(NUM_LOOP_STAGES))
+
+# The same as a slot rank (field k, bits 4k..4k+3, for loop stage k), and
+# per valid rank the mask of its live stages' slot fields.
+_EXPECTED_RANKS = tuple(
+    sum(slot << SLOT_BITS * k for k, slot in enumerate(expected)) for expected in _EXPECTED_SLOTS
+)
+
+
+def _live_slot_fields() -> tuple[int, ...]:
+    masks = [0]
+    for k in range(NUM_LOOP_STAGES):
+        field = SLOT_FIELD << SLOT_BITS * k
+        masks += [mask | field for mask in masks]
+    return tuple(masks)
+
+
+_LIVE_SLOT_FIELDS = _live_slot_fields()
+_STAGE2 = 1 << 2
+_STAGE2_SLOT = SLOT_FIELD << 2 * SLOT_BITS
+_STAGE10 = 1 << 10
 # Per cycle phase: the final bit of the chain whose block the phase math
 # puts at the shift-rows register (loop stage 2), the divert point.
 _DIVERT_FINALS = tuple(_TRACK_FINALS[expected[2]] for expected in _EXPECTED_SLOTS)
@@ -161,45 +188,58 @@ class Controller:
         Returns the datapath's occupancy, one bit per live loop stage.
         """
         cycle = self.cycle
-        tags = datapath.loop_tags
-        expected = _EXPECTED_SLOTS[cycle % NUM_LOOP_STAGES]
-        if self.divert:
-            tag = tags[2]
-            if tag is None or tag.slot != expected[2]:
-                raise ControlFault(
-                    f"cycle {cycle}: track {expected[2]} expired without its block at "
-                    f"the shift-rows register (found {tag})"
-                )
-        occ = 0
-        modes = 0
-        for tag, expected_slot, bit in zip(tags, expected, _STAGE_BITS):
-            if tag is None:
-                continue
-            occ |= bit
-            if tag.mode & 1:
-                modes |= bit
-            if tag.slot != expected_slot:
-                raise ControlFault(
-                    f"cycle {cycle}: stage {bit.bit_length() - 1} holds slot {tag.slot}, "
-                    f"phase math requires {expected_slot}"
-                )
-        if occ != self.occupancy:
+        phase = cycle % NUM_LOOP_STAGES
+        valid = datapath.valid
+        # Slot fields that differ from the phase math, live stages or not.
+        slipped = datapath.slots ^ _EXPECTED_RANKS[phase]
+        if self.divert and (not valid & _STAGE2 or slipped & _STAGE2_SLOT):
+            raise ControlFault(
+                f"cycle {cycle}: track {_EXPECTED_SLOTS[phase][2]} expired without its "
+                f"block at the shift-rows register (found {datapath.loop_tags[2]})"
+            )
+        slipped &= _LIVE_SLOT_FIELDS[valid]
+        if slipped:
+            stage = ((slipped & -slipped).bit_length() - 1) // SLOT_BITS
+            raise ControlFault(
+                f"cycle {cycle}: stage {stage} holds slot {datapath.loop_tags[stage].slot}, "
+                f"phase math requires {_EXPECTED_SLOTS[phase][stage]}"
+            )
+        if valid != self.occupancy:
             raise ControlFault(
                 f"cycle {cycle}: occupancy register {self.occupancy:012b} "
-                f"vs datapath {occ:012b}"
+                f"vs datapath {valid:012b}"
             )
-        if modes != self.modes & occ:
+        if (datapath.modes ^ self.modes) & valid:
             raise ControlFault(
                 f"cycle {cycle}: mode register {self.modes:012b} disagrees "
                 f"with datapath tags"
             )
         if (self._arriving1 is None) != (datapath.initial_tags[1] is None):
             raise ControlFault(f"cycle {cycle}: initial-stage tracking out of step")
-        if self.main_reset and tags[10] is not None:
+        if self.main_reset and valid & _STAGE10:
             raise ControlFault(
-                f"cycle {cycle}: output reset would scrub live block {tags[10]}"
+                f"cycle {cycle}: output reset would scrub live block {datapath.loop_tags[10]}"
             )
-        return occ
+        return valid
+
+    def at_fixed_point(self) -> bool:
+        """Whether the commit changes no register but the cycle and flush
+        counters: no tracking bit is set and no word is in the loop or on
+        its way there."""
+        return (
+            not (self.track or self.occupancy or self.modes)
+            and self._arriving0 is None
+            and self._arriving1 is None
+        )
+
+    def skip_flush(self) -> int:
+        """Advance the cycle and flush counters to the transition into run,
+        as the flush cycles left would from a fixed point; returns how many
+        cycles that skips."""
+        span = TRACK_CYCLES - self._flush_count
+        self.cycle += span
+        self._flush_count = TRACK_CYCLES
+        return span
 
     def commit(self) -> None:
         # Track registers shift every cycle; the admitted slot's register

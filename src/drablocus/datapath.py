@@ -27,7 +27,11 @@ instance (2 + 1 + 2), 115 cycles in all.
 
 Data and its (valid, mode, slot) tag advance in lockstep: each tag's
 next value is computed with the data's and latched by the same commit,
-and the controller's shift registers mirror the tag pipeline. Inputs to
+and the controller's shift registers mirror the tag pipeline. Like the
+data, the loop's tags are held as packed ranks, a 12-bit valid rank, a
+12-bit mode rank and a 48-bit slot rank with a 4-bit field per stage,
+that rotate as the words move; a per-slot table holds each word's
+sequence id. Inputs to
 the substitution and product RAMs are OR-multiplexed; the controller's
 reset sequencing must keep all but one source at zero, and the mux
 asserts that.
@@ -47,6 +51,7 @@ into both and compares every tap on every cycle.
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import NamedTuple
 
 from .aesref import _DEC_SHIFT, _ENC_SHIFT
 from .fabric import BramModel, DspXorSlice, Register, SimulationFault
@@ -69,6 +74,20 @@ _MASK48 = (1 << 48) - 1
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 _MASK256 = (1 << 256) - 1
+
+# Tag ranks: one bit (valid, modes) or one 4-bit field (slots) per loop
+# stage, stage k lowest. Rotating a rank by one stage wraps S11 into S0.
+SLOT_BITS = 4
+SLOT_FIELD = (1 << SLOT_BITS) - 1
+_STAGES_MASK = (1 << NUM_LOOP_STAGES) - 1
+_SLOTS_MASK = (1 << SLOT_BITS * NUM_LOOP_STAGES) - 1
+_WRAP_SHIFT = NUM_LOOP_STAGES - 1
+_SLOT_WRAP_SHIFT = SLOT_BITS * _WRAP_SHIFT
+_STAGE2 = 1 << 2
+_STAGE11 = 1 << _WRAP_SHIFT
+_CLEAR_STAGE3 = ~(1 << 3)
+_CLEAR_SLOT3 = ~(SLOT_FIELD << 3 * SLOT_BITS)
+_NO_TAGS = [None, None]
 
 # Row shift of a 16-byte state, per mode bit.
 _SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
@@ -94,18 +113,12 @@ def or_mux_tap(*operands: int) -> int:
     return value
 
 
-class Word:
+class Word(NamedTuple):
     """Tag riding alongside a 128-bit value in the pipeline."""
 
-    __slots__ = ("seq", "mode", "slot")
-
-    def __init__(self, seq: int, mode: int, slot: int):
-        self.seq = seq
-        self.mode = mode
-        self.slot = slot
-
-    def __repr__(self) -> str:
-        return f"Word(seq={self.seq}, mode={self.mode}, slot={self.slot})"
+    seq: int
+    mode: int
+    slot: int
 
 
 def _permute_bytes(data: int, perm: tuple[int, ...]) -> int:
@@ -377,9 +390,9 @@ class RoundDatapath:
     Per cycle, drive :meth:`compute_cycle` with this cycle's control and
     key values, then :meth:`commit_cycle`. Compute derives the next value
     of every rank and tag (raising the S0 collision there); commit only
-    latches them. Between the two, :meth:`taps` and the tag lists show
-    the committed state, each tag naming the word whose data its rank
-    holds.
+    latches them. Between the two, :meth:`taps`, the tag ranks and the tag
+    lists show the committed state, each tag naming the word whose data
+    its rank holds.
 
     Every register rank is one int attribute; a rank built from several
     registers holds them as bit fields, first register most significant:
@@ -407,12 +420,23 @@ class RoundDatapath:
     Each 128-bit field spans the 48/48/32-bit slices (or the three
     cascade groups) side by side; XOR is bitwise, so one int per rank
     computes what the slices compute.
+
+    The tags of the loop's words are ranks too, one field per stage,
+    stage k lowest: ``valid`` (bit k: stage k holds a live word),
+    ``modes`` (bit k: that word's mode) and ``slots`` (bits 4k..4k+3: its
+    slot); a stage without a word has zero fields. Each rotates one stage
+    per cycle as the data does, S11's word wrapping into S0, and the
+    arriving word takes S0. ``seqs[slot]`` is the sequence id of the word
+    holding a slot, written when it enters S0. :attr:`loop_tags` and
+    :meth:`taps` build :class:`Word` views only when asked. The two-rank
+    initial and final instances keep their tags as ``Word`` lists
+    (``initial_tags``, ``final_tags``).
     """
 
     __slots__ = (
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
-        "loop_tags", "initial_tags", "final_tags",
+        "valid", "modes", "slots", "seqs", "initial_tags", "final_tags",
         "_sbox", "_lanes", "_next",
     )
 
@@ -424,10 +448,10 @@ class RoundDatapath:
         self.s6 = self.s7 = self.s8 = self.s9 = self.s10 = self.s11 = 0
         self.ia_in = self.ia_out = self.fa_in = self.fa_out = 0
         self._next = None
-        # Tag pipelines: entry k holds the tag of the word occupying that
-        # register rank in the current cycle (None when the rank carries
-        # no live word).
-        self.loop_tags: list[Word | None] = [None] * NUM_LOOP_STAGES
+        self.valid = self.modes = self.slots = 0
+        self.seqs = [0] * NUM_LOOP_STAGES
+        # Entry k holds the tag of the word in that instance's rank k this
+        # cycle (None when the rank carries no live word).
         self.initial_tags: list[Word | None] = [None, None]
         self.final_tags: list[Word | None] = [None, None]
 
@@ -447,24 +471,28 @@ class RoundDatapath:
     ) -> None:
         # Locals named after a rank hold its next value; committed values
         # are read from the attributes, so taps do not move until commit.
-        # t0..t11 are the committed loop tags.
-        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11 = self.loop_tags
+        # live, live_modes and live_slots are the committed tag ranks.
+        live = self.valid
+        live_modes = self.modes
         entering = self.initial_tags[1]
-        into_s0 = entering or t11
         recirc = self.s11
         arriving = self.ia_out
         ks_sb_data, ks_sb_mode = ks_sub_bytes
         ks_mc_data, ks_mc_mode = ks_mix_columns
 
-        # Substitution RAMs behind the OR mux; the driving word's tag (the
-        # key schedule's mode when none) selects the table half. The mux
-        # check is called only when two sources drive, to raise its fault.
+        # Substitution RAMs behind the OR mux; the driving word's mode (the
+        # key schedule's when none) selects the table half. The mux check
+        # is called only when two sources drive, to raise its fault.
         if (recirc and (arriving or ks_sb_data)) or (arriving and ks_sb_data):
             or_mux_tap(recirc, arriving, ks_sb_data)
+        if entering is not None:
+            sb_mode = entering.mode
+        elif live & _STAGE11:
+            sb_mode = live_modes >> _WRAP_SHIFT
+        else:
+            sb_mode = ks_sb_mode
         s0 = int.from_bytes(
-            (recirc | arriving | ks_sb_data).to_bytes(16, "big").translate(
-                self._sbox[ks_sb_mode if into_s0 is None else into_s0.mode]
-            ),
+            (recirc | arriving | ks_sb_data).to_bytes(16, "big").translate(self._sbox[sb_mode]),
             "big",
         )
 
@@ -473,15 +501,14 @@ class RoundDatapath:
             s2 = 0
         else:
             s2 = int.from_bytes(
-                bytes(_SHIFT_ROWS[0 if t1 is None else t1.mode](self.s1.to_bytes(16, "big"))),
-                "big",
+                bytes(_SHIFT_ROWS[live_modes >> 1 & 1](self.s1.to_bytes(16, "big"))), "big"
             )
 
         # Product RAMs behind the OR mux, read straight into lane order.
         shifted = self.s2
         if shifted and ks_mc_data:
             or_mux_tap(shifted, ks_mc_data)
-        l0, l1, l2, l3 = self._lanes[ks_mc_mode if t2 is None else t2.mode]
+        l0, l1, l2, l3 = self._lanes[live_modes >> 2 & 1 if live & _STAGE2 else ks_mc_mode]
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
             (shifted | ks_mc_data).to_bytes(16, "big")
         )
@@ -514,21 +541,40 @@ class RoundDatapath:
             ia_in = 0
             admitted = None
 
-        # Tags take their next value beside the data: S0 takes the arriving
-        # or the recirculating word (never both), and a divert sends S2's
-        # word into the final instance instead of S3.
-        if entering is not None and t11 is not None:
-            raise CollisionError(
-                f"stage S0 claimed by arriving {entering} and recirculating {t11}"
-            )
-        loop_tags = [into_s0, t0, t1, None if divert else t2, t3, t4, t5, t6, t7, t8, t9, t10]
-        final_tags = [t2 if divert else None, self.final_tags[0]]
+        # Tags take their next value beside the data: each tag rank rotates
+        # one stage, S11's word wrapping into S0; the arriving word takes S0
+        # (never beside a recirculating one), and a divert sends S2's word
+        # into the final instance instead of S3.
+        valid = ((live << 1) | (live >> _WRAP_SHIFT)) & _STAGES_MASK
+        modes = ((live_modes << 1) | (live_modes >> _WRAP_SHIFT)) & _STAGES_MASK
+        live_slots = self.slots
+        slots = ((live_slots << SLOT_BITS) | (live_slots >> _SLOT_WRAP_SHIFT)) & _SLOTS_MASK
+        if entering is not None:
+            if valid & 1:
+                raise CollisionError(
+                    f"stage S0 claimed by arriving {entering} and recirculating "
+                    f"{self._tag(NUM_LOOP_STAGES - 1)}"
+                )
+            slot = entering.slot
+            self.seqs[slot] = entering.seq
+            valid |= 1
+            modes |= entering.mode & 1
+            slots |= slot
+        diverted = None
+        if divert:
+            if live & _STAGE2:
+                slot = live_slots >> 2 * SLOT_BITS & SLOT_FIELD
+                diverted = Word(self.seqs[slot], live_modes >> 2 & 1, slot)
+            valid &= _CLEAR_STAGE3
+            modes &= _CLEAR_STAGE3
+            slots &= _CLEAR_SLOT3
 
         self._next = (
             s0, self.s0, s2, s3, self.s3, self.s4, s6, s7, s8,
             (self.s8 << 128) | main_key, self.s9, s11,
             ia_in, ia_out, (shifted << 128) | final_key, fa_out,
-            loop_tags, [admitted, self.initial_tags[0]], final_tags,
+            valid, modes, slots,
+            [admitted, self.initial_tags[0]], [diverted, self.final_tags[0]],
         )
 
     def commit_cycle(self) -> None:
@@ -536,18 +582,40 @@ class RoundDatapath:
             self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
             self.s9, self.s10, self.s11,
             self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            self.loop_tags, self.initial_tags, self.final_tags,
+            self.valid, self.modes, self.slots, self.initial_tags, self.final_tags,
         ) = self._next
+
+    def at_fixed_point(self) -> bool:
+        """Whether the computed next state equals the committed ranks with
+        every tag empty: the commit changes nothing, and a next cycle driven
+        by the same inputs computes this same state again."""
+        return self._next == (
+            self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
+            self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
+            0, 0, 0, _NO_TAGS, _NO_TAGS,
+        )
+
+    def _tag(self, stage: int) -> Word | None:
+        if not self.valid >> stage & 1:
+            return None
+        slot = self.slots >> SLOT_BITS * stage & SLOT_FIELD
+        return Word(self.seqs[slot], self.modes >> stage & 1, slot)
+
+    @property
+    def loop_tags(self) -> tuple[Word | None, ...]:
+        """The tag of each loop stage's word (None where a stage is empty),
+        built from the tag ranks on request."""
+        return tuple(map(self._tag, range(NUM_LOOP_STAGES)))
 
     def taps(self) -> tuple[tuple[int, Word | None], ...]:
         """The six tap points in trace order (ia, sb, sr, mc, ark, fin),
         each value with the tag of the word it carries this cycle."""
-        tags = self.loop_tags
+        tag = self._tag
         return (
             (self.ia_out, self.initial_tags[1]),
-            (self.s1, tags[1]),
-            (self.s2, tags[2]),
-            (self.s8, tags[8]),
-            (self.s11, tags[11]),
+            (self.s1, tag(1)),
+            (self.s2, tag(2)),
+            (self.s8, tag(8)),
+            (self.s11, tag(11)),
             (self.fa_out, self.final_tags[1]),
         )

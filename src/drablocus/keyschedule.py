@@ -25,7 +25,15 @@ from __future__ import annotations
 
 from .aesref import NUM_ROUNDS, RCON
 from .controller import KEY_INIT
-from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, MIX_COLUMNS_LATENCY, RoundDatapath
+from .datapath import (
+    _MASK32,
+    _MASK128,
+    MAIN_ROUNDS,
+    MIX_COLUMNS_LATENCY,
+    SLOT_BITS,
+    SLOT_FIELD,
+    RoundDatapath,
+)
 from .fabric import SimulationFault
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
@@ -41,6 +49,12 @@ _INVERSION_DELAY = 1 + MIX_COLUMNS_LATENCY
 KEY_INIT_CYCLES = 3 * NUM_ROUNDS + MAIN_ROUNDS + _INVERSION_DELAY
 
 _NO_INJECT = (0, 0)
+
+# The service reads the tag ranks of loop stages 7 and 8.
+_STAGE7 = 1 << 7
+_STAGE8 = 1 << 8
+_SLOT7_SHIFT = 7 * SLOT_BITS
+_SLOT8_SHIFT = 8 * SLOT_BITS
 
 
 class KeyStoreFault(SimulationFault):
@@ -97,26 +111,29 @@ class KeyScheduler:
             # Service. A {mode, round <= 10} address is below the depth of
             # 32, so neither port can leave the image. The injects stay
             # zero, as cleared on the last initialization cycle.
-            tags = datapath.loop_tags
+            valid = datapath.valid
+            modes = datapath.modes
+            slots = datapath.slots
             # Arbitrary-round consumer: the word now in stage 7 presents to
             # the main key-add next cycle, together with port a's read.
-            tag = tags[7]
-            if tag is not None:
-                round_index = self.round_counters[tag.slot] + 1
+            if valid & _STAGE7:
+                slot = slots >> _SLOT7_SHIFT & SLOT_FIELD
+                round_index = self.round_counters[slot] + 1
                 if round_index > MAIN_ROUNDS:
                     raise KeyStoreFault(
-                        f"slot {tag.slot} requested main-loop key for round {round_index}"
+                        f"slot {slot} requested main-loop key for round {round_index}"
                     )
-                self.addr_a = (tag.mode & 1) << 4 | round_index
+                self.addr_a = (modes >> 7 & 1) << 4 | round_index
             else:
                 self.addr_a = 0
             # Final-key consumer: constantly reads round 10 for the mode of
-            # the word that would reach the final instance two cycles from now.
-            tag = tags[1]
-            self.addr_b = NUM_ROUNDS if tag is None else (tag.mode & 1) << 4 | NUM_ROUNDS
+            # the word that would reach the final instance two cycles from
+            # now (a stage without a word has a zero mode bit).
+            self.addr_b = (modes >> 1 & 1) << 4 | NUM_ROUNDS
             # The word in stage 8 consumes its key at the next commit.
-            tag = tags[8]
-            self._pending_increment = None if tag is None else tag.slot
+            self._pending_increment = (
+                slots >> _SLOT8_SHIFT & SLOT_FIELD if valid & _STAGE8 else None
+            )
         else:
             self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
             if controller_fsm == KEY_INIT:
@@ -131,6 +148,17 @@ class KeyScheduler:
         image = self.image
         self._read_a = image[self.addr_a]
         self._read_b = image[self.addr_b]
+
+    def at_fixed_point(self) -> bool:
+        """Whether the schedule is in service and the commit leaves the
+        store, its outputs and the round counters unchanged."""
+        return (
+            self.fsm == READY
+            and self.pending_write is None
+            and self._pending_increment is None
+            and self._read_a == self.out_a
+            and self._read_b == self.out_b
+        )
 
     def commit(self) -> None:
         self.out_a = self._read_a

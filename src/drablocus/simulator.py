@@ -6,9 +6,20 @@ jobs admitted (greedily, on the first non-conflicting cycle). Every
 block completes exactly BLOCK_LATENCY cycles after admission; admission
 pressure shows up as stalls, never as in-flight delay.
 
+Most of the flush is a fixed point: the loop holds no word, the track
+chains are clear and the data ranks have settled. Once a flush cycle's
+computed next state equals its committed state, with no tag, tracking
+bit, key-store write or changing key-store output, every flush cycle left
+would repeat it exactly, so the run fast-forwards the cycle and flush
+counters to the transition into run and writes those cycles' status
+lines, which are all a trace shows of them. The test is exact: an upset
+that breaks the fixed point delays the skip. ``RunSummary.skipped_cycles``
+counts the cycles skipped; the other statistics count them as cycles.
+
 File formats (stable, line-delimited):
 
-* job file: ``<seq> <enc|dec> <32 hex chars>``; ``#`` starts a comment.
+* job file: ``<seq> <enc|dec> <32 hex chars>``, with ``<seq>`` in ASCII
+  decimal digits; ``#`` starts a comment.
 * output file: ``<seq> <32 hex chars>`` in input order.
 * trace file: one controller status line per cycle,
   ``cycle=<n> fsm=<state> occ=<12 bits> stall=<0|1>``, followed by one
@@ -28,6 +39,8 @@ from .datapath import (
     BLOCK_LATENCY,
     MAIN_ROUNDS,
     NUM_LOOP_STAGES,
+    SLOT_BITS,
+    SLOT_FIELD,
     TRACK_CYCLES,
     CollisionError,
     DatapathTables,
@@ -96,6 +109,8 @@ class RunSummary:
     blocks_completed: int = 0
     stall_cycles: int = 0
     max_loop_occupancy: int = 0
+    # Flush cycles fast-forwarded from a fixed point, not stepped.
+    skipped_cycles: int = 0
     admission_cycles: dict[int, int] = field(default_factory=dict)
     completion_cycles: dict[int, int] = field(default_factory=dict)
 
@@ -125,7 +140,11 @@ class RunResult:
     key_store: tuple[int, ...]
 
 
-_TAPS = ("ia", "sb", "sr", "mc", "ark", "fin")
+# The taps inside the loop, between the initial (ia) and final (fin) key
+# adds in trace order: their ids and loop stages (s1, s2, s8, s11).
+_LOOP_TAPS = ("sb", "sr", "mc", "ark")
+_LOOP_TAP_STAGES = (1, 2, 8, 11)
+_LOOP_TAP_MASK = sum(1 << stage for stage in _LOOP_TAP_STAGES)
 
 
 class PipelineSimulator:
@@ -164,6 +183,7 @@ class PipelineSimulator:
         phase_starts: dict[str, int] = {}
         max_occupancy = 0
         stall_cycles = 0
+        skipped_cycles = 0
 
         # The per-cycle methods, looked up once per run.
         begin_cycle = ctrl.begin_cycle
@@ -237,9 +257,27 @@ class PipelineSimulator:
                 if trace is not None:
                     self._emit_trace(trace, ctrl, dp, stalled)
 
+                # Decided on the computed next state, before it is latched.
+                quiescent = (
+                    fsm == FLUSH
+                    and dp.at_fixed_point()
+                    and ctrl.at_fixed_point()
+                    and ks.at_fixed_point()
+                )
                 dp_commit()
                 ctrl_commit()
                 ks_commit()
+                if quiescent:
+                    # Each flush cycle left repeats this one: the same inputs
+                    # and state, no tag to trace. Only the counters move.
+                    first = ctrl.cycle
+                    span = ctrl.skip_flush()
+                    skipped_cycles += span
+                    if trace is not None:
+                        status = f" fsm={ctrl.fsm} occ={ctrl.occupancy:012b} stall=0\n"
+                        trace.write(
+                            "".join([f"cycle={c}{status}" for c in range(first, first + span)])
+                        )
         except (ProtocolError, CollisionError, KeyStoreFault) as fault:
             # The datapath and key store keep no cycle count; name the cycle here.
             raise type(fault)(f"cycle {ctrl.cycle}: {fault}") from fault
@@ -247,6 +285,7 @@ class PipelineSimulator:
         summary.total_cycles = ctrl.cycle
         summary.blocks_completed = len(outputs)
         summary.stall_cycles = stall_cycles
+        summary.skipped_cycles = skipped_cycles
         summary.max_loop_occupancy = max_occupancy
         summary.key_init_cycles = ks.init_cycles
         summary.run_start_cycle = phase_starts.get(RUN, 0)
@@ -255,17 +294,34 @@ class PipelineSimulator:
 
     @staticmethod
     def _emit_trace(trace: IO[str], ctrl: Controller, dp: RoundDatapath, stalled: bool) -> None:
-        trace.write(
-            f"cycle={ctrl.cycle} fsm={ctrl.fsm} occ={ctrl.occupancy:012b} "
+        cycle = ctrl.cycle
+        lines = [
+            f"cycle={cycle} fsm={ctrl.fsm} occ={ctrl.occupancy:012b} "
             f"stall={1 if stalled else 0}\n"
-        )
-        for stage_id, (value, tag) in zip(_TAPS, dp.taps()):
-            if tag is None:
-                continue
-            trace.write(
-                f"cycle={ctrl.cycle} stage={stage_id} slot={tag.slot} "
-                f"mode={'d' if tag.mode else 'e'} data={value:032x}\n"
+        ]
+        # (stage id, slot, mode, value) of each tap carrying a word, in
+        # trace order; the loop taps read the tag ranks.
+        taps = []
+        tag = dp.initial_tags[1]
+        if tag is not None:
+            taps.append(("ia", tag.slot, tag.mode, dp.ia_out))
+        valid = dp.valid
+        if valid & _LOOP_TAP_MASK:
+            modes, slots = dp.modes, dp.slots
+            values = (dp.s1, dp.s2, dp.s8, dp.s11)
+            for stage_id, stage, value in zip(_LOOP_TAPS, _LOOP_TAP_STAGES, values):
+                if valid >> stage & 1:
+                    slot = slots >> SLOT_BITS * stage & SLOT_FIELD
+                    taps.append((stage_id, slot, modes >> stage & 1, value))
+        tag = dp.final_tags[1]
+        if tag is not None:
+            taps.append(("fin", tag.slot, tag.mode, dp.fa_out))
+        for stage_id, slot, mode, value in taps:
+            lines.append(
+                f"cycle={cycle} stage={stage_id} slot={slot} "
+                f"mode={'d' if mode else 'e'} data={value:032x}\n"
             )
+        trace.write("".join(lines))
 
 
 def measure_cadence(summary: RunSummary, freq_mhz: float = 528.262) -> CadenceReport:
@@ -317,9 +373,14 @@ def measure_cadence(summary: RunSummary, freq_mhz: float = 528.262) -> CadenceRe
 
 
 def parse_jobs(text: str | Iterable[str]) -> list[Job]:
-    """Parse the line-delimited job format; errors cite line numbers."""
+    """Parse the line-delimited job format; errors cite line numbers.
+
+    Lines end at a newline, a carriage return or both, as a file read in
+    text mode ends them; other characters that ``str.splitlines`` breaks at
+    (form feed, vertical tab, U+2028, ...) are whitespace inside a line.
+    """
     if isinstance(text, str):
-        lines = text.splitlines()
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     else:
         lines = [line.rstrip("\n") for line in text]
     jobs: list[Job] = []
@@ -331,7 +392,12 @@ def parse_jobs(text: str | Iterable[str]) -> list[Job]:
         if len(parts) != 3:
             raise JobError(f"line {number}: expected '<seq> <enc|dec> <32 hex>', got {raw!r}")
         seq_text, mode_text, hex_text = parts
+        # ASCII decimal digits only: int() also takes a sign, underscores and
+        # other scripts' digits, which the output file would write back as
+        # different text. int() still refuses an over-long digit string.
         try:
+            if not (seq_text.isascii() and seq_text.isdigit()):
+                raise ValueError(seq_text)
             seq = int(seq_text)
         except ValueError:
             raise JobError(f"line {number}: bad sequence id {seq_text!r}") from None

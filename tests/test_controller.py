@@ -175,5 +175,8 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
     ]
     result = PipelineSimulator().run(bytes(range(16)), jobs)
     assert result.summary.blocks_completed == 100
-    assert len(occupancies) == result.summary.total_cycles
+    # The chains are all clear over the flush cycles the run skips, so
+    # skipping their commits leaves them as stepping would.
+    assert result.summary.skipped_cycles > 0
+    assert len(occupancies) + result.summary.skipped_cycles == result.summary.total_cycles
     assert max(occupancies) == NUM_LOOP_STAGES

@@ -243,7 +243,7 @@ class TestSingleRoundTraversal:
                     )
                     if cycle == 14:
                         value, out_tag = dp.s11, dp.loop_tags[11]
-                        assert out_tag is tag
+                        assert out_tag == tag
                         inverse = mode == MODE_DECRYPT
                         block = as_block(x)
                         expected = aesref.add_round_key(
@@ -269,7 +269,7 @@ class TestSingleRoundTraversal:
                 main_reset=cycle == 1,
             )
             for k, t in enumerate(dp.loop_tags):
-                if t is tag:
+                if t == tag:
                     positions[cycle] = k
             dp.commit_cycle()
         # Occupies stage k during cycle 3 + k for one traversal.

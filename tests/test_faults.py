@@ -5,7 +5,10 @@ faults are raised by driving the flat :class:`RoundDatapath` and the
 composition of the unit classes with the same inputs; both must fail
 the same way. The controller faults come from single upsets of its
 registers or control lines in the middle of a simulator run, made after
-:meth:`Controller.begin_cycle` has decided the cycle.
+:meth:`Controller.begin_cycle` has decided the cycle; upsets of the
+datapath's packed tag ranks show that each compare of them fires. Upsets
+made during the flush show that the run fast-forwards the flush only from
+an exact fixed point.
 """
 
 import random
@@ -14,9 +17,11 @@ import pytest
 
 from composed_datapath import ComposedDatapath
 from cycle_protocol import core_in_run, step_cycle
-from drablocus.controller import RUN, AdmissionError, ControlFault, Controller
+from drablocus.controller import FLUSH, RUN, AdmissionError, ControlFault, Controller
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
+    SLOT_BITS,
+    SLOT_FIELD,
     TRACK_CYCLES,
     CollisionError,
     ProtocolError,
@@ -24,7 +29,7 @@ from drablocus.datapath import (
     Word,
 )
 from drablocus.fabric import SimulationFault
-from drablocus.keyschedule import READY, KeyStoreFault
+from drablocus.keyschedule import READY, KeyScheduler, KeyStoreFault
 from drablocus.simulator import Job, PipelineSimulator, TimingFault
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
 
@@ -205,6 +210,137 @@ def test_dropped_divert_raises_key_store_fault(monkeypatch):
     with pytest.raises(KeyStoreFault) as err:
         run_with_upset(monkeypatch, upset, mixed_jobs(13), when=lambda ctrl: ctrl.divert)
     assert str(err.value) == "cycle 279: slot 5 requested main-loop key for round 10"
+
+
+def run_with_rank_upset(monkeypatch, upset, jobs, when):
+    """Run ``jobs`` and apply ``upset(controller, datapath)`` once, on the
+    first cycle for which ``when(controller, datapath)`` holds: after the
+    controller has decided the cycle and before the key schedule or the
+    datapath reads a rank."""
+    original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
+    state = {"ctrl": None, "done": False}
+
+    def begin_cycle(self, key_schedule_ready):
+        original_begin(self, key_schedule_ready)
+        state["ctrl"] = self
+
+    def compute(self, datapath, controller_fsm):
+        if not state["done"] and when(state["ctrl"], datapath):
+            state["done"] = True
+            upset(state["ctrl"], datapath)
+        original_compute(self, datapath, controller_fsm)
+
+    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
+    monkeypatch.setattr(KeyScheduler, "compute", compute)
+    return PipelineSimulator().run(FIPS_KEY, jobs)
+
+
+def datapath_full(ctrl, dp):
+    return dp.valid == FULL_LOOP
+
+
+# Each packed tag rank of the datapath, upset on a live stage of a full loop,
+# fires the check that compares it. Stage 5 is read by neither the key
+# schedule nor the divert check.
+UPSET_STAGE = 5
+
+
+def test_flipped_slot_field_raises_control_fault(monkeypatch):
+    def upset(ctrl, dp):
+        dp.slots ^= 1 << SLOT_BITS * UPSET_STAGE
+
+    with pytest.raises(ControlFault) as err:
+        run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
+    assert str(err.value) == "cycle 175: stage 5 holds slot 10, phase math requires 11"
+
+
+def test_flipped_mode_rank_bit_raises_control_fault(monkeypatch):
+    def upset(ctrl, dp):
+        dp.modes ^= 1 << UPSET_STAGE
+
+    with pytest.raises(ControlFault, match="mode register [01]{12} disagrees with datapath tags"):
+        run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
+
+
+def test_cleared_valid_bit_raises_control_fault(monkeypatch):
+    def upset(ctrl, dp):
+        dp.valid ^= 1 << UPSET_STAGE
+
+    with pytest.raises(ControlFault) as err:
+        run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
+    assert str(err.value) == (
+        "cycle 175: occupancy register 111111111111 vs datapath 111111011111"
+    )
+
+
+def test_overwritten_sequence_id_raises_timing_fault(monkeypatch):
+    # The block in stage 5 takes the sequence id of the one behind it in
+    # stage 4, admitted a cycle later, so it completes a cycle early by
+    # that block's admission.
+    def upset(ctrl, dp):
+        slots = dp.slots
+        behind = dp.seqs[slots >> SLOT_BITS * (UPSET_STAGE - 1) & SLOT_FIELD]
+        dp.seqs[slots >> SLOT_BITS * UPSET_STAGE & SLOT_FIELD] = behind
+
+    with pytest.raises(TimingFault) as err:
+        run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
+    assert str(err.value) == "cycle 282: block 7 completed after 114 cycles, expected 115"
+
+
+# Upsets during the flush: the run fast-forwards the flush only from an
+# exact fixed point, so each upset leaves the run as stepping every cycle
+# would.
+def on_flush_cycle(n):
+    """A ``when`` holding on the flush cycle with ``n`` flush commits behind it."""
+    return lambda ctrl, dp: ctrl.fsm == FLUSH and ctrl._flush_count == n
+
+
+def test_track_bit_set_after_first_flush_commit_fires_in_run(monkeypatch):
+    # Shifted 112 times, slot 5's admission bit reaches the final bit on the
+    # first run cycle, which reads slot 5's chain with stage 9 free.
+    def upset(ctrl, dp):
+        ctrl.track ^= 1 << TRACK_CYCLES * 5
+
+    with pytest.raises(
+        ControlFault, match="^cycle 161: stage-9 occupancy and slot tracking disagree$"
+    ):
+        run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(1))
+
+
+@pytest.mark.parametrize("bit, skipped", [(0, 0), (TRACK_CYCLES - 1, 103)])
+def test_track_bit_set_on_first_flush_cycle_is_flushed(monkeypatch, bit, skipped):
+    # The flush's 113 commits shift any bit out of its chain. An admission
+    # bit stays in the rank until the last flush commit, so no cycle is
+    # skipped; the top bit leaves on the first commit and the skip is
+    # unchanged.
+    expected = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13))
+    assert expected.summary.skipped_cycles == 103
+
+    def upset(ctrl, dp):
+        ctrl.track ^= 1 << TRACK_CYCLES * 3 + bit
+
+    result = run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(0))
+    assert result.outputs == expected.outputs
+    assert result.summary.total_cycles == expected.summary.total_cycles
+    assert result.summary.skipped_cycles == skipped
+
+
+def test_datapath_upset_in_flush_delays_the_skip(monkeypatch):
+    # Upset on the cycle the skip would start from, the cascade bit takes six
+    # cycles to pass through s6..s10 into the main key-add output, which the
+    # flush holds in reset; the skip starts once it is gone.
+    expected = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13))
+    span = expected.summary.skipped_cycles
+
+    def upset(ctrl, dp):
+        dp.s5 ^= 1
+
+    result = run_with_rank_upset(
+        monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(TRACK_CYCLES - span - 1)
+    )
+    assert result.outputs == expected.outputs
+    assert result.summary.total_cycles == expected.summary.total_cycles
+    assert result.summary.skipped_cycles == span - 6
 
 
 def test_admission_on_a_stalled_cycle_raises_admission_error():
