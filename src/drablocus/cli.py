@@ -1,20 +1,24 @@
 """Command-line surface: verification vectors, block processing through
 either engine, pipeline simulation with tracing, and evaluation reports.
 
-Exit codes: 0 success, 1 verification or feasibility failure, 2 usage
-error. Results go to stdout or --out; diagnostics go to stderr.
+Exit codes: 0 success, 1 verification or feasibility failure or a
+modelled fault, 2 usage error, including a file that cannot be read or
+written. Results go to stdout or --out; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import aesref, metrics
-from .fabric import SimulationFault
+from .faults import SimulationFault
 from .simulator import (
+    CLOCK_MHZ,
     Job,
     JobError,
     PipelineSimulator,
@@ -55,13 +59,17 @@ def _parse_key(args) -> bytes:
     return key
 
 
+def _read_text(path: str, what: str) -> str:
+    # A file that cannot be opened raises OSError, which main reports.
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from None
+
+
 def _load_catalog(args) -> metrics.Catalog:
     if args.catalog:
-        try:
-            text = Path(args.catalog).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read catalog: {exc}") from None
-        return metrics.parse_catalog(text)
+        return metrics.parse_catalog(_read_text(args.catalog, "catalog"))
     return metrics.default_catalog()
 
 
@@ -134,44 +142,34 @@ def _process_blocks(key: bytes, data: bytes, mode: int, engine: str) -> bytes:
 
 def _cmd_crypt(args, mode: int) -> int:
     key = _parse_key(args)
-    try:
-        data = Path(args.infile).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read input: {exc}") from None
+    data = Path(args.infile).read_bytes()
     if len(data) % 16 != 0:
         raise UsageError(
             f"input length {len(data)} is not a multiple of the 16-byte block size"
         )
     if not data:
         raise UsageError("input is empty")
-    out = _process_blocks(key, data, mode, args.engine)
-    try:
-        Path(args.outfile).write_bytes(out)
-    except OSError as exc:
-        raise UsageError(f"cannot write output: {exc}") from None
+    Path(args.outfile).write_bytes(_process_blocks(key, data, mode, args.engine))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
+    if not 0 < args.freq < math.inf:
+        raise UsageError(f"--freq must be a positive finite number of MHz, got {args.freq}")
     key = _parse_key(args)
-    try:
-        text = Path(args.jobs).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read jobs file: {exc}") from None
-    jobs = parse_jobs(text)
+    jobs = parse_jobs(_read_text(args.jobs, "jobs file"))
+    with ExitStack() as files:
+        # Both files are opened before the run, so a bad path costs no run.
+        trace = files.enter_context(open(args.trace, "w")) if args.trace else None
+        out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        result = PipelineSimulator().run(key, jobs, trace=trace)
+        _report_run(result.summary, args.freq)
+        write_outputs(jobs, result.outputs, out)
+    return EXIT_OK
 
-    sim = PipelineSimulator()
-    trace_stream = None
-    try:
-        if args.trace:
-            trace_stream = open(args.trace, "w")
-        result = sim.run(key, jobs, trace=trace_stream)
-    finally:
-        if trace_stream is not None:
-            trace_stream.close()
 
-    summary = result.summary
-    cadence = measure_cadence(summary, freq_mhz=args.freq)
+def _report_run(summary, freq_mhz: float) -> None:
+    cadence = measure_cadence(summary, freq_mhz=freq_mhz)
     lat = sorted(set(summary.latencies.values()))
     lines = [
         f"blocks={summary.blocks_completed}",
@@ -181,7 +179,7 @@ def _cmd_simulate(args) -> int:
         f"stall_cycles={summary.stall_cycles}",
         f"max_loop_occupancy={summary.max_loop_occupancy}",
         f"latency_cycles={','.join(str(v) for v in lat)}",
-        f"latency_ns={lat[0] * 1000.0 / args.freq:.1f}" if lat else "latency_ns=n/a",
+        f"latency_ns={lat[0] * 1000.0 / freq_mhz:.1f}" if lat else "latency_ns=n/a",
         f"nominal_blocks_per_cycle={cadence.nominal_blocks_per_cycle:.6f}",
         f"nominal_gbps={cadence.nominal_gbps:.3f}",
     ]
@@ -191,13 +189,6 @@ def _cmd_simulate(args) -> int:
     else:
         lines.append("measured_blocks_per_cycle=not-steady-state")
     print("\n".join(lines))
-
-    if args.out:
-        with open(args.out, "w") as stream:
-            write_outputs(jobs, result.outputs, stream)
-    else:
-        write_outputs(jobs, result.outputs, sys.stdout)
-    return EXIT_OK
 
 
 def _cmd_metrics(args) -> int:
@@ -284,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", required=True)
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--trace", help="write a cycle trace to this file")
-    p.add_argument("--freq", type=float, default=528.262, help="clock MHz for derived figures")
+    p.add_argument("--freq", type=float, default=CLOCK_MHZ, help="clock MHz for derived figures")
 
     p = sub.add_parser("metrics", help="per-resource efficiency report")
     p.add_argument("--catalog", help="catalog file (default: built-in)")
@@ -325,7 +316,7 @@ def main(argv=None) -> int:
         if args.command == "dump-tables":
             return _cmd_dump_tables(args)
         parser.error(f"unknown command {args.command}")
-    except (UsageError, JobError, metrics.CatalogError) as exc:
+    except (UsageError, JobError, metrics.CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimulationFault as exc:

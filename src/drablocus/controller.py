@@ -49,7 +49,7 @@ the stages, to name the one at fault.
 from __future__ import annotations
 
 from .datapath import NUM_LOOP_STAGES, SLOT_BITS, SLOT_FIELD, TRACK_CYCLES, RoundDatapath, Word
-from .fabric import SimulationFault
+from .faults import AdmissionError, ControlFault
 
 RESET = "reset"
 KEY_INIT = "key_init"
@@ -106,14 +106,6 @@ _STAGE10 = 1 << 10
 _DIVERT_FINALS = tuple(_TRACK_FINALS[expected[2]] for expected in _EXPECTED_SLOTS)
 
 
-class ControlFault(SimulationFault):
-    """The controller's registers disagree with the datapath's tags."""
-
-
-class AdmissionError(SimulationFault):
-    """Admission attempted outside the run state."""
-
-
 class Controller:
     def __init__(self):
         self.fsm = RESET
@@ -165,19 +157,15 @@ class Controller:
         if stage9_busy == (not track & _TRACK_FIELDS[phase]):
             # The two views are equivalent by the phase math; disagreement
             # means a tracking register slipped.
-            raise ControlFault(
-                f"cycle {self.cycle}: stage-9 occupancy and slot tracking disagree"
-            )
+            raise ControlFault("stage-9 occupancy and slot tracking disagree")
         self.admit_ready = not stage9_busy
         self.divert = bool(track & _DIVERT_FINALS[phase])
 
     def admit(self, seq: int, mode: int) -> Word:
         if self.fsm != RUN:
-            raise AdmissionError(
-                f"cycle {self.cycle}: admission while controller is in {self.fsm}"
-            )
+            raise AdmissionError(f"admission while controller is in {self.fsm}")
         if not self.admit_ready:
-            raise AdmissionError(f"cycle {self.cycle}: admission attempted on a stalled cycle")
+            raise AdmissionError("admission attempted on a stalled cycle")
         tag = Word(seq=seq, mode=mode, slot=self.cycle % NUM_LOOP_STAGES)
         self._admitted_now = tag
         return tag
@@ -187,39 +175,30 @@ class Controller:
 
         Returns the datapath's occupancy, one bit per live loop stage.
         """
-        cycle = self.cycle
-        phase = cycle % NUM_LOOP_STAGES
+        phase = self.cycle % NUM_LOOP_STAGES
         valid = datapath.valid
         # Slot fields that differ from the phase math, live stages or not.
         slipped = datapath.slots ^ _EXPECTED_RANKS[phase]
         if self.divert and (not valid & _STAGE2 or slipped & _STAGE2_SLOT):
             raise ControlFault(
-                f"cycle {cycle}: track {_EXPECTED_SLOTS[phase][2]} expired without its "
+                f"track {_EXPECTED_SLOTS[phase][2]} expired without its "
                 f"block at the shift-rows register (found {datapath.loop_tags[2]})"
             )
         slipped &= _LIVE_SLOT_FIELDS[valid]
         if slipped:
             stage = ((slipped & -slipped).bit_length() - 1) // SLOT_BITS
             raise ControlFault(
-                f"cycle {cycle}: stage {stage} holds slot {datapath.loop_tags[stage].slot}, "
+                f"stage {stage} holds slot {datapath.loop_tags[stage].slot}, "
                 f"phase math requires {_EXPECTED_SLOTS[phase][stage]}"
             )
         if valid != self.occupancy:
-            raise ControlFault(
-                f"cycle {cycle}: occupancy register {self.occupancy:012b} "
-                f"vs datapath {valid:012b}"
-            )
+            raise ControlFault(f"occupancy register {self.occupancy:012b} vs datapath {valid:012b}")
         if (datapath.modes ^ self.modes) & valid:
-            raise ControlFault(
-                f"cycle {cycle}: mode register {self.modes:012b} disagrees "
-                f"with datapath tags"
-            )
+            raise ControlFault(f"mode register {self.modes:012b} disagrees with datapath tags")
         if (self._arriving1 is None) != (datapath.initial_tags[1] is None):
-            raise ControlFault(f"cycle {cycle}: initial-stage tracking out of step")
+            raise ControlFault("initial-stage tracking out of step")
         if self.main_reset and valid & _STAGE10:
-            raise ControlFault(
-                f"cycle {cycle}: output reset would scrub live block {datapath.loop_tags[10]}"
-            )
+            raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
         return valid
 
     def at_fixed_point(self) -> bool:
@@ -256,9 +235,7 @@ class Controller:
         wrap_occ = occ >> _WRAP_SHIFT & 1
         if entering is not None:
             if wrap_occ:
-                raise ControlFault(
-                    f"cycle {self.cycle}: occupancy wrap collides with admission"
-                )
+                raise ControlFault("occupancy wrap collides with admission")
             bit0_occ, bit0_mode = 1, entering.mode & 1
         else:
             bit0_occ, bit0_mode = wrap_occ, modes >> _WRAP_SHIFT & 1

@@ -54,7 +54,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .aesref import _DEC_SHIFT, _ENC_SHIFT
-from .fabric import BramModel, DspXorSlice, Register, SimulationFault
+from .fabric import BramModel, DspXorSlice, Register
+from .faults import CollisionError, ProtocolError, SimulationFault
 from .tables import build_mixcolumns_image, build_sbox_image
 
 NUM_LOOP_STAGES = 12
@@ -91,10 +92,6 @@ _NO_TAGS = [None, None]
 
 # Row shift of a 16-byte state, per mode bit.
 _SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
-
-
-class ProtocolError(SimulationFault):
-    """Two OR-multiplexed sources drove data in the same cycle."""
 
 
 def or_mux_tap(*operands: int) -> int:
@@ -331,10 +328,6 @@ class AddRoundKeyUnit:
     def commit(self) -> None:
         for s in self._slices:
             s.commit()
-
-
-class CollisionError(SimulationFault):
-    """Two valid words tried to claim the same stage register."""
 
 
 def _checked_image(image, width: int, name: str) -> list[int]:

@@ -21,14 +21,7 @@ ints and does not call them.
 
 from __future__ import annotations
 
-
-class SimulationFault(RuntimeError):
-    """A modeled hardware fault; the simulation halts with a diagnostic.
-
-    The root of every fault the model raises: the datapath's OR-mux and
-    collision checks, the controller's tracking checks, the key store's
-    round check and the simulator's timing checks all derive from it.
-    """
+from .faults import SimulationFault
 
 
 class Register:

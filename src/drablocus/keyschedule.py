@@ -34,7 +34,7 @@ from .datapath import (
     SLOT_FIELD,
     RoundDatapath,
 )
-from .fabric import SimulationFault
+from .faults import KeyStoreFault
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
 EXPANDING = "expanding"
@@ -55,10 +55,6 @@ _STAGE7 = 1 << 7
 _STAGE8 = 1 << 8
 _SLOT7_SHIFT = 7 * SLOT_BITS
 _SLOT8_SHIFT = 8 * SLOT_BITS
-
-
-class KeyStoreFault(SimulationFault):
-    """A slot asked the key store for a round past the last main round."""
 
 
 def _rot_word(w: int) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable
+
+from .textlines import split_lines
 
 BLOCK_BITS = 128
 
@@ -226,19 +227,15 @@ _ACCELERATOR_FIELDS = {"device": str, "slices": int, "brams": int, "dsps": int}
 _SCHEMAS = {"design": _DESIGN_FIELDS, "device": _DEVICE_FIELDS, "accelerator": _ACCELERATOR_FIELDS}
 
 
-def parse_catalog(text: str | Iterable[str]) -> Catalog:
+def parse_catalog(text: str) -> Catalog:
     """Parse the sectioned key-value catalog format.
 
     Sections open with ``[design NAME]``, ``[device NAME]`` or
     ``[accelerator NAME]``; bodies are ``key = value`` lines. ``n/a``
     marks an undisclosed numeric value. Unknown section kinds or field
-    names are rejected with the offending line number.
+    names are rejected with the offending line number. Lines end as
+    ``split_lines`` ends them.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-
     catalog = Catalog()
     section: tuple[str, str] | None = None
     fields: dict[str, object] = {}
@@ -281,7 +278,7 @@ def parse_catalog(text: str | Iterable[str]) -> Catalog:
                 name=name, device=fields["device"], usage=total
             )
 
-    for number, raw in enumerate(lines, start=1):
+    for number, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -323,7 +320,9 @@ def parse_catalog(text: str | Iterable[str]) -> Catalog:
         else:
             try:
                 fields[key] = caster(value)
-            except ValueError:
+                # Every figure enters float arithmetic, so must fit a float.
+                float(fields[key])
+            except (ValueError, OverflowError):
                 raise CatalogError(
                     f"line {number}: field {key!r} needs a {caster.__name__}, got {value!r}"
                 ) from None

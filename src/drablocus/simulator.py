@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .controller import FLUSH, RUN, Controller
 from .datapath import (
@@ -42,21 +42,23 @@ from .datapath import (
     SLOT_BITS,
     SLOT_FIELD,
     TRACK_CYCLES,
-    CollisionError,
     DatapathTables,
-    ProtocolError,
     RoundDatapath,
 )
-from .fabric import SimulationFault
-from .keyschedule import KEY_INIT_CYCLES, KeyScheduler, KeyStoreFault
+from .faults import SimulationFault, TimingFault
+from .keyschedule import KEY_INIT_CYCLES, KeyScheduler
 from .keyschedule import READY as KEY_SCHEDULE_READY
 from .tables import MODE_DECRYPT, MODE_ENCRYPT
+from .textlines import split_lines
 
 MODE_NAMES = {MODE_ENCRYPT: "enc", MODE_DECRYPT: "dec"}
 MODE_VALUES = {"enc": MODE_ENCRYPT, "dec": MODE_DECRYPT}
 
 # Loop capacity over block latency: the cadence the loop could sustain.
 NOMINAL_BLOCKS_PER_CYCLE = NUM_LOOP_STAGES / BLOCK_LATENCY
+
+# The published clock of the core; derived figures use it unless given another.
+CLOCK_MHZ = 528.262
 
 # Greedy admission refills the loop's twelve slots once per batch period:
 # a slot stays reserved for its block's main rounds and its final pass.
@@ -80,11 +82,6 @@ def cycle_budget(n_jobs: int) -> int:
 
 class JobError(ValueError):
     """A malformed job or job file."""
-
-
-class TimingFault(SimulationFault):
-    """A run broke the fixed-latency contract: a block completed off its
-    latency, or the pipeline wedged."""
 
 
 @dataclass(frozen=True)
@@ -200,8 +197,7 @@ class PipelineSimulator:
                 cycle = ctrl.cycle
                 if cycle >= budget:
                     raise TimingFault(
-                        f"cycle {cycle}: simulation exceeded its cycle budget ({budget}); "
-                        f"pipeline wedged"
+                        f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
                     )
                 begin_cycle(ks.fsm == KEY_SCHEDULE_READY)
                 if ctrl.fsm != fsm:
@@ -246,8 +242,8 @@ class PipelineSimulator:
                     latency = cycle - admission_cycles[tag.seq]
                     if latency != BLOCK_LATENCY:
                         raise TimingFault(
-                            f"cycle {cycle}: block {tag.seq} completed after {latency} "
-                            f"cycles, expected {BLOCK_LATENCY}"
+                            f"block {tag.seq} completed after {latency} cycles, "
+                            f"expected {BLOCK_LATENCY}"
                         )
 
                 occupancy = check_against(dp).bit_count()
@@ -278,9 +274,11 @@ class PipelineSimulator:
                         trace.write(
                             "".join([f"cycle={c}{status}" for c in range(first, first + span)])
                         )
-        except (ProtocolError, CollisionError, KeyStoreFault) as fault:
-            # The datapath and key store keep no cycle count; name the cycle here.
-            raise type(fault)(f"cycle {ctrl.cycle}: {fault}") from fault
+        except SimulationFault as fault:
+            # No component keeps the cycle count but the controller; the run
+            # names the cycle of every fault raised inside it.
+            fault.cycle = ctrl.cycle
+            raise
 
         summary.total_cycles = ctrl.cycle
         summary.blocks_completed = len(outputs)
@@ -324,7 +322,7 @@ class PipelineSimulator:
         trace.write("".join(lines))
 
 
-def measure_cadence(summary: RunSummary, freq_mhz: float = 528.262) -> CadenceReport:
+def measure_cadence(summary: RunSummary, freq_mhz: float = CLOCK_MHZ) -> CadenceReport:
     """Steady-state block cadence over the middle third of completions.
 
     The nominal figure is loop capacity over block latency (12 per 115
@@ -372,19 +370,11 @@ def measure_cadence(summary: RunSummary, freq_mhz: float = 528.262) -> CadenceRe
     )
 
 
-def parse_jobs(text: str | Iterable[str]) -> list[Job]:
-    """Parse the line-delimited job format; errors cite line numbers.
-
-    Lines end at a newline, a carriage return or both, as a file read in
-    text mode ends them; other characters that ``str.splitlines`` breaks at
-    (form feed, vertical tab, U+2028, ...) are whitespace inside a line.
-    """
-    if isinstance(text, str):
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    else:
-        lines = [line.rstrip("\n") for line in text]
+def parse_jobs(text: str) -> list[Job]:
+    """Parse the line-delimited job format (lines end as ``split_lines``
+    ends them); errors cite line numbers."""
     jobs: list[Job] = []
-    for number, raw in enumerate(lines, start=1):
+    for number, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

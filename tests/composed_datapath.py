@@ -13,13 +13,13 @@ from __future__ import annotations
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
     AddRoundKeyUnit,
-    CollisionError,
     MixColumnsUnit,
     ShiftRowsUnit,
     SubBytesUnit,
     Word,
     or_mux_tap,
 )
+from drablocus.faults import CollisionError
 
 
 class ComposedDatapath:

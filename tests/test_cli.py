@@ -9,6 +9,7 @@ from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, Controller
 from drablocus.datapath import MAIN_ROUNDS
 from drablocus.keyschedule import KeyScheduler
+from drablocus.simulator import PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_sbox_image, key_store_address
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -134,6 +135,46 @@ def test_simulate_summary_and_outputs(tmp_path, capsys):
     assert lines[0] == "0 " + FIPS_CT.hex()
     assert lines[1] == "1 " + FIPS_PT.hex()
     assert trace.read_text().startswith("cycle=0 fsm=reset")
+
+
+@pytest.mark.parametrize(
+    "command, option, path",
+    [
+        ("simulate", "--trace", "missing/t.txt"),
+        ("simulate", "--out", "missing/o.txt"),
+        ("dump-tables", "--out", "jobs.txt/sub"),
+    ],
+)
+def test_unwritable_path_is_usage_error(tmp_path, capsys, command, option, path):
+    # A path that cannot be written is bad input: exit 2 with one line naming
+    # it, before any simulation starts.
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
+    path = str(tmp_path / path)
+    argv = [command, option, path]
+    if command == "simulate":
+        argv += ["--key", FIPS_KEY_HEX, "--jobs", str(jobs)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert repr(path) in captured.err
+
+
+@pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf"])
+def test_simulate_clock_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, freq):
+    def run(*args, **kwargs):
+        pytest.fail("the run started")
+
+    monkeypatch.setattr(PipelineSimulator, "run", run)
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
+    argv = ["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs), "--freq", freq]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --freq must be a positive finite number of MHz, got {float(freq)}\n"
+    )
 
 
 def test_simulate_bad_jobs_file_line_number(tmp_path, capsys):

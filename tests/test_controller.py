@@ -5,16 +5,10 @@ import random
 import pytest
 
 from cycle_protocol import core_in_run, new_core, step_cycle
-from drablocus.controller import (
-    FLUSH,
-    KEY_INIT,
-    RESET,
-    RUN,
-    AdmissionError,
-    Controller,
-)
+from drablocus.controller import FLUSH, KEY_INIT, RESET, RUN, Controller
 from drablocus.datapath import NUM_LOOP_STAGES, TRACK_CYCLES
 from drablocus.fabric import LutShiftRegister
+from drablocus.faults import AdmissionError
 from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
 
@@ -49,9 +43,11 @@ def test_empty_pipeline_admits_immediately():
 
 
 def test_admission_rejected_outside_run():
+    # Outside a run no cycle is named: only PipelineSimulator.run sets it.
     ctrl = Controller()
-    with pytest.raises(AdmissionError, match="^cycle 0: admission while controller is in reset$"):
+    with pytest.raises(AdmissionError, match="^admission while controller is in reset$") as err:
         ctrl.admit(0, MODE_ENCRYPT)
+    assert err.value.cycle is None
 
 
 def test_stall_exactly_when_stage9_occupied():

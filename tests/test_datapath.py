@@ -12,13 +12,13 @@ from drablocus.datapath import (
     TRACK_CYCLES,
     AddRoundKeyUnit,
     MixColumnsUnit,
-    ProtocolError,
     RoundDatapath,
     ShiftRowsUnit,
     SubBytesUnit,
     Word,
     or_mux_tap,
 )
+from drablocus.faults import ProtocolError
 from drablocus.gf256 import gf_mul
 from drablocus.tables import MC_COLUMN, MODE_DECRYPT, MODE_ENCRYPT
 

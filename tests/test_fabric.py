@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from drablocus.fabric import (
-    BramModel,
-    DspXorSlice,
-    LutShiftRegister,
-    Register,
-    SimulationFault,
-)
+from drablocus.fabric import BramModel, DspXorSlice, LutShiftRegister, Register
+from drablocus.faults import SimulationFault
 
 
 def step(*components):

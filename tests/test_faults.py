@@ -17,20 +17,26 @@ import pytest
 
 from composed_datapath import ComposedDatapath
 from cycle_protocol import core_in_run, step_cycle
-from drablocus.controller import FLUSH, RUN, AdmissionError, ControlFault, Controller
+from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
     SLOT_BITS,
     SLOT_FIELD,
     TRACK_CYCLES,
-    CollisionError,
-    ProtocolError,
     RoundDatapath,
     Word,
 )
-from drablocus.fabric import SimulationFault
-from drablocus.keyschedule import READY, KeyScheduler, KeyStoreFault
-from drablocus.simulator import Job, PipelineSimulator, TimingFault
+from drablocus.faults import (
+    AdmissionError,
+    CollisionError,
+    ControlFault,
+    KeyStoreFault,
+    ProtocolError,
+    SimulationFault,
+    TimingFault,
+)
+from drablocus.keyschedule import READY, KeyScheduler
+from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -60,10 +66,19 @@ def drive_both(schedule, fault):
 
 @pytest.mark.parametrize(
     "fault",
-    [ProtocolError, CollisionError, ControlFault, AdmissionError, TimingFault, KeyStoreFault],
+    [
+        ProtocolError,
+        CollisionError,
+        ControlFault,
+        AdmissionError,
+        TimingFault,
+        KeyStoreFault,
+        SimulationFault,
+    ],
 )
 def test_every_modelled_fault_is_a_simulation_fault(fault):
     assert issubclass(fault, SimulationFault)
+    assert fault.__module__ == "drablocus.faults"
 
 
 def test_substitution_mux_with_two_sources_raises_protocol_error():
@@ -210,6 +225,9 @@ def test_dropped_divert_raises_key_store_fault(monkeypatch):
     with pytest.raises(KeyStoreFault) as err:
         run_with_upset(monkeypatch, upset, mixed_jobs(13), when=lambda ctrl: ctrl.divert)
     assert str(err.value) == "cycle 279: slot 5 requested main-loop key for round 10"
+    # The run names the cycle on the fault the key store raised, not on a copy.
+    assert err.value.cycle == 279
+    assert err.value.__cause__ is None
 
 
 def run_with_rank_upset(monkeypatch, upset, jobs, when):
@@ -252,6 +270,7 @@ def test_flipped_slot_field_raises_control_fault(monkeypatch):
     with pytest.raises(ControlFault) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
     assert str(err.value) == "cycle 175: stage 5 holds slot 10, phase math requires 11"
+    assert err.value.cycle == 175
 
 
 def test_flipped_mode_rank_bit_raises_control_fault(monkeypatch):
@@ -271,6 +290,26 @@ def test_cleared_valid_bit_raises_control_fault(monkeypatch):
     assert str(err.value) == (
         "cycle 175: occupancy register 111111111111 vs datapath 111111011111"
     )
+    assert err.value.cycle == 175
+
+
+def test_valid_bit_set_at_s11_as_a_word_arrives_raises_collision_error(monkeypatch):
+    # The phantom word at S11 wraps into S0 on the commit that takes the
+    # first block there; the datapath raises before the controller checks.
+    def upset(ctrl, dp):
+        dp.valid |= 1 << NUM_LOOP_STAGES - 1
+
+    def arriving(ctrl, dp):
+        return dp.initial_tags[1] is not None
+
+    with pytest.raises(CollisionError) as err:
+        run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=arriving)
+    assert str(err.value) == (
+        "cycle 163: stage S0 claimed by arriving Word(seq=0, mode=1, slot=5) "
+        "and recirculating Word(seq=0, mode=0, slot=0)"
+    )
+    assert err.value.cycle == 163
+    assert err.value.__cause__ is None
 
 
 def test_overwritten_sequence_id_raises_timing_fault(monkeypatch):
@@ -285,6 +324,7 @@ def test_overwritten_sequence_id_raises_timing_fault(monkeypatch):
     with pytest.raises(TimingFault) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
     assert str(err.value) == "cycle 282: block 7 completed after 114 cycles, expected 115"
+    assert err.value.cycle == 282
 
 
 # Upsets during the flush: the run fast-forwards the flush only from an
@@ -303,8 +343,9 @@ def test_track_bit_set_after_first_flush_commit_fires_in_run(monkeypatch):
 
     with pytest.raises(
         ControlFault, match="^cycle 161: stage-9 occupancy and slot tracking disagree$"
-    ):
+    ) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(1))
+    assert err.value.cycle == 161
 
 
 @pytest.mark.parametrize("bit, skipped", [(0, 0), (TRACK_CYCLES - 1, 103)])
@@ -346,16 +387,16 @@ def test_datapath_upset_in_flush_delays_the_skip(monkeypatch):
 def test_admission_on_a_stalled_cycle_raises_admission_error():
     # Twelve cycles after its admission the first block is in stage 9, so
     # the controller stalls that cycle; a caller admitting anyway is refused.
+    # Stepped outside a run, the fault names no cycle.
     dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
     step_cycle(dp, ctrl, ks, job=(0, MODE_ENCRYPT, 0xAB))
     for _ in range(11):
         step_cycle(dp, ctrl, ks)
     ctrl.begin_cycle(ks.fsm == READY)
     assert not ctrl.admit_ready
-    with pytest.raises(
-        AdmissionError, match=f"^cycle {ctrl.cycle}: admission attempted on a stalled cycle$"
-    ):
+    with pytest.raises(AdmissionError, match="^admission attempted on a stalled cycle$") as err:
         ctrl.admit(1, MODE_ENCRYPT)
+    assert err.value.cycle is None
 
 
 def test_wedged_pipeline_raises_timing_fault(monkeypatch):

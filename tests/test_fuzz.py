@@ -1,22 +1,27 @@
-"""Fuzzing the job-file input with Hypothesis.
+"""Fuzzing the job-file and catalog inputs with Hypothesis.
 
 Any text either parses into jobs or raises :class:`JobError`, and
 ``drablocus simulate --jobs <file>`` turns every bad file, text or not,
-into exit 2 with one ``error:`` line and never a traceback. The examples
-are derandomized, so the suite draws the same inputs on every run.
+into exit 2 with one ``error:`` line and never a traceback. The same holds
+for catalogs: any text parses or raises :class:`CatalogError`, whose
+message cites the line at fault, and ``metrics`` and ``colocate`` exit 0,
+1 or 2 on any ``--catalog`` file, with at most one ``error:`` line. The
+examples are derandomized, so the suite draws the same inputs on every run.
 """
 
 import contextlib
 import io
 import string
-import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drablocus.cli import EXIT_OK, EXIT_USAGE, main
+from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from drablocus.metrics import Catalog, CatalogError, parse_catalog
 from drablocus.simulator import Job, JobError, parse_jobs
+from drablocus.textlines import split_lines
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 
@@ -87,14 +92,18 @@ def test_errors_cite_the_line_they_are_on(lines):
         assert not bad
 
 
-def simulate(content: bytes) -> tuple[int, str]:
-    """Exit code and standard error of ``simulate`` on a job file holding ``content``."""
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    """The one file every example of the command-line fuzzers rewrites."""
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+def run_cli(argv: list[str], path: Path, content: bytes) -> tuple[int, str]:
+    """Exit code and standard error of ``argv`` and then ``path``, holding ``content``."""
+    path.write_bytes(content)
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        jobs = Path(tmp) / "jobs.txt"
-        jobs.write_bytes(content)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path)])
     return code, err.getvalue()
 
 
@@ -109,8 +118,8 @@ def runnable(content: bytes) -> bool:
 
 @FUZZ
 @given(job_files)
-def test_simulate_rejects_bad_job_files_with_one_error_line(content):
-    code, err = simulate(content)
+def test_simulate_rejects_bad_job_files_with_one_error_line(input_file, content):
+    code, err = run_cli(["simulate", "--key", FIPS_KEY_HEX, "--jobs"], input_file, content)
     if runnable(content):
         assert (code, err) == (EXIT_OK, "")
     else:
@@ -126,3 +135,80 @@ def test_non_utf8_catalog_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: cannot read catalog: ")
+
+
+# Catalog lines: lines of each kind, some with one character from GAPS
+# written in at a drawn place, and free text. GAPS holds blanks and the
+# characters str.splitlines() breaks at but a text-mode read does not.
+BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+GAPS = " \t\xa0\u3000" + BREAKS
+CATALOG_LINES = (
+    "[design d]", "[device x]", "[accelerator a]", "[device d]", "[gadget g]", "[design]",
+    "device = x", "slices = 5", "brams = 3", "brams = 300", "dsps = 1", "datapath_brams = 0",
+    "throughput_mbps = 1e3", "bram_utilization = 0.5", "power_total_mw = 2", "luts = n/a",
+    "slices = many", "wombats = 3", "# note",
+)
+catalog_line = st.one_of(
+    st.sampled_from(CATALOG_LINES),
+    st.builds(
+        lambda line, gap, at: line[:at] + gap + line[at:],
+        st.sampled_from(CATALOG_LINES), st.sampled_from(GAPS), st.integers(0, 24),
+    ),
+    st.text(string.printable.replace("\n", "").replace("\r", "") + SPECIAL, max_size=12),
+)
+catalog_lines = st.lists(catalog_line, max_size=8)
+catalog_texts = st.one_of(
+    st.text(string.printable + SPECIAL + BREAKS), catalog_lines.map("\n".join)
+)
+
+# A catalog every command below accepts, whose last section drawn lines
+# extend; design e does not fit beside accelerator a.
+BASE_CATALOG = (
+    "[device x]\nslices = 100\nbrams = 10\ndsps = 4\n"
+    "[accelerator a]\ndevice = x\nslices = 40\nbrams = 2\ndsps = 1\n"
+    "[design e]\ndevice = x\nslices = 10\nbrams = 300\ndsps = 1\n"
+    "[design d]\ndevice = x\nslices = 10\nbrams = 1\ndsps = 1\nthroughput_mbps = 1e3\n"
+)
+catalog_files = st.builds(
+    bytes.__add__,
+    st.sampled_from([BASE_CATALOG.encode(), b""]),
+    st.one_of(catalog_texts.map(str.encode), st.binary(max_size=64)),
+)
+
+
+def cited_line(text: str) -> int | None:
+    """The line a parse error of ``text`` cites, or None if it parses; any
+    exception but :class:`CatalogError` fails the test."""
+    try:
+        assert isinstance(parse_catalog(text), Catalog)
+    except CatalogError as err:
+        number, _, _ = str(err).partition(":")
+        assert number.startswith("line ")
+        return int(number.removeprefix("line "))
+    return None
+
+
+@FUZZ
+@given(catalog_texts)
+def test_any_catalog_text_parses_or_cites_the_line_at_fault(text):
+    # The characters str.splitlines() alone breaks at are whitespace inside
+    # a line, so writing them as spaces moves no error to another line.
+    number = cited_line(text)
+    assert number == cited_line(text.translate({ord(c): " " for c in BREAKS}))
+    assert number is None or 1 <= number <= len(split_lines(text))
+
+
+@FUZZ
+@given(
+    st.sampled_from([
+        ["metrics", "--design", "d"],
+        ["colocate", "--accel", "a", "--aes", "d"],
+        ["colocate", "--accel", "a", "--aes", "e"],
+    ]),
+    catalog_files,
+)
+def test_catalog_commands_exit_with_at_most_one_error_line(input_file, argv, content):
+    code, err = run_cli([*argv, "--catalog"], input_file, content)
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+    assert len(err.splitlines()) == (code == EXIT_USAGE)
+    assert code != EXIT_USAGE or err.startswith("error: ")

@@ -7,7 +7,8 @@ import pytest
 from cycle_protocol import core_in_run
 from drablocus import aesref
 from drablocus.datapath import SLOT_BITS, SLOT_FIELD, Word
-from drablocus.fabric import BramModel, SimulationFault
+from drablocus.fabric import BramModel
+from drablocus.faults import KeyStoreFault
 from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
 from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import (
@@ -109,8 +110,9 @@ def test_counter_past_final_main_round_faults():
     dp, ctrl, ks = initialize(FIPS_KEY)
     place_tag(dp, 7, Word(seq=0, mode=MODE_ENCRYPT, slot=0))
     ks.round_counters[0] = 9
-    with pytest.raises(SimulationFault, match="slot 0 requested main-loop key for round 10"):
+    with pytest.raises(KeyStoreFault, match="^slot 0 requested main-loop key for round 10$") as err:
         ks.compute(dp, ctrl.fsm)
+    assert err.value.cycle is None
 
 
 def test_taps_quiet_once_ready():

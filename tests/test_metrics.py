@@ -228,6 +228,12 @@ class TestCatalogParsing:
             m.parse_catalog("[device d]\nslices = many\n")
         assert "line 2" in str(err.value)
 
+    def test_number_past_the_float_range_cites_line(self):
+        # The efficiency figures divide by it, which a float cannot hold.
+        with pytest.raises(m.CatalogError) as err:
+            m.parse_catalog("[design d]\ndevice = x\nslices = " + "9" * 400 + "\n")
+        assert str(err.value).startswith("line 3: field 'slices' needs a int")
+
     def test_duplicate_field(self):
         with pytest.raises(m.CatalogError) as err:
             m.parse_catalog("[device d]\nslices = 1\nslices = 2\n")
