@@ -9,6 +9,7 @@ written. Results go to stdout or --out; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -44,6 +45,14 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each argument it rejects as a UsageError, which ``main``
+    reports as one ``error:`` line; ``--help`` still prints and exits."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _parse_key(args) -> bytes:
@@ -253,8 +262,10 @@ def _cmd_dump_tables(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one parser of the process, built on first use."""
+    parser = _Parser(
         prog="drablocus",
         description="Cycle-accurate DRAB-LOCUS AES-128 model and evaluation tools",
     )
@@ -262,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vectors", help="run the built-in verification suite")
     p.add_argument("--engine", choices=("ref", "sim", "both"), default="both")
+    p.set_defaults(run=_cmd_vectors)
 
     for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} a file of raw 16-byte blocks")
@@ -269,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", dest="outfile", required=True)
         p.add_argument("--engine", choices=("ref", "sim"), default="ref")
+        mode = MODE_ENCRYPT if name == "encrypt" else MODE_DECRYPT
+        p.set_defaults(run=functools.partial(_cmd_crypt, mode=mode))
 
     p = sub.add_parser("simulate", help="run a job file through the pipeline")
     p.add_argument("--key", help=f"32 hex chars (or set {KEY_ENV_VAR})")
@@ -276,12 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--trace", help="write a cycle trace to this file")
     p.add_argument("--freq", type=float, default=CLOCK_MHZ, help="clock MHz for derived figures")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("metrics", help="per-resource efficiency report")
     p.add_argument("--catalog", help="catalog file (default: built-in)")
     p.add_argument("--design", required=True)
     p.add_argument("--bram-utilization", type=float)
     p.add_argument("--records", action="store_true", help="also emit machine-readable records")
+    p.set_defaults(run=_cmd_metrics)
 
     p = sub.add_parser("colocate", help="resources left after co-locating designs")
     p.add_argument("--catalog", help="catalog file (default: built-in)")
@@ -289,40 +305,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accel", required=True)
     p.add_argument("--aes", required=True)
     p.add_argument("--records", action="store_true")
+    p.set_defaults(run=_cmd_colocate)
 
     p = sub.add_parser("dump-tables", help="write RAM images as hex text")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--key", help="also dump the key store for this key")
+    p.set_defaults(run=_cmd_dump_tables)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "vectors":
-            return _cmd_vectors(args)
-        if args.command == "encrypt":
-            return _cmd_crypt(args, MODE_ENCRYPT)
-        if args.command == "decrypt":
-            return _cmd_crypt(args, MODE_DECRYPT)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "colocate":
-            return _cmd_colocate(args)
-        if args.command == "dump-tables":
-            return _cmd_dump_tables(args)
-        parser.error(f"unknown command {args.command}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (UsageError, JobError, metrics.CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -34,12 +34,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
-from .controller import FLUSH, RUN, Controller
+from .controller import FLUSH, KEY_INIT, RESET, RUN, Controller
 from .datapath import (
     BLOCK_LATENCY,
     MAIN_ROUNDS,
     NUM_LOOP_STAGES,
-    SLOT_BITS,
     SLOT_FIELD,
     TRACK_CYCLES,
     DatapathTables,
@@ -137,11 +136,33 @@ class RunResult:
     key_store: tuple[int, ...]
 
 
-# The taps inside the loop, between the initial (ia) and final (fin) key
-# adds in trace order: their ids and loop stages (s1, s2, s8, s11).
-_LOOP_TAPS = ("sb", "sr", "mc", "ark")
-_LOOP_TAP_STAGES = (1, 2, 8, 11)
-_LOOP_TAP_MASK = sum(1 << stage for stage in _LOOP_TAP_STAGES)
+# Trace text. Every line of a cycle starts with its ``cycle=<n>`` text,
+# formatted once per cycle. A status line goes on with _status_text. A tap
+# line goes on with its tap's `` stage=<id> slot=<s> mode=<e|d> data=``
+# text, from the tap's table at index 2 * slot + mode, then the word's 16
+# bytes in hex.
+_IA_TEXT, _SB_TEXT, _SR_TEXT, _MC_TEXT, _ARK_TEXT, _FIN_TEXT = (
+    tuple(
+        f" stage={stage_id} slot={slot} mode={mode} data="
+        for slot in range(SLOT_FIELD + 1)
+        for mode in "ed"
+    )
+    for stage_id in ("ia", "sb", "sr", "mc", "ark", "fin")
+)
+# The loop taps (sb, sr, mc, ark) are loop stages 1, 2, 8 and 11. Stage k's
+# 4-bit field of the slot rank, shifted right by 4k - 1 and masked with
+# 0b11110, is 2 * slot; bit k of the mode rank is the mode.
+_LOOP_TAP_MASK = 1 << 1 | 1 << 2 | 1 << 8 | 1 << 11
+_FSM_TEXT = {fsm: f" fsm={fsm} occ=" for fsm in (RESET, KEY_INIT, FLUSH, RUN)}
+_STALL_TEXT = (" stall=0\n", " stall=1\n")
+# Set above the occupancy's 12 bits, so bin() keeps their leading zeros.
+_OCC_MARK = 1 << NUM_LOOP_STAGES
+
+
+def _status_text(fsm: str, occupancy: int, stalled: bool) -> str:
+    """A status line after its ``cycle=<n>`` text:
+    `` fsm=<state> occ=<12 bits> stall=<0|1>`` and the newline."""
+    return _FSM_TEXT[fsm] + bin(occupancy | _OCC_MARK)[3:] + _STALL_TEXT[stalled]
 
 
 class PipelineSimulator:
@@ -270,7 +291,7 @@ class PipelineSimulator:
                     span = ctrl.skip_flush()
                     skipped_cycles += span
                     if trace is not None:
-                        status = f" fsm={ctrl.fsm} occ={ctrl.occupancy:012b} stall=0\n"
+                        status = _status_text(ctrl.fsm, ctrl.occupancy, False)
                         trace.write(
                             "".join([f"cycle={c}{status}" for c in range(first, first + span)])
                         )
@@ -292,34 +313,45 @@ class PipelineSimulator:
 
     @staticmethod
     def _emit_trace(trace: IO[str], ctrl: Controller, dp: RoundDatapath, stalled: bool) -> None:
-        cycle = ctrl.cycle
-        lines = [
-            f"cycle={cycle} fsm={ctrl.fsm} occ={ctrl.occupancy:012b} "
-            f"stall={1 if stalled else 0}\n"
-        ]
-        # (stage id, slot, mode, value) of each tap carrying a word, in
-        # trace order; the loop taps read the tag ranks.
-        taps = []
+        cycle = f"cycle={ctrl.cycle}"
+        parts = [cycle, _status_text(ctrl.fsm, ctrl.occupancy, stalled)]
+        # One line per tap carrying a word, in trace order.
         tag = dp.initial_tags[1]
         if tag is not None:
-            taps.append(("ia", tag.slot, tag.mode, dp.ia_out))
+            parts += (
+                cycle, _IA_TEXT[tag.slot << 1 | tag.mode],
+                dp.ia_out.to_bytes(16, "big").hex(), "\n",
+            )
         valid = dp.valid
         if valid & _LOOP_TAP_MASK:
             modes, slots = dp.modes, dp.slots
-            values = (dp.s1, dp.s2, dp.s8, dp.s11)
-            for stage_id, stage, value in zip(_LOOP_TAPS, _LOOP_TAP_STAGES, values):
-                if valid >> stage & 1:
-                    slot = slots >> SLOT_BITS * stage & SLOT_FIELD
-                    taps.append((stage_id, slot, modes >> stage & 1, value))
+            if valid & 1 << 1:
+                parts += (
+                    cycle, _SB_TEXT[slots >> 3 & 30 | modes >> 1 & 1],
+                    dp.s1.to_bytes(16, "big").hex(), "\n",
+                )
+            if valid & 1 << 2:
+                parts += (
+                    cycle, _SR_TEXT[slots >> 7 & 30 | modes >> 2 & 1],
+                    dp.s2.to_bytes(16, "big").hex(), "\n",
+                )
+            if valid & 1 << 8:
+                parts += (
+                    cycle, _MC_TEXT[slots >> 31 & 30 | modes >> 8 & 1],
+                    dp.s8.to_bytes(16, "big").hex(), "\n",
+                )
+            if valid & 1 << 11:
+                parts += (
+                    cycle, _ARK_TEXT[slots >> 43 & 30 | modes >> 11 & 1],
+                    dp.s11.to_bytes(16, "big").hex(), "\n",
+                )
         tag = dp.final_tags[1]
         if tag is not None:
-            taps.append(("fin", tag.slot, tag.mode, dp.fa_out))
-        for stage_id, slot, mode, value in taps:
-            lines.append(
-                f"cycle={cycle} stage={stage_id} slot={slot} "
-                f"mode={'d' if mode else 'e'} data={value:032x}\n"
+            parts += (
+                cycle, _FIN_TEXT[tag.slot << 1 | tag.mode],
+                dp.fa_out.to_bytes(16, "big").hex(), "\n",
             )
-        trace.write("".join(lines))
+        trace.write("".join(parts))
 
 
 def measure_cadence(summary: RunSummary, freq_mhz: float = CLOCK_MHZ) -> CadenceReport:

@@ -162,6 +162,34 @@ def test_unwritable_path_is_usage_error(tmp_path, capsys, command, option, path)
     assert repr(path) in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--jobs", "j.txt", "--freq", "abc"],
+         "argument --freq: invalid float value: 'abc'"),
+        (["simulate", "--key", FIPS_KEY_HEX], "the following arguments are required: --jobs"),
+        (["frob"], "argument command: invalid choice: 'frob' (choose from 'vectors', "
+                   "'encrypt', 'decrypt', 'simulate', 'metrics', 'colocate', 'dump-tables')"),
+        (["vectors", "--engine", "gpu"],
+         "argument --engine: invalid choice: 'gpu' (choose from 'ref', 'sim', 'both')"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["freq_abc", "missing_jobs", "unknown_command", "engine_gpu", "empty_argv"],
+)
+def test_rejected_arguments_are_one_line_usage_errors(capsys, argv, message):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: drablocus simulate ")
+
+
 @pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf"])
 def test_simulate_clock_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, freq):
     def run(*args, **kwargs):

@@ -399,6 +399,20 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
     assert err.value.cycle is None
 
 
+def test_occupancy_wrap_into_an_arriving_word_raises_control_fault():
+    # No run reaches this check: a slip that sets occupancy bit 11 as a word
+    # arrives is caught first by check_against's occupancy compare, and a
+    # real wrap into a claimed S0 by the datapath's CollisionError. Driven on
+    # the controller alone, it fires and names no cycle.
+    ctrl = Controller()
+    ctrl.fsm = RUN
+    ctrl.occupancy = 1 << NUM_LOOP_STAGES - 1
+    ctrl._arriving1 = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
+    with pytest.raises(ControlFault, match="^occupancy wrap collides with admission$") as err:
+        ctrl.commit()
+    assert err.value.cycle is None
+
+
 def test_wedged_pipeline_raises_timing_fault(monkeypatch):
     original = Controller.begin_cycle
 

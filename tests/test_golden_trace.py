@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from drablocus.datapath import NUM_LOOP_STAGES
 from drablocus.simulator import Job, PipelineSimulator, write_outputs
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
 
@@ -65,3 +66,57 @@ def digests(seed: int, fresh_key: bool, n: int) -> tuple[str, str]:
 def test_trace_and_outputs_match_golden_digests(name):
     seed, fresh_key, n, trace_sha, out_sha = GOLDEN[name]
     assert digests(seed, fresh_key, n) == (trace_sha, out_sha)
+
+
+# The trace writer's rendering before it was rewritten over precomputed
+# text, kept as the reference it must match on every cycle.
+REFERENCE_TAP_IDS = ("ia", "sb", "sr", "mc", "ark", "fin")
+
+
+def reference_status_line(cycle, fsm, occupancy, stalled):
+    return f"cycle={cycle} fsm={fsm} occ={occupancy:012b} stall={1 if stalled else 0}\n"
+
+
+def reference_cycle_text(ctrl, dp, stalled):
+    lines = [reference_status_line(ctrl.cycle, ctrl.fsm, ctrl.occupancy, stalled)]
+    for stage_id, (value, tag) in zip(REFERENCE_TAP_IDS, dp.taps()):
+        if tag is not None:
+            lines.append(
+                f"cycle={ctrl.cycle} stage={stage_id} slot={tag.slot} "
+                f"mode={'d' if tag.mode else 'e'} data={value:032x}\n"
+            )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("fresh_key", [False, True], ids=["fips_key", "fresh_key"])
+@pytest.mark.parametrize("n", [1, 13, 120])
+def test_trace_writer_matches_reference_rendering_every_cycle(monkeypatch, fresh_key, n):
+    # Each stepped cycle's text is compared as it is written; the skipped
+    # flush cycles' status lines are then checked in place in the whole trace.
+    writer = PipelineSimulator._emit_trace
+    stepped = {}
+
+    def checked(trace, ctrl, dp, stalled):
+        text = io.StringIO()
+        writer(text, ctrl, dp, stalled)
+        assert text.getvalue() == reference_cycle_text(ctrl, dp, stalled)
+        stepped[ctrl.cycle] = (ctrl.fsm, stalled, text.getvalue())
+        trace.write(text.getvalue())
+
+    monkeypatch.setattr(PipelineSimulator, "_emit_trace", staticmethod(checked))
+    rng = random.Random(0x7E + n)
+    key = rng.randbytes(16) if fresh_key else FIPS_KEY
+    trace = io.StringIO()
+    summary = PipelineSimulator().run(key, mixed_jobs(rng, n), trace=trace).summary
+
+    assert len(stepped) + summary.skipped_cycles == summary.total_cycles
+    assert trace.getvalue() == "".join(
+        stepped[cycle][2] if cycle in stepped else reference_status_line(cycle, "flush", 0, False)
+        for cycle in range(summary.total_cycles)
+    )
+    # Every FSM state, both stall values (once a block must wait) and every
+    # tap were on the checked path.
+    assert {fsm for fsm, _, _ in stepped.values()} == {"reset", "key_init", "flush", "run"}
+    assert {stalled for _, stalled, _ in stepped.values()} == {False, n > NUM_LOOP_STAGES}
+    stages = {line.split()[1] for line in trace.getvalue().splitlines() if " stage=" in line}
+    assert stages == {f"stage={stage_id}" for stage_id in REFERENCE_TAP_IDS}
