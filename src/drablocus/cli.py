@@ -205,7 +205,7 @@ def _cmd_metrics(args) -> int:
     entry = catalog.design(args.design)
     factor = args.bram_utilization
     if factor is None:
-        factor = entry.bram_utilization or 1.0
+        factor = 1.0 if entry.bram_utilization is None else entry.bram_utilization
     try:
         reports = [metrics.efficiency_report(entry, factor)]
     except ValueError as exc:

@@ -331,13 +331,14 @@ class AddRoundKeyUnit:
 
 
 def _checked_image(image, width: int, name: str) -> list[int]:
-    """The 512 addressable words of a {mode, byte} RAM image, range-checked once.
+    """The 512 words of a {mode, byte} RAM image, checked once.
 
-    A 9-bit address can only fall outside the image when the image is
-    short, so this replaces the per-read address check of :class:`BramModel`.
+    A 9-bit address reaches exactly 512 words. A read can fall outside
+    only a short image, so this length check replaces the per-read address
+    check of :class:`BramModel`; a longer image holds words no such RAM has.
     """
-    words = list(image)[:512]
-    if len(words) < 512:
+    words = list(image)
+    if len(words) != 512:
         raise SimulationFault(
             f"{name}: image has {len(words)} entries, the 9-bit address needs 512"
         )

@@ -9,6 +9,7 @@ accelerators it is compared against.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from importlib import resources
@@ -321,11 +322,21 @@ def parse_catalog(text: str) -> Catalog:
             try:
                 fields[key] = caster(value)
                 # Every figure enters float arithmetic, so must fit a float.
-                float(fields[key])
+                figure = float(fields[key])
             except (ValueError, OverflowError):
                 raise CatalogError(
                     f"line {number}: field {key!r} needs a {caster.__name__}, got {value!r}"
                 ) from None
+            # A count, rate or power is finite and not negative; nan fails
+            # every comparison. Zero stays a valid report.
+            if not 0 <= figure < math.inf:
+                raise CatalogError(
+                    f"line {number}: field {key!r} must be finite and >= 0, got {value!r}"
+                )
+            if key == "bram_utilization" and not 0 < figure <= 1:
+                raise CatalogError(
+                    f"line {number}: field {key!r} must be in (0, 1], got {value!r}"
+                )
     finish()
     return catalog
 

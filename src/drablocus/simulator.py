@@ -355,50 +355,45 @@ class PipelineSimulator:
 
 
 def measure_cadence(summary: RunSummary, freq_mhz: float = CLOCK_MHZ) -> CadenceReport:
-    """Steady-state block cadence over the middle third of completions.
+    """Steady-state block cadence, from the first completion burst's start
+    to the last burst's start.
 
-    The nominal figure is loop capacity over block latency (12 per 115
-    cycles); the measured figure reflects what greedy admission actually
-    sustains, and needs a saturating run of at least three full batches
-    to mean anything.
+    A burst starts at the first completion and wherever consecutive
+    completions are more than one cycle apart; ending the window at a start
+    leaves a partial last batch out. The nominal figure is loop capacity
+    over block latency (12 per 115 cycles). The measured figure is what
+    greedy admission sustains; it needs a saturated loop, three full
+    batches and two bursts.
     """
     nominal_gbps = 128 * freq_mhz * NOMINAL_BLOCKS_PER_CYCLE / 1000.0
     completions = sorted(summary.completion_cycles.values())
-    saturated = (
-        len(completions) >= 3 * NUM_LOOP_STAGES
-        and summary.max_loop_occupancy == NUM_LOOP_STAGES
+    # Index of the last burst's start; 0 when the first burst is the only one.
+    last_start = max(
+        (i for i in range(1, len(completions)) if completions[i] - completions[i - 1] > 1),
+        default=0,
     )
-    if not saturated:
+    if (
+        len(completions) < 3 * NUM_LOOP_STAGES
+        or summary.max_loop_occupancy != NUM_LOOP_STAGES
+        or last_start == 0
+    ):
         return CadenceReport(
             steady_state=False,
             measured_blocks_per_cycle=None,
             measured_gbps=None,
             nominal_blocks_per_cycle=NOMINAL_BLOCKS_PER_CYCLE,
             nominal_gbps=nominal_gbps,
-            note="not steady state: needs >= 3 full batches and a saturated loop",
+            note="not steady state: needs >= 3 full batches, a saturated loop and two bursts",
         )
-    lo = len(completions) // 3
-    hi = 2 * len(completions) // 3
-    # Completion bursts alternate with admission-stall gaps; anchoring both
-    # window ends at burst boundaries removes the phase bias a cut inside a
-    # burst would introduce. With fewer than two boundaries in the middle
-    # third, fall back to the raw window.
-    boundaries = [
-        i for i in range(max(lo, 1), hi + 1) if completions[i] - completions[i - 1] > 1
-    ]
-    if len(boundaries) >= 2:
-        lo_s, hi_s = boundaries[0], boundaries[-1]
-    else:
-        lo_s, hi_s = lo, hi
-    window = completions[hi_s] - completions[lo_s]
-    blocks_per_cycle = (hi_s - lo_s) / window
+    window = completions[last_start] - completions[0]
+    blocks_per_cycle = last_start / window
     return CadenceReport(
         steady_state=True,
         measured_blocks_per_cycle=blocks_per_cycle,
         measured_gbps=128 * freq_mhz * blocks_per_cycle / 1000.0,
         nominal_blocks_per_cycle=NOMINAL_BLOCKS_PER_CYCLE,
         nominal_gbps=nominal_gbps,
-        note=f"steady-state window: {hi_s - lo_s} blocks over {window} cycles",
+        note=f"steady-state window: {last_start} blocks over {window} cycles",
     )
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_throughput_reproduction(interleaved_run):
     _, result, _ = interleaved_run
     report = measure_cadence(result.summary, freq_mhz=528.262)
     assert report.steady_state
-    assert report.measured_blocks_per_cycle >= 12 / 120
+    assert report.measured_blocks_per_cycle == 12 / 120
     announce(
         4,
         f"formula {value:.4f} Gbps; measured cadence "

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from drablocus import aesref, datapath
+from drablocus import aesref, datapath, metrics
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, Controller
 from drablocus.datapath import MAIN_ROUNDS
@@ -97,6 +97,15 @@ def test_non_block_multiple_is_usage_error(tmp_path, capsys):
     assert "multiple" in capsys.readouterr().err
 
 
+def test_empty_input_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    out = tmp_path / "x"
+    assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(empty), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: input is empty\n"
+    assert not out.exists()
+
+
 def test_bad_key_is_usage_error(tmp_path, capsys):
     f = tmp_path / "p.bin"
     f.write_bytes(bytes(16))
@@ -135,6 +144,20 @@ def test_simulate_summary_and_outputs(tmp_path, capsys):
     assert lines[0] == "0 " + FIPS_CT.hex()
     assert lines[1] == "1 " + FIPS_PT.hex()
     assert trace.read_text().startswith("cycle=0 fsm=reset")
+
+
+def test_simulate_reports_the_batch_period_cadence(tmp_path, capsys):
+    # 44 jobs: three full batches and a partial fourth, which must not lift
+    # the measured cadence above one batch per 120 cycles.
+    blocks = [bytes([i]) * 16 for i in range(44)]
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("".join(f"{i} {('enc', 'dec')[i % 2]} {b.hex()}\n" for i, b in enumerate(blocks)))
+    assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs), "--out",
+                 str(tmp_path / "out.txt")]) == EXIT_OK
+    summary = capsys.readouterr().out.splitlines()
+    assert "nominal_gbps=7.056" in summary
+    assert "measured_blocks_per_cycle=0.100000" in summary
+    assert "measured_gbps=6.762" in summary
 
 
 @pytest.mark.parametrize(
@@ -311,6 +334,59 @@ def test_metrics_bram_utilization_outside_unit_interval_is_usage_error(capsys, f
     assert capsys.readouterr().err == (
         f"error: bram utilization must be in (0, 1], got {float(factor)}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, field, value, rule",
+    [
+        ("metrics", "throughput_mbps", "nan", "must be finite and >= 0"),
+        ("metrics", "frequency_mhz", "-100", "must be finite and >= 0"),
+        ("metrics", "bram_utilization", "0", "must be in (0, 1]"),
+        ("colocate", "slices", "-50", "must be finite and >= 0"),
+    ],
+)
+def test_catalog_figure_out_of_range_is_usage_error(tmp_path, capsys, command, field, value, rule):
+    kind = "accelerator" if command == "colocate" else "design"
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text(f"[{kind} x]\ndevice = tiny\n{field} = {value}\n")
+    message = f"line 3: field {field!r} {rule}, got {value!r}"
+    argv = {
+        "metrics": ["metrics", "--design", "x"],
+        "colocate": ["colocate", "--accel", "x", "--aes", "x"],
+    }[command]
+    assert main([*argv, "--catalog", str(catalog)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_metrics_zero_catalog_bram_factor_is_not_read_as_one(capsys, monkeypatch):
+    # A catalog entry built in code skips the parser's range check; the CLI
+    # must hand its factor on as it is, not swap a zero for 1.0.
+    catalog = metrics.Catalog()
+    catalog.designs["x"] = metrics.DesignCatalogEntry(
+        name="x", device="d", total=metrics.ResourceVector(slices=1),
+        throughput_mbps=10.0, bram_utilization=0.0,
+    )
+    monkeypatch.setattr(metrics, "default_catalog", lambda: catalog)
+    assert main(["metrics", "--design", "x"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bram utilization must be in (0, 1], got 0.0\n"
+
+
+def test_metrics_records(capsys):
+    assert main(["metrics", "--design", "AES-Efficient", "--records"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "design=AES-Efficient lut=19.8225 ff=10.7372 bram=837.5000 dsp=418.7500 "
+        "slice=22.6351 util=1.0000"
+    )
+
+
+def test_colocate_records(capsys):
+    assert main(["colocate", "--accel", "Video", "--aes", "DRAB-LOCUS", "--records"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "4675 19 176 feasible",
+        "device=xc7z020 accel=Video design=DRAB-LOCUS slices=4675 brams=19 dsps=176 feasible=1",
+    ]
 
 
 def test_colocate_feasible_row(capsys):

@@ -52,6 +52,13 @@ class TestBram:
         with pytest.raises(SimulationFault):
             bram.compute()
 
+    @pytest.mark.parametrize("addr_b", [16, -1])
+    def test_out_of_range_port_b_address_faults(self, addr_b):
+        bram = BramModel([0] * 16, name="tbl")
+        bram.present(addr_a=0, addr_b=addr_b)
+        with pytest.raises(SimulationFault, match="tbl: port b address .* depth 16"):
+            bram.compute()
+
     def test_synchronous_write_read_old_value(self):
         bram = BramModel([0] * 8)
         bram.present(addr_a=3)
@@ -140,6 +147,11 @@ class TestDspXor:
             DspXorSlice(40)
         DspXorSlice(32)
 
+    @pytest.mark.parametrize("a_regs, b_regs", [(3, 1), (1, 3), (-1, 1)])
+    def test_input_register_count_validation(self, a_regs, b_regs):
+        with pytest.raises(ValueError, match="input register stages must be 0, 1 or 2"):
+            DspXorSlice(48, a_regs=a_regs, b_regs=b_regs)
+
 
 class TestLutShiftRegister:
     def test_injected_bit_reaches_final_tap_after_length_commits(self):
@@ -169,6 +181,11 @@ class TestLutShiftRegister:
         sr.present(1)
         step(sr)
         assert [sr.bit(i) for i in range(12)] == [1] + [0] * 11
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_length_must_be_positive(self, length):
+        with pytest.raises(ValueError, match="shift register length must be positive"):
+            LutShiftRegister(length)
 
     def test_m_type_chain_exposes_only_final_bit(self):
         sr = LutShiftRegister(113)

@@ -432,6 +432,9 @@ def test_wedged_pipeline_raises_timing_fault(monkeypatch):
         ("sbox_image", build_sbox_image()[:7] + [0x100] + build_sbox_image()[8:], "exceeds"),
         ("mc_image", build_mixcolumns_image()[:511], "511 entries"),
         ("mc_image", [1 << 32] + build_mixcolumns_image()[1:], "exceeds"),
+        ("sbox_image", build_sbox_image() + [0x63], "513 entries"),
+        ("mc_image", build_mixcolumns_image() + [1 << 40], "513 entries"),
+        ("sbox_image", build_sbox_image() * 2, "1024 entries"),
     ],
 )
 def test_bad_image_raises_at_construction(image_arg, broken, match):

@@ -234,6 +234,62 @@ class TestCatalogParsing:
             m.parse_catalog("[design d]\ndevice = x\nslices = " + "9" * 400 + "\n")
         assert str(err.value).startswith("line 3: field 'slices' needs a int")
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("design", "throughput_mbps", "nan"),
+            ("design", "throughput_mbps", "inf"),
+            ("design", "frequency_mhz", "-100"),
+            ("design", "power_total_mw", "-inf"),
+            ("design", "datapath_luts", "-1"),
+            ("accelerator", "slices", "-50"),
+            ("device", "dsps", "-2"),
+        ],
+    )
+    def test_non_finite_or_negative_figure_cites_line(self, kind, field, value):
+        first = "brams = 3" if kind == "device" else "device = x"
+        with pytest.raises(m.CatalogError) as err:
+            m.parse_catalog(f"[{kind} n]\n{first}\n{field} = {value}\n")
+        assert str(err.value) == f"line 3: field {field!r} must be finite and >= 0, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "1.5"])
+    def test_bram_utilization_outside_unit_interval_cites_line(self, value):
+        with pytest.raises(m.CatalogError) as err:
+            m.parse_catalog(f"[design d]\ndevice = x\nbram_utilization = {value}\n")
+        assert str(err.value) == (
+            f"line 3: field 'bram_utilization' must be in (0, 1], got {value!r}"
+        )
+
+    def test_zero_figures_and_a_full_bram_factor_are_reports(self):
+        entry = m.parse_catalog(
+            "[design d]\ndevice = x\nthroughput_mbps = 0\npower_total_mw = 0\n"
+            "slices = 0\nbram_utilization = 1\n"
+        ).design("d")
+        assert entry.throughput_mbps == 0
+        assert entry.power_mw == {"total": 0}
+        assert entry.total.slices == 0
+        assert entry.bram_utilization == 1
+
+    def test_unterminated_section_header_cites_line(self):
+        with pytest.raises(m.CatalogError) as err:
+            m.parse_catalog("[device d]\nslices = 1\n[design X\n")
+        assert str(err.value) == "line 3: unterminated section header '[design X'"
+
+    def test_datapath_count_at_na_or_zero_reads_na(self):
+        entry = m.parse_catalog(
+            "[design d]\ndevice = x\nslices = 20\nthroughput_mbps = 100\n"
+            "datapath_luts = n/a\ndatapath_flip_flops = 0\n"
+            "datapath_brams = 4\ndatapath_dsps = 5\n"
+        ).design("d")
+        report = m.efficiency_report(entry, 0.5)
+        assert report.mbps_per_lut is None
+        assert report.mbps_per_flip_flop is None
+        assert report.mbps_per_bram == 12.5
+        assert report.mbps_per_dsp == 20
+        assert m.efficiency_records([report]) == (
+            "design=d lut=n/a ff=n/a bram=12.5000 dsp=20.0000 slice=5.0000 util=0.5000"
+        )
+
     def test_duplicate_field(self):
         with pytest.raises(m.CatalogError) as err:
             m.parse_catalog("[device d]\nslices = 1\nslices = 2\n")

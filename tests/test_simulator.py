@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from drablocus import aesref
-from drablocus.datapath import BLOCK_LATENCY, RoundDatapath
+from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, RoundDatapath
 from drablocus.simulator import (
     BATCH_PERIOD,
+    CLOCK_MHZ,
     RUN_START_CYCLE,
     Job,
     JobError,
@@ -137,9 +138,28 @@ def test_cadence_saturating_run(sim):
     result = sim.run(FIPS_KEY, mixed_jobs(120, seed=105))
     report = measure_cadence(result.summary)
     assert report.steady_state
-    assert report.measured_blocks_per_cycle >= 12 / 120
+    assert report.measured_blocks_per_cycle == 12 / 120
     assert report.nominal_blocks_per_cycle == pytest.approx(12 / 115)
     assert report.nominal_gbps == pytest.approx(7.0557, abs=1e-3)
+
+
+@pytest.mark.parametrize("n_jobs", [36, 39, 44, 47, 53, 60, 120])
+def test_cadence_is_one_batch_per_batch_period(sim, n_jobs):
+    # A partial last batch completes in a shorter burst; the window ends at
+    # that burst's start, so it cannot lift the figure above 12 per 120.
+    result = sim.run(FIPS_KEY, mixed_jobs(n_jobs, seed=n_jobs))
+    report = measure_cadence(result.summary, freq_mhz=CLOCK_MHZ)
+    assert report.steady_state
+    assert report.measured_blocks_per_cycle == NUM_LOOP_STAGES / BATCH_PERIOD
+    assert report.measured_gbps == 6.7617536
+    assert report.measured_blocks_per_cycle <= report.nominal_blocks_per_cycle
+
+
+def test_cadence_under_three_batches_is_not_steady_state(sim):
+    for n_jobs in range(2, 3 * NUM_LOOP_STAGES):
+        report = measure_cadence(sim.run(FIPS_KEY, mixed_jobs(n_jobs, seed=n_jobs)).summary)
+        assert not report.steady_state, n_jobs
+        assert report.measured_gbps is None
 
 
 def test_cadence_single_job_not_steady_state(sim):
