@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+# What str.splitlines() breaks at, as repr() writes it: argparse echoes arguments raw.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
 
 class UsageError(Exception):
     pass
@@ -320,10 +323,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.run(args)
     except (UsageError, JobError, metrics.CatalogError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}".translate(_LINE_BREAKS), file=sys.stderr)
         return EXIT_USAGE
     except SimulationFault as exc:
-        print(f"simulation fault: {exc}", file=sys.stderr)
+        print(f"simulation fault: {exc}".translate(_LINE_BREAKS), file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -24,7 +24,7 @@ LUT chains have no reset line), then run. Slot numbering is anchored to
 the admission cycle modulo 12, which makes the slot of the word in loop
 stage k equal to (cycle - 3 - k) mod 12; the tag pipeline is checked
 against this every cycle. The datapath carries the slot with the word,
-in its slot rank, and never derives it from the phase, so the check
+in its tag rank, and never derives it from the phase, so the check
 compares two independent records.
 
 Like the datapath's ranks, the twelve track chains are held as one int:
@@ -39,16 +39,20 @@ four reset lines, ``divert`` into the final key-add and ``admit_ready``.
 registers and lines with the datapath's tags, made once the datapath has
 computed the cycle, and :meth:`Controller.commit` shifts the registers.
 Both sides hold their per-stage state as packed ranks, so on a passing
-cycle the check is a few int compares: the occupancy register against
-the datapath's valid rank, the mode registers against its mode rank on
-the live stages, and its slot rank, masked to the live stages' fields,
-against the rank the phase math requires. Only a failed compare walks
-the stages, to name the one at fault.
+cycle the check is two int compares. The first XORs the datapath's tag
+rank with the ``slot << 1`` fields the phase math requires and with the
+mode register spread to bit 0 of each field, masked to the live stages'
+fields: it is zero when every live word has its slot and its mode. The
+second is the occupancy register against the datapath's valid rank.
+Only a failed compare walks the stages, to name the one at fault.
 """
 
 from __future__ import annotations
 
-from .datapath import NUM_LOOP_STAGES, SLOT_BITS, SLOT_FIELD, TRACK_CYCLES, RoundDatapath, Word
+from .datapath import (
+    _STAGE2, _STAGES_MASK, _WRAP_SHIFT, NUM_LOOP_STAGES, TAG_BITS, TAG_FIELD, TRACK_CYCLES,
+    RoundDatapath, Word,
+)
 from .faults import AdmissionError, ControlFault
 
 RESET = "reset"
@@ -61,10 +65,8 @@ RUN = "run"
 # (cycle - STAGE_PHASE_OFFSET - k) mod 12 equals its slot.
 STAGE_PHASE_OFFSET = 3
 
-_OCC_MASK = (1 << NUM_LOOP_STAGES) - 1
 _STAGE9 = 1 << 9
 _DIVERT_STAGE = 1 << 3
-_WRAP_SHIFT = NUM_LOOP_STAGES - 1
 _TRACK_FINAL = TRACK_CYCLES - 1
 
 # Track rank: per slot, its admission bit (bit 0 of its field), its whole
@@ -82,24 +84,29 @@ _EXPECTED_SLOTS = tuple(
     for phase in range(NUM_LOOP_STAGES)
 )
 
-# The same as a slot rank (field k, bits 4k..4k+3, for loop stage k), and
-# per valid rank the mask of its live stages' slot fields.
-_EXPECTED_RANKS = tuple(
-    sum(slot << SLOT_BITS * k for k, slot in enumerate(expected)) for expected in _EXPECTED_SLOTS
+# The same as a tag rank's slot bits (field k, bits 5k+1..5k+4, for loop
+# stage k).
+_EXPECTED_TAGS = tuple(
+    sum(slot << 1 << TAG_BITS * k for k, slot in enumerate(expected))
+    for expected in _EXPECTED_SLOTS
 )
 
 
-def _live_slot_fields() -> tuple[int, ...]:
+def _spread(field: int) -> tuple[int, ...]:
+    """Per 12-bit stage mask, ``field`` at the tag-rank field of each stage set."""
     masks = [0]
     for k in range(NUM_LOOP_STAGES):
-        field = SLOT_FIELD << SLOT_BITS * k
-        masks += [mask | field for mask in masks]
+        masks += [mask | field << TAG_BITS * k for mask in masks]
     return tuple(masks)
 
 
-_LIVE_SLOT_FIELDS = _live_slot_fields()
-_STAGE2 = 1 << 2
-_STAGE2_SLOT = SLOT_FIELD << 2 * SLOT_BITS
+# Per valid rank, its live stages' whole fields; per mode register, its
+# bits at bit 0 of each field.
+_LIVE_FIELDS = _spread(TAG_FIELD)
+_MODE_BITS = _spread(1)
+# Every field's slot bits, and stage 2's.
+_SLOT_MASK = _LIVE_FIELDS[_STAGES_MASK] ^ _MODE_BITS[_STAGES_MASK]
+_STAGE2_SLOT = (TAG_FIELD ^ 1) << 2 * TAG_BITS
 _STAGE10 = 1 << 10
 # Per cycle phase: the final bit of the chain whose block the phase math
 # puts at the shift-rows register (loop stage 2), the divert point.
@@ -177,25 +184,27 @@ class Controller:
         """
         phase = self.cycle % NUM_LOOP_STAGES
         valid = datapath.valid
-        # Slot fields that differ from the phase math, live stages or not.
-        slipped = datapath.slots ^ _EXPECTED_RANKS[phase]
+        # Tag bits that differ from the phase math's slots and the mode
+        # register, live stages or not.
+        slipped = datapath.tags ^ _EXPECTED_TAGS[phase] ^ _MODE_BITS[self.modes]
         if self.divert and (not valid & _STAGE2 or slipped & _STAGE2_SLOT):
             raise ControlFault(
                 f"track {_EXPECTED_SLOTS[phase][2]} expired without its "
                 f"block at the shift-rows register (found {datapath.loop_tags[2]})"
             )
-        slipped &= _LIVE_SLOT_FIELDS[valid]
-        if slipped:
-            stage = ((slipped & -slipped).bit_length() - 1) // SLOT_BITS
+        slipped &= _LIVE_FIELDS[valid]
+        wrong_slots = slipped & _SLOT_MASK
+        if wrong_slots:
+            stage = ((wrong_slots & -wrong_slots).bit_length() - 1) // TAG_BITS
             raise ControlFault(
                 f"stage {stage} holds slot {datapath.loop_tags[stage].slot}, "
                 f"phase math requires {_EXPECTED_SLOTS[phase][stage]}"
             )
         if valid != self.occupancy:
             raise ControlFault(f"occupancy register {self.occupancy:012b} vs datapath {valid:012b}")
-        if (datapath.modes ^ self.modes) & valid:
+        if slipped:
             raise ControlFault(f"mode register {self.modes:012b} disagrees with datapath tags")
-        if (self._arriving1 is None) != (datapath.initial_tags[1] is None):
+        if (self._arriving1 is None) != (datapath.ia_out_tag is None):
             raise ControlFault("initial-stage tracking out of step")
         if self.main_reset and valid & _STAGE10:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
@@ -239,8 +248,8 @@ class Controller:
             bit0_occ, bit0_mode = 1, entering.mode & 1
         else:
             bit0_occ, bit0_mode = wrap_occ, modes >> _WRAP_SHIFT & 1
-        occ = ((occ << 1) & _OCC_MASK) | bit0_occ
-        modes = ((modes << 1) & _OCC_MASK) | bit0_mode
+        occ = ((occ << 1) & _STAGES_MASK) | bit0_occ
+        modes = ((modes << 1) & _STAGES_MASK) | bit0_mode
         if self.divert:
             occ &= ~_DIVERT_STAGE
             modes &= ~_DIVERT_STAGE

@@ -28,9 +28,9 @@ instance (2 + 1 + 2), 115 cycles in all.
 Data and its (valid, mode, slot) tag advance in lockstep: each tag's
 next value is computed with the data's and latched by the same commit,
 and the controller's shift registers mirror the tag pipeline. Like the
-data, the loop's tags are held as packed ranks, a 12-bit valid rank, a
-12-bit mode rank and a 48-bit slot rank with a 4-bit field per stage,
-that rotate as the words move; a per-slot table holds each word's
+data, the loop's tags are held as packed ranks, a 12-bit valid rank and
+a 60-bit tag rank with one ``slot << 1 | mode`` field of 5 bits per
+stage, that rotate as the words move; a per-slot table holds each word's
 sequence id. Inputs to
 the substitution and product RAMs are OR-multiplexed; the controller's
 reset sequencing must keep all but one source at zero, and the mux
@@ -76,19 +76,19 @@ _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 _MASK256 = (1 << 256) - 1
 
-# Tag ranks: one bit (valid, modes) or one 4-bit field (slots) per loop
-# stage, stage k lowest. Rotating a rank by one stage wraps S11 into S0.
-SLOT_BITS = 4
-SLOT_FIELD = (1 << SLOT_BITS) - 1
+# Tag ranks: one bit (valid) or one 5-bit ``slot << 1 | mode`` field
+# (tags) per loop stage, stage k lowest. Rotating a rank by one stage wraps
+# S11 into S0.
+TAG_BITS = 5
+TAG_FIELD = (1 << TAG_BITS) - 1
 _STAGES_MASK = (1 << NUM_LOOP_STAGES) - 1
-_SLOTS_MASK = (1 << SLOT_BITS * NUM_LOOP_STAGES) - 1
+_TAGS_MASK = (1 << TAG_BITS * NUM_LOOP_STAGES) - 1
 _WRAP_SHIFT = NUM_LOOP_STAGES - 1
-_SLOT_WRAP_SHIFT = SLOT_BITS * _WRAP_SHIFT
+_TAG_WRAP_SHIFT = TAG_BITS * _WRAP_SHIFT
 _STAGE2 = 1 << 2
 _STAGE11 = 1 << _WRAP_SHIFT
 _CLEAR_STAGE3 = ~(1 << 3)
-_CLEAR_SLOT3 = ~(SLOT_FIELD << 3 * SLOT_BITS)
-_NO_TAGS = [None, None]
+_CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 
 # Row shift of a 16-byte state, per mode bit.
 _SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
@@ -384,9 +384,8 @@ class RoundDatapath:
     Per cycle, drive :meth:`compute_cycle` with this cycle's control and
     key values, then :meth:`commit_cycle`. Compute derives the next value
     of every rank and tag (raising the S0 collision there); commit only
-    latches them. Between the two, :meth:`taps`, the tag ranks and the tag
-    lists show the committed state, each tag naming the word whose data
-    its rank holds.
+    latches them. Between the two, :meth:`taps` and the tags show the
+    committed state, each tag naming the word whose data its rank holds.
 
     Every register rank is one int attribute; a rank built from several
     registers holds them as bit fields, first register most significant:
@@ -416,21 +415,24 @@ class RoundDatapath:
     computes what the slices compute.
 
     The tags of the loop's words are ranks too, one field per stage,
-    stage k lowest: ``valid`` (bit k: stage k holds a live word),
-    ``modes`` (bit k: that word's mode) and ``slots`` (bits 4k..4k+3: its
-    slot); a stage without a word has zero fields. Each rotates one stage
-    per cycle as the data does, S11's word wrapping into S0, and the
-    arriving word takes S0. ``seqs[slot]`` is the sequence id of the word
-    holding a slot, written when it enters S0. :attr:`loop_tags` and
-    :meth:`taps` build :class:`Word` views only when asked. The two-rank
-    initial and final instances keep their tags as ``Word`` lists
-    (``initial_tags``, ``final_tags``).
+    stage k lowest: ``valid`` (bit k: stage k holds a live word) and
+    ``tags`` (bits 5k..5k+4: that word's ``slot << 1 | mode``); a stage
+    without a word has zero fields. Both rotate one stage per cycle as the
+    data does, S11's word wrapping into S0, and the arriving word takes
+    S0. ``seqs[slot]`` is the sequence id of the word holding a slot,
+    written when it enters S0. :attr:`loop_tags` and :meth:`taps` build
+    :class:`Word` views only when asked. Each rank of the initial and
+    final instances has its tag beside it (``ia_in_tag``, ``ia_out_tag``,
+    ``fa_in_tag``, ``fa_out_tag``): the word's :class:`Word`, or None.
+    The edge ranks keep whole ``Word``s because an arriving word and the
+    recirculating word it collides with at S0 may share a slot, and each
+    keeps its own sequence id.
     """
 
     __slots__ = (
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
-        "valid", "modes", "slots", "seqs", "initial_tags", "final_tags",
+        "valid", "tags", "seqs", "ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag",
         "_sbox", "_lanes", "_next",
     )
 
@@ -442,12 +444,9 @@ class RoundDatapath:
         self.s6 = self.s7 = self.s8 = self.s9 = self.s10 = self.s11 = 0
         self.ia_in = self.ia_out = self.fa_in = self.fa_out = 0
         self._next = None
-        self.valid = self.modes = self.slots = 0
+        self.valid = self.tags = 0
         self.seqs = [0] * NUM_LOOP_STAGES
-        # Entry k holds the tag of the word in that instance's rank k this
-        # cycle (None when the rank carries no live word).
-        self.initial_tags: list[Word | None] = [None, None]
-        self.final_tags: list[Word | None] = [None, None]
+        self.ia_in_tag = self.ia_out_tag = self.fa_in_tag = self.fa_out_tag = None
 
     def compute_cycle(
         self,
@@ -465,10 +464,10 @@ class RoundDatapath:
     ) -> None:
         # Locals named after a rank hold its next value; committed values
         # are read from the attributes, so taps do not move until commit.
-        # live, live_modes and live_slots are the committed tag ranks.
+        # live and live_tags are the committed tag ranks.
         live = self.valid
-        live_modes = self.modes
-        entering = self.initial_tags[1]
+        live_tags = self.tags
+        entering = self.ia_out_tag
         recirc = self.s11
         arriving = self.ia_out
         ks_sb_data, ks_sb_mode = ks_sub_bytes
@@ -482,7 +481,7 @@ class RoundDatapath:
         if entering is not None:
             sb_mode = entering.mode
         elif live & _STAGE11:
-            sb_mode = live_modes >> _WRAP_SHIFT
+            sb_mode = live_tags >> _TAG_WRAP_SHIFT & 1
         else:
             sb_mode = ks_sb_mode
         s0 = int.from_bytes(
@@ -495,14 +494,14 @@ class RoundDatapath:
             s2 = 0
         else:
             s2 = int.from_bytes(
-                bytes(_SHIFT_ROWS[live_modes >> 1 & 1](self.s1.to_bytes(16, "big"))), "big"
+                bytes(_SHIFT_ROWS[live_tags >> 5 & 1](self.s1.to_bytes(16, "big"))), "big"
             )
 
         # Product RAMs behind the OR mux, read straight into lane order.
         shifted = self.s2
         if shifted and ks_mc_data:
             or_mux_tap(shifted, ks_mc_data)
-        l0, l1, l2, l3 = self._lanes[live_modes >> 2 & 1 if live & _STAGE2 else ks_mc_mode]
+        l0, l1, l2, l3 = self._lanes[live_tags >> 10 & 1 if live & _STAGE2 else ks_mc_mode]
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
             (shifted | ks_mc_data).to_bytes(16, "big")
         )
@@ -540,9 +539,7 @@ class RoundDatapath:
         # (never beside a recirculating one), and a divert sends S2's word
         # into the final instance instead of S3.
         valid = ((live << 1) | (live >> _WRAP_SHIFT)) & _STAGES_MASK
-        modes = ((live_modes << 1) | (live_modes >> _WRAP_SHIFT)) & _STAGES_MASK
-        live_slots = self.slots
-        slots = ((live_slots << SLOT_BITS) | (live_slots >> _SLOT_WRAP_SHIFT)) & _SLOTS_MASK
+        tags = ((live_tags << TAG_BITS) | (live_tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
         if entering is not None:
             if valid & 1:
                 raise CollisionError(
@@ -552,23 +549,20 @@ class RoundDatapath:
             slot = entering.slot
             self.seqs[slot] = entering.seq
             valid |= 1
-            modes |= entering.mode & 1
-            slots |= slot
+            tags |= slot << 1 | entering.mode & 1
         diverted = None
         if divert:
             if live & _STAGE2:
-                slot = live_slots >> 2 * SLOT_BITS & SLOT_FIELD
-                diverted = Word(self.seqs[slot], live_modes >> 2 & 1, slot)
+                code = live_tags >> 2 * TAG_BITS & TAG_FIELD
+                diverted = Word(self.seqs[code >> 1], code & 1, code >> 1)
             valid &= _CLEAR_STAGE3
-            modes &= _CLEAR_STAGE3
-            slots &= _CLEAR_SLOT3
+            tags &= _CLEAR_TAG3
 
         self._next = (
             s0, self.s0, s2, s3, self.s3, self.s4, s6, s7, s8,
             (self.s8 << 128) | main_key, self.s9, s11,
             ia_in, ia_out, (shifted << 128) | final_key, fa_out,
-            valid, modes, slots,
-            [admitted, self.initial_tags[0]], [diverted, self.final_tags[0]],
+            valid, tags, admitted, self.ia_in_tag, diverted, self.fa_in_tag,
         )
 
     def commit_cycle(self) -> None:
@@ -576,7 +570,7 @@ class RoundDatapath:
             self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
             self.s9, self.s10, self.s11,
             self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            self.valid, self.modes, self.slots, self.initial_tags, self.final_tags,
+            self.valid, self.tags, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
         ) = self._next
 
     def at_fixed_point(self) -> bool:
@@ -586,14 +580,14 @@ class RoundDatapath:
         return self._next == (
             self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
             self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            0, 0, 0, _NO_TAGS, _NO_TAGS,
+            0, 0, None, None, None, None,
         )
 
     def _tag(self, stage: int) -> Word | None:
         if not self.valid >> stage & 1:
             return None
-        slot = self.slots >> SLOT_BITS * stage & SLOT_FIELD
-        return Word(self.seqs[slot], self.modes >> stage & 1, slot)
+        code = self.tags >> TAG_BITS * stage & TAG_FIELD
+        return Word(self.seqs[code >> 1], code & 1, code >> 1)
 
     @property
     def loop_tags(self) -> tuple[Word | None, ...]:
@@ -606,10 +600,10 @@ class RoundDatapath:
         each value with the tag of the word it carries this cycle."""
         tag = self._tag
         return (
-            (self.ia_out, self.initial_tags[1]),
+            (self.ia_out, self.ia_out_tag),
             (self.s1, tag(1)),
             (self.s2, tag(2)),
             (self.s8, tag(8)),
             (self.s11, tag(11)),
-            (self.fa_out, self.final_tags[1]),
+            (self.fa_out, self.fa_out_tag),
         )

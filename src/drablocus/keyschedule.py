@@ -30,8 +30,8 @@ from .datapath import (
     _MASK128,
     MAIN_ROUNDS,
     MIX_COLUMNS_LATENCY,
-    SLOT_BITS,
-    SLOT_FIELD,
+    TAG_BITS,
+    TAG_FIELD,
     RoundDatapath,
 )
 from .faults import KeyStoreFault
@@ -50,11 +50,11 @@ KEY_INIT_CYCLES = 3 * NUM_ROUNDS + MAIN_ROUNDS + _INVERSION_DELAY
 
 _NO_INJECT = (0, 0)
 
-# The service reads the tag ranks of loop stages 7 and 8.
+# The service reads the tag fields of loop stages 7, 8 and 1.
 _STAGE7 = 1 << 7
 _STAGE8 = 1 << 8
-_SLOT7_SHIFT = 7 * SLOT_BITS
-_SLOT8_SHIFT = 8 * SLOT_BITS
+_TAG7_SHIFT = 7 * TAG_BITS
+_TAG8_SHIFT = 8 * TAG_BITS
 
 
 def _rot_word(w: int) -> int:
@@ -108,27 +108,26 @@ class KeyScheduler:
             # 32, so neither port can leave the image. The injects stay
             # zero, as cleared on the last initialization cycle.
             valid = datapath.valid
-            modes = datapath.modes
-            slots = datapath.slots
+            tags = datapath.tags
             # Arbitrary-round consumer: the word now in stage 7 presents to
             # the main key-add next cycle, together with port a's read.
             if valid & _STAGE7:
-                slot = slots >> _SLOT7_SHIFT & SLOT_FIELD
-                round_index = self.round_counters[slot] + 1
+                code = tags >> _TAG7_SHIFT & TAG_FIELD
+                round_index = self.round_counters[code >> 1] + 1
                 if round_index > MAIN_ROUNDS:
                     raise KeyStoreFault(
-                        f"slot {slot} requested main-loop key for round {round_index}"
+                        f"slot {code >> 1} requested main-loop key for round {round_index}"
                     )
-                self.addr_a = (modes >> 7 & 1) << 4 | round_index
+                self.addr_a = (code & 1) << 4 | round_index
             else:
                 self.addr_a = 0
             # Final-key consumer: constantly reads round 10 for the mode of
             # the word that would reach the final instance two cycles from
-            # now (a stage without a word has a zero mode bit).
-            self.addr_b = (modes >> 1 & 1) << 4 | NUM_ROUNDS
+            # now (a stage without a word has a zero field).
+            self.addr_b = (tags >> TAG_BITS & 1) << 4 | NUM_ROUNDS
             # The word in stage 8 consumes its key at the next commit.
             self._pending_increment = (
-                slots >> _SLOT8_SHIFT & SLOT_FIELD if valid & _STAGE8 else None
+                (tags >> _TAG8_SHIFT & TAG_FIELD) >> 1 if valid & _STAGE8 else None
             )
         else:
             self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT

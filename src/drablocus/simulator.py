@@ -39,7 +39,7 @@ from .datapath import (
     BLOCK_LATENCY,
     MAIN_ROUNDS,
     NUM_LOOP_STAGES,
-    SLOT_FIELD,
+    TAG_FIELD,
     TRACK_CYCLES,
     DatapathTables,
     RoundDatapath,
@@ -139,19 +139,17 @@ class RunResult:
 # Trace text. Every line of a cycle starts with its ``cycle=<n>`` text,
 # formatted once per cycle. A status line goes on with _status_text. A tap
 # line goes on with its tap's `` stage=<id> slot=<s> mode=<e|d> data=``
-# text, from the tap's table at index 2 * slot + mode, then the word's 16
-# bytes in hex.
+# text, from the tap's table at the word's ``slot << 1 | mode`` field,
+# then the word's 16 bytes in hex.
 _IA_TEXT, _SB_TEXT, _SR_TEXT, _MC_TEXT, _ARK_TEXT, _FIN_TEXT = (
     tuple(
-        f" stage={stage_id} slot={slot} mode={mode} data="
-        for slot in range(SLOT_FIELD + 1)
-        for mode in "ed"
+        f" stage={stage_id} slot={code >> 1} mode={'ed'[code & 1]} data="
+        for code in range(TAG_FIELD + 1)
     )
     for stage_id in ("ia", "sb", "sr", "mc", "ark", "fin")
 )
-# The loop taps (sb, sr, mc, ark) are loop stages 1, 2, 8 and 11. Stage k's
-# 4-bit field of the slot rank, shifted right by 4k - 1 and masked with
-# 0b11110, is 2 * slot; bit k of the mode rank is the mode.
+# The loop taps (sb, sr, mc, ark) are loop stages 1, 2, 8 and 11, whose
+# fields of the tag rank are bits 5k..5k+4.
 _LOOP_TAP_MASK = 1 << 1 | 1 << 2 | 1 << 8 | 1 << 11
 _FSM_TEXT = {fsm: f" fsm={fsm} occ=" for fsm in (RESET, KEY_INIT, FLUSH, RUN)}
 _STALL_TEXT = (" stall=0\n", " stall=1\n")
@@ -256,7 +254,7 @@ class PipelineSimulator:
                     ks_mix_columns=ks.mix_columns_inject,
                 )
 
-                tag = dp.final_tags[1]
+                tag = dp.fa_out_tag
                 if tag is not None:
                     outputs[tag.seq] = dp.fa_out.to_bytes(16, "big")
                     completion_cycles[tag.seq] = cycle
@@ -316,7 +314,7 @@ class PipelineSimulator:
         cycle = f"cycle={ctrl.cycle}"
         parts = [cycle, _status_text(ctrl.fsm, ctrl.occupancy, stalled)]
         # One line per tap carrying a word, in trace order.
-        tag = dp.initial_tags[1]
+        tag = dp.ia_out_tag
         if tag is not None:
             parts += (
                 cycle, _IA_TEXT[tag.slot << 1 | tag.mode],
@@ -324,28 +322,24 @@ class PipelineSimulator:
             )
         valid = dp.valid
         if valid & _LOOP_TAP_MASK:
-            modes, slots = dp.modes, dp.slots
+            tags = dp.tags
             if valid & 1 << 1:
                 parts += (
-                    cycle, _SB_TEXT[slots >> 3 & 30 | modes >> 1 & 1],
-                    dp.s1.to_bytes(16, "big").hex(), "\n",
+                    cycle, _SB_TEXT[tags >> 5 & 31], dp.s1.to_bytes(16, "big").hex(), "\n",
                 )
             if valid & 1 << 2:
                 parts += (
-                    cycle, _SR_TEXT[slots >> 7 & 30 | modes >> 2 & 1],
-                    dp.s2.to_bytes(16, "big").hex(), "\n",
+                    cycle, _SR_TEXT[tags >> 10 & 31], dp.s2.to_bytes(16, "big").hex(), "\n",
                 )
             if valid & 1 << 8:
                 parts += (
-                    cycle, _MC_TEXT[slots >> 31 & 30 | modes >> 8 & 1],
-                    dp.s8.to_bytes(16, "big").hex(), "\n",
+                    cycle, _MC_TEXT[tags >> 40 & 31], dp.s8.to_bytes(16, "big").hex(), "\n",
                 )
             if valid & 1 << 11:
                 parts += (
-                    cycle, _ARK_TEXT[slots >> 43 & 30 | modes >> 11 & 1],
-                    dp.s11.to_bytes(16, "big").hex(), "\n",
+                    cycle, _ARK_TEXT[tags >> 55 & 31], dp.s11.to_bytes(16, "big").hex(), "\n",
                 )
-        tag = dp.final_tags[1]
+        tag = dp.fa_out_tag
         if tag is not None:
             parts += (
                 cycle, _FIN_TEXT[tag.slot << 1 | tag.mode],

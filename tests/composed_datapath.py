@@ -25,7 +25,8 @@ from drablocus.faults import CollisionError
 class ComposedDatapath:
     """The loop composed from the unit classes, stepped unit by unit.
 
-    Same interface as :class:`RoundDatapath`, with its own list-based tag
+    Same stepping interface as :class:`RoundDatapath` (``compute_cycle``,
+    ``commit_cycle``, ``taps``, ``loop_tags``), with its own list-based tag
     pipeline shifted at commit (where it raises the S0 collision), so the
     flat step's next-state tags are checked against an independent
     derivation; the lockstep test drives both with identical inputs.

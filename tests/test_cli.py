@@ -206,6 +206,15 @@ def test_rejected_arguments_are_one_line_usage_errors(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, shown", [("a\nb", "a\\nb"), ("a\r\u2028b", "a\\r\\u2028b")])
+def test_line_breaks_in_an_echoed_argument_are_escaped(capsys, text, shown):
+    # argparse echoes an unrecognized argument as it was given.
+    assert main(["vectors", "--key", text]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unrecognized arguments: --key {shown}\n"
+    assert captured.out == ""
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["simulate", "--help"])
@@ -268,7 +277,7 @@ def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
 
     def compute(self, datapath, controller_fsm):
         original_compute(self, datapath, controller_fsm)
-        if datapath.initial_tags[1] is not None:
+        if datapath.ia_out_tag is not None:
             self.sub_bytes_inject = (1, MODE_ENCRYPT)
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
@@ -315,6 +324,15 @@ def test_metrics_prints_both_bram_factors(capsys):
     assert "220.47" in out
     assert "195.97" in out
     assert "energy_per_block_nws=7.47" in out
+
+
+def test_metrics_prints_the_catalog_energy_figure_without_a_power_figure(tmp_path, capsys):
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text(
+        "[design d]\ndevice = x\nslices = 10\nthroughput_mbps = 1e3\nenergy_nws = 5\n"
+    )
+    assert main(["metrics", "--catalog", str(catalog), "--design", "d"]) == EXIT_OK
+    assert "energy_per_block_nws=5.00 (catalog figure)\n" in capsys.readouterr().out
 
 
 def test_metrics_unknown_design_lists_alternatives(capsys):

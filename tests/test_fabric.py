@@ -113,6 +113,17 @@ class TestDspXor:
         step(dsp)
         assert dsp.out == 5 ^ 9
 
+    def test_reset_holds_unregistered_output_at_zero(self):
+        # Without an output register the XOR is combinational, and the
+        # reset line gates it at once: no commit passes.
+        dsp = DspXorSlice(48, a_regs=0, b_regs=0, output_register=False)
+        dsp.present(a=5, b=9)
+        assert dsp.out == 5 ^ 9
+        dsp.reset_in = True
+        assert dsp.out == 0
+        dsp.reset_in = False
+        assert dsp.out == 5 ^ 9
+
     def test_cascade_of_three_equals_flat_xor(self):
         rng = random.Random(2)
         first = DspXorSlice(48, a_regs=1, b_regs=1)

@@ -20,8 +20,8 @@ from cycle_protocol import core_in_run, step_cycle
 from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
-    SLOT_BITS,
-    SLOT_FIELD,
+    TAG_BITS,
+    TAG_FIELD,
     TRACK_CYCLES,
     RoundDatapath,
     Word,
@@ -265,7 +265,7 @@ UPSET_STAGE = 5
 
 def test_flipped_slot_field_raises_control_fault(monkeypatch):
     def upset(ctrl, dp):
-        dp.slots ^= 1 << SLOT_BITS * UPSET_STAGE
+        dp.tags ^= 2 << TAG_BITS * UPSET_STAGE
 
     with pytest.raises(ControlFault) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
@@ -275,7 +275,7 @@ def test_flipped_slot_field_raises_control_fault(monkeypatch):
 
 def test_flipped_mode_rank_bit_raises_control_fault(monkeypatch):
     def upset(ctrl, dp):
-        dp.modes ^= 1 << UPSET_STAGE
+        dp.tags ^= 1 << TAG_BITS * UPSET_STAGE
 
     with pytest.raises(ControlFault, match="mode register [01]{12} disagrees with datapath tags"):
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
@@ -300,7 +300,7 @@ def test_valid_bit_set_at_s11_as_a_word_arrives_raises_collision_error(monkeypat
         dp.valid |= 1 << NUM_LOOP_STAGES - 1
 
     def arriving(ctrl, dp):
-        return dp.initial_tags[1] is not None
+        return dp.ia_out_tag is not None
 
     with pytest.raises(CollisionError) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=arriving)
@@ -317,9 +317,10 @@ def test_overwritten_sequence_id_raises_timing_fault(monkeypatch):
     # stage 4, admitted a cycle later, so it completes a cycle early by
     # that block's admission.
     def upset(ctrl, dp):
-        slots = dp.slots
-        behind = dp.seqs[slots >> SLOT_BITS * (UPSET_STAGE - 1) & SLOT_FIELD]
-        dp.seqs[slots >> SLOT_BITS * UPSET_STAGE & SLOT_FIELD] = behind
+        def slot(stage):
+            return (dp.tags >> TAG_BITS * stage & TAG_FIELD) >> 1
+
+        dp.seqs[slot(UPSET_STAGE)] = dp.seqs[slot(UPSET_STAGE - 1)]
 
     with pytest.raises(TimingFault) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)

@@ -11,14 +11,16 @@ examples are derandomized, so the suite draws the same inputs on every run.
 
 import contextlib
 import io
+import shutil
 import string
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.metrics import Catalog, CatalogError, parse_catalog
 from drablocus.simulator import Job, JobError, parse_jobs
 from drablocus.textlines import split_lines
@@ -212,3 +214,113 @@ def test_catalog_commands_exit_with_at_most_one_error_line(input_file, argv, con
     assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
     assert len(err.splitlines()) == (code == EXIT_USAGE)
     assert code != EXIT_USAGE or err.startswith("error: ")
+
+
+# Whole argument vectors: a subcommand, optionally its valid base flags, then
+# drawn flags, each with a valid value, a fixture path or drawn text. The
+# text is what a command line can carry: no NUL, and lone surrogates only in
+# the range surrogateescape gives undecodable bytes; with no "/" it names no
+# path outside the working directory. Values argparse reads as --help are
+# left out, since help exits through argparse by design.
+ARG_CHARS = (
+    string.printable.replace("/", "") + SPECIAL.replace("\x00", "") + BREAKS + "\udc80\udcff"
+)
+arg_texts = st.text(ARG_CHARS, max_size=8).filter(lambda t: not t.startswith(("-h", "--h")))
+FIXTURES = ("blocks.bin", "jobs.txt", "catalog.txt", "binary.bin", "dir", "no/such", "fresh")
+CLI_BASES = {
+    "vectors": [],
+    "encrypt": ["--key", FIPS_KEY_HEX, "--in", "blocks.bin", "--out", "fresh"],
+    "decrypt": ["--key", FIPS_KEY_HEX, "--in", "blocks.bin", "--out", "fresh"],
+    "simulate": ["--key", FIPS_KEY_HEX, "--jobs", "jobs.txt"],
+    "metrics": ["--design", "DRAB-LOCUS"],
+    "colocate": ["--accel", "DNN 1", "--aes", "DRAB-LOCUS"],
+    "dump-tables": ["--out", "dir"],
+}
+# Each flag with its valid values; None marks a flag that takes no value.
+CLI_FLAGS = {
+    "--engine": ["ref", "sim", "both"],
+    "--key": [FIPS_KEY_HEX, "00" * 15, ""],
+    "--in": ["blocks.bin"],
+    "--out": ["fresh", "dir"],
+    "--jobs": ["jobs.txt"],
+    "--trace": ["fresh"],
+    "--freq": ["528.262", "0", "nan", "-1"],
+    "--catalog": ["catalog.txt"],
+    "--design": ["DRAB-LOCUS", "AES-Efficient", "AES-Expanded"],
+    "--bram-utilization": ["0.375", "1", "2"],
+    "--device": ["xc7z020", "xc7z045"],
+    "--accel": ["Video", "DNN 1", "CNN"],
+    "--aes": ["DRAB-LOCUS", "AES-Modes"],
+    "--records": None,
+}
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    # One command in eight is drawn text.
+    command = draw(st.sampled_from([*CLI_BASES, None]))
+    if command is None:
+        command = draw(arg_texts)
+    argv = [command]
+    if draw(st.booleans()):
+        argv += CLI_BASES.get(command, [])
+    for flag in draw(st.lists(st.sampled_from(sorted(CLI_FLAGS)), max_size=4)):
+        argv.append(flag)
+        values = CLI_FLAGS[flag]
+        if values is not None:
+            argv.append(draw(st.one_of(
+                st.sampled_from(values), st.sampled_from(FIXTURES), arg_texts
+            )))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """The working directory of the argument-vector examples, one level
+    inside a temporary directory, so that ``..`` names a temporary
+    directory too."""
+    work = tmp_path_factory.mktemp("argv") / "work"
+    work.mkdir()
+    return work
+
+
+def reset_fixtures(work: Path) -> None:
+    """Write every fixture afresh, undoing what an earlier example wrote."""
+    (work / "blocks.bin").write_bytes(bytes(range(32)))
+    (work / "jobs.txt").write_text(
+        "0 enc 00112233445566778899aabbccddeeff\n1 dec 69c4e0d86a7b0430d8cdb78070b4c55a\n"
+    )
+    (work / "catalog.txt").write_text(
+        resources.files("drablocus").joinpath("data/catalog.txt").read_text()
+    )
+    (work / "binary.bin").write_bytes(b"\xff\xfe\x80 not UTF-8\n")
+    (work / "dir").mkdir(exist_ok=True)
+    for written in (work / "no", work / "fresh"):
+        if written.is_dir():
+            shutil.rmtree(written)
+        else:
+            written.unlink(missing_ok=True)
+
+
+@FUZZ
+@given(cli_argvs())
+def test_any_argument_vector_exits_0_1_or_2_with_at_most_one_line(cli_dir, argv):
+    reset_fixtures(cli_dir)
+    err = io.StringIO()
+    with (
+        pytest.MonkeyPatch.context() as patch,
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+    ):
+        patch.delenv(KEY_ENV_VAR, raising=False)
+        patch.chdir(cli_dir)
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+    elif code == EXIT_FAILURE:
+        assert len(err.splitlines()) <= 1
+    else:
+        assert err == ""

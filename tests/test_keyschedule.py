@@ -6,7 +6,7 @@ import pytest
 
 from cycle_protocol import core_in_run
 from drablocus import aesref
-from drablocus.datapath import SLOT_BITS, SLOT_FIELD, Word
+from drablocus.datapath import TAG_BITS, TAG_FIELD, Word
 from drablocus.fabric import BramModel
 from drablocus.faults import KeyStoreFault
 from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
@@ -27,11 +27,9 @@ def initialize(key: bytes):
 
 def place_tag(dp, stage, tag):
     """Put ``tag`` in loop stage ``stage`` of the datapath's tag ranks."""
-    bit = 1 << stage
-    shift = SLOT_BITS * stage
-    dp.valid |= bit
-    dp.modes = dp.modes & ~bit | (tag.mode & 1) << stage
-    dp.slots = dp.slots & ~(SLOT_FIELD << shift) | tag.slot << shift
+    shift = TAG_BITS * stage
+    dp.valid |= 1 << stage
+    dp.tags = dp.tags & ~(TAG_FIELD << shift) | (tag.slot << 1 | tag.mode & 1) << shift
     dp.seqs[tag.slot] = tag.seq
 
 
