@@ -38,20 +38,25 @@ four reset lines, ``divert`` into the final key-add and ``admit_ready``.
 :meth:`Controller.check_against` is the one reconciliation of those
 registers and lines with the datapath's tags, made once the datapath has
 computed the cycle, and :meth:`Controller.commit` shifts the registers.
-Both sides hold their per-stage state as packed ranks, so on a passing
-cycle the check is two int compares. The first XORs the datapath's tag
-rank with the ``slot << 1`` fields the phase math requires and with the
-mode register spread to bit 0 of each field, masked to the live stages'
-fields: it is zero when every live word has its slot and its mode. The
-second is the occupancy register against the datapath's valid rank.
-Only a failed compare walks the stages, to name the one at fault.
+
+The occupancy and mode registers rotate with the words, so they are held
+in the datapath's tag layout: ``Controller.tags`` has one 6-bit
+``valid << 5 | slot << 1 | mode`` field per loop stage, with the
+occupancy register as its valid bits, the mode register as its mode bits
+and its slot bits zero. On a passing cycle the check is one compare:
+the datapath's rank XOR the controller's XOR the ``slot << 1`` fields the
+phase math requires, masked to the whole fields of the stages live on
+either side, is zero exactly when both sides hold the same stages and
+each live word has its slot and the controller's mode. A multiply
+spreads the live stages' valid bits to their whole fields. Only a failed
+compare walks the stages, to name the one at fault.
 """
 
 from __future__ import annotations
 
 from .datapath import (
-    _STAGE2, _STAGES_MASK, _WRAP_SHIFT, NUM_LOOP_STAGES, TAG_BITS, TAG_FIELD, TRACK_CYCLES,
-    RoundDatapath, Word,
+    _CLEAR_TAG3, _TAG_WRAP_SHIFT, _TAGS_MASK, _VALID2, FIELD_LSBS, NUM_LOOP_STAGES, TAG_BITS,
+    TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
 
@@ -65,8 +70,8 @@ RUN = "run"
 # (cycle - STAGE_PHASE_OFFSET - k) mod 12 equals its slot.
 STAGE_PHASE_OFFSET = 3
 
-_STAGE9 = 1 << 9
-_DIVERT_STAGE = 1 << 3
+_VALID9 = TAG_VALID << 9 * TAG_BITS
+_VALID10 = TAG_VALID << 10 * TAG_BITS
 _TRACK_FINAL = TRACK_CYCLES - 1
 
 # Track rank: per slot, its admission bit (bit 0 of its field), its whole
@@ -84,30 +89,16 @@ _EXPECTED_SLOTS = tuple(
     for phase in range(NUM_LOOP_STAGES)
 )
 
-# The same as a tag rank's slot bits (field k, bits 5k+1..5k+4, for loop
+# The same as a tag rank's slot bits (field k, bits 6k+1..6k+4, for loop
 # stage k).
 _EXPECTED_TAGS = tuple(
     sum(slot << 1 << TAG_BITS * k for k, slot in enumerate(expected))
     for expected in _EXPECTED_SLOTS
 )
-
-
-def _spread(field: int) -> tuple[int, ...]:
-    """Per 12-bit stage mask, ``field`` at the tag-rank field of each stage set."""
-    masks = [0]
-    for k in range(NUM_LOOP_STAGES):
-        masks += [mask | field << TAG_BITS * k for mask in masks]
-    return tuple(masks)
-
-
-# Per valid rank, its live stages' whole fields; per mode register, its
-# bits at bit 0 of each field.
-_LIVE_FIELDS = _spread(TAG_FIELD)
-_MODE_BITS = _spread(1)
-# Every field's slot bits, and stage 2's.
-_SLOT_MASK = _LIVE_FIELDS[_STAGES_MASK] ^ _MODE_BITS[_STAGES_MASK]
-_STAGE2_SLOT = (TAG_FIELD ^ 1) << 2 * TAG_BITS
-_STAGE10 = 1 << 10
+# Set above a tag rank's top field, so bin() keeps the leading fields'
+# zeros: bin(tags | _RANK_MARK)[3::6] is the rank's valid bits and [8::6]
+# its mode bits, stage 11 first.
+_RANK_MARK = 1 << TAG_BITS * NUM_LOOP_STAGES
 # Per cycle phase: the final bit of the chain whose block the phase math
 # puts at the shift-rows register (loop stage 2), the divert point.
 _DIVERT_FINALS = tuple(_TRACK_FINALS[expected[2]] for expected in _EXPECTED_SLOTS)
@@ -121,8 +112,8 @@ class Controller:
         # Like the fabric chains, each is read only at its final bit, plus
         # the model-level any-set inspection.
         self.track = 0
-        self.occupancy = 0
-        self.modes = 0
+        # The occupancy and mode registers, in the datapath's tag layout.
+        self.tags = 0
         # Control lines for this cycle, set by begin_cycle.
         self.initial_reset = True
         self.main_reset = True
@@ -130,10 +121,11 @@ class Controller:
         self.final_reset = True
         self.divert = False
         self.admit_ready = False
-        # Mirrors the two initial key-add ranks: tags en route to stage 0.
-        self._arriving0: Word | None = None
-        self._arriving1: Word | None = None
-        self._admitted_now: Word | None = None
+        # Mirrors the two initial key-add ranks: the field each word en route
+        # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
+        self._arriving0 = 0
+        self._arriving1 = 0
+        self._admitted_now = 0
         self._flush_count = 0
 
     # FSM sequencing and every control line, evaluated from registered
@@ -152,7 +144,7 @@ class Controller:
             self.fsm = fsm
             # The hold lines follow the FSM alone, which never leaves run.
             self.shift_rows_reset = self.final_reset = fsm == RESET or fsm == KEY_INIT
-        admitted = self._arriving0 is not None
+        admitted = self._arriving0 != 0
         self.initial_reset = not admitted
         self.main_reset = admitted or fsm != RUN
         if fsm != RUN:
@@ -160,7 +152,7 @@ class Controller:
             return
         phase = self.cycle % NUM_LOOP_STAGES
         track = self.track
-        stage9_busy = bool(self.occupancy & _STAGE9)
+        stage9_busy = bool(self.tags & _VALID9)
         if stage9_busy == (not track & _TRACK_FIELDS[phase]):
             # The two views are equivalent by the phase math; disagreement
             # means a tracking register slipped.
@@ -173,52 +165,58 @@ class Controller:
             raise AdmissionError(f"admission while controller is in {self.fsm}")
         if not self.admit_ready:
             raise AdmissionError("admission attempted on a stalled cycle")
-        tag = Word(seq=seq, mode=mode, slot=self.cycle % NUM_LOOP_STAGES)
-        self._admitted_now = tag
-        return tag
+        self._admitted_now = TAG_VALID | mode & 1
+        return Word(seq=seq, mode=mode, slot=self.cycle % NUM_LOOP_STAGES)
+
+    @property
+    def occupancy(self) -> int:
+        """The occupancy register: bit k set while loop stage k holds a word."""
+        return int(bin(self.tags | _RANK_MARK)[3::TAG_BITS], 2)
 
     def check_against(self, datapath: RoundDatapath) -> int:
         """Reconcile the registers and this cycle's lines with the datapath's tags.
 
-        Returns the datapath's occupancy, one bit per live loop stage.
+        Returns the live stages, bit 6k for loop stage k.
         """
         phase = self.cycle % NUM_LOOP_STAGES
-        valid = datapath.valid
-        # Tag bits that differ from the phase math's slots and the mode
-        # register, live stages or not.
-        slipped = datapath.tags ^ _EXPECTED_TAGS[phase] ^ _MODE_BITS[self.modes]
-        if self.divert and (not valid & _STAGE2 or slipped & _STAGE2_SLOT):
-            raise ControlFault(
-                f"track {_EXPECTED_SLOTS[phase][2]} expired without its "
-                f"block at the shift-rows register (found {datapath.loop_tags[2]})"
-            )
-        slipped &= _LIVE_FIELDS[valid]
-        wrong_slots = slipped & _SLOT_MASK
-        if wrong_slots:
-            stage = ((wrong_slots & -wrong_slots).bit_length() - 1) // TAG_BITS
-            raise ControlFault(
-                f"stage {stage} holds slot {datapath.loop_tags[stage].slot}, "
-                f"phase math requires {_EXPECTED_SLOTS[phase][stage]}"
-            )
-        if valid != self.occupancy:
-            raise ControlFault(f"occupancy register {self.occupancy:012b} vs datapath {valid:012b}")
-        if slipped:
-            raise ControlFault(f"mode register {self.modes:012b} disagrees with datapath tags")
-        if (self._arriving1 is None) != (datapath.ia_out_tag is None):
+        dp_tags = datapath.tags
+        tags = self.tags
+        # Bit 0 of the field of each stage live on either side; times
+        # TAG_FIELD, the whole fields.
+        live = (dp_tags | tags) >> 5 & FIELD_LSBS
+        if (dp_tags ^ tags ^ _EXPECTED_TAGS[phase]) & live * TAG_FIELD or (
+            self.divert and not dp_tags & _VALID2
+        ):
+            expected = _EXPECTED_SLOTS[phase]
+            found = datapath.loop_tags
+            if self.divert and (found[2] is None or found[2].slot != expected[2]):
+                raise ControlFault(
+                    f"track {expected[2]} expired without its block at the "
+                    f"shift-rows register (found {found[2]})"
+                )
+            for stage, word in enumerate(found):
+                if word is not None and word.slot != expected[stage]:
+                    raise ControlFault(
+                        f"stage {stage} holds slot {word.slot}, "
+                        f"phase math requires {expected[stage]}"
+                    )
+            occupancy = self.occupancy
+            valid = sum(1 << stage for stage, word in enumerate(found) if word is not None)
+            if valid != occupancy:
+                raise ControlFault(f"occupancy register {occupancy:012b} vs datapath {valid:012b}")
+            modes = int(bin(tags | _RANK_MARK)[8::TAG_BITS], 2)
+            raise ControlFault(f"mode register {modes:012b} disagrees with datapath tags")
+        if (not self._arriving1) != (datapath.ia_out_tag is None):
             raise ControlFault("initial-stage tracking out of step")
-        if self.main_reset and valid & _STAGE10:
+        if self.main_reset and dp_tags & _VALID10:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
-        return valid
+        return live
 
     def at_fixed_point(self) -> bool:
         """Whether the commit changes no register but the cycle and flush
         counters: no tracking bit is set and no word is in the loop or on
         its way there."""
-        return (
-            not (self.track or self.occupancy or self.modes)
-            and self._arriving0 is None
-            and self._arriving1 is None
-        )
+        return not (self.track or self.tags or self._arriving0 or self._arriving1)
 
     def skip_flush(self) -> int:
         """Advance the cycle and flush counters to the transition into run,
@@ -234,31 +232,27 @@ class Controller:
         # takes the tracking bit at the admission commit itself.
         admitted = self._admitted_now
         track = (self.track << 1) & _TRACK_SHIFT_MASK
-        if admitted is not None:
-            track |= _TRACK_ADMIT[admitted.slot]
+        if admitted:
+            track |= _TRACK_ADMIT[self.cycle % NUM_LOOP_STAGES]
         self.track = track
 
+        # The occupancy and mode registers rotate one stage; the arriving
+        # word's field takes S0 in place of S11's.
+        tags = self.tags
+        field0 = tags >> _TAG_WRAP_SHIFT
         entering = self._arriving1
-        occ = self.occupancy
-        modes = self.modes
-        wrap_occ = occ >> _WRAP_SHIFT & 1
-        if entering is not None:
-            if wrap_occ:
+        if entering:
+            if field0 & TAG_VALID:
                 raise ControlFault("occupancy wrap collides with admission")
-            bit0_occ, bit0_mode = 1, entering.mode & 1
-        else:
-            bit0_occ, bit0_mode = wrap_occ, modes >> _WRAP_SHIFT & 1
-        occ = ((occ << 1) & _STAGES_MASK) | bit0_occ
-        modes = ((modes << 1) & _STAGES_MASK) | bit0_mode
+            field0 = entering
+        tags = (tags << TAG_BITS & _TAGS_MASK) | field0
         if self.divert:
-            occ &= ~_DIVERT_STAGE
-            modes &= ~_DIVERT_STAGE
-        self.occupancy = occ
-        self.modes = modes
+            tags &= _CLEAR_TAG3
+        self.tags = tags
 
         self._arriving1 = self._arriving0
         self._arriving0 = admitted
-        self._admitted_now = None
+        self._admitted_now = 0
         if self.fsm == FLUSH:
             self._flush_count += 1
         self.cycle += 1

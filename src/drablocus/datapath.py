@@ -28,10 +28,11 @@ instance (2 + 1 + 2), 115 cycles in all.
 Data and its (valid, mode, slot) tag advance in lockstep: each tag's
 next value is computed with the data's and latched by the same commit,
 and the controller's shift registers mirror the tag pipeline. Like the
-data, the loop's tags are held as packed ranks, a 12-bit valid rank and
-a 60-bit tag rank with one ``slot << 1 | mode`` field of 5 bits per
-stage, that rotate as the words move; a per-slot table holds each word's
-sequence id. Inputs to
+data, the loop's tags are held as one packed rank with a 6-bit
+``valid << 5 | slot << 1 | mode`` field per stage, zero where the stage
+is empty, that rotates as the words move; a per-slot table holds each
+word's sequence id. The controller holds its occupancy and mode
+registers in the same layout. Inputs to
 the substitution and product RAMs are OR-multiplexed; the controller's
 reset sequencing must keep all but one source at zero, and the mux
 asserts that.
@@ -76,18 +77,23 @@ _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 _MASK256 = (1 << 256) - 1
 
-# Tag ranks: one bit (valid) or one 5-bit ``slot << 1 | mode`` field
-# (tags) per loop stage, stage k lowest. Rotating a rank by one stage wraps
-# S11 into S0.
-TAG_BITS = 5
+# Tag ranks: one 6-bit ``valid << 5 | slot << 1 | mode`` field per loop
+# stage, stage k in bits 6k..6k+5, zero where the stage is empty. Rotating
+# a rank by one stage wraps S11 into S0. A 4-bit slot field can hold 16
+# values, so the per-slot tables have 16 entries: a slot upset past 11
+# reaches the controller's check instead of an index error.
+TAG_BITS = 6
+TAG_VALID = 1 << 5
 TAG_FIELD = (1 << TAG_BITS) - 1
-_STAGES_MASK = (1 << NUM_LOOP_STAGES) - 1
+SLOT_VALUES = 16
+_SLOT_FIELD = SLOT_VALUES - 1
+# Bit 0 of every stage's field.
+FIELD_LSBS = sum(1 << TAG_BITS * k for k in range(NUM_LOOP_STAGES))
 _TAGS_MASK = (1 << TAG_BITS * NUM_LOOP_STAGES) - 1
-_WRAP_SHIFT = NUM_LOOP_STAGES - 1
-_TAG_WRAP_SHIFT = TAG_BITS * _WRAP_SHIFT
-_STAGE2 = 1 << 2
-_STAGE11 = 1 << _WRAP_SHIFT
-_CLEAR_STAGE3 = ~(1 << 3)
+_TAG_WRAP_SHIFT = TAG_BITS * (NUM_LOOP_STAGES - 1)
+_TAG2_SHIFT = 2 * TAG_BITS
+_VALID2 = TAG_VALID << _TAG2_SHIFT
+_VALID11 = TAG_VALID << _TAG_WRAP_SHIFT
 _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 
 # Row shift of a 16-byte state, per mode bit.
@@ -414,13 +420,14 @@ class RoundDatapath:
     cascade groups) side by side; XOR is bitwise, so one int per rank
     computes what the slices compute.
 
-    The tags of the loop's words are ranks too, one field per stage,
-    stage k lowest: ``valid`` (bit k: stage k holds a live word) and
-    ``tags`` (bits 5k..5k+4: that word's ``slot << 1 | mode``); a stage
-    without a word has zero fields. Both rotate one stage per cycle as the
-    data does, S11's word wrapping into S0, and the arriving word takes
-    S0. ``seqs[slot]`` is the sequence id of the word holding a slot,
-    written when it enters S0. :attr:`loop_tags` and :meth:`taps` build
+    The tags of the loop's words are a rank too, ``tags``, with one field
+    per stage, stage k lowest: bits 6k..6k+5 hold ``valid << 5 | slot << 1
+    | mode`` for the word in stage k, and a stage without a word has a
+    zero field. The rank rotates one stage per cycle as the data does,
+    S11's word wrapping into S0, and the arriving word takes S0.
+    ``seqs[slot]`` is the sequence id of the word holding a slot, written
+    when it enters S0; it has an entry for each of the 16 values a slot
+    field can hold. :attr:`loop_tags` and :meth:`taps` build
     :class:`Word` views only when asked. Each rank of the initial and
     final instances has its tag beside it (``ia_in_tag``, ``ia_out_tag``,
     ``fa_in_tag``, ``fa_out_tag``): the word's :class:`Word`, or None.
@@ -432,7 +439,7 @@ class RoundDatapath:
     __slots__ = (
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
-        "valid", "tags", "seqs", "ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag",
+        "tags", "seqs", "ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag",
         "_sbox", "_lanes", "_next",
     )
 
@@ -444,8 +451,8 @@ class RoundDatapath:
         self.s6 = self.s7 = self.s8 = self.s9 = self.s10 = self.s11 = 0
         self.ia_in = self.ia_out = self.fa_in = self.fa_out = 0
         self._next = None
-        self.valid = self.tags = 0
-        self.seqs = [0] * NUM_LOOP_STAGES
+        self.tags = 0
+        self.seqs = [0] * SLOT_VALUES
         self.ia_in_tag = self.ia_out_tag = self.fa_in_tag = self.fa_out_tag = None
 
     def compute_cycle(
@@ -464,8 +471,7 @@ class RoundDatapath:
     ) -> None:
         # Locals named after a rank hold its next value; committed values
         # are read from the attributes, so taps do not move until commit.
-        # live and live_tags are the committed tag ranks.
-        live = self.valid
+        # live_tags is the committed tag rank.
         live_tags = self.tags
         entering = self.ia_out_tag
         recirc = self.s11
@@ -480,7 +486,7 @@ class RoundDatapath:
             or_mux_tap(recirc, arriving, ks_sb_data)
         if entering is not None:
             sb_mode = entering.mode
-        elif live & _STAGE11:
+        elif live_tags & _VALID11:
             sb_mode = live_tags >> _TAG_WRAP_SHIFT & 1
         else:
             sb_mode = ks_sb_mode
@@ -494,14 +500,15 @@ class RoundDatapath:
             s2 = 0
         else:
             s2 = int.from_bytes(
-                bytes(_SHIFT_ROWS[live_tags >> 5 & 1](self.s1.to_bytes(16, "big"))), "big"
+                bytes(_SHIFT_ROWS[live_tags >> TAG_BITS & 1](self.s1.to_bytes(16, "big"))), "big"
             )
 
         # Product RAMs behind the OR mux, read straight into lane order.
         shifted = self.s2
         if shifted and ks_mc_data:
             or_mux_tap(shifted, ks_mc_data)
-        l0, l1, l2, l3 = self._lanes[live_tags >> 10 & 1 if live & _STAGE2 else ks_mc_mode]
+        mc_mode = live_tags >> _TAG2_SHIFT & 1 if live_tags & _VALID2 else ks_mc_mode
+        l0, l1, l2, l3 = self._lanes[mc_mode]
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
             (shifted | ks_mc_data).to_bytes(16, "big")
         )
@@ -534,35 +541,33 @@ class RoundDatapath:
             ia_in = 0
             admitted = None
 
-        # Tags take their next value beside the data: each tag rank rotates
+        # Tags take their next value beside the data: the tag rank rotates
         # one stage, S11's word wrapping into S0; the arriving word takes S0
         # (never beside a recirculating one), and a divert sends S2's word
         # into the final instance instead of S3.
-        valid = ((live << 1) | (live >> _WRAP_SHIFT)) & _STAGES_MASK
         tags = ((live_tags << TAG_BITS) | (live_tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
         if entering is not None:
-            if valid & 1:
+            if tags & TAG_VALID:
                 raise CollisionError(
                     f"stage S0 claimed by arriving {entering} and recirculating "
                     f"{self._tag(NUM_LOOP_STAGES - 1)}"
                 )
             slot = entering.slot
             self.seqs[slot] = entering.seq
-            valid |= 1
-            tags |= slot << 1 | entering.mode & 1
+            tags |= TAG_VALID | slot << 1 | entering.mode & 1
         diverted = None
         if divert:
-            if live & _STAGE2:
-                code = live_tags >> 2 * TAG_BITS & TAG_FIELD
-                diverted = Word(self.seqs[code >> 1], code & 1, code >> 1)
-            valid &= _CLEAR_STAGE3
+            code = live_tags >> _TAG2_SHIFT
+            if code & TAG_VALID:
+                slot = code >> 1 & _SLOT_FIELD
+                diverted = Word(self.seqs[slot], code & 1, slot)
             tags &= _CLEAR_TAG3
 
         self._next = (
             s0, self.s0, s2, s3, self.s3, self.s4, s6, s7, s8,
             (self.s8 << 128) | main_key, self.s9, s11,
             ia_in, ia_out, (shifted << 128) | final_key, fa_out,
-            valid, tags, admitted, self.ia_in_tag, diverted, self.fa_in_tag,
+            tags, admitted, self.ia_in_tag, diverted, self.fa_in_tag,
         )
 
     def commit_cycle(self) -> None:
@@ -570,7 +575,7 @@ class RoundDatapath:
             self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
             self.s9, self.s10, self.s11,
             self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            self.valid, self.tags, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
+            self.tags, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
         ) = self._next
 
     def at_fixed_point(self) -> bool:
@@ -580,14 +585,15 @@ class RoundDatapath:
         return self._next == (
             self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
             self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            0, 0, None, None, None, None,
+            0, None, None, None, None,
         )
 
     def _tag(self, stage: int) -> Word | None:
-        if not self.valid >> stage & 1:
+        code = self.tags >> TAG_BITS * stage
+        if not code & TAG_VALID:
             return None
-        code = self.tags >> TAG_BITS * stage & TAG_FIELD
-        return Word(self.seqs[code >> 1], code & 1, code >> 1)
+        slot = code >> 1 & _SLOT_FIELD
+        return Word(self.seqs[slot], code & 1, slot)
 
     @property
     def loop_tags(self) -> tuple[Word | None, ...]:

@@ -28,10 +28,12 @@ from .controller import KEY_INIT
 from .datapath import (
     _MASK32,
     _MASK128,
+    _SLOT_FIELD,
     MAIN_ROUNDS,
     MIX_COLUMNS_LATENCY,
+    SLOT_VALUES,
     TAG_BITS,
-    TAG_FIELD,
+    TAG_VALID,
     RoundDatapath,
 )
 from .faults import KeyStoreFault
@@ -51,8 +53,6 @@ KEY_INIT_CYCLES = 3 * NUM_ROUNDS + MAIN_ROUNDS + _INVERSION_DELAY
 _NO_INJECT = (0, 0)
 
 # The service reads the tag fields of loop stages 7, 8 and 1.
-_STAGE7 = 1 << 7
-_STAGE8 = 1 << 8
 _TAG7_SHIFT = 7 * TAG_BITS
 _TAG8_SHIFT = 8 * TAG_BITS
 
@@ -88,7 +88,8 @@ class KeyScheduler:
         # last expansion key for decryption. Two holding registers with a
         # mode mux stand in for the single register plus routing.
         self.initial_keys = [0, 0]
-        self.round_counters = [0] * 12
+        # One per value of a tag's 4-bit slot field.
+        self.round_counters = [0] * SLOT_VALUES
         self.fsm = EXPANDING
         self.init_cycles = 0
         self._cipher_key = key & _MASK128
@@ -107,16 +108,16 @@ class KeyScheduler:
             # Service. A {mode, round <= 10} address is below the depth of
             # 32, so neither port can leave the image. The injects stay
             # zero, as cleared on the last initialization cycle.
-            valid = datapath.valid
             tags = datapath.tags
             # Arbitrary-round consumer: the word now in stage 7 presents to
             # the main key-add next cycle, together with port a's read.
-            if valid & _STAGE7:
-                code = tags >> _TAG7_SHIFT & TAG_FIELD
-                round_index = self.round_counters[code >> 1] + 1
+            code = tags >> _TAG7_SHIFT
+            if code & TAG_VALID:
+                slot = code >> 1 & _SLOT_FIELD
+                round_index = self.round_counters[slot] + 1
                 if round_index > MAIN_ROUNDS:
                     raise KeyStoreFault(
-                        f"slot {code >> 1} requested main-loop key for round {round_index}"
+                        f"slot {slot} requested main-loop key for round {round_index}"
                     )
                 self.addr_a = (code & 1) << 4 | round_index
             else:
@@ -126,9 +127,8 @@ class KeyScheduler:
             # now (a stage without a word has a zero field).
             self.addr_b = (tags >> TAG_BITS & 1) << 4 | NUM_ROUNDS
             # The word in stage 8 consumes its key at the next commit.
-            self._pending_increment = (
-                (tags >> _TAG8_SHIFT & TAG_FIELD) >> 1 if valid & _STAGE8 else None
-            )
+            code = tags >> _TAG8_SHIFT
+            self._pending_increment = code >> 1 & _SLOT_FIELD if code & TAG_VALID else None
         else:
             self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
             if controller_fsm == KEY_INIT:

@@ -34,12 +34,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
-from .controller import FLUSH, KEY_INIT, RESET, RUN, Controller
+from .controller import _RANK_MARK, FLUSH, KEY_INIT, RESET, RUN, Controller
 from .datapath import (
     BLOCK_LATENCY,
     MAIN_ROUNDS,
     NUM_LOOP_STAGES,
-    TAG_FIELD,
+    TAG_BITS,
+    TAG_VALID,
     TRACK_CYCLES,
     DatapathTables,
     RoundDatapath,
@@ -139,28 +140,27 @@ class RunResult:
 # Trace text. Every line of a cycle starts with its ``cycle=<n>`` text,
 # formatted once per cycle. A status line goes on with _status_text. A tap
 # line goes on with its tap's `` stage=<id> slot=<s> mode=<e|d> data=``
-# text, from the tap's table at the word's ``slot << 1 | mode`` field,
-# then the word's 16 bytes in hex.
+# text, from the tap's table at the low five bits, ``slot << 1 | mode``,
+# of the word's tag field, then the word's 16 bytes in hex.
 _IA_TEXT, _SB_TEXT, _SR_TEXT, _MC_TEXT, _ARK_TEXT, _FIN_TEXT = (
     tuple(
         f" stage={stage_id} slot={code >> 1} mode={'ed'[code & 1]} data="
-        for code in range(TAG_FIELD + 1)
+        for code in range(TAG_VALID)
     )
     for stage_id in ("ia", "sb", "sr", "mc", "ark", "fin")
 )
 # The loop taps (sb, sr, mc, ark) are loop stages 1, 2, 8 and 11, whose
-# fields of the tag rank are bits 5k..5k+4.
-_LOOP_TAP_MASK = 1 << 1 | 1 << 2 | 1 << 8 | 1 << 11
+# fields of the tag rank are bits 6k..6k+5, valid bit highest.
+_LOOP_TAP_VALID = sum(TAG_VALID << TAG_BITS * k for k in (1, 2, 8, 11))
 _FSM_TEXT = {fsm: f" fsm={fsm} occ=" for fsm in (RESET, KEY_INIT, FLUSH, RUN)}
 _STALL_TEXT = (" stall=0\n", " stall=1\n")
-# Set above the occupancy's 12 bits, so bin() keeps their leading zeros.
-_OCC_MARK = 1 << NUM_LOOP_STAGES
 
 
-def _status_text(fsm: str, occupancy: int, stalled: bool) -> str:
+def _status_text(fsm: str, tags: int, stalled: bool) -> str:
     """A status line after its ``cycle=<n>`` text:
-    `` fsm=<state> occ=<12 bits> stall=<0|1>`` and the newline."""
-    return _FSM_TEXT[fsm] + bin(occupancy | _OCC_MARK)[3:] + _STALL_TEXT[stalled]
+    `` fsm=<state> occ=<12 bits> stall=<0|1>`` and the newline, with the
+    occupancy read from the valid bits of the controller's tag rank."""
+    return _FSM_TEXT[fsm] + bin(tags | _RANK_MARK)[3::TAG_BITS] + _STALL_TEXT[stalled]
 
 
 class PipelineSimulator:
@@ -289,7 +289,7 @@ class PipelineSimulator:
                     span = ctrl.skip_flush()
                     skipped_cycles += span
                     if trace is not None:
-                        status = _status_text(ctrl.fsm, ctrl.occupancy, False)
+                        status = _status_text(ctrl.fsm, ctrl.tags, False)
                         trace.write(
                             "".join([f"cycle={c}{status}" for c in range(first, first + span)])
                         )
@@ -312,7 +312,7 @@ class PipelineSimulator:
     @staticmethod
     def _emit_trace(trace: IO[str], ctrl: Controller, dp: RoundDatapath, stalled: bool) -> None:
         cycle = f"cycle={ctrl.cycle}"
-        parts = [cycle, _status_text(ctrl.fsm, ctrl.occupancy, stalled)]
+        parts = [cycle, _status_text(ctrl.fsm, ctrl.tags, stalled)]
         # One line per tap carrying a word, in trace order.
         tag = dp.ia_out_tag
         if tag is not None:
@@ -320,24 +320,23 @@ class PipelineSimulator:
                 cycle, _IA_TEXT[tag.slot << 1 | tag.mode],
                 dp.ia_out.to_bytes(16, "big").hex(), "\n",
             )
-        valid = dp.valid
-        if valid & _LOOP_TAP_MASK:
-            tags = dp.tags
-            if valid & 1 << 1:
+        tags = dp.tags
+        if tags & _LOOP_TAP_VALID:
+            if tags & 1 << 11:
                 parts += (
-                    cycle, _SB_TEXT[tags >> 5 & 31], dp.s1.to_bytes(16, "big").hex(), "\n",
+                    cycle, _SB_TEXT[tags >> 6 & 31], dp.s1.to_bytes(16, "big").hex(), "\n",
                 )
-            if valid & 1 << 2:
+            if tags & 1 << 17:
                 parts += (
-                    cycle, _SR_TEXT[tags >> 10 & 31], dp.s2.to_bytes(16, "big").hex(), "\n",
+                    cycle, _SR_TEXT[tags >> 12 & 31], dp.s2.to_bytes(16, "big").hex(), "\n",
                 )
-            if valid & 1 << 8:
+            if tags & 1 << 53:
                 parts += (
-                    cycle, _MC_TEXT[tags >> 40 & 31], dp.s8.to_bytes(16, "big").hex(), "\n",
+                    cycle, _MC_TEXT[tags >> 48 & 31], dp.s8.to_bytes(16, "big").hex(), "\n",
                 )
-            if valid & 1 << 11:
+            if tags & 1 << 71:
                 parts += (
-                    cycle, _ARK_TEXT[tags >> 55 & 31], dp.s11.to_bytes(16, "big").hex(), "\n",
+                    cycle, _ARK_TEXT[tags >> 66 & 31], dp.s11.to_bytes(16, "big").hex(), "\n",
                 )
         tag = dp.fa_out_tag
         if tag is not None:

@@ -7,7 +7,7 @@ import pytest
 from drablocus import aesref, datapath, metrics
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, Controller
-from drablocus.datapath import MAIN_ROUNDS
+from drablocus.datapath import MAIN_ROUNDS, TAG_BITS, TAG_VALID
 from drablocus.keyschedule import KeyScheduler
 from drablocus.simulator import PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_sbox_image, key_store_address
@@ -254,7 +254,7 @@ def test_simulate_modelled_fault_exits_1_with_one_line(tmp_path, capsys, monkeyp
         original(self, key_schedule_ready)
         if self.fsm == RUN and not upset_cycles:
             upset_cycles.append(self.cycle)
-            self.occupancy ^= 1 << 5
+            self.tags ^= TAG_VALID << TAG_BITS * 5
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     jobs = tmp_path / "jobs.txt"

@@ -6,7 +6,7 @@ import pytest
 
 from cycle_protocol import core_in_run, new_core, step_cycle
 from drablocus.controller import FLUSH, KEY_INIT, RESET, RUN, Controller
-from drablocus.datapath import NUM_LOOP_STAGES, TRACK_CYCLES
+from drablocus.datapath import NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES
 from drablocus.fabric import LutShiftRegister
 from drablocus.faults import AdmissionError
 from drablocus.simulator import Job, PipelineSimulator
@@ -129,7 +129,7 @@ def test_mode_register_tracks_word_modes():
         step_cycle(dp, ctrl, ks, job=job)
         for k, tag in enumerate(dp.loop_tags):
             if tag is not None:
-                assert (ctrl.modes >> k) & 1 == tag.mode
+                assert ctrl.tags >> TAG_BITS * k & 1 == tag.mode
 
 
 def test_packed_track_rank_matches_lut_chains(monkeypatch):

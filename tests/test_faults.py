@@ -6,9 +6,12 @@ composition of the unit classes with the same inputs; both must fail
 the same way. The controller faults come from single upsets of its
 registers or control lines in the middle of a simulator run, made after
 :meth:`Controller.begin_cycle` has decided the cycle; upsets of the
-datapath's packed tag ranks show that each compare of them fires. Upsets
-made during the flush show that the run fast-forwards the flush only from
-an exact fixed point.
+datapath's packed tag rank show that each compare of it fires, and every
+single-bit upset of either side's tag rank on sampled cycles fails or
+passes the one-compare check as the ordered checks would. Upsets made
+during the flush show that the run fast-forwards the flush only from an
+exact fixed point. Data upsets, which no check covers, complete with
+wrong outputs.
 """
 
 import random
@@ -17,11 +20,12 @@ import pytest
 
 from composed_datapath import ComposedDatapath
 from cycle_protocol import core_in_run, step_cycle
+from drablocus import aesref
 from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
     TAG_BITS,
-    TAG_FIELD,
+    TAG_VALID,
     TRACK_CYCLES,
     RoundDatapath,
     Word,
@@ -37,7 +41,13 @@ from drablocus.faults import (
 )
 from drablocus.keyschedule import READY, KeyScheduler
 from drablocus.simulator import Job, PipelineSimulator
-from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image
+from drablocus.tables import (
+    MODE_DECRYPT,
+    MODE_ENCRYPT,
+    build_mixcolumns_image,
+    build_sbox_image,
+    key_store_address,
+)
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -173,7 +183,7 @@ def test_flipped_track_final_bit_raises_control_fault(monkeypatch):
 
 def test_flipped_occupancy_bit_raises_control_fault(monkeypatch):
     def upset(ctrl):
-        ctrl.occupancy ^= 1 << 5
+        ctrl.tags ^= TAG_VALID << TAG_BITS * 5
 
     with pytest.raises(ControlFault, match="occupancy register"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13))
@@ -181,7 +191,7 @@ def test_flipped_occupancy_bit_raises_control_fault(monkeypatch):
 
 def test_flipped_mode_bit_raises_control_fault(monkeypatch):
     def upset(ctrl):
-        ctrl.modes ^= 1 << 5
+        ctrl.tags ^= 1 << TAG_BITS * 5
 
     with pytest.raises(ControlFault, match="mode register [01]{12} disagrees with datapath tags"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
@@ -199,7 +209,7 @@ def test_slipped_phase_counter_raises_control_fault(monkeypatch):
 def test_phantom_arrival_raises_control_fault(monkeypatch):
     # The initial key-add tracking claims a block the datapath does not hold.
     def upset(ctrl):
-        ctrl._arriving1 = Word(seq=99, mode=MODE_ENCRYPT, slot=0)
+        ctrl._arriving1 = TAG_VALID | MODE_ENCRYPT
 
     with pytest.raises(ControlFault, match="initial-stage tracking out of step"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
@@ -254,7 +264,7 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when):
 
 
 def datapath_full(ctrl, dp):
-    return dp.valid == FULL_LOOP
+    return None not in dp.loop_tags
 
 
 # Each packed tag rank of the datapath, upset on a live stage of a full loop,
@@ -283,7 +293,7 @@ def test_flipped_mode_rank_bit_raises_control_fault(monkeypatch):
 
 def test_cleared_valid_bit_raises_control_fault(monkeypatch):
     def upset(ctrl, dp):
-        dp.valid ^= 1 << UPSET_STAGE
+        dp.tags ^= TAG_VALID << TAG_BITS * UPSET_STAGE
 
     with pytest.raises(ControlFault) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
@@ -297,7 +307,7 @@ def test_valid_bit_set_at_s11_as_a_word_arrives_raises_collision_error(monkeypat
     # The phantom word at S11 wraps into S0 on the commit that takes the
     # first block there; the datapath raises before the controller checks.
     def upset(ctrl, dp):
-        dp.valid |= 1 << NUM_LOOP_STAGES - 1
+        dp.tags |= TAG_VALID << TAG_BITS * (NUM_LOOP_STAGES - 1)
 
     def arriving(ctrl, dp):
         return dp.ia_out_tag is not None
@@ -317,15 +327,116 @@ def test_overwritten_sequence_id_raises_timing_fault(monkeypatch):
     # stage 4, admitted a cycle later, so it completes a cycle early by
     # that block's admission.
     def upset(ctrl, dp):
-        def slot(stage):
-            return (dp.tags >> TAG_BITS * stage & TAG_FIELD) >> 1
-
-        dp.seqs[slot(UPSET_STAGE)] = dp.seqs[slot(UPSET_STAGE - 1)]
+        tags = dp.loop_tags
+        dp.seqs[tags[UPSET_STAGE].slot] = dp.seqs[tags[UPSET_STAGE - 1].slot]
 
     with pytest.raises(TimingFault) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=datapath_full)
     assert str(err.value) == "cycle 282: block 7 completed after 114 cycles, expected 115"
     assert err.value.cycle == 282
+
+
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        # The divert reads S2's slot to name the word it sends to the final
+        # key-add; the key store reads S7's, the counter increment S8's, and
+        # S11's wraps into S0.
+        (2, "cycle 274: track 5 expired without its block at the shift-rows register "
+            "(found Word(seq=0, mode=1, slot=13))"),
+        (7, "cycle 171: stage 7 holds slot 13, phase math requires 5"),
+        (8, "cycle 172: stage 8 holds slot 13, phase math requires 5"),
+        (11, "cycle 175: stage 11 holds slot 13, phase math requires 5"),
+    ],
+)
+def test_slot_field_upset_past_eleven_raises_control_fault(monkeypatch, stage, message):
+    # Flipping the top slot bit of a word in slots 4-7 gives it slot 12-15,
+    # which a 4-bit field can hold and no phase requires. Every per-slot
+    # table has an entry for it, so the check names the fault.
+    def when(ctrl, dp):
+        word = dp.loop_tags[stage]
+        return word is not None and 4 <= word.slot < 8 and (stage != 2 or ctrl.divert)
+
+    def upset(ctrl, dp):
+        dp.tags ^= 1 << 4 << TAG_BITS * stage
+
+    with pytest.raises(ControlFault) as err:
+        run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when)
+    assert str(err.value) == message
+
+
+def reference_check(ctrl, dp):
+    """The controller's checks as ordered tests over 12-bit views of both
+    tag ranks: the fault message, or the datapath's occupancy."""
+    phase = ctrl.cycle % NUM_LOOP_STAGES
+    expected = [(phase - 3 - k) % NUM_LOOP_STAGES for k in range(NUM_LOOP_STAGES)]
+    fields = [dp.tags >> TAG_BITS * k & 0x3F for k in range(NUM_LOOP_STAGES)]
+    slots = [field >> 1 & 0xF for field in fields]
+
+    def bits(rank, bit):
+        return sum((rank >> TAG_BITS * k + bit & 1) << k for k in range(NUM_LOOP_STAGES))
+
+    valid, dp_modes = bits(dp.tags, 5), bits(dp.tags, 0)
+    occupancy, modes = bits(ctrl.tags, 5), bits(ctrl.tags, 0)
+    if ctrl.divert and (not valid & 1 << 2 or slots[2] != expected[2]):
+        found = Word(dp.seqs[slots[2]], fields[2] & 1, slots[2]) if valid & 1 << 2 else None
+        return (
+            f"track {expected[2]} expired without its block at the shift-rows register "
+            f"(found {found})"
+        )
+    for k in range(NUM_LOOP_STAGES):
+        if valid >> k & 1 and slots[k] != expected[k]:
+            return f"stage {k} holds slot {slots[k]}, phase math requires {expected[k]}"
+    if valid != occupancy:
+        return f"occupancy register {occupancy:012b} vs datapath {valid:012b}"
+    if (dp_modes ^ modes) & valid:
+        return f"mode register {modes:012b} disagrees with datapath tags"
+    if (not ctrl._arriving1) != (dp.ia_out_tag is None):
+        return "initial-stage tracking out of step"
+    if ctrl.main_reset and valid & 1 << 10:
+        return f"output reset would scrub live block {dp.loop_tags[10]}"
+    return valid
+
+
+def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_upset(
+    monkeypatch,
+):
+    # On sampled run cycles, each bit of the datapath's tag rank and each
+    # valid and mode bit of the controller's is flipped in turn before the
+    # check; the fault it raises, or the occupancy it passes with, must be
+    # the reference's.
+    original = Controller.check_against
+    controller_bits = [TAG_BITS * k + bit for k in range(NUM_LOOP_STAGES) for bit in (0, 5)]
+    outcomes, sampled = [], []
+
+    def outcome(ctrl, dp):
+        try:
+            live = original(ctrl, dp)
+        except ControlFault as fault:
+            return str(fault)
+        return sum((live >> TAG_BITS * k & 1) << k for k in range(NUM_LOOP_STAGES))
+
+    def checked(self, datapath):
+        if self.fsm == RUN and self.cycle % 3 == 0:
+            sampled.append(self.cycle)
+            upsets = [(datapath, bit) for bit in range(TAG_BITS * NUM_LOOP_STAGES)]
+            upsets += [(self, bit) for bit in controller_bits]
+            for owner, bit in upsets:
+                owner.tags ^= 1 << bit
+                got = outcome(self, datapath)
+                assert got == reference_check(self, datapath), (self.cycle, owner, bit)
+                owner.tags ^= 1 << bit
+                outcomes.append(got)
+        return original(self, datapath)
+
+    monkeypatch.setattr(Controller, "check_against", checked)
+    result = PipelineSimulator().run(FIPS_KEY, mixed_jobs(24))
+    assert result.summary.blocks_completed == 24
+    assert len(sampled) > 70
+    assert len(outcomes) == 96 * len(sampled)
+    kinds = {o if isinstance(o, int) else o.split(" ")[0] for o in outcomes}
+    assert {"track", "stage", "occupancy", "mode"} <= kinds
+    assert any(isinstance(o, int) for o in outcomes)
 
 
 # Upsets during the flush: the run fast-forwards the flush only from an
@@ -385,6 +496,49 @@ def test_datapath_upset_in_flush_delays_the_skip(monkeypatch):
     assert result.summary.skipped_cycles == span - 6
 
 
+# Data upsets that no check covers: the model checks tags and control, not
+# data values. An upset of the encrypt half of the key store or of the
+# substitution table at the start of the run corrupts encrypt outputs and
+# leaves the decrypt outputs, and the run, untouched.
+def assert_only_encrypt_outputs_differ(result, jobs):
+    assert result.summary.blocks_completed == len(jobs)
+    differing = 0
+    for job in jobs:
+        if job.mode == MODE_DECRYPT:
+            assert result.outputs[job.seq] == aesref.decrypt_block(FIPS_KEY, job.block)
+        else:
+            differing += result.outputs[job.seq] != aesref.encrypt_block(FIPS_KEY, job.block)
+    assert differing > 0
+
+
+def test_flipped_encrypt_round_key_bit_completes_with_wrong_encrypt_outputs(monkeypatch):
+    original = KeyScheduler.on_admission
+    admissions = []
+
+    def on_admission(self, slot):
+        if not admissions:
+            self.image[key_store_address(MODE_ENCRYPT, 5)] ^= 1 << 77
+        admissions.append(slot)
+        original(self, slot)
+
+    monkeypatch.setattr(KeyScheduler, "on_admission", on_admission)
+    jobs = mixed_jobs(24)
+    assert_only_encrypt_outputs_differ(PipelineSimulator().run(FIPS_KEY, jobs), jobs)
+
+
+def test_flipped_encrypt_sbox_entry_completes_with_wrong_encrypt_outputs(monkeypatch):
+    def upset(ctrl, dp):
+        encrypt = bytearray(dp._sbox[MODE_ENCRYPT])
+        encrypt[0x53] ^= 1
+        dp._sbox = (bytes(encrypt), dp._sbox[MODE_DECRYPT])
+
+    jobs = mixed_jobs(24)
+    result = run_with_rank_upset(
+        monkeypatch, upset, jobs, when=lambda ctrl, dp: ctrl.fsm == RUN
+    )
+    assert_only_encrypt_outputs_differ(result, jobs)
+
+
 def test_admission_on_a_stalled_cycle_raises_admission_error():
     # Twelve cycles after its admission the first block is in stage 9, so
     # the controller stalls that cycle; a caller admitting anyway is refused.
@@ -407,8 +561,8 @@ def test_occupancy_wrap_into_an_arriving_word_raises_control_fault():
     # the controller alone, it fires and names no cycle.
     ctrl = Controller()
     ctrl.fsm = RUN
-    ctrl.occupancy = 1 << NUM_LOOP_STAGES - 1
-    ctrl._arriving1 = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
+    ctrl.tags = TAG_VALID << TAG_BITS * (NUM_LOOP_STAGES - 1)
+    ctrl._arriving1 = TAG_VALID | MODE_ENCRYPT
     with pytest.raises(ControlFault, match="^occupancy wrap collides with admission$") as err:
         ctrl.commit()
     assert err.value.cycle is None

@@ -6,7 +6,7 @@ import pytest
 
 from cycle_protocol import core_in_run
 from drablocus import aesref
-from drablocus.datapath import TAG_BITS, TAG_FIELD, Word
+from drablocus.datapath import TAG_BITS, TAG_FIELD, TAG_VALID, Word
 from drablocus.fabric import BramModel
 from drablocus.faults import KeyStoreFault
 from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
@@ -26,10 +26,9 @@ def initialize(key: bytes):
 
 
 def place_tag(dp, stage, tag):
-    """Put ``tag`` in loop stage ``stage`` of the datapath's tag ranks."""
+    """Put ``tag`` in loop stage ``stage`` of the datapath's tag rank."""
     shift = TAG_BITS * stage
-    dp.valid |= 1 << stage
-    dp.tags = dp.tags & ~(TAG_FIELD << shift) | (tag.slot << 1 | tag.mode & 1) << shift
+    dp.tags = dp.tags & ~(TAG_FIELD << shift) | (TAG_VALID | tag.slot << 1 | tag.mode & 1) << shift
     dp.seqs[tag.slot] = tag.seq
 
 
