@@ -38,6 +38,10 @@ four reset lines, ``divert`` into the final key-add and ``admit_ready``.
 :meth:`Controller.check_against` is the one reconciliation of those
 registers and lines with the datapath's tags, made once the datapath has
 computed the cycle, and :meth:`Controller.commit` shifts the registers.
+Between admissions and diverts the registers only rotate:
+:meth:`Controller.event_free_cycles` counts such cycles ahead from
+registered state, and :meth:`Controller.advance` commits a window of them
+at once.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -55,8 +59,8 @@ compare walks the stages, to name the one at fault.
 from __future__ import annotations
 
 from .datapath import (
-    _CLEAR_TAG3, _TAG_WRAP_SHIFT, _TAGS_MASK, _VALID2, FIELD_LSBS, NUM_LOOP_STAGES, TAG_BITS,
-    TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
+    _CLEAR_TAG3, _SLOT_FIELD, _TAG_WRAP_SHIFT, _TAGS_MASK, _VALID2, FIELD_LSBS, NUM_LOOP_STAGES,
+    TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
 
@@ -72,6 +76,8 @@ STAGE_PHASE_OFFSET = 3
 
 _VALID9 = TAG_VALID << 9 * TAG_BITS
 _VALID10 = TAG_VALID << 10 * TAG_BITS
+# The slot bits of a stage's field.
+_SLOT_BITS = _SLOT_FIELD << 1
 _TRACK_FINAL = TRACK_CYCLES - 1
 
 # Track rank: per slot, its admission bit (bit 0 of its field), its whole
@@ -95,6 +101,8 @@ _EXPECTED_TAGS = tuple(
     sum(slot << 1 << TAG_BITS * k for k, slot in enumerate(expected))
     for expected in _EXPECTED_SLOTS
 )
+# The loop stages in the order the rotation brings them to stage 9.
+_STAGE9_FIRST = tuple((9 - k) % NUM_LOOP_STAGES for k in range(NUM_LOOP_STAGES))
 # Set above a tag rank's top field, so bin() keeps the leading fields'
 # zeros: bin(tags | _RANK_MARK)[3::6] is the rank's valid bits and [8::6]
 # its mode bits, stage 11 first.
@@ -204,6 +212,14 @@ class Controller:
             valid = sum(1 << stage for stage, word in enumerate(found) if word is not None)
             if valid != occupancy:
                 raise ControlFault(f"occupancy register {occupancy:012b} vs datapath {valid:012b}")
+            # The slot bits of the controller's rank model no register.
+            stray = tags & live * _SLOT_BITS
+            if stray:
+                stage = ((stray & -stray).bit_length() - 1) // TAG_BITS
+                raise ControlFault(
+                    f"stage {stage} of the controller's tag rank holds slot bits "
+                    f"{tags >> TAG_BITS * stage + 1 & _SLOT_FIELD:04b}, which model no register"
+                )
             modes = int(bin(tags | _RANK_MARK)[8::TAG_BITS], 2)
             raise ControlFault(f"mode register {modes:012b} disagrees with datapath tags")
         if (not self._arriving1) != (datapath.ia_out_tag is None):
@@ -226,6 +242,43 @@ class Controller:
         self.cycle += span
         self._flush_count = TRACK_CYCLES
         return span
+
+    def event_free_cycles(self, pending: bool, limit: int) -> int:
+        """From registered state: how many cycles, this one first and at
+        most ``limit``, pass in run with no admission, no divert and no word
+        on the initial key-add ranks.
+
+        A divert waits for a track chain to reach its final bit, so the
+        chain with the highest set bit bounds the count. While jobs are
+        pending, an admission waits for the rotating occupancy register to
+        bring an empty field to stage 9.
+        """
+        if self.fsm != RUN or self._arriving0 or self._arriving1:
+            return 0
+        track = self.track
+        if track:
+            # The twelve chains ORed into one field: its top bit is the highest.
+            chains = 0
+            for slot in range(NUM_LOOP_STAGES):
+                chains |= track >> TRACK_CYCLES * slot
+            limit = min(limit, TRACK_CYCLES - (chains & _TRACK_FIELDS[0]).bit_length())
+        if pending:
+            tags = self.tags
+            for occupied, stage in enumerate(_STAGE9_FIRST):
+                if not tags >> TAG_BITS * stage & TAG_VALID:
+                    return min(limit, occupied)
+        return limit
+
+    def advance(self, cycles: int) -> None:
+        """Commit ``cycles`` cycles of a window at once: cycles with no
+        admission and no divert, over which no track chain reaches its
+        final bit. The track chains shift with no bit to drop, and the
+        occupancy and mode registers rotate."""
+        self.track <<= cycles
+        shift = TAG_BITS * (cycles % NUM_LOOP_STAGES)
+        tags = self.tags
+        self.tags = (tags << shift | tags >> TAG_BITS * NUM_LOOP_STAGES - shift) & _TAGS_MASK
+        self.cycle += cycles
 
     def commit(self) -> None:
         # Track registers shift every cycle; the admitted slot's register

@@ -45,14 +45,15 @@ and register at a time; they are the unit-tested specification.
 (several registers of one rank as bit fields of one int) and steps them
 in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
-makes no per-primitive calls. A lockstep test replays a simulator run
-into both and compares every tap on every cycle.
+makes no per-primitive calls. The same code steps one cycle, or a window
+of cycles in one frame over locals. A lockstep test replays a simulator
+run into both and compares every tap on every cycle.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .aesref import _DEC_SHIFT, _ENC_SHIFT
 from .fabric import BramModel, DspXorSlice, Register
@@ -76,6 +77,10 @@ _MASK48 = (1 << 48) - 1
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 _MASK256 = (1 << 256) - 1
+_MASK384 = (1 << 384) - 1
+# The 128-bit field below the top one of a 384-bit and of a 512-bit rank.
+_MID128 = _MASK128 << 128
+_SECOND128 = _MASK128 << 256
 
 # Tag ranks: one 6-bit ``valid << 5 | slot << 1 | mode`` field per loop
 # stage, stage k in bits 6k..6k+5, zero where the stage is empty. Rotating
@@ -98,6 +103,7 @@ _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 
 # Row shift of a 16-byte state, per mode bit.
 _SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
+_ZERO_STATE = (0,) * 16
 
 
 def or_mux_tap(*operands: int) -> int:
@@ -356,18 +362,15 @@ def _checked_image(image, width: int, name: str) -> list[int]:
     return words
 
 
-def _rotate_right(entry: int, k: int) -> int:
-    return ((entry >> 8 * k) | (entry << 32 - 8 * k)) & _MASK32
-
-
 class DatapathTables:
     """Lookup tables of the flat step, derived once from the two RAM images.
 
     ``sbox[mode]`` is the 256-byte ``bytes.translate`` table of one half of
     the substitution image. ``lanes[mode][k][b]`` is the product entry for
-    {mode, b} rotated right by k bytes: lane k of column j then lines up
-    field (i - k) mod 4 of entry 4j + k under output row i, which is the
-    :data:`PACK_MAP` wiring with the cascade groups side by side.
+    {mode, b} rotated right by k bytes, as 4 big-endian bytes: lane k of
+    column j then lines up field (i - k) mod 4 of entry 4j + k under output
+    row i, which is the :data:`PACK_MAP` wiring with the cascade groups side
+    by side, and a rank of product entries is the join of its 16 entries.
     """
 
     __slots__ = ("sbox", "lanes")
@@ -378,10 +381,11 @@ class DatapathTables:
             build_mixcolumns_image() if mc_image is None else mc_image, 32, "mcprod"
         )
         self.sbox = (bytes(sbox[:256]), bytes(sbox[256:]))
-        self.lanes = tuple(
-            tuple(tuple(_rotate_right(e, k) for e in mc[base : base + 256]) for k in range(4))
-            for base in (0, 256)
-        )
+        lanes = []
+        for base in (0, 256):
+            entries = [entry.to_bytes(4, "big") for entry in mc[base : base + 256]]
+            lanes.append(tuple(tuple(e[4 - k :] + e[: 4 - k] for e in entries) for k in range(4)))
+        self.lanes = tuple(lanes)
 
 
 class RoundDatapath:
@@ -392,6 +396,8 @@ class RoundDatapath:
     of every rank and tag (raising the S0 collision there); commit only
     latches them. Between the two, :meth:`taps` and the tags show the
     committed state, each tag naming the word whose data its rank holds.
+    Given the key pairs of further cycles, compute derives the state after
+    those too, under the same lines, and commit latches that.
 
     Every register rank is one int attribute; a rank built from several
     registers holds them as bit fields, first register most significant:
@@ -468,106 +474,143 @@ class RoundDatapath:
         final_reset: bool = False,
         ks_sub_bytes: tuple[int, int] = (0, 0),
         ks_mix_columns: tuple[int, int] = (0, 0),
+        keys: Sequence[tuple[int, int]] = (),
     ) -> None:
-        # Locals named after a rank hold its next value; committed values
-        # are read from the attributes, so taps do not move until commit.
-        # live_tags is the committed tag rank.
-        live_tags = self.tags
-        entering = self.ia_out_tag
-        recirc = self.s11
-        arriving = self.ia_out
+        """Compute one cycle, and one more under the same lines for each
+        ``(main_key, final_key)`` pair in ``keys``: each cycle but the last
+        is committed in locals, and the last one's next state awaits
+        :meth:`commit_cycle`. The default lines are a window's: no admission,
+        no divert, only the initial key-add held in reset."""
+        sbox = self._sbox
+        lanes = self._lanes
+        seqs = self.seqs
         ks_sb_data, ks_sb_mode = ks_sub_bytes
         ks_mc_data, ks_mc_mode = ks_mix_columns
-
-        # Substitution RAMs behind the OR mux; the driving word's mode (the
-        # key schedule's when none) selects the table half. The mux check
-        # is called only when two sources drive, to raise its fault.
-        if (recirc and (arriving or ks_sb_data)) or (arriving and ks_sb_data):
-            or_mux_tap(recirc, arriving, ks_sb_data)
-        if entering is not None:
-            sb_mode = entering.mode
-        elif live_tags & _VALID11:
-            sb_mode = live_tags >> _TAG_WRAP_SHIFT & 1
-        else:
-            sb_mode = ks_sb_mode
-        s0 = int.from_bytes(
-            (recirc | arriving | ks_sb_data).to_bytes(16, "big").translate(self._sbox[sb_mode]),
-            "big",
-        )
-
-        # Row shift of the substitution RAM output register.
-        if shift_rows_reset:
-            s2 = 0
-        else:
-            s2 = int.from_bytes(
-                bytes(_SHIFT_ROWS[live_tags >> TAG_BITS & 1](self.s1.to_bytes(16, "big"))), "big"
-            )
-
-        # Product RAMs behind the OR mux, read straight into lane order.
-        shifted = self.s2
-        if shifted and ks_mc_data:
-            or_mux_tap(shifted, ks_mc_data)
-        mc_mode = live_tags >> _TAG2_SHIFT & 1 if live_tags & _VALID2 else ks_mc_mode
-        l0, l1, l2, l3 = self._lanes[mc_mode]
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
-            (shifted | ks_mc_data).to_bytes(16, "big")
-        )
-        s3 = (
-            (l0[b0] << 480) | (l0[b4] << 448) | (l0[b8] << 416) | (l0[b12] << 384)
-            | (l1[b1] << 352) | (l1[b5] << 320) | (l1[b9] << 288) | (l1[b13] << 256)
-            | (l2[b2] << 224) | (l2[b6] << 192) | (l2[b10] << 160) | (l2[b14] << 128)
-            | (l3[b3] << 96) | (l3[b7] << 64) | (l3[b11] << 32) | l3[b15]
-        )
-
-        # XOR cascade: each rank folds the next lane into the running sum.
-        rank = self.s5
-        s6 = ((((rank >> 256) ^ (rank >> 384)) & _MASK128) << 256) | (rank & _MASK256)
-        rank = self.s6
-        s7 = ((((rank >> 128) ^ (rank >> 256)) & _MASK128) << 128) | (rank & _MASK128)
-        rank = self.s7
-        s8 = (rank >> 128) ^ (rank & _MASK128)
-
-        # Key-add outputs: the XOR of the last input rank's data and key.
-        rank = self.s10
-        s11 = 0 if main_reset else (rank >> 128) ^ (rank & _MASK128)
-        rank = self.fa_in
-        fa_out = 0 if final_reset else (rank >> 128) ^ (rank & _MASK128)
-        rank = self.ia_in
-        ia_out = 0 if initial_reset else (rank >> 128) ^ (rank & _MASK128)
         if admit is not None:
             block, key, admitted = admit
-            ia_in = (block << 128) | key
+            ia_in_next = (block << 128) | key
         else:
-            ia_in = 0
+            ia_in_next = 0
             admitted = None
 
-        # Tags take their next value beside the data: the tag rank rotates
-        # one stage, S11's word wrapping into S0; the arriving word takes S0
-        # (never beside a recirculating one), and a divert sends S2's word
-        # into the final instance instead of S3.
-        tags = ((live_tags << TAG_BITS) | (live_tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
-        if entering is not None:
-            if tags & TAG_VALID:
-                raise CollisionError(
-                    f"stage S0 claimed by arriving {entering} and recirculating "
-                    f"{self._tag(NUM_LOOP_STAGES - 1)}"
-                )
-            slot = entering.slot
-            self.seqs[slot] = entering.seq
-            tags |= TAG_VALID | slot << 1 | entering.mode & 1
-        diverted = None
-        if divert:
-            code = live_tags >> _TAG2_SHIFT
-            if code & TAG_VALID:
-                slot = code >> 1 & _SLOT_FIELD
-                diverted = Word(self.seqs[slot], code & 1, slot)
-            tags &= _CLEAR_TAG3
+        # The committed state in locals: s0 and s1 as bytes, s2 as its 16
+        # bytes (the row shift gives a tuple of them). Each cycle computes
+        # every rank's next value and latches it in place, from the end of
+        # the loop back, so that each rank is read before it is overwritten;
+        # S0's next value waits in sub while S11's is computed. s2_1 and s2_2
+        # keep the last two cycles' s2 for the final key-add ranks, which
+        # only the last two cycles reach.
+        s0 = self.s0.to_bytes(16, "big")
+        s1 = self.s1.to_bytes(16, "big")
+        s2 = s2_1 = s2_2 = self.s2.to_bytes(16, "big")
+        s3, s4, s5, s6, s7, s8 = self.s3, self.s4, self.s5, self.s6, self.s7, self.s8
+        s9, s10, s11 = self.s9, self.s10, self.s11
+        ia_in, ia_out, tags = self.ia_in, self.ia_out, self.tags
+        ia_in_tag, entering, fa_in_tag = self.ia_in_tag, self.ia_out_tag, self.fa_in_tag
+        fa_out_tag = self.fa_out_tag
 
+        cycles = len(keys)
+        cycle = 0
+        while True:
+            # Substitution RAMs behind the OR mux; the driving word's mode
+            # (the key schedule's when none) selects the table half. The mux
+            # check is called only when two sources drive, to raise its fault.
+            if (s11 and (ia_out or ks_sb_data)) or (ia_out and ks_sb_data):
+                or_mux_tap(s11, ia_out, ks_sb_data)
+            if entering is not None:
+                sb_mode = entering.mode
+            elif tags & _VALID11:
+                sb_mode = tags >> _TAG_WRAP_SHIFT & 1
+            else:
+                sb_mode = ks_sb_mode
+            sub = (s11 | ia_out | ks_sb_data).to_bytes(16, "big").translate(sbox[sb_mode])
+
+            # Key-add outputs: the XOR of the last input rank's data and key.
+            s11 = 0 if main_reset else (s10 >> 128) ^ (s10 & _MASK128)
+            s10 = s9
+            s9 = (s8 << 128) | main_key
+            ia_out = 0 if initial_reset else (ia_in >> 128) ^ (ia_in & _MASK128)
+            ia_in = ia_in_next
+
+            # XOR cascade: each rank folds the next lane into the running sum,
+            # XORing its first field onto the second and dropping the first.
+            s8 = (s7 ^ (s7 >> 128)) & _MASK128
+            s7 = (s6 ^ ((s6 >> 128) & _MID128)) & _MASK256
+            s6 = (s5 ^ ((s5 >> 128) & _SECOND128)) & _MASK384
+            s5 = s4
+            s4 = s3
+
+            # Product RAMs behind the OR mux, read straight into lane order.
+            if ks_mc_data:
+                shifted = int.from_bytes(bytes(s2), "big")
+                if shifted:
+                    or_mux_tap(shifted, ks_mc_data)
+                mc_in = (shifted | ks_mc_data).to_bytes(16, "big")
+            else:
+                mc_in = s2
+            l0, l1, l2, l3 = lanes[tags >> _TAG2_SHIFT & 1 if tags & _VALID2 else ks_mc_mode]
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = mc_in
+            s3 = int.from_bytes(b"".join((
+                l0[b0], l0[b4], l0[b8], l0[b12], l1[b1], l1[b5], l1[b9], l1[b13],
+                l2[b2], l2[b6], l2[b10], l2[b14], l3[b3], l3[b7], l3[b11], l3[b15],
+            )), "big")
+
+            # Row shift of the substitution RAM output register.
+            s2_2 = s2_1
+            s2_1 = s2
+            s2 = _ZERO_STATE if shift_rows_reset else _SHIFT_ROWS[tags >> TAG_BITS & 1](s1)
+            s1 = s0
+            s0 = sub
+
+            # Tags take their next value beside the data: the tag rank rotates
+            # one stage, S11's word wrapping into S0; the arriving word takes
+            # S0 (never beside a recirculating one), and a divert sends S2's
+            # word into the final instance instead of S3.
+            rotated = ((tags << TAG_BITS) | (tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
+            if entering is not None:
+                if rotated & TAG_VALID:
+                    raise CollisionError(
+                        f"stage S0 claimed by arriving {entering} and recirculating "
+                        f"{self._word(tags, NUM_LOOP_STAGES - 1)}"
+                    )
+                slot = entering.slot
+                seqs[slot] = entering.seq
+                rotated |= TAG_VALID | slot << 1 | entering.mode & 1
+            diverted = None
+            if divert:
+                code = tags >> _TAG2_SHIFT
+                if code & TAG_VALID:
+                    slot = code >> 1 & _SLOT_FIELD
+                    diverted = Word(seqs[slot], code & 1, slot)
+                rotated &= _CLEAR_TAG3
+            tags = rotated
+            fa_out_tag = fa_in_tag
+            fa_in_tag = diverted
+            entering = ia_in_tag
+            ia_in_tag = admitted
+
+            if cycle == cycles:
+                break
+            last_final_key = final_key
+            main_key, final_key = keys[cycle]
+            cycle += 1
+
+        # The final key-add ranks, from the last two cycles: the input rank
+        # takes the last cycle's s2 and final key, and the output rank the
+        # XOR of the input rank the last cycle began with. After one cycle
+        # the committed ranks hold what the locals would convert back.
+        if cycles:
+            next_s1 = int.from_bytes(s1, "big")
+            last_s2 = int.from_bytes(bytes(s2_1), "big")
+            fa_in = (int.from_bytes(bytes(s2_2), "big") << 128) | last_final_key
+        else:
+            next_s1, last_s2, fa_in = self.s0, self.s2, self.fa_in
         self._next = (
-            s0, self.s0, s2, s3, self.s3, self.s4, s6, s7, s8,
-            (self.s8 << 128) | main_key, self.s9, s11,
-            ia_in, ia_out, (shifted << 128) | final_key, fa_out,
-            tags, admitted, self.ia_in_tag, diverted, self.fa_in_tag,
+            int.from_bytes(s0, "big"), next_s1, int.from_bytes(bytes(s2), "big"),
+            s3, s4, s5, s6, s7, s8, s9, s10, s11,
+            ia_in, ia_out, (last_s2 << 128) | final_key,
+            0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128),
+            tags, ia_in_tag, entering, fa_in_tag, fa_out_tag,
         )
 
     def commit_cycle(self) -> None:
@@ -588,8 +631,9 @@ class RoundDatapath:
             0, None, None, None, None,
         )
 
-    def _tag(self, stage: int) -> Word | None:
-        code = self.tags >> TAG_BITS * stage
+    def _word(self, tags: int, stage: int) -> Word | None:
+        """The tag of the word in ``stage`` of a tag rank, or None."""
+        code = tags >> TAG_BITS * stage
         if not code & TAG_VALID:
             return None
         slot = code >> 1 & _SLOT_FIELD
@@ -599,17 +643,17 @@ class RoundDatapath:
     def loop_tags(self) -> tuple[Word | None, ...]:
         """The tag of each loop stage's word (None where a stage is empty),
         built from the tag ranks on request."""
-        return tuple(map(self._tag, range(NUM_LOOP_STAGES)))
+        return tuple(self._word(self.tags, stage) for stage in range(NUM_LOOP_STAGES))
 
     def taps(self) -> tuple[tuple[int, Word | None], ...]:
         """The six tap points in trace order (ia, sb, sr, mc, ark, fin),
         each value with the tag of the word it carries this cycle."""
-        tag = self._tag
+        tag, tags = self._word, self.tags
         return (
             (self.ia_out, self.ia_out_tag),
-            (self.s1, tag(1)),
-            (self.s2, tag(2)),
-            (self.s8, tag(8)),
-            (self.s11, tag(11)),
+            (self.s1, tag(tags, 1)),
+            (self.s2, tag(tags, 2)),
+            (self.s8, tag(tags, 8)),
+            (self.s11, tag(tags, 11)),
             (self.fa_out, self.fa_out_tag),
         )

@@ -29,6 +29,8 @@ from .datapath import (
     _MASK32,
     _MASK128,
     _SLOT_FIELD,
+    _TAG_WRAP_SHIFT,
+    _TAGS_MASK,
     MAIN_ROUNDS,
     MIX_COLUMNS_LATENCY,
     SLOT_VALUES,
@@ -103,33 +105,23 @@ class KeyScheduler:
     def on_admission(self, slot: int) -> None:
         self.round_counters[slot] = 0
 
-    def compute(self, datapath: RoundDatapath, controller_fsm: str) -> None:
-        if self.fsm == READY:
-            # Service. A {mode, round <= 10} address is below the depth of
-            # 32, so neither port can leave the image. The injects stay
-            # zero, as cleared on the last initialization cycle.
-            tags = datapath.tags
-            # Arbitrary-round consumer: the word now in stage 7 presents to
-            # the main key-add next cycle, together with port a's read.
-            code = tags >> _TAG7_SHIFT
-            if code & TAG_VALID:
-                slot = code >> 1 & _SLOT_FIELD
-                round_index = self.round_counters[slot] + 1
-                if round_index > MAIN_ROUNDS:
-                    raise KeyStoreFault(
-                        f"slot {slot} requested main-loop key for round {round_index}"
-                    )
-                self.addr_a = (code & 1) << 4 | round_index
-            else:
-                self.addr_a = 0
-            # Final-key consumer: constantly reads round 10 for the mode of
-            # the word that would reach the final instance two cycles from
-            # now (a stage without a word has a zero field).
-            self.addr_b = (tags >> TAG_BITS & 1) << 4 | NUM_ROUNDS
-            # The word in stage 8 consumes its key at the next commit.
-            code = tags >> _TAG8_SHIFT
-            self._pending_increment = code >> 1 & _SLOT_FIELD if code & TAG_VALID else None
-        else:
+    def compute(
+        self, datapath: RoundDatapath, controller_fsm: str, cycles: int = 1
+    ) -> list[tuple[int, int]]:
+        """Set both port addresses and read them, for one cycle or, in
+        service, for ``cycles`` cycles of the datapath's tag rank rotating one
+        stage per cycle. The last cycle's reads and counter increment await
+        :meth:`commit`; the cycles before it commit here, but for the port
+        outputs, which keep the first cycle's until that commit.
+
+        Returns the ``(out_a, out_b)`` pair of each cycle after the first,
+        the keys the datapath's key-add instances take on it. A read past the
+        last main round raises on the first cycle; on a later one the
+        service stops short of that cycle, which is then stepped alone and
+        raises there.
+        """
+        keys = []
+        if self.fsm != READY:
             self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
             if controller_fsm == KEY_INIT:
                 if self._program is None:
@@ -140,9 +132,57 @@ class KeyScheduler:
                     self.fsm = READY
                 else:
                     self.init_cycles += 1
+            image = self.image
+            self._read_a = image[self.addr_a]
+            self._read_b = image[self.addr_b]
+            return keys
+
+        # Service. A {mode, round <= 10} address is below the depth of 32, so
+        # neither port can leave the image. The injects stay zero, as cleared
+        # on the last initialization cycle.
         image = self.image
-        self._read_a = image[self.addr_a]
-        self._read_b = image[self.addr_b]
+        counters = self.round_counters
+        tags = datapath.tags
+        while True:
+            # Arbitrary-round consumer: the word now in stage 7 presents to
+            # the main key-add next cycle, together with port a's read.
+            code = tags >> _TAG7_SHIFT
+            if code & TAG_VALID:
+                slot = code >> 1 & _SLOT_FIELD
+                round_index = counters[slot] + 1
+                if round_index > MAIN_ROUNDS:
+                    if not keys:
+                        raise KeyStoreFault(
+                            f"slot {slot} requested main-loop key for round {round_index}"
+                        )
+                    # Stop before this cycle: the reads its outputs would be
+                    # are what the commit latches.
+                    read_a, read_b = keys.pop()
+                    increment = None
+                    break
+                addr_a = (code & 1) << 4 | round_index
+            else:
+                addr_a = 0
+            # Final-key consumer: constantly reads round 10 for the mode of
+            # the word that would reach the final instance two cycles from
+            # now (a stage without a word has a zero field).
+            addr_b = (tags >> TAG_BITS & 1) << 4 | NUM_ROUNDS
+            read_a = image[addr_a]
+            read_b = image[addr_b]
+            # The word in stage 8 consumes its key at the cycle's commit.
+            code = tags >> _TAG8_SHIFT
+            increment = code >> 1 & _SLOT_FIELD if code & TAG_VALID else None
+            cycles -= 1
+            if not cycles:
+                break
+            # The cycle's commit, and the rank moves one stage.
+            keys.append((read_a, read_b))
+            if increment is not None:
+                counters[increment] += 1
+            tags = ((tags << TAG_BITS) | (tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
+        self.addr_a, self.addr_b = addr_a, addr_b
+        self._read_a, self._read_b, self._pending_increment = read_a, read_b, increment
+        return keys
 
     def at_fixed_point(self) -> bool:
         """Whether the schedule is in service and the commit leaves the

@@ -16,6 +16,16 @@ lines, which are all a trace shows of them. The test is exact: an upset
 that breaks the fixed point delays the skip. ``RunSummary.skipped_cycles``
 counts the cycles skipped; the other statistics count them as cycles.
 
+Most cycles of a saturated run are event-free: none admits, diverts or
+completes a job, and the registers only rotate. Without a trace the run
+steps the first such cycle, computes the ones after it but the last with
+one call each to the key store and the datapath, advances the controller
+by as many, and steps the last; the controller counts them from
+registered state and checks itself on the first and the last. A key read
+past the last main round ends such a window short, so the cycle that
+raises it is stepped. ``RunSummary`` counts the cycles stepped, computed
+in windows and skipped.
+
 File formats (stable, line-delimited):
 
 * job file: ``<seq> <enc|dec> <32 hex chars>``, with ``<seq>`` in ASCII
@@ -106,7 +116,11 @@ class RunSummary:
     blocks_completed: int = 0
     stall_cycles: int = 0
     max_loop_occupancy: int = 0
-    # Flush cycles fast-forwarded from a fixed point, not stepped.
+    # Each cycle is counted once in one of the next three: stepped alone,
+    # computed in a window of event-free run cycles (untraced runs only),
+    # or a flush cycle fast-forwarded from a fixed point.
+    stepped_cycles: int = 0
+    window_cycles: int = 0
     skipped_cycles: int = 0
     admission_cycles: dict[int, int] = field(default_factory=dict)
     completion_cycles: dict[int, int] = field(default_factory=dict)
@@ -199,6 +213,8 @@ class PipelineSimulator:
         phase_starts: dict[str, int] = {}
         max_occupancy = 0
         stall_cycles = 0
+        stepped_cycles = 0
+        window_cycles = 0
         skipped_cycles = 0
 
         # The per-cycle methods, looked up once per run.
@@ -222,6 +238,10 @@ class PipelineSimulator:
                 if ctrl.fsm != fsm:
                     fsm = ctrl.fsm
                     phase_starts.setdefault(fsm, cycle)
+                # A window opens on an event-free cycle of an untraced run.
+                event_free = 0
+                if trace is None and fsm == RUN and dp.fa_in_tag is None and dp.fa_out_tag is None:
+                    event_free = ctrl.event_free_cycles(bool(pending), budget - cycle)
 
                 admit_arg = None
                 stalled = False
@@ -282,6 +302,7 @@ class PipelineSimulator:
                 dp_commit()
                 ctrl_commit()
                 ks_commit()
+                stepped_cycles += 1
                 if quiescent:
                     # Each flush cycle left repeats this one: the same inputs
                     # and state, no tag to trace. Only the counters move.
@@ -293,6 +314,22 @@ class PipelineSimulator:
                         trace.write(
                             "".join([f"cycle={c}{status}" for c in range(first, first + span)])
                         )
+                elif event_free > 2:
+                    # The window: the event-free cycles between this one and
+                    # the last, which is stepped, in one call each, under the
+                    # datapath's default lines. The loop rotates with no
+                    # admission, divert or completion, and every cycle stalls
+                    # while jobs wait. The key store may end the window short
+                    # of a read that faults.
+                    keys = ks_compute(dp, RUN, event_free - 2)
+                    dp_compute(main_key=ks.out_a, final_key=ks.out_b, keys=keys)
+                    dp_commit()
+                    span = len(keys) + 1
+                    ctrl.advance(span)
+                    ks_commit()
+                    window_cycles += span
+                    if pending:
+                        stall_cycles += span
         except SimulationFault as fault:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it.
@@ -302,6 +339,8 @@ class PipelineSimulator:
         summary.total_cycles = ctrl.cycle
         summary.blocks_completed = len(outputs)
         summary.stall_cycles = stall_cycles
+        summary.stepped_cycles = stepped_cycles
+        summary.window_cycles = window_cycles
         summary.skipped_cycles = skipped_cycles
         summary.max_loop_occupancy = max_occupancy
         summary.key_init_cycles = ks.init_cycles

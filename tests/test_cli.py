@@ -6,10 +6,10 @@ import pytest
 
 from drablocus import aesref, datapath, metrics
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
-from drablocus.controller import RUN, Controller
-from drablocus.datapath import MAIN_ROUNDS, TAG_BITS, TAG_VALID
+from drablocus.controller import RUN, STAGE_PHASE_OFFSET, Controller
+from drablocus.datapath import MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID
 from drablocus.keyschedule import KeyScheduler
-from drablocus.simulator import PipelineSimulator
+from drablocus.simulator import RUN_START_CYCLE, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_sbox_image, key_store_address
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -294,28 +294,26 @@ def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
 
 def test_simulate_key_store_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
     # The admitted block's round counter starts past the last main round, so
-    # its first request for a main-loop key overflows.
-    original_begin, original_admission = Controller.begin_cycle, KeyScheduler.on_admission
-    cycles, slots = [], []
-
-    def begin_cycle(self, key_schedule_ready):
-        original_begin(self, key_schedule_ready)
-        cycles.append(self.cycle)
+    # its first request for a main-loop key overflows. The untraced run is in
+    # a window then, which ends short of the request. The cycle is the phase
+    # math's, found without hooks: admitted on the first run cycle, the
+    # block reaches stage 7 seven cycles after it enters stage 0.
+    original_admission = KeyScheduler.on_admission
 
     def on_admission(self, slot):
         original_admission(self, slot)
         self.round_counters[slot] = MAIN_ROUNDS
-        slots.append(slot)
 
-    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     monkeypatch.setattr(KeyScheduler, "on_admission", on_admission)
     jobs = tmp_path / "jobs.txt"
     jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
     assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE
+    cycle = RUN_START_CYCLE + STAGE_PHASE_OFFSET + 7
     assert capsys.readouterr().err == (
-        f"simulation fault: cycle {cycles[-1]}: slot {slots[0]} requested main-loop key "
-        f"for round {MAIN_ROUNDS + 1}\n"
+        f"simulation fault: cycle {cycle}: slot {RUN_START_CYCLE % NUM_LOOP_STAGES} "
+        f"requested main-loop key for round {MAIN_ROUNDS + 1}\n"
     )
+    assert cycle == 171
 
 
 def test_metrics_prints_both_bram_factors(capsys):

@@ -1,5 +1,6 @@
 """Controller sequencing: FSM, stalls, tracking, and reset lines."""
 
+import io
 import random
 
 import pytest
@@ -169,7 +170,8 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
             bytes(rng.randrange(256) for _ in range(16)))
         for i in range(100)
     ]
-    result = PipelineSimulator().run(bytes(range(16)), jobs)
+    # With a trace attached every cycle is stepped, so the hooks see each commit.
+    result = PipelineSimulator().run(bytes(range(16)), jobs, trace=io.StringIO())
     assert result.summary.blocks_completed == 100
     # The chains are all clear over the flush cycles the run skips, so
     # skipping their commits leaves them as stepping would.

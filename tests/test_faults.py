@@ -11,9 +11,11 @@ single-bit upset of either side's tag rank on sampled cycles fails or
 passes the one-compare check as the ordered checks would. Upsets made
 during the flush show that the run fast-forwards the flush only from an
 exact fixed point. Data upsets, which no check covers, complete with
-wrong outputs.
+wrong outputs. Each upset run writes a trace, so that every cycle is
+stepped and a hook on a per-cycle method sees every cycle.
 """
 
+import io
 import random
 
 import pytest
@@ -154,7 +156,7 @@ def run_with_upset(monkeypatch, upset, jobs, when=lambda ctrl: True):
             upset(self)
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
-    return PipelineSimulator().run(FIPS_KEY, jobs)
+    return PipelineSimulator().run(FIPS_KEY, jobs, trace=io.StringIO())
 
 
 def test_unupset_run_completes(monkeypatch):
@@ -195,6 +197,20 @@ def test_flipped_mode_bit_raises_control_fault(monkeypatch):
 
     with pytest.raises(ControlFault, match="mode register [01]{12} disagrees with datapath tags"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
+
+
+def test_flipped_controller_slot_bit_names_the_stray_bits(monkeypatch):
+    # The controller's slot bits model no register; a set one on a live
+    # stage is named as such, not as a mode register that agrees.
+    def upset(ctrl):
+        ctrl.tags ^= 2 << TAG_BITS * 5
+
+    with pytest.raises(ControlFault) as err:
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
+    assert str(err.value) == (
+        "cycle 175: stage 5 of the controller's tag rank holds slot bits 0001, "
+        "which model no register"
+    )
 
 
 def test_slipped_phase_counter_raises_control_fault(monkeypatch):
@@ -260,7 +276,7 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when):
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     monkeypatch.setattr(KeyScheduler, "compute", compute)
-    return PipelineSimulator().run(FIPS_KEY, jobs)
+    return PipelineSimulator().run(FIPS_KEY, jobs, trace=io.StringIO())
 
 
 def datapath_full(ctrl, dp):
@@ -389,6 +405,13 @@ def reference_check(ctrl, dp):
             return f"stage {k} holds slot {slots[k]}, phase math requires {expected[k]}"
     if valid != occupancy:
         return f"occupancy register {occupancy:012b} vs datapath {valid:012b}"
+    for k in range(NUM_LOOP_STAGES):
+        stray = ctrl.tags >> TAG_BITS * k + 1 & 0xF
+        if valid >> k & 1 and stray:
+            return (
+                f"stage {k} of the controller's tag rank holds slot bits {stray:04b}, "
+                "which model no register"
+            )
     if (dp_modes ^ modes) & valid:
         return f"mode register {modes:012b} disagrees with datapath tags"
     if (not ctrl._arriving1) != (dp.ia_out_tag is None):
@@ -401,12 +424,10 @@ def reference_check(ctrl, dp):
 def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_upset(
     monkeypatch,
 ):
-    # On sampled run cycles, each bit of the datapath's tag rank and each
-    # valid and mode bit of the controller's is flipped in turn before the
-    # check; the fault it raises, or the occupancy it passes with, must be
-    # the reference's.
+    # On sampled run cycles, each bit of either side's tag rank is flipped
+    # in turn before the check; the fault it raises, or the occupancy it
+    # passes with, must be the reference's.
     original = Controller.check_against
-    controller_bits = [TAG_BITS * k + bit for k in range(NUM_LOOP_STAGES) for bit in (0, 5)]
     outcomes, sampled = [], []
 
     def outcome(ctrl, dp):
@@ -419,24 +440,24 @@ def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_ups
     def checked(self, datapath):
         if self.fsm == RUN and self.cycle % 3 == 0:
             sampled.append(self.cycle)
-            upsets = [(datapath, bit) for bit in range(TAG_BITS * NUM_LOOP_STAGES)]
-            upsets += [(self, bit) for bit in controller_bits]
-            for owner, bit in upsets:
-                owner.tags ^= 1 << bit
-                got = outcome(self, datapath)
-                assert got == reference_check(self, datapath), (self.cycle, owner, bit)
-                owner.tags ^= 1 << bit
-                outcomes.append(got)
+            for owner in (datapath, self):
+                for bit in range(TAG_BITS * NUM_LOOP_STAGES):
+                    owner.tags ^= 1 << bit
+                    got = outcome(self, datapath)
+                    assert got == reference_check(self, datapath), (self.cycle, owner, bit)
+                    owner.tags ^= 1 << bit
+                    outcomes.append(got)
         return original(self, datapath)
 
     monkeypatch.setattr(Controller, "check_against", checked)
-    result = PipelineSimulator().run(FIPS_KEY, mixed_jobs(24))
+    result = PipelineSimulator().run(FIPS_KEY, mixed_jobs(24), trace=io.StringIO())
     assert result.summary.blocks_completed == 24
     assert len(sampled) > 70
-    assert len(outcomes) == 96 * len(sampled)
+    assert len(outcomes) == 144 * len(sampled)
     kinds = {o if isinstance(o, int) else o.split(" ")[0] for o in outcomes}
     assert {"track", "stage", "occupancy", "mode"} <= kinds
     assert any(isinstance(o, int) for o in outcomes)
+    assert any(isinstance(o, str) and "controller's tag rank" in o for o in outcomes)
 
 
 # Upsets during the flush: the run fast-forwards the flush only from an

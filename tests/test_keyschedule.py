@@ -1,5 +1,6 @@
 """Key schedule: stored contents, consumer service, and fault paths."""
 
+import io
 import random
 
 import pytest
@@ -157,7 +158,8 @@ def test_flat_store_matches_bram_model(monkeypatch):
             bytes(rng.randrange(256) for _ in range(16)))
         for i in range(100)
     ]
-    result = PipelineSimulator().run(FIPS_KEY, jobs)
+    # With a trace attached every cycle is stepped, so the hooks see each one.
+    result = PipelineSimulator().run(FIPS_KEY, jobs, trace=io.StringIO())
     assert result.summary.blocks_completed == 100
     # Skipped flush cycles set no address and write nothing, so the store
     # model stands still over them as stepping would leave it.

@@ -1,0 +1,144 @@
+"""Windows: a run without a trace steps its event-free cycles together.
+
+Stepping a window must leave the core exactly as stepping each of its
+cycles would. The lockstep test snapshots every rank, tag rank, track
+chain, key-store output and round counter after each commit of an
+untraced run, window ends included, and compares each snapshot with a
+traced run's at the same cycle; the traced run steps every cycle. The
+property test compares whole runs, traced and untraced, and a unit test
+checks the controller's count of event-free cycles.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drablocus.controller import RUN, Controller
+from drablocus.datapath import TAG_BITS, TAG_VALID, TRACK_CYCLES, RoundDatapath
+from drablocus.keyschedule import KeyScheduler
+from drablocus.simulator import Job, PipelineSimulator
+from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
+
+FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+
+
+class Discard:
+    """A trace sink that keeps nothing: attached, it makes every cycle step."""
+
+    def write(self, text):
+        pass
+
+
+def mixed_jobs(n, seed):
+    rng = random.Random(seed)
+    return [
+        Job(i, rng.choice((MODE_ENCRYPT, MODE_DECRYPT)), rng.randbytes(16)) for i in range(n)
+    ]
+
+
+def snapshot(dp, ctrl, ks):
+    return (
+        dp.s0, dp.s1, dp.s2, dp.s3, dp.s4, dp.s5, dp.s6, dp.s7, dp.s8, dp.s9, dp.s10, dp.s11,
+        dp.ia_in, dp.ia_out, dp.fa_in, dp.fa_out, dp.tags, tuple(dp.seqs),
+        dp.ia_in_tag, dp.ia_out_tag, dp.fa_in_tag, dp.fa_out_tag,
+        ctrl.fsm, ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1,
+        ks.out_a, ks.out_b, ks.addr_a, ks.addr_b, tuple(ks.round_counters), tuple(ks.image),
+    )
+
+
+def committed_states(monkeypatch, key, jobs, trace):
+    """The core's state after every commit of one run, by the cycle it
+    leads into, and the cycles at which windows end."""
+    core, states, window_ends = {}, {}, []
+    for cls in (RoundDatapath, Controller):
+        def init(self, *args, _original=cls.__init__, _cls=cls):
+            _original(self, *args)
+            core[_cls] = self
+        monkeypatch.setattr(cls, "__init__", init)
+    commit, advance = KeyScheduler.commit, Controller.advance
+
+    def recorded_commit(self):
+        commit(self)
+        ctrl = core[Controller]
+        states[ctrl.cycle] = snapshot(core[RoundDatapath], ctrl, self)
+
+    def recorded_advance(self, cycles):
+        advance(self, cycles)
+        window_ends.append(self.cycle)
+
+    monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
+    monkeypatch.setattr(Controller, "advance", recorded_advance)
+    result = PipelineSimulator().run(key, jobs, trace=trace)
+    monkeypatch.undo()
+    return result, states, window_ends
+
+
+@pytest.mark.parametrize("n_jobs", [1, 13, 120, 500])
+@pytest.mark.parametrize("fresh_key", [False, True], ids=["fips", "fresh"])
+def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, fresh_key):
+    key = random.Random(n_jobs).randbytes(16) if fresh_key else FIPS_KEY
+    jobs = mixed_jobs(n_jobs, seed=n_jobs)
+    windowed, states, window_ends = committed_states(monkeypatch, key, jobs, None)
+    stepped, reference, no_windows = committed_states(monkeypatch, key, jobs, Discard())
+
+    assert windowed.summary.window_cycles > 0 and len(window_ends) > 0
+    assert no_windows == [] and stepped.summary.window_cycles == 0
+    assert set(window_ends) <= set(states)
+    for cycle, state in states.items():
+        assert state == reference[cycle], f"cycle {cycle}"
+    assert windowed.outputs == stepped.outputs
+
+
+def test_event_free_cycles_end_before_the_next_divert_or_admission():
+    ctrl = Controller()
+    ctrl.fsm = RUN
+    # Stages 9, 8 and 7 hold words: the rotation brings stage 6's empty
+    # field to stage 9 three cycles on, where a waiting job is admitted.
+    ctrl.tags = sum(TAG_VALID << TAG_BITS * stage for stage in (9, 8, 7))
+    assert ctrl.event_free_cycles(pending=True, limit=1000) == 3
+    assert ctrl.event_free_cycles(pending=False, limit=1000) == 1000
+    # The highest track bit, bit 100 of slot 4's chain, reaches the final
+    # bit 112 twelve cycles on, and its block diverts then.
+    ctrl.track = 1 << TRACK_CYCLES * 4 + 100 | 1 << TRACK_CYCLES * 7 + 3
+    assert ctrl.event_free_cycles(pending=False, limit=1000) == 12
+    assert ctrl.event_free_cycles(pending=True, limit=1000) == 3
+    assert ctrl.event_free_cycles(pending=False, limit=5) == 5
+    # A word on its way through the initial key-add opens no window.
+    ctrl._arriving1 = TAG_VALID
+    assert ctrl.event_free_cycles(pending=False, limit=1000) == 0
+
+
+def summary_fields(summary):
+    fields = vars(summary).copy()
+    steps = fields.pop("stepped_cycles") + fields.pop("window_cycles")
+    return fields, steps
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    modes_and_blocks=st.integers(1, 60).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.sampled_from((MODE_ENCRYPT, MODE_DECRYPT)), st.binary(min_size=16, max_size=16)),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    key=st.one_of(st.just(FIPS_KEY), st.binary(min_size=16, max_size=16)),
+)
+def test_untraced_run_equals_traced_run(modes_and_blocks, key):
+    jobs = [Job(i, mode, block) for i, (mode, block) in enumerate(modes_and_blocks)]
+    sim = PipelineSimulator()
+    untraced = sim.run(key, jobs)
+    traced = sim.run(key, jobs, trace=Discard())
+    assert untraced.outputs == traced.outputs
+    assert untraced.key_store == traced.key_store
+    assert summary_fields(untraced.summary) == summary_fields(traced.summary)
+    assert traced.summary.window_cycles == 0
+    for summary in (untraced.summary, traced.summary):
+        assert (
+            summary.stepped_cycles + summary.window_cycles + summary.skipped_cycles
+            == summary.total_cycles
+        )
+
