@@ -40,8 +40,10 @@ registers and lines with the datapath's tags, made once the datapath has
 computed the cycle, and :meth:`Controller.commit` shifts the registers.
 Between admissions and diverts the registers only rotate:
 :meth:`Controller.event_free_cycles` counts such cycles ahead from
-registered state, and :meth:`Controller.advance` commits a window of them
-at once.
+registered state, and :meth:`Controller.advance` commits any number of
+them at once. It is the only way the controller moves more than one
+cycle: a window's cycles after its first, and the flush cycles left once
+the flush reaches a fixed point, up to ``Controller.flush_end``.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -134,7 +136,8 @@ class Controller:
         self._arriving0 = 0
         self._arriving1 = 0
         self._admitted_now = 0
-        self._flush_count = 0
+        # The cycle the flush ends on, set on the change into flush.
+        self.flush_end = 0
 
     # FSM sequencing and every control line, evaluated from registered
     # conditions at the top of each cycle.
@@ -146,8 +149,8 @@ class Controller:
                     fsm = KEY_INIT
             elif fsm == KEY_INIT and key_schedule_ready:
                 fsm = FLUSH
-                self._flush_count = 0
-            elif fsm == FLUSH and self._flush_count >= TRACK_CYCLES:
+                self.flush_end = self.cycle + TRACK_CYCLES
+            elif fsm == FLUSH and self.cycle >= self.flush_end:
                 fsm = RUN
             self.fsm = fsm
             # The hold lines follow the FSM alone, which never leaves run.
@@ -229,19 +232,9 @@ class Controller:
         return live
 
     def at_fixed_point(self) -> bool:
-        """Whether the commit changes no register but the cycle and flush
-        counters: no tracking bit is set and no word is in the loop or on
-        its way there."""
+        """Whether the commit changes no register but the cycle: no tracking
+        bit is set and no word is in the loop or on its way there."""
         return not (self.track or self.tags or self._arriving0 or self._arriving1)
-
-    def skip_flush(self) -> int:
-        """Advance the cycle and flush counters to the transition into run,
-        as the flush cycles left would from a fixed point; returns how many
-        cycles that skips."""
-        span = TRACK_CYCLES - self._flush_count
-        self.cycle += span
-        self._flush_count = TRACK_CYCLES
-        return span
 
     def event_free_cycles(self, pending: bool, limit: int) -> int:
         """From registered state: how many cycles, this one first and at
@@ -270,10 +263,10 @@ class Controller:
         return limit
 
     def advance(self, cycles: int) -> None:
-        """Commit ``cycles`` cycles of a window at once: cycles with no
-        admission and no divert, over which no track chain reaches its
-        final bit. The track chains shift with no bit to drop, and the
-        occupancy and mode registers rotate."""
+        """Commit ``cycles`` cycles at once: cycles with no admission, no
+        divert and no word on the initial key-add ranks, over which no track
+        chain reaches its final bit. The track chains shift with no bit to
+        drop, and the occupancy and mode registers rotate."""
         self.track <<= cycles
         shift = TAG_BITS * (cycles % NUM_LOOP_STAGES)
         tags = self.tags
@@ -306,6 +299,4 @@ class Controller:
         self._arriving1 = self._arriving0
         self._arriving0 = admitted
         self._admitted_now = 0
-        if self.fsm == FLUSH:
-            self._flush_count += 1
         self.cycle += 1

@@ -479,8 +479,10 @@ class RoundDatapath:
         """Compute one cycle, and one more under the same lines for each
         ``(main_key, final_key)`` pair in ``keys``: each cycle but the last
         is committed in locals, and the last one's next state awaits
-        :meth:`commit_cycle`. The default lines are a window's: no admission,
-        no divert, only the initial key-add held in reset."""
+        :meth:`commit_cycle`. Key pairs come only with lines every cycle of
+        a window can take: no admission and no divert. On a run cycle with
+        no word arriving those are the default lines, with only the initial
+        key-add held in reset."""
         sbox = self._sbox
         lanes = self._lanes
         seqs = self.seqs

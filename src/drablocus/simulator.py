@@ -10,21 +10,23 @@ Most of the flush is a fixed point: the loop holds no word, the track
 chains are clear and the data ranks have settled. Once a flush cycle's
 computed next state equals its committed state, with no tag, tracking
 bit, key-store write or changing key-store output, every flush cycle left
-would repeat it exactly, so the run fast-forwards the cycle and flush
-counters to the transition into run and writes those cycles' status
-lines, which are all a trace shows of them. The test is exact: an upset
-that breaks the fixed point delays the skip. ``RunSummary.skipped_cycles``
-counts the cycles skipped; the other statistics count them as cycles.
+would repeat it exactly, so the run advances the controller to the cycle
+the flush ends on and writes those cycles' status lines, which are all a
+trace shows of them. The test is exact: an upset that breaks the fixed
+point delays the skip. ``RunSummary.skipped_cycles`` counts the cycles
+skipped; the other statistics count them as cycles.
 
 Most cycles of a saturated run are event-free: none admits, diverts or
-completes a job, and the registers only rotate. Without a trace the run
-steps the first such cycle, computes the ones after it but the last with
-one call each to the key store and the datapath, advances the controller
-by as many, and steps the last; the controller counts them from
-registered state and checks itself on the first and the last. A key read
-past the last main round ends such a window short, so the cycle that
-raises it is stepped. ``RunSummary`` counts the cycles stepped, computed
-in windows and skipped.
+completes a job, and the registers only rotate. Each cycle the run makes
+one call to the key store and one to the datapath, which compute the
+cycle under its own lines. Without a trace, an event-free cycle opens a
+window: the same two calls also compute the event-free cycles after it
+but the last, under the same lines, and the controller advances over
+them once it has committed the first. The controller counts the cycles
+from registered state and checks itself on the first and on the last,
+which is stepped alone. A key read past the last main round ends a
+window short, so the cycle that raises it is stepped. ``RunSummary``
+counts the cycles stepped, computed in windows and skipped.
 
 File formats (stable, line-delimited):
 
@@ -221,6 +223,7 @@ class PipelineSimulator:
         begin_cycle = ctrl.begin_cycle
         check_against = ctrl.check_against
         ctrl_commit = ctrl.commit
+        advance = ctrl.advance
         ks_compute = ks.compute
         ks_commit = ks.commit
         dp_compute = dp.compute_cycle
@@ -238,10 +241,11 @@ class PipelineSimulator:
                 if ctrl.fsm != fsm:
                     fsm = ctrl.fsm
                     phase_starts.setdefault(fsm, cycle)
-                # A window opens on an event-free cycle of an untraced run.
-                event_free = 0
+                # An event-free cycle of an untraced run opens a window of
+                # it and the event-free cycles after it but the last.
+                span = 1
                 if trace is None and fsm == RUN and dp.fa_in_tag is None and dp.fa_out_tag is None:
-                    event_free = ctrl.event_free_cycles(bool(pending), budget - cycle)
+                    span = max(1, ctrl.event_free_cycles(bool(pending), budget - cycle) - 1)
 
                 admit_arg = None
                 stalled = False
@@ -258,9 +262,13 @@ class PipelineSimulator:
                         admission_cycles[job.seq] = cycle
                     else:
                         stalled = True
-                        stall_cycles += 1
 
-                ks_compute(dp, fsm)
+                # In a window, the cycles after the first take its lines,
+                # which are the datapath's defaults: the loop rotates with no
+                # admission, divert or completion, and every cycle stalls
+                # while jobs wait. The key store may end the window short of
+                # a read that faults.
+                keys = ks_compute(dp, fsm, span)
                 dp_compute(
                     admit=admit_arg,
                     divert=ctrl.divert,
@@ -272,6 +280,7 @@ class PipelineSimulator:
                     final_reset=ctrl.final_reset,
                     ks_sub_bytes=ks.sub_bytes_inject,
                     ks_mix_columns=ks.mix_columns_inject,
+                    keys=keys,
                 )
 
                 tag = dp.fa_out_tag
@@ -301,35 +310,25 @@ class PipelineSimulator:
                 )
                 dp_commit()
                 ctrl_commit()
+                if keys:
+                    advance(len(keys))
                 ks_commit()
                 stepped_cycles += 1
+                window_cycles += len(keys)
+                if stalled:
+                    stall_cycles += 1 + len(keys)
                 if quiescent:
                     # Each flush cycle left repeats this one: the same inputs
-                    # and state, no tag to trace. Only the counters move.
+                    # and state, no tag to trace. Only the cycle moves.
                     first = ctrl.cycle
-                    span = ctrl.skip_flush()
+                    span = ctrl.flush_end - first
+                    advance(span)
                     skipped_cycles += span
                     if trace is not None:
                         status = _status_text(ctrl.fsm, ctrl.tags, False)
                         trace.write(
                             "".join([f"cycle={c}{status}" for c in range(first, first + span)])
                         )
-                elif event_free > 2:
-                    # The window: the event-free cycles between this one and
-                    # the last, which is stepped, in one call each, under the
-                    # datapath's default lines. The loop rotates with no
-                    # admission, divert or completion, and every cycle stalls
-                    # while jobs wait. The key store may end the window short
-                    # of a read that faults.
-                    keys = ks_compute(dp, RUN, event_free - 2)
-                    dp_compute(main_key=ks.out_a, final_key=ks.out_b, keys=keys)
-                    dp_commit()
-                    span = len(keys) + 1
-                    ctrl.advance(span)
-                    ks_commit()
-                    window_cycles += span
-                    if pending:
-                        stall_cycles += span
         except SimulationFault as fault:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it.

@@ -1,9 +1,12 @@
 """The per-cycle protocol of a core, for tests that step one by hand.
 
-:func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes each
-cycle, in its order: the controller's FSM step and control lines,
+:func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
+each pass of its loop, in its order, for a span of one cycle, which is
+every pass of a traced run: the controller's FSM step and control lines,
 admission, the key schedule, the datapath, the controller's check, then
-the three commits.
+the three commits. A wider span gives the key schedule's returned key
+pairs to the datapath and advances the controller over them before the
+key schedule commits.
 """
 
 from drablocus.controller import RUN, Controller

@@ -275,10 +275,11 @@ def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
         original_begin(self, key_schedule_ready)
         cycles.append(self.cycle)
 
-    def compute(self, datapath, controller_fsm):
-        original_compute(self, datapath, controller_fsm)
+    def compute(self, datapath, controller_fsm, cycles=1):
+        keys = original_compute(self, datapath, controller_fsm, cycles)
         if datapath.ia_out_tag is not None:
             self.sub_bytes_inject = (1, MODE_ENCRYPT)
+        return keys
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     monkeypatch.setattr(KeyScheduler, "compute", compute)

@@ -268,11 +268,11 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when):
         original_begin(self, key_schedule_ready)
         state["ctrl"] = self
 
-    def compute(self, datapath, controller_fsm):
+    def compute(self, datapath, controller_fsm, cycles=1):
         if not state["done"] and when(state["ctrl"], datapath):
             state["done"] = True
             upset(state["ctrl"], datapath)
-        original_compute(self, datapath, controller_fsm)
+        return original_compute(self, datapath, controller_fsm, cycles)
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     monkeypatch.setattr(KeyScheduler, "compute", compute)
@@ -465,7 +465,7 @@ def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_ups
 # would.
 def on_flush_cycle(n):
     """A ``when`` holding on the flush cycle with ``n`` flush commits behind it."""
-    return lambda ctrl, dp: ctrl.fsm == FLUSH and ctrl._flush_count == n
+    return lambda ctrl, dp: ctrl.fsm == FLUSH and ctrl.cycle == ctrl.flush_end - TRACK_CYCLES + n
 
 
 def test_track_bit_set_after_first_flush_commit_fires_in_run(monkeypatch):

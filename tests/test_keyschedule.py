@@ -135,13 +135,14 @@ def test_flat_store_matches_bram_model(monkeypatch):
     phases = []
     compute, commit = KeyScheduler.compute, KeyScheduler.commit
 
-    def mirrored_compute(self, datapath, controller_fsm):
-        compute(self, datapath, controller_fsm)
+    def mirrored_compute(self, datapath, controller_fsm, cycles=1):
+        keys = compute(self, datapath, controller_fsm, cycles)
         phases.append(controller_fsm)
         store.present(self.addr_a, self.addr_b)
         if self.pending_write is not None:
             store.present_write(*self.pending_write)
         store.compute()
+        return keys
 
     def lockstep_commit(self):
         commit(self)

@@ -34,6 +34,9 @@ def recorded_run(monkeypatch, jobs):
     trace = io.StringIO()
     summary = PipelineSimulator().run(FIPS_KEY, jobs, trace=trace).summary
     monkeypatch.undo()
+    # A traced run computes no window: each call is one cycle.
+    for kwargs in calls:
+        assert kwargs.pop("keys") == []
     # The skipped span runs up to the transition into run.
     first = summary.run_start_cycle - summary.skipped_cycles
     assert summary.skipped_cycles > 0 and len(calls) > first

@@ -5,19 +5,23 @@ cycles would. The lockstep test snapshots every rank, tag rank, track
 chain, key-store output and round counter after each commit of an
 untraced run, window ends included, and compares each snapshot with a
 traced run's at the same cycle; the traced run steps every cycle. The
-property test compares whole runs, traced and untraced, and a unit test
-checks the controller's count of event-free cycles.
+property test compares whole runs, traced and untraced, and unit tests
+check the controller's count of event-free cycles and its advance over
+them.
 """
 
+import copy
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drablocus.controller import RUN, Controller
+from cycle_protocol import new_core, step_cycle
+from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import TAG_BITS, TAG_VALID, TRACK_CYCLES, RoundDatapath
-from drablocus.keyschedule import KeyScheduler
+from drablocus.keyschedule import READY, KeyScheduler
 from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
 
@@ -66,7 +70,8 @@ def committed_states(monkeypatch, key, jobs, trace):
 
     def recorded_advance(self, cycles):
         advance(self, cycles)
-        window_ends.append(self.cycle)
+        if self.fsm == RUN:
+            window_ends.append(self.cycle)
 
     monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
     monkeypatch.setattr(Controller, "advance", recorded_advance)
@@ -108,6 +113,42 @@ def test_event_free_cycles_end_before_the_next_divert_or_admission():
     # A word on its way through the initial key-add opens no window.
     ctrl._arriving1 = TAG_VALID
     assert ctrl.event_free_cycles(pending=False, limit=1000) == 0
+
+
+def test_advance_by_one_cycle_matches_the_commit():
+    # On every event-free run cycle and every flush cycle at the fixed point
+    # of a hand-stepped core, advancing the controller one cycle leaves its
+    # registers and the next cycle's FSM state and lines as its commit does.
+    def registers(ctrl):
+        return ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1, ctrl.cycle
+
+    def lines(ctrl):
+        return (
+            ctrl.fsm, ctrl.initial_reset, ctrl.main_reset, ctrl.shift_rows_reset,
+            ctrl.final_reset, ctrl.divert, ctrl.admit_ready,
+        )
+
+    dp, ctrl, ks = new_core(int.from_bytes(FIPS_KEY, "big"))
+    jobs = deque((job.seq, job.mode, int.from_bytes(job.block, "big")) for job in mixed_jobs(13, 5))
+    checked = {FLUSH: 0, RUN: 0}
+    while ctrl.cycle < 400:
+        probe = copy.copy(ctrl)
+        probe.begin_cycle(ks.fsm == READY)
+        if (probe.fsm == FLUSH and probe.at_fixed_point()) or probe.event_free_cycles(
+            bool(jobs), 1
+        ):
+            committed, advanced = copy.copy(probe), copy.copy(probe)
+            committed.commit()
+            advanced.advance(1)
+            assert registers(advanced) == registers(committed), probe.cycle
+            committed.begin_cycle(True)
+            advanced.begin_cycle(True)
+            assert lines(advanced) == lines(committed), probe.cycle
+            checked[probe.fsm] += 1
+        if step_cycle(dp, ctrl, ks, job=jobs[0] if jobs else None) is not None:
+            jobs.popleft()
+    assert not jobs and dp.fa_out_tag is None
+    assert checked[FLUSH] == TRACK_CYCLES and checked[RUN] > 100
 
 
 def summary_fields(summary):
