@@ -2,10 +2,11 @@
 
 The package has three layers: a golden functional AES-128 (aesref, built
 on gf256), a register-accurate model of the 12-stage dual-mode pipeline
-(fabric, tables, datapath, controller, keyschedule, simulator, and faults,
-which holds every fault they raise), and a pure-calculation evaluation
-engine for latency, throughput, efficiency, energy and accelerator
-co-location analysis (metrics).
+(tables, datapath, controller, keyschedule, simulator, and faults, which
+holds every fault they raise), and a pure-calculation evaluation engine
+for latency, throughput, efficiency, energy and accelerator co-location
+analysis (metrics). fabric and datapath's unit classes specify the FPGA
+primitives and units for the tests; a run never calls them.
 """
 
 from .aesref import decrypt_block, encrypt_block, key_expand, key_expand_equivalent_inverse

@@ -38,12 +38,13 @@ four reset lines, ``divert`` into the final key-add and ``admit_ready``.
 :meth:`Controller.check_against` is the one reconciliation of those
 registers and lines with the datapath's tags, made once the datapath has
 computed the cycle, and :meth:`Controller.commit` shifts the registers.
-Between admissions and diverts the registers only rotate:
-:meth:`Controller.event_free_cycles` counts such cycles ahead from
-registered state, and :meth:`Controller.advance` commits any number of
-them at once. It is the only way the controller moves more than one
-cycle: a window's cycles after its first, and the flush cycles left once
-the flush reaches a fixed point, up to ``Controller.flush_end``.
+Between admissions and diverts the registers only rotate, so one commit
+covers the computed cycle and any number of such cycles after it:
+:meth:`Controller.event_free_cycles` counts them ahead from registered
+state. Each pass of a run commits the controller once, over one cycle,
+a window of event-free cycles, or a fixed-point flush cycle and the
+flush cycles left after it, up to ``Controller.flush_end``; no other
+method shifts the registers or moves the cycle.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -61,7 +62,7 @@ compare walks the stages, to name the one at fault.
 from __future__ import annotations
 
 from .datapath import (
-    _CLEAR_TAG3, _SLOT_FIELD, _TAG_WRAP_SHIFT, _TAGS_MASK, _VALID2, FIELD_LSBS, NUM_LOOP_STAGES,
+    _CLEAR_TAG3, _SLOT_FIELD, _TAGS_MASK, _VALID2, FIELD_LSBS, NUM_LOOP_STAGES,
     TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
@@ -83,8 +84,9 @@ _SLOT_BITS = _SLOT_FIELD << 1
 _TRACK_FINAL = TRACK_CYCLES - 1
 
 # Track rank: per slot, its admission bit (bit 0 of its field), its whole
-# field and its final bit. A commit shifts every field by one; the mask
-# drops each chain's carry-out into the next field and clears bit 0.
+# field and its final bit. A commit shifts every field by the cycles it
+# covers; the mask drops each chain's carry-out into the next field, which
+# only a one-cycle commit can have, and clears bit 0.
 _TRACK_ADMIT = tuple(1 << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
 _TRACK_FIELDS = tuple(((1 << TRACK_CYCLES) - 1) << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
 _TRACK_FINALS = tuple(bit << _TRACK_FINAL for bit in _TRACK_ADMIT)
@@ -105,10 +107,11 @@ _EXPECTED_TAGS = tuple(
 )
 # The loop stages in the order the rotation brings them to stage 9.
 _STAGE9_FIRST = tuple((9 - k) % NUM_LOOP_STAGES for k in range(NUM_LOOP_STAGES))
+_RANK_BITS = TAG_BITS * NUM_LOOP_STAGES
 # Set above a tag rank's top field, so bin() keeps the leading fields'
 # zeros: bin(tags | _RANK_MARK)[3::6] is the rank's valid bits and [8::6]
 # its mode bits, stage 11 first.
-_RANK_MARK = 1 << TAG_BITS * NUM_LOOP_STAGES
+_RANK_MARK = 1 << _RANK_BITS
 # Per cycle phase: the final bit of the chain whose block the phase math
 # puts at the shift-rows register (loop stage 2), the divert point.
 _DIVERT_FINALS = tuple(_TRACK_FINALS[expected[2]] for expected in _EXPECTED_SLOTS)
@@ -262,36 +265,28 @@ class Controller:
                     return min(limit, occupied)
         return limit
 
-    def advance(self, cycles: int) -> None:
-        """Commit ``cycles`` cycles at once: cycles with no admission, no
-        divert and no word on the initial key-add ranks, over which no track
-        chain reaches its final bit. The track chains shift with no bit to
-        drop, and the occupancy and mode registers rotate."""
-        self.track <<= cycles
-        shift = TAG_BITS * (cycles % NUM_LOOP_STAGES)
-        tags = self.tags
-        self.tags = (tags << shift | tags >> TAG_BITS * NUM_LOOP_STAGES - shift) & _TAGS_MASK
-        self.cycle += cycles
-
-    def commit(self) -> None:
+    def commit(self, cycles: int = 1) -> None:
+        """Commit this cycle and the ``cycles - 1`` after it, which must admit
+        and divert nothing, hold no word on the initial key-add ranks and
+        shift no track bit past its chain's final bit: over them the track
+        chains only shift and the occupancy and mode registers only rotate."""
         # Track registers shift every cycle; the admitted slot's register
         # takes the tracking bit at the admission commit itself.
         admitted = self._admitted_now
-        track = (self.track << 1) & _TRACK_SHIFT_MASK
+        track = (self.track << cycles) & _TRACK_SHIFT_MASK
         if admitted:
             track |= _TRACK_ADMIT[self.cycle % NUM_LOOP_STAGES]
         self.track = track
 
-        # The occupancy and mode registers rotate one stage; the arriving
-        # word's field takes S0 in place of S11's.
-        tags = self.tags
-        field0 = tags >> _TAG_WRAP_SHIFT
+        # The occupancy and mode registers rotate as many stages; the arriving
+        # word's field takes S0 in place of the one that wraps there.
+        tags = self.tags << TAG_BITS * (cycles % NUM_LOOP_STAGES)
+        tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
         entering = self._arriving1
         if entering:
-            if field0 & TAG_VALID:
+            if tags & TAG_VALID:
                 raise ControlFault("occupancy wrap collides with admission")
-            field0 = entering
-        tags = (tags << TAG_BITS & _TAGS_MASK) | field0
+            tags = tags >> TAG_BITS << TAG_BITS | entering
         if self.divert:
             tags &= _CLEAR_TAG3
         self.tags = tags
@@ -299,4 +294,4 @@ class Controller:
         self._arriving1 = self._arriving0
         self._arriving0 = admitted
         self._admitted_now = 0
-        self.cycle += 1
+        self.cycle += cycles

@@ -234,20 +234,21 @@ def parse_catalog(text: str) -> Catalog:
     Sections open with ``[design NAME]``, ``[device NAME]`` or
     ``[accelerator NAME]``; bodies are ``key = value`` lines. ``n/a``
     marks an undisclosed numeric value. Unknown section kinds or field
-    names are rejected with the offending line number. Lines end as
-    ``split_lines`` ends them.
+    names, and a second section of one kind and name, are rejected with
+    the offending line number. Lines end as ``split_lines`` ends them.
     """
     catalog = Catalog()
     section: tuple[str, str] | None = None
     fields: dict[str, object] = {}
-    section_line = 0
+    # The header line of every section seen, by kind and name.
+    header_lines: dict[tuple[str, str], int] = {}
 
     def finish() -> None:
         if section is None:
             return
         kind, name = section
         if kind != "device" and "device" not in fields:
-            raise CatalogError(f"line {section_line}: {kind} {name!r} needs a device")
+            raise CatalogError(f"line {header_lines[section]}: {kind} {name!r} needs a device")
         # Devices and accelerators carry slices, brams and dsps only.
         total = ResourceVector(*(fields.get(f) for f in _RESOURCE_FIELDS))
         if kind == "design":
@@ -296,7 +297,12 @@ def parse_catalog(text: str) -> Catalog:
                 raise CatalogError(f"line {number}: unknown section kind {kind!r}")
             finish()
             section = (kind, name.strip())
-            section_line = number
+            if section in header_lines:
+                raise CatalogError(
+                    f"line {number}: duplicate {kind} {section[1]!r} "
+                    f"(first at line {header_lines[section]})"
+                )
+            header_lines[section] = number
             fields = {}
             continue
         if "=" not in line:

@@ -10,23 +10,24 @@ Most of the flush is a fixed point: the loop holds no word, the track
 chains are clear and the data ranks have settled. Once a flush cycle's
 computed next state equals its committed state, with no tag, tracking
 bit, key-store write or changing key-store output, every flush cycle left
-would repeat it exactly, so the run advances the controller to the cycle
-the flush ends on and writes those cycles' status lines, which are all a
-trace shows of them. The test is exact: an upset that breaks the fixed
-point delays the skip. ``RunSummary.skipped_cycles`` counts the cycles
-skipped; the other statistics count them as cycles.
+would repeat it exactly, so the cycle's controller commit covers them
+too, up to the cycle the flush ends on, and the run writes their status
+lines, all a trace shows of them. The test is exact: an upset that breaks
+the fixed point delays the skip. ``RunSummary.skipped_cycles`` counts
+the cycles skipped; the other statistics count them as cycles.
 
 Most cycles of a saturated run are event-free: none admits, diverts or
 completes a job, and the registers only rotate. Each cycle the run makes
 one call to the key store and one to the datapath, which compute the
 cycle under its own lines. Without a trace, an event-free cycle opens a
 window: the same two calls also compute the event-free cycles after it
-but the last, under the same lines, and the controller advances over
-them once it has committed the first. The controller counts the cycles
+but the last, under the same lines. The controller counts the cycles
 from registered state and checks itself on the first and on the last,
 which is stepped alone. A key read past the last main round ends a
-window short, so the cycle that raises it is stepped. ``RunSummary``
-counts the cycles stepped, computed in windows and skipped.
+window short, so the cycle that raises it is stepped. Every pass commits
+the datapath, the controller and the key store once each, over all the
+cycles it covers. ``RunSummary`` counts the cycles stepped, computed in
+windows and skipped.
 
 File formats (stable, line-delimited):
 
@@ -223,7 +224,6 @@ class PipelineSimulator:
         begin_cycle = ctrl.begin_cycle
         check_against = ctrl.check_against
         ctrl_commit = ctrl.commit
-        advance = ctrl.advance
         ks_compute = ks.compute
         ks_commit = ks.commit
         dp_compute = dp.compute_cycle
@@ -308,27 +308,21 @@ class PipelineSimulator:
                     and ctrl.at_fixed_point()
                     and ks.at_fixed_point()
                 )
+                # Each flush cycle left repeats a quiescent one: the same
+                # inputs and state, no tag to trace. Only the cycle moves.
+                skipped = ctrl.flush_end - ctrl.cycle - 1 if quiescent else 0
                 dp_commit()
-                ctrl_commit()
-                if keys:
-                    advance(len(keys))
+                ctrl_commit(1 + len(keys) + skipped)
                 ks_commit()
                 stepped_cycles += 1
                 window_cycles += len(keys)
                 if stalled:
                     stall_cycles += 1 + len(keys)
-                if quiescent:
-                    # Each flush cycle left repeats this one: the same inputs
-                    # and state, no tag to trace. Only the cycle moves.
-                    first = ctrl.cycle
-                    span = ctrl.flush_end - first
-                    advance(span)
-                    skipped_cycles += span
-                    if trace is not None:
-                        status = _status_text(ctrl.fsm, ctrl.tags, False)
-                        trace.write(
-                            "".join([f"cycle={c}{status}" for c in range(first, first + span)])
-                        )
+                skipped_cycles += skipped
+                if skipped and trace is not None:
+                    status = _status_text(ctrl.fsm, ctrl.tags, False)
+                    end = ctrl.cycle
+                    trace.write("".join([f"cycle={c}{status}" for c in range(end - skipped, end)]))
         except SimulationFault as fault:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it.

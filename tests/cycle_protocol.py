@@ -5,8 +5,8 @@ each pass of its loop, in its order, for a span of one cycle, which is
 every pass of a traced run: the controller's FSM step and control lines,
 admission, the key schedule, the datapath, the controller's check, then
 the three commits. A wider span gives the key schedule's returned key
-pairs to the datapath and advances the controller over them before the
-key schedule commits.
+pairs to the datapath, and the controller's one commit covers their
+cycles with the first, before the key schedule commits.
 """
 
 from drablocus.controller import RUN, Controller

@@ -377,6 +377,23 @@ def test_catalog_figure_out_of_range_is_usage_error(tmp_path, capsys, command, f
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics", "--design", "x"], ["colocate", "--accel", "a", "--aes", "x"]],
+)
+def test_repeated_catalog_section_is_usage_error(tmp_path, capsys, argv):
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text(
+        "[design x]\ndevice = tiny\nslices = 1\n"
+        "[accelerator a]\ndevice = tiny\nslices = 1\n"
+        "[design x]\ndevice = tiny\nslices = 2\n"
+    )
+    assert main([*argv, "--catalog", str(catalog)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 7: duplicate design 'x' (first at line 1)\n"
+
+
 def test_metrics_zero_catalog_bram_factor_is_not_read_as_one(capsys, monkeypatch):
     # A catalog entry built in code skips the parser's range check; the CLI
     # must hand its factor on as it is, not swap a zero for 1.0.

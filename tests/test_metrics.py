@@ -295,6 +295,23 @@ class TestCatalogParsing:
             m.parse_catalog("[device d]\nslices = 1\nslices = 2\n")
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "kind, body",
+        [("design", "device = x\n"), ("device", ""), ("accelerator", "device = x\n")],
+    )
+    def test_repeated_section_cites_both_headers(self, kind, body):
+        # The later section's figures would otherwise replace the earlier's.
+        text = f"[{kind} A]\n{body}slices = 1\n\n[{kind}  A ]\n{body}slices = 2\n"
+        second = text.count("\n", 0, text.index(f"[{kind}  A ]")) + 1
+        with pytest.raises(m.CatalogError) as err:
+            m.parse_catalog(text)
+        assert str(err.value) == f"line {second}: duplicate {kind} 'A' (first at line 1)"
+
+    def test_one_name_in_sections_of_different_kinds(self):
+        cat = m.parse_catalog("[device d]\nslices = 9\n[design d]\ndevice = d\nslices = 1\n")
+        assert cat.devices["d"].capacity.slices == 9
+        assert cat.design("d").total.slices == 1
+
     def test_na_marks_unknown(self):
         cat = m.parse_catalog("[design d]\ndevice = x\nslices = n/a\ndsps = 4\n")
         entry = cat.design("d")

@@ -5,9 +5,10 @@ cycles would. The lockstep test snapshots every rank, tag rank, track
 chain, key-store output and round counter after each commit of an
 untraced run, window ends included, and compares each snapshot with a
 traced run's at the same cycle; the traced run steps every cycle. The
-property test compares whole runs, traced and untraced, and unit tests
-check the controller's count of event-free cycles and its advance over
-them.
+property test compares whole runs, traced and untraced. Unit tests
+check the controller's count of event-free cycles, and a test on a
+hand-stepped core and a property check that one commit over such cycles
+leaves the controller as committing them one by one does.
 """
 
 import copy
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 
 from cycle_protocol import new_core, step_cycle
 from drablocus.controller import FLUSH, RUN, Controller
-from drablocus.datapath import TAG_BITS, TAG_VALID, TRACK_CYCLES, RoundDatapath
+from drablocus.datapath import (
+    NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES, RoundDatapath,
+)
 from drablocus.keyschedule import READY, KeyScheduler
 from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
@@ -61,20 +64,20 @@ def committed_states(monkeypatch, key, jobs, trace):
             _original(self, *args)
             core[_cls] = self
         monkeypatch.setattr(cls, "__init__", init)
-    commit, advance = KeyScheduler.commit, Controller.advance
+    commit, ctrl_commit = KeyScheduler.commit, Controller.commit
 
     def recorded_commit(self):
         commit(self)
         ctrl = core[Controller]
         states[ctrl.cycle] = snapshot(core[RoundDatapath], ctrl, self)
 
-    def recorded_advance(self, cycles):
-        advance(self, cycles)
-        if self.fsm == RUN:
+    def recorded_ctrl_commit(self, cycles=1):
+        ctrl_commit(self, cycles)
+        if cycles > 1 and self.fsm == RUN:
             window_ends.append(self.cycle)
 
     monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
-    monkeypatch.setattr(Controller, "advance", recorded_advance)
+    monkeypatch.setattr(Controller, "commit", recorded_ctrl_commit)
     result = PipelineSimulator().run(key, jobs, trace=trace)
     monkeypatch.undo()
     return result, states, window_ends
@@ -115,13 +118,17 @@ def test_event_free_cycles_end_before_the_next_divert_or_admission():
     assert ctrl.event_free_cycles(pending=False, limit=1000) == 0
 
 
-def test_advance_by_one_cycle_matches_the_commit():
-    # On every event-free run cycle and every flush cycle at the fixed point
-    # of a hand-stepped core, advancing the controller one cycle leaves its
-    # registers and the next cycle's FSM state and lines as its commit does.
-    def registers(ctrl):
-        return ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1, ctrl.cycle
+def registers(ctrl):
+    return (
+        ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1, ctrl._admitted_now, ctrl.cycle,
+    )
 
+
+def test_commit_over_a_span_matches_its_single_commits():
+    # On every event-free run cycle and every flush cycle at the fixed point
+    # of a hand-stepped core, one commit over the cycles the run would cover
+    # from it leaves the controller's registers, and the next cycle's FSM
+    # state and lines, as committing them one by one does.
     def lines(ctrl):
         return (
             ctrl.fsm, ctrl.initial_reset, ctrl.main_reset, ctrl.shift_rows_reset,
@@ -134,21 +141,55 @@ def test_advance_by_one_cycle_matches_the_commit():
     while ctrl.cycle < 400:
         probe = copy.copy(ctrl)
         probe.begin_cycle(ks.fsm == READY)
-        if (probe.fsm == FLUSH and probe.at_fixed_point()) or probe.event_free_cycles(
-            bool(jobs), 1
-        ):
-            committed, advanced = copy.copy(probe), copy.copy(probe)
-            committed.commit()
-            advanced.advance(1)
-            assert registers(advanced) == registers(committed), probe.cycle
-            committed.begin_cycle(True)
-            advanced.begin_cycle(True)
-            assert lines(advanced) == lines(committed), probe.cycle
+        if probe.fsm == FLUSH and probe.at_fixed_point():
+            span = probe.flush_end - probe.cycle
+        else:
+            span = probe.event_free_cycles(bool(jobs), 1000)
+        if span:
+            spanned, stepped = copy.copy(probe), copy.copy(probe)
+            spanned.commit(span)
+            for step in range(span):
+                if step:
+                    stepped.begin_cycle(True)
+                stepped.commit()
+            assert registers(spanned) == registers(stepped), probe.cycle
+            spanned.begin_cycle(True)
+            stepped.begin_cycle(True)
+            assert lines(spanned) == lines(stepped), probe.cycle
             checked[probe.fsm] += 1
         if step_cycle(dp, ctrl, ks, job=jobs[0] if jobs else None) is not None:
             jobs.popleft()
     assert not jobs and dp.fa_out_tag is None
     assert checked[FLUSH] == TRACK_CYCLES and checked[RUN] > 100
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(
+    data=st.data(),
+    cycles=st.integers(1, TRACK_CYCLES - 2),
+    tags=st.integers(0, (1 << TAG_BITS * NUM_LOOP_STAGES) - 1),
+    cycle=st.integers(0, 10**6),
+)
+def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
+    # A run-phase state with no arriving word, admission or divert, whose
+    # track chains stay short of their final bit over the n cycles.
+    chains = data.draw(
+        st.lists(
+            st.integers(0, (1 << TRACK_CYCLES - 1 - cycles) - 1),
+            min_size=NUM_LOOP_STAGES,
+            max_size=NUM_LOOP_STAGES,
+        )
+    )
+    ctrl = Controller()
+    ctrl.fsm = RUN
+    ctrl.cycle = cycle
+    ctrl.tags = tags
+    ctrl.track = sum(chain << TRACK_CYCLES * slot for slot, chain in enumerate(chains))
+    spanned = copy.copy(ctrl)
+    spanned.commit(cycles)
+    for _ in range(cycles):
+        ctrl.commit()
+    assert registers(spanned) == registers(ctrl)
 
 
 def summary_fields(summary):
