@@ -31,20 +31,26 @@ Like the datapath's ranks, the twelve track chains are held as one int:
 chain s is the bit field 113s..113s+112, newest bit lowest, so a commit
 shifts all twelve with one shift and one mask.
 
-Each cycle has one shape. :meth:`Controller.begin_cycle` decides every
-control line from registered state alone (the FSM, the cycle, the track
-rank and the occupancy register) and sets it as a plain attribute: the
-four reset lines, ``divert`` into the final key-add and ``admit_ready``.
-:meth:`Controller.check_against` is the one reconciliation of those
-registers and lines with the datapath's tags, made once the datapath has
-computed the cycle, and :meth:`Controller.commit` shifts the registers.
-Between admissions and diverts the registers only rotate, so one commit
-covers the computed cycle and any number of such cycles after it:
-:meth:`Controller.event_free_cycles` counts them ahead from registered
-state. Each pass of a run commits the controller once, over one cycle,
-a window of event-free cycles, or a fixed-point flush cycle and the
-flush cycles left after it, up to ``Controller.flush_end``; no other
-method shifts the registers or moves the cycle.
+Each pass of a run has one shape. :meth:`Controller.begin_cycle` decides
+every control line of the pass's first cycle from registered state alone
+(the FSM, the cycle, the track rank and the occupancy register) and sets
+it as a plain attribute: the four reset lines, ``divert`` into the final
+key-add and ``admit_ready``. In run, given the count of pending jobs and
+a limit, it also plans the pass: the lines of every cycle after the
+first, up to one batch period. Those are a function of the same
+registers, since a divert waits for a track chain's final bit and an
+admission for its slot's chain to empty, and the plan lists the cycles
+it admits on. :meth:`Controller.check_against` is the one reconciliation
+of the registers and the first cycle's lines with the datapath's tags,
+made once the datapath has computed the pass, and :meth:`Controller.commit`
+moves the registers over every cycle the pass covers; no other method
+shifts them or moves the cycle.
+
+A plan is a list with one entry per cycle after the first, each
+``(admit, divert, initial_reset, main_reset)`` in the form the datapath
+takes the first cycle's lines. A cycle with no admission, divert or
+arriving word shares the one entry :data:`QUIET`; an event cycle has a
+list of its own, whose ``admit`` the run fills with the admitted job.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -61,9 +67,12 @@ compare walks the stages, to name the one at fault.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from typing import Sequence
+
 from .datapath import (
-    _CLEAR_TAG3, _SLOT_FIELD, _TAGS_MASK, _VALID2, FIELD_LSBS, NUM_LOOP_STAGES,
-    TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
+    _CLEAR_TAG3, _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, MAIN_ROUNDS,
+    NUM_LOOP_STAGES, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
 
@@ -77,6 +86,14 @@ RUN = "run"
 # (cycle - STAGE_PHASE_OFFSET - k) mod 12 equals its slot.
 STAGE_PHASE_OFFSET = 3
 
+# Greedy admission refills the loop's twelve slots once per batch period:
+# a slot stays reserved for its block's main rounds and its final pass.
+# No pass is planned past one.
+BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
+
+# The lines of a planned cycle with no admission, divert or arriving word.
+QUIET = (None, False, True, False)
+
 _VALID9 = TAG_VALID << 9 * TAG_BITS
 _VALID10 = TAG_VALID << 10 * TAG_BITS
 # The slot bits of a stage's field.
@@ -84,13 +101,15 @@ _SLOT_BITS = _SLOT_FIELD << 1
 _TRACK_FINAL = TRACK_CYCLES - 1
 
 # Track rank: per slot, its admission bit (bit 0 of its field), its whole
-# field and its final bit. A commit shifts every field by the cycles it
-# covers; the mask drops each chain's carry-out into the next field, which
-# only a one-cycle commit can have, and clears bit 0.
+# field and its final bit.
 _TRACK_ADMIT = tuple(1 << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
 _TRACK_FIELDS = tuple(((1 << TRACK_CYCLES) - 1) << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
 _TRACK_FINALS = tuple(bit << _TRACK_FINAL for bit in _TRACK_ADMIT)
-_TRACK_SHIFT_MASK = sum(_TRACK_FIELDS) ^ sum(_TRACK_ADMIT)
+# Per count n of cycles a commit covers, up to a chain's length: the bits
+# of every chain that stay in it over n shifts. The others pass the final
+# bit, and a shift would carry them into the next chain.
+_TRACK_ADMITS = sum(_TRACK_ADMIT)
+_TRACK_KEEP = tuple(((1 << TRACK_CYCLES - n) - 1) * _TRACK_ADMITS for n in range(TRACK_CYCLES + 1))
 
 # Per cycle phase (cycle mod 12): the slot the phase math requires in each
 # loop stage.
@@ -105,8 +124,6 @@ _EXPECTED_TAGS = tuple(
     sum(slot << 1 << TAG_BITS * k for k, slot in enumerate(expected))
     for expected in _EXPECTED_SLOTS
 )
-# The loop stages in the order the rotation brings them to stage 9.
-_STAGE9_FIRST = tuple((9 - k) % NUM_LOOP_STAGES for k in range(NUM_LOOP_STAGES))
 _RANK_BITS = TAG_BITS * NUM_LOOP_STAGES
 # Set above a tag rank's top field, so bin() keeps the leading fields'
 # zeros: bin(tags | _RANK_MARK)[3::6] is the rank's valid bits and [8::6]
@@ -115,6 +132,12 @@ _RANK_MARK = 1 << _RANK_BITS
 # Per cycle phase: the final bit of the chain whose block the phase math
 # puts at the shift-rows register (loop stage 2), the divert point.
 _DIVERT_FINALS = tuple(_TRACK_FINALS[expected[2]] for expected in _EXPECTED_SLOTS)
+# The divert reads the chain of slot (cycle - _DIVERT_PHASE) mod 12.
+_DIVERT_PHASE = STAGE_PHASE_OFFSET + 2
+# Per commit offset t mod 12 in a pass: the field of the rank after the
+# first commit that t more rotations bring to S0 and to S3.
+_S0_SHIFTS = tuple(TAG_BITS * -t % _RANK_BITS for t in range(NUM_LOOP_STAGES))
+_S3_SHIFTS = tuple(TAG_BITS * (3 - t) % _RANK_BITS for t in range(NUM_LOOP_STAGES))
 
 
 class Controller:
@@ -138,13 +161,27 @@ class Controller:
         # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
         self._arriving0 = 0
         self._arriving1 = 0
-        self._admitted_now = 0
+        # (offset, ``TAG_VALID | mode``) of each admission of the pass.
+        self._admits = []
+        # The pass's plan, its admission offsets and its planned diverts.
+        self.plan = ()
+        self.admissions = ()
+        self._diverts = ()
         # The cycle the flush ends on, set on the change into flush.
         self.flush_end = 0
 
     # FSM sequencing and every control line, evaluated from registered
-    # conditions at the top of each cycle.
-    def begin_cycle(self, key_schedule_ready: bool) -> None:
+    # conditions at the top of each pass.
+    def begin_cycle(
+        self, key_schedule_ready: bool, pending: int = 0, limit: int = 1
+    ) -> Sequence[Sequence]:
+        """Decide this cycle's lines and, in run with ``limit`` above 1,
+        plan the pass of up to ``limit`` cycles that starts with it.
+
+        Returns the plan, the lines of each cycle after this one (empty for
+        a pass of one cycle), and sets ``admissions``: the offsets of the
+        cycles the pass admits ``pending`` jobs on, in order.
+        """
         fsm = self.fsm
         if fsm != RUN:
             if fsm == RESET:
@@ -163,7 +200,8 @@ class Controller:
         self.main_reset = admitted or fsm != RUN
         if fsm != RUN:
             self.divert = self.admit_ready = False
-            return
+            self.admissions = ()
+            return ()
         phase = self.cycle % NUM_LOOP_STAGES
         track = self.track
         stage9_busy = bool(self.tags & _VALID9)
@@ -173,14 +211,86 @@ class Controller:
             raise ControlFault("stage-9 occupancy and slot tracking disagree")
         self.admit_ready = not stage9_busy
         self.divert = bool(track & _DIVERT_FINALS[phase])
+        self.admissions = (0,) if pending and self.admit_ready else ()
+        if limit == 1:
+            return ()
+        self._plan_pass(pending, limit)
+        return self.plan
 
-    def admit(self, seq: int, mode: int) -> Word:
+    def _plan_pass(self, pending: int, limit: int) -> None:
+        """Plan the cycles after this one from the track chains alone.
+
+        A block diverts when its chain's bit reaches the final bit, and its
+        slot's stage-9 field is free from the cycle its chain empties, so a
+        waiting job takes the slot when the phase next brings it round. A
+        block admitted in the pass diverts TRACK_CYCLES later, and a word
+        arrives from the initial key-add the cycle after its admission.
+        The pass ends at ``limit``, at one batch period, or on the cycle
+        the last pending job completes.
+        """
+        cycle = self.cycle
+        phase = cycle % NUM_LOOP_STAGES
+        admissions = list(self.admissions)
+        span = min(limit, BATCH_PERIOD)
+        # Every tracking bit, highest first: the last one seen in a chain
+        # is its newest.
+        diverts = []
+        newest = [None] * NUM_LOOP_STAGES
+        rest = self.track
+        while rest:
+            top = rest.bit_length() - 1
+            rest ^= 1 << top
+            slot, bit = divmod(top, TRACK_CYCLES)
+            newest[slot] = bit
+            offset = _TRACK_FINAL - bit
+            if offset and (cycle + offset - _DIVERT_PHASE - slot) % NUM_LOOP_STAGES == 0:
+                diverts.append(offset)
+        frees = []
+        for slot, bit in enumerate(newest):
+            if bit is not None:
+                free = TRACK_CYCLES - bit
+            elif slot == phase:
+                # Free on this cycle; its next turn is past the pass.
+                continue
+            else:
+                free = 1
+            frees.append(free + (slot - cycle - free) % NUM_LOOP_STAGES)
+        frees.sort()
+        for offset in frees:
+            if offset >= span or len(admissions) == pending:
+                break
+            admissions.append(offset)
+        if admissions and len(admissions) == pending:
+            span = min(span, admissions[-1] + BLOCK_LATENCY + 1)
+
+        # Each event cycle has an entry of its own. The run fills in an
+        # admission's; the word arrives from the initial key-add the cycle
+        # after, which lifts the initial key-add's reset and resets the main.
+        events = {}
+        for offset in admissions:
+            if offset:
+                events.setdefault(offset, list(QUIET))
+            if offset + 1 < span:
+                events.setdefault(offset + 1, list(QUIET))[2:] = False, True
+            diverts.append(offset + TRACK_CYCLES)
+        diverts.sort()
+        self._diverts = diverts[:bisect_left(diverts, span)]
+        for offset in self._diverts:
+            events.setdefault(offset, list(QUIET))[1] = True
+        self.plan = plan = [QUIET] * (span - 1)
+        for offset, entry in events.items():
+            plan[offset - 1] = entry
+        self.admissions = admissions
+
+    def admit(self, seq: int, mode: int, offset: int = 0) -> Word:
+        """Admit a job on this cycle or, ``offset`` cycles on, on a cycle
+        the plan admits on."""
         if self.fsm != RUN:
             raise AdmissionError(f"admission while controller is in {self.fsm}")
-        if not self.admit_ready:
+        if not (self.admit_ready if offset == 0 else offset in self.admissions):
             raise AdmissionError("admission attempted on a stalled cycle")
-        self._admitted_now = TAG_VALID | mode & 1
-        return Word(seq=seq, mode=mode, slot=self.cycle % NUM_LOOP_STAGES)
+        self._admits.append((offset, TAG_VALID | mode & 1))
+        return Word(seq, mode, (self.cycle + offset) % NUM_LOOP_STAGES)
 
     @property
     def occupancy(self) -> int:
@@ -239,59 +349,98 @@ class Controller:
         bit is set and no word is in the loop or on its way there."""
         return not (self.track or self.tags or self._arriving0 or self._arriving1)
 
-    def event_free_cycles(self, pending: bool, limit: int) -> int:
-        """From registered state: how many cycles, this one first and at
-        most ``limit``, pass in run with no admission, no divert and no word
-        on the initial key-add ranks.
+    def commit(self, cycles: int = 1) -> int:
+        """Commit this cycle and the ``cycles - 1`` after it, with the
+        admissions made and the diverts planned on them: a pass, the part
+        of it the key store served, or a skipped flush span.
 
-        A divert waits for a track chain to reach its final bit, so the
-        chain with the highest set bit bounds the count. While jobs are
-        pending, an admission waits for the rotating occupancy register to
-        bring an empty field to stage 9.
+        The track chains shift ``cycles`` places, each admission's bit
+        entering its slot's chain at its offset. The occupancy and mode
+        registers rotate as many stages, and on each commit an arriving
+        word's field takes S0 and a divert clears S3. Returns the highest
+        occupancy the registers hold on the cycles after the first.
         """
-        if self.fsm != RUN or self._arriving0 or self._arriving1:
-            return 0
-        track = self.track
-        if track:
-            # The twelve chains ORed into one field: its top bit is the highest.
-            chains = 0
-            for slot in range(NUM_LOOP_STAGES):
-                chains |= track >> TRACK_CYCLES * slot
-            limit = min(limit, TRACK_CYCLES - (chains & _TRACK_FIELDS[0]).bit_length())
-        if pending:
-            tags = self.tags
-            for occupied, stage in enumerate(_STAGE9_FIRST):
-                if not tags >> TAG_BITS * stage & TAG_VALID:
-                    return min(limit, occupied)
-        return limit
-
-    def commit(self, cycles: int = 1) -> None:
-        """Commit this cycle and the ``cycles - 1`` after it, which must admit
-        and divert nothing, hold no word on the initial key-add ranks and
-        shift no track bit past its chain's final bit: over them the track
-        chains only shift and the occupancy and mode registers only rotate."""
-        # Track registers shift every cycle; the admitted slot's register
-        # takes the tracking bit at the admission commit itself.
-        admitted = self._admitted_now
-        track = (self.track << cycles) & _TRACK_SHIFT_MASK
-        if admitted:
-            track |= _TRACK_ADMIT[self.cycle % NUM_LOOP_STAGES]
-        self.track = track
-
-        # The occupancy and mode registers rotate as many stages; the arriving
-        # word's field takes S0 in place of the one that wraps there.
-        tags = self.tags << TAG_BITS * (cycles % NUM_LOOP_STAGES)
+        # The first commit, under this cycle's registers and lines: the
+        # arriving word's field takes S0 and a divert clears S3.
+        tags = self.tags << TAG_BITS
         tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
-        entering = self._arriving1
-        if entering:
+        if self._arriving1:
             if tags & TAG_VALID:
                 raise ControlFault("occupancy wrap collides with admission")
-            tags = tags >> TAG_BITS << TAG_BITS | entering
+            tags = tags >> TAG_BITS << TAG_BITS | self._arriving1
         if self.divert:
             tags &= _CLEAR_TAG3
+        track = self.track
+        if track:
+            track = (track & _TRACK_KEEP[cycles if cycles < TRACK_CYCLES else TRACK_CYCLES]) << cycles
+        # A word's field enters S0 two commits after its admission, but for
+        # the last two admitted, which the arriving registers then hold.
+        # The later commits' events are (commit offset, clears S3, field
+        # entering S0), in commit order; on one commit the field enters S0
+        # before S3 clears.
+        events = []
+        arriving1, arriving0 = self._arriving0, 0
+        if cycles > 1 and arriving1:
+            events.append((1, 0, arriving1))
+            arriving1 = 0
+        if self._admits:
+            for offset, field in self._admits:
+                age = cycles - 1 - offset
+                if age < 0:
+                    break
+                if age > 1:
+                    events.append((offset + 2, 0, field))
+                elif age:
+                    arriving1 = field
+                else:
+                    arriving0 = field
+                if age < TRACK_CYCLES:
+                    track |= _TRACK_ADMIT[(self.cycle + offset) % NUM_LOOP_STAGES] << age
+            self._admits = []
+        self.track = track
+        diverts = self._diverts
+        if diverts:
+            self._diverts = ()
+        peak = 0
+        if cycles > 1:
+            if diverts:
+                for offset in diverts:
+                    if offset >= cycles:
+                        break
+                    if self.plan[offset - 1][1]:
+                        events.append((offset, 1, 0))
+                events.sort()
+            # After commit t the rank is this one rotated t stages more, so
+            # each event lands on the field that rotates into S0 or S3 by
+            # then. Each state holds from the cycle after its last commit
+            # with events up to the next one; the peak is over those from
+            # the second cycle.
+            last = 0
+            occupancy = peak = (tags >> 5 & FIELD_LSBS).bit_count()
+            for offset, clear, field in events:
+                if offset != last:
+                    if occupancy > peak:
+                        peak = occupancy
+                    last = offset
+                if clear:
+                    shift = _S3_SHIFTS[offset % NUM_LOOP_STAGES]
+                    if tags >> shift & TAG_VALID:
+                        occupancy -= 1
+                    tags &= ~(TAG_FIELD << shift)
+                else:
+                    shift = _S0_SHIFTS[offset % NUM_LOOP_STAGES]
+                    if tags >> shift & TAG_VALID:
+                        fault = ControlFault("occupancy wrap collides with admission")
+                        fault.offset = offset
+                        raise fault
+                    occupancy += 1
+                    tags = tags & ~(TAG_FIELD << shift) | field << shift
+            if last < cycles - 1 and occupancy > peak:
+                peak = occupancy
+            tags <<= TAG_BITS * ((cycles - 1) % NUM_LOOP_STAGES)
+            tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
         self.tags = tags
-
-        self._arriving1 = self._arriving0
-        self._arriving0 = admitted
-        self._admitted_now = 0
+        self._arriving1 = arriving1
+        self._arriving0 = arriving0
         self.cycle += cycles
+        return peak

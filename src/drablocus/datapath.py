@@ -45,9 +45,10 @@ and register at a time; they are the unit-tested specification.
 (several registers of one rank as bit fields of one int) and steps them
 in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
-makes no per-primitive calls. The same code steps one cycle, or a window
-of cycles in one frame over locals. A lockstep test replays a simulator
-run into both and compares every tap on every cycle.
+makes no per-primitive calls. The same code steps one cycle, or a pass of
+cycles in one frame over locals under each cycle's planned lines. A
+lockstep test replays a simulator run into both and compares every tap on
+every cycle.
 """
 
 from __future__ import annotations
@@ -396,8 +397,9 @@ class RoundDatapath:
     of every rank and tag (raising the S0 collision there); commit only
     latches them. Between the two, :meth:`taps` and the tags show the
     committed state, each tag naming the word whose data its rank holds.
-    Given the key pairs of further cycles, compute derives the state after
-    those too, under the same lines, and commit latches that.
+    Given the keys and lines of further cycles, compute derives the state
+    after those too, and the words completed on the way, and commit
+    latches that.
 
     Every register rank is one int attribute; a rank built from several
     registers holds them as bit fields, first register most significant:
@@ -474,15 +476,19 @@ class RoundDatapath:
         final_reset: bool = False,
         ks_sub_bytes: tuple[int, int] = (0, 0),
         ks_mix_columns: tuple[int, int] = (0, 0),
-        keys: Sequence[tuple[int, int]] = (),
-    ) -> None:
-        """Compute one cycle, and one more under the same lines for each
-        ``(main_key, final_key)`` pair in ``keys``: each cycle but the last
-        is committed in locals, and the last one's next state awaits
-        :meth:`commit_cycle`. Key pairs come only with lines every cycle of
-        a window can take: no admission and no divert. On a run cycle with
-        no word arriving those are the default lines, with only the initial
-        key-add held in reset."""
+        keys: Sequence[tuple[int, int, Sequence]] = (),
+    ) -> list[tuple[int, Word, int]]:
+        """Compute one cycle under these lines, and one more for each
+        ``(main_key, final_key, lines)`` entry of ``keys``, under its keys
+        and its ``(admit, divert, initial_reset, main_reset)`` lines; the
+        other lines hold over the pass. Each cycle but the last is committed
+        in locals, and the last one's next state awaits :meth:`commit_cycle`.
+
+        Returns each completion of the pass as ``(offset, tag, data)``: the
+        cycle's offset from the first, the word the final key-add output
+        carries then, and its value. A fault raised on a later cycle
+        carries its offset as ``offset``.
+        """
         sbox = self._sbox
         lanes = self._lanes
         seqs = self.seqs
@@ -511,91 +517,120 @@ class RoundDatapath:
         ia_in_tag, entering, fa_in_tag = self.ia_in_tag, self.ia_out_tag, self.fa_in_tag
         fa_out_tag = self.fa_out_tag
 
+        # The completions: the committed output rank's word on the first
+        # cycle, the committed input rank's on the second, and each word
+        # diverted in the pass two cycles after its divert, with the row
+        # shift it left S2 with under that cycle's final key.
         cycles = len(keys)
+        completions = [] if fa_out_tag is None else [(0, fa_out_tag, self.fa_out)]
+        if cycles and fa_in_tag is not None:
+            fa_in = self.fa_in
+            data = 0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128)
+            completions.append((1, fa_in_tag, data))
         cycle = 0
-        while True:
-            # Substitution RAMs behind the OR mux; the driving word's mode
-            # (the key schedule's when none) selects the table half. The mux
-            # check is called only when two sources drive, to raise its fault.
-            if (s11 and (ia_out or ks_sb_data)) or (ia_out and ks_sb_data):
-                or_mux_tap(s11, ia_out, ks_sb_data)
-            if entering is not None:
-                sb_mode = entering.mode
-            elif tags & _VALID11:
-                sb_mode = tags >> _TAG_WRAP_SHIFT & 1
-            else:
-                sb_mode = ks_sb_mode
-            sub = (s11 | ia_out | ks_sb_data).to_bytes(16, "big").translate(sbox[sb_mode])
+        current = None
+        try:
+            while True:
+                # Substitution RAMs behind the OR mux; the driving word's mode
+                # (the key schedule's when none) selects the table half. The mux
+                # check is called only when two sources drive, to raise its fault.
+                if (s11 and (ia_out or ks_sb_data)) or (ia_out and ks_sb_data):
+                    or_mux_tap(s11, ia_out, ks_sb_data)
+                if entering is not None:
+                    sb_mode = entering.mode
+                elif tags & _VALID11:
+                    sb_mode = tags >> _TAG_WRAP_SHIFT & 1
+                else:
+                    sb_mode = ks_sb_mode
+                sub = (s11 | ia_out | ks_sb_data).to_bytes(16, "big").translate(sbox[sb_mode])
 
-            # Key-add outputs: the XOR of the last input rank's data and key.
-            s11 = 0 if main_reset else (s10 >> 128) ^ (s10 & _MASK128)
-            s10 = s9
-            s9 = (s8 << 128) | main_key
-            ia_out = 0 if initial_reset else (ia_in >> 128) ^ (ia_in & _MASK128)
-            ia_in = ia_in_next
+                # Key-add outputs: the XOR of the last input rank's data and key.
+                s11 = 0 if main_reset else (s10 >> 128) ^ (s10 & _MASK128)
+                s10 = s9
+                s9 = (s8 << 128) | main_key
+                ia_out = 0 if initial_reset else (ia_in >> 128) ^ (ia_in & _MASK128)
+                ia_in = ia_in_next
 
-            # XOR cascade: each rank folds the next lane into the running sum,
-            # XORing its first field onto the second and dropping the first.
-            s8 = (s7 ^ (s7 >> 128)) & _MASK128
-            s7 = (s6 ^ ((s6 >> 128) & _MID128)) & _MASK256
-            s6 = (s5 ^ ((s5 >> 128) & _SECOND128)) & _MASK384
-            s5 = s4
-            s4 = s3
+                # XOR cascade: each rank folds the next lane into the running sum,
+                # XORing its first field onto the second and dropping the first.
+                s8 = (s7 ^ (s7 >> 128)) & _MASK128
+                s7 = (s6 ^ ((s6 >> 128) & _MID128)) & _MASK256
+                s6 = (s5 ^ ((s5 >> 128) & _SECOND128)) & _MASK384
+                s5 = s4
+                s4 = s3
 
-            # Product RAMs behind the OR mux, read straight into lane order.
-            if ks_mc_data:
-                shifted = int.from_bytes(bytes(s2), "big")
-                if shifted:
-                    or_mux_tap(shifted, ks_mc_data)
-                mc_in = (shifted | ks_mc_data).to_bytes(16, "big")
-            else:
-                mc_in = s2
-            l0, l1, l2, l3 = lanes[tags >> _TAG2_SHIFT & 1 if tags & _VALID2 else ks_mc_mode]
-            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = mc_in
-            s3 = int.from_bytes(b"".join((
-                l0[b0], l0[b4], l0[b8], l0[b12], l1[b1], l1[b5], l1[b9], l1[b13],
-                l2[b2], l2[b6], l2[b10], l2[b14], l3[b3], l3[b7], l3[b11], l3[b15],
-            )), "big")
+                # Product RAMs behind the OR mux, read straight into lane order.
+                if ks_mc_data:
+                    shifted = int.from_bytes(bytes(s2), "big")
+                    if shifted:
+                        or_mux_tap(shifted, ks_mc_data)
+                    mc_in = (shifted | ks_mc_data).to_bytes(16, "big")
+                else:
+                    mc_in = s2
+                l0, l1, l2, l3 = lanes[tags >> _TAG2_SHIFT & 1 if tags & _VALID2 else ks_mc_mode]
+                b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = mc_in
+                s3 = int.from_bytes(b"".join((
+                    l0[b0], l0[b4], l0[b8], l0[b12], l1[b1], l1[b5], l1[b9], l1[b13],
+                    l2[b2], l2[b6], l2[b10], l2[b14], l3[b3], l3[b7], l3[b11], l3[b15],
+                )), "big")
 
-            # Row shift of the substitution RAM output register.
-            s2_2 = s2_1
-            s2_1 = s2
-            s2 = _ZERO_STATE if shift_rows_reset else _SHIFT_ROWS[tags >> TAG_BITS & 1](s1)
-            s1 = s0
-            s0 = sub
+                # Row shift of the substitution RAM output register.
+                s2_2 = s2_1
+                s2_1 = s2
+                s2 = _ZERO_STATE if shift_rows_reset else _SHIFT_ROWS[tags >> TAG_BITS & 1](s1)
+                s1 = s0
+                s0 = sub
 
-            # Tags take their next value beside the data: the tag rank rotates
-            # one stage, S11's word wrapping into S0; the arriving word takes
-            # S0 (never beside a recirculating one), and a divert sends S2's
-            # word into the final instance instead of S3.
-            rotated = ((tags << TAG_BITS) | (tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
-            if entering is not None:
-                if rotated & TAG_VALID:
-                    raise CollisionError(
-                        f"stage S0 claimed by arriving {entering} and recirculating "
-                        f"{self._word(tags, NUM_LOOP_STAGES - 1)}"
-                    )
-                slot = entering.slot
-                seqs[slot] = entering.seq
-                rotated |= TAG_VALID | slot << 1 | entering.mode & 1
-            diverted = None
-            if divert:
-                code = tags >> _TAG2_SHIFT
-                if code & TAG_VALID:
-                    slot = code >> 1 & _SLOT_FIELD
-                    diverted = Word(seqs[slot], code & 1, slot)
-                rotated &= _CLEAR_TAG3
-            tags = rotated
-            fa_out_tag = fa_in_tag
-            fa_in_tag = diverted
-            entering = ia_in_tag
-            ia_in_tag = admitted
+                # Tags take their next value beside the data: the tag rank rotates
+                # one stage, S11's word wrapping into S0; the arriving word takes
+                # S0 (never beside a recirculating one), and a divert sends S2's
+                # word into the final instance instead of S3.
+                rotated = ((tags << TAG_BITS) | (tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
+                if entering is not None:
+                    if rotated & TAG_VALID:
+                        raise CollisionError(
+                            f"stage S0 claimed by arriving {entering} and recirculating "
+                            f"{self._word(tags, NUM_LOOP_STAGES - 1)}"
+                        )
+                    slot = entering.slot
+                    seqs[slot] = entering.seq
+                    rotated |= TAG_VALID | slot << 1 | entering.mode & 1
+                diverted = None
+                if divert:
+                    code = tags >> _TAG2_SHIFT
+                    if code & TAG_VALID:
+                        slot = code >> 1 & _SLOT_FIELD
+                        diverted = Word(seqs[slot], code & 1, slot)
+                        if cycle + 2 <= cycles:
+                            completions.append((
+                                cycle + 2, diverted,
+                                0 if final_reset
+                                else int.from_bytes(bytes(s2_1), "big") ^ final_key,
+                            ))
+                    rotated &= _CLEAR_TAG3
+                tags = rotated
+                fa_out_tag = fa_in_tag
+                fa_in_tag = diverted
+                entering = ia_in_tag
+                ia_in_tag = admitted
 
-            if cycle == cycles:
-                break
-            last_final_key = final_key
-            main_key, final_key = keys[cycle]
-            cycle += 1
+                if cycle == cycles:
+                    break
+                last_final_key = final_key
+                main_key, final_key, lines = keys[cycle]
+                if lines is not current:
+                    current = lines
+                    admit, divert, initial_reset, main_reset = lines
+                    if admit is not None:
+                        block, key, admitted = admit
+                        ia_in_next = (block << 128) | key
+                    else:
+                        ia_in_next = 0
+                        admitted = None
+                cycle += 1
+        except SimulationFault as fault:
+            fault.offset = cycle
+            raise
 
         # The final key-add ranks, from the last two cycles: the input rank
         # takes the last cycle's s2 and final key, and the output rank the
@@ -614,6 +649,7 @@ class RoundDatapath:
             0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128),
             tags, ia_in_tag, entering, fa_in_tag, fa_out_tag,
         )
+        return completions
 
     def commit_cycle(self) -> None:
         (

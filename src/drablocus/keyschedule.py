@@ -23,9 +23,12 @@ back, reading each result 6 cycles after injection.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .aesref import NUM_ROUNDS, RCON
-from .controller import KEY_INIT
+from .controller import KEY_INIT, QUIET
 from .datapath import (
+    _CLEAR_TAG3,
     _MASK32,
     _MASK128,
     _SLOT_FIELD,
@@ -37,6 +40,7 @@ from .datapath import (
     TAG_BITS,
     TAG_VALID,
     RoundDatapath,
+    Word,
 )
 from .faults import KeyStoreFault
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
@@ -106,19 +110,31 @@ class KeyScheduler:
         self.round_counters[slot] = 0
 
     def compute(
-        self, datapath: RoundDatapath, controller_fsm: str, cycles: int = 1
-    ) -> list[tuple[int, int]]:
-        """Set both port addresses and read them, for one cycle or, in
-        service, for ``cycles`` cycles of the datapath's tag rank rotating one
-        stage per cycle. The last cycle's reads and counter increment await
-        :meth:`commit`; the cycles before it commit here, but for the port
-        outputs, which keep the first cycle's until that commit.
+        self,
+        datapath: RoundDatapath,
+        controller_fsm: str,
+        admit: tuple[int, int, Word] | None = None,
+        divert: bool = False,
+        plan: Sequence = (),
+    ) -> list:
+        """Set both port addresses and read them, for one cycle under its
+        ``admit`` and ``divert`` lines or, in service, for the cycles of a
+        pass: the first, then one per entry of the controller's ``plan``.
+        The last cycle's reads and counter increment await :meth:`commit`;
+        the cycles before it commit here, but for the port outputs, which
+        keep the first cycle's until that commit.
 
-        Returns the ``(out_a, out_b)`` pair of each cycle after the first,
-        the keys the datapath's key-add instances take on it. A read past the
-        last main round raises on the first cycle; on a later one the
-        service stops short of that cycle, which is then stepped alone and
-        raises there.
+        Each admission resets its slot's round counter on its cycle. Over a
+        pass the reads follow the datapath's tag rank as it will move: it
+        rotates one stage per cycle, the word arriving from the initial
+        key-add ranks takes S0 two cycles after its admission, and a divert
+        clears the field S2's word would take in S3.
+
+        Returns one entry per cycle after the first: ``(out_a, out_b,
+        lines)``, the keys the datapath's key-add instances take on it and
+        its planned lines. A read past the last main round raises on the
+        first cycle; on a later one the service stops short of that cycle,
+        which then opens the next pass and raises there.
         """
         keys = []
         if self.fsm != READY:
@@ -143,6 +159,14 @@ class KeyScheduler:
         image = self.image
         counters = self.round_counters
         tags = datapath.tags
+        if admit is not None:
+            self.on_admission(admit[2].slot)
+        cycles = len(plan)
+        if cycles:
+            # The words that take S0 at this cycle's commit and the next two.
+            entering, arriving1 = datapath.ia_out_tag, datapath.ia_in_tag
+            arriving0 = None if admit is None else admit[2]
+        offset = 0
         while True:
             # Arbitrary-round consumer: the word now in stage 7 presents to
             # the main key-add next cycle, together with port a's read.
@@ -151,13 +175,13 @@ class KeyScheduler:
                 slot = code >> 1 & _SLOT_FIELD
                 round_index = counters[slot] + 1
                 if round_index > MAIN_ROUNDS:
-                    if not keys:
+                    if not offset:
                         raise KeyStoreFault(
                             f"slot {slot} requested main-loop key for round {round_index}"
                         )
                     # Stop before this cycle: the reads its outputs would be
                     # are what the commit latches.
-                    read_a, read_b = keys.pop()
+                    read_a, read_b, _ = keys.pop()
                     increment = None
                     break
                 addr_a = (code & 1) << 4 | round_index
@@ -172,14 +196,28 @@ class KeyScheduler:
             # The word in stage 8 consumes its key at the cycle's commit.
             code = tags >> _TAG8_SHIFT
             increment = code >> 1 & _SLOT_FIELD if code & TAG_VALID else None
-            cycles -= 1
-            if not cycles:
+            if offset == cycles:
                 break
             # The cycle's commit, and the rank moves one stage.
-            keys.append((read_a, read_b))
             if increment is not None:
                 counters[increment] += 1
             tags = ((tags << TAG_BITS) | (tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
+            if entering is not None:
+                tags |= TAG_VALID | entering.slot << 1 | entering.mode & 1
+            if divert:
+                tags &= _CLEAR_TAG3
+            lines = plan[offset]
+            keys.append((read_a, read_b, lines))
+            offset += 1
+            entering, arriving1 = arriving1, arriving0
+            if lines is QUIET:
+                arriving0 = None
+                divert = False
+            else:
+                admit, divert = lines[0], lines[1]
+                arriving0 = None if admit is None else admit[2]
+                if arriving0 is not None:
+                    self.on_admission(arriving0.slot)
         self.addr_a, self.addr_b = addr_a, addr_b
         self._read_a, self._read_b, self._pending_increment = read_a, read_b, increment
         return keys

@@ -16,18 +16,24 @@ lines, all a trace shows of them. The test is exact: an upset that breaks
 the fixed point delays the skip. ``RunSummary.skipped_cycles`` counts
 the cycles skipped; the other statistics count them as cycles.
 
-Most cycles of a saturated run are event-free: none admits, diverts or
-completes a job, and the registers only rotate. Each cycle the run makes
-one call to the key store and one to the datapath, which compute the
-cycle under its own lines. Without a trace, an event-free cycle opens a
-window: the same two calls also compute the event-free cycles after it
-but the last, under the same lines. The controller counts the cycles
-from registered state and checks itself on the first and on the last,
-which is stepped alone. A key read past the last main round ends a
-window short, so the cycle that raises it is stepped. Every pass commits
-the datapath, the controller and the key store once each, over all the
-cycles it covers. ``RunSummary`` counts the cycles stepped, computed in
-windows and skipped.
+The run is a sequence of passes. Each pass makes one call to the key
+store and one to the datapath, which compute its cycles under their own
+lines. In run, without a trace, the controller plans a pass of up to one
+batch period from registered state and the count of pending jobs: the
+cycles it admits on, its diverts and its reset lines, which follow from
+the track chains alone. A pass ends at the cap, the budget or the last
+job's completion; a traced cycle and every cycle before the run phase
+is a pass of one cycle. The run takes a queued job for each planned
+admission, checks the latency of every completion the datapath returns
+with its offset, and counts stalls and occupancy over every cycle; the
+controller checks itself against the datapath on each pass's first
+cycle. A key read past the last main round ends a pass short, so the
+next pass opens on the cycle that raises it; any other fault raised
+inside a pass carries its offset, and the run names the cycle a run
+stepping every cycle would. Every pass commits the datapath, the
+controller and the key store once each, over all the cycles it covers.
+``RunSummary`` counts the passes, the cycles after their first and the
+skipped cycles.
 
 File formats (stable, line-delimited):
 
@@ -47,10 +53,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
-from .controller import _RANK_MARK, FLUSH, KEY_INIT, RESET, RUN, Controller
+from .controller import _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, RESET, RUN, Controller
 from .datapath import (
     BLOCK_LATENCY,
-    MAIN_ROUNDS,
     NUM_LOOP_STAGES,
     TAG_BITS,
     TAG_VALID,
@@ -72,10 +77,6 @@ NOMINAL_BLOCKS_PER_CYCLE = NUM_LOOP_STAGES / BLOCK_LATENCY
 
 # The published clock of the core; derived figures use it unless given another.
 CLOCK_MHZ = 528.262
-
-# Greedy admission refills the loop's twelve slots once per batch period:
-# a slot stays reserved for its block's main rounds and its final pass.
-BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
 
 # The first run cycle: one reset cycle, key initialization (its program,
 # then the cycle that reports the schedule ready), and the flush.
@@ -119,9 +120,9 @@ class RunSummary:
     blocks_completed: int = 0
     stall_cycles: int = 0
     max_loop_occupancy: int = 0
-    # Each cycle is counted once in one of the next three: stepped alone,
-    # computed in a window of event-free run cycles (untraced runs only),
-    # or a flush cycle fast-forwarded from a fixed point.
+    # Each cycle is counted once in one of the next three: the first cycle
+    # of a pass, a later cycle of a planned pass (untraced runs only), or a
+    # flush cycle fast-forwarded from a fixed point.
     stepped_cycles: int = 0
     window_cycles: int = 0
     skipped_cycles: int = 0
@@ -213,6 +214,8 @@ class PipelineSimulator:
         admission_cycles = summary.admission_cycles
         completion_cycles = summary.completion_cycles
         budget = cycle_budget(len(jobs))
+        # The cycle after the last completion, once the last job is admitted.
+        run_end = budget
         phase_starts: dict[str, int] = {}
         max_occupancy = 0
         stall_cycles = 0
@@ -220,14 +223,16 @@ class PipelineSimulator:
         window_cycles = 0
         skipped_cycles = 0
 
-        # The per-cycle methods, looked up once per run.
+        # The per-pass methods, looked up once per run.
         begin_cycle = ctrl.begin_cycle
+        admit = ctrl.admit
         check_against = ctrl.check_against
         ctrl_commit = ctrl.commit
         ks_compute = ks.compute
         ks_commit = ks.commit
         dp_compute = dp.compute_cycle
         dp_commit = dp.commit_cycle
+        initial_keys = ks.initial_keys
         fsm = None
 
         try:
@@ -237,39 +242,52 @@ class PipelineSimulator:
                     raise TimingFault(
                         f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
                     )
-                begin_cycle(ks.fsm == KEY_SCHEDULE_READY)
+                # A traced run steps every cycle; an untraced one plans each
+                # pass up to the budget and the last completion.
+                waiting = len(pending)
+                limit = 1 if trace is not None else (run_end if run_end > cycle else budget) - cycle
+                plan = begin_cycle(ks.fsm == KEY_SCHEDULE_READY, waiting, limit)
                 if ctrl.fsm != fsm:
                     fsm = ctrl.fsm
                     phase_starts.setdefault(fsm, cycle)
-                # An event-free cycle of an untraced run opens a window of
-                # it and the event-free cycles after it but the last.
-                span = 1
-                if trace is None and fsm == RUN and dp.fa_in_tag is None and dp.fa_out_tag is None:
-                    span = max(1, ctrl.event_free_cycles(bool(pending), budget - cycle) - 1)
 
+                # The planned admissions take the jobs at the head of the
+                # queue; the first cycle's is a line of its own.
+                admissions = ctrl.admissions
                 admit_arg = None
-                stalled = False
-                if pending and fsm == RUN:
-                    if ctrl.admit_ready:
-                        job = pending.popleft()
-                        tag = ctrl.admit(job.seq, job.mode)
-                        ks.on_admission(tag.slot)
-                        admit_arg = (
+                if admissions:
+                    for index, offset in enumerate(admissions):
+                        job = pending[index]
+                        arg = (
                             int.from_bytes(job.block, "big"),
-                            ks.initial_keys[job.mode],
-                            tag,
+                            initial_keys[job.mode],
+                            admit(job.seq, job.mode, offset),
                         )
-                        admission_cycles[job.seq] = cycle
-                    else:
-                        stalled = True
+                        if offset:
+                            plan[offset - 1][0] = arg
+                        else:
+                            admit_arg = arg
 
-                # In a window, the cycles after the first take its lines,
-                # which are the datapath's defaults: the loop rotates with no
-                # admission, divert or completion, and every cycle stalls
-                # while jobs wait. The key store may end the window short of
-                # a read that faults.
-                keys = ks_compute(dp, fsm, span)
-                dp_compute(
+                keys = ks_compute(dp, fsm, admit_arg, ctrl.divert, plan)
+                # The key store may end the pass short of a read that faults;
+                # the jobs planned past it stay queued.
+                span = 1 + len(keys)
+                admitted = 0
+                if admissions:
+                    for offset in admissions:
+                        if offset >= span:
+                            break
+                        admission_cycles[pending.popleft().seq] = cycle + offset
+                        admitted += 1
+                    if not pending:
+                        run_end = min(budget, cycle + admissions[admitted - 1] + BLOCK_LATENCY + 1)
+                # Every cycle a job waits without being admitted stalls.
+                stalls = 0
+                if waiting and fsm == RUN:
+                    waited = admissions[admitted - 1] + 1 if admitted == waiting else span
+                    stalls = waited - admitted
+
+                for offset, tag, data in dp_compute(
                     admit=admit_arg,
                     divert=ctrl.divert,
                     main_key=ks.out_a,
@@ -281,25 +299,24 @@ class PipelineSimulator:
                     ks_sub_bytes=ks.sub_bytes_inject,
                     ks_mix_columns=ks.mix_columns_inject,
                     keys=keys,
-                )
-
-                tag = dp.fa_out_tag
-                if tag is not None:
-                    outputs[tag.seq] = dp.fa_out.to_bytes(16, "big")
-                    completion_cycles[tag.seq] = cycle
-                    latency = cycle - admission_cycles[tag.seq]
+                ):
+                    outputs[tag.seq] = data.to_bytes(16, "big")
+                    completion_cycles[tag.seq] = cycle + offset
+                    latency = cycle + offset - admission_cycles[tag.seq]
                     if latency != BLOCK_LATENCY:
-                        raise TimingFault(
+                        fault = TimingFault(
                             f"block {tag.seq} completed after {latency} cycles, "
                             f"expected {BLOCK_LATENCY}"
                         )
+                        fault.offset = offset
+                        raise fault
 
                 occupancy = check_against(dp).bit_count()
                 if occupancy > max_occupancy:
                     max_occupancy = occupancy
 
                 if trace is not None:
-                    self._emit_trace(trace, ctrl, dp, stalled)
+                    self._emit_trace(trace, ctrl, dp, stalls > 0)
 
                 # Decided on the computed next state, before it is latched.
                 quiescent = (
@@ -312,12 +329,13 @@ class PipelineSimulator:
                 # inputs and state, no tag to trace. Only the cycle moves.
                 skipped = ctrl.flush_end - ctrl.cycle - 1 if quiescent else 0
                 dp_commit()
-                ctrl_commit(1 + len(keys) + skipped)
+                occupancy = ctrl_commit(span + skipped)
+                if occupancy > max_occupancy:
+                    max_occupancy = occupancy
                 ks_commit()
                 stepped_cycles += 1
-                window_cycles += len(keys)
-                if stalled:
-                    stall_cycles += 1 + len(keys)
+                window_cycles += span - 1
+                stall_cycles += stalls
                 skipped_cycles += skipped
                 if skipped and trace is not None:
                     status = _status_text(ctrl.fsm, ctrl.tags, False)
@@ -325,8 +343,9 @@ class PipelineSimulator:
                     trace.write("".join([f"cycle={c}{status}" for c in range(end - skipped, end)]))
         except SimulationFault as fault:
             # No component keeps the cycle count but the controller; the run
-            # names the cycle of every fault raised inside it.
-            fault.cycle = ctrl.cycle
+            # names the cycle of every fault raised inside it, at the offset
+            # into the pass a fault on a later cycle carries.
+            fault.cycle = ctrl.cycle + getattr(fault, "offset", 0)
             raise
 
         summary.total_cycles = ctrl.cycle

@@ -1,12 +1,13 @@
 """The per-cycle protocol of a core, for tests that step one by hand.
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
-each pass of its loop, in its order, for a span of one cycle, which is
+each pass of its loop, in its order, for a pass of one cycle, which is
 every pass of a traced run: the controller's FSM step and control lines,
 admission, the key schedule, the datapath, the controller's check, then
-the three commits. A wider span gives the key schedule's returned key
-pairs to the datapath, and the controller's one commit covers their
-cycles with the first, before the key schedule commits.
+the three commits. A planned pass gives the key schedule the plan, the
+key schedule's returned keys and lines go to the datapath, and the
+controller's one commit covers every cycle of the pass, before the key
+schedule commits.
 """
 
 from drablocus.controller import RUN, Controller
@@ -33,9 +34,8 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     if job is not None and ctrl.admit_ready:
         seq, mode, block = job
         admitted = ctrl.admit(seq, mode)
-        ks.on_admission(admitted.slot)
         admit_arg = (block, ks.initial_keys[mode], admitted)
-    ks.compute(dp, ctrl.fsm)
+    ks.compute(dp, ctrl.fsm, admit_arg, ctrl.divert)
     if mid_cycle is not None:
         mid_cycle(ctrl.divert)
     dp.compute_cycle(

@@ -250,11 +250,12 @@ def test_simulate_modelled_fault_exits_1_with_one_line(tmp_path, capsys, monkeyp
     original = Controller.begin_cycle
     upset_cycles = []
 
-    def begin_cycle(self, key_schedule_ready):
-        original(self, key_schedule_ready)
+    def begin_cycle(self, *args):
+        plan = original(self, *args)
         if self.fsm == RUN and not upset_cycles:
             upset_cycles.append(self.cycle)
             self.tags ^= TAG_VALID << TAG_BITS * 5
+        return plan
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     jobs = tmp_path / "jobs.txt"
@@ -266,39 +267,40 @@ def test_simulate_modelled_fault_exits_1_with_one_line(tmp_path, capsys, monkeyp
 
 
 def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
-    # The key schedule drives the substitution input on the cycle the
-    # admitted block leaves the initial key-add: two sources reach the OR mux.
-    original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
-    cycles = []
+    # The block is admitted on the first run cycle, which opens a pass. Its
+    # plan leaves the main key-add output out of reset on the cycle before
+    # the block leaves the initial key-add, so stale loop contents and the
+    # block reach the OR mux together, two cycles into the pass.
+    original_begin = Controller.begin_cycle
+    upsets = []
 
-    def begin_cycle(self, key_schedule_ready):
-        original_begin(self, key_schedule_ready)
-        cycles.append(self.cycle)
-
-    def compute(self, datapath, controller_fsm, cycles=1):
-        keys = original_compute(self, datapath, controller_fsm, cycles)
-        if datapath.ia_out_tag is not None:
-            self.sub_bytes_inject = (1, MODE_ENCRYPT)
-        return keys
+    def begin_cycle(self, *args):
+        plan = original_begin(self, *args)
+        if self.fsm == RUN and not upsets:
+            assert self.admissions == [0] and plan[0][3]
+            upsets.append(self.cycle)
+            plan[0][3] = False
+        return plan
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
-    monkeypatch.setattr(KeyScheduler, "compute", compute)
     jobs = tmp_path / "jobs.txt"
     jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
     assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
+    assert upsets == [RUN_START_CYCLE]
     assert err.startswith(
-        f"simulation fault: cycle {cycles[-1]}: OR-mux driven by multiple nonzero sources"
+        f"simulation fault: cycle {RUN_START_CYCLE + 2}: OR-mux driven by multiple nonzero sources"
     )
+    assert RUN_START_CYCLE + 2 == 163
 
 
 def test_simulate_key_store_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
     # The admitted block's round counter starts past the last main round, so
-    # its first request for a main-loop key overflows. The untraced run is in
-    # a window then, which ends short of the request. The cycle is the phase
-    # math's, found without hooks: admitted on the first run cycle, the
-    # block reaches stage 7 seven cycles after it enters stage 0.
+    # its first request for a main-loop key overflows. The untraced run
+    # planned a pass over it, which ends short of the request. The cycle is
+    # the phase math's, found without hooks: admitted on the first run
+    # cycle, the block reaches stage 7 seven cycles after it enters stage 0.
     original_admission = KeyScheduler.on_admission
 
     def on_admission(self, slot):

@@ -142,8 +142,8 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
     occupancies = []
     admit, check_against, commit = Controller.admit, Controller.check_against, Controller.commit
 
-    def admit_into_chain(self, seq, mode):
-        tag = admit(self, seq, mode)
+    def admit_into_chain(self, seq, mode, *offset):
+        tag = admit(self, seq, mode, *offset)
         chains[tag.slot].present(1)
         return tag
 
@@ -155,13 +155,14 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
         return occ
 
     def lockstep_commit(self, cycles=1):
-        commit(self, cycles)
+        peak = commit(self, cycles)
         for slot, chain in enumerate(chains):
             for _ in range(cycles):
                 chain.commit()
             bits = self.track >> TRACK_CYCLES * slot & field
             assert chain.final == bits >> TRACK_CYCLES - 1, f"cycle {self.cycle} slot {slot}"
             assert chain.any_set == (bits != 0), f"cycle {self.cycle} slot {slot}"
+        return peak
 
     monkeypatch.setattr(Controller, "admit", admit_into_chain)
     monkeypatch.setattr(Controller, "check_against", counted_check)
@@ -172,8 +173,8 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
             bytes(rng.randrange(256) for _ in range(16)))
         for i in range(100)
     ]
-    # With a trace attached no run cycle is computed in a window, so the
-    # check hook sees every cycle the run does not skip.
+    # With a trace attached every pass is one cycle, so the check hook sees
+    # every cycle the run does not skip.
     result = PipelineSimulator().run(bytes(range(16)), jobs, trace=io.StringIO())
     assert result.summary.blocks_completed == 100
     # The flush cycles the run skips are covered by one commit, over which

@@ -149,11 +149,12 @@ def run_with_upset(monkeypatch, upset, jobs, when=lambda ctrl: True):
     original = Controller.begin_cycle
     state = {"done": False}
 
-    def begin_cycle(self, key_schedule_ready):
-        original(self, key_schedule_ready)
+    def begin_cycle(self, *args):
+        plan = original(self, *args)
         if self.fsm == RUN and not state["done"] and when(self):
             state["done"] = True
             upset(self)
+        return plan
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     return PipelineSimulator().run(FIPS_KEY, jobs, trace=io.StringIO())
@@ -264,15 +265,15 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when):
     original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
     state = {"ctrl": None, "done": False}
 
-    def begin_cycle(self, key_schedule_ready):
-        original_begin(self, key_schedule_ready)
+    def begin_cycle(self, *args):
         state["ctrl"] = self
+        return original_begin(self, *args)
 
-    def compute(self, datapath, controller_fsm, cycles=1):
+    def compute(self, datapath, controller_fsm, *lines):
         if not state["done"] and when(state["ctrl"], datapath):
             state["done"] = True
             upset(state["ctrl"], datapath)
-        return original_compute(self, datapath, controller_fsm, cycles)
+        return original_compute(self, datapath, controller_fsm, *lines)
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     monkeypatch.setattr(KeyScheduler, "compute", compute)
@@ -592,9 +593,11 @@ def test_occupancy_wrap_into_an_arriving_word_raises_control_fault():
 def test_wedged_pipeline_raises_timing_fault(monkeypatch):
     original = Controller.begin_cycle
 
-    def begin_cycle(self, key_schedule_ready):
-        original(self, key_schedule_ready)
+    def begin_cycle(self, key_schedule_ready, pending=0, limit=1):
+        # No job is ever admitted: the plan is made with none waiting.
+        plan = original(self, key_schedule_ready, 0, limit)
         self.admit_ready = False
+        return plan
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     with pytest.raises(TimingFault, match="pipeline wedged"):

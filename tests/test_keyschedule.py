@@ -135,8 +135,8 @@ def test_flat_store_matches_bram_model(monkeypatch):
     phases = []
     compute, commit = KeyScheduler.compute, KeyScheduler.commit
 
-    def mirrored_compute(self, datapath, controller_fsm, cycles=1):
-        keys = compute(self, datapath, controller_fsm, cycles)
+    def mirrored_compute(self, datapath, controller_fsm, *lines):
+        keys = compute(self, datapath, controller_fsm, *lines)
         phases.append(controller_fsm)
         store.present(self.addr_a, self.addr_b)
         if self.pending_write is not None:

@@ -191,10 +191,13 @@ def test_cycle_budget_bounds_each_run_tightly(sim, n):
 # when a bound of 8.0 was set, 6.99 with the flush skip, 2.14 since an
 # untraced run computes its event-free windows in one call each, and 2.11
 # since a window's first cycle is computed in the window's call, when this
-# bound was lowered from 3.0. The count is deterministic, so the bound
-# catches per-object dispatch returning to the per-cycle path, or windows
-# closing, without timing noise.
-CALLS_PER_CYCLE_BOUND = 2.5
+# bound was lowered from 3.0 to 2.5; 0.88 since an untraced run computes
+# each planned pass of up to a batch period, admissions, diverts and
+# completions included, in one call each, when it was lowered to 1.0. The
+# count is deterministic, so the bound catches per-object dispatch
+# returning to the per-cycle path, or passes shortening, without timing
+# noise.
+CALLS_PER_CYCLE_BOUND = 1.0
 # The same run writing a trace: 7.92 when this bound was set, with the trace
 # writer reading the taps' tags from the datapath's tag ranks; 8.84 since the
 # writer builds its status line with the helper the skipped flush lines share.
@@ -234,9 +237,9 @@ def test_traced_python_calls_per_cycle_stay_bounded(sim):
 def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
     # A one-job run steps reset, key initialization and the flush until the
     # core is at a fixed point, skips the rest of the flush, then runs: one
-    # call computes the event-free cycles between the word's arrival and its
-    # divert, but the last, and every other cycle has a call of its own. A
-    # call counts one stepped cycle and one window cycle per key pair given.
+    # call computes the pass the controller plans from the admission to the
+    # completion, and every other cycle has a call of its own. A call counts
+    # one stepped cycle and one window cycle per later cycle it is given.
     stepped = windowed = 0
     original = RoundDatapath.compute_cycle
 
@@ -254,6 +257,29 @@ def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
     assert (stepped, windowed) == (summary.stepped_cycles, summary.window_cycles)
     assert windowed > 0
     assert stepped + windowed + summary.skipped_cycles == summary.total_cycles
+
+
+def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatch):
+    # From the first run cycle on, an untraced run plans each pass up to one
+    # batch period: a full loop's admissions, diverts and completions ride
+    # inside it. Before the run phase every cycle but the skipped flush
+    # cycles has a call of its own.
+    calls = 0
+    original = RoundDatapath.compute_cycle
+
+    def counted(self, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)
+    summary = sim.run(FIPS_KEY, mixed_jobs(500, seed=0x5A7)).summary
+    assert summary.max_loop_occupancy == NUM_LOOP_STAGES
+    assert calls == summary.stepped_cycles
+    run_calls = calls - (summary.run_start_cycle - summary.skipped_cycles)
+    periods = (summary.total_cycles - summary.run_start_cycle) / BATCH_PERIOD
+    assert periods > 40
+    assert run_calls <= 2 * periods, f"{run_calls} calls over {periods:.2f} batch periods"
 
 
 class TestJobFile:

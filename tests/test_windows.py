@@ -1,14 +1,14 @@
-"""Windows: a run without a trace steps its event-free cycles together.
+"""Passes: a run without a trace computes each pass of cycles in one call.
 
-Stepping a window must leave the core exactly as stepping each of its
+Computing a pass must leave the core exactly as stepping each of its
 cycles would. The lockstep test snapshots every rank, tag rank, track
 chain, key-store output and round counter after each commit of an
-untraced run, window ends included, and compares each snapshot with a
+untraced run, pass ends included, and compares each snapshot with a
 traced run's at the same cycle; the traced run steps every cycle. The
-property test compares whole runs, traced and untraced. Unit tests
-check the controller's count of event-free cycles, and a test on a
-hand-stepped core and a property check that one commit over such cycles
-leaves the controller as committing them one by one does.
+property tests compare the controller's plan of a pass with the lines
+its cycles take one at a time, and whole runs, traced and untraced. A
+fault of each class that can arise inside a pass is fired in both kinds
+of run, and must name the same cycle with the same message.
 """
 
 import copy
@@ -20,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycle_protocol import new_core, step_cycle
-from drablocus.controller import FLUSH, RUN, Controller
+from drablocus.controller import BATCH_PERIOD, FLUSH, RUN, Controller
 from drablocus.datapath import (
-    NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES, RoundDatapath,
+    BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
 )
+from drablocus.faults import CollisionError, KeyStoreFault, ProtocolError, TimingFault
 from drablocus.keyschedule import READY, KeyScheduler
-from drablocus.simulator import Job, PipelineSimulator
+from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -57,8 +58,8 @@ def snapshot(dp, ctrl, ks):
 
 def committed_states(monkeypatch, key, jobs, trace):
     """The core's state after every commit of one run, by the cycle it
-    leads into, and the cycles at which windows end."""
-    core, states, window_ends = {}, {}, []
+    leads into, and the cycles at which passes of more than one cycle end."""
+    core, states, pass_ends = {}, {}, []
     for cls in (RoundDatapath, Controller):
         def init(self, *args, _original=cls.__init__, _cls=cls):
             _original(self, *args)
@@ -72,91 +73,160 @@ def committed_states(monkeypatch, key, jobs, trace):
         states[ctrl.cycle] = snapshot(core[RoundDatapath], ctrl, self)
 
     def recorded_ctrl_commit(self, cycles=1):
-        ctrl_commit(self, cycles)
+        peak = ctrl_commit(self, cycles)
         if cycles > 1 and self.fsm == RUN:
-            window_ends.append(self.cycle)
+            pass_ends.append(self.cycle)
+        return peak
 
     monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
     monkeypatch.setattr(Controller, "commit", recorded_ctrl_commit)
     result = PipelineSimulator().run(key, jobs, trace=trace)
     monkeypatch.undo()
-    return result, states, window_ends
+    return result, states, pass_ends
 
 
-@pytest.mark.parametrize("n_jobs", [1, 13, 120, 500])
+def summary_fields(summary):
+    fields = vars(summary).copy()
+    steps = fields.pop("stepped_cycles") + fields.pop("window_cycles")
+    return fields, steps
+
+
+# Job counts that end a pass on the last completion, run the queue dry
+# inside a burst of admissions or between bursts, or fill whole batches.
+@pytest.mark.parametrize("n_jobs", [1, 12, 13, 25, 120, 500])
 @pytest.mark.parametrize("fresh_key", [False, True], ids=["fips", "fresh"])
 def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, fresh_key):
     key = random.Random(n_jobs).randbytes(16) if fresh_key else FIPS_KEY
     jobs = mixed_jobs(n_jobs, seed=n_jobs)
-    windowed, states, window_ends = committed_states(monkeypatch, key, jobs, None)
-    stepped, reference, no_windows = committed_states(monkeypatch, key, jobs, Discard())
+    passed, states, pass_ends = committed_states(monkeypatch, key, jobs, None)
+    stepped, reference, no_passes = committed_states(monkeypatch, key, jobs, Discard())
 
-    assert windowed.summary.window_cycles > 0 and len(window_ends) > 0
-    assert no_windows == [] and stepped.summary.window_cycles == 0
-    assert set(window_ends) <= set(states)
+    assert passed.summary.window_cycles > 0 and len(pass_ends) > 0
+    assert no_passes == [] and stepped.summary.window_cycles == 0
+    assert set(pass_ends) <= set(states)
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
-    assert windowed.outputs == stepped.outputs
-
-
-def test_event_free_cycles_end_before_the_next_divert_or_admission():
-    ctrl = Controller()
-    ctrl.fsm = RUN
-    # Stages 9, 8 and 7 hold words: the rotation brings stage 6's empty
-    # field to stage 9 three cycles on, where a waiting job is admitted.
-    ctrl.tags = sum(TAG_VALID << TAG_BITS * stage for stage in (9, 8, 7))
-    assert ctrl.event_free_cycles(pending=True, limit=1000) == 3
-    assert ctrl.event_free_cycles(pending=False, limit=1000) == 1000
-    # The highest track bit, bit 100 of slot 4's chain, reaches the final
-    # bit 112 twelve cycles on, and its block diverts then.
-    ctrl.track = 1 << TRACK_CYCLES * 4 + 100 | 1 << TRACK_CYCLES * 7 + 3
-    assert ctrl.event_free_cycles(pending=False, limit=1000) == 12
-    assert ctrl.event_free_cycles(pending=True, limit=1000) == 3
-    assert ctrl.event_free_cycles(pending=False, limit=5) == 5
-    # A word on its way through the initial key-add opens no window.
-    ctrl._arriving1 = TAG_VALID
-    assert ctrl.event_free_cycles(pending=False, limit=1000) == 0
+    assert passed.outputs == stepped.outputs
+    assert summary_fields(passed.summary)[0] == summary_fields(stepped.summary)[0]
+    assert passed.summary.stall_cycles == stepped.summary.stall_cycles
+    assert passed.summary.max_loop_occupancy == stepped.summary.max_loop_occupancy
 
 
 def registers(ctrl):
+    return ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1, ctrl.cycle
+
+
+def lines(ctrl):
     return (
-        ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1, ctrl._admitted_now, ctrl.cycle,
+        ctrl.fsm, ctrl.initial_reset, ctrl.main_reset, ctrl.shift_rows_reset,
+        ctrl.final_reset, ctrl.divert, ctrl.admit_ready,
     )
 
 
-def test_commit_over_a_span_matches_its_single_commits():
-    # On every event-free run cycle and every flush cycle at the fixed point
-    # of a hand-stepped core, one commit over the cycles the run would cover
-    # from it leaves the controller's registers, and the next cycle's FSM
-    # state and lines, as committing them one by one does.
-    def lines(ctrl):
-        return (
-            ctrl.fsm, ctrl.initial_reset, ctrl.main_reset, ctrl.shift_rows_reset,
-            ctrl.final_reset, ctrl.divert, ctrl.admit_ready,
-        )
+def step_each_cycle(ctrl, ready, pending, cycles, modes):
+    """Step ``cycles`` cycles one at a time, admitting greedily from
+    ``pending`` jobs of ``modes``. Returns the admission offsets, each
+    cycle's (divert, initial_reset, main_reset) and the occupancy on each
+    cycle after the first."""
+    admissions, taken, occupancy = [], [], []
+    for offset in range(cycles):
+        ctrl.begin_cycle(ready, pending - len(admissions))
+        taken.append((ctrl.divert, ctrl.initial_reset, ctrl.main_reset))
+        if offset:
+            occupancy.append(ctrl.occupancy.bit_count())
+        if ctrl.admissions:
+            ctrl.admit(len(admissions), modes[len(admissions) % len(modes)])
+            admissions.append(offset)
+        ctrl.commit()
+    return admissions, taken, occupancy
 
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    warmup=st.integers(0, 3 * BATCH_PERIOD),
+    arrival=st.sampled_from((0.05, 0.2, 1.0)),
+    pending=st.integers(0, 30),
+    limit=st.integers(1, 2 * BATCH_PERIOD),
+    start=st.integers(0, 10**6),
+)
+def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, limit, start):
+    # From a run-phase state reached by stepping a controller with jobs
+    # arriving at random, the planned pass admits on the cycles, and takes
+    # the lines, that stepping its cycles one at a time gives from the same
+    # registers and pending count; it ends at the limit, at one batch period
+    # or on the last pending job's completion, and one commit over it leaves
+    # the registers, and reports the peak occupancy, as stepping does.
+    rng = random.Random(seed)
+    ctrl = Controller()
+    ctrl.fsm = RUN
+    ctrl.cycle = start
+    queue = 0
+    for _ in range(warmup):
+        queue += rng.random() < arrival
+        ctrl.begin_cycle(True, queue)
+        if ctrl.admissions:
+            ctrl.admit(0, rng.randrange(2))
+            queue -= 1
+        ctrl.commit()
+    modes = [rng.randrange(2) for _ in range(NUM_LOOP_STAGES)]
+
+    planned = copy.deepcopy(ctrl)
+    plan = planned.begin_cycle(True, pending, limit)
+    span = len(plan) + 1
+    admissions, taken, occupancy = step_each_cycle(copy.deepcopy(ctrl), True, pending, span, modes)
+
+    assert list(planned.admissions) == admissions
+    first = (planned.divert, planned.initial_reset, planned.main_reset)
+    assert [first] + [tuple(entry[1:]) for entry in plan] == taken
+    expected = min(limit, BATCH_PERIOD)
+    if pending and len(admissions) == pending:
+        expected = min(expected, admissions[-1] + BLOCK_LATENCY + 1)
+    assert span == expected
+
+    for index, offset in enumerate(planned.admissions):
+        planned.admit(index, modes[index % len(modes)], offset)
+    assert planned.commit(span) == max(occupancy, default=0)
+    stepped = copy.deepcopy(ctrl)
+    step_each_cycle(stepped, True, pending, span, modes)
+    assert registers(planned) == registers(stepped)
+
+
+def test_commit_over_a_span_matches_its_single_commits():
+    # On every run cycle and every flush cycle at the fixed point of a
+    # hand-stepped core, one commit over the pass the controller plans from
+    # it, or over the rest of the flush, leaves the controller's registers,
+    # and the next cycle's FSM state and lines, as committing its cycles one
+    # by one does.
     dp, ctrl, ks = new_core(int.from_bytes(FIPS_KEY, "big"))
     jobs = deque((job.seq, job.mode, int.from_bytes(job.block, "big")) for job in mixed_jobs(13, 5))
+    modes = [MODE_ENCRYPT, MODE_DECRYPT]
     checked = {FLUSH: 0, RUN: 0}
     while ctrl.cycle < 400:
-        probe = copy.copy(ctrl)
-        probe.begin_cycle(ks.fsm == READY)
-        if probe.fsm == FLUSH and probe.at_fixed_point():
+        ready = ks.fsm == READY
+        probe = copy.deepcopy(ctrl)
+        probe.begin_cycle(ready, len(jobs), 1000)
+        fsm = probe.fsm
+        if fsm == FLUSH and probe.at_fixed_point():
             span = probe.flush_end - probe.cycle
-        else:
-            span = probe.event_free_cycles(bool(jobs), 1000)
-        if span:
-            spanned, stepped = copy.copy(probe), copy.copy(probe)
+            spanned = probe
             spanned.commit(span)
-            for step in range(span):
-                if step:
-                    stepped.begin_cycle(True)
-                stepped.commit()
+        elif fsm == RUN:
+            spanned = copy.deepcopy(ctrl)
+            span = len(spanned.begin_cycle(ready, len(jobs), 1000)) + 1
+            for index, offset in enumerate(spanned.admissions):
+                spanned.admit(index, modes[index % len(modes)], offset)
+            spanned.commit(span)
+        else:
+            span = 0
+        if span:
+            stepped = copy.deepcopy(ctrl)
+            step_each_cycle(stepped, ready, len(jobs) if fsm == RUN else 0, span, modes)
             assert registers(spanned) == registers(stepped), probe.cycle
             spanned.begin_cycle(True)
             stepped.begin_cycle(True)
             assert lines(spanned) == lines(stepped), probe.cycle
-            checked[probe.fsm] += 1
+            checked[fsm] += 1
         if step_cycle(dp, ctrl, ks, job=jobs[0] if jobs else None) is not None:
             jobs.popleft()
     assert not jobs and dp.fa_out_tag is None
@@ -192,12 +262,6 @@ def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
     assert registers(spanned) == registers(ctrl)
 
 
-def summary_fields(summary):
-    fields = vars(summary).copy()
-    steps = fields.pop("stepped_cycles") + fields.pop("window_cycles")
-    return fields, steps
-
-
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     modes_and_blocks=st.integers(1, 60).flatmap(
@@ -224,3 +288,99 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
             == summary.total_cycles
         )
 
+
+# Faults inside a pass. Each upset is made on a cycle that opens a pass in
+# the untraced run, or on the lines a pass plans for a later cycle, and
+# the same upset is made on the same cycle of a run that steps every cycle.
+LINE_NAMES = ("admit", "divert", "initial_reset", "main_reset")
+
+
+def run_with_pass_upset(monkeypatch, jobs, trace, cycle, lines=None, core=None):
+    """Run ``jobs``, setting the named ``lines`` of ``cycle`` (the
+    controller's own on the cycle it decides, or a plan's entry) or
+    applying ``core(ks, dp)`` before the key store computes ``cycle``,
+    which must then open a pass. Returns the fault the run raises and
+    each pass's first cycle and planned length."""
+    passes, state = [], {}
+    original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
+
+    def begin_cycle(self, *args):
+        plan = original_begin(self, *args)
+        state["ctrl"] = self
+        passes.append((self.cycle, len(plan) + 1))
+        offset = cycle - self.cycle
+        for name, value in (lines or {}).items():
+            if offset == 0:
+                setattr(self, name, value)
+            elif 0 < offset <= len(plan):
+                plan[offset - 1][LINE_NAMES.index(name)] = value
+        return plan
+
+    def compute(self, datapath, controller_fsm, *args):
+        if core is not None and state["ctrl"].cycle == cycle:
+            core(self, datapath)
+        return original_compute(self, datapath, controller_fsm, *args)
+
+    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
+    monkeypatch.setattr(KeyScheduler, "compute", compute)
+    try:
+        with pytest.raises(Exception) as err:
+            PipelineSimulator().run(FIPS_KEY, jobs, trace=trace)
+    finally:
+        monkeypatch.undo()
+    return err.value, passes
+
+
+def divert_from_s2_takes_next_seq(ks, dp):
+    # The word at S2 diverts on this cycle; it takes the sequence id of the
+    # word behind it in S1, admitted a cycle later, and completes early by
+    # that word's admission.
+    words = dp.loop_tags
+    dp.seqs[words[2].slot] = dp.seqs[words[1].slot]
+
+
+def phantom_arrival(ks, dp):
+    # A word appears in the initial key-add's input rank with no admission
+    # behind it; it takes S0 on the next commit, as a loop word wraps there.
+    dp.ia_in_tag = Word(seq=0, mode=MODE_ENCRYPT, slot=3)
+
+
+def product_mux_second_source(ks, dp):
+    # The key store drives the product path while the shift-rows register
+    # holds zero; the register's next value collides with it.
+    dp.s2 = 0
+    ks.mix_columns_inject = (1, MODE_DECRYPT)
+
+
+# name: (jobs, upset cycle, upset, fault, message prefix)
+PASS_FAULTS = {
+    # The plan's divert of the first block due is dropped for every
+    # consumer; five cycles on it asks the key store for a tenth key.
+    "dropped_divert": (13, 274, {"lines": {"divert": False}}, KeyStoreFault,
+                       "cycle 279: slot 5 requested main-loop key for round 10"),
+    # The main key-add output is left out of reset on the cycle before the
+    # first block leaves the initial key-add: two sources on the S-box mux.
+    "substitution_mux": (13, RUN_START_CYCLE + 1, {"lines": {"main_reset": False}}, ProtocolError,
+                         "cycle 163: OR-mux driven by multiple nonzero sources"),
+    "product_mux": (13, RUN_START_CYCLE, {"core": product_mux_second_source}, ProtocolError,
+                    "cycle 162: OR-mux driven by multiple nonzero sources"),
+    "collision": (36, 281, {"core": phantom_arrival}, CollisionError,
+                  "cycle 282: stage S0 claimed by arriving Word(seq=0, mode=0, slot=3) and "
+                  "recirculating"),
+    "latency": (36, 281, {"core": divert_from_s2_takes_next_seq}, TimingFault,
+                "cycle 283: block 8 completed after 114 cycles, expected 115"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASS_FAULTS))
+def test_fault_inside_a_pass_names_its_own_cycle(monkeypatch, name):
+    n_jobs, cycle, upset, fault_type, prefix = PASS_FAULTS[name]
+    jobs = mixed_jobs(n_jobs, seed=7)
+    passed, passes = run_with_pass_upset(monkeypatch, jobs, None, cycle, **upset)
+    stepped, _ = run_with_pass_upset(monkeypatch, jobs, Discard(), cycle, **upset)
+    assert type(passed) is type(stepped) is fault_type
+    assert str(passed) == str(stepped)
+    assert str(passed).startswith(prefix)
+    assert passed.cycle == stepped.cycle
+    # The untraced run planned the faulting cycle inside a pass of many.
+    assert any(start < passed.cycle < start + length for start, length in passes)
