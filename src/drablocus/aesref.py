@@ -10,11 +10,25 @@ equivalent inverse cipher: the same transformation order as encryption,
 with the inner round keys passed through the inverse mix-columns map. The
 textbook-order inverse cipher is kept alongside as an independent
 cross-check.
+
+:func:`encrypt_block` and :func:`decrypt_block` compute each inner round as
+one fused step of lane lookups (the table-lookup round of Daemen and
+Rijmen, *The Design of Rijndael*, section 4.2): lane table k maps a state
+byte to its substituted value's column product, 4 bytes rotated right by k,
+so the 16 entries of a state, read in row-shifted order and joined, hold the
+round's four column-mix lanes as 128-bit fields, and their XOR with the
+round key is the round's output. The lane tables are built at import from
+this module's own :mod:`gf256` products, never from the model's RAM images.
+The step functions (:func:`sub_bytes`, :func:`shift_rows`,
+:func:`mix_columns`, :func:`add_round_key`) are the textbook definition the
+fused rounds are tested against; the last round, which has no column mix,
+is built from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .gf256 import INV_SBOX, SBOX, gf_mul, gf_pow
 
@@ -34,6 +48,8 @@ _INV_SBOX_BYTES = bytes(INV_SBOX)
 # rotates left by r); the inverse rotates right.
 _ENC_SHIFT = tuple(4 * ((n // 4 + n % 4) % 4) + n % 4 for n in range(16))
 _DEC_SHIFT = tuple(4 * ((n // 4 - n % 4) % 4) + n % 4 for n in range(16))
+_ENC_ROWS = itemgetter(*_ENC_SHIFT)
+_DEC_ROWS = itemgetter(*_DEC_SHIFT)
 
 _M2 = tuple(gf_mul(2, b) for b in range(256))
 _M3 = tuple(gf_mul(3, b) for b in range(256))
@@ -41,6 +57,25 @@ _M9 = tuple(gf_mul(9, b) for b in range(256))
 _MB = tuple(gf_mul(0x0B, b) for b in range(256))
 _MD = tuple(gf_mul(0x0D, b) for b in range(256))
 _ME = tuple(gf_mul(0x0E, b) for b in range(256))
+
+_MASK128 = (1 << 128) - 1
+
+
+def _lane_tables(entries: list[bytes]) -> tuple[tuple[bytes, ...], ...]:
+    """Lane k maps a byte to its entry rotated right by k bytes.
+
+    Entry field m is the matrix coefficient c[-m mod 4] times the byte, c
+    being the first row of the (circulant) column-mix matrix. Rotated right
+    by k, field i is c[(k - i) mod 4] times the byte: the term that row k
+    of a column adds to output row i.
+    """
+    return tuple(tuple(e[4 - k :] + e[: 4 - k] for e in entries) for k in range(4))
+
+
+# Column products of each substituted byte: c = (2, 3, 1, 1) for the cipher,
+# (0e, 0b, 0d, 09) for the inverse cipher.
+_ENC_LANES = _lane_tables([bytes((_M2[s], s, s, _M3[s])) for s in SBOX])
+_DEC_LANES = _lane_tables([bytes((_ME[s], _M9[s], _MD[s], _MB[s])) for s in INV_SBOX])
 
 
 def state_index(row: int, col: int) -> int:
@@ -58,19 +93,30 @@ def int_to_block(value: int) -> bytes:
 
 @dataclass(frozen=True)
 class RoundKeySet:
-    """Ordered round keys, ready for consumption in forward round order."""
+    """Ordered round keys, ready for consumption in forward round order.
+
+    ``ints`` holds the same keys as 128-bit ints, converted once here.
+    """
 
     keys: tuple[bytes, ...]
     mode: str
+    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.keys) != NUM_ROUNDS + 1:
             raise ValueError(f"expected {NUM_ROUNDS + 1} round keys, got {len(self.keys)}")
         if self.mode not in (ENCRYPT, DECRYPT):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for r, key in enumerate(self.keys):
+            if len(key) != BLOCK_BYTES:
+                raise ValueError(f"round key {r} must be {BLOCK_BYTES} bytes, got {len(key)}")
+        object.__setattr__(self, "ints", tuple(block_to_int(key) for key in self.keys))
 
 
 def _check_block(block: bytes, what: str = "block") -> bytes:
+    # bytes() would take an int as a length and a str needs an encoding.
+    if isinstance(block, (int, str)):
+        raise TypeError(f"{what} must be bytes-like, got {type(block).__name__}")
     block = bytes(block)
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"{what} must be {BLOCK_BYTES} bytes, got {len(block)}")
@@ -82,8 +128,7 @@ def sub_bytes(block: bytes, inverse: bool = False) -> bytes:
 
 
 def shift_rows(block: bytes, inverse: bool = False) -> bytes:
-    perm = _DEC_SHIFT if inverse else _ENC_SHIFT
-    return bytes(map(block.__getitem__, perm))
+    return bytes((_DEC_ROWS if inverse else _ENC_ROWS)(block))
 
 
 def mix_columns(block: bytes, inverse: bool = False) -> bytes:
@@ -110,19 +155,18 @@ def add_round_key(block: bytes, key: bytes) -> bytes:
 def key_expand(key: bytes) -> RoundKeySet:
     """FIPS-197 AES-128 key expansion; keys[0] is the cipher key itself."""
     key = _check_block(key, "key")
-    words = [list(key[4 * i : 4 * i + 4]) for i in range(4)]
-    for i in range(4, 44):
-        t = words[i - 1]
-        if i % 4 == 0:
-            rotated = t[1:] + t[:1]
-            t = [SBOX[b] for b in rotated]
-            t[0] ^= RCON[i // 4]
-        words.append([a ^ b for a, b in zip(words[i - 4], t)])
-    keys = tuple(
-        bytes(words[4 * r] + words[4 * r + 1] + words[4 * r + 2] + words[4 * r + 3])
-        for r in range(NUM_ROUNDS + 1)
-    )
-    return RoundKeySet(keys=keys, mode=ENCRYPT)
+    w0, w1, w2, w3 = (int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4))
+    keys = [key]
+    for r in range(1, NUM_ROUNDS + 1):
+        # RotWord, SubWord, then the round constant on the first byte.
+        rotated = ((w3 << 8) | (w3 >> 24)) & 0xFFFFFFFF
+        w0 ^= int.from_bytes(rotated.to_bytes(4, "big").translate(_SBOX_BYTES), "big")
+        w0 ^= RCON[r] << 24
+        w1 ^= w0
+        w2 ^= w1
+        w3 ^= w2
+        keys.append(int_to_block(w0 << 96 | w1 << 64 | w2 << 32 | w3))
+    return RoundKeySet(keys=tuple(keys), mode=ENCRYPT)
 
 
 def key_expand_equivalent_inverse(key: bytes) -> RoundKeySet:
@@ -141,36 +185,59 @@ def key_expand_equivalent_inverse(key: bytes) -> RoundKeySet:
     return RoundKeySet(keys=keys, mode=DECRYPT)
 
 
-def _round_keys(key: bytes | RoundKeySet, mode: str) -> tuple[bytes, ...]:
+def _round_keys(key: bytes | RoundKeySet, mode: str) -> tuple[int, ...]:
     if isinstance(key, RoundKeySet):
         if key.mode != mode:
             raise ValueError(f"round key set has mode {key.mode!r}, need {mode!r}")
-        return key.keys
+        return key.ints
     if mode == ENCRYPT:
-        return key_expand(key).keys
-    return key_expand_equivalent_inverse(key).keys
+        return key_expand(key).ints
+    return key_expand_equivalent_inverse(key).ints
+
+
+def _cipher_rounds(state: int, round_keys: tuple[int, ...]) -> int:
+    """One fused cipher round per key: sub_bytes, shift_rows, mix_columns, add_round_key."""
+    l0, l1, l2, l3 = _ENC_LANES
+    for round_key in round_keys:
+        # Lane k reads row k, whose column j the row shift takes from column j + k.
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = state.to_bytes(16, "big")
+        lanes = int.from_bytes(b"".join((
+            l0[b0], l0[b4], l0[b8], l0[b12], l1[b5], l1[b9], l1[b13], l1[b1],
+            l2[b10], l2[b14], l2[b2], l2[b6], l3[b15], l3[b3], l3[b7], l3[b11],
+        )), "big")
+        lanes ^= lanes >> 256
+        state = (lanes ^ lanes >> 128) & _MASK128 ^ round_key
+    return state
+
+
+def _inv_cipher_rounds(state: int, round_keys: tuple[int, ...]) -> int:
+    """One fused equivalent-inverse round per key: each step of :func:`_cipher_rounds` inverted."""
+    l0, l1, l2, l3 = _DEC_LANES
+    for round_key in round_keys:
+        # Lane k reads row k, whose column j the inverse row shift takes from column j - k.
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = state.to_bytes(16, "big")
+        lanes = int.from_bytes(b"".join((
+            l0[b0], l0[b4], l0[b8], l0[b12], l1[b13], l1[b1], l1[b5], l1[b9],
+            l2[b10], l2[b14], l2[b2], l2[b6], l3[b7], l3[b11], l3[b15], l3[b3],
+        )), "big")
+        lanes ^= lanes >> 256
+        state = (lanes ^ lanes >> 128) & _MASK128 ^ round_key
+    return state
 
 
 def encrypt_block(key: bytes | RoundKeySet, plaintext: bytes) -> bytes:
     keys = _round_keys(key, ENCRYPT)
-    state = add_round_key(_check_block(plaintext), keys[0])
-    for r in range(1, NUM_ROUNDS):
-        state = add_round_key(mix_columns(shift_rows(sub_bytes(state))), keys[r])
-    return add_round_key(shift_rows(sub_bytes(state)), keys[NUM_ROUNDS])
+    state = _cipher_rounds(block_to_int(_check_block(plaintext)) ^ keys[0], keys[1:NUM_ROUNDS])
+    last = shift_rows(sub_bytes(int_to_block(state)))
+    return int_to_block(block_to_int(last) ^ keys[NUM_ROUNDS])
 
 
 def decrypt_block(key: bytes | RoundKeySet, ciphertext: bytes) -> bytes:
     """Decrypt via the equivalent inverse cipher (encryption's round shape)."""
     keys = _round_keys(key, DECRYPT)
-    state = add_round_key(_check_block(ciphertext), keys[0])
-    for r in range(1, NUM_ROUNDS):
-        state = add_round_key(
-            mix_columns(shift_rows(sub_bytes(state, inverse=True), inverse=True), inverse=True),
-            keys[r],
-        )
-    return add_round_key(
-        shift_rows(sub_bytes(state, inverse=True), inverse=True), keys[NUM_ROUNDS]
-    )
+    state = _inv_cipher_rounds(block_to_int(_check_block(ciphertext)) ^ keys[0], keys[1:NUM_ROUNDS])
+    last = shift_rows(sub_bytes(int_to_block(state), inverse=True), inverse=True)
+    return int_to_block(block_to_int(last) ^ keys[NUM_ROUNDS])
 
 
 def decrypt_block_textbook(key: bytes, ciphertext: bytes) -> bytes:

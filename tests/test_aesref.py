@@ -1,8 +1,13 @@
 """Golden AES-128 against the published known-answer material."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drablocus import aesref
 from drablocus.aesref import (
@@ -144,6 +149,22 @@ def test_round_key_set_validation():
         RoundKeySet(keys=(bytes(16),) * 11, mode="both")
     with pytest.raises(ValueError):
         encrypt_block(key_expand_equivalent_inverse(FIPS_KEY), FIPS_PT)
+    # Every round key must be 16 bytes, not just the first or the last.
+    for length in (0, 1, 15, 17, 32):
+        with pytest.raises(ValueError, match="round key 0 must be 16 bytes"):
+            RoundKeySet(keys=(b"x" * length,) * 11, mode=ENCRYPT)
+    good = key_expand(FIPS_KEY).keys
+    for r in range(11):
+        keys = good[:r] + (good[r] + b"\0",) + good[r + 1 :]
+        with pytest.raises(ValueError, match=f"round key {r} must be 16 bytes, got 17"):
+            RoundKeySet(keys=keys, mode=DECRYPT)
+
+
+def test_round_key_set_holds_keys_as_ints():
+    ks = key_expand(FIPS_KEY)
+    assert ks.ints == tuple(block_to_int(k) for k in ks.keys)
+    assert RoundKeySet(keys=ks.keys, mode=ENCRYPT) == ks
+    assert "ints" not in repr(ks)
 
 
 def test_block_length_validation():
@@ -151,3 +172,78 @@ def test_block_length_validation():
         encrypt_block(FIPS_KEY, b"short")
     with pytest.raises(ValueError):
         key_expand(b"short")
+
+
+@pytest.mark.parametrize("bad", [16, 0, True, "0123456789abcdef"], ids=repr)
+def test_int_and_str_blocks_and_keys_rejected(bad):
+    # bytes(16) is sixteen zero bytes, so an int must not reach bytes().
+    with pytest.raises(TypeError, match="must be bytes-like"):
+        encrypt_block(FIPS_KEY, bad)
+    with pytest.raises(TypeError, match="must be bytes-like"):
+        decrypt_block(FIPS_KEY, bad)
+    with pytest.raises(TypeError, match="must be bytes-like"):
+        encrypt_block(bad, FIPS_PT)
+    with pytest.raises(TypeError, match="must be bytes-like"):
+        key_expand(bad)
+    with pytest.raises(TypeError, match="must be bytes-like"):
+        key_expand_equivalent_inverse(bad)
+
+
+def test_bytes_like_blocks_and_keys_accepted():
+    for kind in (bytes, bytearray, memoryview):
+        assert encrypt_block(kind(FIPS_KEY), kind(FIPS_PT)) == FIPS_CT
+        assert decrypt_block(kind(FIPS_KEY), kind(FIPS_CT)) == FIPS_PT
+        assert key_expand(kind(FIPS_KEY)) == key_expand(FIPS_KEY)
+
+
+def textbook_cipher(keys, block, inverse):
+    """Round composition of the step functions; with inverse, the equivalent inverse cipher."""
+    state = add_round_key(block, keys[0])
+    for r in range(1, 10):
+        state = sub_bytes(state, inverse)
+        state = add_round_key(mix_columns(shift_rows(state, inverse), inverse), keys[r])
+    return add_round_key(shift_rows(sub_bytes(state, inverse), inverse), keys[10])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(key=st.binary(min_size=16, max_size=16), block=st.binary(min_size=16, max_size=16))
+def test_fused_rounds_match_step_composition(key, block):
+    enc, dec = key_expand(key), key_expand_equivalent_inverse(key)
+    ct = textbook_cipher(enc.keys, block, inverse=False)
+    pt = textbook_cipher(dec.keys, block, inverse=True)
+    assert encrypt_block(enc, block) == encrypt_block(key, block) == ct
+    assert decrypt_block(dec, block) == decrypt_block(key, block) == pt
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["encrypt", "decrypt"])
+def test_one_fused_round_exhaustive(inverse):
+    # Every byte value at every position, over a random rest of the state.
+    rounds = aesref._inv_cipher_rounds if inverse else aesref._cipher_rounds
+    rng = random.Random(16)
+    for position in range(16):
+        base, key = bytearray(rand_block(rng)), rand_block(rng)
+        for value in range(256):
+            base[position] = value
+            x = bytes(base)
+            want = add_round_key(mix_columns(shift_rows(sub_bytes(x, inverse), inverse), inverse), key)
+            got = rounds(block_to_int(x), (block_to_int(key),))
+            assert int_to_block(got) == want, (position, value)
+
+
+def test_oracle_shares_no_table_builder_with_the_model():
+    # A bare package stub keeps drablocus/__init__ (which imports the model) out.
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('drablocus')\n"
+        "pkg.__path__ = [sys.argv[1]]\n"
+        "sys.modules['drablocus'] = pkg\n"
+        "import drablocus.aesref\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('drablocus.'))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(aesref.__file__).parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    # Only the field arithmetic: neither drablocus.tables nor drablocus.datapath.
+    assert done.stdout.split() == ["drablocus.aesref", "drablocus.gf256"]
