@@ -477,6 +477,7 @@ class RoundDatapath:
         ks_sub_bytes: tuple[int, int] = (0, 0),
         ks_mix_columns: tuple[int, int] = (0, 0),
         keys: Sequence[tuple[int, int, Sequence]] = (),
+        taps: list | None = None,
     ) -> list[tuple[int, Word, int]]:
         """Compute one cycle under these lines, and one more for each
         ``(main_key, final_key, lines)`` entry of ``keys``, under its keys
@@ -487,7 +488,9 @@ class RoundDatapath:
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the word the final key-add output
         carries then, and its value. A fault raised on a later cycle
-        carries its offset as ``offset``.
+        carries its offset as ``offset`` and the completions before it as
+        ``completions``. A ``taps`` list gets each cycle's committed
+        ``(tags, ia_out, ia_out_tag, s1, s2, s8, s11)``, s1 and s2 as bytes.
         """
         sbox = self._sbox
         lanes = self._lanes
@@ -531,6 +534,8 @@ class RoundDatapath:
         current = None
         try:
             while True:
+                if taps is not None:
+                    taps.append((tags, ia_out, entering, s1, s2, s8, s11))
                 # Substitution RAMs behind the OR mux; the driving word's mode
                 # (the key schedule's when none) selects the table half. The mux
                 # check is called only when two sources drive, to raise its fault.
@@ -630,6 +635,7 @@ class RoundDatapath:
                 cycle += 1
         except SimulationFault as fault:
             fault.offset = cycle
+            fault.completions = completions
             raise
 
         # The final key-add ranks, from the last two cycles: the input rank

@@ -18,22 +18,23 @@ the cycles skipped; the other statistics count them as cycles.
 
 The run is a sequence of passes. Each pass makes one call to the key
 store and one to the datapath, which compute its cycles under their own
-lines. In run, without a trace, the controller plans a pass of up to one
-batch period from registered state and the count of pending jobs: the
-cycles it admits on, its diverts and its reset lines, which follow from
-the track chains alone. A pass ends at the cap, the budget or the last
-job's completion; a traced cycle and every cycle before the run phase
-is a pass of one cycle. The run takes a queued job for each planned
-admission, checks the latency of every completion the datapath returns
-with its offset, and counts stalls and occupancy over every cycle; the
-controller checks itself against the datapath on each pass's first
-cycle. A key read past the last main round ends a pass short, so the
-next pass opens on the cycle that raises it; any other fault raised
-inside a pass carries its offset, and the run names the cycle a run
+lines. In run, the controller plans a pass of up to one batch period
+from registered state and the count of pending jobs: the cycles it
+admits on, its diverts and its reset lines, which follow from the track
+chains alone. A pass ends at the cap, the budget or the last job's
+completion; every cycle before the run phase is a pass of one cycle. The
+run takes a queued job for each planned admission, checks the latency of
+every completion the datapath returns with its offset, and counts stalls
+and occupancy over every cycle; the controller checks itself against the
+datapath on each pass's first cycle. A key read past the last main round
+ends a pass short, so the next pass opens on the cycle that raises it;
+any other fault raised inside a pass carries its offset, and the run
+names the cycle, and ends the trace on the cycle before it, as a run
 stepping every cycle would. Every pass commits the datapath, the
-controller and the key store once each, over all the cycles it covers.
-``RunSummary`` counts the passes, the cycles after their first and the
-skipped cycles.
+controller and the key store once each, over all the cycles it covers,
+and writes its trace in one call from the taps the datapath records on
+each cycle. ``RunSummary`` counts the passes, the cycles after their
+first and the skipped cycles.
 
 File formats (stable, line-delimited):
 
@@ -121,8 +122,8 @@ class RunSummary:
     stall_cycles: int = 0
     max_loop_occupancy: int = 0
     # Each cycle is counted once in one of the next three: the first cycle
-    # of a pass, a later cycle of a planned pass (untraced runs only), or a
-    # flush cycle fast-forwarded from a fixed point.
+    # of a pass, a later cycle of a planned pass, or a flush cycle
+    # fast-forwarded from a fixed point.
     stepped_cycles: int = 0
     window_cycles: int = 0
     skipped_cycles: int = 0
@@ -156,10 +157,11 @@ class RunResult:
 
 
 # Trace text. Every line of a cycle starts with its ``cycle=<n>`` text,
-# formatted once per cycle. A status line goes on with _status_text. A tap
-# line goes on with its tap's `` stage=<id> slot=<s> mode=<e|d> data=``
-# text, from the tap's table at the low five bits, ``slot << 1 | mode``,
-# of the word's tag field, then the word's 16 bytes in hex.
+# formatted once per cycle. A status line goes on as _status_text builds
+# it, inline in the pass renderer. A tap line goes on with its tap's
+# `` stage=<id> slot=<s> mode=<e|d> data=`` text, from the tap's table at
+# the low five bits, ``slot << 1 | mode``, of the word's tag field, then
+# the word's 16 bytes in hex.
 _IA_TEXT, _SB_TEXT, _SR_TEXT, _MC_TEXT, _ARK_TEXT, _FIN_TEXT = (
     tuple(
         f" stage={stage_id} slot={code >> 1} mode={'ed'[code & 1]} data="
@@ -242,10 +244,9 @@ class PipelineSimulator:
                     raise TimingFault(
                         f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
                     )
-                # A traced run steps every cycle; an untraced one plans each
-                # pass up to the budget and the last completion.
+                # Each pass is planned up to the budget and the last completion.
                 waiting = len(pending)
-                limit = 1 if trace is not None else (run_end if run_end > cycle else budget) - cycle
+                limit = (run_end if run_end > cycle else budget) - cycle
                 plan = begin_cycle(ks.fsm == KEY_SCHEDULE_READY, waiting, limit)
                 if ctrl.fsm != fsm:
                     fsm = ctrl.fsm
@@ -281,13 +282,14 @@ class PipelineSimulator:
                         admitted += 1
                     if not pending:
                         run_end = min(budget, cycle + admissions[admitted - 1] + BLOCK_LATENCY + 1)
-                # Every cycle a job waits without being admitted stalls.
-                stalls = 0
+                # Every cycle a job waits without being admitted stalls: each
+                # cycle before ``waited`` but the admissions.
+                waited = 0
                 if waiting and fsm == RUN:
                     waited = admissions[admitted - 1] + 1 if admitted == waiting else span
-                    stalls = waited - admitted
 
-                for offset, tag, data in dp_compute(
+                taps = None if trace is None else []
+                completions = dp_compute(
                     admit=admit_arg,
                     divert=ctrl.divert,
                     main_key=ks.out_a,
@@ -299,7 +301,9 @@ class PipelineSimulator:
                     ks_sub_bytes=ks.sub_bytes_inject,
                     ks_mix_columns=ks.mix_columns_inject,
                     keys=keys,
-                ):
+                    taps=taps,
+                )
+                for offset, tag, data in completions:
                     outputs[tag.seq] = data.to_bytes(16, "big")
                     completion_cycles[tag.seq] = cycle + offset
                     latency = cycle + offset - admission_cycles[tag.seq]
@@ -309,14 +313,15 @@ class PipelineSimulator:
                             f"expected {BLOCK_LATENCY}"
                         )
                         fault.offset = offset
+                        fault.completions = completions
                         raise fault
 
                 occupancy = check_against(dp).bit_count()
                 if occupancy > max_occupancy:
                     max_occupancy = occupancy
 
-                if trace is not None:
-                    self._emit_trace(trace, ctrl, dp, stalls > 0)
+                if taps is not None:
+                    self._emit_trace(trace, cycle, taps, completions, fsm, waited, admissions)
 
                 # Decided on the computed next state, before it is latched.
                 quiescent = (
@@ -335,7 +340,7 @@ class PipelineSimulator:
                 ks_commit()
                 stepped_cycles += 1
                 window_cycles += span - 1
-                stall_cycles += stalls
+                stall_cycles += waited - admitted
                 skipped_cycles += skipped
                 if skipped and trace is not None:
                     status = _status_text(ctrl.fsm, ctrl.tags, False)
@@ -345,7 +350,13 @@ class PipelineSimulator:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it, at the offset
             # into the pass a fault on a later cycle carries.
-            fault.cycle = ctrl.cycle + getattr(fault, "offset", 0)
+            offset = getattr(fault, "offset", 0)
+            fault.cycle = ctrl.cycle + offset
+            # A fault of the datapath or the latency check, raised before the
+            # pass's trace is written, carries the completions before it.
+            if trace is not None and hasattr(fault, "completions"):
+                completions = fault.completions
+                self._emit_trace(trace, cycle, taps[:offset], completions, fsm, waited, admissions)
             raise
 
         summary.total_cycles = ctrl.cycle
@@ -361,40 +372,43 @@ class PipelineSimulator:
         return RunResult(outputs=outputs, summary=summary, key_store=tuple(ks.image))
 
     @staticmethod
-    def _emit_trace(trace: IO[str], ctrl: Controller, dp: RoundDatapath, stalled: bool) -> None:
-        cycle = f"cycle={ctrl.cycle}"
-        parts = [cycle, _status_text(ctrl.fsm, ctrl.tags, stalled)]
-        # One line per tap carrying a word, in trace order.
-        tag = dp.ia_out_tag
-        if tag is not None:
-            parts += (
-                cycle, _IA_TEXT[tag.slot << 1 | tag.mode],
-                dp.ia_out.to_bytes(16, "big").hex(), "\n",
-            )
-        tags = dp.tags
-        if tags & _LOOP_TAP_VALID:
-            if tags & 1 << 11:
+    def _emit_trace(trace: IO[str], cycle: int, taps: list, completions: list, fsm: str,
+                    waited: int, admissions: Sequence[int]) -> None:
+        """Write the trace of the pass that opens on ``cycle`` from the taps
+        the datapath recorded on each of its cycles and the completions, the
+        fin taps, at their offsets; the cycles before ``waited`` stall but
+        for the ``admissions``."""
+        fsm_text = _FSM_TEXT[fsm]
+        fins = iter(completions)
+        fin = next(fins, None)
+        parts = []
+        for offset, (tags, ia_out, ia_tag, s1, s2, s8, s11) in enumerate(taps):
+            text = f"cycle={cycle + offset}"
+            stalled = offset < waited and offset not in admissions
+            # The occupancy is the valid bits of the tag rank.
+            parts += (text, fsm_text, bin(tags | _RANK_MARK)[3::TAG_BITS], _STALL_TEXT[stalled])
+            # One line per tap carrying a word, in trace order.
+            if ia_tag is not None:
                 parts += (
-                    cycle, _SB_TEXT[tags >> 6 & 31], dp.s1.to_bytes(16, "big").hex(), "\n",
+                    text, _IA_TEXT[ia_tag.slot << 1 | ia_tag.mode],
+                    ia_out.to_bytes(16, "big").hex(), "\n",
                 )
-            if tags & 1 << 17:
+            if tags & _LOOP_TAP_VALID:
+                if tags & 1 << 11:
+                    parts += (text, _SB_TEXT[tags >> 6 & 31], s1.hex(), "\n")
+                if tags & 1 << 17:
+                    parts += (text, _SR_TEXT[tags >> 12 & 31], bytes(s2).hex(), "\n")
+                if tags & 1 << 53:
+                    parts += (text, _MC_TEXT[tags >> 48 & 31], s8.to_bytes(16, "big").hex(), "\n")
+                if tags & 1 << 71:
+                    parts += (text, _ARK_TEXT[tags >> 66 & 31], s11.to_bytes(16, "big").hex(), "\n")
+            if fin is not None and fin[0] == offset:
+                _, tag, data = fin
                 parts += (
-                    cycle, _SR_TEXT[tags >> 12 & 31], dp.s2.to_bytes(16, "big").hex(), "\n",
+                    text, _FIN_TEXT[tag.slot << 1 | tag.mode], data.to_bytes(16, "big").hex(),
+                    "\n",
                 )
-            if tags & 1 << 53:
-                parts += (
-                    cycle, _MC_TEXT[tags >> 48 & 31], dp.s8.to_bytes(16, "big").hex(), "\n",
-                )
-            if tags & 1 << 71:
-                parts += (
-                    cycle, _ARK_TEXT[tags >> 66 & 31], dp.s11.to_bytes(16, "big").hex(), "\n",
-                )
-        tag = dp.fa_out_tag
-        if tag is not None:
-            parts += (
-                cycle, _FIN_TEXT[tag.slot << 1 | tag.mode],
-                dp.fa_out.to_bytes(16, "big").hex(), "\n",
-            )
+                fin = next(fins, None)
         trace.write("".join(parts))
 
 

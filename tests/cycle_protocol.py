@@ -1,13 +1,17 @@
 """The per-cycle protocol of a core, for tests that step one by hand.
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
-each pass of its loop, in its order, for a pass of one cycle, which is
-every pass of a traced run: the controller's FSM step and control lines,
-admission, the key schedule, the datapath, the controller's check, then
-the three commits. A planned pass gives the key schedule the plan, the
-key schedule's returned keys and lines go to the datapath, and the
-controller's one commit covers every cycle of the pass, before the key
-schedule commits.
+each pass of its loop, in its order, for a pass of one cycle: the
+controller's FSM step and control lines, admission, the key schedule,
+the datapath, the controller's check, then the three commits. A planned
+pass gives the key schedule the plan, the key schedule's returned keys
+and lines go to the datapath, and the controller's one commit covers
+every cycle of the pass, before the key schedule commits.
+
+:func:`step_every_cycle` makes a whole simulator run take passes of one
+cycle, so that a hook on a per-cycle method sees every cycle the run
+does not skip: the stepped run, the reference a run of planned passes
+must match.
 """
 
 from drablocus.controller import RUN, Controller
@@ -55,6 +59,16 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     ctrl.commit()
     ks.commit()
     return admitted
+
+
+def step_every_cycle(monkeypatch):
+    """Limit every pass a simulator run plans to one cycle."""
+    begin_cycle = Controller.begin_cycle
+
+    def stepped(self, key_schedule_ready, pending=0, limit=1):
+        return begin_cycle(self, key_schedule_ready, pending, 1)
+
+    monkeypatch.setattr(Controller, "begin_cycle", stepped)
 
 
 def core_in_run(key: int, limit: int = 400):

@@ -1,11 +1,10 @@
 """Controller sequencing: FSM, stalls, tracking, and reset lines."""
 
-import io
 import random
 
 import pytest
 
-from cycle_protocol import core_in_run, new_core, step_cycle
+from cycle_protocol import core_in_run, new_core, step_cycle, step_every_cycle
 from drablocus.controller import FLUSH, KEY_INIT, RESET, RUN, Controller
 from drablocus.datapath import NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES
 from drablocus.fabric import LutShiftRegister
@@ -173,9 +172,10 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
             bytes(rng.randrange(256) for _ in range(16)))
         for i in range(100)
     ]
-    # With a trace attached every pass is one cycle, so the check hook sees
-    # every cycle the run does not skip.
-    result = PipelineSimulator().run(bytes(range(16)), jobs, trace=io.StringIO())
+    # Every pass is one cycle, so the check hook sees every cycle the run
+    # does not skip.
+    step_every_cycle(monkeypatch)
+    result = PipelineSimulator().run(bytes(range(16)), jobs)
     assert result.summary.blocks_completed == 100
     # The flush cycles the run skips are covered by one commit, over which
     # the chains step as many times.

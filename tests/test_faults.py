@@ -11,17 +11,16 @@ single-bit upset of either side's tag rank on sampled cycles fails or
 passes the one-compare check as the ordered checks would. Upsets made
 during the flush show that the run fast-forwards the flush only from an
 exact fixed point. Data upsets, which no check covers, complete with
-wrong outputs. Each upset run writes a trace, so that every cycle is
-stepped and a hook on a per-cycle method sees every cycle.
+wrong outputs. Each upset run takes passes of one cycle, so that a hook
+on a per-cycle method sees every cycle.
 """
 
-import io
 import random
 
 import pytest
 
 from composed_datapath import ComposedDatapath
-from cycle_protocol import core_in_run, step_cycle
+from cycle_protocol import core_in_run, step_cycle, step_every_cycle
 from drablocus import aesref
 from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import (
@@ -146,6 +145,7 @@ def loop_full(ctrl):
 def run_with_upset(monkeypatch, upset, jobs, when=lambda ctrl: True):
     """Run ``jobs`` and apply ``upset(controller)`` once the cycle is decided,
     on the first run cycle for which ``when(controller)`` holds."""
+    step_every_cycle(monkeypatch)
     original = Controller.begin_cycle
     state = {"done": False}
 
@@ -157,7 +157,7 @@ def run_with_upset(monkeypatch, upset, jobs, when=lambda ctrl: True):
         return plan
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
-    return PipelineSimulator().run(FIPS_KEY, jobs, trace=io.StringIO())
+    return PipelineSimulator().run(FIPS_KEY, jobs)
 
 
 def test_unupset_run_completes(monkeypatch):
@@ -262,6 +262,7 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when):
     first cycle for which ``when(controller, datapath)`` holds: after the
     controller has decided the cycle and before the key schedule or the
     datapath reads a rank."""
+    step_every_cycle(monkeypatch)
     original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
     state = {"ctrl": None, "done": False}
 
@@ -277,7 +278,7 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when):
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     monkeypatch.setattr(KeyScheduler, "compute", compute)
-    return PipelineSimulator().run(FIPS_KEY, jobs, trace=io.StringIO())
+    return PipelineSimulator().run(FIPS_KEY, jobs)
 
 
 def datapath_full(ctrl, dp):
@@ -451,7 +452,8 @@ def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_ups
         return original(self, datapath)
 
     monkeypatch.setattr(Controller, "check_against", checked)
-    result = PipelineSimulator().run(FIPS_KEY, mixed_jobs(24), trace=io.StringIO())
+    step_every_cycle(monkeypatch)
+    result = PipelineSimulator().run(FIPS_KEY, mixed_jobs(24))
     assert result.summary.blocks_completed == 24
     assert len(sampled) > 70
     assert len(outcomes) == 144 * len(sampled)

@@ -12,6 +12,8 @@ import random
 
 import pytest
 
+from cycle_protocol import step_every_cycle
+from drablocus.controller import RUN, Controller
 from drablocus.datapath import NUM_LOOP_STAGES
 from drablocus.simulator import Job, PipelineSimulator, write_outputs
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
@@ -69,7 +71,7 @@ def test_trace_and_outputs_match_golden_digests(name):
 
 
 # The trace writer's rendering before it was rewritten over precomputed
-# text, kept as the reference it must match on every cycle.
+# text and tap records, kept as the reference it must match on every cycle.
 REFERENCE_TAP_IDS = ("ia", "sb", "sr", "mc", "ark", "fin")
 
 
@@ -91,24 +93,36 @@ def reference_cycle_text(ctrl, dp, stalled):
 @pytest.mark.parametrize("fresh_key", [False, True], ids=["fips_key", "fresh_key"])
 @pytest.mark.parametrize("n", [1, 13, 120])
 def test_trace_writer_matches_reference_rendering_every_cycle(monkeypatch, fresh_key, n):
-    # Each stepped cycle's text is compared as it is written; the skipped
-    # flush cycles' status lines are then checked in place in the whole trace.
-    writer = PipelineSimulator._emit_trace
-    stepped = {}
-
-    def checked(trace, ctrl, dp, stalled):
-        text = io.StringIO()
-        writer(text, ctrl, dp, stalled)
-        assert text.getvalue() == reference_cycle_text(ctrl, dp, stalled)
-        stepped[ctrl.cycle] = (ctrl.fsm, stalled, text.getvalue())
-        trace.write(text.getvalue())
-
-    monkeypatch.setattr(PipelineSimulator, "_emit_trace", staticmethod(checked))
+    # The reference text of each cycle is rendered from a stepped run's
+    # committed state, once the controller's check has passed on it, and the
+    # skipped flush cycles' status lines in place; the whole trace of a run
+    # of planned passes must be that text.
     rng = random.Random(0x7E + n)
     key = rng.randbytes(16) if fresh_key else FIPS_KEY
-    trace = io.StringIO()
-    summary = PipelineSimulator().run(key, mixed_jobs(rng, n), trace=trace).summary
+    jobs = mixed_jobs(rng, n)
+    stepped, state = {}, {}
+    step_every_cycle(monkeypatch)
+    begin_cycle, check_against = Controller.begin_cycle, Controller.check_against
 
+    def deciding(self, key_schedule_ready, pending=0, limit=1):
+        plan = begin_cycle(self, key_schedule_ready, pending, limit)
+        state["stalled"] = self.fsm == RUN and pending > 0 and not self.admissions
+        return plan
+
+    def rendering(self, datapath):
+        live = check_against(self, datapath)
+        stalled = state["stalled"]
+        stepped[self.cycle] = (self.fsm, stalled, reference_cycle_text(self, datapath, stalled))
+        return live
+
+    monkeypatch.setattr(Controller, "begin_cycle", deciding)
+    monkeypatch.setattr(Controller, "check_against", rendering)
+    summary = PipelineSimulator().run(key, jobs).summary
+    monkeypatch.undo()
+    trace = io.StringIO()
+    planned = PipelineSimulator().run(key, jobs, trace=trace).summary
+
+    assert planned.window_cycles > 0
     assert len(stepped) + summary.skipped_cycles == summary.total_cycles
     assert trace.getvalue() == "".join(
         stepped[cycle][2] if cycle in stepped else reference_status_line(cycle, "flush", 0, False)

@@ -1,11 +1,10 @@
 """Key schedule: stored contents, consumer service, and fault paths."""
 
-import io
 import random
 
 import pytest
 
-from cycle_protocol import core_in_run
+from cycle_protocol import core_in_run, step_every_cycle
 from drablocus import aesref
 from drablocus.datapath import TAG_BITS, TAG_FIELD, TAG_VALID, Word
 from drablocus.fabric import BramModel
@@ -159,8 +158,9 @@ def test_flat_store_matches_bram_model(monkeypatch):
             bytes(rng.randrange(256) for _ in range(16)))
         for i in range(100)
     ]
-    # With a trace attached every cycle is stepped, so the hooks see each one.
-    result = PipelineSimulator().run(FIPS_KEY, jobs, trace=io.StringIO())
+    # Every cycle is stepped, so the hooks see each one.
+    step_every_cycle(monkeypatch)
+    result = PipelineSimulator().run(FIPS_KEY, jobs)
     assert result.summary.blocks_completed == 100
     # Skipped flush cycles set no address and write nothing, so the store
     # model stands still over them as stepping would leave it.

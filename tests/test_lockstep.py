@@ -1,18 +1,20 @@
 """Lockstep: the flat round datapath against the composition of the unit classes.
 
-A seeded simulator run records the arguments of every ``compute_cycle``
-call, through reset, key initialization, flush and run. The flush cycles
-the run skips from a fixed point repeat the last stepped cycle's inputs,
-so the replay inserts them as repeats of that call. The same arguments
-drive :class:`ComposedDatapath` (the unit classes stepped through the
-fabric primitives) and a fresh :class:`RoundDatapath`; every tap, its tag,
-and the substitution and column-mix outputs must agree on every cycle.
+A seeded simulator run, stepping every cycle, records the arguments of
+every ``compute_cycle`` call, through reset, key initialization, flush
+and run. The flush cycles the run skips from a fixed point repeat the
+last stepped cycle's inputs, so the replay inserts them as repeats of
+that call. The same arguments drive :class:`ComposedDatapath` (the unit
+classes stepped through the fabric primitives) and a fresh
+:class:`RoundDatapath`; every tap, its tag, and the substitution and
+column-mix outputs must agree on every cycle.
 """
 
 import io
 import random
 
 from composed_datapath import ComposedDatapath
+from cycle_protocol import step_every_cycle
 from drablocus.datapath import RoundDatapath
 from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
@@ -31,12 +33,14 @@ def recorded_run(monkeypatch, jobs):
         return original(self, **kwargs)
 
     monkeypatch.setattr(RoundDatapath, "compute_cycle", recording)
+    step_every_cycle(monkeypatch)
     trace = io.StringIO()
     summary = PipelineSimulator().run(FIPS_KEY, jobs, trace=trace).summary
     monkeypatch.undo()
-    # A traced run computes no window: each call is one cycle.
+    # Each call is one cycle; its tap records are the trace's.
     for kwargs in calls:
         assert kwargs.pop("keys") == []
+        kwargs.pop("taps")
     # The skipped span runs up to the transition into run.
     first = summary.run_start_cycle - summary.skipped_cycles
     assert summary.skipped_cycles > 0 and len(calls) > first

@@ -1,17 +1,20 @@
-"""Passes: a run without a trace computes each pass of cycles in one call.
+"""Passes: a run computes each pass of cycles in one call, traced or not.
 
 Computing a pass must leave the core exactly as stepping each of its
-cycles would. The lockstep test snapshots every rank, tag rank, track
-chain, key-store output and round counter after each commit of an
-untraced run, pass ends included, and compares each snapshot with a
-traced run's at the same cycle; the traced run steps every cycle. The
-property tests compare the controller's plan of a pass with the lines
-its cycles take one at a time, and whole runs, traced and untraced. A
-fault of each class that can arise inside a pass is fired in both kinds
-of run, and must name the same cycle with the same message.
+cycles would, and writing its trace must write what stepping them would.
+The lockstep test snapshots every rank, tag rank, track chain, key-store
+output and round counter after each commit of a run, pass ends included,
+and compares each snapshot with a stepped run's at the same cycle; the
+stepped run takes passes of one cycle. The property tests compare the
+controller's plan of a pass with the lines its cycles take one at a
+time, and whole runs: untraced, traced and stepped, their traces byte
+for byte. A fault of each class that can arise inside a pass is fired in
+each kind of run, and must name the same cycle with the same message;
+the traced runs' traces must end on the same line.
 """
 
 import copy
+import io
 import random
 from collections import deque
 
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycle_protocol import new_core, step_cycle
+from cycle_protocol import new_core, step_cycle, step_every_cycle
 from drablocus.controller import BATCH_PERIOD, FLUSH, RUN, Controller
 from drablocus.datapath import (
     BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
@@ -30,13 +33,6 @@ from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-
-
-class Discard:
-    """A trace sink that keeps nothing: attached, it makes every cycle step."""
-
-    def write(self, text):
-        pass
 
 
 def mixed_jobs(n, seed):
@@ -56,9 +52,10 @@ def snapshot(dp, ctrl, ks):
     )
 
 
-def committed_states(monkeypatch, key, jobs, trace):
+def committed_states(monkeypatch, key, jobs, stepped=False):
     """The core's state after every commit of one run, by the cycle it
-    leads into, and the cycles at which passes of more than one cycle end."""
+    leads into, and the cycles at which passes of more than one cycle end.
+    A ``stepped`` run takes passes of one cycle."""
     core, states, pass_ends = {}, {}, []
     for cls in (RoundDatapath, Controller):
         def init(self, *args, _original=cls.__init__, _cls=cls):
@@ -80,7 +77,9 @@ def committed_states(monkeypatch, key, jobs, trace):
 
     monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
     monkeypatch.setattr(Controller, "commit", recorded_ctrl_commit)
-    result = PipelineSimulator().run(key, jobs, trace=trace)
+    if stepped:
+        step_every_cycle(monkeypatch)
+    result = PipelineSimulator().run(key, jobs)
     monkeypatch.undo()
     return result, states, pass_ends
 
@@ -98,8 +97,8 @@ def summary_fields(summary):
 def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, fresh_key):
     key = random.Random(n_jobs).randbytes(16) if fresh_key else FIPS_KEY
     jobs = mixed_jobs(n_jobs, seed=n_jobs)
-    passed, states, pass_ends = committed_states(monkeypatch, key, jobs, None)
-    stepped, reference, no_passes = committed_states(monkeypatch, key, jobs, Discard())
+    passed, states, pass_ends = committed_states(monkeypatch, key, jobs)
+    stepped, reference, no_passes = committed_states(monkeypatch, key, jobs, stepped=True)
 
     assert passed.summary.window_cycles > 0 and len(pass_ends) > 0
     assert no_passes == [] and stepped.summary.window_cycles == 0
@@ -274,15 +273,23 @@ def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
     key=st.one_of(st.just(FIPS_KEY), st.binary(min_size=16, max_size=16)),
 )
 def test_untraced_run_equals_traced_run(modes_and_blocks, key):
+    # A traced run plans its passes as an untraced one does, and writes the
+    # trace a stepped run writes, byte for byte.
     jobs = [Job(i, mode, block) for i, (mode, block) in enumerate(modes_and_blocks)]
     sim = PipelineSimulator()
     untraced = sim.run(key, jobs)
-    traced = sim.run(key, jobs, trace=Discard())
-    assert untraced.outputs == traced.outputs
-    assert untraced.key_store == traced.key_store
-    assert summary_fields(untraced.summary) == summary_fields(traced.summary)
-    assert traced.summary.window_cycles == 0
-    for summary in (untraced.summary, traced.summary):
+    trace, stepped_trace = io.StringIO(), io.StringIO()
+    traced = sim.run(key, jobs, trace=trace)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        step_every_cycle(monkeypatch)
+        stepped = sim.run(key, jobs, trace=stepped_trace)
+    assert trace.getvalue() == stepped_trace.getvalue()
+    assert untraced.outputs == traced.outputs == stepped.outputs
+    assert untraced.key_store == traced.key_store == stepped.key_store
+    assert untraced.summary == traced.summary
+    assert summary_fields(traced.summary) == summary_fields(stepped.summary)
+    assert traced.summary.window_cycles > 0 and stepped.summary.window_cycles == 0
+    for summary in (untraced.summary, stepped.summary):
         assert (
             summary.stepped_cycles + summary.window_cycles + summary.skipped_cycles
             == summary.total_cycles
@@ -290,18 +297,21 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
 
 
 # Faults inside a pass. Each upset is made on a cycle that opens a pass in
-# the untraced run, or on the lines a pass plans for a later cycle, and
-# the same upset is made on the same cycle of a run that steps every cycle.
+# the planned runs, or on the lines a pass plans for a later cycle, and the
+# same upset is made on the same cycle of a run that steps every cycle.
 LINE_NAMES = ("admit", "divert", "initial_reset", "main_reset")
 
 
-def run_with_pass_upset(monkeypatch, jobs, trace, cycle, lines=None, core=None):
+def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lines=None, core=None):
     """Run ``jobs``, setting the named ``lines`` of ``cycle`` (the
     controller's own on the cycle it decides, or a plan's entry) or
     applying ``core(ks, dp)`` before the key store computes ``cycle``,
-    which must then open a pass. Returns the fault the run raises and
-    each pass's first cycle and planned length."""
+    which must then open a pass; a ``stepped`` run takes passes of one
+    cycle. Returns the fault the run raises and each pass's first cycle
+    and planned length."""
     passes, state = [], {}
+    if stepped:
+        step_every_cycle(monkeypatch)
     original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
 
     def begin_cycle(self, *args):
@@ -376,11 +386,21 @@ PASS_FAULTS = {
 def test_fault_inside_a_pass_names_its_own_cycle(monkeypatch, name):
     n_jobs, cycle, upset, fault_type, prefix = PASS_FAULTS[name]
     jobs = mixed_jobs(n_jobs, seed=7)
-    passed, passes = run_with_pass_upset(monkeypatch, jobs, None, cycle, **upset)
-    stepped, _ = run_with_pass_upset(monkeypatch, jobs, Discard(), cycle, **upset)
-    assert type(passed) is type(stepped) is fault_type
-    assert str(passed) == str(stepped)
+    trace, stepped_trace = io.StringIO(), io.StringIO()
+    passed, passes = run_with_pass_upset(monkeypatch, jobs, cycle, **upset)
+    traced, traced_passes = run_with_pass_upset(monkeypatch, jobs, cycle, trace=trace, **upset)
+    stepped, _ = run_with_pass_upset(
+        monkeypatch, jobs, cycle, trace=stepped_trace, stepped=True, **upset
+    )
+    assert type(passed) is type(traced) is type(stepped) is fault_type
+    assert str(passed) == str(traced) == str(stepped)
     assert str(passed).startswith(prefix)
-    assert passed.cycle == stepped.cycle
-    # The untraced run planned the faulting cycle inside a pass of many.
-    assert any(start < passed.cycle < start + length for start, length in passes)
+    assert passed.cycle == traced.cycle == stepped.cycle
+    # The planned runs planned the faulting cycle inside a pass of many.
+    for runs in (passes, traced_passes):
+        assert any(start < passed.cycle < start + length for start, length in runs)
+    # The traced run's trace is the stepped run's; both end on the cycle
+    # before the fault.
+    assert trace.getvalue() == stepped_trace.getvalue()
+    last = trace.getvalue().splitlines()[-1]
+    assert last.startswith(f"cycle={passed.cycle - 1} ")
