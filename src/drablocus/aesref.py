@@ -22,7 +22,8 @@ this module's own :mod:`gf256` products, never from the model's RAM images.
 The step functions (:func:`sub_bytes`, :func:`shift_rows`,
 :func:`mix_columns`, :func:`add_round_key`) are the textbook definition the
 fused rounds are tested against; the last round, which has no column mix,
-is built from them.
+is built from them. The equivalent inverse cipher's inner keys take the
+inverse column mix from lane tables of their own, which hold no S-box.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ def _lane_tables(entries: list[bytes]) -> tuple[tuple[bytes, ...], ...]:
 # (0e, 0b, 0d, 09) for the inverse cipher.
 _ENC_LANES = _lane_tables([bytes((_M2[s], s, s, _M3[s])) for s in SBOX])
 _DEC_LANES = _lane_tables([bytes((_ME[s], _M9[s], _MD[s], _MB[s])) for s in INV_SBOX])
+# The inverse column mix alone, for the decryption key schedule: the same
+# products of each byte itself, so that path shares no table with the rounds.
+_INV_MIX_LANES = _lane_tables([bytes((_ME[b], _M9[b], _MD[b], _MB[b])) for b in range(256)])
 
 
 def state_index(row: int, col: int) -> int:
@@ -176,13 +180,28 @@ def key_expand_equivalent_inverse(key: bytes) -> RoundKeySet:
     entries 1..9 are the inverse mix-columns transform of encryption keys
     9..1.
     """
-    enc = key_expand(key).keys
+    enc = key_expand(key)
     keys = (
-        (enc[NUM_ROUNDS],)
-        + tuple(mix_columns(enc[NUM_ROUNDS - r], inverse=True) for r in range(1, NUM_ROUNDS))
-        + (enc[0],)
+        (enc.keys[NUM_ROUNDS],)
+        + tuple(
+            int_to_block(_inv_mix_columns(enc.ints[NUM_ROUNDS - r])) for r in range(1, NUM_ROUNDS)
+        )
+        + (enc.keys[0],)
     )
     return RoundKeySet(keys=keys, mode=DECRYPT)
+
+
+def _inv_mix_columns(state: int) -> int:
+    """:func:`mix_columns` inverted, on a 128-bit int, as lane lookups: lane
+    k reads row k of each column, and the four lanes' XOR is the result."""
+    l0, l1, l2, l3 = _INV_MIX_LANES
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = state.to_bytes(16, "big")
+    lanes = int.from_bytes(b"".join((
+        l0[b0], l0[b4], l0[b8], l0[b12], l1[b1], l1[b5], l1[b9], l1[b13],
+        l2[b2], l2[b6], l2[b10], l2[b14], l3[b3], l3[b7], l3[b11], l3[b15],
+    )), "big")
+    lanes ^= lanes >> 256
+    return (lanes ^ lanes >> 128) & _MASK128
 
 
 def _round_keys(key: bytes | RoundKeySet, mode: str) -> tuple[int, ...]:

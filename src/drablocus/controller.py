@@ -40,7 +40,9 @@ a limit, it also plans the pass: the lines of every cycle after the
 first, up to one batch period. Those are a function of the same
 registers, since a divert waits for a track chain's final bit and an
 admission for its slot's chain to empty, and the plan lists the cycles
-it admits on. :meth:`Controller.check_against` is the one reconciliation
+it admits on. Key initialization is planned the same way, as a pass of
+:data:`HOLD` lines; the key schedule ends it on the cycle it reports
+ready. :meth:`Controller.check_against` is the one reconciliation
 of the registers and the first cycle's lines with the datapath's tags,
 made once the datapath has computed the pass, and :meth:`Controller.commit`
 moves the registers over every cycle the pass covers; no other method
@@ -93,6 +95,9 @@ BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
 
 # The lines of a planned cycle with no admission, divert or arriving word.
 QUIET = (None, False, True, False)
+# The lines of every key-initialization cycle: both key-add outputs held
+# in reset, no admission and no divert.
+HOLD = (None, False, True, True)
 
 _VALID9 = TAG_VALID << 9 * TAG_BITS
 _VALID10 = TAG_VALID << 10 * TAG_BITS
@@ -175,12 +180,14 @@ class Controller:
     def begin_cycle(
         self, key_schedule_ready: bool, pending: int = 0, limit: int = 1
     ) -> Sequence[Sequence]:
-        """Decide this cycle's lines and, in run with ``limit`` above 1,
-        plan the pass of up to ``limit`` cycles that starts with it.
+        """Decide this cycle's lines and, in run or key initialization with
+        ``limit`` above 1, plan the pass of up to ``limit`` cycles, and at
+        most one batch period, that starts with it.
 
         Returns the plan, the lines of each cycle after this one (empty for
         a pass of one cycle), and sets ``admissions``: the offsets of the
-        cycles the pass admits ``pending`` jobs on, in order.
+        cycles the pass admits ``pending`` jobs on, in order. Key
+        initialization's lines hold: each planned cycle's are :data:`HOLD`.
         """
         fsm = self.fsm
         if fsm != RUN:
@@ -201,6 +208,8 @@ class Controller:
         if fsm != RUN:
             self.divert = self.admit_ready = False
             self.admissions = ()
+            if fsm == KEY_INIT and limit > 1:
+                return [HOLD] * (min(limit, BATCH_PERIOD) - 1)
             return ()
         phase = self.cycle % NUM_LOOP_STAGES
         track = self.track

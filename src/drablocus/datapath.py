@@ -46,7 +46,8 @@ and register at a time; they are the unit-tested specification.
 in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
 makes no per-primitive calls. The same code steps one cycle, or a pass of
-cycles in one frame over locals under each cycle's planned lines. A
+cycles in one frame over locals under each cycle's planned lines; in key
+initialization the key schedule's program gives each cycle's injects. A
 lockstep test replays a simulator run into both and compares every tap on
 every cycle.
 """
@@ -482,8 +483,13 @@ class RoundDatapath:
         """Compute one cycle under these lines, and one more for each
         ``(main_key, final_key, lines)`` entry of ``keys``, under its keys
         and its ``(admit, divert, initial_reset, main_reset)`` lines; the
-        other lines hold over the pass. Each cycle but the last is committed
-        in locals, and the last one's next state awaits :meth:`commit_cycle`.
+        other lines hold over the pass. In a key-initialization pass each
+        entry is ``(None, None, resume)`` instead: ``resume(s1, s8)``, given
+        the cycle's committed S1 (as bytes) and S8, returns its keys and
+        its ``ks_sub_bytes`` and ``ks_mix_columns`` injects, and the first
+        cycle's lines, key initialization's held resets, stay. Each cycle but
+        the last is committed in locals, and the last one's next state
+        awaits :meth:`commit_cycle`.
 
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the word the final key-add output
@@ -624,14 +630,22 @@ class RoundDatapath:
                 last_final_key = final_key
                 main_key, final_key, lines = keys[cycle]
                 if lines is not current:
-                    current = lines
-                    admit, divert, initial_reset, main_reset = lines
-                    if admit is not None:
-                        block, key, admitted = admit
-                        ia_in_next = (block << 128) | key
+                    if main_key is None:
+                        # A key-initialization cycle: the key schedule's
+                        # program reads the cycle's committed S1 and S8 and
+                        # gives its keys and injects.
+                        (
+                            main_key, final_key, (ks_sb_data, ks_sb_mode), (ks_mc_data, ks_mc_mode)
+                        ) = lines(s1, s8)
                     else:
-                        ia_in_next = 0
-                        admitted = None
+                        current = lines
+                        admit, divert, initial_reset, main_reset = lines
+                        if admit is not None:
+                            block, key, admitted = admit
+                            ia_in_next = (block << 128) | key
+                        else:
+                            ia_in_next = 0
+                            admitted = None
                 cycle += 1
         except SimulationFault as fault:
             fault.offset = cycle

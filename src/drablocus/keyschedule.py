@@ -19,6 +19,11 @@ summary): cycle 0 writes round 0 and starts the first substitution;
 each expansion round takes 3 cycles (inject, wait, read + write); the
 inversion phase streams nine keys through the product path back to
 back, reading each result 6 cycles after injection.
+
+The whole program is one pass of the run: :meth:`KeyScheduler.compute`
+runs its first cycle, and the datapath's pass loop resumes it once per
+later cycle with the S1 and S8 values it holds, the ranks the program
+reads back, so they come from the datapath's own step.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ class KeyScheduler:
         self.fsm = EXPANDING
         self.init_cycles = 0
         self._cipher_key = key & _MASK128
-        self._program = None
+        self._program = self._initialization()
+        next(self._program)
         # (data, mode) the schedule drives into the substitution and
         # product RAMs this cycle; zero outside initialization.
         self.sub_bytes_inject = _NO_INJECT
@@ -135,23 +141,27 @@ class KeyScheduler:
         its planned lines. A read past the last main round raises on the
         first cycle; on a later one the service stops short of that cycle,
         which then opens the next pass and raises there.
+
+        In key initialization the pass runs the program: this call runs its
+        first cycle, and the pass ends short of the plan on the cycle that
+        reports the schedule ready. Each later cycle's entry is ``(None,
+        None, resume)``: the datapath calls ``resume(s1, s8)`` with the
+        cycle's committed ranks and takes its ``(out_a, out_b,
+        sub_bytes_inject, mix_columns_inject)``; the lines hold. Each
+        resume commits the cycle before it, so only the last awaits
+        :meth:`commit`.
         """
         keys = []
         if self.fsm != READY:
-            self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
-            if controller_fsm == KEY_INIT:
-                if self._program is None:
-                    self._program = self._initialization(datapath)
-                try:
-                    next(self._program)
-                except StopIteration:
-                    self.fsm = READY
-                else:
-                    self.init_cycles += 1
-            image = self.image
-            self._read_a = image[self.addr_a]
-            self._read_b = image[self.addr_b]
-            return keys
+            if controller_fsm != KEY_INIT:
+                self._read_a = self.image[self.addr_a]
+                self._read_b = self.image[self.addr_b]
+                return keys
+            # The cycles after this one: the program's, then the one that
+            # reports ready.
+            later = min(len(plan), KEY_INIT_CYCLES - self.init_cycles)
+            self._init_cycle(datapath.s1.to_bytes(16, "big"), datapath.s8)
+            return [(None, None, self._init_cycle)] * later
 
         # Service. A {mode, round <= 10} address is below the depth of 32, so
         # neither port can leave the image. The injects stay zero, as cleared
@@ -244,7 +254,39 @@ class KeyScheduler:
             self.round_counters[self._pending_increment] += 1
             self._pending_increment = None
 
-    def _initialization(self, datapath: RoundDatapath):
+    def _init_cycle(self, s1: bytes, s8: int) -> tuple[int, int, tuple, tuple]:
+        """One cycle of the program, on the cycle's committed S1 and S8:
+        commit the cycle before, run the program's cycle, then read both
+        ports. Returns the cycle's port outputs and injects. On a pass's
+        first cycle :meth:`commit` has latched the reads and the write, and
+        the commit here changes nothing; no round counter moves in
+        initialization."""
+        self.out_a = self._read_a
+        self.out_b = self._read_b
+        write = self.pending_write
+        if write is not None:
+            self.image[write[0]] = write[1]
+            self.pending_write = None
+        self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
+        try:
+            self._program.send((s1, s8))
+        except StopIteration:
+            self.fsm = READY
+        else:
+            self.init_cycles += 1
+        image = self.image
+        self._read_a = image[self.addr_a]
+        self._read_b = image[self.addr_b]
+        return self.out_a, self.out_b, self.sub_bytes_inject, self.mix_columns_inject
+
+    def _initialization(self):
+        """The program, primed to its first yield; then each resume runs one
+        cycle. A resume is sent the cycle's committed ``(s1, s8)``, s1 as
+        bytes, and the yield that ends the cycle before takes them: the
+        program reads the substituted word from S1 two cycles after its
+        inject, and each inverse-mixed key from S8 seven cycles after its
+        read."""
+        yield
         key = self._cipher_key
         self.initial_keys[MODE_ENCRYPT] = key
         self.pending_write = (key_store_address(MODE_ENCRYPT, 0), key)
@@ -254,8 +296,8 @@ class KeyScheduler:
         for r in range(1, NUM_ROUNDS + 1):
             self.sub_bytes_inject = (_rot_word(current & _MASK32) << 96, MODE_ENCRYPT)
             yield
-            yield
-            substituted = (datapath.s1 >> 96) & _MASK32
+            s1, _ = yield
+            substituted = int.from_bytes(s1[:4], "big")
             w0 = (current >> 96) ^ substituted ^ (RCON[r] << 24)
             w1 = ((current >> 64) & _MASK32) ^ w0
             w2 = ((current >> 32) & _MASK32) ^ w1
@@ -287,6 +329,6 @@ class KeyScheduler:
             if t >= _INVERSION_DELAY:
                 self.pending_write = (
                     key_store_address(MODE_DECRYPT, NUM_ROUNDS - reads[t - _INVERSION_DELAY]),
-                    datapath.s8,
+                    s8,
                 )
-            yield
+            _, s8 = yield

@@ -22,19 +22,23 @@ lines. In run, the controller plans a pass of up to one batch period
 from registered state and the count of pending jobs: the cycles it
 admits on, its diverts and its reset lines, which follow from the track
 chains alone. A pass ends at the cap, the budget or the last job's
-completion; every cycle before the run phase is a pass of one cycle. The
-run takes a queued job for each planned admission, checks the latency of
-every completion the datapath returns with its offset, and counts stalls
-and occupancy over every cycle; the controller checks itself against the
-datapath on each pass's first cycle. A key read past the last main round
-ends a pass short, so the next pass opens on the cycle that raises it;
-any other fault raised inside a pass carries its offset, and the run
-names the cycle, and ends the trace on the cycle before it, as a run
-stepping every cycle would. Every pass commits the datapath, the
-controller and the key store once each, over all the cycles it covers,
-and writes its trace in one call from the taps the datapath records on
-each cycle. ``RunSummary`` counts the passes, the cycles after their
-first and the skipped cycles.
+completion. Key initialization is one pass of held lines, which the key
+store ends on the cycle it reports ready; the datapath's pass loop
+resumes its program once per cycle with the ranks the program reads
+back. The reset cycle and the flush cycles stepped before the flush's
+fixed point are passes of one cycle. The run takes a queued job for each
+planned admission, checks the latency of every completion the datapath
+returns with its offset, and counts stalls and occupancy over every
+cycle; the controller checks itself against the datapath on each pass's
+first cycle. A key read past the last main round ends a pass short, so
+the next pass opens on the cycle that raises it; any other fault raised
+inside a pass carries its offset, and the run names the cycle, and ends
+the trace on the cycle before it, as a run stepping every cycle would.
+Every pass commits the datapath, the controller and the key store once
+each, over all the cycles it covers (each resume of the key-store
+program commits the cycle before it), and writes its trace in one call
+from the taps the datapath records on each cycle. ``RunSummary`` counts
+the passes, the cycles after their first and the skipped cycles.
 
 File formats (stable, line-delimited):
 

@@ -64,13 +64,30 @@ def test_key_expand_round_10():
 
 
 def test_equivalent_inverse_key_ordering():
-    enc = key_expand(FIPS_KEY)
-    dec = key_expand_equivalent_inverse(FIPS_KEY)
-    assert dec.mode == DECRYPT
-    assert dec.keys[0] == enc.keys[10]
-    assert dec.keys[10] == enc.keys[0]
-    for r in range(1, 10):
-        assert dec.keys[r] == mix_columns(enc.keys[10 - r], inverse=True)
+    # The inner keys, from the key schedule's own lane tables, against the
+    # textbook inverse mix_columns, on the FIPS-197 key and 200 drawn keys.
+    rng = random.Random(13)
+    for key in [FIPS_KEY] + [rand_block(rng) for _ in range(200)]:
+        enc = key_expand(key)
+        dec = key_expand_equivalent_inverse(key)
+        assert dec.mode == DECRYPT
+        assert dec.keys[0] == enc.keys[10]
+        assert dec.keys[10] == enc.keys[0]
+        for r in range(1, 10):
+            assert dec.keys[r] == mix_columns(enc.keys[10 - r], inverse=True), (key.hex(), r)
+
+
+def test_inverse_mix_columns_lanes_exhaustive():
+    # Every byte value at every position, over a random rest of the state:
+    # the lane tables hold the inverse column mix alone, no S-box.
+    rng = random.Random(17)
+    for position in range(16):
+        base = bytearray(rand_block(rng))
+        for value in range(256):
+            base[position] = value
+            x = bytes(base)
+            got = aesref._inv_mix_columns(block_to_int(x))
+            assert int_to_block(got) == mix_columns(x, inverse=True), (position, value)
 
 
 def test_fips_c1_encrypt_decrypt():

@@ -8,9 +8,11 @@ and compares each snapshot with a stepped run's at the same cycle; the
 stepped run takes passes of one cycle. The property tests compare the
 controller's plan of a pass with the lines its cycles take one at a
 time, and whole runs: untraced, traced and stepped, their traces byte
-for byte. A fault of each class that can arise inside a pass is fired in
-each kind of run, and must name the same cycle with the same message;
-the traced runs' traces must end on the same line.
+for byte. Key initialization is one pass, whose end state must be the
+stepped run's for any key and S-box image. A fault of each class that
+can arise inside a pass is fired in each kind of run, and must name the
+same cycle with the same message; the traced runs' traces must end on
+the same line.
 """
 
 import copy
@@ -23,14 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycle_protocol import new_core, step_cycle, step_every_cycle
-from drablocus.controller import BATCH_PERIOD, FLUSH, RUN, Controller
+from drablocus.controller import BATCH_PERIOD, FLUSH, KEY_INIT, RUN, Controller
 from drablocus.datapath import (
     BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
 )
 from drablocus.faults import CollisionError, KeyStoreFault, ProtocolError, TimingFault
-from drablocus.keyschedule import READY, KeyScheduler
+from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
 from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
-from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT
+from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_sbox_image
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -48,14 +50,15 @@ def snapshot(dp, ctrl, ks):
         dp.ia_in, dp.ia_out, dp.fa_in, dp.fa_out, dp.tags, tuple(dp.seqs),
         dp.ia_in_tag, dp.ia_out_tag, dp.fa_in_tag, dp.fa_out_tag,
         ctrl.fsm, ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1,
-        ks.out_a, ks.out_b, ks.addr_a, ks.addr_b, tuple(ks.round_counters), tuple(ks.image),
+        ks.out_a, ks.out_b, ks.addr_a, ks.addr_b, tuple(ks.round_counters),
+        ks.fsm, ks.init_cycles, ks.sub_bytes_inject, ks.mix_columns_inject, tuple(ks.image),
     )
 
 
-def committed_states(monkeypatch, key, jobs, stepped=False):
-    """The core's state after every commit of one run, by the cycle it
-    leads into, and the cycles at which passes of more than one cycle end.
-    A ``stepped`` run takes passes of one cycle."""
+def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None):
+    """The core's state after every commit of one run on ``sbox_image``, by
+    the cycle it leads into, and the cycles at which passes of more than one
+    cycle end. A ``stepped`` run takes passes of one cycle."""
     core, states, pass_ends = {}, {}, []
     for cls in (RoundDatapath, Controller):
         def init(self, *args, _original=cls.__init__, _cls=cls):
@@ -79,7 +82,7 @@ def committed_states(monkeypatch, key, jobs, stepped=False):
     monkeypatch.setattr(Controller, "commit", recorded_ctrl_commit)
     if stepped:
         step_every_cycle(monkeypatch)
-    result = PipelineSimulator().run(key, jobs)
+    result = PipelineSimulator(sbox_image=sbox_image).run(key, jobs)
     monkeypatch.undo()
     return result, states, pass_ends
 
@@ -109,6 +112,48 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, fresh_key):
     assert summary_fields(passed.summary)[0] == summary_fields(stepped.summary)[0]
     assert passed.summary.stall_cycles == stepped.summary.stall_cycles
     assert passed.summary.max_loop_occupancy == stepped.summary.max_loop_occupancy
+
+
+# The cycle after the key-initialization phase: one reset cycle, the
+# program's cycles and the one that reports the schedule ready.
+KEY_INIT_END = 1 + KEY_INIT_CYCLES + 1
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(key=st.one_of(st.just(FIPS_KEY), st.binary(min_size=16, max_size=16)))
+def test_key_init_pass_equals_stepped_cycles(key):
+    # Key initialization is one pass; the state its commit leaves is the
+    # stepped run's: every datapath rank, the key store's image, outputs
+    # and round counters, 46 program cycles and cleared injects. The same
+    # holds on an S-box image corrupted where the first round's substitution
+    # reads it, whose key store differs from the healthy one.
+    jobs = mixed_jobs(1, seed=3)
+    corrupt = build_sbox_image()
+    corrupt[key[13]] ^= 0x01
+    images = []
+    for sbox_image in (None, corrupt):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            passed, states, _ = committed_states(monkeypatch, key, jobs, sbox_image=sbox_image)
+            stepped, reference, _ = committed_states(
+                monkeypatch, key, jobs, stepped=True, sbox_image=sbox_image
+            )
+        # One pass: no commit between the reset cycle's and its own.
+        assert not any(1 < cycle < KEY_INIT_END for cycle in states)
+        assert states[KEY_INIT_END] == reference[KEY_INIT_END]
+        *_, fsm, init_cycles, sub_bytes_inject, mix_columns_inject, image = states[KEY_INIT_END]
+        assert (fsm, init_cycles) == (READY, KEY_INIT_CYCLES) and KEY_INIT_CYCLES == 46
+        assert sub_bytes_inject == mix_columns_inject == (0, 0)
+        assert image == passed.key_store == stepped.key_store
+        images.append(image)
+    assert images[0] != images[1]
+
+    # A traced fresh-key run of one job writes the stepped run's trace.
+    trace, stepped_trace = io.StringIO(), io.StringIO()
+    PipelineSimulator().run(key, jobs, trace=trace)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        step_every_cycle(monkeypatch)
+        PipelineSimulator().run(key, jobs, trace=stepped_trace)
+    assert trace.getvalue() == stepped_trace.getvalue()
 
 
 def registers(ctrl):
@@ -189,6 +234,24 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     stepped = copy.deepcopy(ctrl)
     step_each_cycle(stepped, True, pending, span, modes)
     assert registers(planned) == registers(stepped)
+
+
+def test_key_init_plan_holds_the_lines_of_its_cycles():
+    # From the first key-initialization cycle, the plan up to one batch
+    # period holds the lines that stepping its cycles one at a time takes
+    # while the schedule is not ready: no admission, no divert, and both
+    # key-add outputs in reset.
+    ctrl = Controller()
+    ctrl.begin_cycle(False)
+    ctrl.commit()
+    planned = copy.deepcopy(ctrl)
+    plan = planned.begin_cycle(False, 0, 10 * BATCH_PERIOD)
+    assert planned.fsm == KEY_INIT and len(plan) == BATCH_PERIOD - 1
+    admissions, taken, _ = step_each_cycle(ctrl, False, 0, BATCH_PERIOD, [MODE_ENCRYPT])
+    first = (planned.divert, planned.initial_reset, planned.main_reset)
+    assert admissions == [] and all(entry[0] is None for entry in plan)
+    assert [first] + [tuple(entry[1:]) for entry in plan] == taken
+    assert taken == [(False, True, True)] * BATCH_PERIOD
 
 
 def test_commit_over_a_span_matches_its_single_commits():
@@ -404,3 +467,33 @@ def test_fault_inside_a_pass_names_its_own_cycle(monkeypatch, name):
     assert trace.getvalue() == stepped_trace.getvalue()
     last = trace.getvalue().splitlines()[-1]
     assert last.startswith(f"cycle={passed.cycle - 1} ")
+
+
+def key_init_substitution_mux(ks, dp):
+    # S11 holds a word on the cycle the program injects its first
+    # substitution: two sources on the S-box mux.
+    dp.s11 = 1
+
+
+def test_fault_on_a_key_init_pass_names_its_own_cycle(monkeypatch):
+    # A key-initialization pass can fault only on its first cycle: from the
+    # second on, the shift-rows, main and initial resets hold S2, S11 and
+    # the initial key-add output at zero, so neither OR mux sees a second
+    # source; no word is in the loop to collide, divert or complete, and
+    # the key store serves no read. An upset on the first cycle raises as a
+    # stepped run raises it, and the trace ends where the stepped one ends.
+    jobs = mixed_jobs(1, seed=7)
+    trace, stepped_trace = io.StringIO(), io.StringIO()
+    upset = {"core": key_init_substitution_mux}
+    passed, passes = run_with_pass_upset(monkeypatch, jobs, 1, trace=trace, **upset)
+    stepped, _ = run_with_pass_upset(
+        monkeypatch, jobs, 1, trace=stepped_trace, stepped=True, **upset
+    )
+    assert type(passed) is type(stepped) is ProtocolError
+    assert str(passed) == str(stepped)
+    assert str(passed).startswith("cycle 1: OR-mux driven by multiple nonzero sources")
+    assert passed.cycle == stepped.cycle == 1
+    # The planned run planned key initialization as one pass from cycle 1.
+    assert passes[1][0] == 1 and passes[1][1] > KEY_INIT_CYCLES + 1
+    assert trace.getvalue() == stepped_trace.getvalue()
+    assert trace.getvalue().splitlines()[-1].startswith("cycle=0 ")
