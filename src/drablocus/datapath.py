@@ -46,10 +46,12 @@ and register at a time; they are the unit-tested specification.
 in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
 makes no per-primitive calls. The same code steps one cycle, or a pass of
-cycles in one frame over locals under each cycle's planned lines; in key
-initialization the key schedule's program gives each cycle's injects. A
-lockstep test replays a simulator run into both and compares every tap on
-every cycle.
+cycles in one frame over locals under each cycle's planned lines. Handed
+the key store, it serves the store's three consumers on each cycle from
+the tag rank it holds, the one copy of the rank's movement; in key
+initialization the key schedule's program gives each cycle's keys and
+injects instead. A lockstep test replays a simulator run into both and
+compares every tap on every cycle.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .aesref import _DEC_SHIFT, _ENC_SHIFT
+from .aesref import _DEC_SHIFT, _ENC_SHIFT, NUM_ROUNDS
 from .fabric import BramModel, DspXorSlice, Register
-from .faults import CollisionError, ProtocolError, SimulationFault
+from .faults import CollisionError, KeyStoreFault, ProtocolError, SimulationFault
 from .tables import build_mixcolumns_image, build_sbox_image
 
 NUM_LOOP_STAGES = 12
@@ -99,6 +101,8 @@ FIELD_LSBS = sum(1 << TAG_BITS * k for k in range(NUM_LOOP_STAGES))
 _TAGS_MASK = (1 << TAG_BITS * NUM_LOOP_STAGES) - 1
 _TAG_WRAP_SHIFT = TAG_BITS * (NUM_LOOP_STAGES - 1)
 _TAG2_SHIFT = 2 * TAG_BITS
+_TAG7_SHIFT = 7 * TAG_BITS
+_TAG8_SHIFT = 8 * TAG_BITS
 _VALID2 = TAG_VALID << _TAG2_SHIFT
 _VALID11 = TAG_VALID << _TAG_WRAP_SHIFT
 _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
@@ -398,9 +402,9 @@ class RoundDatapath:
     of every rank and tag (raising the S0 collision there); commit only
     latches them. Between the two, :meth:`taps` and the tags show the
     committed state, each tag naming the word whose data its rank holds.
-    Given the keys and lines of further cycles, compute derives the state
-    after those too, and the words completed on the way, and commit
-    latches that.
+    Given the lines of further cycles and the key store that serves them,
+    compute derives the state after those too, and the words completed on
+    the way, and commit latches that.
 
     Every register rank is one int attribute; a rank built from several
     registers holds them as bit fields, first register most significant:
@@ -477,19 +481,29 @@ class RoundDatapath:
         final_reset: bool = False,
         ks_sub_bytes: tuple[int, int] = (0, 0),
         ks_mix_columns: tuple[int, int] = (0, 0),
-        keys: Sequence[tuple[int, int, Sequence]] = (),
+        plan: Sequence[Sequence] = (),
+        store=None,
         taps: list | None = None,
     ) -> list[tuple[int, Word, int]]:
-        """Compute one cycle under these lines, and one more for each
-        ``(main_key, final_key, lines)`` entry of ``keys``, under its keys
-        and its ``(admit, divert, initial_reset, main_reset)`` lines; the
-        other lines hold over the pass. In a key-initialization pass each
-        entry is ``(None, None, resume)`` instead: ``resume(s1, s8)``, given
-        the cycle's committed S1 (as bytes) and S8, returns its keys and
-        its ``ks_sub_bytes`` and ``ks_mix_columns`` injects, and the first
-        cycle's lines, key initialization's held resets, stay. Each cycle but
-        the last is committed in locals, and the last one's next state
-        awaits :meth:`commit_cycle`.
+        """Compute one cycle under these lines, and one more for each entry
+        of ``plan`` under its ``(admit, divert, initial_reset, main_reset)``
+        lines; the other lines hold over the pass. Each cycle but the last
+        is committed in locals, and the last one's next state awaits
+        :meth:`commit_cycle`.
+
+        The keys and injects given are the first cycle's; the key ``store``
+        (a :class:`~drablocus.keyschedule.KeyScheduler`) gives the later
+        cycles'. Once it serves, every cycle of the pass reads it from the
+        committed tag rank: an admission resets its slot's round counter,
+        port a reads the key of the next round of the word in S7, raising
+        :class:`KeyStoreFault` past the last main round, port b reads the
+        final key for the mode of the word in S1, and the word in S8 counts
+        its key at the cycle's commit. The reads are the next cycle's keys;
+        the last cycle's addresses, reads and count await the store's
+        commit. In key initialization ``store.resume(s1, s8)``, given each
+        later cycle's committed S1 (as bytes) and S8, returns its keys and
+        its ``ks_sub_bytes`` and ``ks_mix_columns`` injects. Without a store
+        the keys hold.
 
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the word the final key-add output
@@ -530,18 +544,50 @@ class RoundDatapath:
         # cycle, the committed input rank's on the second, and each word
         # diverted in the pass two cycles after its divert, with the row
         # shift it left S2 with under that cycle's final key.
-        cycles = len(keys)
+        cycles = len(plan)
         completions = [] if fa_out_tag is None else [(0, fa_out_tag, self.fa_out)]
         if cycles and fa_in_tag is not None:
             fa_in = self.fa_in
             data = 0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128)
             completions.append((1, fa_in_tag, data))
+        # The store serves from its image and round counters, or resumes its
+        # initialization program.
+        image = counters = resume = None
+        if store is not None:
+            resume = store.resume
+            if resume is None:
+                image, counters = store.image, store.round_counters
         cycle = 0
         current = None
         try:
             while True:
                 if taps is not None:
                     taps.append((tags, ia_out, entering, s1, s2, s8, s11))
+                if image is not None:
+                    # Port a answers the word in S7, which presents to the main
+                    # key-add next cycle; port b reads round 10 for the mode of
+                    # the word two cycles from the final instance (an empty
+                    # stage has a zero field). A {mode, round <= 10} address is
+                    # below the depth of 32, so neither port leaves the image.
+                    if admitted is not None:
+                        counters[admitted.slot] = 0
+                    code = tags >> _TAG7_SHIFT
+                    if code & TAG_VALID:
+                        slot = code >> 1 & _SLOT_FIELD
+                        round_index = counters[slot] + 1
+                        if round_index > MAIN_ROUNDS:
+                            raise KeyStoreFault(
+                                f"slot {slot} requested main-loop key for round {round_index}"
+                            )
+                        addr_a = (code & 1) << 4 | round_index
+                    else:
+                        addr_a = 0
+                    addr_b = (tags >> TAG_BITS & 1) << 4 | NUM_ROUNDS
+                    read_a = image[addr_a]
+                    read_b = image[addr_b]
+                    # The word in S8 consumes its key at the cycle's commit.
+                    code = tags >> _TAG8_SHIFT
+                    increment = code >> 1 & _SLOT_FIELD if code & TAG_VALID else None
                 # Substitution RAMs behind the OR mux; the driving word's mode
                 # (the key schedule's when none) selects the table half. The mux
                 # check is called only when two sources drive, to raise its fault.
@@ -628,29 +674,33 @@ class RoundDatapath:
                 if cycle == cycles:
                     break
                 last_final_key = final_key
-                main_key, final_key, lines = keys[cycle]
+                if image is not None:
+                    if increment is not None:
+                        counters[increment] += 1
+                    main_key, final_key = read_a, read_b
+                elif resume is not None:
+                    (
+                        main_key, final_key, (ks_sb_data, ks_sb_mode), (ks_mc_data, ks_mc_mode)
+                    ) = resume(s1, s8)
+                lines = plan[cycle]
                 if lines is not current:
-                    if main_key is None:
-                        # A key-initialization cycle: the key schedule's
-                        # program reads the cycle's committed S1 and S8 and
-                        # gives its keys and injects.
-                        (
-                            main_key, final_key, (ks_sb_data, ks_sb_mode), (ks_mc_data, ks_mc_mode)
-                        ) = lines(s1, s8)
+                    current = lines
+                    admit, divert, initial_reset, main_reset = lines
+                    if admit is not None:
+                        block, key, admitted = admit
+                        ia_in_next = (block << 128) | key
                     else:
-                        current = lines
-                        admit, divert, initial_reset, main_reset = lines
-                        if admit is not None:
-                            block, key, admitted = admit
-                            ia_in_next = (block << 128) | key
-                        else:
-                            ia_in_next = 0
-                            admitted = None
+                        ia_in_next = 0
+                        admitted = None
                 cycle += 1
         except SimulationFault as fault:
             fault.offset = cycle
             fault.completions = completions
             raise
+
+        if image is not None:
+            store.addr_a, store.addr_b = addr_a, addr_b
+            store.read_a, store.read_b, store.pending_increment = read_a, read_b, increment
 
         # The final key-add ranks, from the last two cycles: the input rank
         # takes the last cycle's s2 and final key, and the output rank the

@@ -17,28 +17,28 @@ the fixed point delays the skip. ``RunSummary.skipped_cycles`` counts
 the cycles skipped; the other statistics count them as cycles.
 
 The run is a sequence of passes. Each pass makes one call to the key
-store and one to the datapath, which compute its cycles under their own
-lines. In run, the controller plans a pass of up to one batch period
-from registered state and the count of pending jobs: the cycles it
-admits on, its diverts and its reset lines, which follow from the track
-chains alone. A pass ends at the cap, the budget or the last job's
-completion. Key initialization is one pass of held lines, which the key
-store ends on the cycle it reports ready; the datapath's pass loop
-resumes its program once per cycle with the ranks the program reads
-back. The reset cycle and the flush cycles stepped before the flush's
-fixed point are passes of one cycle. The run takes a queued job for each
-planned admission, checks the latency of every completion the datapath
-returns with its offset, and counts stalls and occupancy over every
-cycle; the controller checks itself against the datapath on each pass's
-first cycle. A key read past the last main round ends a pass short, so
-the next pass opens on the cycle that raises it; any other fault raised
-inside a pass carries its offset, and the run names the cycle, and ends
-the trace on the cycle before it, as a run stepping every cycle would.
-Every pass commits the datapath, the controller and the key store once
-each, over all the cycles it covers (each resume of the key-store
-program commits the cycle before it), and writes its trace in one call
-from the taps the datapath records on each cycle. ``RunSummary`` counts
-the passes, the cycles after their first and the skipped cycles.
+store and one to the datapath, which computes its cycles under their
+lines and serves the key store on each of them. In run, the controller
+plans a pass of up to one batch period from registered state and the
+count of pending jobs: the cycles it admits on, its diverts and its
+reset lines, which follow from the track chains alone. A pass ends at
+the cap, the budget or the last job's completion. Key initialization is
+one pass of held lines, which the key store ends on the cycle it reports
+ready; the datapath's pass loop resumes its program once per cycle with
+the ranks the program reads back. The reset cycle and the flush cycles
+stepped before the flush's fixed point are passes of one cycle. The run
+takes a queued job for each planned admission, checks the latency of
+every completion the datapath returns with its offset, and counts stalls
+and occupancy over every cycle; the controller checks itself against the
+datapath on each pass's first cycle. A fault raised inside a pass, a key
+read past the last main round among them, carries its offset, and the
+run names the cycle, and ends the trace on the cycle before it, as a run
+stepping every cycle would. Every pass commits the datapath, the
+controller and the key store once each, over all the cycles it covers
+(each resume of the key-store program commits the cycle before it), and
+writes its trace in one call from the taps the datapath records on each
+cycle. ``RunSummary`` counts the passes, the cycles after their first and
+the skipped cycles.
 
 File formats (stable, line-delimited):
 
@@ -261,8 +261,9 @@ class PipelineSimulator:
                 admissions = ctrl.admissions
                 admit_arg = None
                 if admissions:
-                    for index, offset in enumerate(admissions):
-                        job = pending[index]
+                    for offset in admissions:
+                        job = pending.popleft()
+                        admission_cycles[job.seq] = cycle + offset
                         arg = (
                             int.from_bytes(job.block, "big"),
                             initial_keys[job.mode],
@@ -272,25 +273,18 @@ class PipelineSimulator:
                             plan[offset - 1][0] = arg
                         else:
                             admit_arg = arg
-
-                keys = ks_compute(dp, fsm, admit_arg, ctrl.divert, plan)
-                # The key store may end the pass short of a read that faults;
-                # the jobs planned past it stay queued.
-                span = 1 + len(keys)
-                admitted = 0
-                if admissions:
-                    for offset in admissions:
-                        if offset >= span:
-                            break
-                        admission_cycles[pending.popleft().seq] = cycle + offset
-                        admitted += 1
                     if not pending:
-                        run_end = min(budget, cycle + admissions[admitted - 1] + BLOCK_LATENCY + 1)
+                        run_end = min(budget, cycle + admissions[-1] + BLOCK_LATENCY + 1)
+
+                # Key initialization's pass ends on the cycle the key store
+                # reports ready.
+                plan = ks_compute(dp, fsm, plan)
+                span = 1 + len(plan)
                 # Every cycle a job waits without being admitted stalls: each
                 # cycle before ``waited`` but the admissions.
                 waited = 0
                 if waiting and fsm == RUN:
-                    waited = admissions[admitted - 1] + 1 if admitted == waiting else span
+                    waited = admissions[-1] + 1 if len(admissions) == waiting else span
 
                 taps = None if trace is None else []
                 completions = dp_compute(
@@ -304,7 +298,8 @@ class PipelineSimulator:
                     final_reset=ctrl.final_reset,
                     ks_sub_bytes=ks.sub_bytes_inject,
                     ks_mix_columns=ks.mix_columns_inject,
-                    keys=keys,
+                    plan=plan,
+                    store=ks,
                     taps=taps,
                 )
                 for offset, tag, data in completions:
@@ -344,7 +339,7 @@ class PipelineSimulator:
                 ks_commit()
                 stepped_cycles += 1
                 window_cycles += span - 1
-                stall_cycles += waited - admitted
+                stall_cycles += waited - len(admissions)
                 skipped_cycles += skipped
                 if skipped and trace is not None:
                     status = _status_text(ctrl.fsm, ctrl.tags, False)

@@ -2,11 +2,12 @@
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
 each pass of its loop, in its order, for a pass of one cycle: the
-controller's FSM step and control lines, admission, the key schedule,
-the datapath, the controller's check, then the three commits. A planned
-pass gives the key schedule the plan, the key schedule's returned keys
-and lines go to the datapath, and the controller's one commit covers
-every cycle of the pass, before the key schedule commits.
+controller's FSM step and control lines, admission, the key schedule's
+per-pass call, the datapath, which serves the key store, the
+controller's check, then the three commits. A planned pass gives the key
+schedule the plan, the plan it returns goes to the datapath with the key
+store, and the controller's one commit covers every cycle of the pass,
+before the key schedule commits.
 
 :func:`step_every_cycle` makes a whole simulator run take passes of one
 cycle, so that a hook on a per-cycle method sees every cycle the run
@@ -29,8 +30,9 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
 
     ``job`` is ``(seq, mode, block)`` with the block as an int; it is
     admitted if the controller allows it this cycle. ``mid_cycle(divert)``
-    runs once the controller and key schedule have decided the cycle,
-    before the datapath computes it.
+    runs once the controller and the key schedule's per-pass call have
+    decided the cycle, before the datapath computes it and serves the key
+    store.
     """
     ctrl.begin_cycle(ks.fsm == READY)
     admitted = None
@@ -39,7 +41,7 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
         seq, mode, block = job
         admitted = ctrl.admit(seq, mode)
         admit_arg = (block, ks.initial_keys[mode], admitted)
-    ks.compute(dp, ctrl.fsm, admit_arg, ctrl.divert)
+    ks.compute(dp, ctrl.fsm)
     if mid_cycle is not None:
         mid_cycle(ctrl.divert)
     dp.compute_cycle(
@@ -53,6 +55,7 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
         final_reset=ctrl.final_reset,
         ks_sub_bytes=ks.sub_bytes_inject,
         ks_mix_columns=ks.mix_columns_inject,
+        store=ks,
     )
     ctrl.check_against(dp)
     dp.commit_cycle()

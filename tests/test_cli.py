@@ -296,18 +296,24 @@ def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_key_store_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
-    # The admitted block's round counter starts past the last main round, so
-    # its first request for a main-loop key overflows. The untraced run
-    # planned a pass over it, which ends short of the request. The cycle is
-    # the phase math's, found without hooks: admitted on the first run
-    # cycle, the block reaches stage 7 seven cycles after it enters stage 0.
-    original_admission = KeyScheduler.on_admission
+    # Between passes, as the run opens, the round counters' reset is upset
+    # to load the last main round: the admitted block's first request for a
+    # main-loop key overflows. The untraced run planned a pass over it and
+    # raises inside it. The cycle is the phase math's, found without hooks:
+    # admitted on the first run cycle, the block reaches stage 7 seven
+    # cycles after it enters stage 0.
+    class ResetToLastMainRound(list):
+        def __setitem__(self, slot, value):
+            super().__setitem__(slot, value or MAIN_ROUNDS)
 
-    def on_admission(self, slot):
-        original_admission(self, slot)
-        self.round_counters[slot] = MAIN_ROUNDS
+    original_compute = KeyScheduler.compute
 
-    monkeypatch.setattr(KeyScheduler, "on_admission", on_admission)
+    def compute(self, datapath, controller_fsm, *args):
+        if controller_fsm == RUN and type(self.round_counters) is list:
+            self.round_counters = ResetToLastMainRound(self.round_counters)
+        return original_compute(self, datapath, controller_fsm, *args)
+
+    monkeypatch.setattr(KeyScheduler, "compute", compute)
     jobs = tmp_path / "jobs.txt"
     jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
     assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE

@@ -536,16 +536,17 @@ def assert_only_encrypt_outputs_differ(result, jobs):
 
 
 def test_flipped_encrypt_round_key_bit_completes_with_wrong_encrypt_outputs(monkeypatch):
-    original = KeyScheduler.on_admission
-    admissions = []
+    # The bit flips between passes, as the run opens.
+    original = KeyScheduler.compute
+    flipped = []
 
-    def on_admission(self, slot):
-        if not admissions:
+    def compute(self, datapath, controller_fsm, *args):
+        if controller_fsm == RUN and not flipped:
             self.image[key_store_address(MODE_ENCRYPT, 5)] ^= 1 << 77
-        admissions.append(slot)
-        original(self, slot)
+            flipped.append(controller_fsm)
+        return original(self, datapath, controller_fsm, *args)
 
-    monkeypatch.setattr(KeyScheduler, "on_admission", on_admission)
+    monkeypatch.setattr(KeyScheduler, "compute", compute)
     jobs = mixed_jobs(24)
     assert_only_encrypt_outputs_differ(PipelineSimulator().run(FIPS_KEY, jobs), jobs)
 

@@ -1,4 +1,8 @@
-"""Key schedule: stored contents, consumer service, and fault paths."""
+"""Key schedule: stored contents, consumer service, and fault paths.
+
+The service tests drive one cycle of the datapath with the key store, as
+a run's pass loop serves it.
+"""
 
 import random
 
@@ -6,7 +10,7 @@ import pytest
 
 from cycle_protocol import core_in_run, step_every_cycle
 from drablocus import aesref
-from drablocus.datapath import TAG_BITS, TAG_FIELD, TAG_VALID, Word
+from drablocus.datapath import MAIN_ROUNDS, TAG_BITS, TAG_FIELD, TAG_VALID, RoundDatapath, Word
 from drablocus.fabric import BramModel
 from drablocus.faults import KeyStoreFault
 from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
@@ -79,13 +83,13 @@ def test_unused_store_entries_are_zero():
 
 
 def test_three_consumers_served_same_cycle():
-    dp, ctrl, ks = initialize(FIPS_KEY)
+    dp, _, ks = initialize(FIPS_KEY)
     oracle = aesref.key_expand(FIPS_KEY).keys
     # Fake tags: an encrypt word in round 4 at stage 7, another at stage 1.
     place_tag(dp, 7, Word(seq=0, mode=MODE_ENCRYPT, slot=3))
     place_tag(dp, 1, Word(seq=1, mode=MODE_ENCRYPT, slot=5))
     ks.round_counters[3] = 3
-    ks.compute(dp, ctrl.fsm)
+    dp.compute_cycle(store=ks)
     ks.commit()
     assert ks.out_a == int.from_bytes(oracle[4], "big")
     assert ks.out_b == int.from_bytes(oracle[10], "big")
@@ -93,23 +97,38 @@ def test_three_consumers_served_same_cycle():
 
 
 def test_decrypt_arbitrary_round_is_transformed_key():
-    dp, ctrl, ks = initialize(FIPS_KEY)
+    dp, _, ks = initialize(FIPS_KEY)
     enc = aesref.key_expand(FIPS_KEY).keys
     place_tag(dp, 7, Word(seq=0, mode=MODE_DECRYPT, slot=2))
     ks.round_counters[2] = 3
-    ks.compute(dp, ctrl.fsm)
+    dp.compute_cycle(store=ks)
     ks.commit()
     expected = aesref.mix_columns(enc[6], inverse=True)
     assert ks.out_a == int.from_bytes(expected, "big")
 
 
 def test_counter_past_final_main_round_faults():
-    dp, ctrl, ks = initialize(FIPS_KEY)
+    dp, _, ks = initialize(FIPS_KEY)
     place_tag(dp, 7, Word(seq=0, mode=MODE_ENCRYPT, slot=0))
     ks.round_counters[0] = 9
     with pytest.raises(KeyStoreFault, match="^slot 0 requested main-loop key for round 10$") as err:
-        ks.compute(dp, ctrl.fsm)
+        dp.compute_cycle(store=ks)
     assert err.value.cycle is None
+
+
+@pytest.mark.parametrize("mode", [MODE_ENCRYPT, MODE_DECRYPT])
+@pytest.mark.parametrize("round_index", range(1, MAIN_ROUNDS + 1))
+def test_service_addresses_follow_the_store_layout(mode, round_index):
+    # The datapath's pass loop addresses the store as the table layout
+    # does: port a the word in S7's next round, port b round 10, each for
+    # its word's mode.
+    dp, _, ks = initialize(FIPS_KEY)
+    place_tag(dp, 7, Word(seq=0, mode=mode, slot=4))
+    place_tag(dp, 1, Word(seq=1, mode=mode, slot=10))
+    ks.round_counters[4] = round_index - 1
+    dp.compute_cycle(store=ks)
+    assert ks.addr_a == key_store_address(mode, round_index)
+    assert ks.addr_b == key_store_address(mode, 10)
 
 
 def test_taps_quiet_once_ready():
@@ -132,16 +151,22 @@ def test_flat_store_matches_bram_model(monkeypatch):
     # and writes every cycle, through reset, key_init, flush and run.
     store = BramModel(build_empty_key_store(), name="key_store")
     phases = []
-    compute, commit = KeyScheduler.compute, KeyScheduler.commit
+    compute, compute_cycle, commit = (
+        KeyScheduler.compute, RoundDatapath.compute_cycle, KeyScheduler.commit
+    )
 
-    def mirrored_compute(self, datapath, controller_fsm, *lines):
-        keys = compute(self, datapath, controller_fsm, *lines)
+    def phase_compute(self, datapath, controller_fsm, *args):
         phases.append(controller_fsm)
-        store.present(self.addr_a, self.addr_b)
-        if self.pending_write is not None:
-            store.present_write(*self.pending_write)
+        return compute(self, datapath, controller_fsm, *args)
+
+    def mirrored_compute_cycle(self, **kwargs):
+        completions = compute_cycle(self, **kwargs)
+        ks = kwargs["store"]
+        store.present(ks.addr_a, ks.addr_b)
+        if ks.pending_write is not None:
+            store.present_write(*ks.pending_write)
         store.compute()
-        return keys
+        return completions
 
     def lockstep_commit(self):
         commit(self)
@@ -150,7 +175,8 @@ def test_flat_store_matches_bram_model(monkeypatch):
         assert (self.out_a, self.out_b) == (store.out_a, store.out_b), cycle
         assert self.image == store.image, cycle
 
-    monkeypatch.setattr(KeyScheduler, "compute", mirrored_compute)
+    monkeypatch.setattr(KeyScheduler, "compute", phase_compute)
+    monkeypatch.setattr(RoundDatapath, "compute_cycle", mirrored_compute_cycle)
     monkeypatch.setattr(KeyScheduler, "commit", lockstep_commit)
     rng = random.Random(0x5E1)
     jobs = [

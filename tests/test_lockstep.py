@@ -1,10 +1,11 @@
 """Lockstep: the flat round datapath against the composition of the unit classes.
 
 A seeded simulator run, stepping every cycle, records the arguments of
-every ``compute_cycle`` call, through reset, key initialization, flush
-and run. The flush cycles the run skips from a fixed point repeat the
-last stepped cycle's inputs, so the replay inserts them as repeats of
-that call. The same arguments drive :class:`ComposedDatapath` (the unit
+every ``compute_cycle`` call but the key store, through reset, key
+initialization, flush and run; each call is one cycle, whose keys are
+its arguments. The flush cycles the run skips from a fixed point repeat
+the last stepped cycle's inputs, so the replay inserts them as repeats
+of that call. The same arguments drive :class:`ComposedDatapath` (the unit
 classes stepped through the fabric primitives) and a fresh
 :class:`RoundDatapath`; every tap, its tag, and the substitution and
 column-mix outputs must agree on every cycle.
@@ -23,14 +24,15 @@ FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
 
 def recorded_run(monkeypatch, jobs):
-    """The ``compute_cycle`` arguments of every cycle of one run, skipped
-    cycles as repeats of the call before them, and each cycle's FSM state."""
+    """The ``compute_cycle`` arguments of every cycle of one run, without
+    the key store, skipped cycles as repeats of the call before them, and
+    each cycle's FSM state."""
     calls = []
     original = RoundDatapath.compute_cycle
 
-    def recording(self, **kwargs):
+    def recording(self, *, store, **kwargs):
         calls.append(kwargs)
-        return original(self, **kwargs)
+        return original(self, store=store, **kwargs)
 
     monkeypatch.setattr(RoundDatapath, "compute_cycle", recording)
     step_every_cycle(monkeypatch)
@@ -39,7 +41,7 @@ def recorded_run(monkeypatch, jobs):
     monkeypatch.undo()
     # Each call is one cycle; its tap records are the trace's.
     for kwargs in calls:
-        assert kwargs.pop("keys") == []
+        assert kwargs.pop("plan") == ()
         kwargs.pop("taps")
     # The skipped span runs up to the transition into run.
     first = summary.run_start_cycle - summary.skipped_cycles

@@ -282,7 +282,7 @@ def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
     def counted(self, **kwargs):
         nonlocal stepped, windowed
         stepped += 1
-        windowed += len(kwargs["keys"])
+        windowed += len(kwargs["plan"])
         return original(self, **kwargs)
 
     monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)

@@ -459,9 +459,11 @@ def test_fault_inside_a_pass_names_its_own_cycle(monkeypatch, name):
     assert str(passed) == str(traced) == str(stepped)
     assert str(passed).startswith(prefix)
     assert passed.cycle == traced.cycle == stepped.cycle
-    # The planned runs planned the faulting cycle inside a pass of many.
+    # The planned runs planned the faulting cycle inside a pass of many,
+    # and raised there: no pass opens on it.
     for runs in (passes, traced_passes):
         assert any(start < passed.cycle < start + length for start, length in runs)
+        assert all(start != passed.cycle for start, _ in runs)
     # The traced run's trace is the stepped run's; both end on the cycle
     # before the fault.
     assert trace.getvalue() == stepped_trace.getvalue()
