@@ -74,7 +74,7 @@ from typing import Sequence
 
 from .datapath import (
     _CLEAR_TAG3, _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, MAIN_ROUNDS,
-    NUM_LOOP_STAGES, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
+    NUM_LOOP_STAGES, QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
 
@@ -93,8 +93,6 @@ STAGE_PHASE_OFFSET = 3
 # No pass is planned past one.
 BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
 
-# The lines of a planned cycle with no admission, divert or arriving word.
-QUIET = (None, False, True, False)
 # The lines of every key-initialization cycle: both key-add outputs held
 # in reset, no admission and no divert.
 HOLD = (None, False, True, True)

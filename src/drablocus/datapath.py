@@ -50,8 +50,10 @@ cycles in one frame over locals under each cycle's planned lines. Handed
 the key store, it serves the store's three consumers on each cycle from
 the tag rank it holds, the one copy of the rank's movement; in key
 initialization the key schedule's program gives each cycle's keys and
-injects instead. A lockstep test replays a simulator run into both and
-compares every tap on every cycle.
+injects instead. An untraced pass takes its quiet cycles position-major,
+each position's word in table-lookup rounds built from the model's images.
+A lockstep test replays a simulator run into both and compares every tap
+on every cycle.
 """
 
 from __future__ import annotations
@@ -110,6 +112,9 @@ _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 # Row shift of a 16-byte state, per mode bit.
 _SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
 _ZERO_STATE = (0,) * 16
+
+# The lines of a planned cycle with no admission, divert or arriving word.
+QUIET = (None, False, True, False)
 
 
 def or_mux_tap(*operands: int) -> int:
@@ -377,9 +382,10 @@ class DatapathTables:
     column j then lines up field (i - k) mod 4 of entry 4j + k under output
     row i, which is the :data:`PACK_MAP` wiring with the cascade groups side
     by side, and a rank of product entries is the join of its 16 entries.
+    ``fused[mode][k][b]``, ``lanes[mode][k][sbox[mode][b]]`` as an int, fuses the two.
     """
 
-    __slots__ = ("sbox", "lanes")
+    __slots__ = ("sbox", "lanes", "fused")
 
     def __init__(self, sbox_image=None, mc_image=None):
         sbox = _checked_image(build_sbox_image() if sbox_image is None else sbox_image, 8, "sbox")
@@ -392,6 +398,8 @@ class DatapathTables:
             entries = [entry.to_bytes(4, "big") for entry in mc[base : base + 256]]
             lanes.append(tuple(tuple(e[4 - k :] + e[: 4 - k] for e in entries) for k in range(4)))
         self.lanes = tuple(lanes)
+        self.fused = tuple(tuple(itemgetter(*s)(tuple(map(int.from_bytes, lane, ("big",) * 256)))
+                                 for lane in mode) for s, mode in zip(self.sbox, self.lanes))
 
 
 class RoundDatapath:
@@ -453,13 +461,14 @@ class RoundDatapath:
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
         "tags", "seqs", "ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag",
-        "_sbox", "_lanes", "_next",
+        "fused_cycles", "_sbox", "_lanes", "_fused", "_next",
     )
 
     def __init__(self, tables: DatapathTables | None = None):
         tables = DatapathTables() if tables is None else tables
         self._sbox = tables.sbox
-        self._lanes = tables.lanes
+        self._lanes, self._fused = tables.lanes, tables.fused
+        self.fused_cycles = 0
         self.s0 = self.s1 = self.s2 = self.s3 = self.s4 = self.s5 = 0
         self.s6 = self.s7 = self.s8 = self.s9 = self.s10 = self.s11 = 0
         self.ia_in = self.ia_out = self.fa_in = self.fa_out = 0
@@ -504,6 +513,12 @@ class RoundDatapath:
         later cycle's committed S1 (as bytes) and S8, returns its keys and
         its ``ks_sub_bytes`` and ``ks_mix_columns`` injects. Without a store
         the keys hold.
+
+        An untraced pass in service with no inject computes each run of :data:`QUIET`
+        cycles, from its second to two before an event or the end, in whole loop turns
+        of fused rounds per position (:meth:`_window`), unless an edge rank but the final
+        output holds a word, a tag field has bits but no valid bit, two live stages share
+        a slot or a key read would pass round 9.
 
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the word the final key-add output
@@ -557,10 +572,18 @@ class RoundDatapath:
             resume = store.resume
             if resume is None:
                 image, counters = store.image, store.round_counters
-        cycle = 0
-        current = None
+        fusable = (image is not None and taps is None and not shift_rows_reset
+                   and ks_sub_bytes == ks_mix_columns == (0, 0))
+        cycle, current, fuse_at = 0, None, -1
         try:
             while True:
+                if cycle == fuse_at and not (ia_in or ia_out or entering or ia_in_tag or fa_in_tag):
+                    ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key]
+                    if self._window(fuse_q, ranks, tags, image, counters):
+                        s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key = ranks
+                        fa_out_tag = None
+                        cycle += NUM_LOOP_STAGES * fuse_q
+                        continue
                 if taps is not None:
                     taps.append((tags, ia_out, entering, s1, s2, s8, s11))
                 if image is not None:
@@ -692,6 +715,11 @@ class RoundDatapath:
                     else:
                         ia_in_next = 0
                         admitted = None
+                    if lines is QUIET and fusable:
+                        later = range(cycle + 1, cycles)
+                        end = next((j for j in later if plan[j] is not QUIET), cycles)
+                        fuse_q = (end - cycle - 3) // NUM_LOOP_STAGES
+                        fuse_at = cycle + 2 if fuse_q > 0 else -1
                 cycle += 1
         except SimulationFault as fault:
             fault.offset = cycle
@@ -720,6 +748,75 @@ class RoundDatapath:
             tags, ia_in_tag, entering, fa_in_tag, fa_out_tag,
         )
         return completions
+
+    def _window(self, q, ranks, tags, image, counters) -> bool:
+        """Advance ``ranks``, the loop's twelve and the held main key, ``12 q``
+        quiet cycles and append the last one's final key, or return False and
+        change nothing. Each word is finished to its S11 value, taken through
+        fused rounds under its slot's next ``q`` keys and restarted."""
+        if tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD):
+            return False
+        keys, slots = [], []
+        for p in range(NUM_LOOP_STAGES):
+            code = tags >> TAG_BITS * p
+            keys.append([image[0]] * q)
+            if code & TAG_VALID:
+                slot = code >> 1 & _SLOT_FIELD
+                first = counters[slot] + 1
+                # The S8 word reads one round further: the next main key.
+                if slot in slots or not 0 <= first <= MAIN_ROUNDS + (p != 8) - q:
+                    return False
+                slots.append(slot)
+                base = (code & 1) << 4 | first
+                keys[p] = image[base : base + q]
+            if p == 8:
+                keys[8][0], ranks[12] = ranks[12], image[base + q if code & TAG_VALID else 0]
+        for slot in slots:
+            counters[slot] += q
+        sbox, lanes, fused = self._sbox, self._lanes, self._fused
+        for p, round_keys in enumerate(keys):
+            m = tags >> TAG_BITS * p & 1
+            v = ranks[p]
+            if p < 3:  # substituted bytes, row-shifted in S2: the lookups are ahead
+                s2 = v if p == 2 else _SHIFT_ROWS[m](v)
+                v = int.from_bytes(b"".join(
+                    [lane[b] for k, lane in enumerate(lanes[m]) for b in s2[k::4]]), "big")
+            # The XOR of its 128-bit fields: mixed columns to S8, then keyed.
+            v ^= v >> 256
+            v = (v ^ v >> 128) & _MASK128
+            if p < 9:
+                v ^= round_keys.pop(0)
+                round_keys += [0] * (p == 8)
+            # A fused round per key, from S8 on the last one the restart: lane k
+            # of output column j reads row k of column j + k, or j - k decrypting.
+            t0, t1, t2, t3 = fused[m]
+            for key in round_keys:
+                b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
+                    v.to_bytes(16, "big"))
+                if m:
+                    v = ((t0[b0] ^ t1[b13] ^ t2[b10] ^ t3[b7]) << 96
+                         | (t0[b4] ^ t1[b1] ^ t2[b14] ^ t3[b11]) << 64
+                         | (t0[b8] ^ t1[b5] ^ t2[b2] ^ t3[b15]) << 32
+                         | t0[b12] ^ t1[b9] ^ t2[b6] ^ t3[b3]) ^ key
+                else:
+                    v = ((t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15]) << 96
+                         | (t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3]) << 64
+                         | (t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7]) << 32
+                         | t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11]) ^ key
+            if p < 3:  # the restart from the S11 value
+                sub = v.to_bytes(16, "big").translate(sbox[m])
+                ranks[p] = sub if p < 2 else _SHIFT_ROWS[m](sub)
+            elif p < 8:
+                s2 = _SHIFT_ROWS[m](v.to_bytes(16, "big").translate(sbox[m]))
+                x = int.from_bytes(b"".join(
+                    [lane[b] for k, lane in enumerate(lanes[m]) for b in s2[k::4]]), "big")
+                x6 = (x ^ x >> 128 & _SECOND128) & _MASK384
+                ranks[p] = (x, x, x, x6, (x6 ^ x6 >> 128 & _MID128) & _MASK256)[p - 3]
+            else:
+                ranks[p] = (v ^ key, (v ^ key) << 128 | key, (v ^ key) << 128 | key, v)[p - 8]
+        ranks.append(image[(tags >> _TAG2_SHIFT & 1) << 4 | NUM_ROUNDS])
+        self.fused_cycles += NUM_LOOP_STAGES * q
+        return True
 
     def commit_cycle(self) -> None:
         (

@@ -112,6 +112,8 @@ class Job:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_ENCRYPT, MODE_DECRYPT):
             raise JobError(f"job {self.seq}: unknown mode {self.mode!r}")
+        if isinstance(self.block, (int, str)):
+            raise TypeError(f"job {self.seq}: block must be bytes-like, got {type(self.block).__name__}")
         if len(self.block) != 16:
             raise JobError(f"job {self.seq}: block must be 16 bytes, got {len(self.block)}")
 
@@ -131,6 +133,8 @@ class RunSummary:
     stepped_cycles: int = 0
     window_cycles: int = 0
     skipped_cycles: int = 0
+    # Window cycles computed in fused rounds: how, not what, so not compared.
+    fused_cycles: int = field(default=0, compare=False)
     admission_cycles: dict[int, int] = field(default_factory=dict)
     completion_cycles: dict[int, int] = field(default_factory=dict)
 
@@ -364,6 +368,7 @@ class PipelineSimulator:
         summary.stepped_cycles = stepped_cycles
         summary.window_cycles = window_cycles
         summary.skipped_cycles = skipped_cycles
+        summary.fused_cycles = dp.fused_cycles
         summary.max_loop_occupancy = max_occupancy
         summary.key_init_cycles = ks.init_cycles
         summary.run_start_cycle = phase_starts.get(RUN, 0)

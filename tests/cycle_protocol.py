@@ -12,7 +12,8 @@ before the key schedule commits.
 :func:`step_every_cycle` makes a whole simulator run take passes of one
 cycle, so that a hook on a per-cycle method sees every cycle the run
 does not skip: the stepped run, the reference a run of planned passes
-must match.
+must match. :func:`cap_passes` shortens passes to any length, so that a
+pass can open in the middle of a batch.
 """
 
 from drablocus.controller import RUN, Controller
@@ -64,14 +65,19 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     return admitted
 
 
-def step_every_cycle(monkeypatch):
-    """Limit every pass a simulator run plans to one cycle."""
+def cap_passes(monkeypatch, cycles):
+    """Limit every pass a simulator run plans to ``cycles`` cycles."""
     begin_cycle = Controller.begin_cycle
 
-    def stepped(self, key_schedule_ready, pending=0, limit=1):
-        return begin_cycle(self, key_schedule_ready, pending, 1)
+    def capped(self, key_schedule_ready, pending=0, limit=1):
+        return begin_cycle(self, key_schedule_ready, pending, min(limit, cycles))
 
-    monkeypatch.setattr(Controller, "begin_cycle", stepped)
+    monkeypatch.setattr(Controller, "begin_cycle", capped)
+
+
+def step_every_cycle(monkeypatch):
+    """Limit every pass a simulator run plans to one cycle."""
+    cap_passes(monkeypatch, 1)
 
 
 def core_in_run(key: int, limit: int = 400):

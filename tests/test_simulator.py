@@ -109,6 +109,20 @@ def test_malformed_job_rejected():
         Job(0, 7, FIPS_PT)
 
 
+@pytest.mark.parametrize("block", ["0123456789abcdef", 16], ids=["str", "int"])
+def test_str_and_int_job_blocks_rejected(block):
+    # A 16-character str has the length of a block, and len() of an int
+    # raises its own TypeError; both are refused by name, as aesref does.
+    with pytest.raises(TypeError, match=r"^job 3: block must be bytes-like, got (str|int)$"):
+        Job(3, MODE_ENCRYPT, block)
+
+
+def test_bytes_like_job_blocks_run(sim):
+    blocks = [FIPS_PT, bytearray(FIPS_PT), memoryview(FIPS_PT)]
+    result = sim.run(FIPS_KEY, [Job(i, MODE_ENCRYPT, block) for i, block in enumerate(blocks)])
+    assert list(result.outputs.values()) == [FIPS_CT] * 3
+
+
 def test_trace_replay_is_byte_identical(sim):
     jobs = mixed_jobs(24, seed=104)
     first, second = io.StringIO(), io.StringIO()

@@ -12,7 +12,11 @@ for byte. Key initialization is one pass, whose end state must be the
 stepped run's for any key and S-box image. A fault of each class that
 can arise inside a pass is fired in each kind of run, and must name the
 same cycle with the same message; the traced runs' traces must end on
-the same line.
+the same line. An untraced pass computes its quiet cycles in fused
+windows: the runs above compare them with the stepped run's cycles, on
+healthy and on flipped RAM images, and each case in which a window must
+step its cycles instead is made by an upset and compared with a run that
+steps them.
 """
 
 import copy
@@ -24,15 +28,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycle_protocol import new_core, step_cycle, step_every_cycle
-from drablocus.controller import BATCH_PERIOD, FLUSH, KEY_INIT, RUN, Controller
+from cycle_protocol import cap_passes, core_in_run, new_core, step_cycle, step_every_cycle
+from drablocus.controller import BATCH_PERIOD, FLUSH, KEY_INIT, QUIET, RUN, Controller
 from drablocus.datapath import (
-    BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
+    _SLOT_FIELD, BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
 )
-from drablocus.faults import CollisionError, KeyStoreFault, ProtocolError, TimingFault
+from drablocus.faults import (
+    CollisionError, ControlFault, KeyStoreFault, ProtocolError, TimingFault,
+)
 from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
 from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
-from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_sbox_image
+from drablocus.tables import (
+    MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image,
+)
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -55,10 +63,13 @@ def snapshot(dp, ctrl, ks):
     )
 
 
-def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None):
-    """The core's state after every commit of one run on ``sbox_image``, by
-    the cycle it leads into, and the cycles at which passes of more than one
-    cycle end. A ``stepped`` run takes passes of one cycle."""
+def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_image=None,
+                     upset=None):
+    """The core's state after every commit of one run on ``sbox_image`` and
+    ``mc_image``, by the cycle it leads into, and the cycles at which passes
+    of more than one cycle end. A ``stepped`` run takes passes of one cycle.
+    An ``upset``, ``(cycle, core)``, applies ``core(ks, dp)`` before the key
+    store computes ``cycle``, which must open a pass."""
     core, states, pass_ends = {}, {}, []
     for cls in (RoundDatapath, Controller):
         def init(self, *args, _original=cls.__init__, _cls=cls):
@@ -80,31 +91,71 @@ def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None):
 
     monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
     monkeypatch.setattr(Controller, "commit", recorded_ctrl_commit)
+    if upset is not None:
+        compute = KeyScheduler.compute
+
+        def upset_compute(self, datapath, *args):
+            if core[Controller].cycle == upset[0]:
+                upset[1](self, datapath)
+            return compute(self, datapath, *args)
+
+        monkeypatch.setattr(KeyScheduler, "compute", upset_compute)
     if stepped:
         step_every_cycle(monkeypatch)
-    result = PipelineSimulator(sbox_image=sbox_image).run(key, jobs)
+    result = PipelineSimulator(sbox_image=sbox_image, mc_image=mc_image).run(key, jobs)
     monkeypatch.undo()
     return result, states, pass_ends
 
 
 def summary_fields(summary):
+    """The summary's fields but the counts of how its cycles were computed,
+    and the count of cycles its passes computed."""
     fields = vars(summary).copy()
+    fields.pop("fused_cycles")
     steps = fields.pop("stepped_cycles") + fields.pop("window_cycles")
     return fields, steps
 
 
+def flipped_images(corrupt):
+    """The S-box and product-RAM images, with one entry of the ``corrupt``
+    one flipped: an S-box entry of the decrypt half, or a product entry of
+    the encrypt half, each read by every round of its mode."""
+    if corrupt == "sbox":
+        image = build_sbox_image()
+        image[0x153] ^= 0x10
+        return image, None
+    if corrupt == "mcprod":
+        image = build_mixcolumns_image()
+        image[0x0A7] ^= 0x0100
+        return None, image
+    return None, None
+
+
 # Job counts that end a pass on the last completion, run the queue dry
-# inside a burst of admissions or between bursts, or fill whole batches.
-@pytest.mark.parametrize("n_jobs", [1, 12, 13, 25, 120, 500])
+# inside a burst of admissions or between bursts, or fill whole batches;
+# the longest run also on images with one entry flipped, which the fused
+# windows must read as the cycles read them.
+@pytest.mark.parametrize(
+    "n_jobs, corrupt",
+    [(n, None) for n in (1, 12, 13, 25, 120, 500)] + [(500, "sbox"), (500, "mcprod")],
+    ids=["1", "12", "13", "25", "120", "500", "500-sbox", "500-mcprod"],
+)
 @pytest.mark.parametrize("fresh_key", [False, True], ids=["fips", "fresh"])
-def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, fresh_key):
+def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fresh_key):
     key = random.Random(n_jobs).randbytes(16) if fresh_key else FIPS_KEY
     jobs = mixed_jobs(n_jobs, seed=n_jobs)
-    passed, states, pass_ends = committed_states(monkeypatch, key, jobs)
-    stepped, reference, no_passes = committed_states(monkeypatch, key, jobs, stepped=True)
+    sbox_image, mc_image = flipped_images(corrupt)
+    images = {"sbox_image": sbox_image, "mc_image": mc_image}
+    passed, states, pass_ends = committed_states(monkeypatch, key, jobs, **images)
+    stepped, reference, no_passes = committed_states(monkeypatch, key, jobs, stepped=True, **images)
 
     assert passed.summary.window_cycles > 0 and len(pass_ends) > 0
     assert no_passes == [] and stepped.summary.window_cycles == 0
+    # Each pass that admits a whole batch computes at least 96 of its cycles
+    # in fused windows: offsets 14-109, between its last arrival and its
+    # first divert.
+    assert passed.summary.fused_cycles >= 96 * (n_jobs // NUM_LOOP_STAGES)
+    assert stepped.summary.fused_cycles == 0
     assert set(pass_ends) <= set(states)
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
@@ -365,14 +416,17 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
 LINE_NAMES = ("admit", "divert", "initial_reset", "main_reset")
 
 
-def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lines=None, core=None):
+def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lines=None, core=None,
+                        cap=None):
     """Run ``jobs``, setting the named ``lines`` of ``cycle`` (the
     controller's own on the cycle it decides, or a plan's entry) or
     applying ``core(ks, dp)`` before the key store computes ``cycle``,
-    which must then open a pass; a ``stepped`` run takes passes of one
-    cycle. Returns the fault the run raises and each pass's first cycle
-    and planned length."""
+    which must then open a pass; passes are at most ``cap`` cycles long, and
+    a ``stepped`` run takes passes of one cycle. Returns the fault the run
+    raises and each pass's first cycle and planned length."""
     passes, state = [], {}
+    if cap is not None:
+        cap_passes(monkeypatch, cap)
     if stepped:
         step_every_cycle(monkeypatch)
     original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
@@ -418,6 +472,14 @@ def phantom_arrival(ks, dp):
     dp.ia_in_tag = Word(seq=0, mode=MODE_ENCRYPT, slot=3)
 
 
+def round_counter_past_the_window(ks, dp):
+    # The word in S5 has read its key for round 5; its counter jumps to 8, so
+    # that it asks for round 10 on its second read from the window's start.
+    word = dp.loop_tags[5]
+    assert ks.round_counters[word.slot] == 4
+    ks.round_counters[word.slot] = 8
+
+
 def product_mux_second_source(ks, dp):
     # The key store drives the product path while the shift-rows register
     # holds zero; the register's next value collides with it.
@@ -442,6 +504,13 @@ PASS_FAULTS = {
                   "recirculating"),
     "latency": (36, 281, {"core": divert_from_s2_takes_next_seq}, TimingFault,
                 "cycle 283: block 8 completed after 114 cycles, expected 115"),
+    # Between two passes of a saturated run a live slot's round counter is
+    # raised, and the next pass's fused window must fall back so the key read
+    # past round 9 names its own cycle. Passes are capped at 60 cycles, so
+    # that one opens mid-batch: uncapped, every slot live in a window is
+    # admitted, and its counter reset, in the window's own pass.
+    "key_read_in_window": (36, 221, {"core": round_counter_past_the_window, "cap": 60},
+                           KeyStoreFault, "cycle 235: slot 9 requested main-loop key for round 10"),
 }
 
 
@@ -469,6 +538,91 @@ def test_fault_inside_a_pass_names_its_own_cycle(monkeypatch, name):
     assert trace.getvalue() == stepped_trace.getvalue()
     last = trace.getvalue().splitlines()[-1]
     assert last.startswith(f"cycle={passed.cycle - 1} ")
+
+
+def stray_mode_bit(ks, dp):
+    # The first empty stage from S3 on gets a tag field with its mode bit set
+    # and its valid bit clear. The field still picks the row shift's mode in
+    # S1 and the final key's mode there; no check reads it.
+    stage = next(k for k, word in enumerate(dp.loop_tags) if k > 2 and word is None)
+    dp.tags |= 1 << TAG_BITS * stage
+
+
+def test_stray_mode_bit_falls_back_to_cycle_steps(monkeypatch):
+    # In the 13-job run's second pass one word is live and a fused window
+    # covers cycles 287-382. With a stray mode bit upset into the tag rank
+    # at the pass's start, the window falls back to the cycles, and every
+    # committed state equals a stepped run's under the same upset.
+    jobs = mixed_jobs(13, seed=13)
+    upset = (RUN_START_CYCLE + BATCH_PERIOD, stray_mode_bit)
+    clean, clean_states, _ = committed_states(monkeypatch, FIPS_KEY, jobs)
+    passed, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=upset)
+    stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, upset=upset)
+    assert clean.summary.fused_cycles - passed.summary.fused_cycles == 96
+    for cycle, state in states.items():
+        assert state == reference[cycle], f"cycle {cycle}"
+    assert passed.outputs == stepped.outputs == clean.outputs
+    # The stray bit reached the committed state, not the outputs.
+    assert states.keys() == clean_states.keys()
+    assert any(states[cycle] != clean_states[cycle] for cycle in states)
+
+
+def shared_slot(ks, dp):
+    # The word in S5 takes the slot of the word in S6: both read and count
+    # the one round counter.
+    field = TAG_BITS * 5
+    dp.tags = dp.tags & ~(_SLOT_FIELD << 1 << field) | dp.loop_tags[6].slot << 1 << field
+
+
+def test_shared_slot_falls_back_as_a_traced_run_steps(monkeypatch):
+    # Two live stages share a slot from a pass opening mid-batch: the fused
+    # window falls back, and the untraced run raises the key read past round
+    # 9 on the cycle the traced run, which plans the same passes, raises it.
+    # A stepped run checks the controller against the upset first.
+    jobs = mixed_jobs(36, seed=7)
+    upset = {"core": shared_slot, "cap": 60}
+    passed, _ = run_with_pass_upset(monkeypatch, jobs, 221, **upset)
+    traced, _ = run_with_pass_upset(monkeypatch, jobs, 221, trace=io.StringIO(), **upset)
+    stepped, _ = run_with_pass_upset(monkeypatch, jobs, 221, stepped=True, **upset)
+    assert type(passed) is type(traced) is KeyStoreFault
+    assert str(passed) == str(traced) and passed.cycle == traced.cycle > 221 + 2
+    assert type(stepped) is ControlFault and stepped.cycle == 221
+
+
+def test_no_window_while_a_word_is_on_its_way_in():
+    # A pass whose first cycle admits a word and whose later cycles are all
+    # quiet (the controller plans the arrival's lines, so this is by hand)
+    # still has the word in the initial key-add ranks on the cycle a window
+    # could start; the pass computes every cycle as single-cycle passes do.
+    states = []
+    for planned in (True, False):
+        dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
+        word = Word(seq=0, mode=MODE_DECRYPT, slot=ctrl.cycle % NUM_LOOP_STAGES)
+        admission = (int.from_bytes(bytes(range(16)), "big"), ks.initial_keys[MODE_DECRYPT], word)
+        cycles = [(admission, False, True, False)] + [QUIET] * 40
+        for lines in [cycles] if planned else [[lines] for lines in cycles]:
+            admit, divert, initial_reset, main_reset = lines[0]
+            dp.compute_cycle(
+                admit=admit, divert=divert, main_key=ks.out_a, final_key=ks.out_b,
+                initial_reset=initial_reset, main_reset=main_reset, plan=lines[1:], store=ks,
+            )
+            dp.commit_cycle()
+            ks.commit()
+        assert dp.fused_cycles == 0 and dp.loop_tags.count(word) == 1
+        states.append(snapshot(dp, ctrl, ks))
+    assert states[0] == states[1]
+
+
+def test_fused_windows_run_untraced_only():
+    # A saturated untraced run computes at least 96 cycles of each of its
+    # three full-batch passes in fused windows; a traced run computes every
+    # cycle one by one, to record its taps.
+    jobs = mixed_jobs(36, seed=9)
+    sim = PipelineSimulator()
+    untraced, traced = sim.run(FIPS_KEY, jobs), sim.run(FIPS_KEY, jobs, trace=io.StringIO())
+    assert untraced.summary.fused_cycles >= 3 * 96
+    assert traced.summary.fused_cycles == 0
+    assert untraced.outputs == traced.outputs
 
 
 def key_init_substitution_mux(ks, dp):
