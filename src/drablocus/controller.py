@@ -41,11 +41,11 @@ first, up to one batch period. Those are a function of the same
 registers, since a divert waits for a track chain's final bit and an
 admission for its slot's chain to empty, and the plan lists the cycles
 it admits on. Key initialization is planned the same way, as a pass of
-:data:`HOLD` lines; the key schedule ends it on the cycle it reports
-ready. :meth:`Controller.check_against` is the one reconciliation
-of the registers and the first cycle's lines with the datapath's tags,
-made once the datapath has computed the pass, and :meth:`Controller.commit`
-moves the registers over every cycle the pass covers; no other method
+:data:`HOLD` lines that ends on :data:`KEY_READY_CYCLE`, the cycle the
+key schedule reports ready. :meth:`Controller.check_against` is the one
+reconciliation of the registers and the first cycle's lines with the
+datapath's tags, made once the datapath has computed the pass, and
+:meth:`Controller.commit` moves the registers over every cycle the pass covers; no other method
 shifts them or moves the cycle.
 
 A plan is a list with one entry per cycle after the first, each
@@ -77,6 +77,7 @@ from .datapath import (
     NUM_LOOP_STAGES, QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
+from .keyschedule import KEY_INIT_CYCLES
 
 RESET = "reset"
 KEY_INIT = "key_init"
@@ -92,6 +93,10 @@ STAGE_PHASE_OFFSET = 3
 # a slot stays reserved for its block's main rounds and its final pass.
 # No pass is planned past one.
 BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
+
+# The cycle the key schedule reports ready on, which ends key
+# initialization: one reset cycle, then the program's cycles.
+KEY_READY_CYCLE = 1 + KEY_INIT_CYCLES
 
 # The lines of every key-initialization cycle: both key-add outputs held
 # in reset, no admission and no divert.
@@ -179,8 +184,9 @@ class Controller:
         self, key_schedule_ready: bool, pending: int = 0, limit: int = 1
     ) -> Sequence[Sequence]:
         """Decide this cycle's lines and, in run or key initialization with
-        ``limit`` above 1, plan the pass of up to ``limit`` cycles, and at
-        most one batch period, that starts with it.
+        ``limit`` above 1, plan the pass of up to ``limit`` cycles that
+        starts with it: in run at most one batch period, and in key
+        initialization up to :data:`KEY_READY_CYCLE`.
 
         Returns the plan, the lines of each cycle after this one (empty for
         a pass of one cycle), and sets ``admissions``: the offsets of the
@@ -207,7 +213,7 @@ class Controller:
             self.divert = self.admit_ready = False
             self.admissions = ()
             if fsm == KEY_INIT and limit > 1:
-                return [HOLD] * (min(limit, BATCH_PERIOD) - 1)
+                return [HOLD] * (min(limit, KEY_READY_CYCLE + 1 - self.cycle) - 1)
             return ()
         phase = self.cycle % NUM_LOOP_STAGES
         track = self.track
@@ -358,8 +364,8 @@ class Controller:
 
     def commit(self, cycles: int = 1) -> int:
         """Commit this cycle and the ``cycles - 1`` after it, with the
-        admissions made and the diverts planned on them: a pass, the part
-        of it the key store served, or a skipped flush span.
+        admissions made and the diverts planned on them: a whole pass, or a
+        skipped flush span.
 
         The track chains shift ``cycles`` places, each admission's bit
         entering its slot's chain at its offset. The occupancy and mode
@@ -393,8 +399,6 @@ class Controller:
         if self._admits:
             for offset, field in self._admits:
                 age = cycles - 1 - offset
-                if age < 0:
-                    break
                 if age > 1:
                     events.append((offset + 2, 0, field))
                 elif age:
@@ -412,8 +416,6 @@ class Controller:
         if cycles > 1:
             if diverts:
                 for offset in diverts:
-                    if offset >= cycles:
-                        break
                     if self.plan[offset - 1][1]:
                         events.append((offset, 1, 0))
                 events.sort()

@@ -47,10 +47,11 @@ in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
 makes no per-primitive calls. The same code steps one cycle, or a pass of
 cycles in one frame over locals under each cycle's planned lines. Handed
-the key store, it serves the store's three consumers on each cycle from
-the tag rank it holds, the one copy of the rank's movement; in key
-initialization the key schedule's program gives each cycle's keys and
-injects instead. An untraced pass takes its quiet cycles position-major,
+the key store, it takes every cycle's keys from it: in service it serves
+the store's three consumers on each cycle from the tag rank it holds, the
+one copy of the rank's movement, and before service it resumes the key
+schedule's program on each cycle, which gives the cycle's keys and
+injects. An untraced pass takes its quiet cycles position-major,
 each position's word in table-lookup rounds built from the model's images.
 A lockstep test replays a simulator run into both and compares every tap
 on every cycle.
@@ -402,13 +403,24 @@ class DatapathTables:
                                  for lane in mode) for s, mode in zip(self.sbox, self.lanes))
 
 
+def _products(lanes, state) -> int:
+    """The rank of product entries for a row-shifted ``state``'s 16 bytes,
+    read from one mode's ``lanes``: lane k takes row k of each column."""
+    l0, l1, l2, l3 = lanes
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = state
+    return int.from_bytes(b"".join((
+        l0[b0], l0[b4], l0[b8], l0[b12], l1[b1], l1[b5], l1[b9], l1[b13],
+        l2[b2], l2[b6], l2[b10], l2[b14], l3[b3], l3[b7], l3[b11], l3[b15],
+    )), "big")
+
+
 class RoundDatapath:
     """The loop plus initial/final key-add instances and tap points.
 
-    Per cycle, drive :meth:`compute_cycle` with this cycle's control and
-    key values, then :meth:`commit_cycle`. Compute derives the next value
-    of every rank and tag (raising the S0 collision there); commit only
-    latches them. Between the two, :meth:`taps` and the tags show the
+    Per cycle, drive :meth:`compute_cycle` with this cycle's control lines
+    and the key store, then :meth:`commit_cycle`. Compute derives the next
+    value of every rank and tag (raising the S0 collision there); commit
+    only latches them. Between the two, :meth:`taps` and the tags show the
     committed state, each tag naming the word whose data its rank holds.
     Given the lines of further cycles and the key store that serves them,
     compute derives the state after those too, and the words completed on
@@ -500,19 +512,19 @@ class RoundDatapath:
         is committed in locals, and the last one's next state awaits
         :meth:`commit_cycle`.
 
-        The keys and injects given are the first cycle's; the key ``store``
-        (a :class:`~drablocus.keyschedule.KeyScheduler`) gives the later
-        cycles'. Once it serves, every cycle of the pass reads it from the
-        committed tag rank: an admission resets its slot's round counter,
-        port a reads the key of the next round of the word in S7, raising
-        :class:`KeyStoreFault` past the last main round, port b reads the
-        final key for the mode of the word in S1, and the word in S8 counts
-        its key at the cycle's commit. The reads are the next cycle's keys;
-        the last cycle's addresses, reads and count await the store's
-        commit. In key initialization ``store.resume(s1, s8)``, given each
-        later cycle's committed S1 (as bytes) and S8, returns its keys and
-        its ``ks_sub_bytes`` and ``ks_mix_columns`` injects. Without a store
-        the keys hold.
+        The key ``store`` (a :class:`~drablocus.keyschedule.KeyScheduler`)
+        gives every cycle's keys and injects. In service the first cycle's
+        are its outputs and injects, and every cycle of the pass reads it
+        from the committed tag rank: an admission resets its slot's round
+        counter, port a reads the key of the next round of the word in S7,
+        raising :class:`KeyStoreFault` past the last main round, port b
+        reads the final key for the mode of the word in S1, and the word in
+        S8 counts its key at the cycle's commit. The reads are the next
+        cycle's keys; the last cycle's addresses, reads and count await the
+        store's commit. Before service ``store.resume(s1, s8)``, given each
+        cycle's committed S1 (as bytes) and S8, returns its keys and its
+        ``ks_sub_bytes`` and ``ks_mix_columns`` injects. Without a store the
+        keys and injects given hold over the pass.
 
         An untraced pass in service with no inject computes each run of :data:`QUIET`
         cycles, from its second to two before an event or the end, in whole loop turns
@@ -530,8 +542,6 @@ class RoundDatapath:
         sbox = self._sbox
         lanes = self._lanes
         seqs = self.seqs
-        ks_sb_data, ks_sb_mode = ks_sub_bytes
-        ks_mc_data, ks_mc_mode = ks_mix_columns
         if admit is not None:
             block, key, admitted = admit
             ia_in_next = (block << 128) | key
@@ -566,12 +576,18 @@ class RoundDatapath:
             data = 0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128)
             completions.append((1, fa_in_tag, data))
         # The store serves from its image and round counters, or resumes its
-        # initialization program.
+        # program, which gives the first cycle's keys and injects too.
         image = counters = resume = None
         if store is not None:
             resume = store.resume
             if resume is None:
                 image, counters = store.image, store.round_counters
+                main_key, final_key = store.out_a, store.out_b
+                ks_sub_bytes, ks_mix_columns = store.sub_bytes_inject, store.mix_columns_inject
+            else:
+                main_key, final_key, ks_sub_bytes, ks_mix_columns = resume(s1, s8)
+        ks_sb_data, ks_sb_mode = ks_sub_bytes
+        ks_mc_data, ks_mc_mode = ks_mix_columns
         fusable = (image is not None and taps is None and not shift_rows_reset
                    and ks_sub_bytes == ks_mix_columns == (0, 0))
         cycle, current, fuse_at = 0, None, -1
@@ -639,7 +655,8 @@ class RoundDatapath:
                 s5 = s4
                 s4 = s3
 
-                # Product RAMs behind the OR mux, read straight into lane order.
+                # Product RAMs behind the OR mux, read straight into lane order:
+                # the join of :func:`_products`, inline to save a call a cycle.
                 if ks_mc_data:
                     shifted = int.from_bytes(bytes(s2), "big")
                     if shifted:
@@ -778,9 +795,7 @@ class RoundDatapath:
             m = tags >> TAG_BITS * p & 1
             v = ranks[p]
             if p < 3:  # substituted bytes, row-shifted in S2: the lookups are ahead
-                s2 = v if p == 2 else _SHIFT_ROWS[m](v)
-                v = int.from_bytes(b"".join(
-                    [lane[b] for k, lane in enumerate(lanes[m]) for b in s2[k::4]]), "big")
+                v = _products(lanes[m], v if p == 2 else _SHIFT_ROWS[m](v))
             # The XOR of its 128-bit fields: mixed columns to S8, then keyed.
             v ^= v >> 256
             v = (v ^ v >> 128) & _MASK128
@@ -807,9 +822,7 @@ class RoundDatapath:
                 sub = v.to_bytes(16, "big").translate(sbox[m])
                 ranks[p] = sub if p < 2 else _SHIFT_ROWS[m](sub)
             elif p < 8:
-                s2 = _SHIFT_ROWS[m](v.to_bytes(16, "big").translate(sbox[m]))
-                x = int.from_bytes(b"".join(
-                    [lane[b] for k, lane in enumerate(lanes[m]) for b in s2[k::4]]), "big")
+                x = _products(lanes[m], _SHIFT_ROWS[m](v.to_bytes(16, "big").translate(sbox[m])))
                 x6 = (x ^ x >> 128 & _SECOND128) & _MASK384
                 ranks[p] = (x, x, x, x6, (x6 ^ x6 >> 128 & _MID128) & _MASK256)[p - 3]
             else:

@@ -20,24 +20,23 @@ each expansion round takes 3 cycles (inject, wait, read + write); the
 inversion phase streams nine keys through the product path back to
 back, reading each result 6 cycles after injection.
 
-The whole program is one pass of the run: :meth:`KeyScheduler.compute`
-runs its first cycle, and the datapath's pass loop resumes it once per
-later cycle with the S1 and S8 values it holds, the ranks the program
-reads back, so they come from the datapath's own step. In service the
-same loop serves the store on every cycle from the tag rank it steps
-(:meth:`~drablocus.datapath.RoundDatapath.compute_cycle`): it resets the
-round counters, sets and reads both ports and counts the keys consumed.
+The store takes part in every cycle of the datapath's pass loop
+(:meth:`~drablocus.datapath.RoundDatapath.compute_cycle`). Until the
+schedule is ready, the loop resumes the program once per cycle, the
+pass's first included, with the S1 and S8 values it holds, the ranks the
+program reads back, so they come from the datapath's own step. The reset
+cycle is the program's first step, on which both ports only read their
+addresses; key initialization is then one pass, which the controller
+plans to end on the cycle the program reports ready. In service the same
+loop serves the store on every cycle from the tag rank it steps: it
+resets the round counters, sets and reads both ports and counts the keys
+consumed.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .aesref import NUM_ROUNDS, RCON
-from .controller import KEY_INIT
-from .datapath import (
-    _MASK32, _MASK128, MAIN_ROUNDS, MIX_COLUMNS_LATENCY, SLOT_VALUES, RoundDatapath,
-)
+from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, MIX_COLUMNS_LATENCY, SLOT_VALUES
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
 EXPANDING = "expanding"
@@ -68,11 +67,11 @@ class KeyScheduler:
     outputs ``out_a``/``out_b``; ``round_counters`` and
     ``pending_increment``, the slot whose counter the commit advances, go
     with it. Every cycle sets both addresses and reads them: the reset
-    cycle in :meth:`compute`, key initialization in its program, and
-    service in the datapath's pass loop. :meth:`commit` latches the last
-    cycle's reads, then applies the write, so a word written and read in
-    one cycle reads old. :class:`~drablocus.fabric.BramModel` is its
-    specification.
+    cycle and key initialization in the program, which the datapath's pass
+    loop resumes through ``resume``, and service in that loop itself.
+    :meth:`commit` latches the last cycle's reads, then applies the write,
+    so a word written and read in one cycle reads old.
+    :class:`~drablocus.fabric.BramModel` is its specification.
     """
 
     def __init__(self, key: int):
@@ -92,7 +91,8 @@ class KeyScheduler:
         # One per value of a tag's 4-bit slot field.
         self.round_counters = [0] * SLOT_VALUES
         self.fsm = EXPANDING
-        self.init_cycles = 0
+        # The program's cycles run; its first step, the reset cycle, is none.
+        self.init_cycles = -1
         self._cipher_key = key & _MASK128
         self._program = self._initialization()
         next(self._program)
@@ -101,33 +101,10 @@ class KeyScheduler:
         self.sub_bytes_inject = _NO_INJECT
         self.mix_columns_inject = _NO_INJECT
         self.pending_increment: int | None = None
-        # The program's next cycle, ``resume(s1, s8)``, until the commit of
+        # The program's next step, ``resume(s1, s8)``, until the commit of
         # the cycle that reports the schedule ready; then None, and the
         # datapath's pass loop serves the store.
         self.resume = self._init_cycle
-
-    def compute(
-        self, datapath: RoundDatapath, controller_fsm: str, plan: Sequence = ()
-    ) -> Sequence:
-        """The store's one call per pass; returns the lines of the pass's
-        cycles after its first.
-
-        In service the datapath's pass loop serves every cycle, and the
-        pass is the controller's ``plan``. On the reset cycle both ports
-        read their addresses. A key-initialization pass runs the program's
-        first cycle here, on the datapath's committed S1 and S8, and ends on
-        the cycle that reports the schedule ready: the plan returned stops
-        there, and the datapath resumes the program on each later cycle.
-        """
-        if self.fsm == READY:
-            return plan
-        if controller_fsm != KEY_INIT:
-            self.read_a = self.image[self.addr_a]
-            self.read_b = self.image[self.addr_b]
-            return plan
-        later = min(len(plan), KEY_INIT_CYCLES - self.init_cycles)
-        self._init_cycle(datapath.s1.to_bytes(16, "big"), datapath.s8)
-        return plan[:later]
 
     def at_fixed_point(self) -> bool:
         """Whether the schedule is in service and the commit leaves the
@@ -154,12 +131,12 @@ class KeyScheduler:
             self.resume = None
 
     def _init_cycle(self, s1: bytes, s8: int) -> tuple[int, int, tuple, tuple]:
-        """One cycle of the program, on the cycle's committed S1 and S8:
-        commit the cycle before, run the program's cycle, then read both
+        """One step of the program, on the cycle's committed S1 and S8:
+        commit the cycle before, run the program's step, then read both
         ports. Returns the cycle's port outputs and injects. On a pass's
         first cycle :meth:`commit` has latched the reads and the write, and
-        the commit here changes nothing; no round counter moves in
-        initialization."""
+        the commit here changes nothing; no round counter moves before
+        service."""
         self.out_a = self.read_a
         self.out_b = self.read_b
         write = self.pending_write
@@ -180,11 +157,13 @@ class KeyScheduler:
 
     def _initialization(self):
         """The program, primed to its first yield; then each resume runs one
-        cycle. A resume is sent the cycle's committed ``(s1, s8)``, s1 as
-        bytes, and the yield that ends the cycle before takes them: the
-        program reads the substituted word from S1 two cycles after its
-        inject, and each inverse-mixed key from S8 seven cycles after its
-        read."""
+        cycle, the reset cycle first. A resume is sent the cycle's committed
+        ``(s1, s8)``, s1 as bytes, and the yield that ends the cycle before
+        takes them: the program reads the substituted word from S1 two
+        cycles after its inject, and each inverse-mixed key from S8 seven
+        cycles after its read."""
+        yield
+        # The reset cycle: both ports read their addresses, and nothing else.
         yield
         key = self._cipher_key
         self.initial_keys[MODE_ENCRYPT] = key

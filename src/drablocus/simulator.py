@@ -16,29 +16,29 @@ lines, all a trace shows of them. The test is exact: an upset that breaks
 the fixed point delays the skip. ``RunSummary.skipped_cycles`` counts
 the cycles skipped; the other statistics count them as cycles.
 
-The run is a sequence of passes. Each pass makes one call to the key
-store and one to the datapath, which computes its cycles under their
-lines and serves the key store on each of them. In run, the controller
-plans a pass of up to one batch period from registered state and the
-count of pending jobs: the cycles it admits on, its diverts and its
-reset lines, which follow from the track chains alone. A pass ends at
-the cap, the budget or the last job's completion. Key initialization is
-one pass of held lines, which the key store ends on the cycle it reports
-ready; the datapath's pass loop resumes its program once per cycle with
-the ranks the program reads back. The reset cycle and the flush cycles
-stepped before the flush's fixed point are passes of one cycle. The run
-takes a queued job for each planned admission, checks the latency of
-every completion the datapath returns with its offset, and counts stalls
-and occupancy over every cycle; the controller checks itself against the
-datapath on each pass's first cycle. A fault raised inside a pass, a key
-read past the last main round among them, carries its offset, and the
-run names the cycle, and ends the trace on the cycle before it, as a run
-stepping every cycle would. Every pass commits the datapath, the
-controller and the key store once each, over all the cycles it covers
-(each resume of the key-store program commits the cycle before it), and
-writes its trace in one call from the taps the datapath records on each
-cycle. ``RunSummary`` counts the passes, the cycles after their first and
-the skipped cycles.
+The run is a sequence of passes. Each pass makes one call to the
+datapath, which computes its cycles under their lines and takes every
+cycle's keys from the key store: it serves the store on each of them, or
+resumes the store's program once per cycle with the ranks the program
+reads back. In run, the controller plans a pass of up to one batch
+period from registered state and the count of pending jobs: the cycles
+it admits on, its diverts and its reset lines, which follow from the
+track chains alone. A pass ends at the cap, the budget or the last job's
+completion. Key initialization is one pass of held lines, which the
+controller plans to end on the cycle the key store reports ready. The
+reset cycle and the flush cycles stepped before the flush's fixed point
+are passes of one cycle. The run takes a queued job for each planned
+admission, checks the latency of every completion the datapath returns
+with its offset, and counts stalls and occupancy over every cycle; the
+controller checks itself against the datapath on each pass's first
+cycle. A fault raised inside a pass, a key read past the last main round
+among them, carries its offset, and the run names the cycle, and ends
+the trace on the cycle before it, as a run stepping every cycle would.
+Every pass commits the datapath, the controller and the key store once
+each, over all the cycles it covers (each resume of the key-store
+program commits the cycle before it), and writes its trace in one call
+from the taps the datapath records on each cycle. ``RunSummary`` counts
+the passes, the cycles after their first and the skipped cycles.
 
 File formats (stable, line-delimited):
 
@@ -58,7 +58,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
-from .controller import _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, RESET, RUN, Controller
+from .controller import (
+    _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, Controller,
+)
 from .datapath import (
     BLOCK_LATENCY,
     NUM_LOOP_STAGES,
@@ -69,7 +71,7 @@ from .datapath import (
     RoundDatapath,
 )
 from .faults import SimulationFault, TimingFault
-from .keyschedule import KEY_INIT_CYCLES, KeyScheduler
+from .keyschedule import KeyScheduler
 from .keyschedule import READY as KEY_SCHEDULE_READY
 from .tables import MODE_DECRYPT, MODE_ENCRYPT
 from .textlines import split_lines
@@ -83,9 +85,9 @@ NOMINAL_BLOCKS_PER_CYCLE = NUM_LOOP_STAGES / BLOCK_LATENCY
 # The published clock of the core; derived figures use it unless given another.
 CLOCK_MHZ = 528.262
 
-# The first run cycle: one reset cycle, key initialization (its program,
-# then the cycle that reports the schedule ready), and the flush.
-RUN_START_CYCLE = 1 + KEY_INIT_CYCLES + 1 + TRACK_CYCLES
+# The first run cycle: the flush follows the cycle the key schedule
+# reports ready on.
+RUN_START_CYCLE = KEY_READY_CYCLE + 1 + TRACK_CYCLES
 
 
 def cycle_budget(n_jobs: int) -> int:
@@ -238,7 +240,6 @@ class PipelineSimulator:
         admit = ctrl.admit
         check_against = ctrl.check_against
         ctrl_commit = ctrl.commit
-        ks_compute = ks.compute
         ks_commit = ks.commit
         dp_compute = dp.compute_cycle
         dp_commit = dp.commit_cycle
@@ -280,9 +281,6 @@ class PipelineSimulator:
                     if not pending:
                         run_end = min(budget, cycle + admissions[-1] + BLOCK_LATENCY + 1)
 
-                # Key initialization's pass ends on the cycle the key store
-                # reports ready.
-                plan = ks_compute(dp, fsm, plan)
                 span = 1 + len(plan)
                 # Every cycle a job waits without being admitted stalls: each
                 # cycle before ``waited`` but the admissions.
@@ -294,14 +292,10 @@ class PipelineSimulator:
                 completions = dp_compute(
                     admit=admit_arg,
                     divert=ctrl.divert,
-                    main_key=ks.out_a,
-                    final_key=ks.out_b,
                     initial_reset=ctrl.initial_reset,
                     main_reset=ctrl.main_reset,
                     shift_rows_reset=ctrl.shift_rows_reset,
                     final_reset=ctrl.final_reset,
-                    ks_sub_bytes=ks.sub_bytes_inject,
-                    ks_mix_columns=ks.mix_columns_inject,
                     plan=plan,
                     store=ks,
                     taps=taps,

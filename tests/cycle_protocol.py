@@ -2,12 +2,15 @@
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
 each pass of its loop, in its order, for a pass of one cycle: the
-controller's FSM step and control lines, admission, the key schedule's
-per-pass call, the datapath, which serves the key store, the
-controller's check, then the three commits. A planned pass gives the key
-schedule the plan, the plan it returns goes to the datapath with the key
-store, and the controller's one commit covers every cycle of the pass,
-before the key schedule commits.
+controller's FSM step and control lines, admission, the datapath, which
+takes the cycle's keys from the key store, the controller's check, then
+the three commits. A planned pass gives the datapath the controller's
+plan with the key store, and the controller's one commit covers every
+cycle of the pass, before the key schedule commits.
+
+:func:`before_each_pass` hooks the datapath's call on each pass of a
+simulator run, the one point at which a test upsets or inspects the core
+before a pass reads it.
 
 :func:`step_every_cycle` makes a whole simulator run take passes of one
 cycle, so that a hook on a per-cycle method sees every cycle the run
@@ -31,9 +34,8 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
 
     ``job`` is ``(seq, mode, block)`` with the block as an int; it is
     admitted if the controller allows it this cycle. ``mid_cycle(divert)``
-    runs once the controller and the key schedule's per-pass call have
-    decided the cycle, before the datapath computes it and serves the key
-    store.
+    runs once the controller has decided the cycle, before the datapath
+    computes it and takes its keys from the key store.
     """
     ctrl.begin_cycle(ks.fsm == READY)
     admitted = None
@@ -42,20 +44,15 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
         seq, mode, block = job
         admitted = ctrl.admit(seq, mode)
         admit_arg = (block, ks.initial_keys[mode], admitted)
-    ks.compute(dp, ctrl.fsm)
     if mid_cycle is not None:
         mid_cycle(ctrl.divert)
     dp.compute_cycle(
         admit=admit_arg,
         divert=ctrl.divert,
-        main_key=ks.out_a,
-        final_key=ks.out_b,
         initial_reset=ctrl.initial_reset,
         main_reset=ctrl.main_reset,
         shift_rows_reset=ctrl.shift_rows_reset,
         final_reset=ctrl.final_reset,
-        ks_sub_bytes=ks.sub_bytes_inject,
-        ks_mix_columns=ks.mix_columns_inject,
         store=ks,
     )
     ctrl.check_against(dp)
@@ -73,6 +70,25 @@ def cap_passes(monkeypatch, cycles):
         return begin_cycle(self, key_schedule_ready, pending, min(limit, cycles))
 
     monkeypatch.setattr(Controller, "begin_cycle", capped)
+
+
+def before_each_pass(monkeypatch, hook):
+    """Call ``hook(ctrl, dp, ks)`` on each pass a core computes, with its
+    controller, datapath and key store, once the controller has decided
+    the pass and before the datapath reads a rank or the key store."""
+    core = {}
+    init, compute_cycle = Controller.__init__, RoundDatapath.compute_cycle
+
+    def recorded_init(self):
+        init(self)
+        core["ctrl"] = self
+
+    def hooked(self, **kwargs):
+        hook(core["ctrl"], self, kwargs["store"])
+        return compute_cycle(self, **kwargs)
+
+    monkeypatch.setattr(Controller, "__init__", recorded_init)
+    monkeypatch.setattr(RoundDatapath, "compute_cycle", hooked)
 
 
 def step_every_cycle(monkeypatch):

@@ -4,11 +4,11 @@ import os
 
 import pytest
 
+from cycle_protocol import before_each_pass
 from drablocus import aesref, datapath, metrics
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, STAGE_PHASE_OFFSET, Controller
 from drablocus.datapath import MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID
-from drablocus.keyschedule import KeyScheduler
 from drablocus.simulator import RUN_START_CYCLE, PipelineSimulator
 from drablocus.tables import MODE_DECRYPT, MODE_ENCRYPT, build_sbox_image, key_store_address
 
@@ -306,14 +306,11 @@ def test_simulate_key_store_fault_names_its_cycle(tmp_path, capsys, monkeypatch)
         def __setitem__(self, slot, value):
             super().__setitem__(slot, value or MAIN_ROUNDS)
 
-    original_compute = KeyScheduler.compute
+    def upset(ctrl, dp, ks):
+        if ctrl.fsm == RUN and type(ks.round_counters) is list:
+            ks.round_counters = ResetToLastMainRound(ks.round_counters)
 
-    def compute(self, datapath, controller_fsm, *args):
-        if controller_fsm == RUN and type(self.round_counters) is list:
-            self.round_counters = ResetToLastMainRound(self.round_counters)
-        return original_compute(self, datapath, controller_fsm, *args)
-
-    monkeypatch.setattr(KeyScheduler, "compute", compute)
+    before_each_pass(monkeypatch, upset)
     jobs = tmp_path / "jobs.txt"
     jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
     assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE

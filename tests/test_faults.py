@@ -20,7 +20,7 @@ import random
 import pytest
 
 from composed_datapath import ComposedDatapath
-from cycle_protocol import core_in_run, step_cycle, step_every_cycle
+from cycle_protocol import before_each_pass, core_in_run, step_cycle, step_every_cycle
 from drablocus import aesref
 from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import (
@@ -40,7 +40,7 @@ from drablocus.faults import (
     SimulationFault,
     TimingFault,
 )
-from drablocus.keyschedule import READY, KeyScheduler
+from drablocus.keyschedule import READY
 from drablocus.simulator import Job, PipelineSimulator
 from drablocus.tables import (
     MODE_DECRYPT,
@@ -263,21 +263,14 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when):
     controller has decided the cycle and before the key schedule or the
     datapath reads a rank."""
     step_every_cycle(monkeypatch)
-    original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
-    state = {"ctrl": None, "done": False}
+    done = []
 
-    def begin_cycle(self, *args):
-        state["ctrl"] = self
-        return original_begin(self, *args)
+    def upset_once(ctrl, dp, ks):
+        if not done and when(ctrl, dp):
+            done.append(ctrl.cycle)
+            upset(ctrl, dp)
 
-    def compute(self, datapath, controller_fsm, *lines):
-        if not state["done"] and when(state["ctrl"], datapath):
-            state["done"] = True
-            upset(state["ctrl"], datapath)
-        return original_compute(self, datapath, controller_fsm, *lines)
-
-    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
-    monkeypatch.setattr(KeyScheduler, "compute", compute)
+    before_each_pass(monkeypatch, upset_once)
     return PipelineSimulator().run(FIPS_KEY, jobs)
 
 
@@ -537,16 +530,14 @@ def assert_only_encrypt_outputs_differ(result, jobs):
 
 def test_flipped_encrypt_round_key_bit_completes_with_wrong_encrypt_outputs(monkeypatch):
     # The bit flips between passes, as the run opens.
-    original = KeyScheduler.compute
     flipped = []
 
-    def compute(self, datapath, controller_fsm, *args):
-        if controller_fsm == RUN and not flipped:
-            self.image[key_store_address(MODE_ENCRYPT, 5)] ^= 1 << 77
-            flipped.append(controller_fsm)
-        return original(self, datapath, controller_fsm, *args)
+    def flip(ctrl, dp, ks):
+        if ctrl.fsm == RUN and not flipped:
+            ks.image[key_store_address(MODE_ENCRYPT, 5)] ^= 1 << 77
+            flipped.append(ctrl.cycle)
 
-    monkeypatch.setattr(KeyScheduler, "compute", compute)
+    before_each_pass(monkeypatch, flip)
     jobs = mixed_jobs(24)
     assert_only_encrypt_outputs_differ(PipelineSimulator().run(FIPS_KEY, jobs), jobs)
 
@@ -591,6 +582,21 @@ def test_occupancy_wrap_into_an_arriving_word_raises_control_fault():
     with pytest.raises(ControlFault, match="^occupancy wrap collides with admission$") as err:
         ctrl.commit()
     assert err.value.cycle is None
+
+
+def test_occupancy_wrap_on_a_later_commit_carries_its_offset():
+    # The same check on a later commit of a pass: a job admitted three
+    # cycles in takes S0 on the pass's commit 5, the commit an occupancy
+    # bit slipped into stage 6 wraps there on. The fault carries the offset
+    # of that commit, from which a run names the cycle.
+    ctrl = Controller()
+    ctrl.fsm = RUN
+    ctrl.admissions = (3,)
+    ctrl.admit(0, MODE_ENCRYPT, 3)
+    ctrl.tags = TAG_VALID << TAG_BITS * 6
+    with pytest.raises(ControlFault, match="^occupancy wrap collides with admission$") as err:
+        ctrl.commit(8)
+    assert err.value.offset == 5 and err.value.cycle is None
 
 
 def test_wedged_pipeline_raises_timing_fault(monkeypatch):

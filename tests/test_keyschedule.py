@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from cycle_protocol import core_in_run, step_every_cycle
+from cycle_protocol import before_each_pass, core_in_run, step_every_cycle
 from drablocus import aesref
 from drablocus.datapath import MAIN_ROUNDS, TAG_BITS, TAG_FIELD, TAG_VALID, RoundDatapath, Word
 from drablocus.fabric import BramModel
@@ -133,11 +133,12 @@ def test_service_addresses_follow_the_store_layout(mode, round_index):
 
 def test_taps_quiet_once_ready():
     dp, ctrl, ks = initialize(FIPS_KEY)
-    assert ks.fsm == READY
+    assert ks.fsm == READY and ks.resume is None
     for _ in range(50):
-        ks.compute(dp, ctrl.fsm)
+        dp.compute_cycle(store=ks)
         assert ks.sub_bytes_inject == (0, 0)
         assert ks.mix_columns_inject == (0, 0)
+        dp.commit_cycle()
         ks.commit()
 
 
@@ -151,13 +152,7 @@ def test_flat_store_matches_bram_model(monkeypatch):
     # and writes every cycle, through reset, key_init, flush and run.
     store = BramModel(build_empty_key_store(), name="key_store")
     phases = []
-    compute, compute_cycle, commit = (
-        KeyScheduler.compute, RoundDatapath.compute_cycle, KeyScheduler.commit
-    )
-
-    def phase_compute(self, datapath, controller_fsm, *args):
-        phases.append(controller_fsm)
-        return compute(self, datapath, controller_fsm, *args)
+    compute_cycle, commit = RoundDatapath.compute_cycle, KeyScheduler.commit
 
     def mirrored_compute_cycle(self, **kwargs):
         completions = compute_cycle(self, **kwargs)
@@ -175,9 +170,9 @@ def test_flat_store_matches_bram_model(monkeypatch):
         assert (self.out_a, self.out_b) == (store.out_a, store.out_b), cycle
         assert self.image == store.image, cycle
 
-    monkeypatch.setattr(KeyScheduler, "compute", phase_compute)
     monkeypatch.setattr(RoundDatapath, "compute_cycle", mirrored_compute_cycle)
     monkeypatch.setattr(KeyScheduler, "commit", lockstep_commit)
+    before_each_pass(monkeypatch, lambda ctrl, dp, ks: phases.append(ctrl.fsm))
     rng = random.Random(0x5E1)
     jobs = [
         Job(i, rng.choice((MODE_ENCRYPT, MODE_DECRYPT)),

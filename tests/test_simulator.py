@@ -7,10 +7,11 @@ from collections import Counter
 
 import pytest
 
+from cycle_protocol import before_each_pass
 from drablocus import aesref
 from drablocus.controller import FLUSH, KEY_INIT, RESET, RUN
 from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, RoundDatapath
-from drablocus.keyschedule import KEY_INIT_CYCLES, KeyScheduler
+from drablocus.keyschedule import KEY_INIT_CYCLES
 from drablocus.simulator import (
     BATCH_PERIOD,
     CLOCK_MHZ,
@@ -271,16 +272,10 @@ def test_fresh_key_python_calls_per_cycle_stay_bounded(sim):
 
 
 def passes_by_phase(monkeypatch):
-    """Count a run's passes by the controller's phase, as the key store sees
-    it on each pass's one call."""
+    """Count a run's passes by the controller's phase on each pass's
+    datapath call."""
     passes = Counter()
-    original = KeyScheduler.compute
-
-    def counted(self, datapath, controller_fsm, *args):
-        passes[controller_fsm] += 1
-        return original(self, datapath, controller_fsm, *args)
-
-    monkeypatch.setattr(KeyScheduler, "compute", counted)
+    before_each_pass(monkeypatch, lambda ctrl, dp, ks: passes.update((ctrl.fsm,)))
     return passes
 
 

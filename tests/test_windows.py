@@ -28,8 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycle_protocol import cap_passes, core_in_run, new_core, step_cycle, step_every_cycle
-from drablocus.controller import BATCH_PERIOD, FLUSH, KEY_INIT, QUIET, RUN, Controller
+from cycle_protocol import (
+    before_each_pass, cap_passes, core_in_run, new_core, step_cycle, step_every_cycle,
+)
+from drablocus.controller import (
+    BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, QUIET, RUN, Controller,
+)
 from drablocus.datapath import (
     _SLOT_FIELD, BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
 )
@@ -64,12 +68,12 @@ def snapshot(dp, ctrl, ks):
 
 
 def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_image=None,
-                     upset=None):
+                     upset=None, cap=None):
     """The core's state after every commit of one run on ``sbox_image`` and
     ``mc_image``, by the cycle it leads into, and the cycles at which passes
-    of more than one cycle end. A ``stepped`` run takes passes of one cycle.
-    An ``upset``, ``(cycle, core)``, applies ``core(ks, dp)`` before the key
-    store computes ``cycle``, which must open a pass."""
+    of more than one cycle end. A ``stepped`` run takes passes of one cycle,
+    and passes are at most ``cap`` cycles long. An ``upset``, ``(cycle, core)``, applies ``core(ks, dp)`` before the
+    datapath computes ``cycle``, which must open a pass."""
     core, states, pass_ends = {}, {}, []
     for cls in (RoundDatapath, Controller):
         def init(self, *args, _original=cls.__init__, _cls=cls):
@@ -92,16 +96,15 @@ def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_
     monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
     monkeypatch.setattr(Controller, "commit", recorded_ctrl_commit)
     if upset is not None:
-        compute = KeyScheduler.compute
+        def upset_pass(ctrl, dp, ks):
+            if ctrl.cycle == upset[0]:
+                upset[1](ks, dp)
 
-        def upset_compute(self, datapath, *args):
-            if core[Controller].cycle == upset[0]:
-                upset[1](self, datapath)
-            return compute(self, datapath, *args)
-
-        monkeypatch.setattr(KeyScheduler, "compute", upset_compute)
+        before_each_pass(monkeypatch, upset_pass)
     if stepped:
         step_every_cycle(monkeypatch)
+    if cap is not None:
+        cap_passes(monkeypatch, cap)
     result = PipelineSimulator(sbox_image=sbox_image, mc_image=mc_image).run(key, jobs)
     monkeypatch.undo()
     return result, states, pass_ends
@@ -165,9 +168,9 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
     assert passed.summary.max_loop_occupancy == stepped.summary.max_loop_occupancy
 
 
-# The cycle after the key-initialization phase: one reset cycle, the
-# program's cycles and the one that reports the schedule ready.
-KEY_INIT_END = 1 + KEY_INIT_CYCLES + 1
+# The cycle after the key-initialization phase, which ends on the cycle
+# that reports the schedule ready.
+KEY_INIT_END = KEY_READY_CYCLE + 1
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -177,7 +180,10 @@ def test_key_init_pass_equals_stepped_cycles(key):
     # stepped run's: every datapath rank, the key store's image, outputs
     # and round counters, 46 program cycles and cleared injects. The same
     # holds on an S-box image corrupted where the first round's substitution
-    # reads it, whose key store differs from the healthy one.
+    # reads it, whose key store differs from the healthy one. Passes capped
+    # at 7 cycles split key initialization into seven, each planned up to
+    # the cap or the ready cycle, and every commit of them leaves the
+    # stepped run's state; capped at 60, it is one pass.
     jobs = mixed_jobs(1, seed=3)
     corrupt = build_sbox_image()
     corrupt[key[13]] ^= 0x01
@@ -188,9 +194,17 @@ def test_key_init_pass_equals_stepped_cycles(key):
             stepped, reference, _ = committed_states(
                 monkeypatch, key, jobs, stepped=True, sbox_image=sbox_image
             )
+            capped = {
+                cap: committed_states(monkeypatch, key, jobs, sbox_image=sbox_image, cap=cap)[1]
+                for cap in (7, 60)
+            }
         # One pass: no commit between the reset cycle's and its own.
         assert not any(1 < cycle < KEY_INIT_END for cycle in states)
         assert states[KEY_INIT_END] == reference[KEY_INIT_END]
+        for cap, commits in ((7, [1, 8, 15, 22, 29, 36, 43, KEY_INIT_END]), (60, [1, KEY_INIT_END])):
+            assert [cycle for cycle in capped[cap] if cycle <= KEY_INIT_END] == commits
+            for cycle in commits:
+                assert capped[cap][cycle] == reference[cycle], f"cap {cap}, cycle {cycle}"
         *_, fsm, init_cycles, sub_bytes_inject, mix_columns_inject, image = states[KEY_INIT_END]
         assert (fsm, init_cycles) == (READY, KEY_INIT_CYCLES) and KEY_INIT_CYCLES == 46
         assert sub_bytes_inject == mix_columns_inject == (0, 0)
@@ -288,21 +302,22 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
 
 
 def test_key_init_plan_holds_the_lines_of_its_cycles():
-    # From the first key-initialization cycle, the plan up to one batch
-    # period holds the lines that stepping its cycles one at a time takes
-    # while the schedule is not ready: no admission, no divert, and both
-    # key-add outputs in reset.
+    # From the first key-initialization cycle, the plan up to the cycle the
+    # schedule reports ready on holds the lines that stepping its cycles one
+    # at a time takes while the schedule is not ready: no admission, no
+    # divert, and both key-add outputs in reset.
     ctrl = Controller()
     ctrl.begin_cycle(False)
     ctrl.commit()
     planned = copy.deepcopy(ctrl)
     plan = planned.begin_cycle(False, 0, 10 * BATCH_PERIOD)
-    assert planned.fsm == KEY_INIT and len(plan) == BATCH_PERIOD - 1
-    admissions, taken, _ = step_each_cycle(ctrl, False, 0, BATCH_PERIOD, [MODE_ENCRYPT])
+    span = len(plan) + 1
+    assert planned.fsm == KEY_INIT and span == KEY_READY_CYCLE == 47
+    admissions, taken, _ = step_each_cycle(ctrl, False, 0, span, [MODE_ENCRYPT])
     first = (planned.divert, planned.initial_reset, planned.main_reset)
     assert admissions == [] and all(entry[0] is None for entry in plan)
     assert [first] + [tuple(entry[1:]) for entry in plan] == taken
-    assert taken == [(False, True, True)] * BATCH_PERIOD
+    assert taken == [(False, True, True)] * span
 
 
 def test_commit_over_a_span_matches_its_single_commits():
@@ -420,20 +435,19 @@ def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lin
                         cap=None):
     """Run ``jobs``, setting the named ``lines`` of ``cycle`` (the
     controller's own on the cycle it decides, or a plan's entry) or
-    applying ``core(ks, dp)`` before the key store computes ``cycle``,
+    applying ``core(ks, dp)`` before the datapath computes ``cycle``,
     which must then open a pass; passes are at most ``cap`` cycles long, and
     a ``stepped`` run takes passes of one cycle. Returns the fault the run
     raises and each pass's first cycle and planned length."""
-    passes, state = [], {}
+    passes = []
     if cap is not None:
         cap_passes(monkeypatch, cap)
     if stepped:
         step_every_cycle(monkeypatch)
-    original_begin, original_compute = Controller.begin_cycle, KeyScheduler.compute
+    original_begin = Controller.begin_cycle
 
     def begin_cycle(self, *args):
         plan = original_begin(self, *args)
-        state["ctrl"] = self
         passes.append((self.cycle, len(plan) + 1))
         offset = cycle - self.cycle
         for name, value in (lines or {}).items():
@@ -443,13 +457,12 @@ def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lin
                 plan[offset - 1][LINE_NAMES.index(name)] = value
         return plan
 
-    def compute(self, datapath, controller_fsm, *args):
-        if core is not None and state["ctrl"].cycle == cycle:
-            core(self, datapath)
-        return original_compute(self, datapath, controller_fsm, *args)
+    def upset_pass(ctrl, dp, ks):
+        if core is not None and ctrl.cycle == cycle:
+            core(ks, dp)
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
-    monkeypatch.setattr(KeyScheduler, "compute", compute)
+    before_each_pass(monkeypatch, upset_pass)
     try:
         with pytest.raises(Exception) as err:
             PipelineSimulator().run(FIPS_KEY, jobs, trace=trace)
@@ -603,8 +616,8 @@ def test_no_window_while_a_word_is_on_its_way_in():
         for lines in [cycles] if planned else [[lines] for lines in cycles]:
             admit, divert, initial_reset, main_reset = lines[0]
             dp.compute_cycle(
-                admit=admit, divert=divert, main_key=ks.out_a, final_key=ks.out_b,
-                initial_reset=initial_reset, main_reset=main_reset, plan=lines[1:], store=ks,
+                admit=admit, divert=divert, initial_reset=initial_reset, main_reset=main_reset,
+                plan=lines[1:], store=ks,
             )
             dp.commit_cycle()
             ks.commit()
@@ -650,6 +663,6 @@ def test_fault_on_a_key_init_pass_names_its_own_cycle(monkeypatch):
     assert str(passed).startswith("cycle 1: OR-mux driven by multiple nonzero sources")
     assert passed.cycle == stepped.cycle == 1
     # The planned run planned key initialization as one pass from cycle 1.
-    assert passes[1][0] == 1 and passes[1][1] > KEY_INIT_CYCLES + 1
+    assert passes[1] == (1, KEY_INIT_CYCLES + 1)
     assert trace.getvalue() == stepped_trace.getvalue()
     assert trace.getvalue().splitlines()[-1].startswith("cycle=0 ")
