@@ -31,28 +31,30 @@ Like the datapath's ranks, the twelve track chains are held as one int:
 chain s is the bit field 113s..113s+112, newest bit lowest, so a commit
 shifts all twelve with one shift and one mask.
 
-Each pass of a run has one shape. :meth:`Controller.begin_cycle` decides
-every control line of the pass's first cycle from registered state alone
-(the FSM, the cycle, the track rank and the occupancy register) and sets
-it as a plain attribute: the four reset lines, ``divert`` into the final
-key-add and ``admit_ready``. In run, given the count of pending jobs and
-a limit, it also plans the pass: the lines of every cycle after the
-first, up to one batch period. Those are a function of the same
+Each pass of a run has one shape. :meth:`Controller.begin_cycle` plans
+the pass from registered state alone (the FSM, the cycle, the track rank
+and the occupancy register): the lines of every cycle of the pass, the
+first included. In run, given the count of pending jobs and a limit, a
+pass lasts up to one batch period; its lines are a function of those
 registers, since a divert waits for a track chain's final bit and an
 admission for its slot's chain to empty, and the plan lists the cycles
-it admits on. Key initialization is planned the same way, as a pass of
-:data:`HOLD` lines that ends on :data:`KEY_READY_CYCLE`, the cycle the
-key schedule reports ready. :meth:`Controller.check_against` is the one
-reconciliation of the registers and the first cycle's lines with the
-datapath's tags, made once the datapath has computed the pass, and
-:meth:`Controller.commit` moves the registers over every cycle the pass covers; no other method
+it admits on. Key initialization is one pass of :data:`HOLD` lines that
+ends on :data:`KEY_READY_CYCLE`, the cycle the key schedule reports
+ready, and the reset and flush cycles are passes of one. The lines held
+over a pass, ``shift_rows_reset`` and ``final_reset``, and the admission
+handshake ``admit_ready`` are plain attributes.
+:meth:`Controller.check_against` is the one reconciliation of the
+registers and the first cycle's lines with the datapath's tags, made
+once the datapath has computed the pass, and :meth:`Controller.commit`
+moves the registers over every cycle the pass covers; no other method
 shifts them or moves the cycle.
 
-A plan is a list with one entry per cycle after the first, each
-``(admit, divert, initial_reset, main_reset)`` in the form the datapath
-takes the first cycle's lines. A cycle with no admission, divert or
-arriving word shares the one entry :data:`QUIET`; an event cycle has a
-list of its own, whose ``admit`` the run fills with the admitted job.
+A plan is a list with one entry per cycle of the pass, each ``(admit,
+divert, initial_reset, main_reset)``, the lines the datapath takes. A
+cycle with no admission, divert or arriving word shares the one entry
+:data:`QUIET`, and every cycle outside run shares :data:`HOLD`; an event
+cycle has a list of its own, whose ``admit`` the run fills with the
+admitted job.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -108,11 +110,10 @@ _VALID10 = TAG_VALID << 10 * TAG_BITS
 _SLOT_BITS = _SLOT_FIELD << 1
 _TRACK_FINAL = TRACK_CYCLES - 1
 
-# Track rank: per slot, its admission bit (bit 0 of its field), its whole
-# field and its final bit.
+# Track rank: per slot, its admission bit (bit 0 of its field) and its
+# whole field.
 _TRACK_ADMIT = tuple(1 << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
 _TRACK_FIELDS = tuple(((1 << TRACK_CYCLES) - 1) << TRACK_CYCLES * s for s in range(NUM_LOOP_STAGES))
-_TRACK_FINALS = tuple(bit << _TRACK_FINAL for bit in _TRACK_ADMIT)
 # Per count n of cycles a commit covers, up to a chain's length: the bits
 # of every chain that stay in it over n shifts. The others pass the final
 # bit, and a shift would carry them into the next chain.
@@ -137,9 +138,6 @@ _RANK_BITS = TAG_BITS * NUM_LOOP_STAGES
 # zeros: bin(tags | _RANK_MARK)[3::6] is the rank's valid bits and [8::6]
 # its mode bits, stage 11 first.
 _RANK_MARK = 1 << _RANK_BITS
-# Per cycle phase: the final bit of the chain whose block the phase math
-# puts at the shift-rows register (loop stage 2), the divert point.
-_DIVERT_FINALS = tuple(_TRACK_FINALS[expected[2]] for expected in _EXPECTED_SLOTS)
 # The divert reads the chain of slot (cycle - _DIVERT_PHASE) mod 12.
 _DIVERT_PHASE = STAGE_PHASE_OFFSET + 2
 # Per commit offset t mod 12 in a pass: the field of the rank after the
@@ -158,12 +156,10 @@ class Controller:
         self.track = 0
         # The occupancy and mode registers, in the datapath's tag layout.
         self.tags = 0
-        # Control lines for this cycle, set by begin_cycle.
-        self.initial_reset = True
-        self.main_reset = True
+        # The lines held over the pass and the admission handshake, set by
+        # begin_cycle.
         self.shift_rows_reset = True
         self.final_reset = True
-        self.divert = False
         self.admit_ready = False
         # Mirrors the two initial key-add ranks: the field each word en route
         # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
@@ -172,7 +168,7 @@ class Controller:
         # (offset, ``TAG_VALID | mode``) of each admission of the pass.
         self._admits = []
         # The pass's plan, its admission offsets and its planned diverts.
-        self.plan = ()
+        self.plan = [HOLD]
         self.admissions = ()
         self._diverts = ()
         # The cycle the flush ends on, set on the change into flush.
@@ -182,16 +178,16 @@ class Controller:
     # conditions at the top of each pass.
     def begin_cycle(
         self, key_schedule_ready: bool, pending: int = 0, limit: int = 1
-    ) -> Sequence[Sequence]:
-        """Decide this cycle's lines and, in run or key initialization with
-        ``limit`` above 1, plan the pass of up to ``limit`` cycles that
-        starts with it: in run at most one batch period, and in key
-        initialization up to :data:`KEY_READY_CYCLE`.
+    ) -> list[Sequence]:
+        """Decide the lines of the pass of up to ``limit`` cycles that
+        starts on this cycle: in run at most one batch period, in key
+        initialization up to :data:`KEY_READY_CYCLE`, and one cycle
+        otherwise.
 
-        Returns the plan, the lines of each cycle after this one (empty for
-        a pass of one cycle), and sets ``admissions``: the offsets of the
-        cycles the pass admits ``pending`` jobs on, in order. Key
-        initialization's lines hold: each planned cycle's are :data:`HOLD`.
+        Returns the plan, the lines of each cycle of the pass, and sets
+        ``admissions``: the offsets of the cycles the pass admits
+        ``pending`` jobs on, in order. Outside run each cycle's lines are
+        :data:`HOLD`.
         """
         fsm = self.fsm
         if fsm != RUN:
@@ -206,32 +202,23 @@ class Controller:
             self.fsm = fsm
             # The hold lines follow the FSM alone, which never leaves run.
             self.shift_rows_reset = self.final_reset = fsm == RESET or fsm == KEY_INIT
-        admitted = self._arriving0 != 0
-        self.initial_reset = not admitted
-        self.main_reset = admitted or fsm != RUN
-        if fsm != RUN:
-            self.divert = self.admit_ready = False
-            self.admissions = ()
-            if fsm == KEY_INIT and limit > 1:
-                return [HOLD] * (min(limit, KEY_READY_CYCLE + 1 - self.cycle) - 1)
-            return ()
-        phase = self.cycle % NUM_LOOP_STAGES
-        track = self.track
+            if fsm != RUN:
+                self.admit_ready = False
+                self.admissions = ()
+                span = min(limit, KEY_READY_CYCLE + 1 - self.cycle) if fsm == KEY_INIT else 1
+                self.plan = plan = [HOLD] * span
+                return plan
         stage9_busy = bool(self.tags & _VALID9)
-        if stage9_busy == (not track & _TRACK_FIELDS[phase]):
+        if stage9_busy == (not self.track & _TRACK_FIELDS[self.cycle % NUM_LOOP_STAGES]):
             # The two views are equivalent by the phase math; disagreement
             # means a tracking register slipped.
             raise ControlFault("stage-9 occupancy and slot tracking disagree")
         self.admit_ready = not stage9_busy
-        self.divert = bool(track & _DIVERT_FINALS[phase])
-        self.admissions = (0,) if pending and self.admit_ready else ()
-        if limit == 1:
-            return ()
         self._plan_pass(pending, limit)
         return self.plan
 
     def _plan_pass(self, pending: int, limit: int) -> None:
-        """Plan the cycles after this one from the track chains alone.
+        """Plan the pass from the track chains alone.
 
         A block diverts when its chain's bit reaches the final bit, and its
         slot's stage-9 field is free from the cycle its chain empties, so a
@@ -243,7 +230,7 @@ class Controller:
         """
         cycle = self.cycle
         phase = cycle % NUM_LOOP_STAGES
-        admissions = list(self.admissions)
+        admissions = [0] if pending and self.admit_ready else []
         span = min(limit, BATCH_PERIOD)
         # Every tracking bit, highest first: the last one seen in a chain
         # is its newest.
@@ -256,7 +243,7 @@ class Controller:
             slot, bit = divmod(top, TRACK_CYCLES)
             newest[slot] = bit
             offset = _TRACK_FINAL - bit
-            if offset and (cycle + offset - _DIVERT_PHASE - slot) % NUM_LOOP_STAGES == 0:
+            if (cycle + offset - _DIVERT_PHASE - slot) % NUM_LOOP_STAGES == 0:
                 diverts.append(offset)
         frees = []
         for slot, bit in enumerate(newest):
@@ -279,20 +266,21 @@ class Controller:
         # Each event cycle has an entry of its own. The run fills in an
         # admission's; the word arrives from the initial key-add the cycle
         # after, which lifts the initial key-add's reset and resets the main.
-        events = {}
+        events = {0: [None, False, False, True]} if self._arriving0 else {}
         for offset in admissions:
-            if offset:
-                events.setdefault(offset, list(QUIET))
+            events.setdefault(offset, list(QUIET))
             if offset + 1 < span:
                 events.setdefault(offset + 1, list(QUIET))[2:] = False, True
             diverts.append(offset + TRACK_CYCLES)
         diverts.sort()
-        self._diverts = diverts[:bisect_left(diverts, span)]
-        for offset in self._diverts:
+        diverts = diverts[:bisect_left(diverts, span)]
+        for offset in diverts:
             events.setdefault(offset, list(QUIET))[1] = True
-        self.plan = plan = [QUIET] * (span - 1)
+        # The first commit clears its divert's field itself.
+        self._diverts = diverts[1:] if diverts and not diverts[0] else diverts
+        self.plan = plan = [QUIET] * span
         for offset, entry in events.items():
-            plan[offset - 1] = entry
+            plan[offset] = entry
         self.admissions = admissions
 
     def admit(self, seq: int, mode: int, offset: int = 0) -> Word:
@@ -318,15 +306,16 @@ class Controller:
         phase = self.cycle % NUM_LOOP_STAGES
         dp_tags = datapath.tags
         tags = self.tags
+        _, divert, _, main_reset = self.plan[0]
         # Bit 0 of the field of each stage live on either side; times
         # TAG_FIELD, the whole fields.
         live = (dp_tags | tags) >> 5 & FIELD_LSBS
         if (dp_tags ^ tags ^ _EXPECTED_TAGS[phase]) & live * TAG_FIELD or (
-            self.divert and not dp_tags & _VALID2
+            divert and not dp_tags & _VALID2
         ):
             expected = _EXPECTED_SLOTS[phase]
             found = datapath.loop_tags
-            if self.divert and (found[2] is None or found[2].slot != expected[2]):
+            if divert and (found[2] is None or found[2].slot != expected[2]):
                 raise ControlFault(
                     f"track {expected[2]} expired without its block at the "
                     f"shift-rows register (found {found[2]})"
@@ -353,7 +342,7 @@ class Controller:
             raise ControlFault(f"mode register {modes:012b} disagrees with datapath tags")
         if (not self._arriving1) != (datapath.ia_out_tag is None):
             raise ControlFault("initial-stage tracking out of step")
-        if self.main_reset and dp_tags & _VALID10:
+        if main_reset and dp_tags & _VALID10:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
         return live
 
@@ -381,7 +370,7 @@ class Controller:
             if tags & TAG_VALID:
                 raise ControlFault("occupancy wrap collides with admission")
             tags = tags >> TAG_BITS << TAG_BITS | self._arriving1
-        if self.divert:
+        if self.plan[0][1]:
             tags &= _CLEAR_TAG3
         track = self.track
         if track:
@@ -416,7 +405,7 @@ class Controller:
         if cycles > 1:
             if diverts:
                 for offset in diverts:
-                    if self.plan[offset - 1][1]:
+                    if self.plan[offset][1]:
                         events.append((offset, 1, 0))
                 events.sort()
             # After commit t the rank is this one rotated t stages more, so

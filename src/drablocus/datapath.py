@@ -45,16 +45,16 @@ and register at a time; they are the unit-tested specification.
 (several registers of one rank as bit fields of one int) and steps them
 in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
-makes no per-primitive calls. The same code steps one cycle, or a pass of
-cycles in one frame over locals under each cycle's planned lines. Handed
-the key store, it takes every cycle's keys from it: in service it serves
-the store's three consumers on each cycle from the tag rank it holds, the
-one copy of the rank's movement, and before service it resumes the key
-schedule's program on each cycle, which gives the cycle's keys and
-injects. An untraced pass takes its quiet cycles position-major,
-each position's word in table-lookup rounds built from the model's images.
-A lockstep test replays a simulator run into both and compares every tap
-on every cycle.
+makes no per-primitive calls. The same code steps a pass of one cycle or
+of many, in one frame over locals, under the lines the controller's plan
+gives each cycle, the first included. It takes every cycle's keys from
+the key store: in service it serves the store's three consumers on each
+cycle from the tag rank it holds, the one copy of the rank's movement,
+and before service it resumes the key schedule's program on each cycle,
+which gives the cycle's keys and injects. An untraced pass takes its
+quiet cycles position-major, each position's word in table-lookup rounds
+built from the model's images. A lockstep test replays a simulator run
+into both and compares every tap on every cycle.
 """
 
 from __future__ import annotations
@@ -417,14 +417,13 @@ def _products(lanes, state) -> int:
 class RoundDatapath:
     """The loop plus initial/final key-add instances and tap points.
 
-    Per cycle, drive :meth:`compute_cycle` with this cycle's control lines
-    and the key store, then :meth:`commit_cycle`. Compute derives the next
-    value of every rank and tag (raising the S0 collision there); commit
-    only latches them. Between the two, :meth:`taps` and the tags show the
-    committed state, each tag naming the word whose data its rank holds.
-    Given the lines of further cycles and the key store that serves them,
-    compute derives the state after those too, and the words completed on
-    the way, and commit latches that.
+    Per pass, drive :meth:`compute_cycle` with the plan of its cycles'
+    control lines and the key store, then :meth:`commit_cycle`. Compute
+    derives the next value of every rank and tag (raising the S0 collision
+    there) after each cycle, and the words completed on the way; commit
+    only latches the last. Between the two, :meth:`taps` and the tags show
+    the state committed before the pass, each tag naming the word whose
+    data its rank holds.
 
     Every register rank is one int attribute; a rank built from several
     registers holds them as bit fields, first register most significant:
@@ -492,25 +491,16 @@ class RoundDatapath:
     def compute_cycle(
         self,
         *,
-        admit: tuple[int, int, Word] | None = None,
-        divert: bool = False,
-        main_key: int = 0,
-        final_key: int = 0,
-        initial_reset: bool = True,
-        main_reset: bool = False,
+        plan: Sequence[Sequence],
+        store,
         shift_rows_reset: bool = False,
         final_reset: bool = False,
-        ks_sub_bytes: tuple[int, int] = (0, 0),
-        ks_mix_columns: tuple[int, int] = (0, 0),
-        plan: Sequence[Sequence] = (),
-        store=None,
         taps: list | None = None,
     ) -> list[tuple[int, Word, int]]:
-        """Compute one cycle under these lines, and one more for each entry
-        of ``plan`` under its ``(admit, divert, initial_reset, main_reset)``
-        lines; the other lines hold over the pass. Each cycle but the last
-        is committed in locals, and the last one's next state awaits
-        :meth:`commit_cycle`.
+        """Compute a cycle for each entry of ``plan``, under its ``(admit,
+        divert, initial_reset, main_reset)`` lines; the other lines hold
+        over the pass. Each cycle but the last is committed in locals, and
+        the last one's next state awaits :meth:`commit_cycle`.
 
         The key ``store`` (a :class:`~drablocus.keyschedule.KeyScheduler`)
         gives every cycle's keys and injects. In service the first cycle's
@@ -522,9 +512,9 @@ class RoundDatapath:
         S8 counts its key at the cycle's commit. The reads are the next
         cycle's keys; the last cycle's addresses, reads and count await the
         store's commit. Before service ``store.resume(s1, s8)``, given each
-        cycle's committed S1 (as bytes) and S8, returns its keys and its
-        ``ks_sub_bytes`` and ``ks_mix_columns`` injects. Without a store the
-        keys and injects given hold over the pass.
+        cycle's committed S1 (as bytes) and S8, returns its main and final
+        keys and its substitution and product injects, ``(data, mode)``
+        each.
 
         An untraced pass in service with no inject computes each run of :data:`QUIET`
         cycles, from its second to two before an event or the end, in whole loop turns
@@ -542,12 +532,6 @@ class RoundDatapath:
         sbox = self._sbox
         lanes = self._lanes
         seqs = self.seqs
-        if admit is not None:
-            block, key, admitted = admit
-            ia_in_next = (block << 128) | key
-        else:
-            ia_in_next = 0
-            admitted = None
 
         # The committed state in locals: s0 and s1 as bytes, s2 as its 16
         # bytes (the row shift gives a tuple of them). Each cycle computes
@@ -569,7 +553,7 @@ class RoundDatapath:
         # cycle, the committed input rank's on the second, and each word
         # diverted in the pass two cycles after its divert, with the row
         # shift it left S2 with under that cycle's final key.
-        cycles = len(plan)
+        cycles = len(plan) - 1
         completions = [] if fa_out_tag is None else [(0, fa_out_tag, self.fa_out)]
         if cycles and fa_in_tag is not None:
             fa_in = self.fa_in
@@ -577,15 +561,14 @@ class RoundDatapath:
             completions.append((1, fa_in_tag, data))
         # The store serves from its image and round counters, or resumes its
         # program, which gives the first cycle's keys and injects too.
-        image = counters = resume = None
-        if store is not None:
-            resume = store.resume
-            if resume is None:
-                image, counters = store.image, store.round_counters
-                main_key, final_key = store.out_a, store.out_b
-                ks_sub_bytes, ks_mix_columns = store.sub_bytes_inject, store.mix_columns_inject
-            else:
-                main_key, final_key, ks_sub_bytes, ks_mix_columns = resume(s1, s8)
+        image = counters = None
+        resume = store.resume
+        if resume is None:
+            image, counters = store.image, store.round_counters
+            main_key, final_key = store.out_a, store.out_b
+            ks_sub_bytes, ks_mix_columns = store.sub_bytes_inject, store.mix_columns_inject
+        else:
+            main_key, final_key, ks_sub_bytes, ks_mix_columns = resume(s1, s8)
         ks_sb_data, ks_sb_mode = ks_sub_bytes
         ks_mc_data, ks_mc_mode = ks_mix_columns
         fusable = (image is not None and taps is None and not shift_rows_reset
@@ -593,7 +576,25 @@ class RoundDatapath:
         cycle, current, fuse_at = 0, None, -1
         try:
             while True:
-                if cycle == fuse_at and not (ia_in or ia_out or entering or ia_in_tag or fa_in_tag):
+                # The cycle's lines; a run of QUIET cycles decodes its first.
+                lines = plan[cycle]
+                if lines is not current:
+                    current = lines
+                    admit, divert, initial_reset, main_reset = lines
+                    if admit is not None:
+                        block, key, admitted = admit
+                        ia_in_next = (block << 128) | key
+                    else:
+                        ia_in_next = 0
+                        admitted = None
+                    if lines is QUIET and fusable:
+                        later = range(cycle + 1, cycles + 1)
+                        end = next((j for j in later if plan[j] is not QUIET), cycles + 1)
+                        fuse_q = (end - cycle - 3) // NUM_LOOP_STAGES
+                        fuse_at = cycle + 1 if fuse_q > 0 else -1
+                elif cycle == fuse_at and not (
+                    ia_in or ia_out or entering or ia_in_tag or fa_in_tag
+                ):
                     ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key]
                     if self._window(fuse_q, ranks, tags, image, counters):
                         s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key = ranks
@@ -718,25 +719,10 @@ class RoundDatapath:
                     if increment is not None:
                         counters[increment] += 1
                     main_key, final_key = read_a, read_b
-                elif resume is not None:
+                else:
                     (
                         main_key, final_key, (ks_sb_data, ks_sb_mode), (ks_mc_data, ks_mc_mode)
                     ) = resume(s1, s8)
-                lines = plan[cycle]
-                if lines is not current:
-                    current = lines
-                    admit, divert, initial_reset, main_reset = lines
-                    if admit is not None:
-                        block, key, admitted = admit
-                        ia_in_next = (block << 128) | key
-                    else:
-                        ia_in_next = 0
-                        admitted = None
-                    if lines is QUIET and fusable:
-                        later = range(cycle + 1, cycles)
-                        end = next((j for j in later if plan[j] is not QUIET), cycles)
-                        fuse_q = (end - cycle - 3) // NUM_LOOP_STAGES
-                        fuse_at = cycle + 2 if fuse_q > 0 else -1
                 cycle += 1
         except SimulationFault as fault:
             fault.offset = cycle

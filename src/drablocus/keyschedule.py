@@ -21,10 +21,11 @@ inversion phase streams nine keys through the product path back to
 back, reading each result 6 cycles after injection.
 
 The store takes part in every cycle of the datapath's pass loop
-(:meth:`~drablocus.datapath.RoundDatapath.compute_cycle`). Until the
-schedule is ready, the loop resumes the program once per cycle, the
-pass's first included, with the S1 and S8 values it holds, the ranks the
-program reads back, so they come from the datapath's own step. The reset
+(:meth:`~drablocus.datapath.RoundDatapath.compute_cycle`), which steps
+each cycle the controller's plan lists. Until the schedule is ready, the
+loop resumes the program once per cycle with the S1 and S8 values it
+holds, the ranks the program reads back, so they come from the
+datapath's own step. The reset
 cycle is the program's first step, on which both ports only read their
 addresses; key initialization is then one pass, which the controller
 plans to end on the cycle the program reports ready. In service the same

@@ -17,28 +17,30 @@ the fixed point delays the skip. ``RunSummary.skipped_cycles`` counts
 the cycles skipped; the other statistics count them as cycles.
 
 The run is a sequence of passes. Each pass makes one call to the
-datapath, which computes its cycles under their lines and takes every
-cycle's keys from the key store: it serves the store on each of them, or
-resumes the store's program once per cycle with the ranks the program
-reads back. In run, the controller plans a pass of up to one batch
-period from registered state and the count of pending jobs: the cycles
-it admits on, its diverts and its reset lines, which follow from the
-track chains alone. A pass ends at the cap, the budget or the last job's
-completion. Key initialization is one pass of held lines, which the
-controller plans to end on the cycle the key store reports ready. The
-reset cycle and the flush cycles stepped before the flush's fixed point
-are passes of one cycle. The run takes a queued job for each planned
-admission, checks the latency of every completion the datapath returns
-with its offset, and counts stalls and occupancy over every cycle; the
-controller checks itself against the datapath on each pass's first
-cycle. A fault raised inside a pass, a key read past the last main round
-among them, carries its offset, and the run names the cycle, and ends
-the trace on the cycle before it, as a run stepping every cycle would.
-Every pass commits the datapath, the controller and the key store once
-each, over all the cycles it covers (each resume of the key-store
-program commits the cycle before it), and writes its trace in one call
-from the taps the datapath records on each cycle. ``RunSummary`` counts
-the passes, the cycles after their first and the skipped cycles.
+datapath, which takes the controller's plan, the lines of every cycle of
+the pass, the first included, and takes every cycle's keys from the key
+store: it serves the store on each of them, or resumes the store's
+program once per cycle with the ranks the program reads back. In run,
+the controller plans a pass of up to one batch period from registered
+state and the count of pending jobs: the cycles it admits on, its
+diverts and its reset lines, which follow from the track chains alone.
+A pass ends at the cap, the budget or the last job's completion. Key
+initialization is one pass of held lines, which the controller plans to
+end on the cycle the key store reports ready. The reset cycle and the
+flush cycles stepped before the flush's fixed point are passes of one
+cycle. The run takes a queued job for each planned admission into the
+plan's entry for its cycle, checks the latency of every completion the
+datapath returns with its offset, and counts stalls and occupancy over
+every cycle; the controller checks itself against the datapath on each
+pass's first cycle. A fault raised inside a pass, a key read past the
+last main round among them, carries its offset, and the run names the
+cycle, and ends the trace on the cycle before it, as a run stepping
+every cycle would. Every pass commits the datapath, the controller and
+the key store once each, over all the cycles it covers (each resume of
+the key-store program commits the cycle before it), and writes its
+trace in one call from the taps the datapath records on each cycle.
+``RunSummary`` counts the passes, the cycles after their first and the
+skipped cycles.
 
 File formats (stable, line-delimited):
 
@@ -206,6 +208,9 @@ class PipelineSimulator:
         jobs: Sequence[Job],
         trace: IO[str] | None = None,
     ) -> RunResult:
+        # bytes() would take an int as a length and a str needs an encoding.
+        if isinstance(key, (int, str)):
+            raise TypeError(f"key must be bytes-like, got {type(key).__name__}")
         key = bytes(key)
         if len(key) != 16:
             raise JobError(f"key must be 16 bytes, got {len(key)}")
@@ -261,27 +266,21 @@ class PipelineSimulator:
                     fsm = ctrl.fsm
                     phase_starts.setdefault(fsm, cycle)
 
-                # The planned admissions take the jobs at the head of the
-                # queue; the first cycle's is a line of its own.
+                # The planned admissions take the jobs at the head of the queue.
                 admissions = ctrl.admissions
-                admit_arg = None
                 if admissions:
                     for offset in admissions:
                         job = pending.popleft()
                         admission_cycles[job.seq] = cycle + offset
-                        arg = (
+                        plan[offset][0] = (
                             int.from_bytes(job.block, "big"),
                             initial_keys[job.mode],
                             admit(job.seq, job.mode, offset),
                         )
-                        if offset:
-                            plan[offset - 1][0] = arg
-                        else:
-                            admit_arg = arg
                     if not pending:
                         run_end = min(budget, cycle + admissions[-1] + BLOCK_LATENCY + 1)
 
-                span = 1 + len(plan)
+                span = len(plan)
                 # Every cycle a job waits without being admitted stalls: each
                 # cycle before ``waited`` but the admissions.
                 waited = 0
@@ -290,14 +289,10 @@ class PipelineSimulator:
 
                 taps = None if trace is None else []
                 completions = dp_compute(
-                    admit=admit_arg,
-                    divert=ctrl.divert,
-                    initial_reset=ctrl.initial_reset,
-                    main_reset=ctrl.main_reset,
-                    shift_rows_reset=ctrl.shift_rows_reset,
-                    final_reset=ctrl.final_reset,
                     plan=plan,
                     store=ks,
+                    shift_rows_reset=ctrl.shift_rows_reset,
+                    final_reset=ctrl.final_reset,
                     taps=taps,
                 )
                 for offset, tag, data in completions:

@@ -26,10 +26,12 @@ class ComposedDatapath:
     """The loop composed from the unit classes, stepped unit by unit.
 
     Same stepping interface as :class:`RoundDatapath` (``compute_cycle``,
-    ``commit_cycle``, ``taps``, ``loop_tags``), with its own list-based tag
-    pipeline shifted at commit (where it raises the S0 collision), so the
-    flat step's next-state tags are checked against an independent
-    derivation; the lockstep test drives both with identical inputs.
+    ``commit_cycle``, ``taps``, ``loop_tags``) for passes of one cycle,
+    whose keys and injects a key store before service gives, with its own
+    list-based tag pipeline shifted at commit (where it raises the S0
+    collision), so the flat step's next-state tags are checked against an
+    independent derivation; the lockstep test drives both with identical
+    calls.
     """
 
     def __init__(self, sbox_image=None, mc_image=None):
@@ -60,17 +62,15 @@ class ComposedDatapath:
     def compute_cycle(
         self,
         *,
-        admit: tuple[int, int, Word] | None = None,
-        divert: bool = False,
-        main_key: int = 0,
-        final_key: int = 0,
-        initial_reset: bool = True,
-        main_reset: bool = False,
+        plan,
+        store,
         shift_rows_reset: bool = False,
         final_reset: bool = False,
-        ks_sub_bytes: tuple[int, int] = (0, 0),
-        ks_mix_columns: tuple[int, int] = (0, 0),
     ) -> None:
+        ((admit, divert, initial_reset, main_reset),) = plan
+        main_key, final_key, ks_sub_bytes, ks_mix_columns = store.resume(
+            self.sub_bytes.out.to_bytes(16, "big"), self.mix_columns.out
+        )
         recirc = self.main_ark.out
         arriving = self.initial_ark.out
         ks_sb_data, ks_sb_mode = ks_sub_bytes

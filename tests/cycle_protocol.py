@@ -2,11 +2,16 @@
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
 each pass of its loop, in its order, for a pass of one cycle: the
-controller's FSM step and control lines, admission, the datapath, which
-takes the cycle's keys from the key store, the controller's check, then
-the three commits. A planned pass gives the datapath the controller's
-plan with the key store, and the controller's one commit covers every
-cycle of the pass, before the key schedule commits.
+controller's FSM step and plan of the cycle's lines, admission into the
+plan, the datapath, which takes the plan and the cycle's keys from the
+key store, the controller's check, then the three commits. A planned
+pass gives the datapath a plan of many cycles, and the controller's one
+commit covers every cycle of the pass, before the key schedule commits.
+:func:`set_line` edits one line of a plan, which both the datapath and
+the controller's check read.
+
+:class:`ScriptedStore` stands in for the key store in a datapath driven
+without a key schedule: it gives each cycle scripted keys and injects.
 
 :func:`before_each_pass` hooks the datapath's call on each pass of a
 simulator run, the one point at which a test upsets or inspects the core
@@ -23,6 +28,34 @@ from drablocus.controller import RUN, Controller
 from drablocus.datapath import RoundDatapath
 from drablocus.keyschedule import READY, KeyScheduler
 
+# The keys and injects of a cycle that has none: main key, final key, and
+# the substitution and product injects as ``(data, mode)``.
+NO_KEYS = (0, 0, (0, 0), (0, 0))
+
+# The lines of a plan entry, in order.
+LINE_NAMES = ("admit", "divert", "initial_reset", "main_reset")
+
+
+class ScriptedStore:
+    """A key store before service, for a datapath driven without a key
+    schedule: ``resume(s1, s8)`` returns the next cycle's scripted
+    ``(main_key, final_key, sub_bytes_inject, mix_columns_inject)``, and
+    :data:`NO_KEYS` once the script has run out."""
+
+    def __init__(self, script=()):
+        self._script = iter(script)
+
+    def resume(self, s1, s8):
+        return next(self._script, NO_KEYS)
+
+
+def set_line(plan, offset, name, value):
+    """Set the ``name``d line of the plan's cycle at ``offset``, on a list
+    of its own: :data:`~drablocus.datapath.QUIET` and
+    :data:`~drablocus.controller.HOLD` entries are shared tuples."""
+    entry = plan[offset] = list(plan[offset])
+    entry[LINE_NAMES.index(name)] = value
+
 
 def new_core(key: int):
     """A datapath, controller and key schedule with ``key`` loaded."""
@@ -37,23 +70,19 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     runs once the controller has decided the cycle, before the datapath
     computes it and takes its keys from the key store.
     """
-    ctrl.begin_cycle(ks.fsm == READY)
+    plan = ctrl.begin_cycle(ks.fsm == READY, 0 if job is None else 1)
     admitted = None
-    admit_arg = None
-    if job is not None and ctrl.admit_ready:
+    if ctrl.admissions:
         seq, mode, block = job
         admitted = ctrl.admit(seq, mode)
-        admit_arg = (block, ks.initial_keys[mode], admitted)
+        plan[0][0] = (block, ks.initial_keys[mode], admitted)
     if mid_cycle is not None:
-        mid_cycle(ctrl.divert)
+        mid_cycle(plan[0][1])
     dp.compute_cycle(
-        admit=admit_arg,
-        divert=ctrl.divert,
-        initial_reset=ctrl.initial_reset,
-        main_reset=ctrl.main_reset,
+        plan=plan,
+        store=ks,
         shift_rows_reset=ctrl.shift_rows_reset,
         final_reset=ctrl.final_reset,
-        store=ks,
     )
     ctrl.check_against(dp)
     dp.commit_cycle()

@@ -277,9 +277,9 @@ def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
     def begin_cycle(self, *args):
         plan = original_begin(self, *args)
         if self.fsm == RUN and not upsets:
-            assert self.admissions == [0] and plan[0][3]
+            assert self.admissions == [0] and plan[1][3]
             upsets.append(self.cycle)
-            plan[0][3] = False
+            plan[1][3] = False
         return plan
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)

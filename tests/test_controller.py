@@ -112,7 +112,7 @@ def test_requirement5_reset_never_hits_valid_data():
     sent = 0
 
     def scrubs_only_stale_contents(divert):
-        if ctrl.main_reset:
+        if ctrl.plan[0][3]:
             assert dp.loop_tags[10] is None
 
     for _ in range(400):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cycle_protocol import NO_KEYS, ScriptedStore
 from drablocus import aesref
 from drablocus.datapath import (
     BLOCK_LATENCY,
@@ -234,12 +235,11 @@ class TestSingleRoundTraversal:
                 dp = RoundDatapath()
                 x, key = rand128(rng), rand128(rng)
                 tag = Word(seq=0, mode=mode, slot=0)
+                store = ScriptedStore([NO_KEYS] * 11 + [(key, 0, (0, 0), (0, 0))])
                 for cycle in range(15):
+                    admit = (x, 0, tag) if cycle == 0 else None
                     dp.compute_cycle(
-                        admit=(x, 0, tag) if cycle == 0 else None,
-                        initial_reset=cycle != 1,
-                        main_reset=cycle == 1,
-                        main_key=key if cycle == 11 else 0,
+                        plan=[(admit, False, cycle != 1, cycle == 1)], store=store
                     )
                     if cycle == 14:
                         value, out_tag = dp.s11, dp.loop_tags[11]
@@ -262,12 +262,10 @@ class TestSingleRoundTraversal:
         dp = RoundDatapath()
         tag = Word(seq=7, mode=MODE_ENCRYPT, slot=0)
         positions = {}
+        store = ScriptedStore()
         for cycle in range(16):
-            dp.compute_cycle(
-                admit=(0x123, 0, tag) if cycle == 0 else None,
-                initial_reset=cycle != 1,
-                main_reset=cycle == 1,
-            )
+            admit = (0x123, 0, tag) if cycle == 0 else None
+            dp.compute_cycle(plan=[(admit, False, cycle != 1, cycle == 1)], store=store)
             for k, t in enumerate(dp.loop_tags):
                 if t == tag:
                     positions[cycle] = k

@@ -20,11 +20,14 @@ import random
 import pytest
 
 from composed_datapath import ComposedDatapath
-from cycle_protocol import before_each_pass, core_in_run, step_cycle, step_every_cycle
+from cycle_protocol import (
+    NO_KEYS, ScriptedStore, before_each_pass, core_in_run, set_line, step_cycle, step_every_cycle,
+)
 from drablocus import aesref
 from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
+    QUIET,
     TAG_BITS,
     TAG_VALID,
     TRACK_CYCLES,
@@ -62,13 +65,16 @@ def mixed_jobs(n, seed=7):
     ]
 
 
-def drive_both(schedule, fault):
-    """Step both datapaths through ``schedule``; both must raise ``fault``, with one message."""
+def drive_both(lines, script, fault):
+    """Step both datapaths a cycle under each entry of ``lines``, with the
+    keys and injects of ``script``; both must raise ``fault``, with one
+    message."""
     messages = []
     for dp in (ComposedDatapath(), RoundDatapath()):
+        store = ScriptedStore(script)
         with pytest.raises(fault) as err:
-            for kwargs in schedule:
-                dp.compute_cycle(**kwargs)
+            for entry in lines:
+                dp.compute_cycle(plan=[entry], store=store)
                 dp.commit_cycle()
         messages.append(str(err.value))
     assert messages[0] == messages[1]
@@ -96,12 +102,9 @@ def test_substitution_mux_with_two_sources_raises_protocol_error():
     # The admitted block leaves the initial key-add on cycle 2, when the
     # key schedule also drives the substitution input.
     tag = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
-    schedule = [
-        {"admit": (0xAB, 0, tag)},
-        {"initial_reset": False},
-        {"ks_sub_bytes": (0xCD, MODE_ENCRYPT)},
-    ]
-    message = drive_both(schedule, ProtocolError)
+    lines = [((0xAB, 0, tag), False, True, False), (None, False, False, False), QUIET]
+    script = [NO_KEYS, NO_KEYS, (0, 0, (0xCD, MODE_ENCRYPT), (0, 0))]
+    message = drive_both(lines, script, ProtocolError)
     assert message == (
         "OR-mux driven by multiple nonzero sources: "
         "0x00000000000000000000000000000000, "
@@ -113,8 +116,8 @@ def test_substitution_mux_with_two_sources_raises_protocol_error():
 def test_product_mux_with_two_sources_raises_protocol_error():
     # Out of reset the shift-rows register holds the substitution of zero,
     # so an injected key on the product path collides with it.
-    schedule = [{}, {}, {}, {"ks_mix_columns": (0x1, MODE_DECRYPT)}]
-    message = drive_both(schedule, ProtocolError)
+    script = [NO_KEYS] * 3 + [(0, 0, (0, 0), (0x1, MODE_DECRYPT))]
+    message = drive_both([QUIET] * 4, script, ProtocolError)
     assert message == (
         "OR-mux driven by multiple nonzero sources: "
         f"{int.from_bytes(bytes([0x63] * 16), 'big'):#034x}, "
@@ -127,11 +130,11 @@ def test_word_arriving_at_s0_as_another_wraps_raises_collision_error():
     # second, admitted at cycle 12 with zero data and key, arrives then.
     first = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
     second = Word(seq=1, mode=MODE_ENCRYPT, slot=0)
-    schedule = []
+    lines = []
     for cycle in range(15):
         admit = {0: (0x1234, 0, first), 12: (0, 0, second)}.get(cycle)
-        schedule.append({"admit": admit, "initial_reset": cycle not in (1, 13)})
-    message = drive_both(schedule, CollisionError)
+        lines.append((admit, False, cycle not in (1, 13), False))
+    message = drive_both(lines, [], CollisionError)
     assert message == f"stage S0 claimed by arriving {second} and recirculating {first}"
 
 
@@ -234,7 +237,7 @@ def test_phantom_arrival_raises_control_fault(monkeypatch):
 
 def test_output_reset_on_a_live_block_raises_control_fault(monkeypatch):
     def upset(ctrl):
-        ctrl.main_reset = True
+        set_line(ctrl.plan, 0, "main_reset", True)
 
     with pytest.raises(ControlFault, match="output reset would scrub live block"):
         run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
@@ -247,10 +250,10 @@ def test_dropped_divert_raises_key_store_fault(monkeypatch):
     # main-loop key.
     def upset(ctrl):
         assert ctrl.cycle == 274
-        ctrl.divert = False
+        set_line(ctrl.plan, 0, "divert", False)
 
     with pytest.raises(KeyStoreFault) as err:
-        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=lambda ctrl: ctrl.divert)
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=lambda ctrl: ctrl.plan[0][1])
     assert str(err.value) == "cycle 279: slot 5 requested main-loop key for round 10"
     # The run names the cycle on the fault the key store raised, not on a copy.
     assert err.value.cycle == 279
@@ -366,7 +369,7 @@ def test_slot_field_upset_past_eleven_raises_control_fault(monkeypatch, stage, m
     # table has an entry for it, so the check names the fault.
     def when(ctrl, dp):
         word = dp.loop_tags[stage]
-        return word is not None and 4 <= word.slot < 8 and (stage != 2 or ctrl.divert)
+        return word is not None and 4 <= word.slot < 8 and (stage != 2 or ctrl.plan[0][1])
 
     def upset(ctrl, dp):
         dp.tags ^= 1 << 4 << TAG_BITS * stage
@@ -389,7 +392,8 @@ def reference_check(ctrl, dp):
 
     valid, dp_modes = bits(dp.tags, 5), bits(dp.tags, 0)
     occupancy, modes = bits(ctrl.tags, 5), bits(ctrl.tags, 0)
-    if ctrl.divert and (not valid & 1 << 2 or slots[2] != expected[2]):
+    _, divert, _, main_reset = ctrl.plan[0]
+    if divert and (not valid & 1 << 2 or slots[2] != expected[2]):
         found = Word(dp.seqs[slots[2]], fields[2] & 1, slots[2]) if valid & 1 << 2 else None
         return (
             f"track {expected[2]} expired without its block at the shift-rows register "
@@ -411,7 +415,7 @@ def reference_check(ctrl, dp):
         return f"mode register {modes:012b} disagrees with datapath tags"
     if (not ctrl._arriving1) != (dp.ia_out_tag is None):
         return "initial-stage tracking out of step"
-    if ctrl.main_reset and valid & 1 << 10:
+    if main_reset and valid & 1 << 10:
         return f"output reset would scrub live block {dp.loop_tags[10]}"
     return valid
 

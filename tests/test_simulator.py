@@ -9,7 +9,7 @@ import pytest
 
 from cycle_protocol import before_each_pass
 from drablocus import aesref
-from drablocus.controller import FLUSH, KEY_INIT, RESET, RUN
+from drablocus.controller import FLUSH, HOLD, KEY_INIT, RESET, RUN
 from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, RoundDatapath
 from drablocus.keyschedule import KEY_INIT_CYCLES
 from drablocus.simulator import (
@@ -116,6 +116,14 @@ def test_str_and_int_job_blocks_rejected(block):
     # raises its own TypeError; both are refused by name, as aesref does.
     with pytest.raises(TypeError, match=r"^job 3: block must be bytes-like, got (str|int)$"):
         Job(3, MODE_ENCRYPT, block)
+
+
+@pytest.mark.parametrize("key", ["0123456789abcdef", 16], ids=["str", "int"])
+def test_str_and_int_keys_rejected(sim, key):
+    # bytes(16) is sixteen zero bytes: an int key would otherwise run as
+    # the all-zero key.
+    with pytest.raises(TypeError, match=r"^key must be bytes-like, got (str|int)$"):
+        sim.run(key, [Job(0, MODE_ENCRYPT, FIPS_PT)])
 
 
 def test_bytes_like_job_blocks_run(sim):
@@ -271,11 +279,17 @@ def test_fresh_key_python_calls_per_cycle_stay_bounded(sim):
     )
 
 
-def passes_by_phase(monkeypatch):
+def passes_by_phase(monkeypatch, plans=None):
     """Count a run's passes by the controller's phase on each pass's
-    datapath call."""
+    datapath call, and append each pass's ``(phase, plan)`` to ``plans``."""
     passes = Counter()
-    before_each_pass(monkeypatch, lambda ctrl, dp, ks: passes.update((ctrl.fsm,)))
+
+    def record(ctrl, dp, ks):
+        passes[ctrl.fsm] += 1
+        if plans is not None:
+            plans.append((ctrl.fsm, ctrl.plan))
+
+    before_each_pass(monkeypatch, record)
     return passes
 
 
@@ -284,18 +298,20 @@ def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
     # steps the flush until the core is at a fixed point, skips the rest of
     # the flush, then runs: one call computes the pass the controller plans
     # from the admission to the completion. A call counts one stepped cycle
-    # and one window cycle per later cycle it is given.
+    # and one window cycle per later cycle it is given. Every pass before
+    # run holds its lines on each of its cycles.
     stepped = windowed = 0
     original = RoundDatapath.compute_cycle
 
     def counted(self, **kwargs):
         nonlocal stepped, windowed
         stepped += 1
-        windowed += len(kwargs["plan"])
+        windowed += len(kwargs["plan"]) - 1
         return original(self, **kwargs)
 
     monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)
-    passes = passes_by_phase(monkeypatch)
+    plans = []
+    passes = passes_by_phase(monkeypatch, plans)
     summary = sim.run(random.Random(0x6B01).randbytes(16), mixed_jobs(1, seed=107)).summary
     assert summary.total_cycles == 277
     assert summary.skipped_cycles >= 100
@@ -306,6 +322,10 @@ def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
     assert (passes[RESET], passes[KEY_INIT], passes[RUN]) == (1, 1, 1)
     assert passes[FLUSH] == summary.flush_cycles - summary.skipped_cycles
     assert sum(passes.values()) == stepped
+    held = [(fsm, plan) for fsm, plan in plans if fsm != RUN]
+    assert len(held) == sum(passes.values()) - passes[RUN]
+    assert all(plan == [HOLD] * len(plan) for _, plan in held)
+    assert [len(plan) for fsm, plan in held if fsm == KEY_INIT] == [KEY_INIT_CYCLES + 1]
 
 
 def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatch):

@@ -29,10 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycle_protocol import (
-    before_each_pass, cap_passes, core_in_run, new_core, step_cycle, step_every_cycle,
+    before_each_pass, cap_passes, core_in_run, new_core, set_line, step_cycle, step_every_cycle,
 )
 from drablocus.controller import (
-    BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, QUIET, RUN, Controller,
+    BATCH_PERIOD, FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, QUIET, RUN, Controller,
 )
 from drablocus.datapath import (
     _SLOT_FIELD, BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
@@ -227,8 +227,7 @@ def registers(ctrl):
 
 def lines(ctrl):
     return (
-        ctrl.fsm, ctrl.initial_reset, ctrl.main_reset, ctrl.shift_rows_reset,
-        ctrl.final_reset, ctrl.divert, ctrl.admit_ready,
+        ctrl.fsm, tuple(ctrl.plan[0]), ctrl.shift_rows_reset, ctrl.final_reset, ctrl.admit_ready,
     )
 
 
@@ -239,8 +238,8 @@ def step_each_cycle(ctrl, ready, pending, cycles, modes):
     cycle after the first."""
     admissions, taken, occupancy = [], [], []
     for offset in range(cycles):
-        ctrl.begin_cycle(ready, pending - len(admissions))
-        taken.append((ctrl.divert, ctrl.initial_reset, ctrl.main_reset))
+        plan = ctrl.begin_cycle(ready, pending - len(admissions))
+        taken.append(tuple(plan[0][1:]))
         if offset:
             occupancy.append(ctrl.occupancy.bit_count())
         if ctrl.admissions:
@@ -265,7 +264,8 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     # the lines, that stepping its cycles one at a time gives from the same
     # registers and pending count; it ends at the limit, at one batch period
     # or on the last pending job's completion, and one commit over it leaves
-    # the registers, and reports the peak occupancy, as stepping does.
+    # the registers, and reports the peak occupancy, as stepping does. A
+    # pass of one cycle from the same registers plans the first cycle's lines.
     rng = random.Random(seed)
     ctrl = Controller()
     ctrl.fsm = RUN
@@ -282,12 +282,13 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
 
     planned = copy.deepcopy(ctrl)
     plan = planned.begin_cycle(True, pending, limit)
-    span = len(plan) + 1
+    span = len(plan)
     admissions, taken, occupancy = step_each_cycle(copy.deepcopy(ctrl), True, pending, span, modes)
 
     assert list(planned.admissions) == admissions
-    first = (planned.divert, planned.initial_reset, planned.main_reset)
-    assert [first] + [tuple(entry[1:]) for entry in plan] == taken
+    assert [tuple(entry[1:]) for entry in plan] == taken
+    single = copy.deepcopy(ctrl).begin_cycle(True, pending, 1)
+    assert len(single) == 1 and tuple(single[0]) == tuple(plan[0])
     expected = min(limit, BATCH_PERIOD)
     if pending and len(admissions) == pending:
         expected = min(expected, admissions[-1] + BLOCK_LATENCY + 1)
@@ -311,13 +312,11 @@ def test_key_init_plan_holds_the_lines_of_its_cycles():
     ctrl.commit()
     planned = copy.deepcopy(ctrl)
     plan = planned.begin_cycle(False, 0, 10 * BATCH_PERIOD)
-    span = len(plan) + 1
-    assert planned.fsm == KEY_INIT and span == KEY_READY_CYCLE == 47
-    admissions, taken, _ = step_each_cycle(ctrl, False, 0, span, [MODE_ENCRYPT])
-    first = (planned.divert, planned.initial_reset, planned.main_reset)
-    assert admissions == [] and all(entry[0] is None for entry in plan)
-    assert [first] + [tuple(entry[1:]) for entry in plan] == taken
-    assert taken == [(False, True, True)] * span
+    assert planned.fsm == KEY_INIT and KEY_READY_CYCLE == 47
+    assert plan == [HOLD] * 47 and HOLD == (None, False, True, True)
+    admissions, taken, _ = step_each_cycle(ctrl, False, 0, len(plan), [MODE_ENCRYPT])
+    assert admissions == []
+    assert taken == [tuple(entry[1:]) for entry in plan]
 
 
 def test_commit_over_a_span_matches_its_single_commits():
@@ -341,7 +340,7 @@ def test_commit_over_a_span_matches_its_single_commits():
             spanned.commit(span)
         elif fsm == RUN:
             spanned = copy.deepcopy(ctrl)
-            span = len(spanned.begin_cycle(ready, len(jobs), 1000)) + 1
+            span = len(spanned.begin_cycle(ready, len(jobs), 1000))
             for index, offset in enumerate(spanned.admissions):
                 spanned.admit(index, modes[index % len(modes)], offset)
             spanned.commit(span)
@@ -428,14 +427,12 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
 # Faults inside a pass. Each upset is made on a cycle that opens a pass in
 # the planned runs, or on the lines a pass plans for a later cycle, and the
 # same upset is made on the same cycle of a run that steps every cycle.
-LINE_NAMES = ("admit", "divert", "initial_reset", "main_reset")
 
 
 def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lines=None, core=None,
                         cap=None):
-    """Run ``jobs``, setting the named ``lines`` of ``cycle`` (the
-    controller's own on the cycle it decides, or a plan's entry) or
-    applying ``core(ks, dp)`` before the datapath computes ``cycle``,
+    """Run ``jobs``, setting the named ``lines`` of ``cycle`` in the plan
+    of the pass that covers it, or applying ``core(ks, dp)`` before the datapath computes ``cycle``,
     which must then open a pass; passes are at most ``cap`` cycles long, and
     a ``stepped`` run takes passes of one cycle. Returns the fault the run
     raises and each pass's first cycle and planned length."""
@@ -448,13 +445,11 @@ def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lin
 
     def begin_cycle(self, *args):
         plan = original_begin(self, *args)
-        passes.append((self.cycle, len(plan) + 1))
+        passes.append((self.cycle, len(plan)))
         offset = cycle - self.cycle
         for name, value in (lines or {}).items():
-            if offset == 0:
-                setattr(self, name, value)
-            elif 0 < offset <= len(plan):
-                plan[offset - 1][LINE_NAMES.index(name)] = value
+            if 0 <= offset < len(plan):
+                set_line(plan, offset, name, value)
         return plan
 
     def upset_pass(ctrl, dp, ks):
@@ -613,17 +608,40 @@ def test_no_window_while_a_word_is_on_its_way_in():
         word = Word(seq=0, mode=MODE_DECRYPT, slot=ctrl.cycle % NUM_LOOP_STAGES)
         admission = (int.from_bytes(bytes(range(16)), "big"), ks.initial_keys[MODE_DECRYPT], word)
         cycles = [(admission, False, True, False)] + [QUIET] * 40
-        for lines in [cycles] if planned else [[lines] for lines in cycles]:
-            admit, divert, initial_reset, main_reset = lines[0]
-            dp.compute_cycle(
-                admit=admit, divert=divert, initial_reset=initial_reset, main_reset=main_reset,
-                plan=lines[1:], store=ks,
-            )
+        for plan in [cycles] if planned else [[lines] for lines in cycles]:
+            dp.compute_cycle(plan=plan, store=ks)
             dp.commit_cycle()
             ks.commit()
         assert dp.fused_cycles == 0 and dp.loop_tags.count(word) == 1
         states.append(snapshot(dp, ctrl, ks))
     assert states[0] == states[1]
+
+
+def test_window_starts_on_a_quiet_first_cycle(monkeypatch):
+    # A pass whose first cycle is quiet opens a quiet run, so its window
+    # starts on cycle 1. Capped at 51 cycles, the second run pass of a
+    # one-batch run holds no event: of its 51 QUIET cycles a window from
+    # cycle 1 fuses four loop turns, 48 cycles, ending three before the
+    # pass's end, where a window from cycle 2 would fit three. Every commit
+    # equals a stepped run's.
+    jobs = mixed_jobs(12, seed=12)
+    quiet_passes = []
+    compute_cycle = RoundDatapath.compute_cycle
+
+    def counted(self, **kwargs):
+        before = self.fused_cycles
+        completions = compute_cycle(self, **kwargs)
+        if all(lines is QUIET for lines in kwargs["plan"]):
+            quiet_passes.append((len(kwargs["plan"]), self.fused_cycles - before))
+        return completions
+
+    monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)
+    passed, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, cap=51)
+    stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True)
+    assert (51, 48) in quiet_passes
+    for cycle, state in states.items():
+        assert state == reference[cycle], f"cycle {cycle}"
+    assert passed.outputs == stepped.outputs
 
 
 def test_fused_windows_run_untraced_only():
