@@ -248,6 +248,8 @@ def _cmd_colocate(args) -> int:
 
 
 def _cmd_dump_tables(args) -> int:
+    # A bad key is a usage error before any file is written.
+    key = _parse_key(args) if args.key or os.environ.get(KEY_ENV_VAR) else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sbox.hex", "w") as stream:
@@ -255,8 +257,7 @@ def _cmd_dump_tables(args) -> int:
     with open(out_dir / "mixcolumns.hex", "w") as stream:
         dump_image_hex(build_mixcolumns_image(), 32, stream)
     written = ["sbox.hex", "mixcolumns.hex"]
-    if args.key or os.environ.get(KEY_ENV_VAR):
-        key = _parse_key(args)
+    if key is not None:
         result = PipelineSimulator().run(key, [Job(0, MODE_ENCRYPT, bytes(16))])
         with open(out_dir / "keystore.hex", "w") as stream:
             dump_image_hex(result.key_store, 128, stream)

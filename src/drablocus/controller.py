@@ -38,9 +38,10 @@ first included. In run, given the count of pending jobs and a limit, a
 pass lasts up to one batch period; its lines are a function of those
 registers, since a divert waits for a track chain's final bit and an
 admission for its slot's chain to empty, and the plan lists the cycles
-it admits on. Key initialization is one pass of :data:`HOLD` lines that
-ends on :data:`KEY_READY_CYCLE`, the cycle the key schedule reports
-ready, and the reset and flush cycles are passes of one. The lines held
+it admits on. Outside run a pass holds :data:`HOLD` lines up to the end
+of its phase: the reset cycle, key initialization up to
+:data:`KEY_READY_CYCLE` and the flush up to ``flush_end``, which the
+datapath ends at its fixed point. The lines held
 over a pass, ``shift_rows_reset`` and ``final_reset``, and the admission
 handshake ``admit_ready`` are plain attributes.
 :meth:`Controller.check_against` is the one reconciliation of the
@@ -75,7 +76,7 @@ from bisect import bisect_left
 from typing import Sequence
 
 from .datapath import (
-    _CLEAR_TAG3, _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, MAIN_ROUNDS,
+    _CLEAR_TAG3, _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, HOLD, MAIN_ROUNDS,
     NUM_LOOP_STAGES, QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
@@ -99,10 +100,6 @@ BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
 # The cycle the key schedule reports ready on, which ends key
 # initialization: one reset cycle, then the program's cycles.
 KEY_READY_CYCLE = 1 + KEY_INIT_CYCLES
-
-# The lines of every key-initialization cycle: both key-add outputs held
-# in reset, no admission and no divert.
-HOLD = (None, False, True, True)
 
 _VALID9 = TAG_VALID << 9 * TAG_BITS
 _VALID10 = TAG_VALID << 10 * TAG_BITS
@@ -180,9 +177,8 @@ class Controller:
         self, key_schedule_ready: bool, pending: int = 0, limit: int = 1
     ) -> list[Sequence]:
         """Decide the lines of the pass of up to ``limit`` cycles that
-        starts on this cycle: in run at most one batch period, in key
-        initialization up to :data:`KEY_READY_CYCLE`, and one cycle
-        otherwise.
+        starts on this cycle: in run at most one batch period, and outside
+        run up to the end of the phase.
 
         Returns the plan, the lines of each cycle of the pass, and sets
         ``admissions``: the offsets of the cycles the pass admits
@@ -205,8 +201,8 @@ class Controller:
             if fsm != RUN:
                 self.admit_ready = False
                 self.admissions = ()
-                span = min(limit, KEY_READY_CYCLE + 1 - self.cycle) if fsm == KEY_INIT else 1
-                self.plan = plan = [HOLD] * span
+                end = {RESET: 1, KEY_INIT: KEY_READY_CYCLE + 1, FLUSH: self.flush_end}[fsm]
+                self.plan = plan = [HOLD] * min(limit, end - self.cycle)
                 return plan
         stage9_busy = bool(self.tags & _VALID9)
         if stage9_busy == (not self.track & _TRACK_FIELDS[self.cycle % NUM_LOOP_STAGES]):
@@ -346,10 +342,12 @@ class Controller:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
         return live
 
-    def at_fixed_point(self) -> bool:
-        """Whether the commit changes no register but the cycle: no tracking
-        bit is set and no word is in the loop or on its way there."""
-        return not (self.track or self.tags or self._arriving0 or self._arriving1)
+    def at_fixed_point(self, offset: int = 0) -> bool:
+        """Whether the commit of the cycle ``offset`` commits into the pass
+        changes no register but the cycle: no tracking bit is left and no
+        word is in the loop or on its way there."""
+        track = self.track & _TRACK_KEEP[min(offset, TRACK_CYCLES)]
+        return not (track or self.tags or self._arriving0 or self._arriving1)
 
     def commit(self, cycles: int = 1) -> int:
         """Commit this cycle and the ``cycles - 1`` after it, with the

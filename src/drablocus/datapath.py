@@ -116,6 +116,9 @@ _ZERO_STATE = (0,) * 16
 
 # The lines of a planned cycle with no admission, divert or arriving word.
 QUIET = (None, False, True, False)
+# The lines of every cycle outside run: both key-add outputs held in reset,
+# no admission and no divert.
+HOLD = (None, False, True, True)
 
 
 def or_mux_tap(*operands: int) -> int:
@@ -472,7 +475,7 @@ class RoundDatapath:
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
         "tags", "seqs", "ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag",
-        "fused_cycles", "_sbox", "_lanes", "_fused", "_next",
+        "fused_cycles", "settled", "_sbox", "_lanes", "_fused", "_next",
     )
 
     def __init__(self, tables: DatapathTables | None = None):
@@ -480,6 +483,7 @@ class RoundDatapath:
         self._sbox = tables.sbox
         self._lanes, self._fused = tables.lanes, tables.fused
         self.fused_cycles = 0
+        self.settled = 0
         self.s0 = self.s1 = self.s2 = self.s3 = self.s4 = self.s5 = 0
         self.s6 = self.s7 = self.s8 = self.s9 = self.s10 = self.s11 = 0
         self.ia_in = self.ia_out = self.fa_in = self.fa_out = 0
@@ -521,6 +525,10 @@ class RoundDatapath:
         of fused rounds per position (:meth:`_window`), unless an edge rank but the final
         output holds a word, a tag field has bits but no valid bit, two live stages share
         a slot or a key read would pass round 9.
+
+        A pass of :data:`HOLD` lines in service ends on its first cycle that
+        changes no rank or port read and holds no tag; ``settled`` is then
+        the count of cycles computed, and 0 after a whole plan.
 
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the word the final key-add output
@@ -573,7 +581,13 @@ class RoundDatapath:
         ks_mc_data, ks_mc_mode = ks_mix_columns
         fusable = (image is not None and taps is None and not shift_rows_reset
                    and ks_sub_bytes == ks_mix_columns == (0, 0))
-        cycle, current, fuse_at = 0, None, -1
+        # A held pass compares each cycle's ranks and keys with the ones before.
+        held = image is not None and plan[0] is HOLD
+        if held:
+            fa_in, fa_out = self.fa_in, self.fa_out
+            state = (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
+                     ia_in, ia_out, fa_in, fa_out, main_key, final_key)
+        cycle, current, fuse_at, settled = 0, None, -1, 0
         try:
             while True:
                 # The cycle's lines; a run of QUIET cycles decodes its first.
@@ -712,6 +726,18 @@ class RoundDatapath:
                 entering = ia_in_tag
                 ia_in_tag = admitted
 
+                if held:
+                    # A cycle that changes no rank or key and holds no tag is a
+                    # fixed point: each cycle after it would repeat it. A held
+                    # cycle admits and diverts none, and with no tag left no
+                    # word counts a key.
+                    fa_out = 0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128)
+                    fa_in = int.from_bytes(bytes(s2_1), "big") << 128 | final_key
+                    before, state = state, (s0, s1, bytes(s2), s3, s4, s5, s6, s7, s8, s9, s10,
+                                            s11, ia_in, ia_out, fa_in, fa_out, read_a, read_b)
+                    if state == before and not tags and entering is None and fa_out_tag is None:
+                        cycles = cycle
+                        settled = cycle + 1
                 if cycle == cycles:
                     break
                 last_final_key = final_key
@@ -729,6 +755,7 @@ class RoundDatapath:
             fault.completions = completions
             raise
 
+        self.settled = settled
         if image is not None:
             store.addr_a, store.addr_b = addr_a, addr_b
             store.read_a, store.read_b, store.pending_increment = read_a, read_b, increment
@@ -824,16 +851,6 @@ class RoundDatapath:
             self.ia_in, self.ia_out, self.fa_in, self.fa_out,
             self.tags, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
         ) = self._next
-
-    def at_fixed_point(self) -> bool:
-        """Whether the computed next state equals the committed ranks with
-        every tag empty: the commit changes nothing, and a next cycle driven
-        by the same inputs computes this same state again."""
-        return self._next == (
-            self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
-            self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            0, None, None, None, None,
-        )
 
     def _word(self, tags: int, stage: int) -> Word | None:
         """The tag of the word in ``stage`` of a tag rank, or None."""

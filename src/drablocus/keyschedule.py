@@ -107,17 +107,6 @@ class KeyScheduler:
         # datapath's pass loop serves the store.
         self.resume = self._init_cycle
 
-    def at_fixed_point(self) -> bool:
-        """Whether the schedule is in service and the commit leaves the
-        store, its outputs and the round counters unchanged."""
-        return (
-            self.fsm == READY
-            and self.pending_write is None
-            and self.pending_increment is None
-            and self.read_a == self.out_a
-            and self.read_b == self.out_b
-        )
-
     def commit(self) -> None:
         self.out_a = self.read_a
         self.out_b = self.read_b

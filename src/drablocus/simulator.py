@@ -7,14 +7,15 @@ block completes exactly BLOCK_LATENCY cycles after admission; admission
 pressure shows up as stalls, never as in-flight delay.
 
 Most of the flush is a fixed point: the loop holds no word, the track
-chains are clear and the data ranks have settled. Once a flush cycle's
-computed next state equals its committed state, with no tag, tracking
-bit, key-store write or changing key-store output, every flush cycle left
-would repeat it exactly, so the cycle's controller commit covers them
-too, up to the cycle the flush ends on, and the run writes their status
-lines, all a trace shows of them. The test is exact: an upset that breaks
-the fixed point delays the skip. ``RunSummary.skipped_cycles`` counts
-the cycles skipped; the other statistics count them as cycles.
+chains are clear and the data ranks have settled. The datapath ends the
+flush's pass on its first cycle that changes no rank or key-store read
+and holds no tag (``RoundDatapath.settled``). If the controller's
+registers hold still on it too, every flush cycle left would repeat it
+exactly, so the pass's controller commit covers them, up to the cycle
+the flush ends on, and the trace repeats that cycle's tap record for
+each. The test is exact: an upset that breaks the fixed point delays the
+skip. ``RunSummary.skipped_cycles`` counts the cycles skipped; the other
+statistics count them as cycles.
 
 The run is a sequence of passes. Each pass makes one call to the
 datapath, which takes the controller's plan, the lines of every cycle of
@@ -24,23 +25,22 @@ program once per cycle with the ranks the program reads back. In run,
 the controller plans a pass of up to one batch period from registered
 state and the count of pending jobs: the cycles it admits on, its
 diverts and its reset lines, which follow from the track chains alone.
-A pass ends at the cap, the budget or the last job's completion. Key
-initialization is one pass of held lines, which the controller plans to
-end on the cycle the key store reports ready. The reset cycle and the
-flush cycles stepped before the flush's fixed point are passes of one
-cycle. The run takes a queued job for each planned admission into the
+A pass ends at the cap, the budget or the last job's completion. Each
+phase before run is one pass of held lines: the reset cycle, key
+initialization up to the cycle the key store reports ready, and the
+flush. The run takes a queued job for each planned admission into the
 plan's entry for its cycle, checks the latency of every completion the
 datapath returns with its offset, and counts stalls and occupancy over
 every cycle; the controller checks itself against the datapath on each
 pass's first cycle. A fault raised inside a pass, a key read past the
 last main round among them, carries its offset, and the run names the
 cycle, and ends the trace on the cycle before it, as a run stepping
-every cycle would. Every pass commits the datapath, the controller and
-the key store once each, over all the cycles it covers (each resume of
-the key-store program commits the cycle before it), and writes its
-trace in one call from the taps the datapath records on each cycle.
-``RunSummary`` counts the passes, the cycles after their first and the
-skipped cycles.
+every cycle would, once the controller has checked the first cycle.
+Every pass commits the datapath, the controller and the key store once
+each, over all the cycles it covers (each resume of the key-store
+program commits the cycle before it), and writes its trace in one call
+from the taps the datapath records on each cycle. ``RunSummary`` counts
+the passes, the cycles after their first and the skipped cycles.
 
 File formats (stable, line-delimited):
 
@@ -169,8 +169,8 @@ class RunResult:
 
 
 # Trace text. Every line of a cycle starts with its ``cycle=<n>`` text,
-# formatted once per cycle. A status line goes on as _status_text builds
-# it, inline in the pass renderer. A tap line goes on with its tap's
+# formatted once per cycle. A status line goes on with its fsm text, the
+# tag rank's valid bits and its stall text. A tap line goes on with its tap's
 # `` stage=<id> slot=<s> mode=<e|d> data=`` text, from the tap's table at
 # the low five bits, ``slot << 1 | mode``, of the word's tag field, then
 # the word's 16 bytes in hex.
@@ -186,13 +186,6 @@ _IA_TEXT, _SB_TEXT, _SR_TEXT, _MC_TEXT, _ARK_TEXT, _FIN_TEXT = (
 _LOOP_TAP_VALID = sum(TAG_VALID << TAG_BITS * k for k in (1, 2, 8, 11))
 _FSM_TEXT = {fsm: f" fsm={fsm} occ=" for fsm in (RESET, KEY_INIT, FLUSH, RUN)}
 _STALL_TEXT = (" stall=0\n", " stall=1\n")
-
-
-def _status_text(fsm: str, tags: int, stalled: bool) -> str:
-    """A status line after its ``cycle=<n>`` text:
-    `` fsm=<state> occ=<12 bits> stall=<0|1>`` and the newline, with the
-    occupancy read from the valid bits of the controller's tag rank."""
-    return _FSM_TEXT[fsm] + bin(tags | _RANK_MARK)[3::TAG_BITS] + _STALL_TEXT[stalled]
 
 
 class PipelineSimulator:
@@ -288,43 +281,43 @@ class PipelineSimulator:
                     waited = admissions[-1] + 1 if len(admissions) == waiting else span
 
                 taps = None if trace is None else []
-                completions = dp_compute(
-                    plan=plan,
-                    store=ks,
-                    shift_rows_reset=ctrl.shift_rows_reset,
-                    final_reset=ctrl.final_reset,
-                    taps=taps,
-                )
-                for offset, tag, data in completions:
-                    outputs[tag.seq] = data.to_bytes(16, "big")
-                    completion_cycles[tag.seq] = cycle + offset
-                    latency = cycle + offset - admission_cycles[tag.seq]
-                    if latency != BLOCK_LATENCY:
-                        fault = TimingFault(
-                            f"block {tag.seq} completed after {latency} cycles, "
-                            f"expected {BLOCK_LATENCY}"
-                        )
-                        fault.offset = offset
-                        fault.completions = completions
-                        raise fault
+                try:
+                    completions = dp_compute(plan=plan, store=ks, taps=taps,
+                                             shift_rows_reset=ctrl.shift_rows_reset,
+                                             final_reset=ctrl.final_reset)
+                    for offset, tag, data in completions:
+                        outputs[tag.seq] = data.to_bytes(16, "big")
+                        completion_cycles[tag.seq] = cycle + offset
+                        latency = cycle + offset - admission_cycles[tag.seq]
+                        if latency != BLOCK_LATENCY:
+                            fault = TimingFault(
+                                f"block {tag.seq} completed after {latency} cycles, "
+                                f"expected {BLOCK_LATENCY}"
+                            )
+                            fault.offset = offset
+                            fault.completions = completions
+                            raise fault
+                except SimulationFault as fault:
+                    # A stepped run checks the first cycle before a later one faults.
+                    if getattr(fault, "offset", 0):
+                        check_against(dp)
+                    raise
 
                 occupancy = check_against(dp).bit_count()
                 if occupancy > max_occupancy:
                     max_occupancy = occupancy
 
+                # A flush pass the datapath ended at its fixed point skips the
+                # rest of the flush if the controller's registers hold still too:
+                # each cycle left repeats the settled one. Only the cycle moves.
+                span = dp.settled or span
+                at_rest = dp.settled and ctrl.at_fixed_point(span - 1)
+                skipped = ctrl.flush_end - cycle - span if at_rest else 0
+
                 if taps is not None:
+                    taps += taps[-1:] * skipped
                     self._emit_trace(trace, cycle, taps, completions, fsm, waited, admissions)
 
-                # Decided on the computed next state, before it is latched.
-                quiescent = (
-                    fsm == FLUSH
-                    and dp.at_fixed_point()
-                    and ctrl.at_fixed_point()
-                    and ks.at_fixed_point()
-                )
-                # Each flush cycle left repeats a quiescent one: the same
-                # inputs and state, no tag to trace. Only the cycle moves.
-                skipped = ctrl.flush_end - ctrl.cycle - 1 if quiescent else 0
                 dp_commit()
                 occupancy = ctrl_commit(span + skipped)
                 if occupancy > max_occupancy:
@@ -334,10 +327,6 @@ class PipelineSimulator:
                 window_cycles += span - 1
                 stall_cycles += waited - len(admissions)
                 skipped_cycles += skipped
-                if skipped and trace is not None:
-                    status = _status_text(ctrl.fsm, ctrl.tags, False)
-                    end = ctrl.cycle
-                    trace.write("".join([f"cycle={c}{status}" for c in range(end - skipped, end)]))
         except SimulationFault as fault:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it, at the offset

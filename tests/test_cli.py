@@ -465,6 +465,14 @@ def test_dump_tables(tmp_path, capsys):
     assert (tmp_path / "keystore.hex").read_text().splitlines() == expected
 
 
+def test_dump_tables_with_a_bad_key_writes_nothing(tmp_path, capsys):
+    # The key is parsed before the output directory is made.
+    out_dir = tmp_path / "tables"
+    assert main(["dump-tables", "--out", str(out_dir), "--key", "zz"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: key must be hex, got 'zz'\n"
+    assert not out_dir.exists()
+
+
 def test_custom_catalog_file(tmp_path, capsys):
     catalog = tmp_path / "cat.txt"
     catalog.write_text(

@@ -12,7 +12,8 @@ passes the one-compare check as the ordered checks would. Upsets made
 during the flush show that the run fast-forwards the flush only from an
 exact fixed point. Data upsets, which no check covers, complete with
 wrong outputs. Each upset run takes passes of one cycle, so that a hook
-on a per-cycle method sees every cycle.
+on a per-cycle method sees every cycle; the flush upsets are made on
+planned passes too, one of which opens on the upset cycle.
 """
 
 import random
@@ -21,7 +22,8 @@ import pytest
 
 from composed_datapath import ComposedDatapath
 from cycle_protocol import (
-    NO_KEYS, ScriptedStore, before_each_pass, core_in_run, set_line, step_cycle, step_every_cycle,
+    NO_KEYS, ScriptedStore, before_each_pass, cap_passes, core_in_run, set_line, step_cycle,
+    step_every_cycle,
 )
 from drablocus import aesref
 from drablocus.controller import FLUSH, RUN, Controller
@@ -260,12 +262,14 @@ def test_dropped_divert_raises_key_store_fault(monkeypatch):
     assert err.value.__cause__ is None
 
 
-def run_with_rank_upset(monkeypatch, upset, jobs, when):
+def run_with_rank_upset(monkeypatch, upset, jobs, when, cap=1):
     """Run ``jobs`` and apply ``upset(controller, datapath)`` once, on the
-    first cycle for which ``when(controller, datapath)`` holds: after the
-    controller has decided the cycle and before the key schedule or the
-    datapath reads a rank."""
-    step_every_cycle(monkeypatch)
+    first pass opening on a cycle for which ``when(controller, datapath)``
+    holds: after the controller has decided the pass and before the key
+    schedule or the datapath reads a rank. Passes are at most ``cap``
+    cycles long, so one cycle each by default; None leaves them whole."""
+    if cap is not None:
+        cap_passes(monkeypatch, cap)
     done = []
 
     def upset_once(ctrl, dp, ks):
@@ -482,39 +486,50 @@ def test_track_bit_set_after_first_flush_commit_fires_in_run(monkeypatch):
 
 
 @pytest.mark.parametrize("bit, skipped", [(0, 0), (TRACK_CYCLES - 1, 103)])
-def test_track_bit_set_on_first_flush_cycle_is_flushed(monkeypatch, bit, skipped):
+def test_track_bit_set_on_first_flush_cycle_is_flushed(bit, skipped):
     # The flush's 113 commits shift any bit out of its chain. An admission
     # bit stays in the rank until the last flush commit, so no cycle is
     # skipped; the top bit leaves on the first commit and the skip is
-    # unchanged.
+    # unchanged. The bit is set after the flush's pass is planned, one cycle
+    # long or whole, so the datapath's fixed point comes first and the
+    # controller's registers delay the skip.
     expected = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13))
     assert expected.summary.skipped_cycles == 103
 
     def upset(ctrl, dp):
         ctrl.track ^= 1 << TRACK_CYCLES * 3 + bit
 
-    result = run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(0))
-    assert result.outputs == expected.outputs
-    assert result.summary.total_cycles == expected.summary.total_cycles
-    assert result.summary.skipped_cycles == skipped
+    for cap in (1, None):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            result = run_with_rank_upset(
+                monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(0), cap=cap
+            )
+        assert result.outputs == expected.outputs
+        assert result.summary.total_cycles == expected.summary.total_cycles
+        assert result.summary.skipped_cycles == skipped, cap
 
 
-def test_datapath_upset_in_flush_delays_the_skip(monkeypatch):
+def test_datapath_upset_in_flush_delays_the_skip():
     # Upset on the cycle the skip would start from, the cascade bit takes six
     # cycles to pass through s6..s10 into the main key-add output, which the
-    # flush holds in reset; the skip starts once it is gone.
+    # flush holds in reset; the skip starts once it is gone. Planned passes
+    # as long as the flush cycles before the upset open a pass on it, which
+    # the datapath ends six cycles later than it would without the upset.
     expected = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13))
     span = expected.summary.skipped_cycles
+    settling = TRACK_CYCLES - span - 1
 
     def upset(ctrl, dp):
         dp.s5 ^= 1
 
-    result = run_with_rank_upset(
-        monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(TRACK_CYCLES - span - 1)
-    )
-    assert result.outputs == expected.outputs
-    assert result.summary.total_cycles == expected.summary.total_cycles
-    assert result.summary.skipped_cycles == span - 6
+    for cap in (1, settling):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            result = run_with_rank_upset(
+                monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(settling), cap=cap
+            )
+        assert result.outputs == expected.outputs
+        assert result.summary.total_cycles == expected.summary.total_cycles
+        assert result.summary.skipped_cycles == span - 6, cap
 
 
 # Data upsets that no check covers: the model checks tags and control, not

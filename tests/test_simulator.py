@@ -10,7 +10,7 @@ import pytest
 from cycle_protocol import before_each_pass
 from drablocus import aesref
 from drablocus.controller import FLUSH, HOLD, KEY_INIT, RESET, RUN
-from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, RoundDatapath
+from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, RoundDatapath
 from drablocus.keyschedule import KEY_INIT_CYCLES
 from drablocus.simulator import (
     BATCH_PERIOD,
@@ -237,8 +237,10 @@ TRACED_CALLS_PER_CYCLE_BOUND = 0.8
 # the cycles and the flush skip most of the rest: 1.91 with 59 passes, 47
 # of them one key-initialization cycle each, and 1.08 since key
 # initialization is one pass, whose program the datapath resumes once per
-# cycle, when this bound was set at 1.2.
-FRESH_KEY_CALLS_PER_CYCLE_BOUND = 1.2
+# cycle, when this bound was set at 1.2; 0.68 with 4 passes, one per phase,
+# since the flush is one pass that the datapath ends at its fixed point,
+# when it was lowered to 0.9.
+FRESH_KEY_CALLS_PER_CYCLE_BOUND = 0.9
 
 
 def python_calls_per_cycle(sim, trace=None, key=FIPS_KEY, jobs=None):
@@ -294,38 +296,34 @@ def passes_by_phase(monkeypatch, plans=None):
 
 
 def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
-    # A one-job run takes one pass for reset and one for key initialization,
-    # steps the flush until the core is at a fixed point, skips the rest of
-    # the flush, then runs: one call computes the pass the controller plans
-    # from the admission to the completion. A call counts one stepped cycle
-    # and one window cycle per later cycle it is given. Every pass before
-    # run holds its lines on each of its cycles.
-    stepped = windowed = 0
+    # A one-job run takes one pass per phase: reset, key initialization, the
+    # flush and run. Each pass before run holds its lines up to the end of
+    # its phase. The datapath ends the flush's pass on its first cycle that
+    # changes nothing, and the run skips the rest of the flush. The run's
+    # pass is planned from the admission to the completion. The passes
+    # compute every cycle the run does not skip.
+    computed = 0
     original = RoundDatapath.compute_cycle
 
     def counted(self, **kwargs):
-        nonlocal stepped, windowed
-        stepped += 1
-        windowed += len(kwargs["plan"]) - 1
-        return original(self, **kwargs)
+        nonlocal computed
+        completions = original(self, **kwargs)
+        computed += self.settled or len(kwargs["plan"])
+        return completions
 
     monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)
     plans = []
     passes = passes_by_phase(monkeypatch, plans)
     summary = sim.run(random.Random(0x6B01).randbytes(16), mixed_jobs(1, seed=107)).summary
-    assert summary.total_cycles == 277
-    assert summary.skipped_cycles >= 100
-    assert stepped + windowed <= 177
-    assert (stepped, windowed) == (summary.stepped_cycles, summary.window_cycles)
-    assert windowed > KEY_INIT_CYCLES
-    assert stepped + windowed + summary.skipped_cycles == summary.total_cycles
-    assert (passes[RESET], passes[KEY_INIT], passes[RUN]) == (1, 1, 1)
-    assert passes[FLUSH] == summary.flush_cycles - summary.skipped_cycles
-    assert sum(passes.values()) == stepped
-    held = [(fsm, plan) for fsm, plan in plans if fsm != RUN]
-    assert len(held) == sum(passes.values()) - passes[RUN]
-    assert all(plan == [HOLD] * len(plan) for _, plan in held)
-    assert [len(plan) for fsm, plan in held if fsm == KEY_INIT] == [KEY_INIT_CYCLES + 1]
+    assert passes == {RESET: 1, KEY_INIT: 1, FLUSH: 1, RUN: 1}
+    assert [fsm for fsm, _ in plans] == [RESET, KEY_INIT, FLUSH, RUN]
+    assert [plan for _, plan in plans[:3]] == [
+        [HOLD], [HOLD] * (KEY_INIT_CYCLES + 1), [HOLD] * TRACK_CYCLES,
+    ]
+    assert (summary.total_cycles, summary.skipped_cycles, summary.stepped_cycles) == (277, 103, 4)
+    assert computed == summary.stepped_cycles + summary.window_cycles
+    assert computed + summary.skipped_cycles == summary.total_cycles
+    assert summary.flush_cycles == TRACK_CYCLES
 
 
 def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatch):

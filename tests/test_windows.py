@@ -9,10 +9,14 @@ stepped run takes passes of one cycle. The property tests compare the
 controller's plan of a pass with the lines its cycles take one at a
 time, and whole runs: untraced, traced and stepped, their traces byte
 for byte. Key initialization is one pass, whose end state must be the
-stepped run's for any key and S-box image. A fault of each class that
-can arise inside a pass is fired in each kind of run, and must name the
-same cycle with the same message; the traced runs' traces must end on
-the same line. An untraced pass computes its quiet cycles in fused
+stepped run's for any key and S-box image. So is the flush, which the
+datapath ends at its fixed point: under pass caps its commits must be
+the stepped run's, and an upset on the cycle it settles on must delay
+the skip and leave each commit from the first run cycle on as a run
+that skips nothing leaves it. A fault of each class
+that can arise inside a pass is fired in each kind of run, and must name
+the same cycle with the same message; the traced runs' traces must end
+on the same line. An untraced pass computes its quiet cycles in fused
 windows: the runs above compare them with the stepped run's cycles, on
 healthy and on flipped RAM images, and each case in which a window must
 step its cycles instead is made by an upset and compared with a run that
@@ -219,6 +223,62 @@ def test_key_init_pass_equals_stepped_cycles(key):
         step_every_cycle(monkeypatch)
         PipelineSimulator().run(key, jobs, trace=stepped_trace)
     assert trace.getvalue() == stepped_trace.getvalue()
+
+
+@pytest.mark.parametrize("cap", [1, 7, 60, None], ids=["1", "7", "60", "uncapped"])
+def test_flush_pass_equals_stepped_cycles(monkeypatch, cap):
+    # The flush is one pass of held lines, which the datapath ends on its
+    # first cycle that changes nothing, the tenth; the run skips the rest.
+    # Passes capped at 7 cycles split key initialization into seven and the
+    # flush into two, the second ending two cycles in. Every commit through
+    # the first run cycle leaves the stepped run's state, and the same
+    # cycles are skipped.
+    key, jobs = random.Random(0xF1).randbytes(16), mixed_jobs(1, seed=5)
+    stepped, reference, _ = committed_states(monkeypatch, key, jobs, stepped=True)
+    passed, states, _ = committed_states(monkeypatch, key, jobs, cap=cap)
+    commits = {
+        1: [*range(1, KEY_INIT_END + 10), RUN_START_CYCLE],
+        7: [1, 8, 15, 22, 29, 36, 43, KEY_INIT_END, KEY_INIT_END + 7, RUN_START_CYCLE],
+    }.get(cap, [1, KEY_INIT_END, RUN_START_CYCLE])
+    assert [cycle for cycle in states if cycle <= RUN_START_CYCLE] == commits
+    for cycle in commits:
+        assert states[cycle] == reference[cycle], f"cap {cap}, cycle {cycle}"
+    assert passed.summary.skipped_cycles == stepped.summary.skipped_cycles == TRACK_CYCLES - 10
+    assert passed.summary.total_cycles == stepped.summary.total_cycles
+
+
+def upset_final_output(ks, dp):
+    dp.fa_out ^= 1
+
+
+def upset_port_a_word(ks, dp):
+    # Port a reads word 0 while stage 7 is empty; no word in flight reads it.
+    ks.image[0] ^= 1
+
+
+@pytest.mark.parametrize(
+    "upset, delay", [(upset_final_output, 1), (upset_port_a_word, 3)], ids=["fa_out", "port_a"]
+)
+def test_flush_upset_on_the_settling_cycle_delays_the_skip(monkeypatch, upset, delay):
+    # Upset on the flush cycle the datapath would settle on: the final
+    # key-add output, which no other rank reads, changes back on that cycle,
+    # and the word port a reads changes the next cycle's main key, which S9
+    # and S10 take on the next two. The flush settles once nothing changes,
+    # in a pass opening on the upset cycle as in a stepped run, and every
+    # commit from the first run cycle on is that of a run that skips nothing.
+    jobs = mixed_jobs(1, seed=5)
+    clean = PipelineSimulator().run(FIPS_KEY, jobs).summary.skipped_cycles
+    at = (RUN_START_CYCLE - clean - 1, upset)
+    runs = [committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, cap=cap) for cap in (1, 9)]
+    monkeypatch.setattr(Controller, "at_fixed_point", lambda self, offset=0: False)
+    unskipped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, stepped=True)
+    assert unskipped.summary.skipped_cycles == 0
+    for result, states, _ in runs:
+        assert result.summary.skipped_cycles == clean - delay
+        assert result.outputs == unskipped.outputs
+        for cycle in states:
+            if cycle >= RUN_START_CYCLE:
+                assert states[cycle] == reference[cycle], f"cycle {cycle}"
 
 
 def registers(ctrl):
@@ -584,17 +644,30 @@ def shared_slot(ks, dp):
 
 def test_shared_slot_falls_back_as_a_traced_run_steps(monkeypatch):
     # Two live stages share a slot from a pass opening mid-batch: the fused
-    # window falls back, and the untraced run raises the key read past round
-    # 9 on the cycle the traced run, which plans the same passes, raises it.
-    # A stepped run checks the controller against the upset first.
+    # window falls back, and the untraced run's datapath raises the key read
+    # past round 9 on the cycle the traced run's, which plans the same
+    # passes, raises it. Each planned run then checks the controller against
+    # the upset on the pass's first cycle, as a stepped run does before any
+    # later cycle, and all three name that fault. The traced run's trace is
+    # a traced stepped run's, ending on the cycle before.
     jobs = mixed_jobs(36, seed=7)
     upset = {"core": shared_slot, "cap": 60}
+    trace, stepped_trace = io.StringIO(), io.StringIO()
     passed, _ = run_with_pass_upset(monkeypatch, jobs, 221, **upset)
-    traced, _ = run_with_pass_upset(monkeypatch, jobs, 221, trace=io.StringIO(), **upset)
-    stepped, _ = run_with_pass_upset(monkeypatch, jobs, 221, stepped=True, **upset)
-    assert type(passed) is type(traced) is KeyStoreFault
-    assert str(passed) == str(traced) and passed.cycle == traced.cycle > 221 + 2
-    assert type(stepped) is ControlFault and stepped.cycle == 221
+    traced, _ = run_with_pass_upset(monkeypatch, jobs, 221, trace=trace, **upset)
+    stepped, _ = run_with_pass_upset(
+        monkeypatch, jobs, 221, trace=stepped_trace, stepped=True, **upset
+    )
+    assert trace.getvalue() == stepped_trace.getvalue()
+    assert trace.getvalue().splitlines()[-1].startswith("cycle=220 ")
+    for fault in (passed, traced, stepped):
+        assert type(fault) is ControlFault and fault.cycle == 221
+        assert str(fault) == "cycle 221: stage 5 holds slot 8, phase math requires 9"
+    planned = passed.__context__, traced.__context__
+    assert type(planned[0]) is type(planned[1]) is KeyStoreFault
+    assert str(planned[0]) == str(planned[1]) == "slot 8 requested main-loop key for round 11"
+    assert planned[0].offset == planned[1].offset == 258 - 221
+    assert stepped.__context__ is None
 
 
 def test_no_window_while_a_word_is_on_its_way_in():
