@@ -31,24 +31,25 @@ Like the datapath's ranks, the twelve track chains are held as one int:
 chain s is the bit field 113s..113s+112, newest bit lowest, so a commit
 shifts all twelve with one shift and one mask.
 
-Each pass of a run has one shape. :meth:`Controller.begin_cycle` plans
-the pass from registered state alone (the FSM, the cycle, the track rank
-and the occupancy register): the lines of every cycle of the pass, the
-first included. In run, given the count of pending jobs and a limit, a
-pass lasts up to one batch period; its lines are a function of those
-registers, since a divert waits for a track chain's final bit and an
-admission for its slot's chain to empty, and the plan lists the cycles
-it admits on. Outside run a pass holds :data:`HOLD` lines up to the end
-of its phase: the reset cycle, key initialization up to
-:data:`KEY_READY_CYCLE` and the flush up to ``flush_end``, which the
-datapath ends at its fixed point. The lines held
-over a pass, ``shift_rows_reset`` and ``final_reset``, and the admission
-handshake ``admit_ready`` are plain attributes.
-:meth:`Controller.check_against` is the one reconciliation of the
-registers and the first cycle's lines with the datapath's tags, made
-once the datapath has computed the pass, and :meth:`Controller.commit`
-moves the registers over every cycle the pass covers; no other method
-shifts them or moves the cycle.
+Each pass of a run has one shape, and one controller call per duty.
+:meth:`Controller.begin_cycle` plans the pass from registered state alone
+(the FSM, the cycle, the track rank and the occupancy register): the
+lines of every cycle of the pass, the first included. In run, given the
+count of pending jobs and a limit, a pass lasts up to one batch period;
+its lines follow from those registers, since a divert waits for a track
+chain's final bit and an admission for its slot's chain to empty.
+Outside run a pass holds :data:`HOLD` lines up to the end of its phase:
+the reset cycle, key initialization up to :data:`KEY_READY_CYCLE` and
+the flush up to ``flush_end``, which the datapath ends at its fixed
+point; :meth:`Controller.rest_offset` names the offset the registers
+hold still from too. The lines held over a pass, ``shift_rows_reset``
+and ``final_reset``, and the admission handshake ``admit_ready`` are
+plain attributes. :meth:`Controller.admit` takes the pass's jobs in
+order onto the cycles the plan admits on. :meth:`Controller.check_against`
+reconciles the registers and the first cycle's lines with the datapath's
+tags once the datapath has computed the pass. :meth:`Controller.commit`
+moves the registers over every cycle the pass covers and returns their
+peak occupancy; no other method shifts them or moves the cycle.
 
 A plan is a list with one entry per cycle of the pass, each ``(admit,
 divert, initial_reset, main_reset)``, the lines the datapath takes. A
@@ -162,7 +163,7 @@ class Controller:
         # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
         self._arriving0 = 0
         self._arriving1 = 0
-        # (offset, ``TAG_VALID | mode``) of each admission of the pass.
+        # The words the pass admits, one per admission offset in order.
         self._admits = []
         # The pass's plan, its admission offsets and its planned diverts.
         self.plan = [HOLD]
@@ -279,26 +280,27 @@ class Controller:
             plan[offset] = entry
         self.admissions = admissions
 
-    def admit(self, seq: int, mode: int, offset: int = 0) -> Word:
-        """Admit a job on this cycle or, ``offset`` cycles on, on a cycle
-        the plan admits on."""
+    def admit(self, jobs: Sequence) -> list[Word]:
+        """Admit ``jobs``, each with a ``seq`` and a ``mode``, in order on
+        the cycles the plan admits on; returns their words."""
         if self.fsm != RUN:
             raise AdmissionError(f"admission while controller is in {self.fsm}")
-        if not (self.admit_ready if offset == 0 else offset in self.admissions):
+        if len(jobs) > len(self.admissions):
             raise AdmissionError("admission attempted on a stalled cycle")
-        self._admits.append((offset, TAG_VALID | mode & 1))
-        return Word(seq, mode, (self.cycle + offset) % NUM_LOOP_STAGES)
+        cycle = self.cycle
+        self._admits = words = []
+        for offset, job in zip(self.admissions, jobs):
+            words.append(Word(job.seq, job.mode, (cycle + offset) % NUM_LOOP_STAGES))
+        return words
 
     @property
     def occupancy(self) -> int:
         """The occupancy register: bit k set while loop stage k holds a word."""
         return int(bin(self.tags | _RANK_MARK)[3::TAG_BITS], 2)
 
-    def check_against(self, datapath: RoundDatapath) -> int:
-        """Reconcile the registers and this cycle's lines with the datapath's tags.
-
-        Returns the live stages, bit 6k for loop stage k.
-        """
+    def check_against(self, datapath: RoundDatapath) -> None:
+        """Reconcile the registers and this cycle's lines with the datapath's
+        tags, or raise :class:`ControlFault` naming the first disagreement."""
         phase = self.cycle % NUM_LOOP_STAGES
         dp_tags = datapath.tags
         tags = self.tags
@@ -340,14 +342,17 @@ class Controller:
             raise ControlFault("initial-stage tracking out of step")
         if main_reset and dp_tags & _VALID10:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
-        return live
 
-    def at_fixed_point(self, offset: int = 0) -> bool:
-        """Whether the commit of the cycle ``offset`` commits into the pass
-        changes no register but the cycle: no tracking bit is left and no
-        word is in the loop or on its way there."""
-        track = self.track & _TRACK_KEEP[min(offset, TRACK_CYCLES)]
-        return not (track or self.tags or self._arriving0 or self._arriving1)
+    def rest_offset(self, offset: int = 0) -> int | None:
+        """The first offset into the pass, from ``offset`` on, whose commit
+        changes no register but the cycle, once every tracking bit has left
+        its chain; None while a word is in the loop or on its way there."""
+        if self.tags or self._arriving0 or self._arriving1:
+            return None
+        track = self.track
+        while offset < TRACK_CYCLES and track & _TRACK_KEEP[offset]:
+            offset += 1
+        return offset
 
     def commit(self, cycles: int = 1) -> int:
         """Commit this cycle and the ``cycles - 1`` after it, with the
@@ -358,8 +363,10 @@ class Controller:
         entering its slot's chain at its offset. The occupancy and mode
         registers rotate as many stages, and on each commit an arriving
         word's field takes S0 and a divert clears S3. Returns the highest
-        occupancy the registers hold on the cycles after the first.
+        occupancy the registers hold on the cycles it covers, the first
+        included.
         """
+        peak = (self.tags >> 5 & FIELD_LSBS).bit_count()
         # The first commit, under this cycle's registers and lines: the
         # arriving word's field takes S0 and a divert clears S3.
         tags = self.tags << TAG_BITS
@@ -384,7 +391,8 @@ class Controller:
             events.append((1, 0, arriving1))
             arriving1 = 0
         if self._admits:
-            for offset, field in self._admits:
+            for offset, word in zip(self.admissions, self._admits):
+                field = TAG_VALID | word.mode & 1
                 age = cycles - 1 - offset
                 if age > 1:
                     events.append((offset + 2, 0, field))
@@ -393,13 +401,12 @@ class Controller:
                 else:
                     arriving0 = field
                 if age < TRACK_CYCLES:
-                    track |= _TRACK_ADMIT[(self.cycle + offset) % NUM_LOOP_STAGES] << age
+                    track |= _TRACK_ADMIT[word.slot] << age
             self._admits = []
         self.track = track
         diverts = self._diverts
         if diverts:
             self._diverts = ()
-        peak = 0
         if cycles > 1:
             if diverts:
                 for offset in diverts:
@@ -409,10 +416,9 @@ class Controller:
             # After commit t the rank is this one rotated t stages more, so
             # each event lands on the field that rotates into S0 or S3 by
             # then. Each state holds from the cycle after its last commit
-            # with events up to the next one; the peak is over those from
-            # the second cycle.
+            # with events up to the next one.
             last = 0
-            occupancy = peak = (tags >> 5 & FIELD_LSBS).bit_count()
+            occupancy = (tags >> 5 & FIELD_LSBS).bit_count()
             for offset, clear, field in events:
                 if offset != last:
                     if occupancy > peak:

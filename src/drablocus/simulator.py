@@ -9,12 +9,15 @@ pressure shows up as stalls, never as in-flight delay.
 Most of the flush is a fixed point: the loop holds no word, the track
 chains are clear and the data ranks have settled. The datapath ends the
 flush's pass on its first cycle that changes no rank or key-store read
-and holds no tag (``RoundDatapath.settled``). If the controller's
-registers hold still on it too, every flush cycle left would repeat it
-exactly, so the pass's controller commit covers them, up to the cycle
-the flush ends on, and the trace repeats that cycle's tap record for
-each. The test is exact: an upset that breaks the fixed point delays the
-skip. ``RunSummary.skipped_cycles`` counts the cycles skipped; the other
+and holds no tag (``RoundDatapath.settled``). Every flush cycle after it
+repeats it exactly once the controller's registers hold still too, from
+the offset ``Controller.rest_offset`` gives: at once in a clean run, or
+once the last tracking bit an upset left has passed its chain. The pass
+covers the settled cycle's repeats up to that offset, within its plan,
+and its controller commit covers the rest of the flush from there; the
+trace repeats the settled cycle's tap record for each. The test is
+exact: an upset that breaks the fixed point delays the skip.
+``RunSummary.skipped_cycles`` counts the cycles skipped; the other
 statistics count them as cycles.
 
 The run is a sequence of passes. Each pass makes one call to the
@@ -24,23 +27,25 @@ store: it serves the store on each of them, or resumes the store's
 program once per cycle with the ranks the program reads back. In run,
 the controller plans a pass of up to one batch period from registered
 state and the count of pending jobs: the cycles it admits on, its
-diverts and its reset lines, which follow from the track chains alone.
-A pass ends at the cap, the budget or the last job's completion. Each
+diverts and its reset lines, which follow from the track chains alone. A
+pass ends at the cap, the budget or the last job's completion. Each
 phase before run is one pass of held lines: the reset cycle, key
 initialization up to the cycle the key store reports ready, and the
-flush. The run takes a queued job for each planned admission into the
-plan's entry for its cycle, checks the latency of every completion the
-datapath returns with its offset, and counts stalls and occupancy over
-every cycle; the controller checks itself against the datapath on each
-pass's first cycle. A fault raised inside a pass, a key read past the
-last main round among them, carries its offset, and the run names the
-cycle, and ends the trace on the cycle before it, as a run stepping
-every cycle would, once the controller has checked the first cycle.
-Every pass commits the datapath, the controller and the key store once
-each, over all the cycles it covers (each resume of the key-store
-program commits the cycle before it), and writes its trace in one call
-from the taps the datapath records on each cycle. ``RunSummary`` counts
-the passes, the cycles after their first and the skipped cycles.
+flush. The run admits the next jobs, one for each planned admission, in
+one controller call and puts each into the plan's entry for its cycle,
+checks the latency of every completion the datapath returns with its
+offset, and counts stalls over every cycle; the controller checks itself
+against the datapath on each pass's first cycle, and its commit gives
+the peak occupancy over every cycle the pass covers. A fault raised
+inside a pass, a key read past the last main round among them, carries
+its offset, and the run names the cycle, and ends the trace on the cycle
+before it, as a run stepping every cycle would, once the controller has
+checked the first cycle. Every pass commits the datapath, the controller
+and the key store once each, over all the cycles it covers (each resume
+of the key-store program commits the cycle before it), and writes its
+trace in one call from the taps the datapath records on each cycle.
+``RunSummary`` counts the passes, the cycles after their first and the
+skipped cycles.
 
 File formats (stable, line-delimited):
 
@@ -56,7 +61,6 @@ File formats (stable, line-delimited):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -210,7 +214,7 @@ class PipelineSimulator:
         jobs = list(jobs)
         if not jobs:
             raise JobError("job list is empty")
-        seqs = sorted(job.seq for job in jobs)
+        seqs = sorted([job.seq for job in jobs])
         if seqs != list(range(len(jobs))):
             raise JobError("job sequence ids must be unique and dense from 0")
 
@@ -218,7 +222,8 @@ class PipelineSimulator:
         ctrl = Controller()
         ks = KeyScheduler(int.from_bytes(key, "big"))
 
-        pending = deque(jobs)
+        # Jobs are admitted in order: those before ``taken`` are admitted.
+        taken = 0
         outputs: dict[int, bytes] = {}
         summary = RunSummary()
         admission_cycles = summary.admission_cycles
@@ -226,23 +231,10 @@ class PipelineSimulator:
         budget = cycle_budget(len(jobs))
         # The cycle after the last completion, once the last job is admitted.
         run_end = budget
-        phase_starts: dict[str, int] = {}
         max_occupancy = 0
         stall_cycles = 0
         stepped_cycles = 0
-        window_cycles = 0
         skipped_cycles = 0
-
-        # The per-pass methods, looked up once per run.
-        begin_cycle = ctrl.begin_cycle
-        admit = ctrl.admit
-        check_against = ctrl.check_against
-        ctrl_commit = ctrl.commit
-        ks_commit = ks.commit
-        dp_compute = dp.compute_cycle
-        dp_commit = dp.commit_cycle
-        initial_keys = ks.initial_keys
-        fsm = None
 
         try:
             while len(outputs) < len(jobs):
@@ -252,25 +244,22 @@ class PipelineSimulator:
                         f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
                     )
                 # Each pass is planned up to the budget and the last completion.
-                waiting = len(pending)
+                waiting = len(jobs) - taken
                 limit = (run_end if run_end > cycle else budget) - cycle
-                plan = begin_cycle(ks.fsm == KEY_SCHEDULE_READY, waiting, limit)
-                if ctrl.fsm != fsm:
-                    fsm = ctrl.fsm
-                    phase_starts.setdefault(fsm, cycle)
+                plan = ctrl.begin_cycle(ks.fsm == KEY_SCHEDULE_READY, waiting, limit)
+                fsm = ctrl.fsm
 
-                # The planned admissions take the jobs at the head of the queue.
+                # The planned admissions take the next jobs in order.
                 admissions = ctrl.admissions
                 if admissions:
-                    for offset in admissions:
-                        job = pending.popleft()
+                    admitted = jobs[taken:taken + len(admissions)]
+                    taken += len(admissions)
+                    for offset, job, word in zip(admissions, admitted, ctrl.admit(admitted)):
                         admission_cycles[job.seq] = cycle + offset
                         plan[offset][0] = (
-                            int.from_bytes(job.block, "big"),
-                            initial_keys[job.mode],
-                            admit(job.seq, job.mode, offset),
+                            int.from_bytes(job.block, "big"), ks.initial_keys[job.mode], word,
                         )
-                    if not pending:
+                    if taken == len(jobs):
                         run_end = min(budget, cycle + admissions[-1] + BLOCK_LATENCY + 1)
 
                 span = len(plan)
@@ -282,9 +271,9 @@ class PipelineSimulator:
 
                 taps = None if trace is None else []
                 try:
-                    completions = dp_compute(plan=plan, store=ks, taps=taps,
-                                             shift_rows_reset=ctrl.shift_rows_reset,
-                                             final_reset=ctrl.final_reset)
+                    completions = dp.compute_cycle(plan=plan, store=ks, taps=taps,
+                                                shift_rows_reset=ctrl.shift_rows_reset,
+                                                final_reset=ctrl.final_reset)
                     for offset, tag, data in completions:
                         outputs[tag.seq] = data.to_bytes(16, "big")
                         completion_cycles[tag.seq] = cycle + offset
@@ -300,31 +289,34 @@ class PipelineSimulator:
                 except SimulationFault as fault:
                     # A stepped run checks the first cycle before a later one faults.
                     if getattr(fault, "offset", 0):
-                        check_against(dp)
+                        ctrl.check_against(dp)
                     raise
 
-                occupancy = check_against(dp).bit_count()
-                if occupancy > max_occupancy:
-                    max_occupancy = occupancy
+                ctrl.check_against(dp)
 
-                # A flush pass the datapath ended at its fixed point skips the
-                # rest of the flush if the controller's registers hold still too:
-                # each cycle left repeats the settled one. Only the cycle moves.
-                span = dp.settled or span
-                at_rest = dp.settled and ctrl.at_fixed_point(span - 1)
-                skipped = ctrl.flush_end - cycle - span if at_rest else 0
+                # A flush pass the datapath ended at its fixed point covers the
+                # settled cycle's repeats up to the controller's rest offset, within
+                # the plan, and skips the rest of the flush from there.
+                skipped = 0
+                settled = dp.settled
+                if settled:
+                    rest = ctrl.rest_offset(settled - 1)
+                    if rest is None:
+                        span = settled
+                    elif rest < span:
+                        span = rest + 1
+                        skipped = ctrl.flush_end - cycle - span
 
                 if taps is not None:
-                    taps += taps[-1:] * skipped
+                    taps += taps[-1:] * (span + skipped - len(taps))
                     self._emit_trace(trace, cycle, taps, completions, fsm, waited, admissions)
 
-                dp_commit()
-                occupancy = ctrl_commit(span + skipped)
+                dp.commit_cycle()
+                occupancy = ctrl.commit(span + skipped)
                 if occupancy > max_occupancy:
                     max_occupancy = occupancy
-                ks_commit()
+                ks.commit()
                 stepped_cycles += 1
-                window_cycles += span - 1
                 stall_cycles += waited - len(admissions)
                 skipped_cycles += skipped
         except SimulationFault as fault:
@@ -344,13 +336,13 @@ class PipelineSimulator:
         summary.blocks_completed = len(outputs)
         summary.stall_cycles = stall_cycles
         summary.stepped_cycles = stepped_cycles
-        summary.window_cycles = window_cycles
+        summary.window_cycles = ctrl.cycle - stepped_cycles - skipped_cycles
         summary.skipped_cycles = skipped_cycles
         summary.fused_cycles = dp.fused_cycles
         summary.max_loop_occupancy = max_occupancy
         summary.key_init_cycles = ks.init_cycles
-        summary.run_start_cycle = phase_starts.get(RUN, 0)
-        summary.flush_cycles = summary.run_start_cycle - phase_starts.get(FLUSH, 0)
+        summary.run_start_cycle = ctrl.flush_end
+        summary.flush_cycles = TRACK_CYCLES
         return RunResult(outputs=outputs, summary=summary, key_store=tuple(ks.image))
 
     @staticmethod

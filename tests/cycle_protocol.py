@@ -27,6 +27,7 @@ pass can open in the middle of a batch.
 from drablocus.controller import RUN, Controller
 from drablocus.datapath import RoundDatapath
 from drablocus.keyschedule import READY, KeyScheduler
+from drablocus.simulator import Job
 
 # The keys and injects of a cycle that has none: main key, final key, and
 # the substitution and product injects as ``(data, mode)``.
@@ -74,7 +75,7 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     admitted = None
     if ctrl.admissions:
         seq, mode, block = job
-        admitted = ctrl.admit(seq, mode)
+        admitted, = ctrl.admit([Job(seq, mode, block.to_bytes(16, "big"))])
         plan[0][0] = (block, ks.initial_keys[mode], admitted)
     if mid_cycle is not None:
         mid_cycle(plan[0][1])

@@ -46,7 +46,7 @@ def test_admission_rejected_outside_run():
     # Outside a run no cycle is named: only PipelineSimulator.run sets it.
     ctrl = Controller()
     with pytest.raises(AdmissionError, match="^admission while controller is in reset$") as err:
-        ctrl.admit(0, MODE_ENCRYPT)
+        ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))])
     assert err.value.cycle is None
 
 
@@ -141,17 +141,17 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
     occupancies = []
     admit, check_against, commit = Controller.admit, Controller.check_against, Controller.commit
 
-    def admit_into_chain(self, seq, mode, *offset):
-        tag = admit(self, seq, mode, *offset)
-        chains[tag.slot].present(1)
-        return tag
+    def admit_into_chain(self, jobs):
+        words = admit(self, jobs)
+        for word in words:
+            chains[word.slot].present(1)
+        return words
 
     def counted_check(self, datapath):
-        occ = check_against(self, datapath)
+        check_against(self, datapath)
         live = NUM_LOOP_STAGES - datapath.loop_tags.count(None)
-        assert occ.bit_count() == live, f"cycle {self.cycle}"
+        assert self.occupancy.bit_count() == live, f"cycle {self.cycle}"
         occupancies.append(live)
-        return occ
 
     def lockstep_commit(self, cycles=1):
         peak = commit(self, cycles)

@@ -16,6 +16,7 @@ on a per-cycle method sees every cycle; the flush upsets are made on
 planned passes too, one of which opens on the upset cycle.
 """
 
+import io
 import random
 
 import pytest
@@ -262,12 +263,13 @@ def test_dropped_divert_raises_key_store_fault(monkeypatch):
     assert err.value.__cause__ is None
 
 
-def run_with_rank_upset(monkeypatch, upset, jobs, when, cap=1):
+def run_with_rank_upset(monkeypatch, upset, jobs, when, cap=1, trace=None):
     """Run ``jobs`` and apply ``upset(controller, datapath)`` once, on the
     first pass opening on a cycle for which ``when(controller, datapath)``
     holds: after the controller has decided the pass and before the key
     schedule or the datapath reads a rank. Passes are at most ``cap``
-    cycles long, so one cycle each by default; None leaves them whole."""
+    cycles long, so one cycle each by default; None leaves them whole. A
+    ``trace`` stream gets the run's trace."""
     if cap is not None:
         cap_passes(monkeypatch, cap)
     done = []
@@ -278,7 +280,7 @@ def run_with_rank_upset(monkeypatch, upset, jobs, when, cap=1):
             upset(ctrl, dp)
 
     before_each_pass(monkeypatch, upset_once)
-    return PipelineSimulator().run(FIPS_KEY, jobs)
+    return PipelineSimulator().run(FIPS_KEY, jobs, trace=trace)
 
 
 def datapath_full(ctrl, dp):
@@ -435,10 +437,10 @@ def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_ups
 
     def outcome(ctrl, dp):
         try:
-            live = original(ctrl, dp)
+            original(ctrl, dp)
         except ControlFault as fault:
             return str(fault)
-        return sum((live >> TAG_BITS * k & 1) << k for k in range(NUM_LOOP_STAGES))
+        return ctrl.occupancy
 
     def checked(self, datapath):
         if self.fsm == RUN and self.cycle % 3 == 0:
@@ -492,21 +494,29 @@ def test_track_bit_set_on_first_flush_cycle_is_flushed(bit, skipped):
     # skipped; the top bit leaves on the first commit and the skip is
     # unchanged. The bit is set after the flush's pass is planned, one cycle
     # long or whole, so the datapath's fixed point comes first and the
-    # controller's registers delay the skip.
+    # controller's registers delay the skip. Whole, the flush's pass covers
+    # the settled cycle's repeats until the bit leaves, so the flush takes at
+    # most two passes: every pass but the flush's is the clean run's. Both
+    # runs write the same trace.
     expected = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13))
     assert expected.summary.skipped_cycles == 103
 
     def upset(ctrl, dp):
         ctrl.track ^= 1 << TRACK_CYCLES * 3 + bit
 
+    traces = []
     for cap in (1, None):
+        trace = io.StringIO()
         with pytest.MonkeyPatch.context() as monkeypatch:
             result = run_with_rank_upset(
-                monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(0), cap=cap
+                monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(0), cap=cap, trace=trace
             )
+        traces.append(trace.getvalue())
         assert result.outputs == expected.outputs
         assert result.summary.total_cycles == expected.summary.total_cycles
         assert result.summary.skipped_cycles == skipped, cap
+    assert result.summary.stepped_cycles - expected.summary.stepped_cycles + 1 <= 2
+    assert traces[0] == traces[1]
 
 
 def test_datapath_upset_in_flush_delays_the_skip():
@@ -585,7 +595,7 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
     ctrl.begin_cycle(ks.fsm == READY)
     assert not ctrl.admit_ready
     with pytest.raises(AdmissionError, match="^admission attempted on a stalled cycle$") as err:
-        ctrl.admit(1, MODE_ENCRYPT)
+        ctrl.admit([Job(1, MODE_ENCRYPT, bytes(16))])
     assert err.value.cycle is None
 
 
@@ -611,7 +621,7 @@ def test_occupancy_wrap_on_a_later_commit_carries_its_offset():
     ctrl = Controller()
     ctrl.fsm = RUN
     ctrl.admissions = (3,)
-    ctrl.admit(0, MODE_ENCRYPT, 3)
+    ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))])
     ctrl.tags = TAG_VALID << TAG_BITS * 6
     with pytest.raises(ControlFault, match="^occupancy wrap collides with admission$") as err:
         ctrl.commit(8)

@@ -110,10 +110,9 @@ def test_trace_writer_matches_reference_rendering_every_cycle(monkeypatch, fresh
         return plan
 
     def rendering(self, datapath):
-        live = check_against(self, datapath)
+        check_against(self, datapath)
         stalled = state["stalled"]
         stepped[self.cycle] = (self.fsm, stalled, reference_cycle_text(self, datapath, stalled))
-        return live
 
     monkeypatch.setattr(Controller, "begin_cycle", deciding)
     monkeypatch.setattr(Controller, "check_against", rendering)

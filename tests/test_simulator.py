@@ -9,7 +9,7 @@ import pytest
 
 from cycle_protocol import before_each_pass
 from drablocus import aesref
-from drablocus.controller import FLUSH, HOLD, KEY_INIT, RESET, RUN
+from drablocus.controller import FLUSH, HOLD, KEY_INIT, RESET, RUN, Controller
 from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, RoundDatapath
 from drablocus.keyschedule import KEY_INIT_CYCLES
 from drablocus.simulator import (
@@ -220,27 +220,30 @@ def test_cycle_budget_bounds_each_run_tightly(sim, n):
 # bound was lowered from 3.0 to 2.5; 0.88 since an untraced run computes
 # each planned pass of up to a batch period, admissions, diverts and
 # completions included, in one call each, when it was lowered to 1.0; 0.71
-# since key initialization is one pass, when it was lowered to 0.8. The
+# since key initialization is one pass, when it was lowered to 0.8; 0.44
+# since a pass admits its jobs in one controller call and the run checks
+# the sequence ids without a generator, when it was lowered to 0.5. The
 # count is deterministic, so the bound catches per-object dispatch
 # returning to the per-cycle path, or passes shortening, without timing
 # noise.
-CALLS_PER_CYCLE_BOUND = 0.8
+CALLS_PER_CYCLE_BOUND = 0.5
 # The same run writing a trace: 7.92 when this bound was set, with the trace
 # writer reading the taps' tags from the datapath's tag ranks; 8.84 since the
 # writer builds its status line with the helper the skipped flush lines share;
 # 0.93 since a traced run plans its passes as an untraced one does and writes
 # each pass's trace from the datapath's tap records in one call, when this
 # bound was lowered from 9.0 to 1.1; 0.73 since key initialization is one
-# pass, when it was lowered to 0.8.
-TRACED_CALLS_PER_CYCLE_BOUND = 0.8
+# pass, when it was lowered to 0.8; 0.37 since a pass admits its jobs in one
+# controller call, when it was lowered to 0.42.
+TRACED_CALLS_PER_CYCLE_BOUND = 0.42
 # A one-job run with a fresh key, where key initialization is a sixth of
 # the cycles and the flush skip most of the rest: 1.91 with 59 passes, 47
 # of them one key-initialization cycle each, and 1.08 since key
 # initialization is one pass, whose program the datapath resumes once per
 # cycle, when this bound was set at 1.2; 0.68 with 4 passes, one per phase,
 # since the flush is one pass that the datapath ends at its fixed point,
-# when it was lowered to 0.9.
-FRESH_KEY_CALLS_PER_CYCLE_BOUND = 0.9
+# when it was lowered to 0.9, and to 0.75 at the same count.
+FRESH_KEY_CALLS_PER_CYCLE_BOUND = 0.75
 
 
 def python_calls_per_cycle(sim, trace=None, key=FIPS_KEY, jobs=None):
@@ -329,11 +332,26 @@ def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
 def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatch):
     # From the first run cycle on, an untraced run plans each pass up to one
     # batch period: a full loop's admissions, diverts and completions ride
-    # inside it. Key initialization is one pass.
-    passes = passes_by_phase(monkeypatch)
+    # inside it, and the controller admits all of a pass's jobs in one call.
+    # Key initialization is one pass.
+    admitted = []
+    admit = Controller.admit
+
+    def counted_admit(self, jobs):
+        admitted.append(len(jobs))
+        return admit(self, jobs)
+
+    monkeypatch.setattr(Controller, "admit", counted_admit)
+    plans = []
+    passes = passes_by_phase(monkeypatch, plans)
     summary = sim.run(FIPS_KEY, mixed_jobs(500, seed=0x5A7)).summary
     assert summary.max_loop_occupancy == NUM_LOOP_STAGES
     assert sum(passes.values()) == summary.stepped_cycles
+    assert admitted == [
+        sum(entry[0] is not None for entry in plan) for _, plan in plans
+        if any(entry[0] is not None for entry in plan)
+    ]
+    assert sum(admitted) == 500
     assert passes[KEY_INIT] == 1
     periods = (summary.total_cycles - summary.run_start_cycle) / BATCH_PERIOD
     assert periods > 40

@@ -270,7 +270,7 @@ def test_flush_upset_on_the_settling_cycle_delays_the_skip(monkeypatch, upset, d
     clean = PipelineSimulator().run(FIPS_KEY, jobs).summary.skipped_cycles
     at = (RUN_START_CYCLE - clean - 1, upset)
     runs = [committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, cap=cap) for cap in (1, 9)]
-    monkeypatch.setattr(Controller, "at_fixed_point", lambda self, offset=0: False)
+    monkeypatch.setattr(Controller, "rest_offset", lambda self, offset=0: None)
     unskipped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, stepped=True)
     assert unskipped.summary.skipped_cycles == 0
     for result, states, _ in runs:
@@ -295,15 +295,14 @@ def step_each_cycle(ctrl, ready, pending, cycles, modes):
     """Step ``cycles`` cycles one at a time, admitting greedily from
     ``pending`` jobs of ``modes``. Returns the admission offsets, each
     cycle's (divert, initial_reset, main_reset) and the occupancy on each
-    cycle after the first."""
+    cycle."""
     admissions, taken, occupancy = [], [], []
     for offset in range(cycles):
         plan = ctrl.begin_cycle(ready, pending - len(admissions))
         taken.append(tuple(plan[0][1:]))
-        if offset:
-            occupancy.append(ctrl.occupancy.bit_count())
+        occupancy.append(ctrl.occupancy.bit_count())
         if ctrl.admissions:
-            ctrl.admit(len(admissions), modes[len(admissions) % len(modes)])
+            ctrl.admit([Job(len(admissions), modes[len(admissions) % len(modes)], bytes(16))])
             admissions.append(offset)
         ctrl.commit()
     return admissions, taken, occupancy
@@ -335,7 +334,7 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
         queue += rng.random() < arrival
         ctrl.begin_cycle(True, queue)
         if ctrl.admissions:
-            ctrl.admit(0, rng.randrange(2))
+            ctrl.admit([Job(0, rng.randrange(2), bytes(16))])
             queue -= 1
         ctrl.commit()
     modes = [rng.randrange(2) for _ in range(NUM_LOOP_STAGES)]
@@ -354,8 +353,9 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
         expected = min(expected, admissions[-1] + BLOCK_LATENCY + 1)
     assert span == expected
 
-    for index, offset in enumerate(planned.admissions):
-        planned.admit(index, modes[index % len(modes)], offset)
+    planned.admit([
+        Job(index, modes[index % len(modes)], bytes(16)) for index in range(len(planned.admissions))
+    ])
     assert planned.commit(span) == max(occupancy, default=0)
     stepped = copy.deepcopy(ctrl)
     step_each_cycle(stepped, True, pending, span, modes)
@@ -394,15 +394,17 @@ def test_commit_over_a_span_matches_its_single_commits():
         probe = copy.deepcopy(ctrl)
         probe.begin_cycle(ready, len(jobs), 1000)
         fsm = probe.fsm
-        if fsm == FLUSH and probe.at_fixed_point():
+        if fsm == FLUSH and probe.rest_offset() == 0:
             span = probe.flush_end - probe.cycle
             spanned = probe
             spanned.commit(span)
         elif fsm == RUN:
             spanned = copy.deepcopy(ctrl)
             span = len(spanned.begin_cycle(ready, len(jobs), 1000))
-            for index, offset in enumerate(spanned.admissions):
-                spanned.admit(index, modes[index % len(modes)], offset)
+            spanned.admit([
+                Job(index, modes[index % len(modes)], bytes(16))
+                for index in range(len(spanned.admissions))
+            ])
             spanned.commit(span)
         else:
             span = 0
