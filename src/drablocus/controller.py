@@ -290,7 +290,8 @@ class Controller:
         cycle = self.cycle
         self._admits = words = []
         for offset, job in zip(self.admissions, jobs):
-            words.append(Word(job.seq, job.mode, (cycle + offset) % NUM_LOOP_STAGES))
+            slot = (cycle + offset) % NUM_LOOP_STAGES
+            words.append(tuple.__new__(Word, (job.seq, job.mode, slot)))
         return words
 
     @property

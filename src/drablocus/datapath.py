@@ -52,14 +52,16 @@ the key store: in service it serves the store's three consumers on each
 cycle from the tag rank it holds, the one copy of the rank's movement,
 and before service it resumes the key schedule's program on each cycle,
 which gives the cycle's keys and injects. An untraced pass takes its
-quiet cycles position-major, each position's word in table-lookup rounds
-built from the model's images. A lockstep test replays a simulator run
-into both and compares every tap on every cycle.
+cycles position-major, events included, each position's words in
+table-lookup rounds built from the model's images. A lockstep test
+replays a simulator run into both and compares every tap on every cycle.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import cached_property
+from itertools import compress, repeat
+from operator import is_not, itemgetter, lshift
 from typing import NamedTuple, Sequence
 
 from .aesref import _DEC_SHIFT, _ENC_SHIFT, NUM_ROUNDS
@@ -386,10 +388,10 @@ class DatapathTables:
     column j then lines up field (i - k) mod 4 of entry 4j + k under output
     row i, which is the :data:`PACK_MAP` wiring with the cascade groups side
     by side, and a rank of product entries is the join of its 16 entries.
-    ``fused[mode][k][b]``, ``lanes[mode][k][sbox[mode][b]]`` as an int, fuses the two.
+    ``fused[mode][i][b]``, built on first use, fuses the two for byte i of a
+    round's input: lane i mod 4 of ``lanes[mode][.][sbox[mode][b]]`` as an int
+    in the output column the row shift takes byte i to, one entry a byte.
     """
-
-    __slots__ = ("sbox", "lanes", "fused")
 
     def __init__(self, sbox_image=None, mc_image=None):
         sbox = _checked_image(build_sbox_image() if sbox_image is None else sbox_image, 8, "sbox")
@@ -402,8 +404,16 @@ class DatapathTables:
             entries = [entry.to_bytes(4, "big") for entry in mc[base : base + 256]]
             lanes.append(tuple(tuple(e[4 - k :] + e[: 4 - k] for e in entries) for k in range(4)))
         self.lanes = tuple(lanes)
-        self.fused = tuple(tuple(itemgetter(*s)(tuple(map(int.from_bytes, lane, ("big",) * 256)))
-                                 for lane in mode) for s, mode in zip(self.sbox, self.lanes))
+
+    @cached_property
+    def fused(self):
+        fused = []
+        for sign, s, mode in zip((-1, 1), self.sbox, self.lanes):
+            k = [itemgetter(*s)(tuple(map(int.from_bytes, lane, ("big",) * 256))) for lane in mode]
+            fused.append(tuple([
+                tuple(map(lshift, k[i % 4], repeat(96 - 32 * ((i // 4 + sign * (i % 4)) % 4), 256)))
+                for i in range(16)]))
+        return tuple(fused)
 
 
 def _products(lanes, state) -> int:
@@ -475,13 +485,13 @@ class RoundDatapath:
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
         "tags", "seqs", "ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag",
-        "fused_cycles", "settled", "_sbox", "_lanes", "_fused", "_next",
+        "fused_cycles", "settled", "_sbox", "_lanes", "_tables", "_next",
     )
 
     def __init__(self, tables: DatapathTables | None = None):
         tables = DatapathTables() if tables is None else tables
         self._sbox = tables.sbox
-        self._lanes, self._fused = tables.lanes, tables.fused
+        self._lanes, self._tables = tables.lanes, tables
         self.fused_cycles = 0
         self.settled = 0
         self.s0 = self.s1 = self.s2 = self.s3 = self.s4 = self.s5 = 0
@@ -520,11 +530,12 @@ class RoundDatapath:
         keys and its substitution and product injects, ``(data, mode)``
         each.
 
-        An untraced pass in service with no inject computes each run of :data:`QUIET`
-        cycles, from its second to two before an event or the end, in whole loop turns
-        of fused rounds per position (:meth:`_window`), unless an edge rank but the final
-        output holds a word, a tag field has bits but no valid bit, two live stages share
-        a slot or a key read would pass round 9.
+        An untraced run pass in service computes its cycles position-major
+        (:meth:`_window`) from the first with no word on its way in to two
+        before its last or a late admission: 118 of a steady pass's 120,
+        diverts, admissions and their S11 resets included. Any other entry,
+        a stray tag bit, a divert that finds no word or an arrival one, a
+        slot live at two positions or a key read past round 9 declines.
 
         A pass of :data:`HOLD` lines in service ends on its first cycle that
         changes no rank or port read and holds no tag; ``settled`` is then
@@ -579,17 +590,32 @@ class RoundDatapath:
             main_key, final_key, ks_sub_bytes, ks_mix_columns = resume(s1, s8)
         ks_sb_data, ks_sb_mode = ks_sub_bytes
         ks_mc_data, ks_mc_mode = ks_mix_columns
-        fusable = (image is not None and taps is None and not shift_rows_reset
-                   and ks_sub_bytes == ks_mix_columns == (0, 0))
         # A held pass compares each cycle's ranks and keys with the ones before.
         held = image is not None and plan[0] is HOLD
         if held:
             fa_in, fa_out = self.fa_in, self.fa_out
             state = (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
                      ia_in, ia_out, fa_in, fa_out, main_key, final_key)
-        cycle, current, fuse_at, settled = 0, None, -1, 0
+        # An untraced pass in service tries one window, from its first cycle
+        # with no word on its way in.
+        fusable = not (held or shift_rows_reset or final_reset or taps is not None or image is None)
+        fuse_at = 0 if fusable and ks_sub_bytes == ks_mix_columns == (0, 0) else -1
+        cycle, current, settled = 0, None, 0
         try:
             while True:
+                if cycle == fuse_at:
+                    if ia_in or ia_out or entering or ia_in_tag:
+                        fuse_at += 1
+                    else:
+                        ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
+                                 main_key, final_key]
+                        end = self._window(plan, cycle, cycles, ranks, tags, image, counters,
+                                           completions)
+                        if end:
+                            (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
+                             main_key, final_key, tags) = ranks
+                            cycle = end
+                            continue
                 # The cycle's lines; a run of QUIET cycles decodes its first.
                 lines = plan[cycle]
                 if lines is not current:
@@ -601,20 +627,6 @@ class RoundDatapath:
                     else:
                         ia_in_next = 0
                         admitted = None
-                    if lines is QUIET and fusable:
-                        later = range(cycle + 1, cycles + 1)
-                        end = next((j for j in later if plan[j] is not QUIET), cycles + 1)
-                        fuse_q = (end - cycle - 3) // NUM_LOOP_STAGES
-                        fuse_at = cycle + 1 if fuse_q > 0 else -1
-                elif cycle == fuse_at and not (
-                    ia_in or ia_out or entering or ia_in_tag or fa_in_tag
-                ):
-                    ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key]
-                    if self._window(fuse_q, ranks, tags, image, counters):
-                        s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key = ranks
-                        fa_out_tag = None
-                        cycle += NUM_LOOP_STAGES * fuse_q
-                        continue
                 if taps is not None:
                     taps.append((tags, ia_out, entering, s1, s2, s8, s11))
                 if image is not None:
@@ -712,7 +724,7 @@ class RoundDatapath:
                     code = tags >> _TAG2_SHIFT
                     if code & TAG_VALID:
                         slot = code >> 1 & _SLOT_FIELD
-                        diverted = Word(seqs[slot], code & 1, slot)
+                        diverted = tuple.__new__(Word, (seqs[slot], code & 1, slot))
                         if cycle + 2 <= cycles:
                             completions.append((
                                 cycle + 2, diverted,
@@ -779,70 +791,117 @@ class RoundDatapath:
         )
         return completions
 
-    def _window(self, q, ranks, tags, image, counters) -> bool:
-        """Advance ``ranks``, the loop's twelve and the held main key, ``12 q``
-        quiet cycles and append the last one's final key, or return False and
-        change nothing. Each word is finished to its S11 value, taken through
-        fused rounds under its slot's next ``q`` keys and restarted."""
-        if tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD):
-            return False
-        keys, slots = [], []
-        for p in range(NUM_LOOP_STAGES):
-            code = tags >> TAG_BITS * p
-            keys.append([image[0]] * q)
-            if code & TAG_VALID:
-                slot = code >> 1 & _SLOT_FIELD
-                first = counters[slot] + 1
-                # The S8 word reads one round further: the next main key.
-                if slot in slots or not 0 <= first <= MAIN_ROUNDS + (p != 8) - q:
-                    return False
-                slots.append(slot)
-                base = (code & 1) << 4 | first
-                keys[p] = image[base : base + q]
-            if p == 8:
-                keys[8][0], ranks[12] = ranks[12], image[base + q if code & TAG_VALID else 0]
-        for slot in slots:
-            counters[slot] += q
-        sbox, lanes, fused = self._sbox, self._lanes, self._fused
-        for p, round_keys in enumerate(keys):
-            m = tags >> TAG_BITS * p & 1
-            v = ranks[p]
-            if p < 3:  # substituted bytes, row-shifted in S2: the lookups are ahead
-                v = _products(lanes[m], v if p == 2 else _SHIFT_ROWS[m](v))
-            # The XOR of its 128-bit fields: mixed columns to S8, then keyed.
-            v ^= v >> 256
-            v = (v ^ v >> 128) & _MASK128
-            if p < 9:
-                v ^= round_keys.pop(0)
-                round_keys += [0] * (p == 8)
-            # A fused round per key, from S8 on the last one the restart: lane k
-            # of output column j reads row k of column j + k, or j - k decrypting.
-            t0, t1, t2, t3 = fused[m]
-            for key in round_keys:
-                b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
-                    v.to_bytes(16, "big"))
-                if m:
-                    v = ((t0[b0] ^ t1[b13] ^ t2[b10] ^ t3[b7]) << 96
-                         | (t0[b4] ^ t1[b1] ^ t2[b14] ^ t3[b11]) << 64
-                         | (t0[b8] ^ t1[b5] ^ t2[b2] ^ t3[b15]) << 32
-                         | t0[b12] ^ t1[b9] ^ t2[b6] ^ t3[b3]) ^ key
+    def _window(self, plan, start, cycles, ranks, tags, image, counters, completions) -> int:
+        """Advance ``ranks``, the loop's twelve and the held main and final
+        keys, to the end :meth:`compute_cycle` names, append the tag rank and
+        add the completions; return the end, or 0 having changed nothing. Each
+        position runs its words in fused rounds from S11 value to S11 value,
+        restarting to its stage at the end: a divert completes its word from
+        its last S11 value, an admitted word starts as its block XOR the
+        initial key on the S11 visit the reset clears. Any other entry, or an
+        event a check could fire on, declines; a steady pass fuses 118 of 120."""
+        end = cycles - 1
+        while end - start >= NUM_LOOP_STAGES and (plan[end - 1][0] or plan[end - 2][0]):
+            end -= 1
+        n = end - start
+        if n < NUM_LOOP_STAGES or tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD):
+            return 0
+        # Each position's divert and admission offsets, ``end`` for none.
+        diverts, arrivals = [end] * NUM_LOOP_STAGES, [end] * NUM_LOOP_STAGES
+        for o in compress(range(start, end), map(is_not, plan[start:end], repeat(QUIET))):
+            admit, divert, initial_reset, main_reset = plan[o]
+            at2, at11 = (start + 2 - o) % NUM_LOOP_STAGES, (start + 9 - o) % NUM_LOOP_STAGES
+            if (initial_reset == main_reset or main_reset and (o == start or not plan[o - 1][0])
+                    or admit and (arrivals[at11] < end or not plan[o + 1][3])
+                    or divert and diverts[at2] < end):
+                return 0
+            if admit:
+                arrivals[at11] = o
+            if divert:
+                diverts[at2] = o
+        sbox, lanes, seqs, idle = self._sbox, self._lanes, self.seqs, image[0]
+        out, done, owners, counts, entered, new_tags = [0] * 14, [], {}, counters[:], seqs[:], 0
+        probe, fused = type(counters)(counters), self._tables.fused
+        for p, d, a in zip(range(NUM_LOOP_STAGES), diverts, arrivals):
+            code = tags >> TAG_BITS * p & TAG_FIELD
+            # A divert needs a word and an arrival a free S0.
+            if (d < a) != (code >= TAG_VALID) and min(d, a) < end:
+                return 0
+            e, m, slot = (p + n) % NUM_LOOP_STAGES, code & 1, code >> 1 & _SLOT_FIELD
+            # Its legs: the word at the start, unless an arrival resets it away
+            # first; the arriving word; what a divert leaves, while it reads.
+            leg, u, key, field = "arriving" if a < d else "starting", None, 0, code
+            while leg:
+                if leg == "arriving":
+                    block, initial_key, word = plan[a][0]
+                    (seq, m, slot), v, u, live = word, block ^ initial_key, None, True
+                    probe[slot] = 0  # the admission's reset, as the loop makes it
+                    s7, s8, count, stop = a + 10, a + 11, probe[slot], d if d > a else end
+                    entered[slot], field = seq, TAG_VALID | slot << 1 | m
+                elif leg == "starting":
+                    v, stop, live, seq, count = ranks[p], d, code, seqs[slot], counters[slot]
+                    s7, s8 = start + (7 - p) % NUM_LOOP_STAGES, start + (8 - p) % NUM_LOOP_STAGES
                 else:
-                    v = ((t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15]) << 96
-                         | (t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3]) << 64
-                         | (t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7]) << 32
-                         | t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11]) ^ key
-            if p < 3:  # the restart from the S11 value
+                    stop, live, s7 = end, 0, d + 5
+                # A tagged word reads its next key at S7 each turn and counts it
+                # at S8; S7 reads word 0 while untagged.
+                reads = (stop - s7 + 11) // NUM_LOOP_STAGES
+                keys = [idle] * reads
+                if live:
+                    first = count + 1 + (s8 < s7)
+                    if (reads and not 0 < first <= MAIN_ROUNDS + 1 - reads
+                            or owners.setdefault(slot, p) != p):
+                        return 0
+                    keys = image[m << 4 | first : (m << 4 | first) + reads]
+                    counts[slot] = count + (stop - s8 + 11) // NUM_LOOP_STAGES
+                if leg == "starting":
+                    if d < start + 11 - p:  # diverted before its S11 visit
+                        u = v if p == 2 else _SHIFT_ROWS[m](v)
+                    else:  # finished to its S11 value; S9 and S10 hold their keys
+                        if p < 3:
+                            v = _products(lanes[m], v if p == 2 else _SHIFT_ROWS[m](v))
+                        v ^= v >> 256
+                        v = (v ^ v >> 128) & _MASK128 ^ (
+                            keys.pop(0) if p < 8 else ranks[12] if p == 8 else 0)
+                elif leg == "left":  # the divert's round in the word's mode, then untagged
+                    v, key, m, u = _products(lanes[m], u), keys.pop(0), 0, None
+                    v ^= v >> 256
+                    v = (v ^ v >> 128) & _MASK128 ^ key
+                if keys:
+                    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15 = fused[m]
+                for key in keys:
+                    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = (
+                        v.to_bytes(16, "big"))
+                    v = (f0[b0] ^ f1[b1] ^ f2[b2] ^ f3[b3] ^ f4[b4] ^ f5[b5] ^ f6[b6] ^ f7[b7]
+                         ^ f8[b8] ^ f9[b9] ^ f10[b10] ^ f11[b11] ^ f12[b12] ^ f13[b13]
+                         ^ f14[b14] ^ f15[b15] ^ key)
+                if stop == end:
+                    break
+                # The divert, under the final key its S1 visit read.
+                if u is None:
+                    u = _SHIFT_ROWS[m](v.to_bytes(16, "big").translate(sbox[m]))
+                final = ranks[13] if stop == start else image[m << 4 | NUM_ROUNDS]
+                done.append((stop + 2, tuple.__new__(Word, (seq, m, slot)),
+                             int.from_bytes(bytes(u), "big") ^ final))
+                leg, field = "arriving" if d < a < end else "left" if d + 5 < end else None, 0
+            # The restart from the last S11 value, or from a partial round
+            # whose last read the end's S8 word holds as the main key.
+            if e < 8:
                 sub = v.to_bytes(16, "big").translate(sbox[m])
-                ranks[p] = sub if p < 2 else _SHIFT_ROWS[m](sub)
-            elif p < 8:
-                x = _products(lanes[m], _SHIFT_ROWS[m](v.to_bytes(16, "big").translate(sbox[m])))
+                u = _SHIFT_ROWS[m](sub)
+                x = _products(lanes[m], u) if e > 2 else 0
                 x6 = (x ^ x >> 128 & _SECOND128) & _MASK384
-                ranks[p] = (x, x, x, x6, (x6 ^ x6 >> 128 & _MID128) & _MASK256)[p - 3]
+                out[e] = (sub, sub, u, x, x, x, x6, (x6 ^ x6 >> 128 & _MID128) & _MASK256)[e]
+            elif e == 8:
+                out[8], out[12] = v ^ key, key
             else:
-                ranks[p] = (v ^ key, (v ^ key) << 128 | key, (v ^ key) << 128 | key, v)[p - 8]
-        ranks.append(image[(tags >> _TAG2_SHIFT & 1) << 4 | NUM_ROUNDS])
-        self.fused_cycles += NUM_LOOP_STAGES * q
-        return True
+                out[e] = ((v ^ key) << 128 | key, (v ^ key) << 128 | key, v)[e - 9]
+            new_tags |= field << TAG_BITS * e
+        counters[:], seqs[:], self.fused_cycles = counts, entered, self.fused_cycles + n
+        out[13] = image[(new_tags >> _TAG2_SHIFT & 1) << 4 | NUM_ROUNDS]
+        ranks[:] = out + [new_tags]
+        completions += sorted(done)
+        return end
 
     def commit_cycle(self) -> None:
         (
@@ -858,7 +917,7 @@ class RoundDatapath:
         if not code & TAG_VALID:
             return None
         slot = code >> 1 & _SLOT_FIELD
-        return Word(self.seqs[slot], code & 1, slot)
+        return tuple.__new__(Word, (self.seqs[slot], code & 1, slot))
 
     @property
     def loop_tags(self) -> tuple[Word | None, ...]:

@@ -141,7 +141,7 @@ class RunSummary:
     stepped_cycles: int = 0
     window_cycles: int = 0
     skipped_cycles: int = 0
-    # Window cycles computed in fused rounds: how, not what, so not compared.
+    # Window cycles in fused rounds (118 of a steady pass's 120): how, not what, so not compared.
     fused_cycles: int = field(default=0, compare=False)
     admission_cycles: dict[int, int] = field(default_factory=dict)
     completion_cycles: dict[int, int] = field(default_factory=dict)

@@ -222,11 +222,12 @@ def test_cycle_budget_bounds_each_run_tightly(sim, n):
 # completions included, in one call each, when it was lowered to 1.0; 0.71
 # since key initialization is one pass, when it was lowered to 0.8; 0.44
 # since a pass admits its jobs in one controller call and the run checks
-# the sequence ids without a generator, when it was lowered to 0.5. The
-# count is deterministic, so the bound catches per-object dispatch
-# returning to the per-cycle path, or passes shortening, without timing
-# noise.
-CALLS_PER_CYCLE_BOUND = 0.5
+# the sequence ids without a generator, when it was lowered to 0.5; 0.23
+# since a word's tag is built without a Python frame and a steady pass's
+# events are fused, when it was lowered to 0.26. The count is
+# deterministic, so the bound catches per-object dispatch returning to the
+# per-cycle path, or passes shortening, without timing noise.
+CALLS_PER_CYCLE_BOUND = 0.26
 # The same run writing a trace: 7.92 when this bound was set, with the trace
 # writer reading the taps' tags from the datapath's tag ranks; 8.84 since the
 # writer builds its status line with the helper the skipped flush lines share;
@@ -234,8 +235,9 @@ CALLS_PER_CYCLE_BOUND = 0.5
 # each pass's trace from the datapath's tap records in one call, when this
 # bound was lowered from 9.0 to 1.1; 0.73 since key initialization is one
 # pass, when it was lowered to 0.8; 0.37 since a pass admits its jobs in one
-# controller call, when it was lowered to 0.42.
-TRACED_CALLS_PER_CYCLE_BOUND = 0.42
+# controller call, when it was lowered to 0.42; 0.20 since a word's tag is
+# built without a Python frame, when it was lowered to 0.22.
+TRACED_CALLS_PER_CYCLE_BOUND = 0.22
 # A one-job run with a fresh key, where key initialization is a sixth of
 # the cycles and the flush skip most of the rest: 1.91 with 59 passes, 47
 # of them one key-initialization cycle each, and 1.08 since key

@@ -16,11 +16,12 @@ the skip and leave each commit from the first run cycle on as a run
 that skips nothing leaves it. A fault of each class
 that can arise inside a pass is fired in each kind of run, and must name
 the same cycle with the same message; the traced runs' traces must end
-on the same line. An untraced pass computes its quiet cycles in fused
-windows: the runs above compare them with the stepped run's cycles, on
-healthy and on flipped RAM images, and each case in which a window must
-step its cycles instead is made by an upset and compared with a run that
-steps them.
+on the same line. An untraced pass computes its cycles in fused windows,
+events included: the runs above compare them with the stepped run's
+cycles, on healthy and on flipped RAM images and under pass caps that put
+events on every offset, and each case in which a window must leave its
+pass to the cycle loop is made by an upset or a hand-made plan and
+compared with a run that steps it.
 """
 
 import copy
@@ -39,10 +40,11 @@ from drablocus.controller import (
     BATCH_PERIOD, FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, QUIET, RUN, Controller,
 )
 from drablocus.datapath import (
-    _SLOT_FIELD, BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, RoundDatapath, Word,
+    _SLOT_FIELD, BLOCK_LATENCY, MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES,
+    RoundDatapath, Word,
 )
 from drablocus.faults import (
-    CollisionError, ControlFault, KeyStoreFault, ProtocolError, TimingFault,
+    CollisionError, ControlFault, KeyStoreFault, ProtocolError, SimulationFault, TimingFault,
 )
 from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
 from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
@@ -158,10 +160,9 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
 
     assert passed.summary.window_cycles > 0 and len(pass_ends) > 0
     assert no_passes == [] and stepped.summary.window_cycles == 0
-    # Each pass that admits a whole batch computes at least 96 of its cycles
-    # in fused windows: offsets 14-109, between its last arrival and its
-    # first divert.
-    assert passed.summary.fused_cycles >= 96 * (n_jobs // NUM_LOOP_STAGES)
+    # Each pass that admits a whole batch computes at least 118 of its
+    # cycles in fused windows: all but its last two, events included.
+    assert passed.summary.fused_cycles >= 118 * (n_jobs // NUM_LOOP_STAGES)
     assert stepped.summary.fused_cycles == 0
     assert set(pass_ends) <= set(states)
     for cycle, state in states.items():
@@ -170,6 +171,72 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
     assert summary_fields(passed.summary)[0] == summary_fields(stepped.summary)[0]
     assert passed.summary.stall_cycles == stepped.summary.stall_cycles
     assert passed.summary.max_loop_occupancy == stepped.summary.max_loop_occupancy
+
+
+def test_steady_passes_give_each_position_one_divert_admission_and_reset():
+    # The shape a fused window takes events in. Each steady pass of a
+    # saturated run, a batch period that diverts and admits twelve, diverts on
+    # offsets 113-119 and 0-4, admits on 0-11 and resets S11 on 1-12. Each
+    # loop position, named by its stage on the pass's first cycle, sees
+    # exactly one of each: the divert on its S2 visit d, the admission on
+    # d + 7 (modulo the batch period, for a word diverted late in the pass
+    # before) and the reset on the cycle after, as its S11 value is the one
+    # the admitted word replaces. An arrival's cycle lifts the initial
+    # key-add's reset as it resets S11, and no other entry does either.
+    plans = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        before_each_pass(monkeypatch, lambda ctrl, dp, ks: plans.append(ctrl.plan))
+        PipelineSimulator().run(FIPS_KEY, mixed_jobs(500, seed=500))
+    steady = [
+        plan for plan in plans if len(plan) == BATCH_PERIOD
+        and sum(lines[0] is not None for lines in plan) == sum(lines[1] for lines in plan) == 12
+    ]
+    assert len(steady) == 500 // NUM_LOOP_STAGES - 1
+    for plan in steady:
+        diverts = [o for o, lines in enumerate(plan) if lines[1]]
+        admissions = [o for o, lines in enumerate(plan) if lines[0] is not None]
+        resets = [o for o, lines in enumerate(plan) if lines[3]]
+        assert diverts == [*range(5), *range(113, 120)]
+        assert admissions == list(range(12)) and resets == list(range(1, 13))
+        assert all(lines[2] != lines[3] for lines in plan)
+        # The position at S2, at S11 two cycles on, or at S10 on each cycle.
+        divert_at = {(2 - o) % NUM_LOOP_STAGES: o for o in diverts}
+        admit_at = {(9 - o) % NUM_LOOP_STAGES: o for o in admissions}
+        reset_at = {(10 - o) % NUM_LOOP_STAGES: o for o in resets}
+        assert len(divert_at) == len(admit_at) == len(reset_at) == NUM_LOOP_STAGES
+        for p in range(NUM_LOOP_STAGES):
+            assert (admit_at[p] - divert_at[p]) % BATCH_PERIOD == 7
+            assert reset_at[p] == admit_at[p] + 1
+
+
+@pytest.mark.parametrize("corrupt", [None, "sbox", "mcprod"], ids=["500", "500-sbox", "500-mcprod"])
+def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, corrupt):
+    # Passes capped at 97 cycles open at every phase of the batch period, so
+    # that over a 500-job run events fall on every offset of a pass, its
+    # first and last cycle included: a window starts after an arrival still
+    # on its way in, ends before a late admission, and takes diverts,
+    # admissions and resets at every offset it covers. Every committed state
+    # equals a stepped run's, on healthy images and on images with one entry
+    # flipped.
+    jobs = mixed_jobs(500, seed=500)
+    sbox_image, mc_image = flipped_images(corrupt)
+    images = {"sbox_image": sbox_image, "mc_image": mc_image}
+    offsets = set()
+
+    def record(ctrl, dp, ks):
+        if ctrl.fsm == RUN and len(ctrl.plan) == 97:
+            offsets.update(o for o, lines in enumerate(ctrl.plan) if lines is not QUIET)
+
+    before_each_pass(monkeypatch, record)
+    passed, states, pass_ends = committed_states(monkeypatch, FIPS_KEY, jobs, cap=97, **images)
+    stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, **images)
+    assert offsets == set(range(97))
+    assert passed.summary.fused_cycles > 0.9 * passed.summary.window_cycles
+    assert set(pass_ends) <= set(states)
+    for cycle, state in states.items():
+        assert state == reference[cycle], f"cycle {cycle}"
+    assert passed.outputs == stepped.outputs
+    assert summary_fields(passed.summary)[0] == summary_fields(stepped.summary)[0]
 
 
 # The cycle after the key-initialization phase, which ends on the cycle
@@ -550,6 +617,16 @@ def round_counter_past_the_window(ks, dp):
     ks.round_counters[word.slot] = 8
 
 
+class ResetToLastMainRound(list):
+    def __setitem__(self, slot, value):
+        super().__setitem__(slot, value or MAIN_ROUNDS)
+
+
+def counters_reset_to_last_round(ks, dp):
+    # Each later write of 0 to a round counter stores the last main round.
+    ks.round_counters = ResetToLastMainRound(ks.round_counters)
+
+
 def product_mux_second_source(ks, dp):
     # The key store drives the product path while the shift-rows register
     # holds zero; the register's next value collides with it.
@@ -574,6 +651,19 @@ PASS_FAULTS = {
                   "recirculating"),
     "latency": (36, 281, {"core": divert_from_s2_takes_next_seq}, TimingFault,
                 "cycle 283: block 8 completed after 114 cycles, expected 115"),
+    # The S11 reset before the fourth word's arrival in the second run pass
+    # is dropped: the arriving word meets the S11 value of the word diverted
+    # seven cycles before its admission, on the cycle it arrives. The fused
+    # window declines the entry, and the cycle loop raises there.
+    "unreset_arrival": (36, 286, {"lines": {"main_reset": False}}, ProtocolError,
+                        "cycle 287: OR-mux driven by multiple nonzero sources"),
+    # From the second run pass on, an admission resets its slot's round
+    # counter to the last main round: the window, which resets the slots it
+    # admits to as the loop does, declines, and the first word admitted asks
+    # for a tenth key on its first S7 visit, ten cycles after its admission.
+    "counter_reset_in_window": (36, 281, {"core": counters_reset_to_last_round},
+                                KeyStoreFault,
+                                "cycle 291: slot 5 requested main-loop key for round 10"),
     # Between two passes of a saturated run a live slot's round counter is
     # raised, and the next pass's fused window must fall back so the key read
     # past round 9 names its own cycle. Passes are capped at 60 cycles, so
@@ -619,16 +709,17 @@ def stray_mode_bit(ks, dp):
 
 
 def test_stray_mode_bit_falls_back_to_cycle_steps(monkeypatch):
-    # In the 13-job run's second pass one word is live and a fused window
-    # covers cycles 287-382. With a stray mode bit upset into the tag rank
-    # at the pass's start, the window falls back to the cycles, and every
-    # committed state equals a stepped run's under the same upset.
+    # The 13-job run's second pass, cycles 281-396, diverts five words and
+    # admits one, and a fused window covers cycles 281-394. With a stray
+    # mode bit upset into the tag rank at the pass's start, the window falls
+    # back to the cycles, and every committed state equals a stepped run's
+    # under the same upset.
     jobs = mixed_jobs(13, seed=13)
     upset = (RUN_START_CYCLE + BATCH_PERIOD, stray_mode_bit)
     clean, clean_states, _ = committed_states(monkeypatch, FIPS_KEY, jobs)
     passed, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=upset)
     stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, upset=upset)
-    assert clean.summary.fused_cycles - passed.summary.fused_cycles == 96
+    assert clean.summary.fused_cycles - passed.summary.fused_cycles == 114
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
     assert passed.outputs == stepped.outputs == clean.outputs
@@ -692,13 +783,74 @@ def test_no_window_while_a_word_is_on_its_way_in():
     assert states[0] == states[1]
 
 
+# Hand-made runs of admissions the controller does not plan: per shape,
+# each admission's (offset, slot offset), more lines by offset, the cycle
+# that splits the planned passes, and the cycles the windows fuse.
+BY_HAND = {
+    # The second word arrives at the first one's S11 visit, behind the S11
+    # reset, while the first is still in the loop: they collide on cycle 38.
+    "live": ([(0, 0), (36, 0)], {}, 24, 22),
+    # The first word diverts on cycle 29, but the initial key-add's reset is
+    # held on the second one's arrival cycle, so that word arrives as zero.
+    "held": ([(0, 0), (36, 0)], {29: (None, True, True, False), 37: (None, False, True, True)},
+             24, 22),
+    # The second word takes the first one's slot at another loop position,
+    # and both read and count the one round counter.
+    "shared": ([(0, 0), (6, 0)], {}, None, 0),
+    # One pass of 140 cycles that does not divert its word: the word asks
+    # for a tenth key on cycle 118.
+    "unending": ([(0, 0)], {}, None, 0),
+}
+
+
+def run_by_hand(shape, planned):
+    """Compute the ``shape``'s cycles on a core in run, as planned passes or
+    single-cycle passes. Returns the core's state, or the fault's type,
+    message and cycle, and the cycles fused."""
+    admissions, more, split, _ = BY_HAND[shape]
+    dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
+    cycles = [QUIET] * (140 if shape == "unending" else 72)
+    for seq, (offset, slot) in enumerate(admissions):
+        word = Word(seq=seq, mode=MODE_DECRYPT, slot=(ctrl.cycle + slot) % NUM_LOOP_STAGES)
+        block = int.from_bytes(bytes(range(seq, seq + 16)), "big")
+        cycles[offset] = ((block, ks.initial_keys[MODE_DECRYPT], word), False, True, False)
+        cycles[offset + 1] = (None, False, False, True)
+    for offset, lines in more.items():
+        cycles[offset] = lines
+    plans = [cycles[:split], cycles[split:]] if split else [cycles]
+    done = 0
+    try:
+        for plan in plans if planned else [[lines] for lines in cycles]:
+            dp.compute_cycle(plan=plan, store=ks)
+            dp.commit_cycle()
+            ks.commit()
+            done += len(plan)
+    except SimulationFault as fault:
+        return (type(fault), str(fault), done + fault.offset), dp.fused_cycles
+    return snapshot(dp, ctrl, ks), dp.fused_cycles
+
+
+@pytest.mark.parametrize("shape", sorted(BY_HAND))
+def test_admission_of_no_steady_shape_falls_back(shape):
+    # A window declines each of these admissions: the planned passes raise
+    # the fault with the message and on the cycle single-cycle passes raise
+    # it, or leave their state. A pass before the one that declines fuses
+    # its window, an admission of the steady shape included.
+    (planned, fused), (stepped, _) = run_by_hand(shape, True), run_by_hand(shape, False)
+    assert planned == stepped and fused == BY_HAND[shape][3]
+    if shape == "live":
+        assert planned[0] is CollisionError and planned[2] == 38
+        assert planned[1].startswith("stage S0 claimed by arriving Word(seq=1,")
+    if shape == "unending":
+        assert planned[0] is KeyStoreFault and planned[2] == 118
+        assert planned[1].endswith("requested main-loop key for round 10")
+
+
 def test_window_starts_on_a_quiet_first_cycle(monkeypatch):
-    # A pass whose first cycle is quiet opens a quiet run, so its window
-    # starts on cycle 1. Capped at 51 cycles, the second run pass of a
-    # one-batch run holds no event: of its 51 QUIET cycles a window from
-    # cycle 1 fuses four loop turns, 48 cycles, ending three before the
-    # pass's end, where a window from cycle 2 would fit three. Every commit
-    # equals a stepped run's.
+    # A pass with no word on its way in starts its window on its first
+    # cycle. Capped at 51 cycles, the second run pass of a one-batch run
+    # holds no event: its window fuses 49 of its 51 QUIET cycles, from cycle
+    # 0 to two before the pass's end. Every commit equals a stepped run's.
     jobs = mixed_jobs(12, seed=12)
     quiet_passes = []
     compute_cycle = RoundDatapath.compute_cycle
@@ -713,20 +865,21 @@ def test_window_starts_on_a_quiet_first_cycle(monkeypatch):
     monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)
     passed, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, cap=51)
     stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True)
-    assert (51, 48) in quiet_passes
+    assert (51, 49) in quiet_passes
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
     assert passed.outputs == stepped.outputs
 
 
 def test_fused_windows_run_untraced_only():
-    # A saturated untraced run computes at least 96 cycles of each of its
-    # three full-batch passes in fused windows; a traced run computes every
-    # cycle one by one, to record its taps.
+    # A saturated untraced run computes 118 cycles of each of its three
+    # full-batch passes in fused windows, all but the last two, events
+    # included; a traced run computes every cycle one by one, to record its
+    # taps.
     jobs = mixed_jobs(36, seed=9)
     sim = PipelineSimulator()
     untraced, traced = sim.run(FIPS_KEY, jobs), sim.run(FIPS_KEY, jobs, trace=io.StringIO())
-    assert untraced.summary.fused_cycles >= 3 * 96
+    assert untraced.summary.fused_cycles >= 3 * 118
     assert traced.summary.fused_cycles == 0
     assert untraced.outputs == traced.outputs
 
