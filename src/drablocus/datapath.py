@@ -51,7 +51,8 @@ gives each cycle, the first included. It takes every cycle's keys from
 the key store: in service it serves the store's three consumers on each
 cycle from the tag rank it holds, the one copy of the rank's movement,
 and before service it resumes the key schedule's program on each cycle,
-which gives the cycle's keys and injects. An untraced pass takes its
+which gives the cycle's keys and injects (a fresh key's initialization
+pass, untraced, the store computes at once). An untraced pass takes its
 cycles position-major, events included, each position's words in
 table-lookup rounds built from the model's images. A lockstep test
 replays a simulator run into both and compares every tap on every cycle.
@@ -59,7 +60,7 @@ replays a simulator run into both and compares every tap on every cycle.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import is_not, itemgetter, lshift
 from typing import NamedTuple, Sequence
@@ -67,7 +68,7 @@ from typing import NamedTuple, Sequence
 from .aesref import _DEC_SHIFT, _ENC_SHIFT, NUM_ROUNDS
 from .fabric import BramModel, DspXorSlice, Register
 from .faults import CollisionError, KeyStoreFault, ProtocolError, SimulationFault
-from .tables import build_mixcolumns_image, build_sbox_image
+from .tables import MODE_DECRYPT, build_mixcolumns_image, build_sbox_image, key_store_address
 
 NUM_LOOP_STAGES = 12
 MAIN_ROUNDS = 9
@@ -416,6 +417,14 @@ class DatapathTables:
         return tuple(fused)
 
 
+_tables_of = lru_cache(maxsize=1)(DatapathTables)
+
+
+def built_in_tables() -> DatapathTables:
+    """The built-in RAM images' tables, shared while the builders return the same images."""
+    return _tables_of(tuple(build_sbox_image()), tuple(build_mixcolumns_image()))
+
+
 def _products(lanes, state) -> int:
     """The rank of product entries for a row-shifted ``state``'s 16 bytes,
     read from one mode's ``lanes``: lane k takes row k of each column."""
@@ -489,7 +498,7 @@ class RoundDatapath:
     )
 
     def __init__(self, tables: DatapathTables | None = None):
-        tables = DatapathTables() if tables is None else tables
+        tables = built_in_tables() if tables is None else tables
         self._sbox = tables.sbox
         self._lanes, self._tables = tables.lanes, tables
         self.fused_cycles = 0
@@ -528,7 +537,8 @@ class RoundDatapath:
         store's commit. Before service ``store.resume(s1, s8)``, given each
         cycle's committed S1 (as bytes) and S8, returns its main and final
         keys and its substitution and product injects, ``(data, mode)``
-        each.
+        each; but a fresh key's untraced initialization pass is computed at
+        once (:meth:`_initialize`).
 
         An untraced run pass in service computes its cycles position-major
         (:meth:`_window`) from the first with no word on its way in to two
@@ -548,6 +558,8 @@ class RoundDatapath:
         ``completions``. A ``taps`` list gets each cycle's committed
         ``(tags, ia_out, ia_out_tag, s1, s2, s8, s11)``, s1 and s2 as bytes.
         """
+        if shift_rows_reset and final_reset and taps is None and self._initialize(plan, store):
+            return []
         sbox = self._sbox
         lanes = self._lanes
         seqs = self.seqs
@@ -790,6 +802,33 @@ class RoundDatapath:
             tags, ia_in_tag, entering, fa_in_tag, fa_out_tag,
         )
         return completions
+
+    def _initialize(self, plan, store) -> bool:
+        """Compute a key-initialization pass at once: a plan of held lines,
+        from the reset cycle's state on these tables (zero words substituted
+        and multiplied in encrypt mode), that ``store.initialize`` runs whole.
+        The resets leave the zero words' ranks again, but S9 and S10 hold the
+        last two S8 values beside port a's key, and the final key-add input
+        port b's. Returns False, changing nothing, for any other pass."""
+        if store.resume is None or len(plan) < 2 or plan.count(HOLD) != len(plan):
+            return False
+        zeros, tables = bytes(16), self._tables
+        idle = int.from_bytes(zeros.translate(tables.sbox[0]), "big")
+        x = _products(tables.lanes[0], zeros)
+        if (
+            self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
+            self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
+            self.tags, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
+        ) != (idle, 0, 0, x) + (0,) * 13 + (None,) * 4 or not store.initialize(len(plan), tables):
+            return False
+        x6 = (x ^ x >> 128 & _SECOND128) & _MASK384
+        x7 = (x6 ^ x6 >> 128 & _MID128) & _MASK256
+        x8 = (x7 ^ x7 >> 128) & _MASK128
+        key, last = store.out_a, store.image[key_store_address(MODE_DECRYPT, MAIN_ROUNDS)]
+        self._next = (idle, idle, 0, x, x, x, x6, x7, x8, x8 << 128 | key, last << 128 | key,
+                      0, 0, 0, store.out_b, 0, 0, None, None, None, None)
+        self.settled = 0
+        return True
 
     def _window(self, plan, start, cycles, ranks, tags, image, counters, completions) -> int:
         """Advance ``ranks``, the loop's twelve and the held main and final

@@ -22,22 +22,22 @@ back, reading each result 6 cycles after injection.
 
 The store takes part in every cycle of the datapath's pass loop
 (:meth:`~drablocus.datapath.RoundDatapath.compute_cycle`), which steps
-each cycle the controller's plan lists. Until the schedule is ready, the
-loop resumes the program once per cycle with the S1 and S8 values it
-holds, the ranks the program reads back, so they come from the
-datapath's own step. The reset
-cycle is the program's first step, on which both ports only read their
-addresses; key initialization is then one pass, which the controller
-plans to end on the cycle the program reports ready. In service the same
-loop serves the store on every cycle from the tag rank it steps: it
-resets the round counters, sets and reads both ports and counts the keys
-consumed.
+each cycle the controller's plan lists. The reset cycle is the program's
+first step, on which both ports only read their addresses; key
+initialization is then one pass, which the controller plans to end on
+the cycle the program reports ready. Its held resets leave each injected
+word alone in the RAMs, so from the reset cycle's state the pass is
+computed at once from the datapath's tables (:meth:`KeyScheduler.initialize`);
+a capped, traced or upset one resumes the program once per cycle with the
+S1 and S8 values the loop holds. In service the same loop serves the
+store on every cycle from the tag rank it steps: it resets the round
+counters, sets and reads both ports and counts the keys consumed.
 """
 
 from __future__ import annotations
 
 from .aesref import NUM_ROUNDS, RCON
-from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, MIX_COLUMNS_LATENCY, SLOT_VALUES
+from .datapath import _MASK32, _MASK128, MAIN_ROUNDS, MIX_COLUMNS_LATENCY, SLOT_VALUES, _products
 from .tables import MODE_DECRYPT, MODE_ENCRYPT, build_empty_key_store, key_store_address
 
 EXPANDING = "expanding"
@@ -53,9 +53,21 @@ KEY_INIT_CYCLES = 3 * NUM_ROUNDS + MAIN_ROUNDS + _INVERSION_DELAY
 
 _NO_INJECT = (0, 0)
 
+# The store the reset cycle leaves, in the order :meth:`KeyScheduler.initialize` reads it.
+_AFTER_RESET = (0,) * 7 + (None, _NO_INJECT, _NO_INJECT, [0, 0], build_empty_key_store())
+
 
 def _rot_word(w: int) -> int:
     return ((w << 8) | (w >> 24)) & _MASK32
+
+
+def _next_round_key(current: int, substituted: int, r: int) -> int:
+    """Round key ``r`` from key ``r - 1`` and the substitution of its rotated last word."""
+    w0 = (current >> 96) ^ substituted ^ (RCON[r] << 24)
+    w1 = ((current >> 64) & _MASK32) ^ w0
+    w2 = ((current >> 32) & _MASK32) ^ w1
+    w3 = (current & _MASK32) ^ w2
+    return (w0 << 96) | (w1 << 64) | (w2 << 32) | w3
 
 
 class KeyScheduler:
@@ -69,9 +81,10 @@ class KeyScheduler:
     ``pending_increment``, the slot whose counter the commit advances, go
     with it. Every cycle sets both addresses and reads them: the reset
     cycle and key initialization in the program, which the datapath's pass
-    loop resumes through ``resume``, and service in that loop itself.
-    :meth:`commit` latches the last cycle's reads, then applies the write,
-    so a word written and read in one cycle reads old.
+    loop resumes through ``resume`` or :meth:`initialize` runs at once,
+    and service in that loop itself. :meth:`commit` latches the last
+    cycle's reads, then applies the write, so a word written and read in
+    one cycle reads old.
     :class:`~drablocus.fabric.BramModel` is its specification.
     """
 
@@ -145,6 +158,36 @@ class KeyScheduler:
         self.read_b = image[self.addr_b]
         return self.out_a, self.out_b, self.sub_bytes_inject, self.mix_columns_inject
 
+    def initialize(self, cycles: int, tables) -> bool:
+        """Run the program's whole pass, ``cycles`` long, at once through the
+        datapath's ``tables``, as the held datapath runs it: the S-box image
+        substitutes the expansion's words, the product image and the cascade's
+        fold inverse-mix the inner keys. Returns False, changing nothing, for
+        another length or a store other than the one the reset cycle leaves."""
+        state = (self.init_cycles, self.addr_a, self.addr_b, self.read_a, self.read_b,
+                 self.out_a, self.out_b, self.pending_write, self.sub_bytes_inject,
+                 self.mix_columns_inject, self.initial_keys, self.image)
+        if cycles != KEY_INIT_CYCLES + 1 or state != _AFTER_RESET:
+            return False
+        image, key, sbox = self.image, self._cipher_key, tables.sbox[MODE_ENCRYPT]
+        # Round r's encryption key is at address r, its decryption key at dec + r.
+        dec = key_store_address(MODE_DECRYPT, 0)
+        current = image[0] = image[dec + NUM_ROUNDS] = key
+        for r in range(1, NUM_ROUNDS + 1):
+            word = _rot_word(current & _MASK32).to_bytes(4, "big").translate(sbox)
+            current = image[r] = _next_round_key(current, int.from_bytes(word, "big"), r)
+        for r in range(1, MAIN_ROUNDS + 1):
+            v = _products(tables.lanes[MODE_DECRYPT], image[r].to_bytes(16, "big"))
+            v ^= v >> 256
+            image[dec + NUM_ROUNDS - r] = (v ^ v >> 128) & _MASK128
+        image[dec] = current
+        self.initial_keys[:] = key, current
+        # The last two cycles read round 1 on port a and the cipher key on port b.
+        self.addr_a = 1
+        self.out_a, self.out_b = self.read_a, self.read_b = image[1], image[self.addr_b]
+        self.init_cycles, self.fsm = KEY_INIT_CYCLES, READY
+        return True
+
     def _initialization(self):
         """The program, primed to its first yield; then each resume runs one
         cycle, the reset cycle first. A resume is sent the cycle's committed
@@ -165,12 +208,7 @@ class KeyScheduler:
             self.sub_bytes_inject = (_rot_word(current & _MASK32) << 96, MODE_ENCRYPT)
             yield
             s1, _ = yield
-            substituted = int.from_bytes(s1[:4], "big")
-            w0 = (current >> 96) ^ substituted ^ (RCON[r] << 24)
-            w1 = ((current >> 64) & _MASK32) ^ w0
-            w2 = ((current >> 32) & _MASK32) ^ w1
-            w3 = (current & _MASK32) ^ w2
-            current = (w0 << 96) | (w1 << 64) | (w2 << 32) | w3
+            current = _next_round_key(current, int.from_bytes(s1[:4], "big"), r)
             round_keys.append(current)
             self.pending_write = (key_store_address(MODE_ENCRYPT, r), current)
             yield

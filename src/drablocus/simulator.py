@@ -24,7 +24,8 @@ The run is a sequence of passes. Each pass makes one call to the
 datapath, which takes the controller's plan, the lines of every cycle of
 the pass, the first included, and takes every cycle's keys from the key
 store: it serves the store on each of them, or resumes the store's
-program once per cycle with the ranks the program reads back. In run,
+program once per cycle with the ranks the program reads back (a fresh
+key's untraced initialization pass the store computes at once). In run,
 the controller plans a pass of up to one batch period from registered
 state and the count of pending jobs: the cycles it admits on, its
 diverts and its reset lines, which follow from the track chains alone. A
@@ -75,6 +76,7 @@ from .datapath import (
     TRACK_CYCLES,
     DatapathTables,
     RoundDatapath,
+    built_in_tables,
 )
 from .faults import SimulationFault, TimingFault
 from .keyschedule import KeyScheduler
@@ -193,11 +195,12 @@ _STALL_TEXT = (" stall=0\n", " stall=1\n")
 
 
 class PipelineSimulator:
-    """Derives the datapath tables from the RAM images once (the built-in
-    images unless given); each run re-initializes a fresh core on them."""
+    """Derives the datapath tables from the RAM images once (shares the
+    built-in images' unless given); each run re-initializes a fresh core on them."""
 
     def __init__(self, sbox_image=None, mc_image=None):
-        self._tables = DatapathTables(sbox_image, mc_image)
+        given = sbox_image is not None or mc_image is not None
+        self._tables = DatapathTables(sbox_image, mc_image) if given else built_in_tables()
 
     def run(
         self,

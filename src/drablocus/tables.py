@@ -36,20 +36,21 @@ def build_sbox_image() -> list[int]:
     return list(SBOX) + list(INV_SBOX)
 
 
+# The product image, computed once at import as gf256 computes the S-box.
+_MC_IMAGE = tuple(
+    (gf_mul(m0, b) << 24) | (gf_mul(m1, b) << 16) | (gf_mul(m2, b) << 8) | gf_mul(m3, b)
+    for m0, m1, m2, m3 in (MC_COLUMN[MODE_ENCRYPT], MC_COLUMN[MODE_DECRYPT])
+    for b in range(256)
+)
+
+
 def build_mixcolumns_image() -> list[int]:
-    """32-bit byte-product entries for both fixed matrices.
+    """32-bit byte-product entries for both fixed matrices, as a new list.
 
     Entry {mode, b} concatenates, most significant field first, the products
     of b with the four MC_COLUMN coefficients for that mode.
     """
-    image = []
-    for mode in (MODE_ENCRYPT, MODE_DECRYPT):
-        m0, m1, m2, m3 = MC_COLUMN[mode]
-        for b in range(256):
-            image.append(
-                (gf_mul(m0, b) << 24) | (gf_mul(m1, b) << 16) | (gf_mul(m2, b) << 8) | gf_mul(m3, b)
-            )
-    return image
+    return list(_MC_IMAGE)
 
 
 def build_empty_key_store() -> list[int]:

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from cycle_protocol import (
     before_each_pass, cap_passes, core_in_run, new_core, set_line, step_cycle, step_every_cycle,
 )
+from drablocus import aesref
 from drablocus.controller import (
     BATCH_PERIOD, FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, QUIET, RUN, Controller,
 )
@@ -244,38 +245,70 @@ def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, c
 KEY_INIT_END = KEY_READY_CYCLE + 1
 
 
+def program_resumes(monkeypatch):
+    """A list that gets one entry for each resume of the key-store program
+    in the runs that follow, the reset cycle's included."""
+    resumes, step = [], KeyScheduler._init_cycle
+
+    def counted(self, s1, s8):
+        resumes.append(s1)
+        return step(self, s1, s8)
+
+    monkeypatch.setattr(KeyScheduler, "_init_cycle", counted)
+    return resumes
+
+
+def flipped(image, entry, bits):
+    image[entry] ^= bits
+    return image
+
+
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
 @given(key=st.one_of(st.just(FIPS_KEY), st.binary(min_size=16, max_size=16)))
 def test_key_init_pass_equals_stepped_cycles(key):
-    # Key initialization is one pass; the state its commit leaves is the
-    # stepped run's: every datapath rank, the key store's image, outputs
+    # Key initialization is one pass, computed at once with no resume of
+    # the program after the reset cycle's; the state its commit leaves is
+    # the stepped run's: every datapath rank, the key store's image, outputs
     # and round counters, 46 program cycles and cleared injects. The same
     # holds on an S-box image corrupted where the first round's substitution
-    # reads it, whose key store differs from the healthy one. Passes capped
-    # at 7 cycles split key initialization into seven, each planned up to
-    # the cap or the ready cycle, and every commit of them leaves the
-    # stepped run's state; capped at 60, it is one pass.
+    # reads it, whose key store differs from the healthy one, and on images
+    # corrupted where the held ranks read them: S-box entry 0, product
+    # entry 0 of each half, and a product entry the inversion reads for
+    # this key. On the first two images, passes capped at 7 cycles split key
+    # initialization into seven, each planned up to the cap or the ready
+    # cycle, and every commit of them leaves the stepped run's state; capped
+    # at 60, it is one pass.
     jobs = mixed_jobs(1, seed=3)
-    corrupt = build_sbox_image()
-    corrupt[key[13]] ^= 0x01
+    inner = aesref.key_expand(key).keys[MAIN_ROUNDS][0]
+    corruptions = [
+        (None, None),
+        (flipped(build_sbox_image(), key[13], 0x01), None),
+        (flipped(build_sbox_image(), 0, 0x01), None),
+        (None, flipped(build_mixcolumns_image(), 0, 0x0100)),
+        (None, flipped(build_mixcolumns_image(), 0x100, 0x0100)),
+        (None, flipped(build_mixcolumns_image(), 0x100 | inner, 0x0100)),
+    ]
     images = []
-    for sbox_image in (None, corrupt):
+    for index, (sbox_image, mc_image) in enumerate(corruptions):
+        images_of = {"sbox_image": sbox_image, "mc_image": mc_image}
         with pytest.MonkeyPatch.context() as monkeypatch:
-            passed, states, _ = committed_states(monkeypatch, key, jobs, sbox_image=sbox_image)
-            stepped, reference, _ = committed_states(
-                monkeypatch, key, jobs, stepped=True, sbox_image=sbox_image
-            )
-            capped = {
-                cap: committed_states(monkeypatch, key, jobs, sbox_image=sbox_image, cap=cap)[1]
+            resumes = program_resumes(monkeypatch)
+            passed, states, _ = committed_states(monkeypatch, key, jobs, **images_of)
+            assert len(resumes) == 1
+            stepped, reference, _ = committed_states(monkeypatch, key, jobs, stepped=True,
+                                                     **images_of)
+            capped = {} if index > 1 else {
+                cap: committed_states(monkeypatch, key, jobs, cap=cap, **images_of)[1]
                 for cap in (7, 60)
             }
         # One pass: no commit between the reset cycle's and its own.
         assert not any(1 < cycle < KEY_INIT_END for cycle in states)
         assert states[KEY_INIT_END] == reference[KEY_INIT_END]
         for cap, commits in ((7, [1, 8, 15, 22, 29, 36, 43, KEY_INIT_END]), (60, [1, KEY_INIT_END])):
-            assert [cycle for cycle in capped[cap] if cycle <= KEY_INIT_END] == commits
-            for cycle in commits:
-                assert capped[cap][cycle] == reference[cycle], f"cap {cap}, cycle {cycle}"
+            if cap in capped:
+                assert [cycle for cycle in capped[cap] if cycle <= KEY_INIT_END] == commits
+                for cycle in commits:
+                    assert capped[cap][cycle] == reference[cycle], f"cap {cap}, cycle {cycle}"
         *_, fsm, init_cycles, sub_bytes_inject, mix_columns_inject, image = states[KEY_INIT_END]
         assert (fsm, init_cycles) == (READY, KEY_INIT_CYCLES) and KEY_INIT_CYCLES == 46
         assert sub_bytes_inject == mix_columns_inject == (0, 0)
@@ -290,6 +323,85 @@ def test_key_init_pass_equals_stepped_cycles(key):
         step_every_cycle(monkeypatch)
         PipelineSimulator().run(key, jobs, trace=stepped_trace)
     assert trace.getvalue() == stepped_trace.getvalue()
+
+
+@pytest.mark.parametrize(
+    "cap, resumes",
+    [(None, 0), (60, 0), (7, KEY_INIT_CYCLES + 1), (KEY_INIT_CYCLES, KEY_INIT_CYCLES + 1)],
+    ids=["uncapped", "60", "7", "46"],
+)
+def test_key_init_pass_is_computed_at_once_only_uncapped(monkeypatch, cap, resumes):
+    # A key-initialization pass from the reset cycle's state, planned up to
+    # the ready cycle, resumes the program on none of its cycles. A cap of
+    # 60 does not bind on the 47-cycle pass, so its plan is the uncapped
+    # one. Passes capped at 7 cycles, or at 46, one short of the ready
+    # cycle, step each key-initialization cycle through the cycle loop, one
+    # resume each; every run completes its block as aesref does.
+    counted = program_resumes(monkeypatch)
+    if cap is not None:
+        cap_passes(monkeypatch, cap)
+    jobs = mixed_jobs(2, seed=11)
+    result = PipelineSimulator().run(FIPS_KEY, jobs)
+    assert len(counted) == 1 + resumes
+    for job in jobs:
+        cipher = aesref.decrypt_block if job.mode else aesref.encrypt_block
+        assert result.outputs[job.seq] == cipher(FIPS_KEY, job.block)
+    assert result.summary.key_init_cycles == KEY_INIT_CYCLES
+
+
+def pending_store_write(ks, dp):
+    # A write the reset cycle did not leave, to an address no key takes.
+    ks.pending_write = (aesref.NUM_ROUNDS + 2, 0xABC)
+
+
+def cascade_word(ks, dp):
+    # A value in a cascade rank, which the held cycles flush.
+    dp.s5 = 1
+
+
+@pytest.mark.parametrize("upset", [pending_store_write, cascade_word])
+def test_key_init_pass_from_an_upset_state_steps_its_cycles(monkeypatch, upset):
+    # Only the reset cycle's state, in the key store and in every rank,
+    # starts a pass that is computed at once. From an upset one the pass
+    # resumes the program on each cycle, and its commit leaves the stepped
+    # run's state.
+    jobs = mixed_jobs(1, seed=5)
+    resumes = program_resumes(monkeypatch)
+    passed, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=(1, upset))
+    assert len(resumes) == 1 + KEY_INIT_CYCLES + 1
+    stepped, reference, _ = committed_states(
+        monkeypatch, FIPS_KEY, jobs, stepped=True, upset=(1, upset)
+    )
+    assert states[KEY_INIT_END] == reference[KEY_INIT_END]
+    assert passed.key_store == stepped.key_store
+
+
+@pytest.mark.parametrize("line", ["shift_rows_reset", "final_reset"])
+def test_key_init_pass_without_a_held_reset_steps_its_cycles(monkeypatch, line):
+    # A pass is computed at once only under both held resets. With either
+    # released on key initialization it resumes the program on each cycle
+    # as a stepped run does: without the shift-rows reset S2 drives the
+    # product mux beside the first inverse-mix inject, which faults, and
+    # without the final reset the final key-add output takes port b's key.
+    jobs = mixed_jobs(1, seed=5)
+    runs = []
+    for stepped in (False, True):
+        def released(self, *args, _begin=Controller.begin_cycle):
+            plan = _begin(self, *args)
+            if self.fsm == KEY_INIT:
+                setattr(self, line, False)
+            return plan
+
+        monkeypatch.setattr(Controller, "begin_cycle", released)
+        resumes = program_resumes(monkeypatch)
+        try:
+            state = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=stepped)[1][KEY_INIT_END]
+        except ProtocolError as fault:
+            state = f"{fault.cycle}: {fault}"
+        monkeypatch.undo()
+        runs.append((state, len(resumes)))
+    assert runs[0] == runs[1] and runs[0][1] > 1
+    assert isinstance(runs[0][0], str) == (line == "shift_rows_reset")
 
 
 @pytest.mark.parametrize("cap", [1, 7, 60, None], ids=["1", "7", "60", "uncapped"])
@@ -897,10 +1009,14 @@ def test_fault_on_a_key_init_pass_names_its_own_cycle(monkeypatch):
     # source; no word is in the loop to collide, divert or complete, and
     # the key store serves no read. An upset on the first cycle raises as a
     # stepped run raises it, and the trace ends where the stepped one ends.
+    # Such a pass is not computed at once: the program resumes on the reset
+    # cycle and on the cycle that faults.
     jobs = mixed_jobs(1, seed=7)
     trace, stepped_trace = io.StringIO(), io.StringIO()
     upset = {"core": key_init_substitution_mux}
+    resumes = program_resumes(monkeypatch)
     passed, passes = run_with_pass_upset(monkeypatch, jobs, 1, trace=trace, **upset)
+    assert len(resumes) == 2
     stepped, _ = run_with_pass_upset(
         monkeypatch, jobs, 1, trace=stepped_trace, stepped=True, **upset
     )
