@@ -40,16 +40,15 @@ its lines follow from those registers, since a divert waits for a track
 chain's final bit and an admission for its slot's chain to empty.
 Outside run a pass holds :data:`HOLD` lines up to the end of its phase:
 the reset cycle, key initialization up to :data:`KEY_READY_CYCLE` and
-the flush up to ``flush_end``, which the datapath ends at its fixed
-point; :meth:`Controller.rest_offset` names the offset the registers
-hold still from too. The lines held over a pass, ``shift_rows_reset``
-and ``final_reset``, and the admission handshake ``admit_ready`` are
-plain attributes. :meth:`Controller.admit` takes the pass's jobs in
-order onto the cycles the plan admits on. :meth:`Controller.check_against`
-reconciles the registers and the first cycle's lines with the datapath's
-tags once the datapath has computed the pass. :meth:`Controller.commit`
-moves the registers over every cycle the pass covers and returns their
-peak occupancy; no other method shifts them or moves the cycle.
+the flush up to ``flush_end``. The lines held over a pass,
+``shift_rows_reset`` and ``final_reset``, and the admission handshake
+``admit_ready`` are plain attributes. :meth:`Controller.admit` takes the
+pass's jobs in order onto the cycles the plan admits on.
+:meth:`Controller.check_against` reconciles the registers and the first
+cycle's lines with the datapath's tags once the datapath has computed the
+pass. :meth:`Controller.commit` moves the registers over every cycle the
+pass covers and returns their peak occupancy; no other method shifts
+them or moves the cycle.
 
 A plan is a list with one entry per cycle of the pass, each ``(admit,
 divert, initial_reset, main_reset)``, the lines the datapath takes. A
@@ -344,21 +343,9 @@ class Controller:
         if main_reset and dp_tags & _VALID10:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
 
-    def rest_offset(self, offset: int = 0) -> int | None:
-        """The first offset into the pass, from ``offset`` on, whose commit
-        changes no register but the cycle, once every tracking bit has left
-        its chain; None while a word is in the loop or on its way there."""
-        if self.tags or self._arriving0 or self._arriving1:
-            return None
-        track = self.track
-        while offset < TRACK_CYCLES and track & _TRACK_KEEP[offset]:
-            offset += 1
-        return offset
-
     def commit(self, cycles: int = 1) -> int:
         """Commit this cycle and the ``cycles - 1`` after it, with the
-        admissions made and the diverts planned on them: a whole pass, or a
-        skipped flush span.
+        admissions made and the diverts planned on them: a whole pass.
 
         The track chains shift ``cycles`` places, each admission's bit
         entering its slot's chain at its offset. The occupancy and mode

@@ -51,9 +51,10 @@ gives each cycle, the first included. It takes every cycle's keys from
 the key store: in service it serves the store's three consumers on each
 cycle from the tag rank it holds, the one copy of the rank's movement,
 and before service it resumes the key schedule's program on each cycle,
-which gives the cycle's keys and injects (a fresh key's initialization
-pass, untraced, the store computes at once). An untraced pass takes its
-cycles position-major, events included, each position's words in
+which gives the cycle's keys and injects. The power-up passes of held
+lines, a fresh key's initialization and the flush, it computes at once to
+the end state that follows from the tables and the key store. An
+untraced pass takes its cycles position-major, events included, each position's words in
 table-lookup rounds built from the model's images. A lockstep test
 replays a simulator run into both and compares every tap on every cycle.
 """
@@ -116,6 +117,8 @@ _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 # Row shift of a 16-byte state, per mode bit.
 _SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
 _ZERO_STATE = (0,) * 16
+# The tap record of a cycle that carries no tag.
+_UNTAGGED = (0, 0, None, bytes(16), _ZERO_STATE, 0, 0)
 
 # The lines of a planned cycle with no admission, divert or arriving word.
 QUIET = (None, False, True, False)
@@ -436,6 +439,14 @@ def _products(lanes, state) -> int:
     )), "big")
 
 
+def _cascade(x: int) -> tuple[int, int, int]:
+    """The S6, S7 and S8 values a rank ``x`` of product entries folds to in
+    the XOR cascade, one lane more each."""
+    x6 = (x ^ x >> 128 & _SECOND128) & _MASK384
+    x7 = (x6 ^ x6 >> 128 & _MID128) & _MASK256
+    return x6, x7, (x7 ^ x7 >> 128) & _MASK128
+
+
 class RoundDatapath:
     """The loop plus initial/final key-add instances and tap points.
 
@@ -494,7 +505,7 @@ class RoundDatapath:
         "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
         "ia_in", "ia_out", "fa_in", "fa_out",
         "tags", "seqs", "ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag",
-        "fused_cycles", "settled", "_sbox", "_lanes", "_tables", "_next",
+        "fused_cycles", "_sbox", "_lanes", "_tables", "_next",
     )
 
     def __init__(self, tables: DatapathTables | None = None):
@@ -502,7 +513,6 @@ class RoundDatapath:
         self._sbox = tables.sbox
         self._lanes, self._tables = tables.lanes, tables
         self.fused_cycles = 0
-        self.settled = 0
         self.s0 = self.s1 = self.s2 = self.s3 = self.s4 = self.s5 = 0
         self.s6 = self.s7 = self.s8 = self.s9 = self.s10 = self.s11 = 0
         self.ia_in = self.ia_out = self.fa_in = self.fa_out = 0
@@ -537,8 +547,12 @@ class RoundDatapath:
         store's commit. Before service ``store.resume(s1, s8)``, given each
         cycle's committed S1 (as bytes) and S8, returns its main and final
         keys and its substitution and product injects, ``(data, mode)``
-        each; but a fresh key's untraced initialization pass is computed at
-        once (:meth:`_initialize`).
+        each.
+
+        A pass of :data:`HOLD` lines, key initialization from the reset
+        cycle's state or a flush of at least :data:`NUM_LOOP_STAGES` cycles
+        with no tag, is computed at once (:meth:`_power_up`); from any other
+        state, or shorter, it steps every cycle.
 
         An untraced run pass in service computes its cycles position-major
         (:meth:`_window`) from the first with no word on its way in to two
@@ -547,10 +561,6 @@ class RoundDatapath:
         a stray tag bit, a divert that finds no word or an arrival one, a
         slot live at two positions or a key read past round 9 declines.
 
-        A pass of :data:`HOLD` lines in service ends on its first cycle that
-        changes no rank or port read and holds no tag; ``settled`` is then
-        the count of cycles computed, and 0 after a whole plan.
-
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the word the final key-add output
         carries then, and its value. A fault raised on a later cycle
@@ -558,7 +568,8 @@ class RoundDatapath:
         ``completions``. A ``taps`` list gets each cycle's committed
         ``(tags, ia_out, ia_out_tag, s1, s2, s8, s11)``, s1 and s2 as bytes.
         """
-        if shift_rows_reset and final_reset and taps is None and self._initialize(plan, store):
+        held = plan[0] is HOLD
+        if held and self._power_up(plan, store, shift_rows_reset, final_reset, taps):
             return []
         sbox = self._sbox
         lanes = self._lanes
@@ -602,17 +613,11 @@ class RoundDatapath:
             main_key, final_key, ks_sub_bytes, ks_mix_columns = resume(s1, s8)
         ks_sb_data, ks_sb_mode = ks_sub_bytes
         ks_mc_data, ks_mc_mode = ks_mix_columns
-        # A held pass compares each cycle's ranks and keys with the ones before.
-        held = image is not None and plan[0] is HOLD
-        if held:
-            fa_in, fa_out = self.fa_in, self.fa_out
-            state = (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
-                     ia_in, ia_out, fa_in, fa_out, main_key, final_key)
         # An untraced pass in service tries one window, from its first cycle
         # with no word on its way in.
         fusable = not (held or shift_rows_reset or final_reset or taps is not None or image is None)
         fuse_at = 0 if fusable and ks_sub_bytes == ks_mix_columns == (0, 0) else -1
-        cycle, current, settled = 0, None, 0
+        cycle, current = 0, None
         try:
             while True:
                 if cycle == fuse_at:
@@ -750,18 +755,6 @@ class RoundDatapath:
                 entering = ia_in_tag
                 ia_in_tag = admitted
 
-                if held:
-                    # A cycle that changes no rank or key and holds no tag is a
-                    # fixed point: each cycle after it would repeat it. A held
-                    # cycle admits and diverts none, and with no tag left no
-                    # word counts a key.
-                    fa_out = 0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128)
-                    fa_in = int.from_bytes(bytes(s2_1), "big") << 128 | final_key
-                    before, state = state, (s0, s1, bytes(s2), s3, s4, s5, s6, s7, s8, s9, s10,
-                                            s11, ia_in, ia_out, fa_in, fa_out, read_a, read_b)
-                    if state == before and not tags and entering is None and fa_out_tag is None:
-                        cycles = cycle
-                        settled = cycle + 1
                 if cycle == cycles:
                     break
                 last_final_key = final_key
@@ -779,7 +772,6 @@ class RoundDatapath:
             fault.completions = completions
             raise
 
-        self.settled = settled
         if image is not None:
             store.addr_a, store.addr_b = addr_a, addr_b
             store.read_a, store.read_b, store.pending_increment = read_a, read_b, increment
@@ -803,31 +795,54 @@ class RoundDatapath:
         )
         return completions
 
-    def _initialize(self, plan, store) -> bool:
-        """Compute a key-initialization pass at once: a plan of held lines,
-        from the reset cycle's state on these tables (zero words substituted
-        and multiplied in encrypt mode), that ``store.initialize`` runs whole.
-        The resets leave the zero words' ranks again, but S9 and S10 hold the
-        last two S8 values beside port a's key, and the final key-add input
-        port b's. Returns False, changing nothing, for any other pass."""
-        if store.resume is None or len(plan) < 2 or plan.count(HOLD) != len(plan):
+    def _power_up(self, plan, store, shift_rows_reset, final_reset, taps) -> bool:
+        """Compute a power-up pass of held lines at once, to the end state
+        that follows from these tables and the key store alone: no tag, the
+        idle word (a zero word substituted in encrypt mode) in S0 and S1,
+        and S2 and its encrypt-lane products and cascade folds down to S8.
+
+        Before service, under both resets, it is key initialization from the
+        reset cycle's state, which ``store.initialize`` runs whole: S2 stays
+        in reset, and S9 and S10 hold the last two S8 values beside port a's
+        key. In service, with both resets released, it is the flush: from a
+        state with no tag, no store inject and at most one source at the
+        substitution mux, the resets zero the mux input from the second
+        cycle, so the idle word holds S0 from the third and S10 from the
+        thirteenth, and port a reads word 0 and port b the encrypt final key
+        on every cycle; S9 and S10 hold S8 beside word 0, and the final
+        key-add S2 beside port b's word. A ``taps`` list gets a record of
+        each cycle that carries no tag. Returns False, changing nothing, for
+        any other pass, such as a flush shorter than :data:`NUM_LOOP_STAGES`."""
+        n, flush = len(plan), store.resume is None
+        if (n < (NUM_LOOP_STAGES if flush else 2) or plan.count(HOLD) != n
+                or not shift_rows_reset == final_reset != flush or self.tags
+                or (self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag) != (None,) * 4
+                or flush and (self.s11 and self.ia_out
+                              or not store.sub_bytes_inject == store.mix_columns_inject == (0, 0))):
             return False
-        zeros, tables = bytes(16), self._tables
-        idle = int.from_bytes(zeros.translate(tables.sbox[0]), "big")
-        x = _products(tables.lanes[0], zeros)
-        if (
-            self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
-            self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            self.tags, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
-        ) != (idle, 0, 0, x) + (0,) * 13 + (None,) * 4 or not store.initialize(len(plan), tables):
-            return False
-        x6 = (x ^ x >> 128 & _SECOND128) & _MASK384
-        x7 = (x6 ^ x6 >> 128 & _MID128) & _MASK256
-        x8 = (x7 ^ x7 >> 128) & _MASK128
-        key, last = store.out_a, store.image[key_store_address(MODE_DECRYPT, MAIN_ROUNDS)]
-        self._next = (idle, idle, 0, x, x, x, x6, x7, x8, x8 << 128 | key, last << 128 | key,
-                      0, 0, 0, store.out_b, 0, 0, None, None, None, None)
-        self.settled = 0
+        tables, zeros = self._tables, bytes(16)
+        idle = zeros.translate(tables.sbox[0])
+        s2 = bytes(_SHIFT_ROWS[0](idle)) if flush else zeros
+        x = _products(tables.lanes[0], s2)
+        idle, s2 = int.from_bytes(idle, "big"), int.from_bytes(s2, "big")
+        x6, x7, x8 = _cascade(x)
+        if flush:
+            store.addr_a, store.addr_b, store.pending_increment = 0, NUM_ROUNDS, None
+            store.read_a, store.read_b = store.image[0], store.image[NUM_ROUNDS]
+            last = x8
+        else:
+            if (
+                self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
+                self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
+            ) != (idle, 0, 0, x) + (0,) * 12 or not store.initialize(n, tables):
+                return False
+            last = store.image[key_store_address(MODE_DECRYPT, MAIN_ROUNDS)]
+        key, final = store.read_a, store.read_b
+        self._next = (idle, idle, s2, x, x, x, x6, x7, x8, x8 << 128 | key, last << 128 | key,
+                      0, 0, 0, s2 << 128 | final, 0 if final_reset else s2 ^ final,
+                      0, None, None, None, None)
+        if taps is not None:
+            taps += [_UNTAGGED] * n
         return True
 
     def _window(self, plan, start, cycles, ranks, tags, image, counters, completions) -> int:
@@ -929,8 +944,7 @@ class RoundDatapath:
                 sub = v.to_bytes(16, "big").translate(sbox[m])
                 u = _SHIFT_ROWS[m](sub)
                 x = _products(lanes[m], u) if e > 2 else 0
-                x6 = (x ^ x >> 128 & _SECOND128) & _MASK384
-                out[e] = (sub, sub, u, x, x, x, x6, (x6 ^ x6 >> 128 & _MID128) & _MASK256)[e]
+                out[e] = (sub, sub, u, x, x, x)[e] if e < 6 else _cascade(x)[e - 6]
             elif e == 8:
                 out[8], out[12] = v ^ key, key
             else:

@@ -28,7 +28,7 @@ initialization is then one pass, which the controller plans to end on
 the cycle the program reports ready. Its held resets leave each injected
 word alone in the RAMs, so from the reset cycle's state the pass is
 computed at once from the datapath's tables (:meth:`KeyScheduler.initialize`);
-a capped, traced or upset one resumes the program once per cycle with the
+a capped or upset one resumes the program once per cycle with the
 S1 and S8 values the loop holds. In service the same loop serves the
 store on every cycle from the tag rank it steps: it resets the round
 counters, sets and reads both ports and counts the keys consumed.

@@ -6,26 +6,19 @@ jobs admitted (greedily, on the first non-conflicting cycle). Every
 block completes exactly BLOCK_LATENCY cycles after admission; admission
 pressure shows up as stalls, never as in-flight delay.
 
-Most of the flush is a fixed point: the loop holds no word, the track
-chains are clear and the data ranks have settled. The datapath ends the
-flush's pass on its first cycle that changes no rank or key-store read
-and holds no tag (``RoundDatapath.settled``). Every flush cycle after it
-repeats it exactly once the controller's registers hold still too, from
-the offset ``Controller.rest_offset`` gives: at once in a clean run, or
-once the last tracking bit an upset left has passed its chain. The pass
-covers the settled cycle's repeats up to that offset, within its plan,
-and its controller commit covers the rest of the flush from there; the
-trace repeats the settled cycle's tap record for each. The test is
-exact: an upset that breaks the fixed point delays the skip.
-``RunSummary.skipped_cycles`` counts the cycles skipped; the other
-statistics count them as cycles.
+The flush holds no word, and its resets zero the substitution input, so
+every rank forgets where it started within one loop traversal: the
+datapath computes the flush's pass at once, to the state that follows
+from the tables and the key store, as it computes a fresh key's
+initialization pass. The flush is one pass like any other, whose
+controller commit covers all its cycles.
 
 The run is a sequence of passes. Each pass makes one call to the
 datapath, which takes the controller's plan, the lines of every cycle of
 the pass, the first included, and takes every cycle's keys from the key
 store: it serves the store on each of them, or resumes the store's
-program once per cycle with the ranks the program reads back (a fresh
-key's untraced initialization pass the store computes at once). In run,
+program once per cycle with the ranks the program reads back (the
+datapath computes key initialization and the flush at once). In run,
 the controller plans a pass of up to one batch period from registered
 state and the count of pending jobs: the cycles it admits on, its
 diverts and its reset lines, which follow from the track chains alone. A
@@ -45,8 +38,7 @@ checked the first cycle. Every pass commits the datapath, the controller
 and the key store once each, over all the cycles it covers (each resume
 of the key-store program commits the cycle before it), and writes its
 trace in one call from the taps the datapath records on each cycle.
-``RunSummary`` counts the passes, the cycles after their first and the
-skipped cycles.
+``RunSummary.passes`` counts the passes.
 
 File formats (stable, line-delimited):
 
@@ -137,13 +129,9 @@ class RunSummary:
     blocks_completed: int = 0
     stall_cycles: int = 0
     max_loop_occupancy: int = 0
-    # Each cycle is counted once in one of the next three: the first cycle
-    # of a pass, a later cycle of a planned pass, or a flush cycle
-    # fast-forwarded from a fixed point.
-    stepped_cycles: int = 0
-    window_cycles: int = 0
-    skipped_cycles: int = 0
-    # Window cycles in fused rounds (118 of a steady pass's 120): how, not what, so not compared.
+    # The passes, one datapath call each.
+    passes: int = 0
+    # Cycles computed in fused rounds (118 of a steady pass's 120): how, not what, so not compared.
     fused_cycles: int = field(default=0, compare=False)
     admission_cycles: dict[int, int] = field(default_factory=dict)
     completion_cycles: dict[int, int] = field(default_factory=dict)
@@ -236,8 +224,7 @@ class PipelineSimulator:
         run_end = budget
         max_occupancy = 0
         stall_cycles = 0
-        stepped_cycles = 0
-        skipped_cycles = 0
+        passes = 0
 
         try:
             while len(outputs) < len(jobs):
@@ -296,32 +283,16 @@ class PipelineSimulator:
                     raise
 
                 ctrl.check_against(dp)
-
-                # A flush pass the datapath ended at its fixed point covers the
-                # settled cycle's repeats up to the controller's rest offset, within
-                # the plan, and skips the rest of the flush from there.
-                skipped = 0
-                settled = dp.settled
-                if settled:
-                    rest = ctrl.rest_offset(settled - 1)
-                    if rest is None:
-                        span = settled
-                    elif rest < span:
-                        span = rest + 1
-                        skipped = ctrl.flush_end - cycle - span
-
                 if taps is not None:
-                    taps += taps[-1:] * (span + skipped - len(taps))
                     self._emit_trace(trace, cycle, taps, completions, fsm, waited, admissions)
 
                 dp.commit_cycle()
-                occupancy = ctrl.commit(span + skipped)
+                occupancy = ctrl.commit(span)
                 if occupancy > max_occupancy:
                     max_occupancy = occupancy
                 ks.commit()
-                stepped_cycles += 1
+                passes += 1
                 stall_cycles += waited - len(admissions)
-                skipped_cycles += skipped
         except SimulationFault as fault:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it, at the offset
@@ -338,9 +309,7 @@ class PipelineSimulator:
         summary.total_cycles = ctrl.cycle
         summary.blocks_completed = len(outputs)
         summary.stall_cycles = stall_cycles
-        summary.stepped_cycles = stepped_cycles
-        summary.window_cycles = ctrl.cycle - stepped_cycles - skipped_cycles
-        summary.skipped_cycles = skipped_cycles
+        summary.passes = passes
         summary.fused_cycles = dp.fused_cycles
         summary.max_loop_occupancy = max_occupancy
         summary.key_init_cycles = ks.init_cycles

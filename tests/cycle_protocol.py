@@ -18,9 +18,8 @@ simulator run, the one point at which a test upsets or inspects the core
 before a pass reads it.
 
 :func:`step_every_cycle` makes a whole simulator run take passes of one
-cycle, so that a hook on a per-cycle method sees every cycle the run
-does not skip: the stepped run, the reference a run of planned passes
-must match. :func:`cap_passes` shortens passes to any length, so that a
+cycle, so that a hook on a per-cycle method sees every cycle: the
+stepped run, the reference a run of planned passes must match. :func:`cap_passes` shortens passes to any length, so that a
 pass can open in the middle of a batch.
 """
 

@@ -9,8 +9,8 @@ registers or control lines in the middle of a simulator run, made after
 datapath's packed tag rank show that each compare of it fires, and every
 single-bit upset of either side's tag rank on sampled cycles fails or
 passes the one-compare check as the ordered checks would. Upsets made
-during the flush show that the run fast-forwards the flush only from an
-exact fixed point. Data upsets, which no check covers, complete with
+during the flush show that a flush pass, computed at once or stepped,
+leaves the core as stepping every cycle does. Data upsets, which no check covers, complete with
 wrong outputs. Each upset run takes passes of one cycle, so that a hook
 on a per-cycle method sees every cycle; the flush upsets are made on
 planned passes too, one of which opens on the upset cycle.
@@ -47,7 +47,7 @@ from drablocus.faults import (
     TimingFault,
 )
 from drablocus.keyschedule import READY
-from drablocus.simulator import Job, PipelineSimulator
+from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
 from drablocus.tables import (
     MODE_DECRYPT,
     MODE_ENCRYPT,
@@ -466,9 +466,9 @@ def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_ups
     assert any(isinstance(o, str) and "controller's tag rank" in o for o in outcomes)
 
 
-# Upsets during the flush: the run fast-forwards the flush only from an
-# exact fixed point, so each upset leaves the run as stepping every cycle
-# would.
+# Upsets during the flush: a flush pass computed at once leaves the core as
+# stepping its cycles does, so each upset leaves the run as stepping every
+# cycle would.
 def on_flush_cycle(n):
     """A ``when`` holding on the flush cycle with ``n`` flush commits behind it."""
     return lambda ctrl, dp: ctrl.fsm == FLUSH and ctrl.cycle == ctrl.flush_end - TRACK_CYCLES + n
@@ -487,59 +487,72 @@ def test_track_bit_set_after_first_flush_commit_fires_in_run(monkeypatch):
     assert err.value.cycle == 161
 
 
-@pytest.mark.parametrize("bit, skipped", [(0, 0), (TRACK_CYCLES - 1, 103)])
-def test_track_bit_set_on_first_flush_cycle_is_flushed(bit, skipped):
-    # The flush's 113 commits shift any bit out of its chain. An admission
-    # bit stays in the rank until the last flush commit, so no cycle is
-    # skipped; the top bit leaves on the first commit and the skip is
-    # unchanged. The bit is set after the flush's pass is planned, one cycle
-    # long or whole, so the datapath's fixed point comes first and the
-    # controller's registers delay the skip. Whole, the flush's pass covers
-    # the settled cycle's repeats until the bit leaves, so the flush takes at
-    # most two passes: every pass but the flush's is the clean run's. Both
-    # runs write the same trace.
-    expected = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13))
-    assert expected.summary.skipped_cycles == 103
+def run_from_flush_upset(upset, n, cap):
+    """A 13-job run with ``upset`` applied on the flush cycle ``n`` flush
+    commits in, which must open a pass at most ``cap`` cycles long. Returns
+    the result, the controller's registers and the datapath's ranks on the
+    first run cycle, and the trace."""
+    trace, applied, cores = io.StringIO(), [], []
 
+    def recorded(ctrl, dp):
+        applied.append(ctrl.cycle)
+        upset(ctrl, dp)
+
+    def record_core(ctrl, dp, ks):
+        if ctrl.fsm == RUN and ctrl.cycle == ctrl.flush_end:
+            cores.append((
+                ctrl.track, ctrl.tags, dp.tags, dp.s0, dp.s1, dp.s2, dp.s3, dp.s4, dp.s5, dp.s6,
+                dp.s7, dp.s8, dp.s9, dp.s10, dp.s11, dp.ia_in, dp.ia_out, dp.fa_in, dp.fa_out,
+            ))
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        before_each_pass(monkeypatch, record_core)
+        result = run_with_rank_upset(
+            monkeypatch, recorded, mixed_jobs(13), when=on_flush_cycle(n), cap=cap, trace=trace
+        )
+    assert applied == [RUN_START_CYCLE - TRACK_CYCLES + n], cap
+    return result, cores, trace.getvalue()
+
+
+def assert_flushed_as_stepped(upset, n, caps):
+    """Runs upset ``n`` flush commits in, stepped or with passes capped at
+    each of ``caps``, enter run with the clean run's registers and ranks and
+    give its outputs, trace and cycles; uncapped, its summary, passes
+    included."""
+    clean, clean_core, clean_trace = run_from_flush_upset(lambda ctrl, dp: None, 0, None)
+    for cap in (1, *caps):
+        result, core, trace = run_from_flush_upset(upset, n, cap)
+        assert core == clean_core, cap
+        assert result.outputs == clean.outputs and trace == clean_trace, cap
+        assert result.summary.total_cycles == clean.summary.total_cycles
+        if cap is None:
+            assert result.summary == clean.summary
+
+
+@pytest.mark.parametrize("bit", [0, TRACK_CYCLES - 1])
+def test_track_bit_set_on_first_flush_cycle_is_flushed(bit):
+    # The flush's 113 commits shift any bit out of its chain: an admission
+    # bit on the last flush commit, the top bit on the first. The bit is set
+    # after the flush's pass is planned, one cycle long or whole; whole, the
+    # datapath computes it at once and the controller's one commit over the
+    # flush shifts the bit out as 113 single commits do.
     def upset(ctrl, dp):
         ctrl.track ^= 1 << TRACK_CYCLES * 3 + bit
 
-    traces = []
-    for cap in (1, None):
-        trace = io.StringIO()
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            result = run_with_rank_upset(
-                monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(0), cap=cap, trace=trace
-            )
-        traces.append(trace.getvalue())
-        assert result.outputs == expected.outputs
-        assert result.summary.total_cycles == expected.summary.total_cycles
-        assert result.summary.skipped_cycles == skipped, cap
-    assert result.summary.stepped_cycles - expected.summary.stepped_cycles + 1 <= 2
-    assert traces[0] == traces[1]
+    assert_flushed_as_stepped(upset, 0, [None])
 
 
-def test_datapath_upset_in_flush_delays_the_skip():
-    # Upset on the cycle the skip would start from, the cascade bit takes six
-    # cycles to pass through s6..s10 into the main key-add output, which the
-    # flush holds in reset; the skip starts once it is gone. Planned passes
-    # as long as the flush cycles before the upset open a pass on it, which
-    # the datapath ends six cycles later than it would without the upset.
-    expected = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13))
-    span = expected.summary.skipped_cycles
-    settling = TRACK_CYCLES - span - 1
-
+def test_datapath_upset_in_flush_is_flushed():
+    # A cascade bit takes six cycles to pass through S6..S10 into the main
+    # key-add output, which the flush holds in reset. Upset nine cycles into
+    # the flush, it opens a pass in runs capped at 9 cycles, which step
+    # their flush passes; upset on the first flush cycle, it opens a pass
+    # computed at once in runs capped at 60 and in whole runs.
     def upset(ctrl, dp):
         dp.s5 ^= 1
 
-    for cap in (1, settling):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            result = run_with_rank_upset(
-                monkeypatch, upset, mixed_jobs(13), when=on_flush_cycle(settling), cap=cap
-            )
-        assert result.outputs == expected.outputs
-        assert result.summary.total_cycles == expected.summary.total_cycles
-        assert result.summary.skipped_cycles == span - 6, cap
+    assert_flushed_as_stepped(upset, 9, [9])
+    assert_flushed_as_stepped(upset, 0, [60, None])
 
 
 # Data upsets that no check covers: the model checks tags and control, not

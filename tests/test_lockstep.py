@@ -4,9 +4,7 @@ A seeded simulator run, stepping every cycle, records the arguments of
 every ``compute_cycle`` call but the key store, through reset, key
 initialization, flush and run; each call is one cycle, a plan of one
 entry, and the keys and injects the store gave it, read off the store
-after the call, make the cycle's line of a script. The flush cycles the
-run skips from a fixed point repeat the last stepped cycle's call, so the
-replay inserts them as repeats of it. The same calls drive
+after the call, make the cycle's line of a script. The same calls drive
 :class:`ComposedDatapath` (the unit classes stepped through the fabric
 primitives) and a fresh :class:`RoundDatapath`, each with a
 :class:`ScriptedStore` of the script; every tap, its tag, and the
@@ -29,8 +27,8 @@ FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
 def recorded_run(monkeypatch, jobs):
     """The ``compute_cycle`` arguments of every cycle of one run but the key
-    store, the keys and injects the store gave each cycle, skipped cycles as
-    repeats of the cycle before them, and each cycle's FSM state."""
+    store, the keys and injects the store gave each cycle, and each cycle's
+    FSM state."""
     calls, script = [], []
     original = RoundDatapath.compute_cycle
 
@@ -46,14 +44,10 @@ def recorded_run(monkeypatch, jobs):
     summary = PipelineSimulator().run(FIPS_KEY, jobs, trace=trace).summary
     monkeypatch.undo()
     # Each call is one cycle; its tap records are the trace's.
+    assert len(calls) == summary.total_cycles
     for kwargs in calls:
         assert len(kwargs["plan"]) == 1
         kwargs.pop("taps")
-    # The skipped span runs up to the transition into run.
-    first = summary.run_start_cycle - summary.skipped_cycles
-    assert summary.skipped_cycles > 0 and len(calls) > first
-    calls[first:first] = [calls[first - 1]] * summary.skipped_cycles
-    script[first:first] = [script[first - 1]] * summary.skipped_cycles
     phases = [line.split()[1].removeprefix("fsm=")
               for line in trace.getvalue().splitlines() if " fsm=" in line]
     return calls, script, phases

@@ -9,11 +9,9 @@ import pytest
 
 from cycle_protocol import before_each_pass
 from drablocus import aesref
-from drablocus.controller import FLUSH, HOLD, KEY_INIT, RESET, RUN, Controller
-from drablocus.datapath import (
-    BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, DatapathTables, RoundDatapath,
-)
-from drablocus.keyschedule import KEY_INIT_CYCLES
+from drablocus.controller import FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, Controller
+from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, DatapathTables
+from drablocus.keyschedule import KEY_INIT_CYCLES, KeyScheduler
 from drablocus.simulator import (
     BATCH_PERIOD,
     CLOCK_MHZ,
@@ -256,10 +254,12 @@ CALLS_PER_CYCLE_BOUND = 0.26
 # bound was lowered from 9.0 to 1.1; 0.73 since key initialization is one
 # pass, when it was lowered to 0.8; 0.37 since a pass admits its jobs in one
 # controller call, when it was lowered to 0.42; 0.20 since a word's tag is
-# built without a Python frame, when it was lowered to 0.22.
-TRACED_CALLS_PER_CYCLE_BOUND = 0.22
+# built without a Python frame, when it was lowered to 0.22; 0.12 since the
+# flush is computed at once rather than stepped to its fixed point and
+# skipped, when it was lowered to 0.15.
+TRACED_CALLS_PER_CYCLE_BOUND = 0.15
 # A one-job run with a fresh key, where key initialization is a sixth of
-# the cycles and the flush skip most of the rest: 1.91 with 59 passes, 47
+# the cycles and the flush most of the rest: 1.91 with 59 passes, 47
 # of them one key-initialization cycle each, and 1.08 since key
 # initialization is one pass, whose program the datapath resumes once per
 # cycle, when this bound was set at 1.2; 0.68 with 4 passes, one per phase,
@@ -267,8 +267,13 @@ TRACED_CALLS_PER_CYCLE_BOUND = 0.22
 # when it was lowered to 0.9, and to 0.75 at the same count; 0.30 (0.32
 # in a process whose fused tables this run builds) since a fresh key's
 # initialization pass is computed at once, with no resume of the program
-# after the reset cycle's, when it was lowered to 0.35.
+# after the reset cycle's, when it was lowered to 0.35; 0.32 since the flush
+# pass is computed at once too.
 FRESH_KEY_CALLS_PER_CYCLE_BOUND = 0.35
+# The same run writing a trace: 0.68 while a traced key-initialization pass
+# resumed the key-store program on each of its cycles, and 0.29 since it is
+# computed at once as an untraced one is, when this bound was set.
+TRACED_FRESH_KEY_CALLS_PER_CYCLE_BOUND = 0.35
 
 
 def python_calls_per_cycle(sim, trace=None, key=FIPS_KEY, jobs=None):
@@ -309,6 +314,14 @@ def test_fresh_key_python_calls_per_cycle_stay_bounded(sim):
     )
 
 
+def test_traced_fresh_key_python_calls_per_cycle_stay_bounded(sim):
+    key, jobs = random.Random(0x6B01).randbytes(16), mixed_jobs(1, seed=107)
+    per_cycle = python_calls_per_cycle(sim, trace=io.StringIO(), key=key, jobs=jobs)
+    assert per_cycle <= TRACED_FRESH_KEY_CALLS_PER_CYCLE_BOUND, (
+        f"{per_cycle:.2f} Python calls per cycle with a fresh key and a trace"
+    )
+
+
 def passes_by_phase(monkeypatch, plans=None):
     """Count a run's passes by the controller's phase on each pass's
     datapath call, and append each pass's ``(phase, plan)`` to ``plans``."""
@@ -323,23 +336,12 @@ def passes_by_phase(monkeypatch, plans=None):
     return passes
 
 
-def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
+def test_fresh_key_run_takes_one_pass_per_phase(sim, monkeypatch):
     # A one-job run takes one pass per phase: reset, key initialization, the
     # flush and run. Each pass before run holds its lines up to the end of
-    # its phase. The datapath ends the flush's pass on its first cycle that
-    # changes nothing, and the run skips the rest of the flush. The run's
-    # pass is planned from the admission to the completion. The passes
-    # compute every cycle the run does not skip.
-    computed = 0
-    original = RoundDatapath.compute_cycle
-
-    def counted(self, **kwargs):
-        nonlocal computed
-        completions = original(self, **kwargs)
-        computed += self.settled or len(kwargs["plan"])
-        return completions
-
-    monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)
+    # its phase, and the datapath computes key initialization's and the
+    # flush's at once. The run's pass is planned from the admission to the
+    # completion.
     plans = []
     passes = passes_by_phase(monkeypatch, plans)
     summary = sim.run(random.Random(0x6B01).randbytes(16), mixed_jobs(1, seed=107)).summary
@@ -348,10 +350,35 @@ def test_fresh_key_run_skips_the_quiescent_flush(sim, monkeypatch):
     assert [plan for _, plan in plans[:3]] == [
         [HOLD], [HOLD] * (KEY_INIT_CYCLES + 1), [HOLD] * TRACK_CYCLES,
     ]
-    assert (summary.total_cycles, summary.skipped_cycles, summary.stepped_cycles) == (277, 103, 4)
-    assert computed == summary.stepped_cycles + summary.window_cycles
-    assert computed + summary.skipped_cycles == summary.total_cycles
+    assert (summary.total_cycles, summary.passes, summary.fused_cycles) == (277, 4, 114)
+    assert summary.key_init_cycles == KEY_INIT_CYCLES
     assert summary.flush_cycles == TRACK_CYCLES
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_fresh_key_run_resumes_the_key_program_on_the_reset_cycle_only(sim, monkeypatch, traced):
+    # Traced or not, a fresh key's initialization pass is computed at once:
+    # the key-store program resumes once, on the reset cycle, and the trace
+    # has a status line for each of the pass's cycles, with no tap line.
+    resumes, step = [], KeyScheduler._init_cycle
+
+    def counted(self, s1, s8):
+        resumes.append(s1)
+        return step(self, s1, s8)
+
+    monkeypatch.setattr(KeyScheduler, "_init_cycle", counted)
+    trace = io.StringIO() if traced else None
+    key, jobs = random.Random(0x6B01).randbytes(16), mixed_jobs(1, seed=107)
+    result = sim.run(key, jobs, trace=trace)
+    assert len(resumes) == 1
+    assert result.outputs[0] == oracle(key, jobs[0])
+    if traced:
+        lines = trace.getvalue().splitlines()
+        assert lines[1:KEY_READY_CYCLE + 1] == [
+            f"cycle={cycle} fsm=key_init occ=000000000000 stall=0"
+            for cycle in range(1, KEY_READY_CYCLE + 1)
+        ]
+        assert lines[KEY_READY_CYCLE + 1].startswith(f"cycle={KEY_READY_CYCLE + 1} fsm=flush ")
 
 
 def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatch):
@@ -371,7 +398,7 @@ def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatc
     passes = passes_by_phase(monkeypatch, plans)
     summary = sim.run(FIPS_KEY, mixed_jobs(500, seed=0x5A7)).summary
     assert summary.max_loop_occupancy == NUM_LOOP_STAGES
-    assert sum(passes.values()) == summary.stepped_cycles
+    assert sum(passes.values()) == summary.passes
     assert admitted == [
         sum(entry[0] is not None for entry in plan) for _, plan in plans
         if any(entry[0] is not None for entry in plan)

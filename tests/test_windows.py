@@ -10,13 +10,14 @@ controller's plan of a pass with the lines its cycles take one at a
 time, and whole runs: untraced, traced and stepped, their traces byte
 for byte. Key initialization is one pass, whose end state must be the
 stepped run's for any key and S-box image. So is the flush, which the
-datapath ends at its fixed point: under pass caps its commits must be
-the stepped run's, and an upset on the cycle it settles on must delay
-the skip and leave each commit from the first run cycle on as a run
-that skips nothing leaves it. A fault of each class
-that can arise inside a pass is fired in each kind of run, and must name
-the same cycle with the same message; the traced runs' traces must end
-on the same line. An untraced pass computes its cycles in fused windows,
+datapath computes at once from twelve cycles on: under pass caps, and
+from states upset on its first cycle, its commits must be the stepped
+run's, a pass one cycle short of twelve must step its cycles, and so
+must a state with a tag, two sources on the substitution mux, a word at
+an edge rank or a key-store inject. A fault of each class that can arise
+inside a pass is fired in each kind of run, and must name the same cycle
+with the same message; the traced runs' traces must end on the same
+line. An untraced pass computes its cycles in fused windows,
 events included: the runs above compare them with the stepped run's
 cycles, on healthy and on flipped RAM images and under pass caps that put
 events on every offset, and each case in which a window must leave its
@@ -118,12 +119,11 @@ def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_
 
 
 def summary_fields(summary):
-    """The summary's fields but the counts of how its cycles were computed,
-    and the count of cycles its passes computed."""
+    """The summary's fields but the counts of how its cycles were computed."""
     fields = vars(summary).copy()
     fields.pop("fused_cycles")
-    steps = fields.pop("stepped_cycles") + fields.pop("window_cycles")
-    return fields, steps
+    fields.pop("passes")
+    return fields
 
 
 def flipped_images(corrupt):
@@ -159,8 +159,8 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
     passed, states, pass_ends = committed_states(monkeypatch, key, jobs, **images)
     stepped, reference, no_passes = committed_states(monkeypatch, key, jobs, stepped=True, **images)
 
-    assert passed.summary.window_cycles > 0 and len(pass_ends) > 0
-    assert no_passes == [] and stepped.summary.window_cycles == 0
+    assert passed.summary.passes < stepped.summary.passes == stepped.summary.total_cycles
+    assert len(pass_ends) > 0 and no_passes == []
     # Each pass that admits a whole batch computes at least 118 of its
     # cycles in fused windows: all but its last two, events included.
     assert passed.summary.fused_cycles >= 118 * (n_jobs // NUM_LOOP_STAGES)
@@ -169,7 +169,7 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
     assert passed.outputs == stepped.outputs
-    assert summary_fields(passed.summary)[0] == summary_fields(stepped.summary)[0]
+    assert summary_fields(passed.summary) == summary_fields(stepped.summary)
     assert passed.summary.stall_cycles == stepped.summary.stall_cycles
     assert passed.summary.max_loop_occupancy == stepped.summary.max_loop_occupancy
 
@@ -232,12 +232,13 @@ def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, c
     passed, states, pass_ends = committed_states(monkeypatch, FIPS_KEY, jobs, cap=97, **images)
     stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, **images)
     assert offsets == set(range(97))
-    assert passed.summary.fused_cycles > 0.9 * passed.summary.window_cycles
+    summary = passed.summary
+    assert summary.fused_cycles > 0.9 * (summary.total_cycles - summary.passes)
     assert set(pass_ends) <= set(states)
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
     assert passed.outputs == stepped.outputs
-    assert summary_fields(passed.summary)[0] == summary_fields(stepped.summary)[0]
+    assert summary_fields(passed.summary) == summary_fields(stepped.summary)
 
 
 # The cycle after the key-initialization phase, which ends on the cycle
@@ -404,26 +405,78 @@ def test_key_init_pass_without_a_held_reset_steps_its_cycles(monkeypatch, line):
     assert isinstance(runs[0][0], str) == (line == "shift_rows_reset")
 
 
-@pytest.mark.parametrize("cap", [1, 7, 60, None], ids=["1", "7", "60", "uncapped"])
+def flush_passes(monkeypatch):
+    """A list that gets, for each pass of held lines the datapath gets in
+    service in the run that follows (a flush pass), its length and whether
+    it was computed at once."""
+    passes, power_up = [], RoundDatapath._power_up
+
+    def recorded(self, plan, store, *lines):
+        computed = power_up(self, plan, store, *lines)
+        if store.resume is None:
+            passes.append((len(plan), computed))
+        return computed
+
+    monkeypatch.setattr(RoundDatapath, "_power_up", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("cap", [1, 7, 12, 60, None], ids=["1", "7", "12", "60", "uncapped"])
 def test_flush_pass_equals_stepped_cycles(monkeypatch, cap):
-    # The flush is one pass of held lines, which the datapath ends on its
-    # first cycle that changes nothing, the tenth; the run skips the rest.
-    # Passes capped at 7 cycles split key initialization into seven and the
-    # flush into two, the second ending two cycles in. Every commit through
-    # the first run cycle leaves the stepped run's state, and the same
-    # cycles are skipped.
+    # The flush is one pass of held lines, which the datapath computes at
+    # once to its fixed point. Passes capped at 60 or 12 cycles split the
+    # flush into passes, each computed at once but a last one shorter than
+    # the twelve cycles the fixed point needs, which steps its cycles as
+    # every flush pass capped at 7 does. Every commit through the first run
+    # cycle leaves the stepped run's state.
     key, jobs = random.Random(0xF1).randbytes(16), mixed_jobs(1, seed=5)
     stepped, reference, _ = committed_states(monkeypatch, key, jobs, stepped=True)
+    flushes = flush_passes(monkeypatch)
     passed, states, _ = committed_states(monkeypatch, key, jobs, cap=cap)
-    commits = {
-        1: [*range(1, KEY_INIT_END + 10), RUN_START_CYCLE],
-        7: [1, 8, 15, 22, 29, 36, 43, KEY_INIT_END, KEY_INIT_END + 7, RUN_START_CYCLE],
-    }.get(cap, [1, KEY_INIT_END, RUN_START_CYCLE])
+    step = cap or RUN_START_CYCLE
+    starts = range(KEY_INIT_END, RUN_START_CYCLE, step)
+    commits = [1, *range(1 + step, KEY_INIT_END, step), *starts, RUN_START_CYCLE]
     assert [cycle for cycle in states if cycle <= RUN_START_CYCLE] == commits
     for cycle in commits:
         assert states[cycle] == reference[cycle], f"cap {cap}, cycle {cycle}"
-    assert passed.summary.skipped_cycles == stepped.summary.skipped_cycles == TRACK_CYCLES - 10
+    lengths = [min(step, RUN_START_CYCLE - start) for start in starts]
+    assert flushes == [(n, n >= NUM_LOOP_STAGES) for n in lengths]
+    assert stepped.summary.passes == stepped.summary.total_cycles
     assert passed.summary.total_cycles == stepped.summary.total_cycles
+    assert passed.outputs == stepped.outputs
+
+
+def upset_flush_sources(ks, dp):
+    # S11, which the substitution mux takes into S0 and the loop carries to
+    # S10 on the flush's twelfth cycle; S0, S1 and S9 on their way to S10;
+    # and port a's output, which S9 takes.
+    dp.s0 ^= 1
+    dp.s1 ^= 2
+    dp.s9 ^= 3 << 128
+    dp.s11 ^= 4
+    ks.out_a ^= 5
+
+
+@pytest.mark.parametrize("cap", [11, 12])
+def test_flush_pass_from_an_upset_state_is_computed_from_twelve_cycles(monkeypatch, cap):
+    # Upset on the flush's first cycle, the loop holds S11's round in S10
+    # on the commit eleven cycles on and reaches the clean run's state on
+    # the next. A flush pass of twelve cycles is computed at once from the
+    # upset state; one of eleven steps its cycles. Every commit equals a
+    # stepped run's under the same upset.
+    key, jobs = random.Random(0xF1).randbytes(16), mixed_jobs(1, seed=5)
+    upset = (KEY_INIT_END, upset_flush_sources)
+    _, clean, _ = committed_states(monkeypatch, key, jobs, stepped=True)
+    stepped, reference, _ = committed_states(monkeypatch, key, jobs, stepped=True, upset=upset)
+    flushes = flush_passes(monkeypatch)
+    passed, states, _ = committed_states(monkeypatch, key, jobs, cap=cap, upset=upset)
+    eleven, twelve = KEY_INIT_END + 11, KEY_INIT_END + 12
+    assert reference[eleven] != clean[eleven] and reference[twelve] == clean[twelve]
+    assert flushes[0] == (cap, cap == NUM_LOOP_STAGES)
+    assert set(states) >= {eleven if cap == 11 else twelve}
+    for cycle, state in states.items():
+        assert state == reference[cycle], f"cap {cap}, cycle {cycle}"
+    assert passed.outputs == stepped.outputs
 
 
 def upset_final_output(ks, dp):
@@ -435,29 +488,123 @@ def upset_port_a_word(ks, dp):
     ks.image[0] ^= 1
 
 
-@pytest.mark.parametrize(
-    "upset, delay", [(upset_final_output, 1), (upset_port_a_word, 3)], ids=["fa_out", "port_a"]
-)
-def test_flush_upset_on_the_settling_cycle_delays_the_skip(monkeypatch, upset, delay):
-    # Upset on the flush cycle the datapath would settle on: the final
-    # key-add output, which no other rank reads, changes back on that cycle,
-    # and the word port a reads changes the next cycle's main key, which S9
-    # and S10 take on the next two. The flush settles once nothing changes,
-    # in a pass opening on the upset cycle as in a stepped run, and every
-    # commit from the first run cycle on is that of a run that skips nothing.
+@pytest.mark.parametrize("upset", [upset_final_output, upset_port_a_word], ids=["fa_out", "port_a"])
+def test_flush_upset_matches_stepped_cycles(monkeypatch, upset):
+    # Upset on the flush's first cycle: the final key-add output, which no
+    # other rank reads and the next cycle overwrites, and the word port a
+    # reads on every flush cycle, which S9 and S10 take beside S8. A flush
+    # stepped in passes of 9 cycles, or computed at once in passes of 60 or
+    # whole, leaves every commit as a stepped run does.
     jobs = mixed_jobs(1, seed=5)
-    clean = PipelineSimulator().run(FIPS_KEY, jobs).summary.skipped_cycles
-    at = (RUN_START_CYCLE - clean - 1, upset)
-    runs = [committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, cap=cap) for cap in (1, 9)]
-    monkeypatch.setattr(Controller, "rest_offset", lambda self, offset=0: None)
-    unskipped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, stepped=True)
-    assert unskipped.summary.skipped_cycles == 0
-    for result, states, _ in runs:
-        assert result.summary.skipped_cycles == clean - delay
-        assert result.outputs == unskipped.outputs
+    at = (KEY_INIT_END, upset)
+    stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, stepped=True)
+    for cap in (9, 60, None):
+        result, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=at, cap=cap)
+        assert result.outputs == stepped.outputs
         for cycle in states:
-            if cycle >= RUN_START_CYCLE:
-                assert states[cycle] == reference[cycle], f"cycle {cycle}"
+            assert states[cycle] == reference[cycle], f"cap {cap}, cycle {cycle}"
+
+
+def mux_sources_in_flush(ks, dp):
+    # Two sources on the substitution mux on the flush's first cycle.
+    dp.s11, dp.ia_out = 1, 2
+
+
+def test_flush_mux_fault_names_its_own_cycle(monkeypatch):
+    # The substitution mux is the one check a flush cycle with no tag can
+    # fire, on its first cycle only. With S11 and the initial key-add output
+    # both set there, the flush pass steps its cycles, and planned and
+    # stepped runs, traced or not, raise the same fault on that cycle; the
+    # traces end on the cycle before it.
+    jobs, upset = mixed_jobs(1, seed=5), {"core": mux_sources_in_flush}
+    trace, stepped_trace = io.StringIO(), io.StringIO()
+    flushes = flush_passes(monkeypatch)
+    passed, _ = run_with_pass_upset(monkeypatch, jobs, KEY_INIT_END, **upset)
+    traced, _ = run_with_pass_upset(monkeypatch, jobs, KEY_INIT_END, trace=trace, **upset)
+    stepped, _ = run_with_pass_upset(
+        monkeypatch, jobs, KEY_INIT_END, trace=stepped_trace, stepped=True, **upset
+    )
+    assert flushes == [(TRACK_CYCLES, False)]
+    assert type(passed) is type(traced) is type(stepped) is ProtocolError
+    assert str(passed) == str(traced) == str(stepped)
+    assert str(passed).startswith(f"cycle {KEY_INIT_END}: OR-mux driven by multiple nonzero")
+    assert passed.cycle == traced.cycle == stepped.cycle == KEY_INIT_END
+    assert trace.getvalue() == stepped_trace.getvalue()
+    assert trace.getvalue().splitlines()[-1].startswith(f"cycle={KEY_INIT_END - 1} ")
+
+
+def stray_tag_in_flush(ks, dp):
+    # A mode bit without its valid bit in S3's tag field, which no check
+    # reads: rotating with the loop, it selects the decrypt row shift and
+    # final key whenever it passes S1, and stays clear of the run's word.
+    dp.tags |= 1 << 3 * TAG_BITS
+
+
+def test_flush_pass_with_a_tag_steps_its_cycles(monkeypatch):
+    # A tag in the loop, here a stray mode bit, makes the flush pass step its
+    # cycles, and every commit equals a stepped run's under the same upset.
+    key, jobs = random.Random(0xF1).randbytes(16), mixed_jobs(1, seed=5)
+    upset = (KEY_INIT_END, stray_tag_in_flush)
+    stepped, reference, _ = committed_states(monkeypatch, key, jobs, stepped=True, upset=upset)
+    flushes = flush_passes(monkeypatch)
+    passed, states, _ = committed_states(monkeypatch, key, jobs, upset=upset)
+    assert flushes == [(TRACK_CYCLES, False)]
+    for cycle, state in states.items():
+        assert state == reference[cycle], f"cycle {cycle}"
+    assert passed.outputs == stepped.outputs
+    clean = PipelineSimulator().run(key, jobs)
+    assert passed.outputs == clean.outputs and passed.key_store == clean.key_store
+
+
+FLUSH_UPSETS = {
+    "clean": lambda ks, dp: None,
+    # A word in the initial key-add input rank, which enters S0 two cycles on.
+    "ia_in_tag": lambda ks, dp: setattr(dp, "ia_in_tag", Word(seq=0, mode=MODE_DECRYPT, slot=3)),
+    # A word in the final key-add input rank, which completes on the next cycle.
+    "fa_in_tag": lambda ks, dp: setattr(dp, "fa_in_tag", Word(seq=0, mode=MODE_ENCRYPT, slot=3)),
+    # Store injects, which hold over every cycle in service: the substitution
+    # one takes S0's input, and the product one meets S2 at its mux once S2
+    # leaves key initialization's reset, on the second cycle.
+    "sub_bytes_inject": lambda ks, dp: setattr(ks, "sub_bytes_inject", (1 << 100, MODE_DECRYPT)),
+    "mix_columns_inject": lambda ks, dp: setattr(ks, "mix_columns_inject", (1, MODE_DECRYPT)),
+}
+
+
+def flush_by_hand(upset, planned):
+    """Compute a fresh-key core's flush, without the controller, from
+    ``upset(ks, dp)`` on its first cycle, as one pass of held lines or as
+    passes of one cycle each. Returns the state it leaves and its
+    completions by offset, or its fault's type, message and offset."""
+    dp, ctrl, ks = new_core(0xF1F1F1F1)
+    while ctrl.cycle < KEY_INIT_END:
+        step_cycle(dp, ctrl, ks)
+    upset(ks, dp)
+    done, completions = 0, []
+    try:
+        for plan in [[HOLD] * TRACK_CYCLES] if planned else [[HOLD]] * TRACK_CYCLES:
+            completions += [(done + offset, tag, data)
+                            for offset, tag, data in dp.compute_cycle(plan=plan, store=ks)]
+            dp.commit_cycle()
+            ks.commit()
+            done += len(plan)
+    except SimulationFault as fault:
+        return type(fault), str(fault), done + fault.offset
+    return snapshot(dp, ctrl, ks), completions
+
+
+@pytest.mark.parametrize("name", sorted(FLUSH_UPSETS))
+def test_flush_pass_with_an_edge_word_or_inject_steps_its_cycles(monkeypatch, name):
+    # A flush pass is computed at once only with no word at an edge rank and
+    # no store inject; from such a state it steps its cycles, and leaves the
+    # state, completions or fault that passes of one cycle do.
+    flushes = flush_passes(monkeypatch)
+    planned = flush_by_hand(FLUSH_UPSETS[name], planned=True)
+    assert flushes[0] == (TRACK_CYCLES, name == "clean")
+    assert planned == flush_by_hand(FLUSH_UPSETS[name], planned=False)
+    if name == "fa_in_tag":
+        assert [offset for offset, _, _ in planned[1]] == [1]
+    if name == "mix_columns_inject":
+        assert planned[0] is ProtocolError and planned[2] == 1
 
 
 def registers(ctrl):
@@ -559,9 +706,9 @@ def test_key_init_plan_holds_the_lines_of_its_cycles():
 
 
 def test_commit_over_a_span_matches_its_single_commits():
-    # On every run cycle and every flush cycle at the fixed point of a
-    # hand-stepped core, one commit over the pass the controller plans from
-    # it, or over the rest of the flush, leaves the controller's registers,
+    # On every run cycle and every flush cycle of a hand-stepped core, one
+    # commit over the pass the controller plans from it, or over the rest
+    # of the flush, leaves the controller's registers,
     # and the next cycle's FSM state and lines, as committing its cycles one
     # by one does.
     dp, ctrl, ks = new_core(int.from_bytes(FIPS_KEY, "big"))
@@ -573,7 +720,7 @@ def test_commit_over_a_span_matches_its_single_commits():
         probe = copy.deepcopy(ctrl)
         probe.begin_cycle(ready, len(jobs), 1000)
         fsm = probe.fsm
-        if fsm == FLUSH and probe.rest_offset() == 0:
+        if fsm == FLUSH:
             span = probe.flush_end - probe.cycle
             spanned = probe
             spanned.commit(span)
@@ -657,12 +804,7 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
     assert untraced.key_store == traced.key_store == stepped.key_store
     assert untraced.summary == traced.summary
     assert summary_fields(traced.summary) == summary_fields(stepped.summary)
-    assert traced.summary.window_cycles > 0 and stepped.summary.window_cycles == 0
-    for summary in (untraced.summary, stepped.summary):
-        assert (
-            summary.stepped_cycles + summary.window_cycles + summary.skipped_cycles
-            == summary.total_cycles
-        )
+    assert traced.summary.passes < stepped.summary.passes == stepped.summary.total_cycles
 
 
 # Faults inside a pass. Each upset is made on a cycle that opens a pass in
