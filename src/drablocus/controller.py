@@ -42,20 +42,20 @@ Outside run a pass holds :data:`HOLD` lines up to the end of its phase:
 the reset cycle, key initialization up to :data:`KEY_READY_CYCLE` and
 the flush up to ``flush_end``. The lines held over a pass,
 ``shift_rows_reset`` and ``final_reset``, and the admission handshake
-``admit_ready`` are plain attributes. :meth:`Controller.admit` takes the
-pass's jobs in order onto the cycles the plan admits on.
-:meth:`Controller.check_against` reconciles the registers and the first
-cycle's lines with the datapath's tags once the datapath has computed the
-pass. :meth:`Controller.commit` moves the registers over every cycle the
-pass covers and returns their peak occupancy; no other method shifts
-them or moves the cycle.
+``admit_ready`` are plain attributes. :meth:`Controller.admit` writes
+the pass's jobs in order into the plan's entries of the cycles it admits
+on. :meth:`Controller.check_against` reconciles the registers and the
+first cycle's lines with the datapath's tags once the datapath has
+computed the pass. :meth:`Controller.commit` moves the registers over
+every cycle the plan covers, with the admissions and diverts it holds;
+no other method shifts them or moves the cycle.
 
 A plan is a list with one entry per cycle of the pass, each ``(admit,
 divert, initial_reset, main_reset)``, the lines the datapath takes. A
 cycle with no admission, divert or arriving word shares the one entry
 :data:`QUIET`, and every cycle outside run shares :data:`HOLD`; an event
-cycle has a list of its own, whose ``admit`` the run fills with the
-admitted job.
+cycle has a list of its own, whose ``admit`` :meth:`Controller.admit`
+fills with the admitted job's block, initial key and word.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -162,8 +162,6 @@ class Controller:
         # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
         self._arriving0 = 0
         self._arriving1 = 0
-        # The words the pass admits, one per admission offset in order.
-        self._admits = []
         # The pass's plan, its admission offsets and its planned diverts.
         self.plan = [HOLD]
         self.admissions = ()
@@ -259,7 +257,7 @@ class Controller:
         if admissions and len(admissions) == pending:
             span = min(span, admissions[-1] + BLOCK_LATENCY + 1)
 
-        # Each event cycle has an entry of its own. The run fills in an
+        # Each event cycle has an entry of its own. admit() fills in an
         # admission's; the word arrives from the initial key-add the cycle
         # after, which lifts the initial key-add's reset and resets the main.
         events = {0: [None, False, False, True]} if self._arriving0 else {}
@@ -279,19 +277,19 @@ class Controller:
             plan[offset] = entry
         self.admissions = admissions
 
-    def admit(self, jobs: Sequence) -> list[Word]:
-        """Admit ``jobs``, each with a ``seq`` and a ``mode``, in order on
-        the cycles the plan admits on; returns their words."""
+    def admit(self, jobs: Sequence, initial_keys: Sequence[int]) -> None:
+        """Admit ``jobs``, each with a ``seq``, a ``mode`` and a ``block``, in
+        order on the cycles the plan admits on: each job's entry takes its
+        block, the initial key of its mode from ``initial_keys`` and its
+        word."""
         if self.fsm != RUN:
             raise AdmissionError(f"admission while controller is in {self.fsm}")
         if len(jobs) > len(self.admissions):
             raise AdmissionError("admission attempted on a stalled cycle")
-        cycle = self.cycle
-        self._admits = words = []
+        cycle, plan = self.cycle, self.plan
         for offset, job in zip(self.admissions, jobs):
-            slot = (cycle + offset) % NUM_LOOP_STAGES
-            words.append(tuple.__new__(Word, (job.seq, job.mode, slot)))
-        return words
+            word = tuple.__new__(Word, (job.seq, job.mode, (cycle + offset) % NUM_LOOP_STAGES))
+            plan[offset][0] = (int.from_bytes(job.block, "big"), initial_keys[job.mode], word)
 
     @property
     def occupancy(self) -> int:
@@ -343,18 +341,20 @@ class Controller:
         if main_reset and dp_tags & _VALID10:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
 
-    def commit(self, cycles: int = 1) -> int:
-        """Commit this cycle and the ``cycles - 1`` after it, with the
-        admissions made and the diverts planned on them: a whole pass.
+    def commit(self) -> None:
+        """Commit this cycle and every later one the plan covers, with the
+        admissions and diverts the plan holds: a whole pass, each of whose
+        planned admissions :meth:`admit` has filled.
 
-        The track chains shift ``cycles`` places, each admission's bit
+        The track chains shift one place a cycle, each admission's bit
         entering its slot's chain at its offset. The occupancy and mode
         registers rotate as many stages, and on each commit an arriving
-        word's field takes S0 and a divert clears S3. Returns the highest
-        occupancy the registers hold on the cycles it covers, the first
-        included.
+        word's field takes S0 and a divert clears S3. The pass's admissions
+        and diverts are spent: a later commit without a new plan applies
+        none of them again.
         """
-        peak = (self.tags >> 5 & FIELD_LSBS).bit_count()
+        plan = self.plan
+        cycles = len(plan)
         # The first commit, under this cycle's registers and lines: the
         # arriving word's field takes S0 and a divert clears S3.
         tags = self.tags << TAG_BITS
@@ -363,7 +363,7 @@ class Controller:
             if tags & TAG_VALID:
                 raise ControlFault("occupancy wrap collides with admission")
             tags = tags >> TAG_BITS << TAG_BITS | self._arriving1
-        if self.plan[0][1]:
+        if plan[0][1]:
             tags &= _CLEAR_TAG3
         track = self.track
         if track:
@@ -378,59 +378,43 @@ class Controller:
         if cycles > 1 and arriving1:
             events.append((1, 0, arriving1))
             arriving1 = 0
-        if self._admits:
-            for offset, word in zip(self.admissions, self._admits):
-                field = TAG_VALID | word.mode & 1
-                age = cycles - 1 - offset
-                if age > 1:
-                    events.append((offset + 2, 0, field))
-                elif age:
-                    arriving1 = field
-                else:
-                    arriving0 = field
-                if age < TRACK_CYCLES:
-                    track |= _TRACK_ADMIT[word.slot] << age
-            self._admits = []
+        for offset in self.admissions:
+            word = plan[offset][0][2]
+            field = TAG_VALID | word.mode & 1
+            age = cycles - 1 - offset
+            if age > 1:
+                events.append((offset + 2, 0, field))
+            elif age:
+                arriving1 = field
+            else:
+                arriving0 = field
+            if age < TRACK_CYCLES:
+                track |= _TRACK_ADMIT[word.slot] << age
+        self.admissions = ()
         self.track = track
-        diverts = self._diverts
-        if diverts:
-            self._diverts = ()
+        diverts, self._diverts = self._diverts, ()
         if cycles > 1:
             if diverts:
                 for offset in diverts:
-                    if self.plan[offset][1]:
+                    if plan[offset][1]:
                         events.append((offset, 1, 0))
                 events.sort()
             # After commit t the rank is this one rotated t stages more, so
             # each event lands on the field that rotates into S0 or S3 by
-            # then. Each state holds from the cycle after its last commit
-            # with events up to the next one.
-            last = 0
-            occupancy = (tags >> 5 & FIELD_LSBS).bit_count()
+            # then.
             for offset, clear, field in events:
-                if offset != last:
-                    if occupancy > peak:
-                        peak = occupancy
-                    last = offset
                 if clear:
-                    shift = _S3_SHIFTS[offset % NUM_LOOP_STAGES]
-                    if tags >> shift & TAG_VALID:
-                        occupancy -= 1
-                    tags &= ~(TAG_FIELD << shift)
+                    tags &= ~(TAG_FIELD << _S3_SHIFTS[offset % NUM_LOOP_STAGES])
                 else:
                     shift = _S0_SHIFTS[offset % NUM_LOOP_STAGES]
                     if tags >> shift & TAG_VALID:
                         fault = ControlFault("occupancy wrap collides with admission")
                         fault.offset = offset
                         raise fault
-                    occupancy += 1
                     tags = tags & ~(TAG_FIELD << shift) | field << shift
-            if last < cycles - 1 and occupancy > peak:
-                peak = occupancy
             tags <<= TAG_BITS * ((cycles - 1) % NUM_LOOP_STAGES)
             tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
         self.tags = tags
         self._arriving1 = arriving1
         self._arriving0 = arriving0
         self.cycle += cycles
-        return peak

@@ -395,6 +395,8 @@ class DatapathTables:
     ``fused[mode][i][b]``, built on first use, fuses the two for byte i of a
     round's input: lane i mod 4 of ``lanes[mode][.][sbox[mode][b]]`` as an int
     in the output column the row shift takes byte i to, one entry a byte.
+    ``power_up[flush]`` holds the ranks a key-initialization or flush pass
+    ends on: the idle word, S2, its products and their S6, S7 and S8 folds.
     """
 
     def __init__(self, sbox_image=None, mc_image=None):
@@ -408,6 +410,12 @@ class DatapathTables:
             entries = [entry.to_bytes(4, "big") for entry in mc[base : base + 256]]
             lanes.append(tuple(tuple(e[4 - k :] + e[: 4 - k] for e in entries) for k in range(4)))
         self.lanes = tuple(lanes)
+        idle = bytes(16).translate(self.sbox[0])
+        self.power_up = tuple(
+            (int.from_bytes(idle, "big"), int.from_bytes(s2, "big"), x, *_cascade(x))
+            for s2 in (bytes(16), bytes(_SHIFT_ROWS[0](idle)))
+            for x in (_products(self.lanes[0], s2),)
+        )
 
     @cached_property
     def fused(self):
@@ -820,12 +828,7 @@ class RoundDatapath:
                 or flush and (self.s11 and self.ia_out
                               or not store.sub_bytes_inject == store.mix_columns_inject == (0, 0))):
             return False
-        tables, zeros = self._tables, bytes(16)
-        idle = zeros.translate(tables.sbox[0])
-        s2 = bytes(_SHIFT_ROWS[0](idle)) if flush else zeros
-        x = _products(tables.lanes[0], s2)
-        idle, s2 = int.from_bytes(idle, "big"), int.from_bytes(s2, "big")
-        x6, x7, x8 = _cascade(x)
+        idle, s2, x, x6, x7, x8 = self._tables.power_up[flush]
         if flush:
             store.addr_a, store.addr_b, store.pending_increment = 0, NUM_ROUNDS, None
             store.read_a, store.read_b = store.image[0], store.image[NUM_ROUNDS]
@@ -834,7 +837,7 @@ class RoundDatapath:
             if (
                 self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
                 self.s9, self.s10, self.s11, self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            ) != (idle, 0, 0, x) + (0,) * 12 or not store.initialize(n, tables):
+            ) != (idle, 0, 0, x) + (0,) * 12 or not store.initialize(n, self._tables):
                 return False
             last = store.image[key_store_address(MODE_DECRYPT, MAIN_ROUNDS)]
         key, final = store.read_a, store.read_b

@@ -26,11 +26,12 @@ pass ends at the cap, the budget or the last job's completion. Each
 phase before run is one pass of held lines: the reset cycle, key
 initialization up to the cycle the key store reports ready, and the
 flush. The run admits the next jobs, one for each planned admission, in
-one controller call and puts each into the plan's entry for its cycle,
-checks the latency of every completion the datapath returns with its
-offset, and counts stalls over every cycle; the controller checks itself
-against the datapath on each pass's first cycle, and its commit gives
-the peak occupancy over every cycle the pass covers. A fault raised
+one controller call that writes each into the plan's entry for its
+cycle, records their admission cycles, from which ``RunSummary`` derives
+the stalls and the peak loop occupancy, and checks the latency of every
+completion the datapath returns with its offset; the controller checks
+itself against the datapath on each pass's first cycle, and its commit
+covers every cycle of the plan. A fault raised
 inside a pass, a key read past the last main round among them, carries
 its offset, and the run names the cycle, and ends the trace on the cycle
 before it, as a run stepping every cycle would, once the controller has
@@ -58,7 +59,8 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 from .controller import (
-    _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, Controller,
+    _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET,
+    Controller,
 )
 from .datapath import (
     BLOCK_LATENCY,
@@ -127,8 +129,6 @@ class RunSummary:
     flush_cycles: int = 0
     run_start_cycle: int = 0
     blocks_completed: int = 0
-    stall_cycles: int = 0
-    max_loop_occupancy: int = 0
     # The passes, one datapath call each.
     passes: int = 0
     # Cycles computed in fused rounds (118 of a steady pass's 120): how, not what, so not compared.
@@ -142,6 +142,26 @@ class RunSummary:
             seq: self.completion_cycles[seq] - self.admission_cycles[seq]
             for seq in self.completion_cycles
         }
+
+    @property
+    def stall_cycles(self) -> int:
+        """Run cycles up to the last admission that admit no job: every job
+        waits from the run's start, so each of them admits or stalls."""
+        admitted = self.admission_cycles.values()
+        return max(admitted) - self.run_start_cycle + 1 - len(admitted) if admitted else 0
+
+    @property
+    def max_loop_occupancy(self) -> int:
+        """The most words the loop holds on one cycle: a word holds a stage
+        from STAGE_PHASE_OFFSET cycles after its admission until its divert,
+        TRACK_CYCLES after it, so the most admissions in any 111 cycles."""
+        admitted = sorted(self.admission_cycles.values())
+        peak = 0
+        for last, cycle in enumerate(admitted):
+            # A span of peak + 1 admissions ending at this one fits.
+            if cycle - admitted[last - peak] <= TRACK_CYCLES - STAGE_PHASE_OFFSET:
+                peak += 1
+        return peak
 
 
 @dataclass(frozen=True)
@@ -222,8 +242,6 @@ class PipelineSimulator:
         budget = cycle_budget(len(jobs))
         # The cycle after the last completion, once the last job is admitted.
         run_end = budget
-        max_occupancy = 0
-        stall_cycles = 0
         passes = 0
 
         try:
@@ -244,20 +262,11 @@ class PipelineSimulator:
                 if admissions:
                     admitted = jobs[taken:taken + len(admissions)]
                     taken += len(admissions)
-                    for offset, job, word in zip(admissions, admitted, ctrl.admit(admitted)):
+                    ctrl.admit(admitted, ks.initial_keys)
+                    for offset, job in zip(admissions, admitted):
                         admission_cycles[job.seq] = cycle + offset
-                        plan[offset][0] = (
-                            int.from_bytes(job.block, "big"), ks.initial_keys[job.mode], word,
-                        )
                     if taken == len(jobs):
                         run_end = min(budget, cycle + admissions[-1] + BLOCK_LATENCY + 1)
-
-                span = len(plan)
-                # Every cycle a job waits without being admitted stalls: each
-                # cycle before ``waited`` but the admissions.
-                waited = 0
-                if waiting and fsm == RUN:
-                    waited = admissions[-1] + 1 if len(admissions) == waiting else span
 
                 taps = None if trace is None else []
                 try:
@@ -284,15 +293,12 @@ class PipelineSimulator:
 
                 ctrl.check_against(dp)
                 if taps is not None:
-                    self._emit_trace(trace, cycle, taps, completions, fsm, waited, admissions)
+                    self._emit_trace(trace, cycle, taps, completions, fsm, waiting, admissions)
 
                 dp.commit_cycle()
-                occupancy = ctrl.commit(span)
-                if occupancy > max_occupancy:
-                    max_occupancy = occupancy
+                ctrl.commit()
                 ks.commit()
                 passes += 1
-                stall_cycles += waited - len(admissions)
         except SimulationFault as fault:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it, at the offset
@@ -303,15 +309,13 @@ class PipelineSimulator:
             # pass's trace is written, carries the completions before it.
             if trace is not None and hasattr(fault, "completions"):
                 completions = fault.completions
-                self._emit_trace(trace, cycle, taps[:offset], completions, fsm, waited, admissions)
+                self._emit_trace(trace, cycle, taps[:offset], completions, fsm, waiting, admissions)
             raise
 
         summary.total_cycles = ctrl.cycle
         summary.blocks_completed = len(outputs)
-        summary.stall_cycles = stall_cycles
         summary.passes = passes
         summary.fused_cycles = dp.fused_cycles
-        summary.max_loop_occupancy = max_occupancy
         summary.key_init_cycles = ks.init_cycles
         summary.run_start_cycle = ctrl.flush_end
         summary.flush_cycles = TRACK_CYCLES
@@ -319,12 +323,15 @@ class PipelineSimulator:
 
     @staticmethod
     def _emit_trace(trace: IO[str], cycle: int, taps: list, completions: list, fsm: str,
-                    waited: int, admissions: Sequence[int]) -> None:
+                    waiting: int, admissions: Sequence[int]) -> None:
         """Write the trace of the pass that opens on ``cycle`` from the taps
         the datapath recorded on each of its cycles and the completions, the
-        fin taps, at their offsets; the cycles before ``waited`` stall but
-        for the ``admissions``."""
+        fin taps, at their offsets. With jobs ``waiting`` in run, every cycle
+        but the ``admissions`` stalls up to the last job's admission."""
         fsm_text = _FSM_TEXT[fsm]
+        waited = 0
+        if waiting and fsm == RUN:
+            waited = admissions[-1] + 1 if len(admissions) == waiting else len(taps)
         fins = iter(completions)
         fin = next(fins, None)
         parts = []

@@ -2,11 +2,12 @@
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
 each pass of its loop, in its order, for a pass of one cycle: the
-controller's FSM step and plan of the cycle's lines, admission into the
-plan, the datapath, which takes the plan and the cycle's keys from the
-key store, the controller's check, then the three commits. A planned
-pass gives the datapath a plan of many cycles, and the controller's one
-commit covers every cycle of the pass, before the key schedule commits.
+controller's FSM step and plan of the cycle's lines, the controller's
+admission into the plan, the datapath, which takes the plan and the
+cycle's keys from the key store, the controller's check, then the three
+commits. A planned pass gives the datapath a plan of many cycles, and the
+controller's one commit covers every cycle of the plan, before the key
+schedule commits.
 :func:`set_line` edits one line of a plan, which both the datapath and
 the controller's check read.
 
@@ -74,8 +75,8 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     admitted = None
     if ctrl.admissions:
         seq, mode, block = job
-        admitted, = ctrl.admit([Job(seq, mode, block.to_bytes(16, "big"))])
-        plan[0][0] = (block, ks.initial_keys[mode], admitted)
+        ctrl.admit([Job(seq, mode, block.to_bytes(16, "big"))], ks.initial_keys)
+        admitted = plan[0][0][2]
     if mid_cycle is not None:
         mid_cycle(plan[0][1])
     dp.compute_cycle(

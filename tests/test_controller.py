@@ -46,7 +46,7 @@ def test_admission_rejected_outside_run():
     # Outside a run no cycle is named: only PipelineSimulator.run sets it.
     ctrl = Controller()
     with pytest.raises(AdmissionError, match="^admission while controller is in reset$") as err:
-        ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))])
+        ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))], (0, 0))
     assert err.value.cycle is None
 
 
@@ -141,11 +141,10 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
     occupancies = []
     admit, check_against, commit = Controller.admit, Controller.check_against, Controller.commit
 
-    def admit_into_chain(self, jobs):
-        words = admit(self, jobs)
-        for word in words:
-            chains[word.slot].present(1)
-        return words
+    def admit_into_chain(self, jobs, initial_keys):
+        admit(self, jobs, initial_keys)
+        for offset in self.admissions[:len(jobs)]:
+            chains[self.plan[offset][0][2].slot].present(1)
 
     def counted_check(self, datapath):
         check_against(self, datapath)
@@ -153,15 +152,15 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
         assert self.occupancy.bit_count() == live, f"cycle {self.cycle}"
         occupancies.append(live)
 
-    def lockstep_commit(self, cycles=1):
-        peak = commit(self, cycles)
+    def lockstep_commit(self):
+        cycles = len(self.plan)
+        commit(self)
         for slot, chain in enumerate(chains):
             for _ in range(cycles):
                 chain.commit()
             bits = self.track >> TRACK_CYCLES * slot & field
             assert chain.final == bits >> TRACK_CYCLES - 1, f"cycle {self.cycle} slot {slot}"
             assert chain.any_set == (bits != 0), f"cycle {self.cycle} slot {slot}"
-        return peak
 
     monkeypatch.setattr(Controller, "admit", admit_into_chain)
     monkeypatch.setattr(Controller, "check_against", counted_check)

@@ -608,7 +608,7 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
     ctrl.begin_cycle(ks.fsm == READY)
     assert not ctrl.admit_ready
     with pytest.raises(AdmissionError, match="^admission attempted on a stalled cycle$") as err:
-        ctrl.admit([Job(1, MODE_ENCRYPT, bytes(16))])
+        ctrl.admit([Job(1, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
     assert err.value.cycle is None
 
 
@@ -633,11 +633,13 @@ def test_occupancy_wrap_on_a_later_commit_carries_its_offset():
     # of that commit, from which a run names the cycle.
     ctrl = Controller()
     ctrl.fsm = RUN
+    ctrl.plan = [QUIET] * 8
+    ctrl.plan[3] = list(QUIET)
     ctrl.admissions = (3,)
-    ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))])
+    ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))], (0, 0))
     ctrl.tags = TAG_VALID << TAG_BITS * 6
     with pytest.raises(ControlFault, match="^occupancy wrap collides with admission$") as err:
-        ctrl.commit(8)
+        ctrl.commit()
     assert err.value.offset == 5 and err.value.cycle is None
 
 

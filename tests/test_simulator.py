@@ -9,7 +9,9 @@ import pytest
 
 from cycle_protocol import before_each_pass
 from drablocus import aesref
-from drablocus.controller import FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, Controller
+from drablocus.controller import (
+    FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET, Controller,
+)
 from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, DatapathTables
 from drablocus.keyschedule import KEY_INIT_CYCLES, KeyScheduler
 from drablocus.simulator import (
@@ -19,6 +21,7 @@ from drablocus.simulator import (
     Job,
     JobError,
     PipelineSimulator,
+    RunSummary,
     cycle_budget,
     measure_cadence,
     parse_jobs,
@@ -71,6 +74,38 @@ def test_latency_invariant_under_congestion(sim):
     result = sim.run(FIPS_KEY, jobs)
     assert set(result.summary.latencies.values()) == {BLOCK_LATENCY}
     assert result.summary.stall_cycles > 0
+
+
+def test_stalls_and_peak_occupancy_follow_from_the_admission_cycles(sim):
+    # A word holds a loop stage from STAGE_PHASE_OFFSET cycles after its
+    # admission until its divert, TRACK_CYCLES after it. So on every status
+    # line of a traced run the occupancy register counts the admissions of
+    # the 111 cycles up to it, the summary's peak is the largest such count,
+    # and its stalls are the lines that stall.
+    for n in (1, 11, 12, 13, 37, 150):
+        trace = io.StringIO()
+        key = random.Random(n).randbytes(16)
+        summary = sim.run(key, mixed_jobs(n, seed=n), trace=trace).summary
+        admitted = set(summary.admission_cycles.values())
+        assert len(admitted) == n
+        counts, stalls = [], 0
+        for line in trace.getvalue().splitlines():
+            if " occ=" in line:
+                cycle, _, occupancy, stall = line.split()
+                cycle = int(cycle.removeprefix("cycle="))
+                count = len(admitted.intersection(
+                    range(cycle - TRACK_CYCLES, cycle - STAGE_PHASE_OFFSET + 1)))
+                assert occupancy.count("1") == count, line
+                counts.append(count)
+                stalls += stall == "stall=1"
+        assert len(counts) == summary.total_cycles
+        assert summary.max_loop_occupancy == max(counts), n
+        assert summary.stall_cycles == stalls, n
+    # At the window's edges: two admissions 110 cycles apart share a cycle
+    # in the loop, 111 apart they do not.
+    for admitted, peak, stalls in (([], 0, 0), ([5], 1, 0), ([5, 115], 2, 109), ([5, 116], 1, 110)):
+        summary = RunSummary(run_start_cycle=5, admission_cycles=dict(enumerate(admitted)))
+        assert (summary.max_loop_occupancy, summary.stall_cycles) == (peak, stalls)
 
 
 def test_outputs_collected_in_admission_order(sim):
@@ -389,9 +424,9 @@ def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatc
     admitted = []
     admit = Controller.admit
 
-    def counted_admit(self, jobs):
+    def counted_admit(self, jobs, initial_keys):
         admitted.append(len(jobs))
-        return admit(self, jobs)
+        admit(self, jobs, initial_keys)
 
     monkeypatch.setattr(Controller, "admit", counted_admit)
     plans = []

@@ -95,11 +95,11 @@ def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_
         ctrl = core[Controller]
         states[ctrl.cycle] = snapshot(core[RoundDatapath], ctrl, self)
 
-    def recorded_ctrl_commit(self, cycles=1):
-        peak = ctrl_commit(self, cycles)
+    def recorded_ctrl_commit(self):
+        cycles = len(self.plan)
+        ctrl_commit(self)
         if cycles > 1 and self.fsm == RUN:
             pass_ends.append(self.cycle)
-        return peak
 
     monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
     monkeypatch.setattr(Controller, "commit", recorded_ctrl_commit)
@@ -619,19 +619,18 @@ def lines(ctrl):
 
 def step_each_cycle(ctrl, ready, pending, cycles, modes):
     """Step ``cycles`` cycles one at a time, admitting greedily from
-    ``pending`` jobs of ``modes``. Returns the admission offsets, each
-    cycle's (divert, initial_reset, main_reset) and the occupancy on each
-    cycle."""
-    admissions, taken, occupancy = [], [], []
+    ``pending`` jobs of ``modes``. Returns the admission offsets and each
+    cycle's (divert, initial_reset, main_reset)."""
+    admissions, taken = [], []
     for offset in range(cycles):
         plan = ctrl.begin_cycle(ready, pending - len(admissions))
         taken.append(tuple(plan[0][1:]))
-        occupancy.append(ctrl.occupancy.bit_count())
         if ctrl.admissions:
-            ctrl.admit([Job(len(admissions), modes[len(admissions) % len(modes)], bytes(16))])
+            job = Job(len(admissions), modes[len(admissions) % len(modes)], bytes(16))
+            ctrl.admit([job], (0, 0))
             admissions.append(offset)
         ctrl.commit()
-    return admissions, taken, occupancy
+    return admissions, taken
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -649,8 +648,8 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     # the lines, that stepping its cycles one at a time gives from the same
     # registers and pending count; it ends at the limit, at one batch period
     # or on the last pending job's completion, and one commit over it leaves
-    # the registers, and reports the peak occupancy, as stepping does. A
-    # pass of one cycle from the same registers plans the first cycle's lines.
+    # the registers as stepping does. A pass of one cycle from the same
+    # registers plans the first cycle's lines.
     rng = random.Random(seed)
     ctrl = Controller()
     ctrl.fsm = RUN
@@ -660,7 +659,7 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
         queue += rng.random() < arrival
         ctrl.begin_cycle(True, queue)
         if ctrl.admissions:
-            ctrl.admit([Job(0, rng.randrange(2), bytes(16))])
+            ctrl.admit([Job(0, rng.randrange(2), bytes(16))], (0, 0))
             queue -= 1
         ctrl.commit()
     modes = [rng.randrange(2) for _ in range(NUM_LOOP_STAGES)]
@@ -668,7 +667,7 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     planned = copy.deepcopy(ctrl)
     plan = planned.begin_cycle(True, pending, limit)
     span = len(plan)
-    admissions, taken, occupancy = step_each_cycle(copy.deepcopy(ctrl), True, pending, span, modes)
+    admissions, taken = step_each_cycle(copy.deepcopy(ctrl), True, pending, span, modes)
 
     assert list(planned.admissions) == admissions
     assert [tuple(entry[1:]) for entry in plan] == taken
@@ -681,8 +680,8 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
 
     planned.admit([
         Job(index, modes[index % len(modes)], bytes(16)) for index in range(len(planned.admissions))
-    ])
-    assert planned.commit(span) == max(occupancy, default=0)
+    ], (0, 0))
+    planned.commit()
     stepped = copy.deepcopy(ctrl)
     step_each_cycle(stepped, True, pending, span, modes)
     assert registers(planned) == registers(stepped)
@@ -700,7 +699,7 @@ def test_key_init_plan_holds_the_lines_of_its_cycles():
     plan = planned.begin_cycle(False, 0, 10 * BATCH_PERIOD)
     assert planned.fsm == KEY_INIT and KEY_READY_CYCLE == 47
     assert plan == [HOLD] * 47 and HOLD == (None, False, True, True)
-    admissions, taken, _ = step_each_cycle(ctrl, False, 0, len(plan), [MODE_ENCRYPT])
+    admissions, taken = step_each_cycle(ctrl, False, 0, len(plan), [MODE_ENCRYPT])
     assert admissions == []
     assert taken == [tuple(entry[1:]) for entry in plan]
 
@@ -723,15 +722,15 @@ def test_commit_over_a_span_matches_its_single_commits():
         if fsm == FLUSH:
             span = probe.flush_end - probe.cycle
             spanned = probe
-            spanned.commit(span)
+            spanned.commit()
         elif fsm == RUN:
             spanned = copy.deepcopy(ctrl)
             span = len(spanned.begin_cycle(ready, len(jobs), 1000))
             spanned.admit([
                 Job(index, modes[index % len(modes)], bytes(16))
                 for index in range(len(spanned.admissions))
-            ])
-            spanned.commit(span)
+            ], (0, 0))
+            spanned.commit()
         else:
             span = 0
         if span:
@@ -771,7 +770,8 @@ def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
     ctrl.tags = tags
     ctrl.track = sum(chain << TRACK_CYCLES * slot for slot, chain in enumerate(chains))
     spanned = copy.copy(ctrl)
-    spanned.commit(cycles)
+    spanned.plan = [QUIET] * cycles
+    spanned.commit()
     for _ in range(cycles):
         ctrl.commit()
     assert registers(spanned) == registers(ctrl)
