@@ -35,9 +35,11 @@ Each pass of a run has one shape, and one controller call per duty.
 :meth:`Controller.begin_cycle` plans the pass from registered state alone
 (the FSM, the cycle, the track rank and the occupancy register): the
 lines of every cycle of the pass, the first included. In run, given the
-count of pending jobs and a limit, a pass lasts up to one batch period;
+count of pending jobs and a limit, a pass lasts up to the limit or the
+last pending job's completion, however many batch periods that takes;
 its lines follow from those registers, since a divert waits for a track
-chain's final bit and an admission for its slot's chain to empty.
+chain's final bit and an admission for its slot's chain to empty, so a
+saturated slot admits once a batch period.
 Outside run a pass holds :data:`HOLD` lines up to the end of its phase:
 the reset cycle, key initialization up to :data:`KEY_READY_CYCLE` and
 the flush up to ``flush_end``. The lines held over a pass,
@@ -93,8 +95,8 @@ RUN = "run"
 STAGE_PHASE_OFFSET = 3
 
 # Greedy admission refills the loop's twelve slots once per batch period:
-# a slot stays reserved for its block's main rounds and its final pass.
-# No pass is planned past one.
+# a slot stays reserved for its block's main rounds and its final pass, so
+# a saturated slot admits once a period.
 BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
 
 # The cycle the key schedule reports ready on, which ends key
@@ -175,8 +177,8 @@ class Controller:
         self, key_schedule_ready: bool, pending: int = 0, limit: int = 1
     ) -> list[Sequence]:
         """Decide the lines of the pass of up to ``limit`` cycles that
-        starts on this cycle: in run at most one batch period, and outside
-        run up to the end of the phase.
+        starts on this cycle: in run up to the last pending job's
+        completion, and outside run up to the end of the phase.
 
         Returns the plan, the lines of each cycle of the pass, and sets
         ``admissions``: the offsets of the cycles the pass admits
@@ -216,16 +218,14 @@ class Controller:
 
         A block diverts when its chain's bit reaches the final bit, and its
         slot's stage-9 field is free from the cycle its chain empties, so a
-        waiting job takes the slot when the phase next brings it round. A
-        block admitted in the pass diverts TRACK_CYCLES later, and a word
-        arrives from the initial key-add the cycle after its admission.
-        The pass ends at ``limit``, at one batch period, or on the cycle
-        the last pending job completes.
+        waiting job takes the slot when the phase next brings it round, and
+        the slot's next job a batch period later. A block admitted in the
+        pass diverts TRACK_CYCLES later, and a word arrives from the initial
+        key-add the cycle after its admission. The pass ends at ``limit`` or
+        on the cycle the last pending job completes.
         """
         cycle = self.cycle
-        phase = cycle % NUM_LOOP_STAGES
-        admissions = [0] if pending and self.admit_ready else []
-        span = min(limit, BATCH_PERIOD)
+        span = limit
         # Every tracking bit, highest first: the last one seen in a chain
         # is its newest.
         diverts = []
@@ -239,19 +239,17 @@ class Controller:
             offset = _TRACK_FINAL - bit
             if (cycle + offset - _DIVERT_PHASE - slot) % NUM_LOOP_STAGES == 0:
                 diverts.append(offset)
+        # Each slot's first free turn, within a batch period: on this cycle
+        # for the phase's slot with an empty chain.
         frees = []
         for slot, bit in enumerate(newest):
-            if bit is not None:
-                free = TRACK_CYCLES - bit
-            elif slot == phase:
-                # Free on this cycle; its next turn is past the pass.
-                continue
-            else:
-                free = 1
+            free = 0 if bit is None else TRACK_CYCLES - bit
             frees.append(free + (slot - cycle - free) % NUM_LOOP_STAGES)
         frees.sort()
-        for offset in frees:
-            if offset >= span or len(admissions) == pending:
+        admissions = []
+        for k in range(pending):
+            offset = frees[k % NUM_LOOP_STAGES] + k // NUM_LOOP_STAGES * BATCH_PERIOD
+            if offset >= span:
                 break
             admissions.append(offset)
         if admissions and len(admissions) == pending:

@@ -447,6 +447,16 @@ def _products(lanes, state) -> int:
     )), "big")
 
 
+def _word(tags: int, stage: int, seqs: Sequence[int]) -> Word | None:
+    """The tag of the word in ``stage`` of a tag rank, its sequence id from
+    the slots' ``seqs``, or None."""
+    code = tags >> TAG_BITS * stage
+    if not code & TAG_VALID:
+        return None
+    slot = code >> 1 & _SLOT_FIELD
+    return tuple.__new__(Word, (seqs[slot], code & 1, slot))
+
+
 def _cascade(x: int) -> tuple[int, int, int]:
     """The S6, S7 and S8 values a rank ``x`` of product entries folds to in
     the XOR cascade, one lane more each."""
@@ -498,9 +508,10 @@ class RoundDatapath:
     | mode`` for the word in stage k, and a stage without a word has a
     zero field. The rank rotates one stage per cycle as the data does,
     S11's word wrapping into S0, and the arriving word takes S0.
-    ``seqs[slot]`` is the sequence id of the word holding a slot, written
-    when it enters S0; it has an entry for each of the 16 values a slot
-    field can hold. :attr:`loop_tags` and :meth:`taps` build
+    ``seqs[slot]`` is the sequence id of the word holding a slot: a pass
+    writes it for each word entering S0 into a copy, which the commit
+    latches with the ranks. It has an entry for each of the 16 values a
+    slot field can hold. :attr:`loop_tags` and :meth:`taps` build
     :class:`Word` views only when asked. Each rank of the initial and
     final instances has its tag beside it (``ia_in_tag``, ``ia_out_tag``,
     ``fa_in_tag``, ``fa_out_tag``): the word's :class:`Word`, or None.
@@ -564,8 +575,9 @@ class RoundDatapath:
 
         An untraced run pass in service computes its cycles position-major
         (:meth:`_window`) from the first with no word on its way in to two
-        before its last or a late admission: 118 of a steady pass's 120,
-        diverts, admissions and their S11 resets included. Any other entry,
+        before its last or a late admission, any number of diverts,
+        admissions and their S11 resets at each position included: all but
+        the last two cycles of an untraced run pass. Any other entry,
         a stray tag bit, a divert that finds no word or an arrival one, a
         slot live at two positions or a key read past round 9 declines.
 
@@ -581,7 +593,8 @@ class RoundDatapath:
             return []
         sbox = self._sbox
         lanes = self._lanes
-        seqs = self.seqs
+        # The slots' sequence ids, latched with the ranks at commit.
+        seqs = self.seqs[:]
 
         # The committed state in locals: s0 and s1 as bytes, s2 as its 16
         # bytes (the row shift gives a tuple of them). Each cycle computes
@@ -634,8 +647,8 @@ class RoundDatapath:
                     else:
                         ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
                                  main_key, final_key]
-                        end = self._window(plan, cycle, cycles, ranks, tags, image, counters,
-                                           completions)
+                        end = self._window(plan, cycle, cycles, ranks, tags, seqs, image,
+                                           counters, completions)
                         if end:
                             (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
                              main_key, final_key, tags) = ranks
@@ -739,7 +752,7 @@ class RoundDatapath:
                     if rotated & TAG_VALID:
                         raise CollisionError(
                             f"stage S0 claimed by arriving {entering} and recirculating "
-                            f"{self._word(tags, NUM_LOOP_STAGES - 1)}"
+                            f"{_word(tags, NUM_LOOP_STAGES - 1, seqs)}"
                         )
                     slot = entering.slot
                     seqs[slot] = entering.seq
@@ -799,7 +812,7 @@ class RoundDatapath:
             s3, s4, s5, s6, s7, s8, s9, s10, s11,
             ia_in, ia_out, (last_s2 << 128) | final_key,
             0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128),
-            tags, ia_in_tag, entering, fa_in_tag, fa_out_tag,
+            tags, seqs, ia_in_tag, entering, fa_in_tag, fa_out_tag,
         )
         return completions
 
@@ -843,12 +856,12 @@ class RoundDatapath:
         key, final = store.read_a, store.read_b
         self._next = (idle, idle, s2, x, x, x, x6, x7, x8, x8 << 128 | key, last << 128 | key,
                       0, 0, 0, s2 << 128 | final, 0 if final_reset else s2 ^ final,
-                      0, None, None, None, None)
+                      0, self.seqs, None, None, None, None)
         if taps is not None:
             taps += [_UNTAGGED] * n
         return True
 
-    def _window(self, plan, start, cycles, ranks, tags, image, counters, completions) -> int:
+    def _window(self, plan, start, cycles, ranks, tags, seqs, image, counters, completions) -> int:
         """Advance ``ranks``, the loop's twelve and the held main and final
         keys, to the end :meth:`compute_cycle` names, append the tag rank and
         add the completions; return the end, or 0 having changed nothing. Each
@@ -856,47 +869,56 @@ class RoundDatapath:
         restarting to its stage at the end: a divert completes its word from
         its last S11 value, an admitted word starts as its block XOR the
         initial key on the S11 visit the reset clears. Any other entry, or an
-        event a check could fire on, declines; a steady pass fuses 118 of 120."""
+        event a check could fire on, declines. A position's diverts and
+        arrivals alternate, so its legs run in turn: the starting word, then
+        after each divert the next arriving word, or what the last divert
+        leaves; a run pass fuses all but its last two cycles."""
         end = cycles - 1
         while end - start >= NUM_LOOP_STAGES and (plan[end - 1][0] or plan[end - 2][0]):
             end -= 1
         n = end - start
         if n < NUM_LOOP_STAGES or tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD):
             return 0
-        # Each position's divert and admission offsets, ``end`` for none.
-        diverts, arrivals = [end] * NUM_LOOP_STAGES, [end] * NUM_LOOP_STAGES
+        # Each position's event offsets, then ``end``. A divert needs a word
+        # and an arrival a free S0, so from the start the two alternate.
+        events = [[] for _ in range(NUM_LOOP_STAGES)]
+        occupied = [tags >> TAG_BITS * p & TAG_VALID for p in range(NUM_LOOP_STAGES)]
         for o in compress(range(start, end), map(is_not, plan[start:end], repeat(QUIET))):
             admit, divert, initial_reset, main_reset = plan[o]
             at2, at11 = (start + 2 - o) % NUM_LOOP_STAGES, (start + 9 - o) % NUM_LOOP_STAGES
             if (initial_reset == main_reset or main_reset and (o == start or not plan[o - 1][0])
-                    or admit and (arrivals[at11] < end or not plan[o + 1][3])
-                    or divert and diverts[at2] < end):
+                    or admit and (occupied[at11] or not plan[o + 1][3])
+                    or divert and not occupied[at2]):
                 return 0
             if admit:
-                arrivals[at11] = o
+                occupied[at11] = TAG_VALID
+                events[at11].append(o)
             if divert:
-                diverts[at2] = o
-        sbox, lanes, seqs, idle = self._sbox, self._lanes, self.seqs, image[0]
+                occupied[at2] = 0
+                events[at2].append(o)
+        sbox, lanes, idle = self._sbox, self._lanes, image[0]
         out, done, owners, counts, entered, new_tags = [0] * 14, [], {}, counters[:], seqs[:], 0
         probe, fused = type(counters)(counters), self._tables.fused
-        for p, d, a in zip(range(NUM_LOOP_STAGES), diverts, arrivals):
+        for p, offsets in enumerate(events):
             code = tags >> TAG_BITS * p & TAG_FIELD
-            # A divert needs a word and an arrival a free S0.
-            if (d < a) != (code >= TAG_VALID) and min(d, a) < end:
-                return 0
             e, m, slot = (p + n) % NUM_LOOP_STAGES, code & 1, code >> 1 & _SLOT_FIELD
             # Its legs: the word at the start, unless an arrival resets it away
-            # first; the arriving word; what a divert leaves, while it reads.
-            leg, u, key, field = "arriving" if a < d else "starting", None, 0, code
+            # first; each arriving word; what a divert leaves, while it reads.
+            offsets.append(end)
+            i, u, key, field = 0, None, 0, code
+            leg = "arriving" if offsets[0] < end and code < TAG_VALID else "starting"
             while leg:
                 if leg == "arriving":
+                    a = offsets[i]
                     block, initial_key, word = plan[a][0]
                     (seq, m, slot), v, u, live = word, block ^ initial_key, None, True
                     probe[slot] = 0  # the admission's reset, as the loop makes it
-                    s7, s8, count, stop = a + 10, a + 11, probe[slot], d if d > a else end
+                    i += 1
+                    s7, s8, count, stop = a + 10, a + 11, probe[slot], offsets[i]
                     entered[slot], field = seq, TAG_VALID | slot << 1 | m
                 elif leg == "starting":
-                    v, stop, live, seq, count = ranks[p], d, code, seqs[slot], counters[slot]
+                    v, stop, live, seq = ranks[p], offsets[0], code, seqs[slot]
+                    count = counters[slot]
                     s7, s8 = start + (7 - p) % NUM_LOOP_STAGES, start + (8 - p) % NUM_LOOP_STAGES
                 else:
                     stop, live, s7 = end, 0, d + 5
@@ -912,7 +934,7 @@ class RoundDatapath:
                     keys = image[m << 4 | first : (m << 4 | first) + reads]
                     counts[slot] = count + (stop - s8 + 11) // NUM_LOOP_STAGES
                 if leg == "starting":
-                    if d < start + 11 - p:  # diverted before its S11 visit
+                    if stop < start + 11 - p:  # diverted before its S11 visit
                         u = v if p == 2 else _SHIFT_ROWS[m](v)
                     else:  # finished to its S11 value; S9 and S10 hold their keys
                         if p < 3:
@@ -940,7 +962,8 @@ class RoundDatapath:
                 final = ranks[13] if stop == start else image[m << 4 | NUM_ROUNDS]
                 done.append((stop + 2, tuple.__new__(Word, (seq, m, slot)),
                              int.from_bytes(bytes(u), "big") ^ final))
-                leg, field = "arriving" if d < a < end else "left" if d + 5 < end else None, 0
+                d, i, field = stop, i + 1, 0
+                leg = "arriving" if offsets[i] < end else "left" if d + 5 < end else None
             # The restart from the last S11 value, or from a partial round
             # whose last read the end's S8 word holds as the main key.
             if e < 8:
@@ -964,32 +987,24 @@ class RoundDatapath:
             self.s0, self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8,
             self.s9, self.s10, self.s11,
             self.ia_in, self.ia_out, self.fa_in, self.fa_out,
-            self.tags, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
+            self.tags, self.seqs, self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag,
         ) = self._next
-
-    def _word(self, tags: int, stage: int) -> Word | None:
-        """The tag of the word in ``stage`` of a tag rank, or None."""
-        code = tags >> TAG_BITS * stage
-        if not code & TAG_VALID:
-            return None
-        slot = code >> 1 & _SLOT_FIELD
-        return tuple.__new__(Word, (self.seqs[slot], code & 1, slot))
 
     @property
     def loop_tags(self) -> tuple[Word | None, ...]:
         """The tag of each loop stage's word (None where a stage is empty),
         built from the tag ranks on request."""
-        return tuple(self._word(self.tags, stage) for stage in range(NUM_LOOP_STAGES))
+        return tuple(_word(self.tags, stage, self.seqs) for stage in range(NUM_LOOP_STAGES))
 
     def taps(self) -> tuple[tuple[int, Word | None], ...]:
         """The six tap points in trace order (ia, sb, sr, mc, ark, fin),
         each value with the tag of the word it carries this cycle."""
-        tag, tags = self._word, self.tags
+        tags, seqs = self.tags, self.seqs
         return (
             (self.ia_out, self.ia_out_tag),
-            (self.s1, tag(tags, 1)),
-            (self.s2, tag(tags, 2)),
-            (self.s8, tag(tags, 8)),
-            (self.s11, tag(tags, 11)),
+            (self.s1, _word(tags, 1, seqs)),
+            (self.s2, _word(tags, 2, seqs)),
+            (self.s8, _word(tags, 8, seqs)),
+            (self.s11, _word(tags, 11, seqs)),
             (self.fa_out, self.fa_out_tag),
         )

@@ -19,11 +19,13 @@ the pass, the first included, and takes every cycle's keys from the key
 store: it serves the store on each of them, or resumes the store's
 program once per cycle with the ranks the program reads back (the
 datapath computes key initialization and the flush at once). In run,
-the controller plans a pass of up to one batch period from registered
-state and the count of pending jobs: the cycles it admits on, its
-diverts and its reset lines, which follow from the track chains alone. A
-pass ends at the cap, the budget or the last job's completion. Each
-phase before run is one pass of held lines: the reset cycle, key
+the controller plans a pass from registered state and the count of
+pending jobs: the cycles it admits on, its diverts and its reset lines,
+which follow from the track chains alone. A pass ends at the budget,
+the last job's completion or :data:`PASS_CYCLES`, so an untraced run
+phase of up to 3,072 saturated jobs is one pass, and a traced pass,
+which holds each cycle's taps until it ends, within one batch period.
+Each phase before run is one pass of held lines: the reset cycle, key
 initialization up to the cycle the key store reports ready, and the
 flush. The run admits the next jobs, one for each planned admission, in
 one controller call that writes each into the plan's entry for its
@@ -91,6 +93,13 @@ CLOCK_MHZ = 528.262
 # reports ready on.
 RUN_START_CYCLE = KEY_READY_CYCLE + 1 + TRACK_CYCLES
 
+# The longest untraced pass. A pass holds its plan, an entry a cycle, and
+# its admitted blocks and completions until it ends, about 1 KB a job, and
+# pays a fixed cost of some 70 us: 256 batch periods (3,072 jobs of a
+# saturated run) bound the one and make the other negligible. A traced pass
+# also holds each cycle's taps and trace text, and lasts one batch period.
+PASS_CYCLES = 256 * BATCH_PERIOD
+
 
 def cycle_budget(n_jobs: int) -> int:
     """Cycles a run of ``n_jobs`` may take before it counts as wedged.
@@ -131,7 +140,8 @@ class RunSummary:
     blocks_completed: int = 0
     # The passes, one datapath call each.
     passes: int = 0
-    # Cycles computed in fused rounds (118 of a steady pass's 120): how, not what, so not compared.
+    # Cycles computed in fused rounds (all but an untraced run pass's last two): how, not what,
+    # so not compared.
     fused_cycles: int = field(default=0, compare=False)
     admission_cycles: dict[int, int] = field(default_factory=dict)
     completion_cycles: dict[int, int] = field(default_factory=dict)
@@ -251,9 +261,11 @@ class PipelineSimulator:
                     raise TimingFault(
                         f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
                     )
-                # Each pass is planned up to the budget and the last completion.
+                # Each pass is planned up to the budget, the last completion and
+                # the longest pass.
                 waiting = len(jobs) - taken
-                limit = (run_end if run_end > cycle else budget) - cycle
+                limit = min((run_end if run_end > cycle else budget) - cycle,
+                            PASS_CYCLES if trace is None else BATCH_PERIOD)
                 plan = ctrl.begin_cycle(ks.fsm == KEY_SCHEDULE_READY, waiting, limit)
                 fsm = ctrl.fsm
 

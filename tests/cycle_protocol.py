@@ -21,7 +21,9 @@ before a pass reads it.
 :func:`step_every_cycle` makes a whole simulator run take passes of one
 cycle, so that a hook on a per-cycle method sees every cycle: the
 stepped run, the reference a run of planned passes must match. :func:`cap_passes` shortens passes to any length, so that a
-pass can open in the middle of a batch.
+pass can open in the middle of a batch, and :func:`end_passes_at` ends
+them on given cycles, so that a pass opens on each, however long the
+passes before and after it.
 """
 
 from drablocus.controller import RUN, Controller
@@ -100,6 +102,19 @@ def cap_passes(monkeypatch, cycles):
         return begin_cycle(self, key_schedule_ready, pending, min(limit, cycles))
 
     monkeypatch.setattr(Controller, "begin_cycle", capped)
+
+
+def end_passes_at(monkeypatch, cycles):
+    """Stop every pass a simulator run plans from crossing any of
+    ``cycles``: a pass that would cover one of them ends before it, so that
+    the next pass opens on it."""
+    begin_cycle = Controller.begin_cycle
+
+    def bounded(self, key_schedule_ready, pending=0, limit=1):
+        bound = min((cycle - self.cycle for cycle in cycles if cycle > self.cycle), default=limit)
+        return begin_cycle(self, key_schedule_ready, pending, min(limit, bound))
+
+    monkeypatch.setattr(Controller, "begin_cycle", bounded)
 
 
 def before_each_pass(monkeypatch, hook):

@@ -17,6 +17,7 @@ from drablocus.keyschedule import KEY_INIT_CYCLES, KeyScheduler
 from drablocus.simulator import (
     BATCH_PERIOD,
     CLOCK_MHZ,
+    PASS_CYCLES,
     RUN_START_CYCLE,
     Job,
     JobError,
@@ -277,10 +278,13 @@ def test_cycle_budget_bounds_each_run_tightly(sim, n):
 # since a pass admits its jobs in one controller call and the run checks
 # the sequence ids without a generator, when it was lowered to 0.5; 0.23
 # since a word's tag is built without a Python frame and a steady pass's
-# events are fused, when it was lowered to 0.26. The count is
-# deterministic, so the bound catches per-object dispatch returning to the
-# per-cycle path, or passes shortening, without timing noise.
-CALLS_PER_CYCLE_BOUND = 0.26
+# events are fused, when it was lowered to 0.26; 0.066 (90 calls over the
+# run's 1,368 cycles) since an untraced run phase is one pass, from the first
+# run cycle to the last completion, when it was lowered to 0.077, about 15
+# calls over. The count is deterministic, so the bound catches per-object
+# dispatch returning to the per-cycle path, or passes shortening, without
+# timing noise.
+CALLS_PER_CYCLE_BOUND = 0.077
 # The same run writing a trace: 7.92 when this bound was set, with the trace
 # writer reading the taps' tags from the datapath's tag ranks; 8.84 since the
 # writer builds its status line with the helper the skipped flush lines share;
@@ -417,10 +421,10 @@ def test_fresh_key_run_resumes_the_key_program_on_the_reset_cycle_only(sim, monk
 
 
 def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatch):
-    # From the first run cycle on, an untraced run plans each pass up to one
-    # batch period: a full loop's admissions, diverts and completions ride
-    # inside it, and the controller admits all of a pass's jobs in one call.
-    # Key initialization is one pass.
+    # From the first run cycle on, an untraced run plans one pass to the
+    # last completion: every batch's admissions, diverts and completions
+    # ride inside it, and the controller admits all of its jobs in one call.
+    # Key initialization is one pass, so the run makes one pass per phase.
     admitted = []
     admit = Controller.admit
 
@@ -443,6 +447,8 @@ def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatc
     periods = (summary.total_cycles - summary.run_start_cycle) / BATCH_PERIOD
     assert periods > 40
     assert passes[RUN] <= 2 * periods, f"{passes[RUN]} passes over {periods:.2f} batch periods"
+    assert passes == {RESET: 1, KEY_INIT: 1, FLUSH: 1, RUN: 1} and admitted == [500]
+    assert (summary.total_cycles, summary.stall_cycles, summary.passes) == (5204, 4428, 4)
 
 
 class TestJobFile:
@@ -477,3 +483,29 @@ class TestJobFile:
         stream = io.StringIO()
         write_outputs(jobs, outputs, stream)
         assert stream.getvalue().splitlines() == ["1 " + "11" * 16, "0 " + "00" * 16]
+
+
+def test_passes_end_within_the_longest_pass(sim, monkeypatch):
+    # A pass holds its plan and completions until it ends, so an untraced
+    # run phase longer than PASS_CYCLES splits: 3,100 saturated jobs take a
+    # pass of PASS_CYCLES and one to the last completion, and complete as
+    # aesref computes them. A traced pass also holds its taps, and ends
+    # within one batch period.
+    plans = []
+    passes = passes_by_phase(monkeypatch, plans)
+    jobs = mixed_jobs(3100, seed=31)
+    result = sim.run(FIPS_KEY, jobs)
+    lengths = [len(plan) for fsm, plan in plans if fsm == RUN]
+    assert lengths == [PASS_CYCLES, result.summary.total_cycles - RUN_START_CYCLE - PASS_CYCLES]
+    assert passes[RUN] == 2 and result.summary.passes == 5
+    assert result.summary.max_loop_occupancy == NUM_LOOP_STAGES
+    keys = {MODE_ENCRYPT: aesref.key_expand(FIPS_KEY),
+            MODE_DECRYPT: aesref.key_expand_equivalent_inverse(FIPS_KEY)}
+    cipher = {MODE_ENCRYPT: aesref.encrypt_block, MODE_DECRYPT: aesref.decrypt_block}
+    assert [result.outputs[job.seq] for job in jobs] == [
+        cipher[job.mode](keys[job.mode], job.block) for job in jobs
+    ]
+    plans.clear()
+    sim.run(FIPS_KEY, jobs[:40], trace=io.StringIO())
+    lengths = [len(plan) for fsm, plan in plans if fsm == RUN]
+    assert len(lengths) == 4 and max(lengths) == BATCH_PERIOD

@@ -35,7 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycle_protocol import (
-    before_each_pass, cap_passes, core_in_run, new_core, set_line, step_cycle, step_every_cycle,
+    before_each_pass, cap_passes, core_in_run, end_passes_at, new_core, set_line, step_cycle,
+    step_every_cycle,
 )
 from drablocus import aesref
 from drablocus.controller import (
@@ -76,12 +77,13 @@ def snapshot(dp, ctrl, ks):
 
 
 def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_image=None,
-                     upset=None, cap=None):
+                     upset=None, cap=None, ends=()):
     """The core's state after every commit of one run on ``sbox_image`` and
     ``mc_image``, by the cycle it leads into, and the cycles at which passes
     of more than one cycle end. A ``stepped`` run takes passes of one cycle,
-    and passes are at most ``cap`` cycles long. An ``upset``, ``(cycle, core)``, applies ``core(ks, dp)`` before the
-    datapath computes ``cycle``, which must open a pass."""
+    passes are at most ``cap`` cycles long, and a pass opens on each cycle of
+    ``ends``. An ``upset``, ``(cycle, core)``, applies ``core(ks, dp)`` before the
+    datapath computes ``cycle``, on which a pass then opens."""
     core, states, pass_ends = {}, {}, []
     for cls in (RoundDatapath, Controller):
         def init(self, *args, _original=cls.__init__, _cls=cls):
@@ -109,6 +111,9 @@ def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_
                 upset[1](ks, dp)
 
         before_each_pass(monkeypatch, upset_pass)
+        ends = (*ends, upset[0])
+    if ends:
+        end_passes_at(monkeypatch, ends)
     if stepped:
         step_every_cycle(monkeypatch)
     if cap is not None:
@@ -161,9 +166,9 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
 
     assert passed.summary.passes < stepped.summary.passes == stepped.summary.total_cycles
     assert len(pass_ends) > 0 and no_passes == []
-    # Each pass that admits a whole batch computes at least 118 of its
-    # cycles in fused windows: all but its last two, events included.
-    assert passed.summary.fused_cycles >= 118 * (n_jobs // NUM_LOOP_STAGES)
+    # The run phase is one pass, which computes all of its cycles in fused
+    # windows but its last two, events included.
+    assert passed.summary.fused_cycles == passed.summary.total_cycles - RUN_START_CYCLE - 2
     assert stepped.summary.fused_cycles == 0
     assert set(pass_ends) <= set(states)
     for cycle, state in states.items():
@@ -175,21 +180,28 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
 
 
 def test_steady_passes_give_each_position_one_divert_admission_and_reset():
-    # The shape a fused window takes events in. Each steady pass of a
-    # saturated run, a batch period that diverts and admits twelve, diverts on
-    # offsets 113-119 and 0-4, admits on 0-11 and resets S11 on 1-12. Each
-    # loop position, named by its stage on the pass's first cycle, sees
-    # exactly one of each: the divert on its S2 visit d, the admission on
-    # d + 7 (modulo the batch period, for a word diverted late in the pass
+    # The shape a fused window takes events in. Each steady batch period of
+    # a saturated run, which diverts and admits twelve, diverts on offsets
+    # 113-119 and 0-4, admits on 0-11 and resets S11 on 1-12. Each loop
+    # position, named by its stage on the period's first cycle, sees exactly
+    # one of each: the divert on its S2 visit d, the admission on d + 7
+    # (modulo the batch period, for a word diverted late in the period
     # before) and the reset on the cycle after, as its S11 value is the one
     # the admitted word replaces. An arrival's cycle lifts the initial
-    # key-add's reset as it resets S11, and no other entry does either.
+    # key-add's reset as it resets S11, and no other entry does either. The
+    # run's passes end at the second batch, so that the periods are those of
+    # the one pass that runs from it to the last completion.
     plans = []
+    second_batch = RUN_START_CYCLE + BATCH_PERIOD
     with pytest.MonkeyPatch.context() as monkeypatch:
-        before_each_pass(monkeypatch, lambda ctrl, dp, ks: plans.append(ctrl.plan))
+        end_passes_at(monkeypatch, [second_batch])
+        before_each_pass(monkeypatch, lambda ctrl, dp, ks: plans.append((ctrl.cycle, ctrl.plan)))
         PipelineSimulator().run(FIPS_KEY, mixed_jobs(500, seed=500))
+    (last,) = [plan for cycle, plan in plans if cycle == second_batch]
+    assert len(last) > 40 * BATCH_PERIOD
+    periods = [last[start:start + BATCH_PERIOD] for start in range(0, len(last), BATCH_PERIOD)]
     steady = [
-        plan for plan in plans if len(plan) == BATCH_PERIOD
+        plan for plan in periods if len(plan) == BATCH_PERIOD
         and sum(lines[0] is not None for lines in plan) == sum(lines[1] for lines in plan) == 12
     ]
     assert len(steady) == 500 // NUM_LOOP_STAGES - 1
@@ -216,29 +228,37 @@ def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, c
     # that over a 500-job run events fall on every offset of a pass, its
     # first and last cycle included: a window starts after an arrival still
     # on its way in, ends before a late admission, and takes diverts,
-    # admissions and resets at every offset it covers. Every committed state
-    # equals a stepped run's, on healthy images and on images with one entry
-    # flipped.
+    # admissions and resets at every offset it covers. Passes capped at two
+    # batch periods and 17 cycles, and the uncapped run's one pass from the
+    # first run cycle to the last completion, take several diverts and
+    # admissions at each position. Every committed state equals a stepped
+    # run's, on healthy images and on images with one entry flipped.
     jobs = mixed_jobs(500, seed=500)
     sbox_image, mc_image = flipped_images(corrupt)
     images = {"sbox_image": sbox_image, "mc_image": mc_image}
-    offsets = set()
-
-    def record(ctrl, dp, ks):
-        if ctrl.fsm == RUN and len(ctrl.plan) == 97:
-            offsets.update(o for o, lines in enumerate(ctrl.plan) if lines is not QUIET)
-
-    before_each_pass(monkeypatch, record)
-    passed, states, pass_ends = committed_states(monkeypatch, FIPS_KEY, jobs, cap=97, **images)
     stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, **images)
-    assert offsets == set(range(97))
-    summary = passed.summary
-    assert summary.fused_cycles > 0.9 * (summary.total_cycles - summary.passes)
-    assert set(pass_ends) <= set(states)
-    for cycle, state in states.items():
-        assert state == reference[cycle], f"cycle {cycle}"
-    assert passed.outputs == stepped.outputs
-    assert summary_fields(passed.summary) == summary_fields(stepped.summary)
+    for cap in (97, 2 * BATCH_PERIOD + 17, None):
+        offsets, lengths = set(), []
+
+        def record(ctrl, dp, ks):
+            if ctrl.fsm == RUN:
+                lengths.append(len(ctrl.plan))
+                if len(ctrl.plan) == cap:
+                    offsets.update(o for o, lines in enumerate(ctrl.plan) if lines is not QUIET)
+
+        before_each_pass(monkeypatch, record)
+        passed, states, pass_ends = committed_states(monkeypatch, FIPS_KEY, jobs, cap=cap, **images)
+        if cap is None:
+            assert lengths == [passed.summary.total_cycles - RUN_START_CYCLE]
+        else:
+            assert max(lengths) == cap and offsets == set(range(cap)), cap
+        summary = passed.summary
+        assert summary.fused_cycles > 0.9 * (summary.total_cycles - summary.passes)
+        assert set(pass_ends) <= set(states)
+        for cycle, state in states.items():
+            assert state == reference[cycle], f"cap {cap}, cycle {cycle}"
+        assert passed.outputs == stepped.outputs
+        assert summary_fields(passed.summary) == summary_fields(stepped.summary)
 
 
 # The cycle after the key-initialization phase, which ends on the cycle
@@ -638,18 +658,18 @@ def step_each_cycle(ctrl, ready, pending, cycles, modes):
     seed=st.integers(0, 2**32 - 1),
     warmup=st.integers(0, 3 * BATCH_PERIOD),
     arrival=st.sampled_from((0.05, 0.2, 1.0)),
-    pending=st.integers(0, 30),
-    limit=st.integers(1, 2 * BATCH_PERIOD),
+    pending=st.integers(0, 60),
+    limit=st.integers(1, 6 * BATCH_PERIOD),
     start=st.integers(0, 10**6),
 )
 def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, limit, start):
     # From a run-phase state reached by stepping a controller with jobs
     # arriving at random, the planned pass admits on the cycles, and takes
     # the lines, that stepping its cycles one at a time gives from the same
-    # registers and pending count; it ends at the limit, at one batch period
-    # or on the last pending job's completion, and one commit over it leaves
-    # the registers as stepping does. A pass of one cycle from the same
-    # registers plans the first cycle's lines.
+    # registers and pending count; it ends at the limit or on the last
+    # pending job's completion, however many batch periods on, and one
+    # commit over it leaves the registers as stepping does. A pass of one
+    # cycle from the same registers plans the first cycle's lines.
     rng = random.Random(seed)
     ctrl = Controller()
     ctrl.fsm = RUN
@@ -673,7 +693,7 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     assert [tuple(entry[1:]) for entry in plan] == taken
     single = copy.deepcopy(ctrl).begin_cycle(True, pending, 1)
     assert len(single) == 1 and tuple(single[0]) == tuple(plan[0])
-    expected = min(limit, BATCH_PERIOD)
+    expected = limit
     if pending and len(admissions) == pending:
         expected = min(expected, admissions[-1] + BLOCK_LATENCY + 1)
     assert span == expected
@@ -777,6 +797,33 @@ def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
     assert registers(spanned) == registers(ctrl)
 
 
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    chains=st.lists(
+        st.integers(0, (1 << TRACK_CYCLES) - 1), min_size=NUM_LOOP_STAGES, max_size=NUM_LOOP_STAGES
+    ),
+    cycles=st.integers(TRACK_CYCLES - 2, 6 * BATCH_PERIOD),
+    tags=st.integers(0, (1 << TAG_BITS * NUM_LOOP_STAGES) - 1),
+    cycle=st.integers(0, 10**6),
+)
+def test_commit_past_a_chain_length_equals_its_single_commits(chains, cycles, tags, cycle):
+    # A commit over a span as long as a track chain or longer, up to six
+    # batch periods, shifts every chain's bits past its final bit, none into
+    # the next chain, and rotates the tag rank, as that many single commits
+    # do from any chains.
+    ctrl = Controller()
+    ctrl.fsm = RUN
+    ctrl.cycle = cycle
+    ctrl.tags = tags
+    ctrl.track = sum(chain << TRACK_CYCLES * slot for slot, chain in enumerate(chains))
+    spanned = copy.copy(ctrl)
+    spanned.plan = [QUIET] * cycles
+    spanned.commit()
+    for _ in range(cycles):
+        ctrl.commit()
+    assert registers(spanned) == registers(ctrl)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     modes_and_blocks=st.integers(1, 60).flatmap(
@@ -789,8 +836,9 @@ def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
     key=st.one_of(st.just(FIPS_KEY), st.binary(min_size=16, max_size=16)),
 )
 def test_untraced_run_equals_traced_run(modes_and_blocks, key):
-    # A traced run plans its passes as an untraced one does, and writes the
-    # trace a stepped run writes, byte for byte.
+    # A traced run plans its passes as an untraced one does, but for ending
+    # each within one batch period, and writes the trace a stepped run
+    # writes, byte for byte.
     jobs = [Job(i, mode, block) for i, (mode, block) in enumerate(modes_and_blocks)]
     sim = PipelineSimulator()
     untraced = sim.run(key, jobs)
@@ -802,9 +850,10 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
     assert trace.getvalue() == stepped_trace.getvalue()
     assert untraced.outputs == traced.outputs == stepped.outputs
     assert untraced.key_store == traced.key_store == stepped.key_store
-    assert untraced.summary == traced.summary
+    assert summary_fields(untraced.summary) == summary_fields(traced.summary)
     assert summary_fields(traced.summary) == summary_fields(stepped.summary)
-    assert traced.summary.passes < stepped.summary.passes == stepped.summary.total_cycles
+    assert untraced.summary.passes == 4
+    assert 4 <= traced.summary.passes < stepped.summary.passes == stepped.summary.total_cycles
 
 
 # Faults inside a pass. Each upset is made on a cycle that opens a pass in
@@ -812,16 +861,15 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
 # same upset is made on the same cycle of a run that steps every cycle.
 
 
-def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lines=None, core=None,
-                        cap=None):
+def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lines=None, core=None):
     """Run ``jobs``, setting the named ``lines`` of ``cycle`` in the plan
-    of the pass that covers it, or applying ``core(ks, dp)`` before the datapath computes ``cycle``,
-    which must then open a pass; passes are at most ``cap`` cycles long, and
-    a ``stepped`` run takes passes of one cycle. Returns the fault the run
-    raises and each pass's first cycle and planned length."""
+    of the pass that covers it, or applying ``core(ks, dp)`` before the
+    datapath computes ``cycle``, on which a pass then opens; a ``stepped``
+    run takes passes of one cycle. Returns the fault the run raises and
+    each pass's first cycle and planned length."""
     passes = []
-    if cap is not None:
-        cap_passes(monkeypatch, cap)
+    if core is not None:
+        end_passes_at(monkeypatch, [cycle])
     if stepped:
         step_every_cycle(monkeypatch)
     original_begin = Controller.begin_cycle
@@ -905,14 +953,14 @@ PASS_FAULTS = {
                   "recirculating"),
     "latency": (36, 281, {"core": divert_from_s2_takes_next_seq}, TimingFault,
                 "cycle 283: block 8 completed after 114 cycles, expected 115"),
-    # The S11 reset before the fourth word's arrival in the second run pass
-    # is dropped: the arriving word meets the S11 value of the word diverted
+    # The S11 reset before the fourth word's arrival in the second batch is
+    # dropped: the arriving word meets the S11 value of the word diverted
     # seven cycles before its admission, on the cycle it arrives. The fused
     # window declines the entry, and the cycle loop raises there.
     "unreset_arrival": (36, 286, {"lines": {"main_reset": False}}, ProtocolError,
                         "cycle 287: OR-mux driven by multiple nonzero sources"),
-    # From the second run pass on, an admission resets its slot's round
-    # counter to the last main round: the window, which resets the slots it
+    # From the pass opening at the second batch on, an admission resets its
+    # slot's round counter to the last main round: the window, which resets the slots it
     # admits to as the loop does, declines, and the first word admitted asks
     # for a tenth key on its first S7 visit, ten cycles after its admission.
     "counter_reset_in_window": (36, 281, {"core": counters_reset_to_last_round},
@@ -920,10 +968,10 @@ PASS_FAULTS = {
                                 "cycle 291: slot 5 requested main-loop key for round 10"),
     # Between two passes of a saturated run a live slot's round counter is
     # raised, and the next pass's fused window must fall back so the key read
-    # past round 9 names its own cycle. Passes are capped at 60 cycles, so
-    # that one opens mid-batch: uncapped, every slot live in a window is
-    # admitted, and its counter reset, in the window's own pass.
-    "key_read_in_window": (36, 221, {"core": round_counter_past_the_window, "cap": 60},
+    # past round 9 names its own cycle. The pass opens mid-batch: on a batch's
+    # first cycle, every slot live in a window is admitted, and its counter
+    # reset, in the window's own pass.
+    "key_read_in_window": (36, 221, {"core": round_counter_past_the_window},
                            KeyStoreFault, "cycle 235: slot 9 requested main-loop key for round 10"),
 }
 
@@ -963,14 +1011,14 @@ def stray_mode_bit(ks, dp):
 
 
 def test_stray_mode_bit_falls_back_to_cycle_steps(monkeypatch):
-    # The 13-job run's second pass, cycles 281-396, diverts five words and
-    # admits one, and a fused window covers cycles 281-394. With a stray
-    # mode bit upset into the tag rank at the pass's start, the window falls
-    # back to the cycles, and every committed state equals a stepped run's
-    # under the same upset.
+    # The 13-job run's passes end at cycle 281, so that its last pass,
+    # cycles 281-396, diverts five words and admits one, and a fused window
+    # covers cycles 281-394. With a stray mode bit upset into the tag rank
+    # at the pass's start, the window falls back to the cycles, and every
+    # committed state equals a stepped run's under the same upset.
     jobs = mixed_jobs(13, seed=13)
     upset = (RUN_START_CYCLE + BATCH_PERIOD, stray_mode_bit)
-    clean, clean_states, _ = committed_states(monkeypatch, FIPS_KEY, jobs)
+    clean, clean_states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, ends=[upset[0]])
     passed, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=upset)
     stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, upset=upset)
     assert clean.summary.fused_cycles - passed.summary.fused_cycles == 114
@@ -990,15 +1038,15 @@ def shared_slot(ks, dp):
 
 
 def test_shared_slot_falls_back_as_a_traced_run_steps(monkeypatch):
-    # Two live stages share a slot from a pass opening mid-batch: the fused
-    # window falls back, and the untraced run's datapath raises the key read
-    # past round 9 on the cycle the traced run's, which plans the same
-    # passes, raises it. Each planned run then checks the controller against
+    # Two live stages share a slot from a pass opening mid-batch and running
+    # past the next batch: the fused window falls back, and the untraced
+    # run's datapath raises the key read past round 9 on the cycle the
+    # traced run's raises it. Each planned run then checks the controller against
     # the upset on the pass's first cycle, as a stepped run does before any
     # later cycle, and all three name that fault. The traced run's trace is
     # a traced stepped run's, ending on the cycle before.
     jobs = mixed_jobs(36, seed=7)
-    upset = {"core": shared_slot, "cap": 60}
+    upset = {"core": shared_slot}
     trace, stepped_trace = io.StringIO(), io.StringIO()
     passed, _ = run_with_pass_upset(monkeypatch, jobs, 221, **upset)
     traced, _ = run_with_pass_upset(monkeypatch, jobs, 221, trace=trace, **upset)
@@ -1015,6 +1063,32 @@ def test_shared_slot_falls_back_as_a_traced_run_steps(monkeypatch):
     assert str(planned[0]) == str(planned[1]) == "slot 8 requested main-loop key for round 11"
     assert planned[0].offset == planned[1].offset == 258 - 221
     assert stepped.__context__ is None
+
+
+def divert_takes_the_next_slot(ks, dp):
+    # The word at S2, which diverts on this cycle, takes slot 1 for slot 0.
+    dp.tags ^= 1 << 2 * TAG_BITS + 1
+
+
+def test_check_names_the_word_its_slot_held_when_the_pass_opened(monkeypatch):
+    # The pass opening at cycle 281 readmits slot 1 on cycle 289. With the
+    # tag of the word due to divert at 281 upset to slot 1, the controller's
+    # check on the pass's first cycle names the word that slot held on that
+    # cycle, as a stepped run names it, not the one the pass admits later:
+    # the pass's sequence ids are latched with its ranks at commit.
+    jobs = mixed_jobs(36, seed=7)
+    upset = {"core": divert_takes_the_next_slot}
+    passed, passes = run_with_pass_upset(monkeypatch, jobs, 281, **upset)
+    traced, _ = run_with_pass_upset(monkeypatch, jobs, 281, trace=io.StringIO(), **upset)
+    stepped, _ = run_with_pass_upset(monkeypatch, jobs, 281, stepped=True, **upset)
+    (length,) = [length for start, length in passes if start == 281]
+    assert length > 289 - 281
+    for fault in (passed, traced, stepped):
+        assert type(fault) is ControlFault and fault.cycle == 281
+        assert str(fault) == (
+            "cycle 281: track 0 expired without its block at the shift-rows register "
+            "(found Word(seq=8, mode=0, slot=1))"
+        )
 
 
 def test_no_window_while_a_word_is_on_its_way_in():
@@ -1126,13 +1200,13 @@ def test_window_starts_on_a_quiet_first_cycle(monkeypatch):
 
 
 def test_fused_windows_run_untraced_only():
-    # A saturated untraced run computes 118 cycles of each of its three
-    # full-batch passes in fused windows, all but the last two, events
-    # included; a traced run computes every cycle one by one, to record its
-    # taps.
+    # A saturated untraced run computes its run phase, one pass, in fused
+    # windows, all but the last two cycles, events included; a traced run
+    # computes every cycle one by one, to record its taps.
     jobs = mixed_jobs(36, seed=9)
     sim = PipelineSimulator()
     untraced, traced = sim.run(FIPS_KEY, jobs), sim.run(FIPS_KEY, jobs, trace=io.StringIO())
+    assert untraced.summary.fused_cycles == untraced.summary.total_cycles - RUN_START_CYCLE - 2
     assert untraced.summary.fused_cycles >= 3 * 118
     assert traced.summary.fused_cycles == 0
     assert untraced.outputs == traced.outputs

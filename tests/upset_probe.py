@@ -1,0 +1,91 @@
+"""Single-bit upsets on a pass's first cycle: planned runs against stepped ones.
+
+Each upset flips one bit of the core before the datapath computes cycle
+281, the first cycle of the second batch of a 36-job run under the FIPS
+key, on which the planned run's passes are made to open
+(:func:`cycle_protocol.end_passes_at`). The same upset is made on the same
+cycle of a run that steps every cycle. A run's outcome is its outputs, or
+the class, message and cycle of the fault it raises; the probe counts the
+upsets whose two outcomes differ. The upsets are every bit of the
+datapath's and the controller's tag ranks, four bits of each slot's round
+counter, and bits drawn with a seeded generator from the track chains and
+from the S2, S8, S9 and S11 data ranks.
+
+Run it with ``PYTHONPATH=src:tests python3 tests/upset_probe.py [seed]``.
+"""
+
+import random
+import sys
+
+import pytest
+
+from cycle_protocol import before_each_pass, end_passes_at, step_every_cycle
+from drablocus.datapath import NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES
+from drablocus.simulator import PipelineSimulator
+from test_faults import FIPS_KEY, mixed_jobs
+
+UPSET_CYCLE = 281
+_RANK_BITS = TAG_BITS * NUM_LOOP_STAGES
+_DATA_BITS = {"s2": 128, "s8": 128, "s9": 256, "s11": 128}
+
+
+def flip(target, name, bit):
+    setattr(target, name, getattr(target, name) ^ 1 << bit)
+
+
+def upsets(seed, track_bits=150, data_bits=40):
+    """Each upset as ``(label, apply(ctrl, dp, ks))``."""
+    rng = random.Random(seed)
+    chosen = [(f"dp.tags[{bit}]", lambda c, d, k, bit=bit: flip(d, "tags", bit))
+              for bit in range(_RANK_BITS)]
+    chosen += [(f"ctrl.tags[{bit}]", lambda c, d, k, bit=bit: flip(c, "tags", bit))
+               for bit in range(_RANK_BITS)]
+    chosen += [(f"ctrl.track[{bit}]", lambda c, d, k, bit=bit: flip(c, "track", bit))
+               for bit in sorted(rng.sample(range(NUM_LOOP_STAGES * TRACK_CYCLES), track_bits))]
+    for slot in range(NUM_LOOP_STAGES):
+        for bit in range(4):
+            def counter(c, d, k, slot=slot, bit=bit):
+                k.round_counters[slot] ^= 1 << bit
+            chosen.append((f"counter[{slot}][{bit}]", counter))
+    ranks = [(name, bit) for name, width in _DATA_BITS.items() for bit in range(width)]
+    chosen += [(f"dp.{name}[{bit}]", lambda c, d, k, name=name, bit=bit: flip(d, name, bit))
+               for name, bit in sorted(rng.sample(ranks, data_bits))]
+    return chosen
+
+
+def outcome(apply, stepped, jobs):
+    """The run's outputs, or its fault's class, message and cycle."""
+    def upset(ctrl, dp, ks):
+        if ctrl.cycle == UPSET_CYCLE:
+            apply(ctrl, dp, ks)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if stepped:
+            step_every_cycle(monkeypatch)
+        else:
+            end_passes_at(monkeypatch, [UPSET_CYCLE])
+        before_each_pass(monkeypatch, upset)
+        try:
+            return sorted(PipelineSimulator().run(FIPS_KEY, jobs).outputs.items())
+        except Exception as fault:  # an upset may end a run in any exception: that is its outcome
+            return type(fault).__name__, str(fault), getattr(fault, "cycle", None)
+
+
+def disagreements(seed=0x16):
+    """The labels of the upsets whose planned and stepped outcomes differ,
+    and the count of upsets."""
+    jobs = mixed_jobs(36, seed=7)
+    chosen = upsets(seed)
+    differ = [label for label, apply in chosen
+              if outcome(apply, False, jobs) != outcome(apply, True, jobs)]
+    return differ, len(chosen)
+
+
+if __name__ == "__main__":
+    differ, total = disagreements(*map(int, sys.argv[1:]))
+    kinds = {}
+    for label in differ:
+        kind = label.split("[")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    print(f"Upset probe: {len(differ)} of {total} single-bit upsets at cycle {UPSET_CYCLE} "
+          f"end differently planned and stepped ({kinds})")
