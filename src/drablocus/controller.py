@@ -43,12 +43,13 @@ saturated slot admits once a batch period.
 Outside run a pass holds :data:`HOLD` lines up to the end of its phase:
 the reset cycle, key initialization up to :data:`KEY_READY_CYCLE` and
 the flush up to ``flush_end``. The lines held over a pass,
-``shift_rows_reset`` and ``final_reset``, and the admission handshake
-``admit_ready`` are plain attributes. :meth:`Controller.admit` writes
-the pass's jobs in order into the plan's entries of the cycles it admits
-on. :meth:`Controller.check_against` reconciles the registers and the
-first cycle's lines with the datapath's tags once the datapath has
-computed the pass. :meth:`Controller.commit` moves the registers over
+``shift_rows_reset`` and ``final_reset``, are plain attributes, and the
+admission handshake is the plan's admission offsets: a waiting job
+stalls on every other cycle. :meth:`Controller.admit` writes the pass's
+jobs in order into the plan's entries of the cycles it admits on.
+:meth:`Controller.check_against` reconciles the registers and the first
+cycle's lines with the datapath's tags once the datapath has computed
+the pass. :meth:`Controller.commit` moves the registers over
 every cycle the plan covers, with the admissions and diverts it holds;
 no other method shifts them or moves the cycle.
 
@@ -78,8 +79,8 @@ from bisect import bisect_left
 from typing import Sequence
 
 from .datapath import (
-    _CLEAR_TAG3, _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, HOLD, MAIN_ROUNDS,
-    NUM_LOOP_STAGES, QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
+    _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, HOLD, MAIN_ROUNDS, NUM_LOOP_STAGES,
+    QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
 )
 from .faults import AdmissionError, ControlFault
 from .keyschedule import KEY_INIT_CYCLES
@@ -139,10 +140,10 @@ _RANK_BITS = TAG_BITS * NUM_LOOP_STAGES
 _RANK_MARK = 1 << _RANK_BITS
 # The divert reads the chain of slot (cycle - _DIVERT_PHASE) mod 12.
 _DIVERT_PHASE = STAGE_PHASE_OFFSET + 2
-# Per commit offset t mod 12 in a pass: the field of the rank after the
-# first commit that t more rotations bring to S0 and to S3.
-_S0_SHIFTS = tuple(TAG_BITS * -t % _RANK_BITS for t in range(NUM_LOOP_STAGES))
-_S3_SHIFTS = tuple(TAG_BITS * (3 - t) % _RANK_BITS for t in range(NUM_LOOP_STAGES))
+# Per commit offset t mod 12 in a pass: the field of the rank before the
+# pass that t + 1 rotations bring to S0 and to S3.
+_S0_SHIFTS = tuple(TAG_BITS * (-1 - t) % _RANK_BITS for t in range(NUM_LOOP_STAGES))
+_S3_SHIFTS = tuple(TAG_BITS * (2 - t) % _RANK_BITS for t in range(NUM_LOOP_STAGES))
 
 
 class Controller:
@@ -155,11 +156,9 @@ class Controller:
         self.track = 0
         # The occupancy and mode registers, in the datapath's tag layout.
         self.tags = 0
-        # The lines held over the pass and the admission handshake, set by
-        # begin_cycle.
+        # The lines held over the pass, set by begin_cycle.
         self.shift_rows_reset = True
         self.final_reset = True
-        self.admit_ready = False
         # Mirrors the two initial key-add ranks: the field each word en route
         # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
         self._arriving0 = 0
@@ -199,7 +198,6 @@ class Controller:
             # The hold lines follow the FSM alone, which never leaves run.
             self.shift_rows_reset = self.final_reset = fsm == RESET or fsm == KEY_INIT
             if fsm != RUN:
-                self.admit_ready = False
                 self.admissions = ()
                 end = {RESET: 1, KEY_INIT: KEY_READY_CYCLE + 1, FLUSH: self.flush_end}[fsm]
                 self.plan = plan = [HOLD] * min(limit, end - self.cycle)
@@ -209,7 +207,6 @@ class Controller:
             # The two views are equivalent by the phase math; disagreement
             # means a tracking register slipped.
             raise ControlFault("stage-9 occupancy and slot tracking disagree")
-        self.admit_ready = not stage9_busy
         self._plan_pass(pending, limit)
         return self.plan
 
@@ -222,7 +219,9 @@ class Controller:
         the slot's next job a batch period later. A block admitted in the
         pass diverts TRACK_CYCLES later, and a word arrives from the initial
         key-add the cycle after its admission. The pass ends at ``limit`` or
-        on the cycle the last pending job completes.
+        on the cycle the last pending job completes. Every cycle of the pass
+        follows these rules, the first included: its admissions and its
+        diverts, at any offset, are the events :meth:`commit` applies.
         """
         cycle = self.cycle
         span = limit
@@ -268,8 +267,7 @@ class Controller:
         diverts = diverts[:bisect_left(diverts, span)]
         for offset in diverts:
             events.setdefault(offset, list(QUIET))[1] = True
-        # The first commit clears its divert's field itself.
-        self._diverts = diverts[1:] if diverts and not diverts[0] else diverts
+        self._diverts = diverts
         self.plan = plan = [QUIET] * span
         for offset, entry in events.items():
             plan[offset] = entry
@@ -347,72 +345,51 @@ class Controller:
         The track chains shift one place a cycle, each admission's bit
         entering its slot's chain at its offset. The occupancy and mode
         registers rotate as many stages, and on each commit an arriving
-        word's field takes S0 and a divert clears S3. The pass's admissions
-        and diverts are spent: a later commit without a new plan applies
-        none of them again.
+        word's field takes S0 and a divert clears S3: the arriving
+        registers' fields on commits 0 and 1, an admission's on commit o + 2
+        and a divert's on its own. A field whose commit falls past the pass
+        stays in the arriving registers. The pass's admissions and diverts
+        are spent: a later commit without a new plan applies none of them
+        again.
         """
         plan = self.plan
         cycles = len(plan)
-        # The first commit, under this cycle's registers and lines: the
-        # arriving word's field takes S0 and a divert clears S3.
-        tags = self.tags << TAG_BITS
-        tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
-        if self._arriving1:
-            if tags & TAG_VALID:
-                raise ControlFault("occupancy wrap collides with admission")
-            tags = tags >> TAG_BITS << TAG_BITS | self._arriving1
-        if plan[0][1]:
-            tags &= _CLEAR_TAG3
         track = self.track
         if track:
             track = (track & _TRACK_KEEP[cycles if cycles < TRACK_CYCLES else TRACK_CYCLES]) << cycles
-        # A word's field enters S0 two commits after its admission, but for
-        # the last two admitted, which the arriving registers then hold.
-        # The later commits' events are (commit offset, clears S3, field
-        # entering S0), in commit order; on one commit the field enters S0
-        # before S3 clears.
-        events = []
-        arriving1, arriving0 = self._arriving0, 0
-        if cycles > 1 and arriving1:
-            events.append((1, 0, arriving1))
-            arriving1 = 0
+        # The events, (commit offset, clears S3, field entering S0), in
+        # commit order; on one commit the field enters S0 before S3 clears.
+        events = [(0, 0, self._arriving1), (1, 0, self._arriving0)]
         for offset in self.admissions:
             word = plan[offset][0][2]
-            field = TAG_VALID | word.mode & 1
+            events.append((offset + 2, 0, TAG_VALID | word.mode & 1))
             age = cycles - 1 - offset
-            if age > 1:
-                events.append((offset + 2, 0, field))
-            elif age:
-                arriving1 = field
-            else:
-                arriving0 = field
             if age < TRACK_CYCLES:
                 track |= _TRACK_ADMIT[word.slot] << age
         self.admissions = ()
         self.track = track
-        diverts, self._diverts = self._diverts, ()
-        if cycles > 1:
-            if diverts:
-                for offset in diverts:
-                    if plan[offset][1]:
-                        events.append((offset, 1, 0))
-                events.sort()
-            # After commit t the rank is this one rotated t stages more, so
-            # each event lands on the field that rotates into S0 or S3 by
-            # then.
-            for offset, clear, field in events:
-                if clear:
-                    tags &= ~(TAG_FIELD << _S3_SHIFTS[offset % NUM_LOOP_STAGES])
-                else:
-                    shift = _S0_SHIFTS[offset % NUM_LOOP_STAGES]
-                    if tags >> shift & TAG_VALID:
-                        fault = ControlFault("occupancy wrap collides with admission")
-                        fault.offset = offset
-                        raise fault
-                    tags = tags & ~(TAG_FIELD << shift) | field << shift
-            tags <<= TAG_BITS * ((cycles - 1) % NUM_LOOP_STAGES)
-            tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
-        self.tags = tags
-        self._arriving1 = arriving1
-        self._arriving0 = arriving0
+        for offset in self._diverts:
+            if plan[offset][1]:
+                events.append((offset, 1, 0))
+        self._diverts = ()
+        events.sort()
+        # Commit t rotates the rank t + 1 stages from the pass's first, so each
+        # event lands on the field that rotates into S0 or S3 by then.
+        tags = self.tags
+        arriving = [0, 0]
+        for offset, clear, field in events:
+            if offset >= cycles:
+                arriving[offset - cycles] = field
+            elif clear:
+                tags &= ~(TAG_FIELD << _S3_SHIFTS[offset % NUM_LOOP_STAGES])
+            elif field:
+                shift = _S0_SHIFTS[offset % NUM_LOOP_STAGES]
+                if tags >> shift & TAG_VALID:
+                    fault = ControlFault("occupancy wrap collides with admission")
+                    fault.offset = offset
+                    raise fault
+                tags = tags & ~(TAG_FIELD << shift) | field << shift
+        tags <<= TAG_BITS * (cycles % NUM_LOOP_STAGES)
+        self.tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
+        self._arriving1, self._arriving0 = arriving
         self.cycle += cycles

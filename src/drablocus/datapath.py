@@ -47,16 +47,18 @@ in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
 makes no per-primitive calls. The same code steps a pass of one cycle or
 of many, in one frame over locals, under the lines the controller's plan
-gives each cycle, the first included. It takes every cycle's keys from
-the key store: in service it serves the store's three consumers on each
-cycle from the tag rank it holds, the one copy of the rank's movement,
-and before service it resumes the key schedule's program on each cycle,
-which gives the cycle's keys and injects. The power-up passes of held
-lines, a fresh key's initialization and the flush, it computes at once to
-the end state that follows from the tables and the key store. An
-untraced pass takes its cycles position-major, events included, each position's words in
-table-lookup rounds built from the model's images. A lockstep test
-replays a simulator run into both and compares every tap on every cycle.
+gives each cycle, by the same rules on every cycle, the first and the
+last included. It takes every cycle's keys from the key store: in
+service it serves the store's three consumers on each cycle from the tag
+rank it holds, the one copy of the rank's movement, and before service
+it resumes the key schedule's program on each cycle, which gives the
+cycle's keys and injects. The power-up passes of held lines, a fresh
+key's initialization and the flush, it computes at once to the end state
+that follows from the tables and the key store. An untraced pass takes
+all but its last two cycles position-major, events included, each
+position's words in table-lookup rounds built from the model's images. A
+lockstep test replays a simulator run into both and compares every tap
+on every cycle.
 """
 
 from __future__ import annotations
@@ -561,9 +563,9 @@ class RoundDatapath:
         counter, port a reads the key of the next round of the word in S7,
         raising :class:`KeyStoreFault` past the last main round, port b
         reads the final key for the mode of the word in S1, and the word in
-        S8 counts its key at the cycle's commit. The reads are the next
-        cycle's keys; the last cycle's addresses, reads and count await the
-        store's commit. Before service ``store.resume(s1, s8)``, given each
+        S8 counts its key in the store's round counters, on every cycle the
+        same. The reads are the next cycle's keys; the last cycle's
+        addresses and reads await the store's commit. Before service ``store.resume(s1, s8)``, given each
         cycle's committed S1 (as bytes) and S8, returns its main and final
         keys and its substitution and product injects, ``(data, mode)``
         each.
@@ -573,13 +575,14 @@ class RoundDatapath:
         with no tag, is computed at once (:meth:`_power_up`); from any other
         state, or shorter, it steps every cycle.
 
-        An untraced run pass in service computes its cycles position-major
-        (:meth:`_window`) from the first with no word on its way in to two
-        before its last or a late admission, any number of diverts,
-        admissions and their S11 resets at each position included: all but
-        the last two cycles of an untraced run pass. Any other entry,
-        a stray tag bit, a divert that finds no word or an arrival one, a
-        slot live at two positions or a key read past round 9 declines.
+        An untraced pass in service that opens with no word on its way in
+        computes all but its last two cycles position-major
+        (:meth:`_window`), any number of diverts, admissions and their S11
+        resets at each position included, if those are at least a loop
+        traversal and it admits on neither cycle before them. Any other
+        entry, a stray tag bit, a divert that finds no word or an arrival
+        one, a slot live at two positions or a key read past round 9
+        declines, and the pass steps every cycle.
 
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the word the final key-add output
@@ -600,17 +603,20 @@ class RoundDatapath:
         # bytes (the row shift gives a tuple of them). Each cycle computes
         # every rank's next value and latches it in place, from the end of
         # the loop back, so that each rank is read before it is overwritten;
-        # S0's next value waits in sub while S11's is computed. s2_1 and s2_2
-        # keep the last two cycles' s2 for the final key-add ranks, which
-        # only the last two cycles reach.
+        # S0's next value waits in sub while S11's is computed. The final
+        # key-add ranks take the last two cycles' s2 and final keys: s2_1
+        # and s2_2 keep the s2 of the last two cycles, and last_final_key
+        # the final key of the cycle before the last, seeded from the
+        # committed input rank as the cycle before the pass left them.
         s0 = self.s0.to_bytes(16, "big")
         s1 = self.s1.to_bytes(16, "big")
-        s2 = s2_1 = s2_2 = self.s2.to_bytes(16, "big")
+        s2 = self.s2.to_bytes(16, "big")
         s3, s4, s5, s6, s7, s8 = self.s3, self.s4, self.s5, self.s6, self.s7, self.s8
         s9, s10, s11 = self.s9, self.s10, self.s11
-        ia_in, ia_out, tags = self.ia_in, self.ia_out, self.tags
+        ia_in, ia_out, fa_in, tags = self.ia_in, self.ia_out, self.fa_in, self.tags
         ia_in_tag, entering, fa_in_tag = self.ia_in_tag, self.ia_out_tag, self.fa_in_tag
         fa_out_tag = self.fa_out_tag
+        s2_1, last_final_key = (fa_in >> 128).to_bytes(16, "big"), fa_in & _MASK128
 
         # The completions: the committed output rank's word on the first
         # cycle, the committed input rank's on the second, and each word
@@ -619,8 +625,7 @@ class RoundDatapath:
         cycles = len(plan) - 1
         completions = [] if fa_out_tag is None else [(0, fa_out_tag, self.fa_out)]
         if cycles and fa_in_tag is not None:
-            fa_in = self.fa_in
-            data = 0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128)
+            data = 0 if final_reset else (fa_in >> 128) ^ last_final_key
             completions.append((1, fa_in_tag, data))
         # The store serves from its image and round counters, or resumes its
         # program, which gives the first cycle's keys and injects too.
@@ -634,26 +639,18 @@ class RoundDatapath:
             main_key, final_key, ks_sub_bytes, ks_mix_columns = resume(s1, s8)
         ks_sb_data, ks_sb_mode = ks_sub_bytes
         ks_mc_data, ks_mc_mode = ks_mix_columns
-        # An untraced pass in service tries one window, from its first cycle
-        # with no word on its way in.
-        fusable = not (held or shift_rows_reset or final_reset or taps is not None or image is None)
-        fuse_at = 0 if fusable and ks_sub_bytes == ks_mix_columns == (0, 0) else -1
+        # An untraced pass in service with no word on its way in tries one
+        # window, from its first cycle.
         cycle, current = 0, None
+        if not (held or shift_rows_reset or final_reset or taps is not None or image is None
+                or ks_sb_data or ks_sb_mode or ks_mc_data or ks_mc_mode
+                or ia_in or ia_out or entering or ia_in_tag):
+            ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key]
+            cycle = self._window(plan, cycles, ranks, tags, seqs, image, counters, completions)
+            if cycle:
+                s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key, tags = ranks
         try:
             while True:
-                if cycle == fuse_at:
-                    if ia_in or ia_out or entering or ia_in_tag:
-                        fuse_at += 1
-                    else:
-                        ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
-                                 main_key, final_key]
-                        end = self._window(plan, cycle, cycles, ranks, tags, seqs, image,
-                                           counters, completions)
-                        if end:
-                            (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
-                             main_key, final_key, tags) = ranks
-                            cycle = end
-                            continue
                 # The cycle's lines; a run of QUIET cycles decodes its first.
                 lines = plan[cycle]
                 if lines is not current:
@@ -689,9 +686,10 @@ class RoundDatapath:
                     addr_b = (tags >> TAG_BITS & 1) << 4 | NUM_ROUNDS
                     read_a = image[addr_a]
                     read_b = image[addr_b]
-                    # The word in S8 consumes its key at the cycle's commit.
+                    # The word in S8 consumes its key.
                     code = tags >> _TAG8_SHIFT
-                    increment = code >> 1 & _SLOT_FIELD if code & TAG_VALID else None
+                    if code & TAG_VALID:
+                        counters[code >> 1 & _SLOT_FIELD] += 1
                 # Substitution RAMs behind the OR mux; the driving word's mode
                 # (the key schedule's when none) selects the table half. The mux
                 # check is called only when two sources drive, to raise its fault.
@@ -780,8 +778,6 @@ class RoundDatapath:
                     break
                 last_final_key = final_key
                 if image is not None:
-                    if increment is not None:
-                        counters[increment] += 1
                     main_key, final_key = read_a, read_b
                 else:
                     (
@@ -794,24 +790,16 @@ class RoundDatapath:
             raise
 
         if image is not None:
-            store.addr_a, store.addr_b = addr_a, addr_b
-            store.read_a, store.read_b, store.pending_increment = read_a, read_b, increment
+            store.addr_a, store.addr_b, store.read_a, store.read_b = addr_a, addr_b, read_a, read_b
 
         # The final key-add ranks, from the last two cycles: the input rank
         # takes the last cycle's s2 and final key, and the output rank the
-        # XOR of the input rank the last cycle began with. After one cycle
-        # the committed ranks hold what the locals would convert back.
-        if cycles:
-            next_s1 = int.from_bytes(s1, "big")
-            last_s2 = int.from_bytes(bytes(s2_1), "big")
-            fa_in = (int.from_bytes(bytes(s2_2), "big") << 128) | last_final_key
-        else:
-            next_s1, last_s2, fa_in = self.s0, self.s2, self.fa_in
+        # XOR of the input rank the last cycle began with.
         self._next = (
-            int.from_bytes(s0, "big"), next_s1, int.from_bytes(bytes(s2), "big"),
+            int.from_bytes(s0, "big"), int.from_bytes(s1, "big"), int.from_bytes(bytes(s2), "big"),
             s3, s4, s5, s6, s7, s8, s9, s10, s11,
-            ia_in, ia_out, (last_s2 << 128) | final_key,
-            0 if final_reset else (fa_in >> 128) ^ (fa_in & _MASK128),
+            ia_in, ia_out, (int.from_bytes(bytes(s2_1), "big") << 128) | final_key,
+            0 if final_reset else int.from_bytes(bytes(s2_2), "big") ^ last_final_key,
             tags, seqs, ia_in_tag, entering, fa_in_tag, fa_out_tag,
         )
         return completions
@@ -843,7 +831,7 @@ class RoundDatapath:
             return False
         idle, s2, x, x6, x7, x8 = self._tables.power_up[flush]
         if flush:
-            store.addr_a, store.addr_b, store.pending_increment = 0, NUM_ROUNDS, None
+            store.addr_a, store.addr_b = 0, NUM_ROUNDS
             store.read_a, store.read_b = store.image[0], store.image[NUM_ROUNDS]
             last = x8
         else:
@@ -861,32 +849,31 @@ class RoundDatapath:
             taps += [_UNTAGGED] * n
         return True
 
-    def _window(self, plan, start, cycles, ranks, tags, seqs, image, counters, completions) -> int:
+    def _window(self, plan, cycles, ranks, tags, seqs, image, counters, completions) -> int:
         """Advance ``ranks``, the loop's twelve and the held main and final
-        keys, to the end :meth:`compute_cycle` names, append the tag rank and
-        add the completions; return the end, or 0 having changed nothing. Each
-        position runs its words in fused rounds from S11 value to S11 value,
-        restarting to its stage at the end: a divert completes its word from
-        its last S11 value, an admitted word starts as its block XOR the
-        initial key on the S11 visit the reset clears. Any other entry, or an
-        event a check could fire on, declines. A position's diverts and
-        arrivals alternate, so its legs run in turn: the starting word, then
-        after each divert the next arriving word, or what the last divert
-        leaves; a run pass fuses all but its last two cycles."""
+        keys, over all but the last two cycles of the pass, append the tag
+        rank and add the completions; return the end, or 0 having changed
+        nothing. Each position runs its words in fused rounds from S11 value
+        to S11 value, restarting to its stage at the end: a divert completes
+        its word from its last S11 value, an admitted word starts as its
+        block XOR the initial key on the S11 visit the reset clears. A
+        window shorter than a loop traversal, an admission whose word would
+        be on its way in at the end, any other entry, or an event a check
+        could fire on, declines. A position's diverts and arrivals
+        alternate, so its legs run in turn: the starting word, then after
+        each divert the next arriving word, or what the last divert leaves."""
         end = cycles - 1
-        while end - start >= NUM_LOOP_STAGES and (plan[end - 1][0] or plan[end - 2][0]):
-            end -= 1
-        n = end - start
-        if n < NUM_LOOP_STAGES or tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD):
+        if (end < NUM_LOOP_STAGES or plan[end - 1][0] or plan[end - 2][0]
+                or tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD)):
             return 0
         # Each position's event offsets, then ``end``. A divert needs a word
         # and an arrival a free S0, so from the start the two alternate.
         events = [[] for _ in range(NUM_LOOP_STAGES)]
         occupied = [tags >> TAG_BITS * p & TAG_VALID for p in range(NUM_LOOP_STAGES)]
-        for o in compress(range(start, end), map(is_not, plan[start:end], repeat(QUIET))):
+        for o in compress(range(end), map(is_not, plan[:end], repeat(QUIET))):
             admit, divert, initial_reset, main_reset = plan[o]
-            at2, at11 = (start + 2 - o) % NUM_LOOP_STAGES, (start + 9 - o) % NUM_LOOP_STAGES
-            if (initial_reset == main_reset or main_reset and (o == start or not plan[o - 1][0])
+            at2, at11 = (2 - o) % NUM_LOOP_STAGES, (9 - o) % NUM_LOOP_STAGES
+            if (initial_reset == main_reset or main_reset and (not o or not plan[o - 1][0])
                     or admit and (occupied[at11] or not plan[o + 1][3])
                     or divert and not occupied[at2]):
                 return 0
@@ -901,7 +888,7 @@ class RoundDatapath:
         probe, fused = type(counters)(counters), self._tables.fused
         for p, offsets in enumerate(events):
             code = tags >> TAG_BITS * p & TAG_FIELD
-            e, m, slot = (p + n) % NUM_LOOP_STAGES, code & 1, code >> 1 & _SLOT_FIELD
+            e, m, slot = (p + end) % NUM_LOOP_STAGES, code & 1, code >> 1 & _SLOT_FIELD
             # Its legs: the word at the start, unless an arrival resets it away
             # first; each arriving word; what a divert leaves, while it reads.
             offsets.append(end)
@@ -919,7 +906,7 @@ class RoundDatapath:
                 elif leg == "starting":
                     v, stop, live, seq = ranks[p], offsets[0], code, seqs[slot]
                     count = counters[slot]
-                    s7, s8 = start + (7 - p) % NUM_LOOP_STAGES, start + (8 - p) % NUM_LOOP_STAGES
+                    s7, s8 = (7 - p) % NUM_LOOP_STAGES, (8 - p) % NUM_LOOP_STAGES
                 else:
                     stop, live, s7 = end, 0, d + 5
                 # A tagged word reads its next key at S7 each turn and counts it
@@ -934,7 +921,7 @@ class RoundDatapath:
                     keys = image[m << 4 | first : (m << 4 | first) + reads]
                     counts[slot] = count + (stop - s8 + 11) // NUM_LOOP_STAGES
                 if leg == "starting":
-                    if stop < start + 11 - p:  # diverted before its S11 visit
+                    if stop < 11 - p:  # diverted before its S11 visit
                         u = v if p == 2 else _SHIFT_ROWS[m](v)
                     else:  # finished to its S11 value; S9 and S10 hold their keys
                         if p < 3:
@@ -959,7 +946,7 @@ class RoundDatapath:
                 # The divert, under the final key its S1 visit read.
                 if u is None:
                     u = _SHIFT_ROWS[m](v.to_bytes(16, "big").translate(sbox[m]))
-                final = ranks[13] if stop == start else image[m << 4 | NUM_ROUNDS]
+                final = ranks[13] if not stop else image[m << 4 | NUM_ROUNDS]
                 done.append((stop + 2, tuple.__new__(Word, (seq, m, slot)),
                              int.from_bytes(bytes(u), "big") ^ final))
                 d, i, field = stop, i + 1, 0
@@ -976,7 +963,7 @@ class RoundDatapath:
             else:
                 out[e] = ((v ^ key) << 128 | key, (v ^ key) << 128 | key, v)[e - 9]
             new_tags |= field << TAG_BITS * e
-        counters[:], seqs[:], self.fused_cycles = counts, entered, self.fused_cycles + n
+        counters[:], seqs[:], self.fused_cycles = counts, entered, self.fused_cycles + end
         out[13] = image[(new_tags >> _TAG2_SHIFT & 1) << 4 | NUM_ROUNDS]
         ranks[:] = out + [new_tags]
         completions += sorted(done)

@@ -77,14 +77,14 @@ class KeyScheduler:
     The store, a dual-port RAM without an output register, is held as
     plain attributes: ``image``, the port addresses ``addr_a``/``addr_b``,
     their read latches ``read_a``/``read_b``, ``pending_write`` and the
-    outputs ``out_a``/``out_b``; ``round_counters`` and
-    ``pending_increment``, the slot whose counter the commit advances, go
-    with it. Every cycle sets both addresses and reads them: the reset
-    cycle and key initialization in the program, which the datapath's pass
-    loop resumes through ``resume`` or :meth:`initialize` runs at once,
-    and service in that loop itself. :meth:`commit` latches the last
-    cycle's reads, then applies the write, so a word written and read in
-    one cycle reads old.
+    outputs ``out_a``/``out_b``; ``round_counters`` go with it. Every
+    cycle sets both addresses and reads them: the reset cycle and key
+    initialization in the program, which the datapath's pass loop resumes
+    through ``resume`` or :meth:`initialize` runs at once, and service in
+    that loop itself, which also counts each key consumed in place, on
+    the pass's last cycle as on the others. :meth:`commit` latches the
+    last cycle's reads, then applies the write, so a word written and read
+    in one cycle reads old.
     :class:`~drablocus.fabric.BramModel` is its specification.
     """
 
@@ -114,7 +114,6 @@ class KeyScheduler:
         # product RAMs this cycle; zero outside initialization.
         self.sub_bytes_inject = _NO_INJECT
         self.mix_columns_inject = _NO_INJECT
-        self.pending_increment: int | None = None
         # The program's next step, ``resume(s1, s8)``, until the commit of
         # the cycle that reports the schedule ready; then None, and the
         # datapath's pass loop serves the store.
@@ -127,9 +126,6 @@ class KeyScheduler:
             addr, data = self.pending_write
             self.image[addr] = data
             self.pending_write = None
-        if self.pending_increment is not None:
-            self.round_counters[self.pending_increment] += 1
-            self.pending_increment = None
         if self.fsm == READY:
             self.resume = None
 

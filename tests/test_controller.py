@@ -1,5 +1,6 @@
 """Controller sequencing: FSM, stalls, tracking, and reset lines."""
 
+import copy
 import random
 
 import pytest
@@ -37,7 +38,7 @@ def test_power_up_sequence_order():
 
 def test_empty_pipeline_admits_immediately():
     dp, ctrl, ks = drive_to_run()
-    assert ctrl.admit_ready
+    assert not ctrl.occupancy >> 9 & 1
     tag = step_cycle(dp, ctrl, ks, job=(0, MODE_ENCRYPT, 0x1234))
     assert tag is not None and tag.slot == (ctrl.cycle - 1) % 12
 
@@ -56,11 +57,15 @@ def test_stall_exactly_when_stage9_occupied():
     tag = step_cycle(dp, ctrl, ks, job=(0, MODE_ENCRYPT, 0xAB))
     assert tag is not None
     # The block occupies stage 9 during t0 + 12(m+1): admission must stall
-    # on exactly those cycles for nine traversals.
+    # on exactly those cycles for nine traversals. A job offered on each
+    # cycle is planned for none of them.
     stalled_cycles = []
 
     def record(divert):
-        if not ctrl.admit_ready:
+        offered = copy.deepcopy(ctrl)
+        offered.begin_cycle(True, 1)
+        if not offered.admissions:
+            assert ctrl.occupancy >> 9 & 1
             stalled_cycles.append(ctrl.cycle)
 
     for _ in range(130):

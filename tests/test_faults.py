@@ -605,8 +605,8 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
     step_cycle(dp, ctrl, ks, job=(0, MODE_ENCRYPT, 0xAB))
     for _ in range(11):
         step_cycle(dp, ctrl, ks)
-    ctrl.begin_cycle(ks.fsm == READY)
-    assert not ctrl.admit_ready
+    ctrl.begin_cycle(ks.fsm == READY, 1)
+    assert ctrl.admissions == [] and ctrl.occupancy >> 9 & 1
     with pytest.raises(AdmissionError, match="^admission attempted on a stalled cycle$") as err:
         ctrl.admit([Job(1, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
     assert err.value.cycle is None
@@ -648,9 +648,7 @@ def test_wedged_pipeline_raises_timing_fault(monkeypatch):
 
     def begin_cycle(self, key_schedule_ready, pending=0, limit=1):
         # No job is ever admitted: the plan is made with none waiting.
-        plan = original(self, key_schedule_ready, 0, limit)
-        self.admit_ready = False
-        return plan
+        return original(self, key_schedule_ready, 0, limit)
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
     with pytest.raises(TimingFault, match="pipeline wedged"):

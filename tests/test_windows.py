@@ -43,7 +43,7 @@ from drablocus.controller import (
     BATCH_PERIOD, FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, QUIET, RUN, Controller,
 )
 from drablocus.datapath import (
-    _SLOT_FIELD, BLOCK_LATENCY, MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES,
+    _SLOT_FIELD, BLOCK_LATENCY, MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES,
     RoundDatapath, Word,
 )
 from drablocus.faults import (
@@ -226,25 +226,33 @@ def test_steady_passes_give_each_position_one_divert_admission_and_reset():
 def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, corrupt):
     # Passes capped at 97 cycles open at every phase of the batch period, so
     # that over a 500-job run events fall on every offset of a pass, its
-    # first and last cycle included: a window starts after an arrival still
-    # on its way in, ends before a late admission, and takes diverts,
-    # admissions and resets at every offset it covers. Passes capped at two
-    # batch periods and 17 cycles, and the uncapped run's one pass from the
-    # first run cycle to the last completion, take several diverts and
-    # admissions at each position. Every committed state equals a stepped
-    # run's, on healthy images and on images with one entry flipped.
+    # first and last cycle included, and take diverts, admissions and resets
+    # at every offset a window covers. Passes capped at two batch periods and
+    # 17 cycles, and the uncapped run's one pass from the first run cycle to
+    # the last completion, take several diverts and admissions at each
+    # position. A run pass fuses all but its last two cycles when it is at
+    # least 14 cycles long, opens with no word on its way in and admits on
+    # neither of the two offsets before those last two; it fuses none
+    # otherwise. Every committed state equals a stepped run's, on healthy
+    # images and on images with one entry flipped.
     jobs = mixed_jobs(500, seed=500)
     sbox_image, mc_image = flipped_images(corrupt)
     images = {"sbox_image": sbox_image, "mc_image": mc_image}
     stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, **images)
     for cap in (97, 2 * BATCH_PERIOD + 17, None):
-        offsets, lengths = set(), []
+        offsets, lengths, fused_before, expected = set(), [], [], []
 
         def record(ctrl, dp, ks):
             if ctrl.fsm == RUN:
-                lengths.append(len(ctrl.plan))
-                if len(ctrl.plan) == cap:
+                n = len(ctrl.plan)
+                lengths.append(n)
+                if n == cap:
                     offsets.update(o for o, lines in enumerate(ctrl.plan) if lines is not QUIET)
+                quiet_in = not (dp.ia_in or dp.ia_out) and dp.ia_in_tag is dp.ia_out_tag is None
+                fuses = (n >= NUM_LOOP_STAGES + 2 and quiet_in
+                         and not {n - 4, n - 3} & set(ctrl.admissions))
+                fused_before.append(dp.fused_cycles)
+                expected.append(n - 2 if fuses else 0)
 
         before_each_pass(monkeypatch, record)
         passed, states, pass_ends = committed_states(monkeypatch, FIPS_KEY, jobs, cap=cap, **images)
@@ -252,8 +260,10 @@ def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, c
             assert lengths == [passed.summary.total_cycles - RUN_START_CYCLE]
         else:
             assert max(lengths) == cap and offsets == set(range(cap)), cap
-        summary = passed.summary
-        assert summary.fused_cycles > 0.9 * (summary.total_cycles - summary.passes)
+            # Both rules are taken.
+            assert 0 < expected.count(0) < len(expected), cap
+        fused_after = [*fused_before[1:], passed.summary.fused_cycles]
+        assert [b - a for a, b in zip(fused_before, fused_after)] == expected, cap
         assert set(pass_ends) <= set(states)
         for cycle, state in states.items():
             assert state == reference[cycle], f"cap {cap}, cycle {cycle}"
@@ -633,7 +643,8 @@ def registers(ctrl):
 
 def lines(ctrl):
     return (
-        ctrl.fsm, tuple(ctrl.plan[0]), ctrl.shift_rows_reset, ctrl.final_reset, ctrl.admit_ready,
+        ctrl.fsm, tuple(ctrl.plan[0]), ctrl.shift_rows_reset, ctrl.final_reset,
+        tuple(ctrl.admissions),
     )
 
 
@@ -757,8 +768,9 @@ def test_commit_over_a_span_matches_its_single_commits():
             stepped = copy.deepcopy(ctrl)
             step_each_cycle(stepped, ready, len(jobs) if fsm == RUN else 0, span, modes)
             assert registers(spanned) == registers(stepped), probe.cycle
-            spanned.begin_cycle(True)
-            stepped.begin_cycle(True)
+            # With a job waiting, both admit it on the next cycle or stall.
+            spanned.begin_cycle(True, 1)
+            stepped.begin_cycle(True, 1)
             assert lines(spanned) == lines(stepped), probe.cycle
             checked[fsm] += 1
         if step_cycle(dp, ctrl, ks, job=jobs[0] if jobs else None) is not None:
@@ -797,31 +809,67 @@ def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
     assert registers(spanned) == registers(ctrl)
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+def commit_outcome(ctrl, plans):
+    """Commit each plan in turn, with the admissions and diverts it holds.
+    Returns the registers it leaves, or the message of the fault a commit
+    raises and its cycle's offset from the first."""
+    done = 0
+    for plan in plans:
+        ctrl.plan = plan
+        ctrl.admissions = [offset for offset, lines in enumerate(plan) if lines[0] is not None]
+        ctrl._diverts = [offset for offset, lines in enumerate(plan) if lines[1]]
+        try:
+            ctrl.commit()
+        except ControlFault as fault:
+            return str(fault), done + getattr(fault, "offset", 0)
+        done += len(plan)
+    return registers(ctrl)
+
+
+ARRIVING_FIELDS = st.sampled_from((0, TAG_VALID | MODE_ENCRYPT, TAG_VALID | MODE_DECRYPT))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     chains=st.lists(
         st.integers(0, (1 << TRACK_CYCLES) - 1), min_size=NUM_LOOP_STAGES, max_size=NUM_LOOP_STAGES
     ),
-    cycles=st.integers(TRACK_CYCLES - 2, 6 * BATCH_PERIOD),
+    cycles=st.one_of(st.integers(1, 3), st.integers(TRACK_CYCLES - 2, 6 * BATCH_PERIOD)),
     tags=st.integers(0, (1 << TAG_BITS * NUM_LOOP_STAGES) - 1),
     cycle=st.integers(0, 10**6),
+    arriving=st.tuples(ARRIVING_FIELDS, ARRIVING_FIELDS),
+    late=st.tuples(*[st.sampled_from((None, MODE_ENCRYPT, MODE_DECRYPT))] * 2),
+    diverts=st.sets(st.integers(0, 2)),
 )
-def test_commit_past_a_chain_length_equals_its_single_commits(chains, cycles, tags, cycle):
-    # A commit over a span as long as a track chain or longer, up to six
-    # batch periods, shifts every chain's bits past its final bit, none into
-    # the next chain, and rotates the tag rank, as that many single commits
-    # do from any chains.
+def test_commit_past_a_chain_length_equals_its_single_commits(
+    chains, cycles, tags, cycle, arriving, late, diverts
+):
+    # A commit over a span of 1 to 3 cycles, or as long as a track chain or
+    # longer, up to six batch periods, shifts every chain's bits past its
+    # final bit, none into the next chain, and rotates the tag rank, as that
+    # many single commits do from any chains. The fields of the arriving
+    # registers, of admissions on the span's last two offsets and the S3
+    # clears of diverts on its first three take effect on the commits single
+    # commits apply them on, a field whose commit falls past the span staying
+    # in the arriving registers, and a wrap into an arriving field faults on
+    # the same commit.
     ctrl = Controller()
     ctrl.fsm = RUN
     ctrl.cycle = cycle
     ctrl.tags = tags
     ctrl.track = sum(chain << TRACK_CYCLES * slot for slot, chain in enumerate(chains))
-    spanned = copy.copy(ctrl)
-    spanned.plan = [QUIET] * cycles
-    spanned.commit()
-    for _ in range(cycles):
-        ctrl.commit()
-    assert registers(spanned) == registers(ctrl)
+    ctrl._arriving0, ctrl._arriving1 = arriving
+    entries = {}
+    for offset, mode in zip((cycles - 2, cycles - 1), late):
+        if offset >= 0 and mode is not None:
+            word = Word(seq=offset, mode=mode, slot=(cycle + offset) % NUM_LOOP_STAGES)
+            entries.setdefault(offset, list(QUIET))[0] = (0, 0, word)
+    for offset in diverts:
+        if offset < cycles:
+            entries.setdefault(offset, list(QUIET))[1] = True
+    plan = [entries.get(offset, QUIET) for offset in range(cycles)]
+    spanned = commit_outcome(copy.copy(ctrl), [plan])
+    assert spanned == commit_outcome(ctrl, [[lines] for lines in plan])
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -1092,23 +1140,26 @@ def test_check_names_the_word_its_slot_held_when_the_pass_opened(monkeypatch):
 
 
 def test_no_window_while_a_word_is_on_its_way_in():
-    # A pass whose first cycle admits a word and whose later cycles are all
-    # quiet (the controller plans the arrival's lines, so this is by hand)
-    # still has the word in the initial key-add ranks on the cycle a window
-    # could start; the pass computes every cycle as single-cycle passes do.
-    states = []
-    for planned in (True, False):
-        dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
-        word = Word(seq=0, mode=MODE_DECRYPT, slot=ctrl.cycle % NUM_LOOP_STAGES)
-        admission = (int.from_bytes(bytes(range(16)), "big"), ks.initial_keys[MODE_DECRYPT], word)
-        cycles = [(admission, False, True, False)] + [QUIET] * 40
-        for plan in [cycles] if planned else [[lines] for lines in cycles]:
-            dp.compute_cycle(plan=plan, store=ks)
-            dp.commit_cycle()
-            ks.commit()
-        assert dp.fused_cycles == 0 and dp.loop_tags.count(word) == 1
-        states.append(snapshot(dp, ctrl, ks))
-    assert states[0] == states[1]
+    # A pass that opens with a word in an initial key-add rank, one admitted
+    # on the cycle before the pass (in ia_in) or the one before that (in
+    # ia_out), tries no window: it computes every cycle, as single-cycle
+    # passes do, though its later cycles are quiet and longer than a loop
+    # traversal.
+    for split in (1, 2):
+        states = []
+        for planned in (True, False):
+            dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
+            word = Word(seq=0, mode=MODE_DECRYPT, slot=ctrl.cycle % NUM_LOOP_STAGES)
+            block = int.from_bytes(bytes(range(16)), "big")
+            admission = (block, ks.initial_keys[MODE_DECRYPT], word)
+            cycles = [(admission, False, True, False), (None, False, False, True)] + [QUIET] * 40
+            for plan in [cycles[:split], cycles[split:]] if planned else [[lines] for lines in cycles]:
+                dp.compute_cycle(plan=plan, store=ks)
+                dp.commit_cycle()
+                ks.commit()
+            assert dp.fused_cycles == 0 and dp.loop_tags.count(word) == 1, split
+            states.append(snapshot(dp, ctrl, ks))
+        assert states[0] == states[1], split
 
 
 # Hand-made runs of admissions the controller does not plan: per shape,
