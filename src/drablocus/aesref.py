@@ -28,8 +28,8 @@ inverse column mix from lane tables of their own, which hold no S-box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .gf256 import INV_SBOX, SBOX, gf_mul, gf_pow
 
@@ -52,12 +52,14 @@ _DEC_SHIFT = tuple(4 * ((n // 4 - n % 4) % 4) + n % 4 for n in range(16))
 _ENC_ROWS = itemgetter(*_ENC_SHIFT)
 _DEC_ROWS = itemgetter(*_DEC_SHIFT)
 
-_M2 = tuple(gf_mul(2, b) for b in range(256))
-_M3 = tuple(gf_mul(3, b) for b in range(256))
-_M9 = tuple(gf_mul(9, b) for b in range(256))
-_MB = tuple(gf_mul(0x0B, b) for b in range(256))
-_MD = tuple(gf_mul(0x0D, b) for b in range(256))
-_ME = tuple(gf_mul(0x0E, b) for b in range(256))
+# Products by the column-mix coefficients. The coefficient goes second:
+# gf_mul loops over its second operand's bits, at most 4 of a coefficient's.
+_M2 = tuple(gf_mul(b, 2) for b in range(256))
+_M3 = tuple(gf_mul(b, 3) for b in range(256))
+_M9 = tuple(gf_mul(b, 9) for b in range(256))
+_MB = tuple(gf_mul(b, 0x0B) for b in range(256))
+_MD = tuple(gf_mul(b, 0x0D) for b in range(256))
+_ME = tuple(gf_mul(b, 0x0E) for b in range(256))
 
 _MASK128 = (1 << 128) - 1
 
@@ -95,26 +97,34 @@ def int_to_block(value: int) -> bytes:
     return value.to_bytes(BLOCK_BYTES, "big")
 
 
-@dataclass(frozen=True)
-class RoundKeySet:
-    """Ordered round keys, ready for consumption in forward round order.
-
-    ``ints`` holds the same keys as 128-bit ints, converted once here.
-    """
-
+class _RoundKeyFields(NamedTuple):
     keys: tuple[bytes, ...]
     mode: str
-    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ints: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.keys) != NUM_ROUNDS + 1:
-            raise ValueError(f"expected {NUM_ROUNDS + 1} round keys, got {len(self.keys)}")
-        if self.mode not in (ENCRYPT, DECRYPT):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        for r, key in enumerate(self.keys):
+
+class RoundKeySet(_RoundKeyFields):
+    """Ordered round keys, ready for consumption in forward round order.
+
+    ``ints`` holds the same keys as 128-bit ints, converted once here. It
+    follows from ``keys``, so two sets are equal when their keys and modes
+    are, and the repr leaves it out.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, keys: tuple[bytes, ...], mode: str) -> RoundKeySet:
+        if len(keys) != NUM_ROUNDS + 1:
+            raise ValueError(f"expected {NUM_ROUNDS + 1} round keys, got {len(keys)}")
+        if mode not in (ENCRYPT, DECRYPT):
+            raise ValueError(f"unknown mode {mode!r}")
+        for r, key in enumerate(keys):
             if len(key) != BLOCK_BYTES:
                 raise ValueError(f"round key {r} must be {BLOCK_BYTES} bytes, got {len(key)}")
-        object.__setattr__(self, "ints", tuple(block_to_int(key) for key in self.keys))
+        return super().__new__(cls, keys, mode, tuple(block_to_int(key) for key in keys))
+
+    def __repr__(self) -> str:
+        return f"RoundKeySet(keys={self.keys!r}, mode={self.mode!r})"
 
 
 def _check_block(block: bytes, what: str = "block") -> bytes:

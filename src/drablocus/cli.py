@@ -17,6 +17,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import aesref, metrics
+from .datapath import BLOCK_LATENCY
 from .faults import SimulationFault
 from .simulator import (
     CLOCK_MHZ,
@@ -166,8 +167,13 @@ def _cmd_crypt(args, mode: int) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not 0 < args.freq < math.inf:
-        raise UsageError(f"--freq must be a positive finite number of MHz, got {args.freq}")
+    freq = args.freq
+    if not 0 < freq < math.inf:
+        raise UsageError(f"--freq must be a positive finite number of MHz, got {freq}")
+    # The figures _report_run derives from it: a block takes BLOCK_LATENCY
+    # cycles, and the throughputs scale 128 * freq by at most one block a cycle.
+    if not (math.isfinite(BLOCK_LATENCY * 1000.0 / freq) and math.isfinite(128 * freq)):
+        raise UsageError(f"--freq {freq} MHz makes the derived figures overflow")
     key = _parse_key(args)
     jobs = parse_jobs(_read_text(args.jobs, "jobs file"))
     with ExitStack() as files:

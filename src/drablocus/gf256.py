@@ -5,6 +5,13 @@ generated from these primitives, so they are deliberately written in the
 most transparent form: multiplication is iterated shift-and-reduce, and the
 S-box is computed as multiplicative inverse followed by the affine map
 rather than transcribed from a table.
+
+Every process that imports the package builds the tables, so inverses
+come from one table that a single walk of the powers of 3 fills (254
+products), not from a^254 by :func:`gf_pow` for each S-box entry (7,650).
+:func:`gf_pow` stays the definition the table is tested against, and
+:func:`sbox_forward` and :func:`sbox_inverse` stay the S-box definitions
+:data:`SBOX` and :data:`INV_SBOX` are built from.
 """
 
 from __future__ import annotations
@@ -47,14 +54,32 @@ def gf_pow(a: int, n: int) -> int:
     return result
 
 
+def _inverse_table() -> tuple[int, ...]:
+    """Entry a is a's inverse, from one walk of the powers of 3.
+
+    3 generates the group of order 255 the nonzero elements form, so every
+    nonzero a is 3^i for one i < 255, and 3^i * 3^(255 - i) = 3^255 = 1.
+    """
+    powers = [1]
+    for _ in range(254):
+        powers.append(gf_mul(powers[-1], 3))
+    inverses = [0] * 256
+    for i, power in enumerate(powers):
+        inverses[power] = powers[-i]
+    return tuple(inverses)
+
+
+_INVERSES = _inverse_table()
+
+
 def gf_inv(a: int) -> int:
     """Multiplicative inverse; by convention gf_inv(0) == 0.
 
-    The nonzero elements form a group of order 255, so a^254 = a^-1.
+    A lookup in the table one walk of the powers of 3 builds at import; the
+    definition is a^254, since the nonzero elements form a group of order
+    255 (``gf_pow(a, 254)`` gives the same value).
     """
-    if a & _BYTE == 0:
-        return 0
-    return gf_pow(a, 254)
+    return _INVERSES[a & _BYTE]
 
 
 def _rotl8(x: int, n: int) -> int:

@@ -57,8 +57,7 @@ File formats (stable, line-delimited):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .controller import (
     _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET,
@@ -116,35 +115,58 @@ class JobError(ValueError):
     """A malformed job or job file."""
 
 
-@dataclass(frozen=True)
-class Job:
+class _JobFields(NamedTuple):
     seq: int
     mode: int
     block: bytes
 
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_ENCRYPT, MODE_DECRYPT):
-            raise JobError(f"job {self.seq}: unknown mode {self.mode!r}")
-        if isinstance(self.block, (int, str)):
-            raise TypeError(f"job {self.seq}: block must be bytes-like, got {type(self.block).__name__}")
-        if len(self.block) != 16:
-            raise JobError(f"job {self.seq}: block must be 16 bytes, got {len(self.block)}")
+
+class Job(_JobFields):
+    """One block for the pipeline: its sequence id, mode and 16 bytes."""
+
+    __slots__ = ()
+
+    def __new__(cls, seq: int, mode: int, block: bytes) -> Job:
+        # A bool is an int, but would key its output as True or False.
+        if isinstance(seq, bool) or not isinstance(seq, int):
+            raise JobError(f"job {seq!r}: sequence id must be an int, got {type(seq).__name__}")
+        if mode not in (MODE_ENCRYPT, MODE_DECRYPT):
+            raise JobError(f"job {seq}: unknown mode {mode!r}")
+        if isinstance(block, (int, str)):
+            raise TypeError(f"job {seq}: block must be bytes-like, got {type(block).__name__}")
+        if len(block) != 16:
+            raise JobError(f"job {seq}: block must be 16 bytes, got {len(block)}")
+        return super().__new__(cls, seq, mode, block)
 
 
-@dataclass
 class RunSummary:
-    total_cycles: int = 0
-    key_init_cycles: int = 0
-    flush_cycles: int = 0
-    run_start_cycle: int = 0
-    blocks_completed: int = 0
-    # The passes, one datapath call each.
-    passes: int = 0
-    # Cycles computed in fused rounds (all but an untraced run pass's last two): how, not what,
-    # so not compared.
-    fused_cycles: int = field(default=0, compare=False)
-    admission_cycles: dict[int, int] = field(default_factory=dict)
-    completion_cycles: dict[int, int] = field(default_factory=dict)
+    """What a run took, cycle by cycle. Runs fill it in as they go; two
+    summaries are equal when all their fields but ``fused_cycles`` are."""
+
+    def __init__(self, total_cycles: int = 0, key_init_cycles: int = 0, flush_cycles: int = 0,
+                 run_start_cycle: int = 0, blocks_completed: int = 0, passes: int = 0,
+                 fused_cycles: int = 0, admission_cycles: dict[int, int] | None = None,
+                 completion_cycles: dict[int, int] | None = None) -> None:
+        self.total_cycles = total_cycles
+        self.key_init_cycles = key_init_cycles
+        self.flush_cycles = flush_cycles
+        self.run_start_cycle = run_start_cycle
+        self.blocks_completed = blocks_completed
+        # The passes, one datapath call each.
+        self.passes = passes
+        # Cycles computed in fused rounds (all but an untraced run pass's last
+        # two): how, not what, so not compared.
+        self.fused_cycles = fused_cycles
+        self.admission_cycles = {} if admission_cycles is None else admission_cycles
+        self.completion_cycles = {} if completion_cycles is None else completion_cycles
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return {**vars(self), "fused_cycles": 0} == {**vars(other), "fused_cycles": 0}
+
+    def __repr__(self) -> str:
+        return f"RunSummary({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def latencies(self) -> dict[int, int]:
@@ -174,8 +196,7 @@ class RunSummary:
         return peak
 
 
-@dataclass(frozen=True)
-class CadenceReport:
+class CadenceReport(NamedTuple):
     steady_state: bool
     measured_blocks_per_cycle: float | None
     measured_gbps: float | None
@@ -184,8 +205,7 @@ class CadenceReport:
     note: str
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     outputs: dict[int, bytes]
     summary: RunSummary
     # The 32-word key-store image the run's key schedule wrote.

@@ -37,8 +37,10 @@ def build_sbox_image() -> list[int]:
 
 
 # The product image, computed once at import as gf256 computes the S-box.
+# The coefficient goes second: gf_mul loops over its second operand's bits,
+# at most 4 of a coefficient's, where a variable byte has 8.
 _MC_IMAGE = tuple(
-    (gf_mul(m0, b) << 24) | (gf_mul(m1, b) << 16) | (gf_mul(m2, b) << 8) | gf_mul(m3, b)
+    (gf_mul(b, m0) << 24) | (gf_mul(b, m1) << 16) | (gf_mul(b, m2) << 8) | gf_mul(b, m3)
     for m0, m1, m2, m3 in (MC_COLUMN[MODE_ENCRYPT], MC_COLUMN[MODE_DECRYPT])
     for b in range(256)
 )

@@ -9,7 +9,12 @@ of a new interpreter, whose run builds the fused tables; the share of the
 untraced run's cycles computed in fused windows, the fresh-key run's
 passes, and the key-initialization cycles the untraced and the traced
 fresh-key run step through the cycle loop (each one resume of the
-key-store program after the reset cycle's).
+key-store program after the reset cycle's). Last, the set-up every
+process pays, ``import drablocus`` and ``PipelineSimulator()``: the
+median wall time of 5 fresh interpreters on a copy of the package with
+no bytecode, once compiling the source each time and once reading the
+bytecode an untimed first interpreter wrote, and the ``gf_mul`` calls
+the set-up makes.
 
 Run it from the repository root with
 ``PYTHONPATH=src:tests python3 tests/ci_report.py``. It must run in a
@@ -19,7 +24,13 @@ that later runs share.
 
 import ast
 import io
+import os
 import random
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -45,6 +56,33 @@ def code_lines(text: str) -> int:
         if token.type not in LAYOUT:
             code.update(range(token.start[0], token.end[0] + 1))
     return len(code - docstrings)
+
+
+SET_UP = "import drablocus\ndrablocus.PipelineSimulator()\n"
+TIME_SET_UP = f"import time\nstart = time.perf_counter()\n{SET_UP}print(time.perf_counter() - start)\n"
+COUNT_GF_MUL = (
+    "import sys\n"
+    "calls = []\n"
+    "sys.setprofile(lambda frame, event, arg: event == 'call'"
+    " and frame.f_code.co_name == 'gf_mul' and calls.append(1))\n"
+    f"{SET_UP}sys.setprofile(None)\nprint(len(calls))\n"
+)
+
+
+def fresh_interpreter(code: str, src: str, write_bytecode: bool = False) -> str:
+    """The output of ``code`` in a new interpreter that imports the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="" if write_bytecode else "1")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout
+
+
+def set_up_ms(write_bytecode: bool) -> float:
+    """Median ms of 5 fresh set-ups on a copy of the package, after an untimed one."""
+    with tempfile.TemporaryDirectory() as src:
+        shutil.copytree("src/drablocus", Path(src, "drablocus"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        times = [float(fresh_interpreter(TIME_SET_UP, src, write_bytecode)) for _ in range(6)]
+    return statistics.median(times[1:]) * 1000
 
 
 def main() -> None:
@@ -79,6 +117,9 @@ def main() -> None:
         KeyScheduler._init_cycle = step
     print(f"Fresh-key run: {summary.passes} passes; key-initialization cycles stepped: "
           f"untraced {untraced_steps}, traced {len(resumes) - 1}")
+    print(f"Set-up (import drablocus; PipelineSimulator()), median of 5 fresh interpreters: "
+          f"{set_up_ms(False):.1f} ms compiling the source, {set_up_ms(True):.1f} ms from "
+          f"bytecode; gf_mul calls {fresh_interpreter(COUNT_GF_MUL, 'src').strip()}")
 
 
 if __name__ == "__main__":

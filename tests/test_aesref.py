@@ -184,6 +184,18 @@ def test_round_key_set_holds_keys_as_ints():
     assert "ints" not in repr(ks)
 
 
+def test_round_key_set_is_an_immutable_value():
+    ks = key_expand(FIPS_KEY)
+    for name in ("keys", "mode", "ints", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ks, name, None)
+    # Equal by keys and mode.
+    same = RoundKeySet(keys=tuple(bytes(key) for key in ks.keys), mode=ENCRYPT)
+    assert same == ks and hash(same) == hash(ks)
+    assert RoundKeySet(keys=ks.keys, mode=DECRYPT) != ks
+    assert RoundKeySet(keys=ks.keys[:10] + (bytes(16),), mode=ENCRYPT) != ks
+
+
 def test_block_length_validation():
     with pytest.raises(ValueError):
         encrypt_block(FIPS_KEY, b"short")

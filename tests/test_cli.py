@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, engine equivalence."""
 
+import math
 import os
 
 import pytest
@@ -235,6 +236,38 @@ def test_simulate_clock_must_be_positive_and_finite(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == (
         f"error: --freq must be a positive finite number of MHz, got {float(freq)}\n"
     )
+
+
+@pytest.mark.parametrize("freq", ["1e308", "1e-320"])
+def test_simulate_clock_whose_figures_overflow_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch, freq):
+    # Finite and positive, but 1e308 MHz makes the throughputs infinite and
+    # 1e-320 MHz the latency in ns.
+    def run(*args, **kwargs):
+        pytest.fail("the run started")
+
+    monkeypatch.setattr(PipelineSimulator, "run", run)
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
+    argv = ["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs), "--freq", freq]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --freq {float(freq)} MHz makes the derived figures overflow\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("freq", ["1e306", "1e-300"])
+def test_simulate_prints_finite_figures_at_extreme_clocks(tmp_path, capsys, freq):
+    # 36 saturated jobs print every figure, the measured ones included.
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("".join(f"{i} enc {bytes([i]).hex() * 16}\n" for i in range(36)))
+    argv = ["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs), "--freq", freq,
+            "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == EXIT_OK
+    figures = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert "measured_gbps" in figures
+    for name in ("latency_ns", "nominal_gbps", "measured_blocks_per_cycle", "measured_gbps"):
+        assert math.isfinite(float(figures[name])), name
 
 
 def test_simulate_bad_jobs_file_line_number(tmp_path, capsys):

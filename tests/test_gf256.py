@@ -62,6 +62,12 @@ def test_inv_zero_convention():
     assert gf_inv(0) == 0
 
 
+def test_inverse_table_matches_the_power_definition():
+    # The table comes from one walk of the powers of 3; a^254 is the definition.
+    for a in range(1, 256):
+        assert gf_inv(a) == gf_pow(a, 254)
+
+
 def test_pow_matches_repeated_mul():
     rng = random.Random(3)
     for _ in range(100):

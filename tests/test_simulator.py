@@ -1,12 +1,16 @@
 """Simulator harness: oracle equivalence, timing, tracing, file formats."""
 
 import io
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import drablocus
 from cycle_protocol import before_each_pass
 from drablocus import aesref
 from drablocus.controller import (
@@ -152,6 +156,44 @@ def test_str_and_int_job_blocks_rejected(block):
     # raises its own TypeError; both are refused by name, as aesref does.
     with pytest.raises(TypeError, match=r"^job 3: block must be bytes-like, got (str|int)$"):
         Job(3, MODE_ENCRYPT, block)
+
+
+@pytest.mark.parametrize("seq", [0.0, "1", None, True], ids=["float", "str", "none", "bool"])
+def test_non_int_sequence_ids_rejected(seq):
+    # A float would key its output by 0.0, and a str beside an int would end
+    # the run's density check in a TypeError from sorted().
+    with pytest.raises(JobError, match=r"^job .*: sequence id must be an int, got (float|str|NoneType|bool)$"):
+        Job(seq, MODE_ENCRYPT, FIPS_PT)
+
+
+def test_job_is_an_immutable_value():
+    job = Job(seq=2, mode=MODE_DECRYPT, block=FIPS_PT)
+    assert job == Job(2, MODE_DECRYPT, bytes(FIPS_PT))
+    assert job != Job(2, MODE_ENCRYPT, FIPS_PT)
+    assert len({job, Job(2, MODE_DECRYPT, FIPS_PT)}) == 1
+    for name in ("seq", "mode", "block", "other"):
+        with pytest.raises(AttributeError):
+            setattr(job, name, 0)
+
+
+def test_run_summary_equality_ignores_only_fused_cycles():
+    fields = {"total_cycles": 400, "passes": 3, "admission_cycles": {0: 281},
+              "completion_cycles": {0: 396}}
+    assert RunSummary(**fields, fused_cycles=100) == RunSummary(**fields, fused_cycles=7)
+    assert RunSummary(**fields) != RunSummary(**{**fields, "passes": 4})
+    assert RunSummary(**fields) != RunSummary(**{**fields, "completion_cycles": {0: 397}})
+    # Each summary starts with dicts of its own.
+    assert RunSummary().admission_cycles is not RunSummary().admission_cycles
+
+
+def test_set_up_imports_no_dataclasses():
+    # -S keeps site-packages' .pth files, which may import anything, out.
+    code = "import sys, drablocus; drablocus.PipelineSimulator(); print('dataclasses' in sys.modules)"
+    src = str(Path(drablocus.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("key", ["0123456789abcdef", 16], ids=["str", "int"])
