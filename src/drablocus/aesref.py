@@ -12,24 +12,26 @@ textbook-order inverse cipher is kept alongside as an independent
 cross-check.
 
 :func:`encrypt_block` and :func:`decrypt_block` compute each inner round as
-one fused step of lane lookups (the table-lookup round of Daemen and
-Rijmen, *The Design of Rijndael*, section 4.2): lane table k maps a state
-byte to its substituted value's column product, 4 bytes rotated right by k,
-so the 16 entries of a state, read in row-shifted order and joined, hold the
-round's four column-mix lanes as 128-bit fields, and their XOR with the
-round key is the round's output. The lane tables are built at import from
-this module's own :mod:`gf256` products, never from the model's RAM images.
-The step functions (:func:`sub_bytes`, :func:`shift_rows`,
-:func:`mix_columns`, :func:`add_round_key`) are the textbook definition the
-fused rounds are tested against; the last round, which has no column mix,
-is built from them. The equivalent inverse cipher's inner keys take the
-inverse column mix from lane tables of their own, which hold no S-box.
+the table-lookup round of Daemen and Rijmen (*The Design of Rijndael*,
+section 4.2), in the form the model's fused windows use: table n maps a
+state byte to lane n % 4 of its substituted value's column products, as a
+128-bit int placed in the output column the (inverse) row shift moves byte
+n to, so a round is the XOR of the 16 bytes' entries and the round key. The
+last round is one S-box translate, one row-shift gather and the key XOR.
+The equivalent inverse cipher's inner keys take the inverse column mix
+from a third set of tables, with no S-box and no row shift. All of them
+are built at import from this module's own :mod:`gf256` products, never
+from the model's RAM images. The step functions (:func:`sub_bytes`,
+:func:`shift_rows`, :func:`mix_columns`, :func:`add_round_key`) are the
+textbook definition the table rounds are tested against.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import repeat
+from operator import itemgetter, lshift, xor
+from struct import unpack
+from typing import NamedTuple, Sequence
 
 from .gf256 import INV_SBOX, SBOX, gf_mul, gf_pow
 
@@ -52,36 +54,56 @@ _DEC_SHIFT = tuple(4 * ((n // 4 - n % 4) % 4) + n % 4 for n in range(16))
 _ENC_ROWS = itemgetter(*_ENC_SHIFT)
 _DEC_ROWS = itemgetter(*_DEC_SHIFT)
 
-# Products by the column-mix coefficients. The coefficient goes second:
-# gf_mul loops over its second operand's bits, at most 4 of a coefficient's.
+# Products by the column-mix coefficients: by 2 from gf_mul, by 4 and 8 as
+# repeated doubling (FIPS-197 section 4.2.1), and the rest as sums of those
+# and the byte itself, since the product distributes over XOR.
 _M2 = tuple(gf_mul(b, 2) for b in range(256))
-_M3 = tuple(gf_mul(b, 3) for b in range(256))
-_M9 = tuple(gf_mul(b, 9) for b in range(256))
-_MB = tuple(gf_mul(b, 0x0B) for b in range(256))
-_MD = tuple(gf_mul(b, 0x0D) for b in range(256))
-_ME = tuple(gf_mul(b, 0x0E) for b in range(256))
+_M4 = itemgetter(*_M2)(_M2)
+_M8 = itemgetter(*_M4)(_M2)
+_M3 = tuple(map(xor, _M2, range(256)))
+_M9 = tuple(map(xor, _M8, range(256)))
+_MB = tuple(map(xor, _M9, _M2))
+_MD = tuple(map(xor, _M9, _M4))
+_ME = tuple(map(xor, _M8, map(xor, _M4, _M2)))
 
-_MASK128 = (1 << 128) - 1
 
+def _mix_tables(*products: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Table n maps a byte in row n % 4 of column n // 4 to its column-mix
+    terms, as a 128-bit int with the column's other fields zero.
 
-def _lane_tables(entries: list[bytes]) -> tuple[tuple[bytes, ...], ...]:
-    """Lane k maps a byte to its entry rotated right by k bytes.
-
-    Entry field m is the matrix coefficient c[-m mod 4] times the byte, c
-    being the first row of the (circulant) column-mix matrix. Rotated right
-    by k, field i is c[(k - i) mod 4] times the byte: the term that row k
-    of a column adds to output row i.
+    ``products[j]`` holds the products by coefficient c[j] of the first row
+    of the (circulant) column-mix matrix. Lane k holds 32-bit ints whose
+    field i (from the top) is c[(k - i) mod 4] times the byte, the term that
+    row k of a column adds to output row i.
     """
-    return tuple(tuple(e[4 - k :] + e[: 4 - k] for e in entries) for k in range(4))
+    lanes = []
+    for k in range(4):
+        fields = bytearray(1024)
+        for i in range(4):
+            fields[i::4] = bytes(products[(k - i) % 4])
+        lanes.append(unpack(">256I", fields))
+    return tuple(
+        tuple(map(lshift, lanes[n % 4], repeat(96 - 32 * (n // 4), 256))) for n in range(16)
+    )
 
 
-# Column products of each substituted byte: c = (2, 3, 1, 1) for the cipher,
-# (0e, 0b, 0d, 09) for the inverse cipher.
-_ENC_LANES = _lane_tables([bytes((_M2[s], s, s, _M3[s])) for s in SBOX])
-_DEC_LANES = _lane_tables([bytes((_ME[s], _M9[s], _MD[s], _MB[s])) for s in INV_SBOX])
-# The inverse column mix alone, for the decryption key schedule: the same
-# products of each byte itself, so that path shares no table with the rounds.
-_INV_MIX_LANES = _lane_tables([bytes((_ME[b], _M9[b], _MD[b], _MB[b])) for b in range(256)])
+# The decryption key schedule's inverse column mix, c = (0e, 0b, 0d, 09),
+# with no S-box or row shift. A round's table n is the S-box read into the
+# mix table of the position its row shift moves byte n to, which the other
+# direction's row gather selects; the inverse cipher's share the inverse
+# column mix's ints, and the cipher's have c = (2, 3, 1, 1).
+_INV_MIX_BYTES = _mix_tables(_ME, _MB, _MD, _M9)
+_DEC_BYTES = tuple(map(itemgetter(*INV_SBOX), _ENC_ROWS(_INV_MIX_BYTES)))
+_ENC_BYTES = tuple(
+    map(itemgetter(*SBOX), _DEC_ROWS(_mix_tables(_M2, _M3, range(256), range(256))))
+)
+
+# The key expansion's SubWord(RotWord(w3)) and round constant, each in all
+# four words of a round key: one table per byte of w3, byte 12 lowest.
+_WORDS = 1 | 1 << 32 | 1 << 64 | 1 << 96
+_SUB12 = tuple(s * _WORDS for s in SBOX)
+_SUB13, _SUB14, _SUB15 = (tuple(map(lshift, _SUB12, repeat(q, 256))) for q in (24, 16, 8))
+_RCON_WORDS = tuple((rc << 24) * _WORDS for rc in RCON)
 
 
 def state_index(row: int, col: int) -> int:
@@ -106,14 +128,15 @@ class _RoundKeyFields(NamedTuple):
 class RoundKeySet(_RoundKeyFields):
     """Ordered round keys, ready for consumption in forward round order.
 
-    ``ints`` holds the same keys as 128-bit ints, converted once here. It
+    ``keys`` is a tuple of ``bytes`` whatever sequence of bytes-like keys
+    it is built from. ``ints`` holds the same keys as 128-bit ints. It
     follows from ``keys``, so two sets are equal when their keys and modes
     are, and the repr leaves it out.
     """
 
     __slots__ = ()
 
-    def __new__(cls, keys: tuple[bytes, ...], mode: str) -> RoundKeySet:
+    def __new__(cls, keys: Sequence[bytes], mode: str) -> RoundKeySet:
         if len(keys) != NUM_ROUNDS + 1:
             raise ValueError(f"expected {NUM_ROUNDS + 1} round keys, got {len(keys)}")
         if mode not in (ENCRYPT, DECRYPT):
@@ -121,7 +144,10 @@ class RoundKeySet(_RoundKeyFields):
         for r, key in enumerate(keys):
             if len(key) != BLOCK_BYTES:
                 raise ValueError(f"round key {r} must be {BLOCK_BYTES} bytes, got {len(key)}")
-        return super().__new__(cls, keys, mode, tuple(block_to_int(key) for key in keys))
+        # Copied, so that no later change to the caller's sequence or
+        # buffers reaches keys or leaves ints out of step.
+        keys = tuple(map(bytes, keys))
+        return super().__new__(cls, keys, mode, tuple(map(block_to_int, keys)))
 
     def __repr__(self) -> str:
         return f"RoundKeySet(keys={self.keys!r}, mode={self.mode!r})"
@@ -168,19 +194,20 @@ def add_round_key(block: bytes, key: bytes) -> bytes:
 
 def key_expand(key: bytes) -> RoundKeySet:
     """FIPS-197 AES-128 key expansion; keys[0] is the cipher key itself."""
-    key = _check_block(key, "key")
-    w0, w1, w2, w3 = (int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4))
-    keys = [key]
-    for r in range(1, NUM_ROUNDS + 1):
-        # RotWord, SubWord, then the round constant on the first byte.
-        rotated = ((w3 << 8) | (w3 >> 24)) & 0xFFFFFFFF
-        w0 ^= int.from_bytes(rotated.to_bytes(4, "big").translate(_SBOX_BYTES), "big")
-        w0 ^= RCON[r] << 24
-        w1 ^= w0
-        w2 ^= w1
-        w3 ^= w2
-        keys.append(int_to_block(w0 << 96 | w1 << 64 | w2 << 32 | w3))
-    return RoundKeySet(keys=tuple(keys), mode=ENCRYPT)
+    round_key = _check_block(key, "key")
+    state = int.from_bytes(round_key, "big")
+    keys, ints = [round_key], [state]
+    for rcon in _RCON_WORDS[1:]:
+        # Word i is the XOR of the last round key's words 0..i, SubWord of
+        # RotWord of its word 3, and the round constant on the first byte.
+        state ^= state >> 32
+        state ^= (state >> 64 ^ _SUB13[round_key[13]] ^ _SUB14[round_key[14]]
+                  ^ _SUB15[round_key[15]] ^ _SUB12[round_key[12]] ^ rcon)
+        round_key = state.to_bytes(16, "big")
+        keys.append(round_key)
+        ints.append(state)
+    # Built as datapath builds a Word: the checks of __new__ hold by construction.
+    return tuple.__new__(RoundKeySet, (tuple(keys), ENCRYPT, tuple(ints)))
 
 
 def key_expand_equivalent_inverse(key: bytes) -> RoundKeySet:
@@ -190,28 +217,11 @@ def key_expand_equivalent_inverse(key: bytes) -> RoundKeySet:
     entries 1..9 are the inverse mix-columns transform of encryption keys
     9..1.
     """
-    enc = key_expand(key)
-    keys = (
-        (enc.keys[NUM_ROUNDS],)
-        + tuple(
-            int_to_block(_inv_mix_columns(enc.ints[NUM_ROUNDS - r])) for r in range(1, NUM_ROUNDS)
-        )
-        + (enc.keys[0],)
-    )
-    return RoundKeySet(keys=keys, mode=DECRYPT)
-
-
-def _inv_mix_columns(state: int) -> int:
-    """:func:`mix_columns` inverted, on a 128-bit int, as lane lookups: lane
-    k reads row k of each column, and the four lanes' XOR is the result."""
-    l0, l1, l2, l3 = _INV_MIX_LANES
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = state.to_bytes(16, "big")
-    lanes = int.from_bytes(b"".join((
-        l0[b0], l0[b4], l0[b8], l0[b12], l1[b1], l1[b5], l1[b9], l1[b13],
-        l2[b2], l2[b6], l2[b10], l2[b14], l3[b3], l3[b7], l3[b11], l3[b15],
-    )), "big")
-    lanes ^= lanes >> 256
-    return (lanes ^ lanes >> 128) & _MASK128
+    enc_keys, _, enc_ints = key_expand(key)
+    inner = [_rounds(enc_ints[r], (0,), _INV_MIX_BYTES) for r in range(NUM_ROUNDS - 1, 0, -1)]
+    keys = (enc_keys[NUM_ROUNDS], *[state.to_bytes(16, "big") for state in inner], enc_keys[0])
+    ints = (enc_ints[NUM_ROUNDS], *inner, enc_ints[0])
+    return tuple.__new__(RoundKeySet, (keys, DECRYPT, ints))
 
 
 def _round_keys(key: bytes | RoundKeySet, mode: str) -> tuple[int, ...]:
@@ -224,49 +234,37 @@ def _round_keys(key: bytes | RoundKeySet, mode: str) -> tuple[int, ...]:
     return key_expand_equivalent_inverse(key).ints
 
 
-def _cipher_rounds(state: int, round_keys: tuple[int, ...]) -> int:
-    """One fused cipher round per key: sub_bytes, shift_rows, mix_columns, add_round_key."""
-    l0, l1, l2, l3 = _ENC_LANES
-    for round_key in round_keys:
-        # Lane k reads row k, whose column j the row shift takes from column j + k.
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = state.to_bytes(16, "big")
-        lanes = int.from_bytes(b"".join((
-            l0[b0], l0[b4], l0[b8], l0[b12], l1[b5], l1[b9], l1[b13], l1[b1],
-            l2[b10], l2[b14], l2[b2], l2[b6], l3[b15], l3[b3], l3[b7], l3[b11],
-        )), "big")
-        lanes ^= lanes >> 256
-        state = (lanes ^ lanes >> 128) & _MASK128 ^ round_key
-    return state
+def _rounds(state: int, round_keys: Sequence[int], tables: tuple[tuple[int, ...], ...]) -> int:
+    """One table-lookup round per key: the XOR of each byte's entry and the key.
 
-
-def _inv_cipher_rounds(state: int, round_keys: tuple[int, ...]) -> int:
-    """One fused equivalent-inverse round per key: each step of :func:`_cipher_rounds` inverted."""
-    l0, l1, l2, l3 = _DEC_LANES
+    With :data:`_ENC_BYTES` a round is sub_bytes, shift_rows, mix_columns
+    and add_round_key; with :data:`_DEC_BYTES` each of those inverted; with
+    :data:`_INV_MIX_BYTES` the inverse mix_columns and add_round_key alone.
+    """
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = tables
     for round_key in round_keys:
-        # Lane k reads row k, whose column j the inverse row shift takes from column j - k.
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = state.to_bytes(16, "big")
-        lanes = int.from_bytes(b"".join((
-            l0[b0], l0[b4], l0[b8], l0[b12], l1[b13], l1[b1], l1[b5], l1[b9],
-            l2[b10], l2[b14], l2[b2], l2[b6], l3[b7], l3[b11], l3[b15], l3[b3],
-        )), "big")
-        lanes ^= lanes >> 256
-        state = (lanes ^ lanes >> 128) & _MASK128 ^ round_key
+        state = (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7] ^ t8[b8]
+                 ^ t9[b9] ^ t10[b10] ^ t11[b11] ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
+                 ^ round_key)
     return state
 
 
 def encrypt_block(key: bytes | RoundKeySet, plaintext: bytes) -> bytes:
     keys = _round_keys(key, ENCRYPT)
-    state = _cipher_rounds(block_to_int(_check_block(plaintext)) ^ keys[0], keys[1:NUM_ROUNDS])
-    last = shift_rows(sub_bytes(int_to_block(state)))
-    return int_to_block(block_to_int(last) ^ keys[NUM_ROUNDS])
+    state = block_to_int(_check_block(plaintext)) ^ keys[0]
+    state = _rounds(state, keys[1:NUM_ROUNDS], _ENC_BYTES)
+    last = _ENC_ROWS(state.to_bytes(16, "big").translate(_SBOX_BYTES))
+    return (int.from_bytes(last, "big") ^ keys[NUM_ROUNDS]).to_bytes(16, "big")
 
 
 def decrypt_block(key: bytes | RoundKeySet, ciphertext: bytes) -> bytes:
     """Decrypt via the equivalent inverse cipher (encryption's round shape)."""
     keys = _round_keys(key, DECRYPT)
-    state = _inv_cipher_rounds(block_to_int(_check_block(ciphertext)) ^ keys[0], keys[1:NUM_ROUNDS])
-    last = shift_rows(sub_bytes(int_to_block(state), inverse=True), inverse=True)
-    return int_to_block(block_to_int(last) ^ keys[NUM_ROUNDS])
+    state = block_to_int(_check_block(ciphertext)) ^ keys[0]
+    state = _rounds(state, keys[1:NUM_ROUNDS], _DEC_BYTES)
+    last = _DEC_ROWS(state.to_bytes(16, "big").translate(_INV_SBOX_BYTES))
+    return (int.from_bytes(last, "big") ^ keys[NUM_ROUNDS]).to_bytes(16, "big")
 
 
 def decrypt_block_textbook(key: bytes, ciphertext: bytes) -> bytes:

@@ -14,7 +14,11 @@ process pays, ``import drablocus`` and ``PipelineSimulator()``: the
 median wall time of 5 fresh interpreters on a copy of the package with
 no bytecode, once compiling the source each time and once reading the
 bytecode an untimed first interpreter wrote, and the ``gf_mul`` calls
-the set-up makes.
+the set-up makes. Then the golden reference's speed, in a fresh
+interpreter: the best of 7 repeats of 1,000 calls, in µs per call, of
+``aesref.encrypt_block`` and ``aesref.decrypt_block`` with keys expanded
+beforehand, and of ``aesref.key_expand`` and
+``aesref.key_expand_equivalent_inverse``.
 
 Run it from the repository root with
 ``PYTHONPATH=src:tests python3 tests/ci_report.py``. It must run in a
@@ -66,6 +70,18 @@ COUNT_GF_MUL = (
     "sys.setprofile(lambda frame, event, arg: event == 'call'"
     " and frame.f_code.co_name == 'gf_mul' and calls.append(1))\n"
     f"{SET_UP}sys.setprofile(None)\nprint(len(calls))\n"
+)
+
+ORACLE_CALLS = ("encrypt_block(enc, block)", "decrypt_block(dec, block)", "key_expand(key)",
+                "key_expand_equivalent_inverse(key)")
+TIME_ORACLE = (
+    "import timeit\n"
+    "from drablocus import aesref\n"
+    "key, block = bytes(range(16)), bytes(16)\n"
+    "names = dict(vars(aesref), key=key, block=block, enc=aesref.key_expand(key),\n"
+    "             dec=aesref.key_expand_equivalent_inverse(key))\n"
+    f"for call in {ORACLE_CALLS!r}:\n"
+    "    print(min(timeit.repeat(call, globals=names, number=1000, repeat=7)) * 1000)\n"
 )
 
 
@@ -120,6 +136,10 @@ def main() -> None:
     print(f"Set-up (import drablocus; PipelineSimulator()), median of 5 fresh interpreters: "
           f"{set_up_ms(False):.1f} ms compiling the source, {set_up_ms(True):.1f} ms from "
           f"bytecode; gf_mul calls {fresh_interpreter(COUNT_GF_MUL, 'src').strip()}")
+    times = fresh_interpreter(TIME_ORACLE, "src").split()
+    print("Oracle, us per call, best of 7 x 1,000 in a fresh interpreter: " + ", ".join(
+        f"{call.split('(')[0]} {float(us):.2f}" for call, us in zip(ORACLE_CALLS, times))
+        + " (block calls with keys expanded beforehand)")
 
 
 if __name__ == "__main__":

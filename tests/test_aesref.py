@@ -27,6 +27,7 @@ from drablocus.aesref import (
     state_index,
     sub_bytes,
 )
+from drablocus.gf256 import gf_mul
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -64,7 +65,7 @@ def test_key_expand_round_10():
 
 
 def test_equivalent_inverse_key_ordering():
-    # The inner keys, from the key schedule's own lane tables, against the
+    # The inner keys, from the key schedule's own mix tables, against the
     # textbook inverse mix_columns, on the FIPS-197 key and 200 drawn keys.
     rng = random.Random(13)
     for key in [FIPS_KEY] + [rand_block(rng) for _ in range(200)]:
@@ -79,14 +80,15 @@ def test_equivalent_inverse_key_ordering():
 
 def test_inverse_mix_columns_lanes_exhaustive():
     # Every byte value at every position, over a random rest of the state:
-    # the lane tables hold the inverse column mix alone, no S-box.
+    # the key schedule's tables hold the inverse column mix alone, no S-box
+    # and no row shift, and a zero round key leaves it as it is.
     rng = random.Random(17)
     for position in range(16):
         base = bytearray(rand_block(rng))
         for value in range(256):
             base[position] = value
             x = bytes(base)
-            got = aesref._inv_mix_columns(block_to_int(x))
+            got = aesref._rounds(block_to_int(x), (0,), aesref._INV_MIX_BYTES)
             assert int_to_block(got) == mix_columns(x, inverse=True), (position, value)
 
 
@@ -113,6 +115,13 @@ def test_equivalent_inverse_matches_textbook():
     for _ in range(500):
         k, c = rand_block(rng), rand_block(rng)
         assert decrypt_block(k, c) == decrypt_block_textbook(k, c)
+
+
+def test_column_mix_products_match_the_field_product():
+    # The products come from doubling and XOR; each must be gf_mul's.
+    for name, coefficient in (("_M2", 2), ("_M3", 3), ("_M9", 9), ("_MB", 0x0B),
+                              ("_MD", 0x0D), ("_ME", 0x0E)):
+        assert getattr(aesref, name) == tuple(gf_mul(b, coefficient) for b in range(256)), name
 
 
 def test_mix_columns_worked_column():
@@ -196,6 +205,38 @@ def test_round_key_set_is_an_immutable_value():
     assert RoundKeySet(keys=ks.keys[:10] + (bytes(16),), mode=ENCRYPT) != ks
 
 
+def test_round_key_set_freezes_its_keys():
+    # A list of keys, or keys as bytearrays, give the set a tuple-built set
+    # equals and hashes like; later changes to the sources reach neither
+    # keys nor ints.
+    ks = key_expand(FIPS_KEY)
+    for source in (list(ks.keys), [bytearray(key) for key in ks.keys],
+                   tuple(bytearray(key) for key in ks.keys)):
+        got = RoundKeySet(keys=source, mode=ENCRYPT)
+        assert got == ks and hash(got) == hash(ks) and got.ints == ks.ints
+        assert type(got.keys) is tuple and all(type(key) is bytes for key in got.keys)
+        if isinstance(source[1], bytearray):
+            source[1][0] ^= 1
+        if isinstance(source, list):
+            source[2] = bytes(16)
+        assert got == ks and got.ints == ks.ints
+        assert encrypt_block(got, FIPS_PT) == FIPS_CT
+
+
+@pytest.mark.parametrize("expand", [key_expand, key_expand_equivalent_inverse],
+                         ids=[ENCRYPT, DECRYPT])
+def test_expanded_key_sets_match_checked_construction(expand):
+    # The expansions build their sets without RoundKeySet.__new__; each must
+    # equal, hash and repr like the set its checks build from its keys.
+    rng = random.Random(18)
+    for key in [FIPS_KEY] + [rand_block(rng) for _ in range(200)]:
+        ks = expand(key)
+        checked = RoundKeySet(ks.keys, ks.mode)
+        assert type(ks) is RoundKeySet and type(ks.keys) is tuple
+        assert ks == checked and hash(ks) == hash(checked) and repr(ks) == repr(checked)
+        assert ks.ints == checked.ints, key.hex()
+
+
 def test_block_length_validation():
     with pytest.raises(ValueError):
         encrypt_block(FIPS_KEY, b"short")
@@ -247,7 +288,7 @@ def test_fused_rounds_match_step_composition(key, block):
 @pytest.mark.parametrize("inverse", [False, True], ids=["encrypt", "decrypt"])
 def test_one_fused_round_exhaustive(inverse):
     # Every byte value at every position, over a random rest of the state.
-    rounds = aesref._inv_cipher_rounds if inverse else aesref._cipher_rounds
+    tables = aesref._DEC_BYTES if inverse else aesref._ENC_BYTES
     rng = random.Random(16)
     for position in range(16):
         base, key = bytearray(rand_block(rng)), rand_block(rng)
@@ -255,7 +296,7 @@ def test_one_fused_round_exhaustive(inverse):
             base[position] = value
             x = bytes(base)
             want = add_round_key(mix_columns(shift_rows(sub_bytes(x, inverse), inverse), inverse), key)
-            got = rounds(block_to_int(x), (block_to_int(key),))
+            got = aesref._rounds(block_to_int(x), (block_to_int(key),), tables)
             assert int_to_block(got) == want, (position, value)
 
 
