@@ -30,8 +30,9 @@ initialization up to the cycle the key store reports ready, and the
 flush. The run admits the next jobs, one for each planned admission, in
 one controller call that writes each into the plan's entry for its
 cycle, records their admission cycles, from which ``RunSummary`` derives
-the stalls and the peak loop occupancy, and checks the latency of every
-completion the datapath returns with its offset; the controller checks
+the stalls, the peak loop occupancy and the completions, and checks the
+latency of every completion the datapath returns with its offset, so the
+completions it derives are the ones the run saw; the controller checks
 itself against the datapath on each pass's first cycle, and its commit
 covers every cycle of the plan. A fault raised
 inside a pass, a key read past the last main round among them, carries
@@ -134,6 +135,8 @@ class Job(_JobFields):
             raise JobError(f"job {seq}: unknown mode {mode!r}")
         if isinstance(block, (int, str)):
             raise TypeError(f"job {seq}: block must be bytes-like, got {type(block).__name__}")
+        # Frozen: a caller's buffer written later must not reach the job.
+        block = bytes(block)
         if len(block) != 16:
             raise JobError(f"job {seq}: block must be 16 bytes, got {len(block)}")
         return super().__new__(cls, seq, mode, block)
@@ -141,24 +144,27 @@ class Job(_JobFields):
 
 class RunSummary:
     """What a run took, cycle by cycle. Runs fill it in as they go; two
-    summaries are equal when all their fields but ``fused_cycles`` are."""
+    summaries are equal when all their fields but ``fused_cycles`` are.
 
-    def __init__(self, total_cycles: int = 0, key_init_cycles: int = 0, flush_cycles: int = 0,
-                 run_start_cycle: int = 0, blocks_completed: int = 0, passes: int = 0,
-                 fused_cycles: int = 0, admission_cycles: dict[int, int] | None = None,
-                 completion_cycles: dict[int, int] | None = None) -> None:
+    The admission cycles are the one per-job record: the run checks that
+    every block completes BLOCK_LATENCY cycles after its admission, so the
+    completions, the latencies and the count of blocks follow from them."""
+
+    # The tracking registers' flush before the run.
+    flush_cycles = TRACK_CYCLES
+
+    def __init__(self, total_cycles: int = 0, key_init_cycles: int = 0, run_start_cycle: int = 0,
+                 passes: int = 0, fused_cycles: int = 0,
+                 admission_cycles: dict[int, int] | None = None) -> None:
         self.total_cycles = total_cycles
         self.key_init_cycles = key_init_cycles
-        self.flush_cycles = flush_cycles
         self.run_start_cycle = run_start_cycle
-        self.blocks_completed = blocks_completed
         # The passes, one datapath call each.
         self.passes = passes
         # Cycles computed in fused rounds (all but an untraced run pass's last
         # two): how, not what, so not compared.
         self.fused_cycles = fused_cycles
         self.admission_cycles = {} if admission_cycles is None else admission_cycles
-        self.completion_cycles = {} if completion_cycles is None else completion_cycles
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -169,11 +175,16 @@ class RunSummary:
         return f"RunSummary({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
+    def blocks_completed(self) -> int:
+        return len(self.admission_cycles)
+
+    @property
+    def completion_cycles(self) -> dict[int, int]:
+        return {seq: cycle + BLOCK_LATENCY for seq, cycle in self.admission_cycles.items()}
+
+    @property
     def latencies(self) -> dict[int, int]:
-        return {
-            seq: self.completion_cycles[seq] - self.admission_cycles[seq]
-            for seq in self.completion_cycles
-        }
+        return dict.fromkeys(self.admission_cycles, BLOCK_LATENCY)
 
     @property
     def stall_cycles(self) -> int:
@@ -268,7 +279,6 @@ class PipelineSimulator:
         outputs: dict[int, bytes] = {}
         summary = RunSummary()
         admission_cycles = summary.admission_cycles
-        completion_cycles = summary.completion_cycles
         budget = cycle_budget(len(jobs))
         # The cycle after the last completion, once the last job is admitted.
         run_end = budget
@@ -307,7 +317,6 @@ class PipelineSimulator:
                                                 final_reset=ctrl.final_reset)
                     for offset, tag, data in completions:
                         outputs[tag.seq] = data.to_bytes(16, "big")
-                        completion_cycles[tag.seq] = cycle + offset
                         latency = cycle + offset - admission_cycles[tag.seq]
                         if latency != BLOCK_LATENCY:
                             fault = TimingFault(
@@ -345,12 +354,10 @@ class PipelineSimulator:
             raise
 
         summary.total_cycles = ctrl.cycle
-        summary.blocks_completed = len(outputs)
         summary.passes = passes
         summary.fused_cycles = dp.fused_cycles
         summary.key_init_cycles = ks.init_cycles
         summary.run_start_cycle = ctrl.flush_end
-        summary.flush_cycles = TRACK_CYCLES
         return RunResult(outputs=outputs, summary=summary, key_store=tuple(ks.image))
 
     @staticmethod
@@ -407,16 +414,20 @@ def measure_cadence(summary: RunSummary, freq_mhz: float = CLOCK_MHZ) -> Cadence
     over block latency (12 per 115 cycles). The measured figure is what
     greedy admission sustains; it needs a saturated loop, three full
     batches and two bursts.
+
+    Every completion follows its admission by BLOCK_LATENCY cycles, so the
+    completion bursts are the admission bursts shifted, and the sorted
+    admission cycles give the same window.
     """
     nominal_gbps = 128 * freq_mhz * NOMINAL_BLOCKS_PER_CYCLE / 1000.0
-    completions = sorted(summary.completion_cycles.values())
+    admitted = sorted(summary.admission_cycles.values())
     # Index of the last burst's start; 0 when the first burst is the only one.
     last_start = max(
-        (i for i in range(1, len(completions)) if completions[i] - completions[i - 1] > 1),
+        (i for i in range(1, len(admitted)) if admitted[i] - admitted[i - 1] > 1),
         default=0,
     )
     if (
-        len(completions) < 3 * NUM_LOOP_STAGES
+        len(admitted) < 3 * NUM_LOOP_STAGES
         or summary.max_loop_occupancy != NUM_LOOP_STAGES
         or last_start == 0
     ):
@@ -428,7 +439,7 @@ def measure_cadence(summary: RunSummary, freq_mhz: float = CLOCK_MHZ) -> Cadence
             nominal_gbps=nominal_gbps,
             note="not steady state: needs >= 3 full batches, a saturated loop and two bursts",
         )
-    window = completions[last_start] - completions[0]
+    window = admitted[last_start] - admitted[0]
     blocks_per_cycle = last_start / window
     return CadenceReport(
         steady_state=True,

@@ -9,7 +9,9 @@ of a new interpreter, whose run builds the fused tables; the share of the
 untraced run's cycles computed in fused windows, the fresh-key run's
 passes, and the key-initialization cycles the untraced and the traced
 fresh-key run step through the cycle loop (each one resume of the
-key-store program after the reset cycle's). Last, the set-up every
+key-store program after the reset cycle's), and the bytes per job a
+completed 20,000-job untraced run retains and its peak bytes per job,
+both under ``tracemalloc``. Last, the set-up every
 process pays, ``import drablocus`` and ``PipelineSimulator()``: the
 median wall time of 5 fresh interpreters on a copy of the package with
 no bytecode, once compiling the source each time and once reading the
@@ -36,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 from drablocus.keyschedule import KeyScheduler
@@ -71,6 +74,8 @@ COUNT_GF_MUL = (
     " and frame.f_code.co_name == 'gf_mul' and calls.append(1))\n"
     f"{SET_UP}sys.setprofile(None)\nprint(len(calls))\n"
 )
+
+MEMORY_JOBS = 20_000
 
 ORACLE_CALLS = ("encrypt_block(enc, block)", "decrypt_block(dec, block)", "key_expand(key)",
                 "key_expand_equivalent_inverse(key)")
@@ -133,6 +138,15 @@ def main() -> None:
         KeyScheduler._init_cycle = step
     print(f"Fresh-key run: {summary.passes} passes; key-initialization cycles stepped: "
           f"untraced {untraced_steps}, traced {len(resumes) - 1}")
+    jobs = mixed_jobs(MEMORY_JOBS, seed=MEMORY_JOBS)
+    tracemalloc.start()
+    # Held, so that what the run retains is still traced.
+    result = sim.run(FIPS_KEY, jobs)
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print(f"Memory of a {MEMORY_JOBS:,}-job untraced run under tracemalloc: "
+          f"{retained / MEMORY_JOBS:.0f} B a job retained once it ends, "
+          f"{peak / MEMORY_JOBS:.0f} B a job at its peak")
     print(f"Set-up (import drablocus; PipelineSimulator()), median of 5 fresh interpreters: "
           f"{set_up_ms(False):.1f} ms compiling the source, {set_up_ms(True):.1f} ms from "
           f"bytecode; gf_mul calls {fresh_interpreter(COUNT_GF_MUL, 'src').strip()}")

@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 import drablocus
-from cycle_protocol import before_each_pass
+from cycle_protocol import before_each_pass, cap_passes, step_every_cycle
 from drablocus import aesref
 from drablocus.controller import (
     FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET, Controller,
 )
-from drablocus.datapath import BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, DatapathTables
+from drablocus.datapath import (
+    BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, DatapathTables, RoundDatapath,
+)
 from drablocus.keyschedule import KEY_INIT_CYCLES, KeyScheduler
 from drablocus.simulator import (
     BATCH_PERIOD,
@@ -79,6 +81,34 @@ def test_latency_invariant_under_congestion(sim):
     result = sim.run(FIPS_KEY, jobs)
     assert set(result.summary.latencies.values()) == {BLOCK_LATENCY}
     assert result.summary.stall_cycles > 0
+
+
+@pytest.mark.parametrize("way", ["planned", "capped", "stepped", "traced"])
+def test_summary_completions_are_the_ones_the_datapath_returns(sim, monkeypatch, way):
+    # The summary derives each completion from its admission; here the
+    # completions are observed where the datapath returns them, at the
+    # pass's first cycle plus their offset, however the run is cut in passes.
+    if way == "capped":
+        cap_passes(monkeypatch, 97)
+    elif way == "stepped":
+        step_every_cycle(monkeypatch)
+    pass_start = []
+    before_each_pass(monkeypatch, lambda ctrl, dp, ks: pass_start.append(ctrl.cycle))
+    compute_cycle, observed = RoundDatapath.compute_cycle, {}
+
+    def observing(self, **kwargs):
+        completions = compute_cycle(self, **kwargs)
+        for offset, tag, _ in completions:
+            observed[tag.seq] = pass_start[-1] + offset
+        return completions
+
+    monkeypatch.setattr(RoundDatapath, "compute_cycle", observing)
+    trace = io.StringIO() if way == "traced" else None
+    summary = sim.run(FIPS_KEY, mixed_jobs(300, seed=300), trace=trace).summary
+    assert len(observed) == 300
+    assert observed == summary.completion_cycles
+    assert all(observed[seq] == cycle + BLOCK_LATENCY
+               for seq, cycle in summary.admission_cycles.items())
 
 
 def test_stalls_and_peak_occupancy_follow_from_the_admission_cycles(sim):
@@ -176,13 +206,28 @@ def test_job_is_an_immutable_value():
             setattr(job, name, 0)
 
 
+def test_job_freezes_its_block(sim):
+    # A bytes-like block is kept as bytes: the job hashes like the one built
+    # from bytes, and a later write to the caller's buffer reaches neither
+    # the job nor the run.
+    job = Job(0, MODE_ENCRYPT, FIPS_PT)
+    for block in (bytearray(FIPS_PT), memoryview(bytearray(FIPS_PT))):
+        frozen = Job(0, MODE_ENCRYPT, block)
+        assert frozen == job and hash(frozen) == hash(job)
+        assert type(frozen.block) is bytes
+    buffer = bytearray(FIPS_PT)
+    frozen = Job(0, MODE_ENCRYPT, buffer)
+    buffer[0] ^= 0xFF
+    assert frozen.block == FIPS_PT
+    assert sim.run(FIPS_KEY, [frozen]).outputs == {0: FIPS_CT}
+
+
 def test_run_summary_equality_ignores_only_fused_cycles():
-    fields = {"total_cycles": 400, "passes": 3, "admission_cycles": {0: 281},
-              "completion_cycles": {0: 396}}
+    fields = {"total_cycles": 400, "passes": 3, "admission_cycles": {0: 281}}
     assert RunSummary(**fields, fused_cycles=100) == RunSummary(**fields, fused_cycles=7)
     assert RunSummary(**fields) != RunSummary(**{**fields, "passes": 4})
-    assert RunSummary(**fields) != RunSummary(**{**fields, "completion_cycles": {0: 397}})
-    # Each summary starts with dicts of its own.
+    assert RunSummary(**fields) != RunSummary(**{**fields, "admission_cycles": {0: 282}})
+    # Each summary starts with a dict of its own.
     assert RunSummary().admission_cycles is not RunSummary().admission_cycles
 
 
