@@ -58,7 +58,8 @@ divert, initial_reset, main_reset)``, the lines the datapath takes. A
 cycle with no admission, divert or arriving word shares the one entry
 :data:`QUIET`, and every cycle outside run shares :data:`HOLD`; an event
 cycle has a list of its own, whose ``admit`` :meth:`Controller.admit`
-fills with the admitted job's block, initial key and word.
+fills with the admitted job's block, initial key and tag, an int in the
+datapath's layout: ``seq << TAG_BITS | valid << 5 | slot << 1 | mode``.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -80,7 +81,7 @@ from typing import Sequence
 
 from .datapath import (
     _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, HOLD, MAIN_ROUNDS, NUM_LOOP_STAGES,
-    QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath, Word,
+    QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath,
 )
 from .faults import AdmissionError, ControlFault
 from .keyschedule import KEY_INIT_CYCLES
@@ -275,17 +276,21 @@ class Controller:
 
     def admit(self, jobs: Sequence, initial_keys: Sequence[int]) -> None:
         """Admit ``jobs``, each with a ``seq``, a ``mode`` and a ``block``, in
-        order on the cycles the plan admits on: each job's entry takes its
-        block, the initial key of its mode from ``initial_keys`` and its
-        word."""
+        order on the cycles the plan admits on, one for each: each job's
+        entry takes its block, the initial key of its mode from
+        ``initial_keys`` and its tag."""
         if self.fsm != RUN:
             raise AdmissionError(f"admission while controller is in {self.fsm}")
-        if len(jobs) > len(self.admissions):
+        planned = len(self.admissions)
+        if len(jobs) > planned:
             raise AdmissionError("admission attempted on a stalled cycle")
+        if len(jobs) < planned:
+            raise AdmissionError(f"admission given {len(jobs)} of {planned} planned jobs")
         cycle, plan = self.cycle, self.plan
         for offset, job in zip(self.admissions, jobs):
-            word = tuple.__new__(Word, (job.seq, job.mode, (cycle + offset) % NUM_LOOP_STAGES))
-            plan[offset][0] = (int.from_bytes(job.block, "big"), initial_keys[job.mode], word)
+            slot = (cycle + offset) % NUM_LOOP_STAGES
+            tag = job.seq << TAG_BITS | TAG_VALID | slot << 1 | job.mode
+            plan[offset][0] = (int.from_bytes(job.block, "big"), initial_keys[job.mode], tag)
 
     @property
     def occupancy(self) -> int:
@@ -332,7 +337,7 @@ class Controller:
                 )
             modes = int(bin(tags | _RANK_MARK)[8::TAG_BITS], 2)
             raise ControlFault(f"mode register {modes:012b} disagrees with datapath tags")
-        if (not self._arriving1) != (datapath.ia_out_tag is None):
+        if (self._arriving1 ^ datapath.ia_out_tag) & TAG_VALID:
             raise ControlFault("initial-stage tracking out of step")
         if main_reset and dp_tags & _VALID10:
             raise ControlFault(f"output reset would scrub live block {datapath.loop_tags[10]}")
@@ -361,11 +366,11 @@ class Controller:
         # commit order; on one commit the field enters S0 before S3 clears.
         events = [(0, 0, self._arriving1), (1, 0, self._arriving0)]
         for offset in self.admissions:
-            word = plan[offset][0][2]
-            events.append((offset + 2, 0, TAG_VALID | word.mode & 1))
+            tag = plan[offset][0][2]
+            events.append((offset + 2, 0, tag & (TAG_VALID | 1)))
             age = cycles - 1 - offset
             if age < TRACK_CYCLES:
-                track |= _TRACK_ADMIT[word.slot] << age
+                track |= _TRACK_ADMIT[tag >> 1 & _SLOT_FIELD] << age
         self.admissions = ()
         self.track = track
         for offset in self._diverts:

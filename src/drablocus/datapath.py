@@ -99,7 +99,9 @@ _SECOND128 = _MASK128 << 256
 # stage, stage k in bits 6k..6k+5, zero where the stage is empty. Rotating
 # a rank by one stage wraps S11 into S0. A 4-bit slot field can hold 16
 # values, so the per-slot tables have 16 entries: a slot upset past 11
-# reaches the controller's check instead of an index error.
+# reaches the controller's check instead of an index error. A word's tag
+# outside the loop is its field with its sequence id above it, ``seq <<
+# TAG_BITS | field``, and 0 where a rank holds no word.
 TAG_BITS = 6
 TAG_VALID = 1 << 5
 TAG_FIELD = (1 << TAG_BITS) - 1
@@ -120,7 +122,7 @@ _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 _SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
 _ZERO_STATE = (0,) * 16
 # The tap record of a cycle that carries no tag.
-_UNTAGGED = (0, 0, None, bytes(16), _ZERO_STATE, 0, 0)
+_UNTAGGED = (0, 0, 0, bytes(16), _ZERO_STATE, 0, 0)
 
 # The lines of a planned cycle with no admission, divert or arriving word.
 QUIET = (None, False, True, False)
@@ -146,7 +148,8 @@ def or_mux_tap(*operands: int) -> int:
 
 
 class Word(NamedTuple):
-    """Tag riding alongside a 128-bit value in the pipeline."""
+    """The read-only view of a tag riding alongside a 128-bit value in the
+    pipeline; :func:`word_view` builds it."""
 
     seq: int
     mode: int
@@ -449,14 +452,19 @@ def _products(lanes, state) -> int:
     )), "big")
 
 
-def _word(tags: int, stage: int, seqs: Sequence[int]) -> Word | None:
-    """The tag of the word in ``stage`` of a tag rank, its sequence id from
-    the slots' ``seqs``, or None."""
-    code = tags >> TAG_BITS * stage
-    if not code & TAG_VALID:
+def word_view(tag: int) -> Word | None:
+    """The :class:`Word` a ``seq << TAG_BITS | field`` tag names, or None
+    where its valid bit is clear."""
+    if not tag & TAG_VALID:
         return None
-    slot = code >> 1 & _SLOT_FIELD
-    return tuple.__new__(Word, (seqs[slot], code & 1, slot))
+    return tuple.__new__(Word, (tag >> TAG_BITS, tag & 1, tag >> 1 & _SLOT_FIELD))
+
+
+def _word(tags: int, stage: int, seqs: Sequence[int]) -> Word | None:
+    """The view of the word in ``stage`` of a tag rank, its sequence id from
+    the slots' ``seqs``, or None."""
+    code = tags >> TAG_BITS * stage & TAG_FIELD
+    return word_view(seqs[code >> 1 & _SLOT_FIELD] << TAG_BITS | code)
 
 
 def _cascade(x: int) -> tuple[int, int, int]:
@@ -513,13 +521,14 @@ class RoundDatapath:
     ``seqs[slot]`` is the sequence id of the word holding a slot: a pass
     writes it for each word entering S0 into a copy, which the commit
     latches with the ranks. It has an entry for each of the 16 values a
-    slot field can hold. :attr:`loop_tags` and :meth:`taps` build
-    :class:`Word` views only when asked. Each rank of the initial and
-    final instances has its tag beside it (``ia_in_tag``, ``ia_out_tag``,
-    ``fa_in_tag``, ``fa_out_tag``): the word's :class:`Word`, or None.
-    The edge ranks keep whole ``Word``s because an arriving word and the
-    recirculating word it collides with at S0 may share a slot, and each
-    keeps its own sequence id.
+    slot field can hold. Each rank of the initial and final instances has
+    its word's tag beside it (``ia_in_tag``, ``ia_out_tag``, ``fa_in_tag``,
+    ``fa_out_tag``) as an int: the word's field with its sequence id above
+    it, ``seq << TAG_BITS | valid << 5 | slot << 1 | mode``, or 0. An edge
+    tag carries its own sequence id because an arriving word and the
+    recirculating word it collides with at S0 may share a slot.
+    :attr:`loop_tags` and :meth:`taps` build :class:`Word` views only when
+    asked.
     """
 
     __slots__ = (
@@ -540,7 +549,7 @@ class RoundDatapath:
         self._next = None
         self.tags = 0
         self.seqs = [0] * SLOT_VALUES
-        self.ia_in_tag = self.ia_out_tag = self.fa_in_tag = self.fa_out_tag = None
+        self.ia_in_tag = self.ia_out_tag = self.fa_in_tag = self.fa_out_tag = 0
 
     def compute_cycle(
         self,
@@ -550,7 +559,7 @@ class RoundDatapath:
         shift_rows_reset: bool = False,
         final_reset: bool = False,
         taps: list | None = None,
-    ) -> list[tuple[int, Word, int]]:
+    ) -> list[tuple[int, int, int]]:
         """Compute a cycle for each entry of ``plan``, under its ``(admit,
         divert, initial_reset, main_reset)`` lines; the other lines hold
         over the pass. Each cycle but the last is committed in locals, and
@@ -585,11 +594,12 @@ class RoundDatapath:
         declines, and the pass steps every cycle.
 
         Returns each completion of the pass as ``(offset, tag, data)``: the
-        cycle's offset from the first, the word the final key-add output
-        carries then, and its value. A fault raised on a later cycle
-        carries its offset as ``offset`` and the completions before it as
-        ``completions``. A ``taps`` list gets each cycle's committed
-        ``(tags, ia_out, ia_out_tag, s1, s2, s8, s11)``, s1 and s2 as bytes.
+        cycle's offset from the first, the tag of the word the final key-add
+        output carries then, ``seq << TAG_BITS | field``, and its value. A
+        fault raised on a later cycle carries its offset as ``offset`` and
+        the completions before it as ``completions``. A ``taps`` list gets
+        each cycle's committed ``(tags, ia_out, ia_out_tag, s1, s2, s8,
+        s11)``, s1 and s2 as bytes.
         """
         held = plan[0] is HOLD
         if held and self._power_up(plan, store, shift_rows_reset, final_reset, taps):
@@ -623,8 +633,8 @@ class RoundDatapath:
         # diverted in the pass two cycles after its divert, with the row
         # shift it left S2 with under that cycle's final key.
         cycles = len(plan) - 1
-        completions = [] if fa_out_tag is None else [(0, fa_out_tag, self.fa_out)]
-        if cycles and fa_in_tag is not None:
+        completions = [(0, fa_out_tag, self.fa_out)] if fa_out_tag & TAG_VALID else []
+        if cycles and fa_in_tag & TAG_VALID:
             data = 0 if final_reset else (fa_in >> 128) ^ last_final_key
             completions.append((1, fa_in_tag, data))
         # The store serves from its image and round counters, or resumes its
@@ -644,7 +654,7 @@ class RoundDatapath:
         cycle, current = 0, None
         if not (held or shift_rows_reset or final_reset or taps is not None or image is None
                 or ks_sb_data or ks_sb_mode or ks_mc_data or ks_mc_mode
-                or ia_in or ia_out or entering or ia_in_tag):
+                or ia_in or ia_out or (entering | ia_in_tag) & TAG_VALID):
             ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key]
             cycle = self._window(plan, cycles, ranks, tags, seqs, image, counters, completions)
             if cycle:
@@ -660,8 +670,7 @@ class RoundDatapath:
                         block, key, admitted = admit
                         ia_in_next = (block << 128) | key
                     else:
-                        ia_in_next = 0
-                        admitted = None
+                        ia_in_next = admitted = 0
                 if taps is not None:
                     taps.append((tags, ia_out, entering, s1, s2, s8, s11))
                 if image is not None:
@@ -670,8 +679,8 @@ class RoundDatapath:
                     # the word two cycles from the final instance (an empty
                     # stage has a zero field). A {mode, round <= 10} address is
                     # below the depth of 32, so neither port leaves the image.
-                    if admitted is not None:
-                        counters[admitted.slot] = 0
+                    if admitted & TAG_VALID:
+                        counters[admitted >> 1 & _SLOT_FIELD] = 0
                     code = tags >> _TAG7_SHIFT
                     if code & TAG_VALID:
                         slot = code >> 1 & _SLOT_FIELD
@@ -695,8 +704,8 @@ class RoundDatapath:
                 # check is called only when two sources drive, to raise its fault.
                 if (s11 and (ia_out or ks_sb_data)) or (ia_out and ks_sb_data):
                     or_mux_tap(s11, ia_out, ks_sb_data)
-                if entering is not None:
-                    sb_mode = entering.mode
+                if entering & TAG_VALID:
+                    sb_mode = entering & 1
                 elif tags & _VALID11:
                     sb_mode = tags >> _TAG_WRAP_SHIFT & 1
                 else:
@@ -746,21 +755,19 @@ class RoundDatapath:
                 # S0 (never beside a recirculating one), and a divert sends S2's
                 # word into the final instance instead of S3.
                 rotated = ((tags << TAG_BITS) | (tags >> _TAG_WRAP_SHIFT)) & _TAGS_MASK
-                if entering is not None:
+                if entering & TAG_VALID:
                     if rotated & TAG_VALID:
                         raise CollisionError(
-                            f"stage S0 claimed by arriving {entering} and recirculating "
-                            f"{_word(tags, NUM_LOOP_STAGES - 1, seqs)}"
+                            f"stage S0 claimed by arriving {word_view(entering)} and "
+                            f"recirculating {_word(tags, NUM_LOOP_STAGES - 1, seqs)}"
                         )
-                    slot = entering.slot
-                    seqs[slot] = entering.seq
-                    rotated |= TAG_VALID | slot << 1 | entering.mode & 1
-                diverted = None
+                    seqs[entering >> 1 & _SLOT_FIELD] = entering >> TAG_BITS
+                    rotated |= entering & TAG_FIELD
+                diverted = 0
                 if divert:
-                    code = tags >> _TAG2_SHIFT
+                    code = tags >> _TAG2_SHIFT & TAG_FIELD
                     if code & TAG_VALID:
-                        slot = code >> 1 & _SLOT_FIELD
-                        diverted = tuple.__new__(Word, (seqs[slot], code & 1, slot))
+                        diverted = seqs[code >> 1 & _SLOT_FIELD] << TAG_BITS | code
                         if cycle + 2 <= cycles:
                             completions.append((
                                 cycle + 2, diverted,
@@ -825,7 +832,7 @@ class RoundDatapath:
         n, flush = len(plan), store.resume is None
         if (n < (NUM_LOOP_STAGES if flush else 2) or plan.count(HOLD) != n
                 or not shift_rows_reset == final_reset != flush or self.tags
-                or (self.ia_in_tag, self.ia_out_tag, self.fa_in_tag, self.fa_out_tag) != (None,) * 4
+                or (self.ia_in_tag | self.ia_out_tag | self.fa_in_tag | self.fa_out_tag) & TAG_VALID
                 or flush and (self.s11 and self.ia_out
                               or not store.sub_bytes_inject == store.mix_columns_inject == (0, 0))):
             return False
@@ -844,7 +851,7 @@ class RoundDatapath:
         key, final = store.read_a, store.read_b
         self._next = (idle, idle, s2, x, x, x, x6, x7, x8, x8 << 128 | key, last << 128 | key,
                       0, 0, 0, s2 << 128 | final, 0 if final_reset else s2 ^ final,
-                      0, self.seqs, None, None, None, None)
+                      0, self.seqs, 0, 0, 0, 0)
         if taps is not None:
             taps += [_UNTAGGED] * n
         return True
@@ -897,12 +904,13 @@ class RoundDatapath:
             while leg:
                 if leg == "arriving":
                     a = offsets[i]
-                    block, initial_key, word = plan[a][0]
-                    (seq, m, slot), v, u, live = word, block ^ initial_key, None, True
+                    block, initial_key, tag = plan[a][0]
+                    field, v, u, live = tag & TAG_FIELD, block ^ initial_key, None, True
+                    seq, m, slot = tag >> TAG_BITS, tag & 1, tag >> 1 & _SLOT_FIELD
                     probe[slot] = 0  # the admission's reset, as the loop makes it
                     i += 1
                     s7, s8, count, stop = a + 10, a + 11, probe[slot], offsets[i]
-                    entered[slot], field = seq, TAG_VALID | slot << 1 | m
+                    entered[slot] = seq
                 elif leg == "starting":
                     v, stop, live, seq = ranks[p], offsets[0], code, seqs[slot]
                     count = counters[slot]
@@ -947,7 +955,7 @@ class RoundDatapath:
                 if u is None:
                     u = _SHIFT_ROWS[m](v.to_bytes(16, "big").translate(sbox[m]))
                 final = ranks[13] if not stop else image[m << 4 | NUM_ROUNDS]
-                done.append((stop + 2, tuple.__new__(Word, (seq, m, slot)),
+                done.append((stop + 2, seq << TAG_BITS | field,
                              int.from_bytes(bytes(u), "big") ^ final))
                 d, i, field = stop, i + 1, 0
                 leg = "arriving" if offsets[i] < end else "left" if d + 5 < end else None
@@ -988,10 +996,10 @@ class RoundDatapath:
         each value with the tag of the word it carries this cycle."""
         tags, seqs = self.tags, self.seqs
         return (
-            (self.ia_out, self.ia_out_tag),
+            (self.ia_out, word_view(self.ia_out_tag)),
             (self.s1, _word(tags, 1, seqs)),
             (self.s2, _word(tags, 2, seqs)),
             (self.s8, _word(tags, 8, seqs)),
             (self.s11, _word(tags, 11, seqs)),
-            (self.fa_out, self.fa_out_tag),
+            (self.fa_out, word_view(self.fa_out_tag)),
         )

@@ -11,9 +11,17 @@ from __future__ import annotations
 
 class SimulationFault(RuntimeError):
     """The root of every modelled fault; ``cycle`` is set by the run that
-    raised it and is None outside a run."""
+    raised it and is None outside a run.
+
+    A fault raised inside a pass of many cycles carries the context the
+    run needs to name its cycle and end its trace: ``offset``, the
+    faulting cycle's offset from the pass's first, and ``completions``,
+    the ``(offset, tag, data)`` completions the pass returned before it,
+    or None where the raiser has none to give."""
 
     cycle: int | None = None
+    offset: int = 0
+    completions: list[tuple[int, int, int]] | None = None
 
     def __str__(self) -> str:
         message = super().__str__()

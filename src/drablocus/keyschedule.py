@@ -120,28 +120,29 @@ class KeyScheduler:
         self.resume = self._init_cycle
 
     def commit(self) -> None:
-        self.out_a = self.read_a
-        self.out_b = self.read_b
-        if self.pending_write is not None:
-            addr, data = self.pending_write
-            self.image[addr] = data
-            self.pending_write = None
+        self._latch()
         if self.fsm == READY:
             self.resume = None
 
-    def _init_cycle(self, s1: bytes, s8: int) -> tuple[int, int, tuple, tuple]:
-        """One step of the program, on the cycle's committed S1 and S8:
-        commit the cycle before, run the program's step, then read both
-        ports. Returns the cycle's port outputs and injects. On a pass's
-        first cycle :meth:`commit` has latched the reads and the write, and
-        the commit here changes nothing; no round counter moves before
-        service."""
+    def _latch(self) -> None:
+        """Latch both ports' reads into their outputs, then apply the
+        pending write."""
         self.out_a = self.read_a
         self.out_b = self.read_b
         write = self.pending_write
         if write is not None:
             self.image[write[0]] = write[1]
             self.pending_write = None
+
+    def _init_cycle(self, s1: bytes, s8: int) -> tuple[int, int, tuple, tuple]:
+        """One step of the program, on the cycle's committed S1 and S8:
+        latch the cycle before as :meth:`commit` does, run the program's
+        step, then read both ports. Returns the cycle's port outputs and
+        injects. On a pass's first cycle :meth:`commit` has latched the
+        reads and the write, and the latch here changes nothing; no round
+        counter moves before service. It does not call :meth:`commit`,
+        the once-a-pass method that instrumentation hooks."""
+        self._latch()
         self.sub_bytes_inject = self.mix_columns_inject = _NO_INJECT
         try:
             self._program.send((s1, s8))

@@ -227,8 +227,8 @@ class RunResult(NamedTuple):
 # formatted once per cycle. A status line goes on with its fsm text, the
 # tag rank's valid bits and its stall text. A tap line goes on with its tap's
 # `` stage=<id> slot=<s> mode=<e|d> data=`` text, from the tap's table at
-# the low five bits, ``slot << 1 | mode``, of the word's tag field, then
-# the word's 16 bytes in hex.
+# the low five bits, ``slot << 1 | mode``, of the word's tag, then the
+# word's 16 bytes in hex.
 _IA_TEXT, _SB_TEXT, _SR_TEXT, _MC_TEXT, _ARK_TEXT, _FIN_TEXT = (
     tuple(
         f" stage={stage_id} slot={code >> 1} mode={'ed'[code & 1]} data="
@@ -316,19 +316,22 @@ class PipelineSimulator:
                                                 shift_rows_reset=ctrl.shift_rows_reset,
                                                 final_reset=ctrl.final_reset)
                     for offset, tag, data in completions:
-                        outputs[tag.seq] = data.to_bytes(16, "big")
-                        latency = cycle + offset - admission_cycles[tag.seq]
+                        seq = tag >> TAG_BITS
+                        latency = cycle + offset - admission_cycles[seq]
                         if latency != BLOCK_LATENCY:
                             fault = TimingFault(
-                                f"block {tag.seq} completed after {latency} cycles, "
+                                f"block {seq} completed after {latency} cycles, "
                                 f"expected {BLOCK_LATENCY}"
                             )
                             fault.offset = offset
                             fault.completions = completions
                             raise fault
+                        # The job's own seq object keys its output; an int made
+                        # from the tag would be one more object retained a job.
+                        outputs[seqs[seq]] = data.to_bytes(16, "big")
                 except SimulationFault as fault:
                     # A stepped run checks the first cycle before a later one faults.
-                    if getattr(fault, "offset", 0):
+                    if fault.offset:
                         ctrl.check_against(dp)
                     raise
 
@@ -344,11 +347,11 @@ class PipelineSimulator:
             # No component keeps the cycle count but the controller; the run
             # names the cycle of every fault raised inside it, at the offset
             # into the pass a fault on a later cycle carries.
-            offset = getattr(fault, "offset", 0)
+            offset = fault.offset
             fault.cycle = ctrl.cycle + offset
             # A fault of the datapath or the latency check, raised before the
             # pass's trace is written, carries the completions before it.
-            if trace is not None and hasattr(fault, "completions"):
+            if trace is not None and fault.completions is not None:
                 completions = fault.completions
                 self._emit_trace(trace, cycle, taps[:offset], completions, fsm, waiting, admissions)
             raise
@@ -380,11 +383,8 @@ class PipelineSimulator:
             # The occupancy is the valid bits of the tag rank.
             parts += (text, fsm_text, bin(tags | _RANK_MARK)[3::TAG_BITS], _STALL_TEXT[stalled])
             # One line per tap carrying a word, in trace order.
-            if ia_tag is not None:
-                parts += (
-                    text, _IA_TEXT[ia_tag.slot << 1 | ia_tag.mode],
-                    ia_out.to_bytes(16, "big").hex(), "\n",
-                )
+            if ia_tag & TAG_VALID:
+                parts += (text, _IA_TEXT[ia_tag & 31], ia_out.to_bytes(16, "big").hex(), "\n")
             if tags & _LOOP_TAP_VALID:
                 if tags & 1 << 11:
                     parts += (text, _SB_TEXT[tags >> 6 & 31], s1.hex(), "\n")
@@ -396,10 +396,7 @@ class PipelineSimulator:
                     parts += (text, _ARK_TEXT[tags >> 66 & 31], s11.to_bytes(16, "big").hex(), "\n")
             if fin is not None and fin[0] == offset:
                 _, tag, data = fin
-                parts += (
-                    text, _FIN_TEXT[tag.slot << 1 | tag.mode], data.to_bytes(16, "big").hex(),
-                    "\n",
-                )
+                parts += (text, _FIN_TEXT[tag & 31], data.to_bytes(16, "big").hex(), "\n")
                 fin = next(fins, None)
         trace.write("".join(parts))
 

@@ -18,6 +18,7 @@ from drablocus.datapath import (
     SubBytesUnit,
     Word,
     or_mux_tap,
+    word_view,
 )
 from drablocus.faults import CollisionError
 
@@ -97,6 +98,7 @@ class ComposedDatapath:
 
         if admit is not None:
             block, key, tag = admit
+            tag = word_view(tag)
             self.initial_ark.present(block, key)
         else:
             self.initial_ark.present(0, 0)

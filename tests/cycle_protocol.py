@@ -9,7 +9,8 @@ commits. A planned pass gives the datapath a plan of many cycles, and the
 controller's one commit covers every cycle of the plan, before the key
 schedule commits.
 :func:`set_line` edits one line of a plan, which both the datapath and
-the controller's check read.
+the controller's check read. :func:`word_tag` builds the int tag of a
+word, as a plan's admission, an edge rank and a completion carry it.
 
 :class:`ScriptedStore` stands in for the key store in a datapath driven
 without a key schedule: it gives each cycle scripted keys and injects.
@@ -27,7 +28,7 @@ passes before and after it.
 """
 
 from drablocus.controller import RUN, Controller
-from drablocus.datapath import RoundDatapath
+from drablocus.datapath import TAG_BITS, TAG_VALID, RoundDatapath, word_view
 from drablocus.keyschedule import READY, KeyScheduler
 from drablocus.simulator import Job
 
@@ -52,6 +53,12 @@ class ScriptedStore:
         return next(self._script, NO_KEYS)
 
 
+def word_tag(seq, mode, slot):
+    """The tag of word ``seq`` in ``mode`` and ``slot``: ``seq << TAG_BITS |
+    TAG_VALID | slot << 1 | mode``."""
+    return seq << TAG_BITS | TAG_VALID | slot << 1 | mode
+
+
 def set_line(plan, offset, name, value):
     """Set the ``name``d line of the plan's cycle at ``offset``, on a list
     of its own: :data:`~drablocus.datapath.QUIET` and
@@ -66,7 +73,8 @@ def new_core(key: int):
 
 
 def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
-    """One cycle; returns the admitted tag, or None.
+    """One cycle; returns the admitted word's :class:`~drablocus.datapath.Word`
+    view, or None.
 
     ``job`` is ``(seq, mode, block)`` with the block as an int; it is
     admitted if the controller allows it this cycle. ``mid_cycle(divert)``
@@ -78,7 +86,7 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     if ctrl.admissions:
         seq, mode, block = job
         ctrl.admit([Job(seq, mode, block.to_bytes(16, "big"))], ks.initial_keys)
-        admitted = plan[0][0][2]
+        admitted = word_view(plan[0][0][2])
     if mid_cycle is not None:
         mid_cycle(plan[0][1])
     dp.compute_cycle(

@@ -7,7 +7,7 @@ import pytest
 
 from cycle_protocol import core_in_run, new_core, step_cycle, step_every_cycle
 from drablocus.controller import FLUSH, KEY_INIT, RESET, RUN, Controller
-from drablocus.datapath import NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES
+from drablocus.datapath import NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, word_view
 from drablocus.fabric import LutShiftRegister
 from drablocus.faults import AdmissionError
 from drablocus.simulator import Job, PipelineSimulator
@@ -149,7 +149,7 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
     def admit_into_chain(self, jobs, initial_keys):
         admit(self, jobs, initial_keys)
         for offset in self.admissions[:len(jobs)]:
-            chains[self.plan[offset][0][2].slot].present(1)
+            chains[word_view(self.plan[offset][0][2]).slot].present(1)
 
     def counted_check(self, datapath):
         check_against(self, datapath)

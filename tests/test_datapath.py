@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cycle_protocol import NO_KEYS, ScriptedStore
+from cycle_protocol import NO_KEYS, ScriptedStore, word_tag
 from drablocus import aesref
 from drablocus.datapath import (
     BLOCK_LATENCY,
@@ -237,7 +237,7 @@ class TestSingleRoundTraversal:
                 tag = Word(seq=0, mode=mode, slot=0)
                 store = ScriptedStore([NO_KEYS] * 11 + [(key, 0, (0, 0), (0, 0))])
                 for cycle in range(15):
-                    admit = (x, 0, tag) if cycle == 0 else None
+                    admit = (x, 0, word_tag(*tag)) if cycle == 0 else None
                     dp.compute_cycle(
                         plan=[(admit, False, cycle != 1, cycle == 1)], store=store
                     )
@@ -264,7 +264,7 @@ class TestSingleRoundTraversal:
         positions = {}
         store = ScriptedStore()
         for cycle in range(16):
-            admit = (0x123, 0, tag) if cycle == 0 else None
+            admit = (0x123, 0, word_tag(*tag)) if cycle == 0 else None
             dp.compute_cycle(plan=[(admit, False, cycle != 1, cycle == 1)], store=store)
             for k, t in enumerate(dp.loop_tags):
                 if t == tag:

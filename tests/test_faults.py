@@ -24,7 +24,7 @@ import pytest
 from composed_datapath import ComposedDatapath
 from cycle_protocol import (
     NO_KEYS, ScriptedStore, before_each_pass, cap_passes, core_in_run, set_line, step_cycle,
-    step_every_cycle,
+    step_every_cycle, word_tag,
 )
 from drablocus import aesref
 from drablocus.controller import FLUSH, RUN, Controller
@@ -99,12 +99,16 @@ def drive_both(lines, script, fault):
 def test_every_modelled_fault_is_a_simulation_fault(fault):
     assert issubclass(fault, SimulationFault)
     assert fault.__module__ == "drablocus.faults"
+    # The run's context: the cycle it names, the offset into the pass, the
+    # completions before it; a fault raised outside a pass has none.
+    raised = fault("x")
+    assert (raised.cycle, raised.offset, raised.completions) == (None, 0, None)
 
 
 def test_substitution_mux_with_two_sources_raises_protocol_error():
     # The admitted block leaves the initial key-add on cycle 2, when the
     # key schedule also drives the substitution input.
-    tag = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
+    tag = word_tag(0, MODE_ENCRYPT, 0)
     lines = [((0xAB, 0, tag), False, True, False), (None, False, False, False), QUIET]
     script = [NO_KEYS, NO_KEYS, (0, 0, (0xCD, MODE_ENCRYPT), (0, 0))]
     message = drive_both(lines, script, ProtocolError)
@@ -135,7 +139,7 @@ def test_word_arriving_at_s0_as_another_wraps_raises_collision_error():
     second = Word(seq=1, mode=MODE_ENCRYPT, slot=0)
     lines = []
     for cycle in range(15):
-        admit = {0: (0x1234, 0, first), 12: (0, 0, second)}.get(cycle)
+        admit = {0: (0x1234, 0, word_tag(*first)), 12: (0, 0, word_tag(*second))}.get(cycle)
         lines.append((admit, False, cycle not in (1, 13), False))
     message = drive_both(lines, [], CollisionError)
     assert message == f"stage S0 claimed by arriving {second} and recirculating {first}"
@@ -330,7 +334,7 @@ def test_valid_bit_set_at_s11_as_a_word_arrives_raises_collision_error(monkeypat
         dp.tags |= TAG_VALID << TAG_BITS * (NUM_LOOP_STAGES - 1)
 
     def arriving(ctrl, dp):
-        return dp.ia_out_tag is not None
+        return dp.ia_out_tag & TAG_VALID
 
     with pytest.raises(CollisionError) as err:
         run_with_rank_upset(monkeypatch, upset, mixed_jobs(13), when=arriving)
@@ -419,7 +423,7 @@ def reference_check(ctrl, dp):
             )
     if (dp_modes ^ modes) & valid:
         return f"mode register {modes:012b} disagrees with datapath tags"
-    if (not ctrl._arriving1) != (dp.ia_out_tag is None):
+    if (not ctrl._arriving1) != (not dp.ia_out_tag & TAG_VALID):
         return "initial-stage tracking out of step"
     if main_reset and valid & 1 << 10:
         return f"output reset would scrub live block {dp.loop_tags[10]}"
@@ -610,6 +614,19 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
     with pytest.raises(AdmissionError, match="^admission attempted on a stalled cycle$") as err:
         ctrl.admit([Job(1, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
     assert err.value.cycle is None
+
+
+def test_admission_of_fewer_jobs_than_planned_raises_admission_error():
+    # A pass planned with two jobs waiting admits on its first two cycles; a
+    # caller giving one job is refused before any entry is written, so no
+    # unfilled admission reaches the datapath or the commit.
+    dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
+    ctrl.begin_cycle(ks.fsm == READY, 2, 130)
+    assert ctrl.admissions == [0, 1]
+    with pytest.raises(AdmissionError, match="^admission given 1 of 2 planned jobs$") as err:
+        ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
+    assert err.value.cycle is None
+    assert ctrl.plan[0][0] is None and ctrl.plan[1][0] is None
 
 
 def test_occupancy_wrap_into_an_arriving_word_raises_control_fault():

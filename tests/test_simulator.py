@@ -17,7 +17,7 @@ from drablocus.controller import (
     FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET, Controller,
 )
 from drablocus.datapath import (
-    BLOCK_LATENCY, NUM_LOOP_STAGES, TRACK_CYCLES, DatapathTables, RoundDatapath,
+    BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, DatapathTables, RoundDatapath,
 )
 from drablocus.keyschedule import KEY_INIT_CYCLES, KeyScheduler
 from drablocus.simulator import (
@@ -99,7 +99,7 @@ def test_summary_completions_are_the_ones_the_datapath_returns(sim, monkeypatch,
     def observing(self, **kwargs):
         completions = compute_cycle(self, **kwargs)
         for offset, tag, _ in completions:
-            observed[tag.seq] = pass_start[-1] + offset
+            observed[tag >> TAG_BITS] = pass_start[-1] + offset
         return completions
 
     monkeypatch.setattr(RoundDatapath, "compute_cycle", observing)
@@ -109,6 +109,47 @@ def test_summary_completions_are_the_ones_the_datapath_returns(sim, monkeypatch,
     assert observed == summary.completion_cycles
     assert all(observed[seq] == cycle + BLOCK_LATENCY
                for seq, cycle in summary.admission_cycles.items())
+
+
+@pytest.mark.parametrize("way", ["planned", "capped", "stepped", "traced"])
+def test_every_rank_and_tag_of_the_core_is_an_int(sim, monkeypatch, way):
+    # One tag format in the core: after every commit each register rank and
+    # tag of the datapath holds an int, and each planned admission and each
+    # completion carries its word's tag as an int; Word is only a view.
+    if way == "capped":
+        cap_passes(monkeypatch, 97)
+    elif way == "stepped":
+        step_every_cycle(monkeypatch)
+    not_ranks = {"seqs", "fused_cycles", "_sbox", "_lanes", "_tables", "_next"}
+    ranks = [name for name in RoundDatapath.__slots__ if name not in not_ranks]
+    commit_cycle, compute_cycle = RoundDatapath.commit_cycle, RoundDatapath.compute_cycle
+    admit, strays, seen = Controller.admit, Counter(), Counter()
+
+    def checked_commit(self):
+        commit_cycle(self)
+        seen["commits"] += 1
+        strays.update(name for name in ranks if type(getattr(self, name)) is not int)
+
+    def checked_compute(self, **kwargs):
+        completions = compute_cycle(self, **kwargs)
+        seen["completions"] += len(completions)
+        strays.update("completion" for _, tag, _ in completions if type(tag) is not int)
+        return completions
+
+    def checked_admit(self, jobs, initial_keys):
+        admit(self, jobs, initial_keys)
+        seen["admissions"] += len(self.admissions)
+        strays.update("admission" for offset in self.admissions
+                      if type(self.plan[offset][0][2]) is not int)
+
+    monkeypatch.setattr(RoundDatapath, "commit_cycle", checked_commit)
+    monkeypatch.setattr(RoundDatapath, "compute_cycle", checked_compute)
+    monkeypatch.setattr(Controller, "admit", checked_admit)
+    trace = io.StringIO() if way == "traced" else None
+    summary = sim.run(FIPS_KEY, mixed_jobs(300, seed=300), trace=trace).summary
+    assert "tags" in ranks and "ia_in_tag" in ranks and "fa_out_tag" in ranks
+    assert not strays
+    assert seen == {"commits": summary.passes, "completions": 300, "admissions": 300}
 
 
 def test_stalls_and_peak_occupancy_follow_from_the_admission_cycles(sim):

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from cycle_protocol import (
     before_each_pass, cap_passes, core_in_run, end_passes_at, new_core, set_line, step_cycle,
-    step_every_cycle,
+    step_every_cycle, word_tag,
 )
 from drablocus import aesref
 from drablocus.controller import (
@@ -248,7 +248,7 @@ def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, c
                 lengths.append(n)
                 if n == cap:
                     offsets.update(o for o, lines in enumerate(ctrl.plan) if lines is not QUIET)
-                quiet_in = not (dp.ia_in or dp.ia_out) and dp.ia_in_tag is dp.ia_out_tag is None
+                quiet_in = not (dp.ia_in or dp.ia_out or (dp.ia_in_tag | dp.ia_out_tag) & TAG_VALID)
                 fuses = (n >= NUM_LOOP_STAGES + 2 and quiet_in
                          and not {n - 4, n - 3} & set(ctrl.admissions))
                 fused_before.append(dp.fused_cycles)
@@ -589,9 +589,9 @@ def test_flush_pass_with_a_tag_steps_its_cycles(monkeypatch):
 FLUSH_UPSETS = {
     "clean": lambda ks, dp: None,
     # A word in the initial key-add input rank, which enters S0 two cycles on.
-    "ia_in_tag": lambda ks, dp: setattr(dp, "ia_in_tag", Word(seq=0, mode=MODE_DECRYPT, slot=3)),
+    "ia_in_tag": lambda ks, dp: setattr(dp, "ia_in_tag", word_tag(0, MODE_DECRYPT, 3)),
     # A word in the final key-add input rank, which completes on the next cycle.
-    "fa_in_tag": lambda ks, dp: setattr(dp, "fa_in_tag", Word(seq=0, mode=MODE_ENCRYPT, slot=3)),
+    "fa_in_tag": lambda ks, dp: setattr(dp, "fa_in_tag", word_tag(0, MODE_ENCRYPT, 3)),
     # Store injects, which hold over every cycle in service: the substitution
     # one takes S0's input, and the product one meets S2 at its mux once S2
     # leaves key initialization's reset, on the second cycle.
@@ -775,7 +775,7 @@ def test_commit_over_a_span_matches_its_single_commits():
             checked[fsm] += 1
         if step_cycle(dp, ctrl, ks, job=jobs[0] if jobs else None) is not None:
             jobs.popleft()
-    assert not jobs and dp.fa_out_tag is None
+    assert not jobs and not dp.fa_out_tag & TAG_VALID
     assert checked[FLUSH] == TRACK_CYCLES and checked[RUN] > 100
 
 
@@ -862,8 +862,8 @@ def test_commit_past_a_chain_length_equals_its_single_commits(
     entries = {}
     for offset, mode in zip((cycles - 2, cycles - 1), late):
         if offset >= 0 and mode is not None:
-            word = Word(seq=offset, mode=mode, slot=(cycle + offset) % NUM_LOOP_STAGES)
-            entries.setdefault(offset, list(QUIET))[0] = (0, 0, word)
+            tag = word_tag(offset, mode, (cycle + offset) % NUM_LOOP_STAGES)
+            entries.setdefault(offset, list(QUIET))[0] = (0, 0, tag)
     for offset in diverts:
         if offset < cycles:
             entries.setdefault(offset, list(QUIET))[1] = True
@@ -956,7 +956,7 @@ def divert_from_s2_takes_next_seq(ks, dp):
 def phantom_arrival(ks, dp):
     # A word appears in the initial key-add's input rank with no admission
     # behind it; it takes S0 on the next commit, as a loop word wraps there.
-    dp.ia_in_tag = Word(seq=0, mode=MODE_ENCRYPT, slot=3)
+    dp.ia_in_tag = word_tag(0, MODE_ENCRYPT, 3)
 
 
 def round_counter_past_the_window(ks, dp):
@@ -1151,7 +1151,7 @@ def test_no_window_while_a_word_is_on_its_way_in():
             dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
             word = Word(seq=0, mode=MODE_DECRYPT, slot=ctrl.cycle % NUM_LOOP_STAGES)
             block = int.from_bytes(bytes(range(16)), "big")
-            admission = (block, ks.initial_keys[MODE_DECRYPT], word)
+            admission = (block, ks.initial_keys[MODE_DECRYPT], word_tag(*word))
             cycles = [(admission, False, True, False), (None, False, False, True)] + [QUIET] * 40
             for plan in [cycles[:split], cycles[split:]] if planned else [[lines] for lines in cycles]:
                 dp.compute_cycle(plan=plan, store=ks)
@@ -1190,9 +1190,9 @@ def run_by_hand(shape, planned):
     dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
     cycles = [QUIET] * (140 if shape == "unending" else 72)
     for seq, (offset, slot) in enumerate(admissions):
-        word = Word(seq=seq, mode=MODE_DECRYPT, slot=(ctrl.cycle + slot) % NUM_LOOP_STAGES)
+        tag = word_tag(seq, MODE_DECRYPT, (ctrl.cycle + slot) % NUM_LOOP_STAGES)
         block = int.from_bytes(bytes(range(seq, seq + 16)), "big")
-        cycles[offset] = ((block, ks.initial_keys[MODE_DECRYPT], word), False, True, False)
+        cycles[offset] = ((block, ks.initial_keys[MODE_DECRYPT], tag), False, True, False)
         cycles[offset + 1] = (None, False, False, True)
     for offset, lines in more.items():
         cycles[offset] = lines

@@ -9,7 +9,10 @@ the class, message and cycle of the fault it raises; the probe counts the
 upsets whose two outcomes differ. The upsets are every bit of the
 datapath's and the controller's tag ranks, four bits of each slot's round
 counter, and bits drawn with a seeded generator from the track chains and
-from the S2, S8, S9 and S11 data ranks.
+from the S2, S8, S9 and S11 data ranks. A second line counts, apart from
+them, the upsets of the low ``TAG_BITS`` bits (valid, slot and mode) of
+each of the datapath's four edge tag ranks, the initial and final key-add
+instances' input and output tags.
 
 Run it with ``PYTHONPATH=src:tests python3 tests/upset_probe.py [seed]``.
 """
@@ -27,13 +30,14 @@ from test_faults import FIPS_KEY, mixed_jobs
 UPSET_CYCLE = 281
 _RANK_BITS = TAG_BITS * NUM_LOOP_STAGES
 _DATA_BITS = {"s2": 128, "s8": 128, "s9": 256, "s11": 128}
+_EDGE_TAGS = ("ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag")
 
 
 def flip(target, name, bit):
     setattr(target, name, getattr(target, name) ^ 1 << bit)
 
 
-def upsets(seed, track_bits=150, data_bits=40):
+def upsets(seed=0x16, track_bits=150, data_bits=40):
     """Each upset as ``(label, apply(ctrl, dp, ks))``."""
     rng = random.Random(seed)
     chosen = [(f"dp.tags[{bit}]", lambda c, d, k, bit=bit: flip(d, "tags", bit))
@@ -51,6 +55,12 @@ def upsets(seed, track_bits=150, data_bits=40):
     chosen += [(f"dp.{name}[{bit}]", lambda c, d, k, name=name, bit=bit: flip(d, name, bit))
                for name, bit in sorted(rng.sample(ranks, data_bits))]
     return chosen
+
+
+def edge_upsets():
+    """Each upset of an edge tag rank's field bits as ``(label, apply(ctrl, dp, ks))``."""
+    return [(f"dp.{name}[{bit}]", lambda c, d, k, name=name, bit=bit: flip(d, name, bit))
+            for name in _EDGE_TAGS for bit in range(TAG_BITS)]
 
 
 def outcome(apply, stepped, jobs):
@@ -71,21 +81,22 @@ def outcome(apply, stepped, jobs):
             return type(fault).__name__, str(fault), getattr(fault, "cycle", None)
 
 
-def disagreements(seed=0x16):
-    """The labels of the upsets whose planned and stepped outcomes differ,
-    and the count of upsets."""
+def disagreements(chosen):
+    """The labels of the ``chosen`` upsets whose planned and stepped
+    outcomes differ, and the count of upsets."""
     jobs = mixed_jobs(36, seed=7)
-    chosen = upsets(seed)
     differ = [label for label, apply in chosen
               if outcome(apply, False, jobs) != outcome(apply, True, jobs)]
     return differ, len(chosen)
 
 
 if __name__ == "__main__":
-    differ, total = disagreements(*map(int, sys.argv[1:]))
-    kinds = {}
-    for label in differ:
-        kind = label.split("[")[0]
-        kinds[kind] = kinds.get(kind, 0) + 1
-    print(f"Upset probe: {len(differ)} of {total} single-bit upsets at cycle {UPSET_CYCLE} "
-          f"end differently planned and stepped ({kinds})")
+    for name, chosen in (("Upset probe", upsets(*map(int, sys.argv[1:]))),
+                         ("Edge tag upsets", edge_upsets())):
+        differ, total = disagreements(chosen)
+        kinds = {}
+        for label in differ:
+            kind = label.split("[")[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        print(f"{name}: {len(differ)} of {total} single-bit upsets at cycle {UPSET_CYCLE} "
+              f"end differently planned and stepped ({kinds})")
