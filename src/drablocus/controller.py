@@ -40,13 +40,16 @@ last pending job's completion, however many batch periods that takes;
 its lines follow from those registers, since a divert waits for a track
 chain's final bit and an admission for its slot's chain to empty, so a
 saturated slot admits once a batch period.
-Outside run a pass holds :data:`HOLD` lines up to the end of its phase:
-the reset cycle, key initialization up to :data:`KEY_READY_CYCLE` and
-the flush up to ``flush_end``. The lines held over a pass,
-``shift_rows_reset`` and ``final_reset``, are plain attributes, and the
-admission handshake is the plan's admission offsets: a waiting job
-stalls on every other cycle. :meth:`Controller.admit` writes the pass's
-jobs in order into the plan's entries of the cycles it admits on.
+Outside run a pass holds :data:`HOLD` lines up to the end of its phase.
+Power-up is a fixed program, so each phase before run ends on a constant
+cycle, read from one table: the reset cycle, key initialization up to
+:data:`KEY_READY_CYCLE`, the cycle the key schedule's program reports
+ready on, and the flush up to :data:`RUN_START_CYCLE`. The controller
+reads nothing from the key store. The one line held over a pass,
+``held_reset`` (rule 6), is a plain attribute, and the admission
+handshake is the plan's admission offsets: a waiting job stalls on every
+other cycle. :meth:`Controller.admit` writes the pass's jobs in order
+into the plan's entries of the cycles it admits on.
 :meth:`Controller.check_against` reconciles the registers and the first
 cycle's lines with the datapath's tags once the datapath has computed
 the pass. :meth:`Controller.commit` moves the registers over
@@ -104,6 +107,13 @@ BATCH_PERIOD = NUM_LOOP_STAGES * (MAIN_ROUNDS + 1)
 # The cycle the key schedule reports ready on, which ends key
 # initialization: one reset cycle, then the program's cycles.
 KEY_READY_CYCLE = 1 + KEY_INIT_CYCLES
+# The first run cycle: the flush follows the cycle the key schedule
+# reports ready on.
+RUN_START_CYCLE = KEY_READY_CYCLE + 1 + TRACK_CYCLES
+# Each phase before run: the phase after it, and the cycle that one starts on.
+_PHASE_ENDS = {
+    RESET: (KEY_INIT, 1), KEY_INIT: (FLUSH, KEY_READY_CYCLE + 1), FLUSH: (RUN, RUN_START_CYCLE),
+}
 
 _VALID9 = TAG_VALID << 9 * TAG_BITS
 _VALID10 = TAG_VALID << 10 * TAG_BITS
@@ -157,9 +167,9 @@ class Controller:
         self.track = 0
         # The occupancy and mode registers, in the datapath's tag layout.
         self.tags = 0
-        # The lines held over the pass, set by begin_cycle.
-        self.shift_rows_reset = True
-        self.final_reset = True
+        # The reset of the shift-rows register and the final key-add output
+        # (rule 6), held over the pass and set by begin_cycle.
+        self.held_reset = True
         # Mirrors the two initial key-add ranks: the field each word en route
         # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
         self._arriving0 = 0
@@ -168,14 +178,10 @@ class Controller:
         self.plan = [HOLD]
         self.admissions = ()
         self._diverts = ()
-        # The cycle the flush ends on, set on the change into flush.
-        self.flush_end = 0
 
     # FSM sequencing and every control line, evaluated from registered
     # conditions at the top of each pass.
-    def begin_cycle(
-        self, key_schedule_ready: bool, pending: int = 0, limit: int = 1
-    ) -> list[Sequence]:
+    def begin_cycle(self, pending: int = 0, limit: int = 1) -> list[Sequence]:
         """Decide the lines of the pass of up to ``limit`` cycles that
         starts on this cycle: in run up to the last pending job's
         completion, and outside run up to the end of the phase.
@@ -183,26 +189,18 @@ class Controller:
         Returns the plan, the lines of each cycle of the pass, and sets
         ``admissions``: the offsets of the cycles the pass admits
         ``pending`` jobs on, in order. Outside run each cycle's lines are
-        :data:`HOLD`.
+        :data:`HOLD`, and each phase ends on its constant cycle.
         """
         fsm = self.fsm
-        if fsm != RUN:
-            if fsm == RESET:
-                if self.cycle > 0:
-                    fsm = KEY_INIT
-            elif fsm == KEY_INIT and key_schedule_ready:
-                fsm = FLUSH
-                self.flush_end = self.cycle + TRACK_CYCLES
-            elif fsm == FLUSH and self.cycle >= self.flush_end:
-                fsm = RUN
-            self.fsm = fsm
-            # The hold lines follow the FSM alone, which never leaves run.
-            self.shift_rows_reset = self.final_reset = fsm == RESET or fsm == KEY_INIT
-            if fsm != RUN:
+        while fsm != RUN:
+            after, end = _PHASE_ENDS[fsm]
+            if self.cycle < end:
+                # The resets are held up to the flush.
+                self.held_reset = fsm != FLUSH
                 self.admissions = ()
-                end = {RESET: 1, KEY_INIT: KEY_READY_CYCLE + 1, FLUSH: self.flush_end}[fsm]
                 self.plan = plan = [HOLD] * min(limit, end - self.cycle)
                 return plan
+            self.fsm = fsm = after
         stage9_busy = bool(self.tags & _VALID9)
         if stage9_busy == (not self.track & _TRACK_FIELDS[self.cycle % NUM_LOOP_STAGES]):
             # The two views are equivalent by the phase math; disagreement

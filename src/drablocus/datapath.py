@@ -398,8 +398,11 @@ class DatapathTables:
     row i, which is the :data:`PACK_MAP` wiring with the cascade groups side
     by side, and a rank of product entries is the join of its 16 entries.
     ``fused[mode][i][b]``, built on first use, fuses the two for byte i of a
-    round's input: lane i mod 4 of ``lanes[mode][.][sbox[mode][b]]`` as an int
-    in the output column the row shift takes byte i to, one entry a byte.
+    round's input, one entry a byte: byte n's table, lane n mod 4 of
+    ``lanes[mode][.][sbox[mode][b]]`` as an int in column n div 4, gathered
+    by the other mode's row shift, as :mod:`~drablocus.aesref` builds its
+    round tables, so byte i takes the table of the position the row shift
+    moves it to.
     ``power_up[flush]`` holds the ranks a key-initialization or flush pass
     ends on: the idle word, S2, its products and their S6, S7 and S8 folds.
     """
@@ -425,11 +428,11 @@ class DatapathTables:
     @cached_property
     def fused(self):
         fused = []
-        for sign, s, mode in zip((-1, 1), self.sbox, self.lanes):
-            k = [itemgetter(*s)(tuple(map(int.from_bytes, lane, ("big",) * 256))) for lane in mode]
-            fused.append(tuple([
-                tuple(map(lshift, k[i % 4], repeat(96 - 32 * ((i // 4 + sign * (i % 4)) % 4), 256)))
-                for i in range(16)]))
+        for mode, (s, lanes) in enumerate(zip(self.sbox, self.lanes)):
+            k = [itemgetter(*s)(tuple(map(int.from_bytes, lane, ("big",) * 256))) for lane in lanes]
+            placed = [tuple(map(lshift, k[n % 4], repeat(96 - 32 * (n // 4), 256)))
+                      for n in range(16)]
+            fused.append(_SHIFT_ROWS[1 - mode](placed))
         return tuple(fused)
 
 
@@ -556,13 +559,13 @@ class RoundDatapath:
         *,
         plan: Sequence[Sequence],
         store,
-        shift_rows_reset: bool = False,
-        final_reset: bool = False,
+        held_reset: bool = False,
         taps: list | None = None,
     ) -> list[tuple[int, int, int]]:
         """Compute a cycle for each entry of ``plan``, under its ``(admit,
-        divert, initial_reset, main_reset)`` lines; the other lines hold
-        over the pass. Each cycle but the last is committed in locals, and
+        divert, initial_reset, main_reset)`` lines; ``held_reset``, the reset
+        of the shift-rows register and the final key-add output, holds over
+        the pass. Each cycle but the last is committed in locals, and
         the last one's next state awaits :meth:`commit_cycle`.
 
         The key ``store`` (a :class:`~drablocus.keyschedule.KeyScheduler`)
@@ -602,7 +605,7 @@ class RoundDatapath:
         s11)``, s1 and s2 as bytes.
         """
         held = plan[0] is HOLD
-        if held and self._power_up(plan, store, shift_rows_reset, final_reset, taps):
+        if held and self._power_up(plan, store, held_reset, taps):
             return []
         sbox = self._sbox
         lanes = self._lanes
@@ -635,7 +638,7 @@ class RoundDatapath:
         cycles = len(plan) - 1
         completions = [(0, fa_out_tag, self.fa_out)] if fa_out_tag & TAG_VALID else []
         if cycles and fa_in_tag & TAG_VALID:
-            data = 0 if final_reset else (fa_in >> 128) ^ last_final_key
+            data = 0 if held_reset else (fa_in >> 128) ^ last_final_key
             completions.append((1, fa_in_tag, data))
         # The store serves from its image and round counters, or resumes its
         # program, which gives the first cycle's keys and injects too.
@@ -652,7 +655,7 @@ class RoundDatapath:
         # An untraced pass in service with no word on its way in tries one
         # window, from its first cycle.
         cycle, current = 0, None
-        if not (held or shift_rows_reset or final_reset or taps is not None or image is None
+        if not (held or held_reset or taps is not None or image is None
                 or ks_sb_data or ks_sb_mode or ks_mc_data or ks_mc_mode
                 or ia_in or ia_out or (entering | ia_in_tag) & TAG_VALID):
             ranks = [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key]
@@ -746,7 +749,7 @@ class RoundDatapath:
                 # Row shift of the substitution RAM output register.
                 s2_2 = s2_1
                 s2_1 = s2
-                s2 = _ZERO_STATE if shift_rows_reset else _SHIFT_ROWS[tags >> TAG_BITS & 1](s1)
+                s2 = _ZERO_STATE if held_reset else _SHIFT_ROWS[tags >> TAG_BITS & 1](s1)
                 s1 = s0
                 s0 = sub
 
@@ -771,7 +774,7 @@ class RoundDatapath:
                         if cycle + 2 <= cycles:
                             completions.append((
                                 cycle + 2, diverted,
-                                0 if final_reset
+                                0 if held_reset
                                 else int.from_bytes(bytes(s2_1), "big") ^ final_key,
                             ))
                     rotated &= _CLEAR_TAG3
@@ -806,32 +809,33 @@ class RoundDatapath:
             int.from_bytes(s0, "big"), int.from_bytes(s1, "big"), int.from_bytes(bytes(s2), "big"),
             s3, s4, s5, s6, s7, s8, s9, s10, s11,
             ia_in, ia_out, (int.from_bytes(bytes(s2_1), "big") << 128) | final_key,
-            0 if final_reset else int.from_bytes(bytes(s2_2), "big") ^ last_final_key,
+            0 if held_reset else int.from_bytes(bytes(s2_2), "big") ^ last_final_key,
             tags, seqs, ia_in_tag, entering, fa_in_tag, fa_out_tag,
         )
         return completions
 
-    def _power_up(self, plan, store, shift_rows_reset, final_reset, taps) -> bool:
+    def _power_up(self, plan, store, held_reset, taps) -> bool:
         """Compute a power-up pass of held lines at once, to the end state
         that follows from these tables and the key store alone: no tag, the
         idle word (a zero word substituted in encrypt mode) in S0 and S1,
         and S2 and its encrypt-lane products and cascade folds down to S8.
 
-        Before service, under both resets, it is key initialization from the
-        reset cycle's state, which ``store.initialize`` runs whole: S2 stays
-        in reset, and S9 and S10 hold the last two S8 values beside port a's
-        key. In service, with both resets released, it is the flush: from a
-        state with no tag, no store inject and at most one source at the
-        substitution mux, the resets zero the mux input from the second
-        cycle, so the idle word holds S0 from the third and S10 from the
-        thirteenth, and port a reads word 0 and port b the encrypt final key
-        on every cycle; S9 and S10 hold S8 beside word 0, and the final
-        key-add S2 beside port b's word. A ``taps`` list gets a record of
-        each cycle that carries no tag. Returns False, changing nothing, for
-        any other pass, such as a flush shorter than :data:`NUM_LOOP_STAGES`."""
+        Before service, under ``held_reset``, it is key initialization from
+        the reset cycle's state, which ``store.initialize`` runs whole: S2
+        stays in reset, and S9 and S10 hold the last two S8 values beside
+        port a's key. In service, with the held reset released, it is the
+        flush: from a state with no tag, no store inject and at most one
+        source at the substitution mux, the resets zero the mux input from
+        the second cycle, so the idle word holds S0 from the third and S10
+        from the thirteenth, and port a reads word 0 and port b the encrypt
+        final key on every cycle; S9 and S10 hold S8 beside word 0, and the
+        final key-add S2 beside port b's word. A ``taps`` list gets a record
+        of each cycle that carries no tag. Returns False, changing nothing,
+        for any other pass, such as a flush shorter than
+        :data:`NUM_LOOP_STAGES`."""
         n, flush = len(plan), store.resume is None
         if (n < (NUM_LOOP_STAGES if flush else 2) or plan.count(HOLD) != n
-                or not shift_rows_reset == final_reset != flush or self.tags
+                or held_reset == flush or self.tags
                 or (self.ia_in_tag | self.ia_out_tag | self.fa_in_tag | self.fa_out_tag) & TAG_VALID
                 or flush and (self.s11 and self.ia_out
                               or not store.sub_bytes_inject == store.mix_columns_inject == (0, 0))):
@@ -850,7 +854,7 @@ class RoundDatapath:
             last = store.image[key_store_address(MODE_DECRYPT, MAIN_ROUNDS)]
         key, final = store.read_a, store.read_b
         self._next = (idle, idle, s2, x, x, x, x6, x7, x8, x8 << 128 | key, last << 128 | key,
-                      0, 0, 0, s2 << 128 | final, 0 if final_reset else s2 ^ final,
+                      0, 0, 0, s2 << 128 | final, 0 if held_reset else s2 ^ final,
                       0, self.seqs, 0, 0, 0, 0)
         if taps is not None:
             taps += [_UNTAGGED] * n

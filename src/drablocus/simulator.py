@@ -25,10 +25,11 @@ which follow from the track chains alone. A pass ends at the budget,
 the last job's completion or :data:`PASS_CYCLES`, so an untraced run
 phase of up to 3,072 saturated jobs is one pass, and a traced pass,
 which holds each cycle's taps until it ends, within one batch period.
-Each phase before run is one pass of held lines: the reset cycle, key
-initialization up to the cycle the key store reports ready, and the
-flush. The run admits the next jobs, one for each planned admission, in
-one controller call that writes each into the plan's entry for its
+Each phase before run is one pass of held lines, up to the constant
+cycle the controller ends it on: the reset cycle, key initialization up
+to the cycle the key store's program reports ready on, and the flush.
+The run admits the next jobs, one for each planned admission, in one
+controller call that writes each into the plan's entry for its
 cycle, records their admission cycles, from which ``RunSummary`` derives
 the stalls, the peak loop occupancy and the completions, and checks the
 latency of every completion the datapath returns with its offset, so the
@@ -61,7 +62,7 @@ from __future__ import annotations
 from typing import IO, NamedTuple, Sequence
 
 from .controller import (
-    _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET,
+    _RANK_MARK, BATCH_PERIOD, FLUSH, KEY_INIT, RESET, RUN, RUN_START_CYCLE, STAGE_PHASE_OFFSET,
     Controller,
 )
 from .datapath import (
@@ -76,7 +77,6 @@ from .datapath import (
 )
 from .faults import SimulationFault, TimingFault
 from .keyschedule import KeyScheduler
-from .keyschedule import READY as KEY_SCHEDULE_READY
 from .tables import MODE_DECRYPT, MODE_ENCRYPT
 from .textlines import split_lines
 
@@ -88,10 +88,6 @@ NOMINAL_BLOCKS_PER_CYCLE = NUM_LOOP_STAGES / BLOCK_LATENCY
 
 # The published clock of the core; derived figures use it unless given another.
 CLOCK_MHZ = 528.262
-
-# The first run cycle: the flush follows the cycle the key schedule
-# reports ready on.
-RUN_START_CYCLE = KEY_READY_CYCLE + 1 + TRACK_CYCLES
 
 # The longest untraced pass. A pass holds its plan, an entry a cycle, and
 # its admitted blocks and completions until it ends, about 1 KB a job, and
@@ -150,15 +146,14 @@ class RunSummary:
     every block completes BLOCK_LATENCY cycles after its admission, so the
     completions, the latencies and the count of blocks follow from them."""
 
-    # The tracking registers' flush before the run.
+    # The tracking registers' flush before the run, and the first run cycle.
     flush_cycles = TRACK_CYCLES
+    run_start_cycle = RUN_START_CYCLE
 
-    def __init__(self, total_cycles: int = 0, key_init_cycles: int = 0, run_start_cycle: int = 0,
-                 passes: int = 0, fused_cycles: int = 0,
-                 admission_cycles: dict[int, int] | None = None) -> None:
+    def __init__(self, total_cycles: int = 0, key_init_cycles: int = 0, passes: int = 0,
+                 fused_cycles: int = 0, admission_cycles: dict[int, int] | None = None) -> None:
         self.total_cycles = total_cycles
         self.key_init_cycles = key_init_cycles
-        self.run_start_cycle = run_start_cycle
         # The passes, one datapath call each.
         self.passes = passes
         # Cycles computed in fused rounds (all but an untraced run pass's last
@@ -288,15 +283,19 @@ class PipelineSimulator:
             while len(outputs) < len(jobs):
                 cycle = ctrl.cycle
                 if cycle >= budget:
-                    raise TimingFault(
-                        f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
-                    )
+                    message = f"simulation exceeded its cycle budget ({budget}); pipeline wedged"
+                    # Name the block lost: the first admitted one with no output.
+                    lost = next((seq for seq in admission_cycles if seq not in outputs), None)
+                    if lost is not None:
+                        message += (f"; block {lost}, admitted on cycle "
+                                    f"{admission_cycles[lost]}, never completed")
+                    raise TimingFault(message)
                 # Each pass is planned up to the budget, the last completion and
                 # the longest pass.
                 waiting = len(jobs) - taken
                 limit = min((run_end if run_end > cycle else budget) - cycle,
                             PASS_CYCLES if trace is None else BATCH_PERIOD)
-                plan = ctrl.begin_cycle(ks.fsm == KEY_SCHEDULE_READY, waiting, limit)
+                plan = ctrl.begin_cycle(waiting, limit)
                 fsm = ctrl.fsm
 
                 # The planned admissions take the next jobs in order.
@@ -313,14 +312,19 @@ class PipelineSimulator:
                 taps = None if trace is None else []
                 try:
                     completions = dp.compute_cycle(plan=plan, store=ks, taps=taps,
-                                                shift_rows_reset=ctrl.shift_rows_reset,
-                                                final_reset=ctrl.final_reset)
+                                                held_reset=ctrl.held_reset)
                     for offset, tag, data in completions:
                         seq = tag >> TAG_BITS
-                        latency = cycle + offset - admission_cycles[seq]
+                        try:
+                            latency = cycle + offset - admission_cycles[seq]
+                        except KeyError:
+                            latency = -1
                         if latency != BLOCK_LATENCY:
+                            # A block the pass admits after this cycle has no
+                            # admission yet, as in a run stepping every cycle.
                             fault = TimingFault(
-                                f"block {seq} completed after {latency} cycles, "
+                                f"block {seq} completed without an admission" if latency < 0
+                                else f"block {seq} completed after {latency} cycles, "
                                 f"expected {BLOCK_LATENCY}"
                             )
                             fault.offset = offset
@@ -360,7 +364,6 @@ class PipelineSimulator:
         summary.passes = passes
         summary.fused_cycles = dp.fused_cycles
         summary.key_init_cycles = ks.init_cycles
-        summary.run_start_cycle = ctrl.flush_end
         return RunResult(outputs=outputs, summary=summary, key_store=tuple(ks.image))
 
     @staticmethod

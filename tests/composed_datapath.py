@@ -65,8 +65,7 @@ class ComposedDatapath:
         *,
         plan,
         store,
-        shift_rows_reset: bool = False,
-        final_reset: bool = False,
+        held_reset: bool = False,
     ) -> None:
         ((admit, divert, initial_reset, main_reset),) = plan
         main_key, final_key, ks_sub_bytes, ks_mix_columns = store.resume(
@@ -107,8 +106,8 @@ class ComposedDatapath:
 
         self.initial_ark.reset_in = initial_reset
         self.main_ark.reset_in = main_reset
-        self.shift_rows.reset_in = shift_rows_reset
-        self.final_ark.reset_in = final_reset
+        self.shift_rows.reset_in = held_reset
+        self.final_ark.reset_in = held_reset
 
         for unit in self._units:
             unit.compute()

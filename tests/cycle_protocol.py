@@ -29,7 +29,7 @@ passes before and after it.
 
 from drablocus.controller import RUN, Controller
 from drablocus.datapath import TAG_BITS, TAG_VALID, RoundDatapath, word_view
-from drablocus.keyschedule import READY, KeyScheduler
+from drablocus.keyschedule import KeyScheduler
 from drablocus.simulator import Job
 
 # The keys and injects of a cycle that has none: main key, final key, and
@@ -81,7 +81,7 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     runs once the controller has decided the cycle, before the datapath
     computes it and takes its keys from the key store.
     """
-    plan = ctrl.begin_cycle(ks.fsm == READY, 0 if job is None else 1)
+    plan = ctrl.begin_cycle(0 if job is None else 1)
     admitted = None
     if ctrl.admissions:
         seq, mode, block = job
@@ -89,12 +89,7 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
         admitted = word_view(plan[0][0][2])
     if mid_cycle is not None:
         mid_cycle(plan[0][1])
-    dp.compute_cycle(
-        plan=plan,
-        store=ks,
-        shift_rows_reset=ctrl.shift_rows_reset,
-        final_reset=ctrl.final_reset,
-    )
+    dp.compute_cycle(plan=plan, store=ks, held_reset=ctrl.held_reset)
     ctrl.check_against(dp)
     dp.commit_cycle()
     ctrl.commit()
@@ -106,8 +101,8 @@ def cap_passes(monkeypatch, cycles):
     """Limit every pass a simulator run plans to ``cycles`` cycles."""
     begin_cycle = Controller.begin_cycle
 
-    def capped(self, key_schedule_ready, pending=0, limit=1):
-        return begin_cycle(self, key_schedule_ready, pending, min(limit, cycles))
+    def capped(self, pending=0, limit=1):
+        return begin_cycle(self, pending, min(limit, cycles))
 
     monkeypatch.setattr(Controller, "begin_cycle", capped)
 
@@ -118,9 +113,9 @@ def end_passes_at(monkeypatch, cycles):
     the next pass opens on it."""
     begin_cycle = Controller.begin_cycle
 
-    def bounded(self, key_schedule_ready, pending=0, limit=1):
+    def bounded(self, pending=0, limit=1):
         bound = min((cycle - self.cycle for cycle in cycles if cycle > self.cycle), default=limit)
-        return begin_cycle(self, key_schedule_ready, pending, min(limit, bound))
+        return begin_cycle(self, pending, min(limit, bound))
 
     monkeypatch.setattr(Controller, "begin_cycle", bounded)
 

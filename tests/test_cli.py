@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from cycle_protocol import before_each_pass
+from cycle_protocol import before_each_pass, end_passes_at
 from drablocus import aesref, datapath, metrics
 from drablocus.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, KEY_ENV_VAR, main
 from drablocus.controller import RUN, STAGE_PHASE_OFFSET, Controller
@@ -353,6 +353,25 @@ def test_simulate_key_store_fault_names_its_cycle(tmp_path, capsys, monkeypatch)
         f"requested main-loop key for round {MAIN_ROUNDS + 1}\n"
     )
     assert cycle == 171
+
+
+def test_simulate_completion_without_an_admission_exits_1_with_one_line(
+    tmp_path, capsys, monkeypatch
+):
+    # On cycle 281, which opens a pass, the word in slot 0 takes sequence id
+    # 40 of a 36-job run; it completes two cycles on with no admission.
+    def upset(ctrl, dp, ks):
+        if ctrl.cycle == 281:
+            dp.seqs[0] = 40
+
+    end_passes_at(monkeypatch, [281])
+    before_each_pass(monkeypatch, upset)
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("".join(f"{i} enc {bytes([i]).hex() * 16}\n" for i in range(36)))
+    assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "simulation fault: cycle 283: block 40 completed without an admission\n"
+    )
 
 
 def test_metrics_prints_both_bram_factors(capsys):

@@ -63,7 +63,7 @@ def test_stall_exactly_when_stage9_occupied():
 
     def record(divert):
         offered = copy.deepcopy(ctrl)
-        offered.begin_cycle(True, 1)
+        offered.begin_cycle(1)
         if not offered.admissions:
             assert ctrl.occupancy >> 9 & 1
             stalled_cycles.append(ctrl.cycle)

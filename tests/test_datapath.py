@@ -17,6 +17,7 @@ from drablocus.datapath import (
     ShiftRowsUnit,
     SubBytesUnit,
     Word,
+    built_in_tables,
     or_mux_tap,
 )
 from drablocus.faults import ProtocolError
@@ -36,6 +37,11 @@ def test_stage_ledger():
     assert NUM_LOOP_STAGES == 2 + 1 + 6 + 3 == 12
     assert TRACK_CYCLES == 2 + 9 * 12 + 3 == 113
     assert BLOCK_LATENCY == 115
+
+
+def test_fused_tables_of_the_built_in_images_are_the_reference_round_tables():
+    # A fused round over the built-in images is the golden reference's round.
+    assert built_in_tables().fused == (aesref._ENC_BYTES, aesref._DEC_BYTES)
 
 
 class TestSubBytesUnit:

@@ -46,7 +46,6 @@ from drablocus.faults import (
     SimulationFault,
     TimingFault,
 )
-from drablocus.keyschedule import READY
 from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
 from drablocus.tables import (
     MODE_DECRYPT,
@@ -475,7 +474,7 @@ def test_one_compare_check_matches_the_ordered_checks_under_every_single_bit_ups
 # cycle would.
 def on_flush_cycle(n):
     """A ``when`` holding on the flush cycle with ``n`` flush commits behind it."""
-    return lambda ctrl, dp: ctrl.fsm == FLUSH and ctrl.cycle == ctrl.flush_end - TRACK_CYCLES + n
+    return lambda ctrl, dp: ctrl.fsm == FLUSH and ctrl.cycle == RUN_START_CYCLE - TRACK_CYCLES + n
 
 
 def test_track_bit_set_after_first_flush_commit_fires_in_run(monkeypatch):
@@ -503,7 +502,7 @@ def run_from_flush_upset(upset, n, cap):
         upset(ctrl, dp)
 
     def record_core(ctrl, dp, ks):
-        if ctrl.fsm == RUN and ctrl.cycle == ctrl.flush_end:
+        if ctrl.fsm == RUN and ctrl.cycle == RUN_START_CYCLE:
             cores.append((
                 ctrl.track, ctrl.tags, dp.tags, dp.s0, dp.s1, dp.s2, dp.s3, dp.s4, dp.s5, dp.s6,
                 dp.s7, dp.s8, dp.s9, dp.s10, dp.s11, dp.ia_in, dp.ia_out, dp.fa_in, dp.fa_out,
@@ -609,7 +608,7 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
     step_cycle(dp, ctrl, ks, job=(0, MODE_ENCRYPT, 0xAB))
     for _ in range(11):
         step_cycle(dp, ctrl, ks)
-    ctrl.begin_cycle(ks.fsm == READY, 1)
+    ctrl.begin_cycle(1)
     assert ctrl.admissions == [] and ctrl.occupancy >> 9 & 1
     with pytest.raises(AdmissionError, match="^admission attempted on a stalled cycle$") as err:
         ctrl.admit([Job(1, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
@@ -621,7 +620,7 @@ def test_admission_of_fewer_jobs_than_planned_raises_admission_error():
     # caller giving one job is refused before any entry is written, so no
     # unfilled admission reaches the datapath or the commit.
     dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
-    ctrl.begin_cycle(ks.fsm == READY, 2, 130)
+    ctrl.begin_cycle(2, 130)
     assert ctrl.admissions == [0, 1]
     with pytest.raises(AdmissionError, match="^admission given 1 of 2 planned jobs$") as err:
         ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
@@ -663,12 +662,13 @@ def test_occupancy_wrap_on_a_later_commit_carries_its_offset():
 def test_wedged_pipeline_raises_timing_fault(monkeypatch):
     original = Controller.begin_cycle
 
-    def begin_cycle(self, key_schedule_ready, pending=0, limit=1):
+    def begin_cycle(self, pending=0, limit=1):
         # No job is ever admitted: the plan is made with none waiting.
-        return original(self, key_schedule_ready, 0, limit)
+        return original(self, 0, limit)
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
-    with pytest.raises(TimingFault, match="pipeline wedged"):
+    # With no block admitted, none is lost: the wedge names none.
+    with pytest.raises(TimingFault, match="pipeline wedged$"):
         PipelineSimulator().run(FIPS_KEY, mixed_jobs(1))
 
 

@@ -103,8 +103,8 @@ def test_trace_writer_matches_reference_rendering_every_cycle(monkeypatch, fresh
     step_every_cycle(monkeypatch)
     begin_cycle, check_against = Controller.begin_cycle, Controller.check_against
 
-    def deciding(self, key_schedule_ready, pending=0, limit=1):
-        plan = begin_cycle(self, key_schedule_ready, pending, limit)
+    def deciding(self, pending=0, limit=1):
+        plan = begin_cycle(self, pending, limit)
         state["stalled"] = self.fsm == RUN and pending > 0 and not self.admissions
         return plan
 

@@ -179,8 +179,9 @@ def test_stalls_and_peak_occupancy_follow_from_the_admission_cycles(sim):
         assert summary.stall_cycles == stalls, n
     # At the window's edges: two admissions 110 cycles apart share a cycle
     # in the loop, 111 apart they do not.
-    for admitted, peak, stalls in (([], 0, 0), ([5], 1, 0), ([5, 115], 2, 109), ([5, 116], 1, 110)):
-        summary = RunSummary(run_start_cycle=5, admission_cycles=dict(enumerate(admitted)))
+    for admitted, peak, stalls in (([], 0, 0), ([0], 1, 0), ([0, 110], 2, 109), ([0, 111], 1, 110)):
+        summary = RunSummary(admission_cycles={
+            seq: RUN_START_CYCLE + offset for seq, offset in enumerate(admitted)})
         assert (summary.max_loop_occupancy, summary.stall_cycles) == (peak, stalls)
 
 

@@ -40,7 +40,7 @@ from cycle_protocol import (
 )
 from drablocus import aesref
 from drablocus.controller import (
-    BATCH_PERIOD, FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, QUIET, RUN, Controller,
+    BATCH_PERIOD, FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, QUIET, RESET, RUN, Controller,
 )
 from drablocus.datapath import (
     _SLOT_FIELD, BLOCK_LATENCY, MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES,
@@ -49,7 +49,7 @@ from drablocus.datapath import (
 from drablocus.faults import (
     CollisionError, ControlFault, KeyStoreFault, ProtocolError, SimulationFault, TimingFault,
 )
-from drablocus.keyschedule import KEY_INIT_CYCLES, READY, KeyScheduler
+from drablocus.keyschedule import EXPANDING, KEY_INIT_CYCLES, READY, KeyScheduler
 from drablocus.simulator import RUN_START_CYCLE, Job, PipelineSimulator
 from drablocus.tables import (
     MODE_DECRYPT, MODE_ENCRYPT, build_mixcolumns_image, build_sbox_image,
@@ -356,6 +356,44 @@ def test_key_init_pass_equals_stepped_cycles(key):
     assert trace.getvalue() == stepped_trace.getvalue()
 
 
+@pytest.mark.parametrize("cap, traced", [(None, False), (None, True), (1, False), (7, False),
+                                        (60, False)], ids=["planned", "traced", "1", "7", "60"])
+def test_power_up_schedule_is_the_key_store_program(monkeypatch, cap, traced):
+    # The controller ends each phase before run on a constant cycle and reads
+    # nothing from the key store, so the store's program must keep to the
+    # same schedule however the passes are cut: expanding in every state
+    # committed before cycle 48 and ready, after its KEY_INIT_CYCLES program
+    # cycles, from 48 on, as the controller enters flush on 48 and run on 161.
+    core, states, entered = {}, [], {}
+    begin_cycle, commit = Controller.begin_cycle, KeyScheduler.commit
+
+    def recorded_begin(self, *args):
+        plan = begin_cycle(self, *args)
+        core["ctrl"] = self
+        entered.setdefault(self.fsm, self.cycle)
+        return plan
+
+    def recorded_commit(self):
+        commit(self)
+        states.append((core["ctrl"].cycle, self.fsm, self.init_cycles))
+
+    monkeypatch.setattr(Controller, "begin_cycle", recorded_begin)
+    monkeypatch.setattr(KeyScheduler, "commit", recorded_commit)
+    if cap is not None:
+        cap_passes(monkeypatch, cap)
+    result = PipelineSimulator().run(FIPS_KEY, mixed_jobs(13, seed=13),
+                                     trace=io.StringIO() if traced else None)
+    assert entered == {RESET: 0, KEY_INIT: 1, FLUSH: KEY_INIT_END, RUN: RUN_START_CYCLE}
+    assert KEY_INIT_END == 48 and RUN_START_CYCLE == 161
+    for cycle, fsm, init_cycles in states:
+        if cycle < KEY_INIT_END:
+            assert fsm == EXPANDING, cycle
+        else:
+            assert (fsm, init_cycles) == (READY, KEY_INIT_CYCLES), cycle
+    assert states[0][0] < KEY_INIT_END <= states[-1][0]
+    assert result.summary.key_init_cycles == KEY_INIT_CYCLES
+
+
 @pytest.mark.parametrize(
     "cap, resumes",
     [(None, 0), (60, 0), (7, KEY_INIT_CYCLES + 1), (KEY_INIT_CYCLES, KEY_INIT_CYCLES + 1)],
@@ -407,32 +445,27 @@ def test_key_init_pass_from_an_upset_state_steps_its_cycles(monkeypatch, upset):
     assert passed.key_store == stepped.key_store
 
 
-@pytest.mark.parametrize("line", ["shift_rows_reset", "final_reset"])
-def test_key_init_pass_without_a_held_reset_steps_its_cycles(monkeypatch, line):
-    # A pass is computed at once only under both held resets. With either
-    # released on key initialization it resumes the program on each cycle
-    # as a stepped run does: without the shift-rows reset S2 drives the
-    # product mux beside the first inverse-mix inject, which faults, and
-    # without the final reset the final key-add output takes port b's key.
+def test_key_init_pass_without_the_held_reset_steps_its_cycles(monkeypatch):
+    # A pass is computed at once only under the held reset. With it released
+    # on key initialization the pass resumes the program on each cycle as a
+    # stepped run does, and S2 drives the product mux beside the first
+    # inverse-mix inject, which faults on the same cycle in both runs.
     jobs = mixed_jobs(1, seed=5)
     runs = []
     for stepped in (False, True):
         def released(self, *args, _begin=Controller.begin_cycle):
             plan = _begin(self, *args)
             if self.fsm == KEY_INIT:
-                setattr(self, line, False)
+                self.held_reset = False
             return plan
 
         monkeypatch.setattr(Controller, "begin_cycle", released)
         resumes = program_resumes(monkeypatch)
-        try:
-            state = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=stepped)[1][KEY_INIT_END]
-        except ProtocolError as fault:
-            state = f"{fault.cycle}: {fault}"
+        with pytest.raises(ProtocolError, match="^cycle 32: OR-mux driven by multiple") as err:
+            committed_states(monkeypatch, FIPS_KEY, jobs, stepped=stepped)
         monkeypatch.undo()
-        runs.append((state, len(resumes)))
-    assert runs[0] == runs[1] and runs[0][1] > 1
-    assert isinstance(runs[0][0], str) == (line == "shift_rows_reset")
+        runs.append((err.value.cycle, str(err.value), len(resumes)))
+    assert runs[0] == runs[1] and runs[0][2] > 1
 
 
 def flush_passes(monkeypatch):
@@ -642,19 +675,16 @@ def registers(ctrl):
 
 
 def lines(ctrl):
-    return (
-        ctrl.fsm, tuple(ctrl.plan[0]), ctrl.shift_rows_reset, ctrl.final_reset,
-        tuple(ctrl.admissions),
-    )
+    return ctrl.fsm, tuple(ctrl.plan[0]), ctrl.held_reset, tuple(ctrl.admissions)
 
 
-def step_each_cycle(ctrl, ready, pending, cycles, modes):
+def step_each_cycle(ctrl, pending, cycles, modes):
     """Step ``cycles`` cycles one at a time, admitting greedily from
     ``pending`` jobs of ``modes``. Returns the admission offsets and each
     cycle's (divert, initial_reset, main_reset)."""
     admissions, taken = [], []
     for offset in range(cycles):
-        plan = ctrl.begin_cycle(ready, pending - len(admissions))
+        plan = ctrl.begin_cycle(pending - len(admissions))
         taken.append(tuple(plan[0][1:]))
         if ctrl.admissions:
             job = Job(len(admissions), modes[len(admissions) % len(modes)], bytes(16))
@@ -688,7 +718,7 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     queue = 0
     for _ in range(warmup):
         queue += rng.random() < arrival
-        ctrl.begin_cycle(True, queue)
+        ctrl.begin_cycle(queue)
         if ctrl.admissions:
             ctrl.admit([Job(0, rng.randrange(2), bytes(16))], (0, 0))
             queue -= 1
@@ -696,13 +726,13 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     modes = [rng.randrange(2) for _ in range(NUM_LOOP_STAGES)]
 
     planned = copy.deepcopy(ctrl)
-    plan = planned.begin_cycle(True, pending, limit)
+    plan = planned.begin_cycle(pending, limit)
     span = len(plan)
-    admissions, taken = step_each_cycle(copy.deepcopy(ctrl), True, pending, span, modes)
+    admissions, taken = step_each_cycle(copy.deepcopy(ctrl), pending, span, modes)
 
     assert list(planned.admissions) == admissions
     assert [tuple(entry[1:]) for entry in plan] == taken
-    single = copy.deepcopy(ctrl).begin_cycle(True, pending, 1)
+    single = copy.deepcopy(ctrl).begin_cycle(pending, 1)
     assert len(single) == 1 and tuple(single[0]) == tuple(plan[0])
     expected = limit
     if pending and len(admissions) == pending:
@@ -714,23 +744,23 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     ], (0, 0))
     planned.commit()
     stepped = copy.deepcopy(ctrl)
-    step_each_cycle(stepped, True, pending, span, modes)
+    step_each_cycle(stepped, pending, span, modes)
     assert registers(planned) == registers(stepped)
 
 
 def test_key_init_plan_holds_the_lines_of_its_cycles():
     # From the first key-initialization cycle, the plan up to the cycle the
     # schedule reports ready on holds the lines that stepping its cycles one
-    # at a time takes while the schedule is not ready: no admission, no
-    # divert, and both key-add outputs in reset.
+    # at a time takes: no admission, no divert, and both key-add outputs in
+    # reset.
     ctrl = Controller()
-    ctrl.begin_cycle(False)
+    ctrl.begin_cycle()
     ctrl.commit()
     planned = copy.deepcopy(ctrl)
-    plan = planned.begin_cycle(False, 0, 10 * BATCH_PERIOD)
+    plan = planned.begin_cycle(0, 10 * BATCH_PERIOD)
     assert planned.fsm == KEY_INIT and KEY_READY_CYCLE == 47
     assert plan == [HOLD] * 47 and HOLD == (None, False, True, True)
-    admissions, taken = step_each_cycle(ctrl, False, 0, len(plan), [MODE_ENCRYPT])
+    admissions, taken = step_each_cycle(ctrl, 0, len(plan), [MODE_ENCRYPT])
     assert admissions == []
     assert taken == [tuple(entry[1:]) for entry in plan]
 
@@ -746,17 +776,16 @@ def test_commit_over_a_span_matches_its_single_commits():
     modes = [MODE_ENCRYPT, MODE_DECRYPT]
     checked = {FLUSH: 0, RUN: 0}
     while ctrl.cycle < 400:
-        ready = ks.fsm == READY
         probe = copy.deepcopy(ctrl)
-        probe.begin_cycle(ready, len(jobs), 1000)
+        probe.begin_cycle(len(jobs), 1000)
         fsm = probe.fsm
         if fsm == FLUSH:
-            span = probe.flush_end - probe.cycle
+            span = RUN_START_CYCLE - probe.cycle
             spanned = probe
             spanned.commit()
         elif fsm == RUN:
             spanned = copy.deepcopy(ctrl)
-            span = len(spanned.begin_cycle(ready, len(jobs), 1000))
+            span = len(spanned.begin_cycle(len(jobs), 1000))
             spanned.admit([
                 Job(index, modes[index % len(modes)], bytes(16))
                 for index in range(len(spanned.admissions))
@@ -766,11 +795,11 @@ def test_commit_over_a_span_matches_its_single_commits():
             span = 0
         if span:
             stepped = copy.deepcopy(ctrl)
-            step_each_cycle(stepped, ready, len(jobs) if fsm == RUN else 0, span, modes)
+            step_each_cycle(stepped, len(jobs) if fsm == RUN else 0, span, modes)
             assert registers(spanned) == registers(stepped), probe.cycle
             # With a job waiting, both admit it on the next cycle or stall.
-            spanned.begin_cycle(True, 1)
-            stepped.begin_cycle(True, 1)
+            spanned.begin_cycle(1)
+            stepped.begin_cycle(1)
             assert lines(spanned) == lines(stepped), probe.cycle
             checked[fsm] += 1
         if step_cycle(dp, ctrl, ks, job=jobs[0] if jobs else None) is not None:
@@ -821,7 +850,7 @@ def commit_outcome(ctrl, plans):
         try:
             ctrl.commit()
         except ControlFault as fault:
-            return str(fault), done + getattr(fault, "offset", 0)
+            return str(fault), done + fault.offset
         done += len(plan)
     return registers(ctrl)
 
@@ -972,6 +1001,18 @@ class ResetToLastMainRound(list):
         super().__setitem__(slot, value or MAIN_ROUNDS)
 
 
+def seq_never_admitted(ks, dp):
+    # The word due to divert first, in slot 0, takes sequence id 40 of a
+    # 36-job run, which no admission wrote.
+    dp.seqs[0] = 40
+
+
+def seq_admitted_later(ks, dp):
+    # The same word takes the sequence id of block 15, which the pass admits
+    # on cycle 284, a cycle after the word completes.
+    dp.seqs[0] = 15
+
+
 def counters_reset_to_last_round(ks, dp):
     # Each later write of 0 to a round counter stores the last main round.
     ks.round_counters = ResetToLastMainRound(ks.round_counters)
@@ -1001,6 +1042,10 @@ PASS_FAULTS = {
                   "recirculating"),
     "latency": (36, 281, {"core": divert_from_s2_takes_next_seq}, TimingFault,
                 "cycle 283: block 8 completed after 114 cycles, expected 115"),
+    "never_admitted": (36, 281, {"core": seq_never_admitted}, TimingFault,
+                       "cycle 283: block 40 completed without an admission"),
+    "admitted_later": (36, 281, {"core": seq_admitted_later}, TimingFault,
+                       "cycle 283: block 15 completed without an admission"),
     # The S11 reset before the fourth word's arrival in the second batch is
     # dropped: the arriving word meets the S11 value of the word diverted
     # seven cycles before its admission, on the cycle it arrives. The fused
@@ -1048,6 +1093,27 @@ def test_fault_inside_a_pass_names_its_own_cycle(monkeypatch, name):
     assert trace.getvalue() == stepped_trace.getvalue()
     last = trace.getvalue().splitlines()[-1]
     assert last.startswith(f"cycle={passed.cycle - 1} ")
+
+
+def drop_the_final_word(ks, dp):
+    # The final key-add input rank's word, block 6, loses its valid bit, so
+    # its output is never written.
+    dp.fa_in_tag &= ~TAG_VALID
+
+
+def test_wedge_names_the_block_it_lost(monkeypatch):
+    # A run that loses an admitted block waits for it up to its cycle
+    # budget; the wedge names the first admitted block with no output.
+    jobs = mixed_jobs(36, seed=7)
+    passed, _ = run_with_pass_upset(monkeypatch, jobs, 281, core=drop_the_final_word)
+    stepped, _ = run_with_pass_upset(monkeypatch, jobs, 281, stepped=True,
+                                     core=drop_the_final_word)
+    assert type(passed) is type(stepped) is TimingFault
+    assert str(passed) == str(stepped) == (
+        "cycle 636: simulation exceeded its cycle budget (636); pipeline wedged; "
+        "block 6, admitted on cycle 167, never completed"
+    )
+    assert passed.cycle == stepped.cycle == 636
 
 
 def stray_mode_bit(ks, dp):

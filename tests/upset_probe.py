@@ -12,7 +12,9 @@ counter, and bits drawn with a seeded generator from the track chains and
 from the S2, S8, S9 and S11 data ranks. A second line counts, apart from
 them, the upsets of the low ``TAG_BITS`` bits (valid, slot and mode) of
 each of the datapath's four edge tag ranks, the initial and final key-add
-instances' input and output tags.
+instances' input and output tags. A third counts the upsets of the low
+``TAG_BITS`` bits of each loop slot's entry in the datapath's sequence-id
+table ``dp.seqs``.
 
 Run it with ``PYTHONPATH=src:tests python3 tests/upset_probe.py [seed]``.
 """
@@ -63,6 +65,17 @@ def edge_upsets():
             for name in _EDGE_TAGS for bit in range(TAG_BITS)]
 
 
+def seq_upsets():
+    """Each upset of a low bit of a slot's sequence id as ``(label, apply(ctrl, dp, ks))``."""
+    chosen = []
+    for slot in range(NUM_LOOP_STAGES):
+        for bit in range(TAG_BITS):
+            def seq(c, d, k, slot=slot, bit=bit):
+                d.seqs[slot] ^= 1 << bit
+            chosen.append((f"dp.seqs[{slot}][{bit}]", seq))
+    return chosen
+
+
 def outcome(apply, stepped, jobs):
     """The run's outputs, or its fault's class, message and cycle."""
     def upset(ctrl, dp, ks):
@@ -92,7 +105,8 @@ def disagreements(chosen):
 
 if __name__ == "__main__":
     for name, chosen in (("Upset probe", upsets(*map(int, sys.argv[1:]))),
-                         ("Edge tag upsets", edge_upsets())):
+                         ("Edge tag upsets", edge_upsets()),
+                         ("Sequence-id upsets", seq_upsets())):
         differ, total = disagreements(chosen)
         kinds = {}
         for label in differ:
