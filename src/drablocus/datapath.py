@@ -68,7 +68,7 @@ from itertools import compress, repeat
 from operator import is_not, itemgetter, lshift
 from typing import NamedTuple, Sequence
 
-from .aesref import _DEC_SHIFT, _ENC_SHIFT, NUM_ROUNDS
+from .aesref import _DEC_ROWS, _DEC_SHIFT, _ENC_ROWS, _ENC_SHIFT, NUM_ROUNDS
 from .fabric import BramModel, DspXorSlice, Register
 from .faults import CollisionError, KeyStoreFault, ProtocolError, SimulationFault
 from .tables import MODE_DECRYPT, build_mixcolumns_image, build_sbox_image, key_store_address
@@ -119,7 +119,7 @@ _VALID11 = TAG_VALID << _TAG_WRAP_SHIFT
 _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 
 # Row shift of a 16-byte state, per mode bit.
-_SHIFT_ROWS = (itemgetter(*_ENC_SHIFT), itemgetter(*_DEC_SHIFT))
+_SHIFT_ROWS = (_ENC_ROWS, _DEC_ROWS)
 _ZERO_STATE = (0,) * 16
 # The tap record of a cycle that carries no tag.
 _UNTAGGED = (0, 0, 0, bytes(16), _ZERO_STATE, 0, 0)

@@ -11,22 +11,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .textlines import split_lines
 
 BLOCK_BITS = 128
-
-_RESOURCE_FIELDS = ("slices", "luts", "flip_flops", "brams", "dsps")
 
 
 class CatalogError(ValueError):
     """Bad catalog contents or an unknown entry name."""
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(NamedTuple):
     """Component counts; None marks a figure the source did not disclose."""
 
     slices: int | None = None
@@ -37,9 +35,8 @@ class ResourceVector:
 
     def _componentwise(self, other: "ResourceVector", op) -> "ResourceVector":
         """``op`` per component; a component unknown on either side stays unknown."""
-        pairs = ((getattr(self, f), getattr(other, f)) for f in _RESOURCE_FIELDS)
         return ResourceVector(
-            *(None if a is None or b is None else op(a, b) for a, b in pairs)
+            *(None if a is None or b is None else op(a, b) for a, b in zip(self, other))
         )
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
@@ -49,8 +46,7 @@ class ResourceVector:
         return self._componentwise(other, operator.sub)
 
 
-@dataclass(frozen=True)
-class DesignCatalogEntry:
+class DesignCatalogEntry(NamedTuple):
     name: str
     device: str
     total: ResourceVector
@@ -58,19 +54,17 @@ class DesignCatalogEntry:
     frequency_mhz: float | None = None
     latency_cycles: int | None = None
     throughput_mbps: float | None = None
-    power_mw: dict[str, float] = field(default_factory=dict)
+    power_mw: Mapping[str, float] = MappingProxyType({})
     bram_utilization: float | None = None
     energy_nws: float | None = None
 
 
-@dataclass(frozen=True)
-class DeviceCatalogEntry:
+class DeviceCatalogEntry(NamedTuple):
     name: str
     capacity: ResourceVector
 
 
-@dataclass(frozen=True)
-class AcceleratorCatalogEntry:
+class AcceleratorCatalogEntry(NamedTuple):
     name: str
     device: str
     usage: ResourceVector
@@ -98,8 +92,7 @@ def energy_per_block_nws(
     return total_power_mw * block_bits / throughput_mbps
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     design: str
     bram_utilization: float
     mbps_per_lut: float | None
@@ -142,8 +135,7 @@ def efficiency_report(
     )
 
 
-@dataclass(frozen=True)
-class ColocationResult:
+class ColocationResult(NamedTuple):
     device: str
     accelerator: str
     design: str
@@ -250,9 +242,9 @@ def parse_catalog(text: str) -> Catalog:
         if kind != "device" and "device" not in fields:
             raise CatalogError(f"line {header_lines[section]}: {kind} {name!r} needs a device")
         # Devices and accelerators carry slices, brams and dsps only.
-        total = ResourceVector(*(fields.get(f) for f in _RESOURCE_FIELDS))
+        total = ResourceVector(*(fields.get(f) for f in ResourceVector._fields))
         if kind == "design":
-            dp_fields = [fields.get(f"datapath_{f}") for f in _RESOURCE_FIELDS]
+            dp_fields = [fields.get(f"datapath_{f}") for f in ResourceVector._fields]
             datapath = (
                 ResourceVector(*dp_fields) if any(v is not None for v in dp_fields) else None
             )

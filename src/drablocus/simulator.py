@@ -43,7 +43,8 @@ checked the first cycle. Every pass commits the datapath, the controller
 and the key store once each, over all the cycles it covers (each resume
 of the key-store program commits the cycle before it), and writes its
 trace in one call from the taps the datapath records on each cycle.
-``RunSummary.passes`` counts the passes.
+``RunResult.passes`` counts the passes; the summary records what the run
+took, which is the same however the passes are cut.
 
 File formats (stable, line-delimited):
 
@@ -138,36 +139,21 @@ class Job(_JobFields):
         return super().__new__(cls, seq, mode, block)
 
 
-class RunSummary:
-    """What a run took, cycle by cycle. Runs fill it in as they go; two
-    summaries are equal when all their fields but ``fused_cycles`` are.
+class RunSummary(NamedTuple):
+    """What a run took, cycle by cycle: a planned, a traced and a stepped run
+    of the same jobs take the same.
 
     The admission cycles are the one per-job record: the run checks that
     every block completes BLOCK_LATENCY cycles after its admission, so the
     completions, the latencies and the count of blocks follow from them."""
 
+    total_cycles: int
+    key_init_cycles: int
+    admission_cycles: dict[int, int]
+
     # The tracking registers' flush before the run, and the first run cycle.
     flush_cycles = TRACK_CYCLES
     run_start_cycle = RUN_START_CYCLE
-
-    def __init__(self, total_cycles: int = 0, key_init_cycles: int = 0, passes: int = 0,
-                 fused_cycles: int = 0, admission_cycles: dict[int, int] | None = None) -> None:
-        self.total_cycles = total_cycles
-        self.key_init_cycles = key_init_cycles
-        # The passes, one datapath call each.
-        self.passes = passes
-        # Cycles computed in fused rounds (all but an untraced run pass's last
-        # two): how, not what, so not compared.
-        self.fused_cycles = fused_cycles
-        self.admission_cycles = {} if admission_cycles is None else admission_cycles
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return {**vars(self), "fused_cycles": 0} == {**vars(other), "fused_cycles": 0}
-
-    def __repr__(self) -> str:
-        return f"RunSummary({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def blocks_completed(self) -> int:
@@ -212,10 +198,16 @@ class CadenceReport(NamedTuple):
 
 
 class RunResult(NamedTuple):
+    """A run's outputs, what it took, and how it computed them."""
+
     outputs: dict[int, bytes]
     summary: RunSummary
     # The 32-word key-store image the run's key schedule wrote.
     key_store: tuple[int, ...]
+    # The passes, one datapath call each, and the cycles computed in fused
+    # rounds (all but an untraced run pass's last two).
+    passes: int
+    fused_cycles: int
 
 
 # Trace text. Every line of a cycle starts with its ``cycle=<n>`` text,
@@ -272,8 +264,7 @@ class PipelineSimulator:
         # Jobs are admitted in order: those before ``taken`` are admitted.
         taken = 0
         outputs: dict[int, bytes] = {}
-        summary = RunSummary()
-        admission_cycles = summary.admission_cycles
+        admission_cycles: dict[int, int] = {}
         budget = cycle_budget(len(jobs))
         # The cycle after the last completion, once the last job is admitted.
         run_end = budget
@@ -360,11 +351,8 @@ class PipelineSimulator:
                 self._emit_trace(trace, cycle, taps[:offset], completions, fsm, waiting, admissions)
             raise
 
-        summary.total_cycles = ctrl.cycle
-        summary.passes = passes
-        summary.fused_cycles = dp.fused_cycles
-        summary.key_init_cycles = ks.init_cycles
-        return RunResult(outputs=outputs, summary=summary, key_store=tuple(ks.image))
+        summary = RunSummary(ctrl.cycle, ks.init_cycles, admission_cycles)
+        return RunResult(outputs, summary, tuple(ks.image), passes, dp.fused_cycles)
 
     @staticmethod
     def _emit_trace(trace: IO[str], cycle: int, taps: list, completions: list, fsm: str,

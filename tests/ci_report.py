@@ -16,7 +16,10 @@ process pays, ``import drablocus`` and ``PipelineSimulator()``: the
 median wall time of 5 fresh interpreters on a copy of the package with
 no bytecode, once compiling the source each time and once reading the
 bytecode an untimed first interpreter wrote, and the ``gf_mul`` calls
-the set-up makes. Then the golden reference's speed, in a fresh
+the set-up makes; and the CLI's start-up, ``import drablocus.cli`` on
+top of ``import drablocus``, which every ``drablocus`` command pays
+before its parser runs, as the median of 5 fresh interpreters reading
+bytecode. Then the golden reference's speed, in a fresh
 interpreter: the best of 7 repeats of 1,000 calls, in µs per call, of
 ``aesref.encrypt_block`` and ``aesref.decrypt_block`` with keys expanded
 beforehand, and of ``aesref.key_expand`` and
@@ -66,7 +69,9 @@ def code_lines(text: str) -> int:
 
 
 SET_UP = "import drablocus\ndrablocus.PipelineSimulator()\n"
-TIME_SET_UP = f"import time\nstart = time.perf_counter()\n{SET_UP}print(time.perf_counter() - start)\n"
+TIMED = "import time\nstart = time.perf_counter()\n{}print(time.perf_counter() - start)\n"
+TIME_SET_UP = TIMED.format(SET_UP)
+TIME_CLI_START_UP = "import drablocus\n" + TIMED.format("import drablocus.cli\n")
 COUNT_GF_MUL = (
     "import sys\n"
     "calls = []\n"
@@ -97,12 +102,13 @@ def fresh_interpreter(code: str, src: str, write_bytecode: bool = False) -> str:
                           check=True, timeout=60).stdout
 
 
-def set_up_ms(write_bytecode: bool) -> float:
-    """Median ms of 5 fresh set-ups on a copy of the package, after an untimed one."""
+def set_up_ms(write_bytecode: bool, timed: str = TIME_SET_UP) -> float:
+    """Median ms that ``timed`` prints in 5 fresh interpreters on a copy of
+    the package, after an untimed one."""
     with tempfile.TemporaryDirectory() as src:
         shutil.copytree("src/drablocus", Path(src, "drablocus"),
                         ignore=shutil.ignore_patterns("__pycache__"))
-        times = [float(fresh_interpreter(TIME_SET_UP, src, write_bytecode)) for _ in range(6)]
+        times = [float(fresh_interpreter(timed, src, write_bytecode)) for _ in range(6)]
     return statistics.median(times[1:]) * 1000
 
 
@@ -121,22 +127,22 @@ def main() -> None:
     # First, while no run of this interpreter has built the fused tables.
     first = python_calls_per_cycle(sim, **fresh)
     print(f"Python calls per cycle: fresh key as a new interpreter's first run {first:.2f}")
-    untraced = sim.run(FIPS_KEY, mixed_jobs(120, seed=0xD12AB)).summary
+    untraced = sim.run(FIPS_KEY, mixed_jobs(120, seed=0xD12AB))
     print(f"Python calls per cycle: untraced {python_calls_per_cycle(sim):.3f} "
-          f"({untraced.fused_cycles / untraced.total_cycles:.3f} of its cycles fused), "
+          f"({untraced.fused_cycles / untraced.summary.total_cycles:.3f} of its cycles fused), "
           f"traced {python_calls_per_cycle(sim, trace=io.StringIO()):.2f}, "
           f"fresh key {python_calls_per_cycle(sim, **fresh):.2f}, traced fresh key "
           f"{python_calls_per_cycle(sim, trace=io.StringIO(), **fresh):.2f}")
     resumes, step = [], KeyScheduler._init_cycle
     KeyScheduler._init_cycle = lambda self, s1, s8: resumes.append(s1) or step(self, s1, s8)
     try:
-        summary = sim.run(**fresh).summary
+        passes = sim.run(**fresh).passes
         untraced_steps = len(resumes) - 1
         resumes.clear()
         sim.run(**fresh, trace=io.StringIO())
     finally:
         KeyScheduler._init_cycle = step
-    print(f"Fresh-key run: {summary.passes} passes; key-initialization cycles stepped: "
+    print(f"Fresh-key run: {passes} passes; key-initialization cycles stepped: "
           f"untraced {untraced_steps}, traced {len(resumes) - 1}")
     jobs = mixed_jobs(MEMORY_JOBS, seed=MEMORY_JOBS)
     tracemalloc.start()
@@ -149,7 +155,9 @@ def main() -> None:
           f"{peak / MEMORY_JOBS:.0f} B a job at its peak")
     print(f"Set-up (import drablocus; PipelineSimulator()), median of 5 fresh interpreters: "
           f"{set_up_ms(False):.1f} ms compiling the source, {set_up_ms(True):.1f} ms from "
-          f"bytecode; gf_mul calls {fresh_interpreter(COUNT_GF_MUL, 'src').strip()}")
+          f"bytecode; gf_mul calls {fresh_interpreter(COUNT_GF_MUL, 'src').strip()}; CLI start-up "
+          f"(import drablocus.cli after import drablocus) "
+          f"{set_up_ms(True, TIME_CLI_START_UP):.1f} ms from bytecode")
     times = fresh_interpreter(TIME_ORACLE, "src").split()
     print("Oracle, us per call, best of 7 x 1,000 in a fresh interpreter: " + ", ".join(
         f"{call.split('(')[0]} {float(us):.2f}" for call, us in zip(ORACLE_CALLS, times))

@@ -115,13 +115,14 @@ def test_trace_writer_matches_reference_rendering_every_cycle(monkeypatch, fresh
 
     monkeypatch.setattr(Controller, "begin_cycle", deciding)
     monkeypatch.setattr(Controller, "check_against", rendering)
-    summary = PipelineSimulator().run(key, jobs).summary
+    result = PipelineSimulator().run(key, jobs)
     monkeypatch.undo()
     trace = io.StringIO()
-    planned = PipelineSimulator().run(key, jobs, trace=trace).summary
+    planned = PipelineSimulator().run(key, jobs, trace=trace)
 
-    assert planned.passes < summary.passes == len(stepped) == summary.total_cycles
-    assert trace.getvalue() == "".join(stepped[cycle][2] for cycle in range(summary.total_cycles))
+    total = result.summary.total_cycles
+    assert planned.passes < result.passes == len(stepped) == total
+    assert trace.getvalue() == "".join(stepped[cycle][2] for cycle in range(total))
     # Every FSM state, both stall values (once a block must wait) and every
     # tap were on the checked path.
     assert {fsm for fsm, _, _ in stepped.values()} == {"reset", "key_init", "flush", "run"}

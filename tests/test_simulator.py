@@ -17,7 +17,8 @@ from drablocus.controller import (
     FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET, Controller,
 )
 from drablocus.datapath import (
-    BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, DatapathTables, RoundDatapath,
+    BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES, DatapathTables,
+    RoundDatapath,
 )
 from drablocus.keyschedule import KEY_INIT_CYCLES, KeyScheduler
 from drablocus.simulator import (
@@ -111,11 +112,37 @@ def test_summary_completions_are_the_ones_the_datapath_returns(sim, monkeypatch,
                for seq, cycle in summary.admission_cycles.items())
 
 
+# The width of each data rank's register, and of the tag rank's 12 fields.
+RANK_WIDTHS = {
+    **dict.fromkeys(("s0", "s1", "s2", "s8", "s11", "ia_out", "fa_out"), 128),
+    **dict.fromkeys(("s3", "s4", "s5"), 512),
+    "s6": 384,
+    **dict.fromkeys(("s7", "s9", "s10", "ia_in", "fa_in"), 256),
+    "tags": TAG_BITS * NUM_LOOP_STAGES,
+}
+EDGE_TAGS = ("ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag")
+
+
+def misfit_ranks(dp):
+    """The ranks of ``dp`` that do not fit their registers: a rank wider
+    than its register, a field of the tag rank with bits but no valid bit,
+    or an edge tag with bits but no valid bit."""
+    misfits = [name for name, width in RANK_WIDTHS.items()
+               if not 0 <= getattr(dp, name) < 1 << width]
+    fields = (dp.tags >> TAG_BITS * k & (1 << TAG_BITS) - 1 for k in range(NUM_LOOP_STAGES))
+    if any(field and not field & TAG_VALID for field in fields):
+        misfits.append("tags")
+    return misfits + [name for name in EDGE_TAGS
+                      if getattr(dp, name) and not getattr(dp, name) & TAG_VALID]
+
+
 @pytest.mark.parametrize("way", ["planned", "capped", "stepped", "traced"])
 def test_every_rank_and_tag_of_the_core_is_an_int(sim, monkeypatch, way):
     # One tag format in the core: after every commit each register rank and
     # tag of the datapath holds an int, and each planned admission and each
     # completion carries its word's tag as an int; Word is only a view.
+    # Each rank also fits its register, and each tag field and edge tag is
+    # zero or has its valid bit set.
     if way == "capped":
         cap_passes(monkeypatch, 97)
     elif way == "stepped":
@@ -123,15 +150,19 @@ def test_every_rank_and_tag_of_the_core_is_an_int(sim, monkeypatch, way):
     not_ranks = {"seqs", "fused_cycles", "_sbox", "_lanes", "_tables", "_next"}
     ranks = [name for name in RoundDatapath.__slots__ if name not in not_ranks]
     commit_cycle, compute_cycle = RoundDatapath.commit_cycle, RoundDatapath.compute_cycle
-    admit, strays, seen = Controller.admit, Counter(), Counter()
+    admit, strays, seen, misfits = Controller.admit, Counter(), Counter(), []
 
     def checked_commit(self):
         commit_cycle(self)
         seen["commits"] += 1
         strays.update(name for name in ranks if type(getattr(self, name)) is not int)
+        if not strays:
+            # The committed state is that of the cycle after the pass.
+            misfits.extend(f"{name} on cycle {seen['cycles']}" for name in misfit_ranks(self))
 
     def checked_compute(self, **kwargs):
         completions = compute_cycle(self, **kwargs)
+        seen["cycles"] += len(kwargs["plan"])
         seen["completions"] += len(completions)
         strays.update("completion" for _, tag, _ in completions if type(tag) is not int)
         return completions
@@ -146,10 +177,13 @@ def test_every_rank_and_tag_of_the_core_is_an_int(sim, monkeypatch, way):
     monkeypatch.setattr(RoundDatapath, "compute_cycle", checked_compute)
     monkeypatch.setattr(Controller, "admit", checked_admit)
     trace = io.StringIO() if way == "traced" else None
-    summary = sim.run(FIPS_KEY, mixed_jobs(300, seed=300), trace=trace).summary
+    result = sim.run(FIPS_KEY, mixed_jobs(300, seed=300), trace=trace)
     assert "tags" in ranks and "ia_in_tag" in ranks and "fa_out_tag" in ranks
+    assert set(RANK_WIDTHS) | set(EDGE_TAGS) == set(ranks)
     assert not strays
-    assert seen == {"commits": summary.passes, "completions": 300, "admissions": 300}
+    assert not misfits
+    assert seen == {"commits": result.passes, "cycles": result.summary.total_cycles,
+                    "completions": 300, "admissions": 300}
 
 
 def test_stalls_and_peak_occupancy_follow_from_the_admission_cycles(sim):
@@ -180,7 +214,7 @@ def test_stalls_and_peak_occupancy_follow_from_the_admission_cycles(sim):
     # At the window's edges: two admissions 110 cycles apart share a cycle
     # in the loop, 111 apart they do not.
     for admitted, peak, stalls in (([], 0, 0), ([0], 1, 0), ([0, 110], 2, 109), ([0, 111], 1, 110)):
-        summary = RunSummary(admission_cycles={
+        summary = RunSummary(0, 0, {
             seq: RUN_START_CYCLE + offset for seq, offset in enumerate(admitted)})
         assert (summary.max_loop_occupancy, summary.stall_cycles) == (peak, stalls)
 
@@ -264,13 +298,22 @@ def test_job_freezes_its_block(sim):
     assert sim.run(FIPS_KEY, [frozen]).outputs == {0: FIPS_CT}
 
 
-def test_run_summary_equality_ignores_only_fused_cycles():
-    fields = {"total_cycles": 400, "passes": 3, "admission_cycles": {0: 281}}
-    assert RunSummary(**fields, fused_cycles=100) == RunSummary(**fields, fused_cycles=7)
-    assert RunSummary(**fields) != RunSummary(**{**fields, "passes": 4})
-    assert RunSummary(**fields) != RunSummary(**{**fields, "admission_cycles": {0: 282}})
-    # Each summary starts with a dict of its own.
-    assert RunSummary().admission_cycles is not RunSummary().admission_cycles
+def test_runs_cut_in_different_passes_take_equal_summaries(sim):
+    # The summary holds what the run took, the result how it computed it: a
+    # planned, a traced, a capped and a stepped run of the same jobs take
+    # equal summaries in different numbers of passes.
+    jobs = mixed_jobs(60, seed=60)
+    results = {"planned": sim.run(FIPS_KEY, jobs),
+               "traced": sim.run(FIPS_KEY, jobs, trace=io.StringIO())}
+    for way, cycles in (("capped", 97), ("stepped", 1)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            cap_passes(monkeypatch, cycles)
+            results[way] = sim.run(FIPS_KEY, jobs)
+    for way, result in results.items():
+        assert result.summary == results["planned"].summary, way
+    passes = [result.passes for result in results.values()]
+    assert len(set(passes)) == len(passes), passes
+    assert results["stepped"].passes == results["stepped"].summary.total_cycles
 
 
 def test_set_up_imports_no_dataclasses():
@@ -512,13 +555,14 @@ def test_fresh_key_run_takes_one_pass_per_phase(sim, monkeypatch):
     # completion.
     plans = []
     passes = passes_by_phase(monkeypatch, plans)
-    summary = sim.run(random.Random(0x6B01).randbytes(16), mixed_jobs(1, seed=107)).summary
+    result = sim.run(random.Random(0x6B01).randbytes(16), mixed_jobs(1, seed=107))
+    summary = result.summary
     assert passes == {RESET: 1, KEY_INIT: 1, FLUSH: 1, RUN: 1}
     assert [fsm for fsm, _ in plans] == [RESET, KEY_INIT, FLUSH, RUN]
     assert [plan for _, plan in plans[:3]] == [
         [HOLD], [HOLD] * (KEY_INIT_CYCLES + 1), [HOLD] * TRACK_CYCLES,
     ]
-    assert (summary.total_cycles, summary.passes, summary.fused_cycles) == (277, 4, 114)
+    assert (summary.total_cycles, result.passes, result.fused_cycles) == (277, 4, 114)
     assert summary.key_init_cycles == KEY_INIT_CYCLES
     assert summary.flush_cycles == TRACK_CYCLES
 
@@ -564,9 +608,10 @@ def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatc
     monkeypatch.setattr(Controller, "admit", counted_admit)
     plans = []
     passes = passes_by_phase(monkeypatch, plans)
-    summary = sim.run(FIPS_KEY, mixed_jobs(500, seed=0x5A7)).summary
+    result = sim.run(FIPS_KEY, mixed_jobs(500, seed=0x5A7))
+    summary = result.summary
     assert summary.max_loop_occupancy == NUM_LOOP_STAGES
-    assert sum(passes.values()) == summary.passes
+    assert sum(passes.values()) == result.passes
     assert admitted == [
         sum(entry[0] is not None for entry in plan) for _, plan in plans
         if any(entry[0] is not None for entry in plan)
@@ -577,7 +622,7 @@ def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatc
     assert periods > 40
     assert passes[RUN] <= 2 * periods, f"{passes[RUN]} passes over {periods:.2f} batch periods"
     assert passes == {RESET: 1, KEY_INIT: 1, FLUSH: 1, RUN: 1} and admitted == [500]
-    assert (summary.total_cycles, summary.stall_cycles, summary.passes) == (5204, 4428, 4)
+    assert (summary.total_cycles, summary.stall_cycles, result.passes) == (5204, 4428, 4)
 
 
 class TestJobFile:
@@ -626,7 +671,7 @@ def test_passes_end_within_the_longest_pass(sim, monkeypatch):
     result = sim.run(FIPS_KEY, jobs)
     lengths = [len(plan) for fsm, plan in plans if fsm == RUN]
     assert lengths == [PASS_CYCLES, result.summary.total_cycles - RUN_START_CYCLE - PASS_CYCLES]
-    assert passes[RUN] == 2 and result.summary.passes == 5
+    assert passes[RUN] == 2 and result.passes == 5
     assert result.summary.max_loop_occupancy == NUM_LOOP_STAGES
     keys = {MODE_ENCRYPT: aesref.key_expand(FIPS_KEY),
             MODE_DECRYPT: aesref.key_expand_equivalent_inverse(FIPS_KEY)}

@@ -123,14 +123,6 @@ def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_
     return result, states, pass_ends
 
 
-def summary_fields(summary):
-    """The summary's fields but the counts of how its cycles were computed."""
-    fields = vars(summary).copy()
-    fields.pop("fused_cycles")
-    fields.pop("passes")
-    return fields
-
-
 def flipped_images(corrupt):
     """The S-box and product-RAM images, with one entry of the ``corrupt``
     one flipped: an S-box entry of the decrypt half, or a product entry of
@@ -164,17 +156,17 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
     passed, states, pass_ends = committed_states(monkeypatch, key, jobs, **images)
     stepped, reference, no_passes = committed_states(monkeypatch, key, jobs, stepped=True, **images)
 
-    assert passed.summary.passes < stepped.summary.passes == stepped.summary.total_cycles
+    assert passed.passes < stepped.passes == stepped.summary.total_cycles
     assert len(pass_ends) > 0 and no_passes == []
     # The run phase is one pass, which computes all of its cycles in fused
     # windows but its last two, events included.
-    assert passed.summary.fused_cycles == passed.summary.total_cycles - RUN_START_CYCLE - 2
-    assert stepped.summary.fused_cycles == 0
+    assert passed.fused_cycles == passed.summary.total_cycles - RUN_START_CYCLE - 2
+    assert stepped.fused_cycles == 0
     assert set(pass_ends) <= set(states)
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
     assert passed.outputs == stepped.outputs
-    assert summary_fields(passed.summary) == summary_fields(stepped.summary)
+    assert passed.summary == stepped.summary
     assert passed.summary.stall_cycles == stepped.summary.stall_cycles
     assert passed.summary.max_loop_occupancy == stepped.summary.max_loop_occupancy
 
@@ -262,13 +254,13 @@ def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, c
             assert max(lengths) == cap and offsets == set(range(cap)), cap
             # Both rules are taken.
             assert 0 < expected.count(0) < len(expected), cap
-        fused_after = [*fused_before[1:], passed.summary.fused_cycles]
+        fused_after = [*fused_before[1:], passed.fused_cycles]
         assert [b - a for a, b in zip(fused_before, fused_after)] == expected, cap
         assert set(pass_ends) <= set(states)
         for cycle, state in states.items():
             assert state == reference[cycle], f"cap {cap}, cycle {cycle}"
         assert passed.outputs == stepped.outputs
-        assert summary_fields(passed.summary) == summary_fields(stepped.summary)
+        assert passed.summary == stepped.summary
 
 
 # The cycle after the key-initialization phase, which ends on the cycle
@@ -504,7 +496,7 @@ def test_flush_pass_equals_stepped_cycles(monkeypatch, cap):
         assert states[cycle] == reference[cycle], f"cap {cap}, cycle {cycle}"
     lengths = [min(step, RUN_START_CYCLE - start) for start in starts]
     assert flushes == [(n, n >= NUM_LOOP_STAGES) for n in lengths]
-    assert stepped.summary.passes == stepped.summary.total_cycles
+    assert stepped.passes == stepped.summary.total_cycles
     assert passed.summary.total_cycles == stepped.summary.total_cycles
     assert passed.outputs == stepped.outputs
 
@@ -927,10 +919,9 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
     assert trace.getvalue() == stepped_trace.getvalue()
     assert untraced.outputs == traced.outputs == stepped.outputs
     assert untraced.key_store == traced.key_store == stepped.key_store
-    assert summary_fields(untraced.summary) == summary_fields(traced.summary)
-    assert summary_fields(traced.summary) == summary_fields(stepped.summary)
-    assert untraced.summary.passes == 4
-    assert 4 <= traced.summary.passes < stepped.summary.passes == stepped.summary.total_cycles
+    assert untraced.summary == traced.summary == stepped.summary
+    assert untraced.passes == 4
+    assert 4 <= traced.passes < stepped.passes == stepped.summary.total_cycles
 
 
 # Faults inside a pass. Each upset is made on a cycle that opens a pass in
@@ -1135,7 +1126,7 @@ def test_stray_mode_bit_falls_back_to_cycle_steps(monkeypatch):
     clean, clean_states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, ends=[upset[0]])
     passed, states, _ = committed_states(monkeypatch, FIPS_KEY, jobs, upset=upset)
     stepped, reference, _ = committed_states(monkeypatch, FIPS_KEY, jobs, stepped=True, upset=upset)
-    assert clean.summary.fused_cycles - passed.summary.fused_cycles == 114
+    assert clean.fused_cycles - passed.fused_cycles == 114
     for cycle, state in states.items():
         assert state == reference[cycle], f"cycle {cycle}"
     assert passed.outputs == stepped.outputs == clean.outputs
@@ -1323,9 +1314,9 @@ def test_fused_windows_run_untraced_only():
     jobs = mixed_jobs(36, seed=9)
     sim = PipelineSimulator()
     untraced, traced = sim.run(FIPS_KEY, jobs), sim.run(FIPS_KEY, jobs, trace=io.StringIO())
-    assert untraced.summary.fused_cycles == untraced.summary.total_cycles - RUN_START_CYCLE - 2
-    assert untraced.summary.fused_cycles >= 3 * 118
-    assert traced.summary.fused_cycles == 0
+    assert untraced.fused_cycles == untraced.summary.total_cycles - RUN_START_CYCLE - 2
+    assert untraced.fused_cycles >= 3 * 118
+    assert traced.fused_cycles == 0
     assert untraced.outputs == traced.outputs
 
 

@@ -14,7 +14,10 @@ them, the upsets of the low ``TAG_BITS`` bits (valid, slot and mode) of
 each of the datapath's four edge tag ranks, the initial and final key-add
 instances' input and output tags. A third counts the upsets of the low
 ``TAG_BITS`` bits of each loop slot's entry in the datapath's sequence-id
-table ``dp.seqs``.
+table ``dp.seqs``. A fourth counts the upsets of 4 bits, drawn with a
+seeded generator, of each data rank the first line does not sample: S0,
+S1, S3 to S7, S10 and the initial and final key-add instances' input and
+output ranks.
 
 Run it with ``PYTHONPATH=src:tests python3 tests/upset_probe.py [seed]``.
 """
@@ -32,11 +35,19 @@ from test_faults import FIPS_KEY, mixed_jobs
 UPSET_CYCLE = 281
 _RANK_BITS = TAG_BITS * NUM_LOOP_STAGES
 _DATA_BITS = {"s2": 128, "s8": 128, "s9": 256, "s11": 128}
+# The data ranks the first line does not sample, by width.
+_UNSAMPLED_BITS = {"s0": 128, "s1": 128, "s3": 512, "s4": 512, "s5": 512, "s6": 384, "s7": 256,
+                   "s10": 256, "ia_in": 256, "ia_out": 128, "fa_in": 256, "fa_out": 128}
 _EDGE_TAGS = ("ia_in_tag", "ia_out_tag", "fa_in_tag", "fa_out_tag")
 
 
 def flip(target, name, bit):
     setattr(target, name, getattr(target, name) ^ 1 << bit)
+
+
+def dp_upset(name, bit):
+    """The upset of bit ``bit`` of the datapath's rank ``name`` as ``(label, apply)``."""
+    return f"dp.{name}[{bit}]", lambda c, d, k: flip(d, name, bit)
 
 
 def upsets(seed=0x16, track_bits=150, data_bits=40):
@@ -54,15 +65,13 @@ def upsets(seed=0x16, track_bits=150, data_bits=40):
                 k.round_counters[slot] ^= 1 << bit
             chosen.append((f"counter[{slot}][{bit}]", counter))
     ranks = [(name, bit) for name, width in _DATA_BITS.items() for bit in range(width)]
-    chosen += [(f"dp.{name}[{bit}]", lambda c, d, k, name=name, bit=bit: flip(d, name, bit))
-               for name, bit in sorted(rng.sample(ranks, data_bits))]
+    chosen += [dp_upset(name, bit) for name, bit in sorted(rng.sample(ranks, data_bits))]
     return chosen
 
 
 def edge_upsets():
     """Each upset of an edge tag rank's field bits as ``(label, apply(ctrl, dp, ks))``."""
-    return [(f"dp.{name}[{bit}]", lambda c, d, k, name=name, bit=bit: flip(d, name, bit))
-            for name in _EDGE_TAGS for bit in range(TAG_BITS)]
+    return [dp_upset(name, bit) for name in _EDGE_TAGS for bit in range(TAG_BITS)]
 
 
 def seq_upsets():
@@ -74,6 +83,14 @@ def seq_upsets():
                 d.seqs[slot] ^= 1 << bit
             chosen.append((f"dp.seqs[{slot}][{bit}]", seq))
     return chosen
+
+
+def unsampled_upsets():
+    """Each upset of 4 seeded bits of each data rank the first line does not
+    sample as ``(label, apply(ctrl, dp, ks))``."""
+    rng = random.Random(0x16)
+    return [dp_upset(name, bit) for name, width in _UNSAMPLED_BITS.items()
+            for bit in sorted(rng.sample(range(width), 4))]
 
 
 def outcome(apply, stepped, jobs):
@@ -106,7 +123,8 @@ def disagreements(chosen):
 if __name__ == "__main__":
     for name, chosen in (("Upset probe", upsets(*map(int, sys.argv[1:]))),
                          ("Edge tag upsets", edge_upsets()),
-                         ("Sequence-id upsets", seq_upsets())):
+                         ("Sequence-id upsets", seq_upsets()),
+                         ("Unsampled data-rank upsets", unsampled_upsets())):
         differ, total = disagreements(chosen)
         kinds = {}
         for label in differ:
