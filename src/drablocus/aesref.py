@@ -218,8 +218,13 @@ def key_expand_equivalent_inverse(key: bytes) -> RoundKeySet:
     9..1.
     """
     enc_keys, _, enc_ints = key_expand(key)
-    inner = [_rounds(enc_ints[r], (0,), _INV_MIX_BYTES) for r in range(NUM_ROUNDS - 1, 0, -1)]
-    keys = (enc_keys[NUM_ROUNDS], *[state.to_bytes(16, "big") for state in inner], enc_keys[0])
+    # One inverse-mix round per inner key, with no round key added.
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _INV_MIX_BYTES
+    inner = [t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7] ^ t8[b8] ^ t9[b9]
+             ^ t10[b10] ^ t11[b11] ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
+             for b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15
+             in enc_keys[NUM_ROUNDS - 1 : 0 : -1]]
+    keys = (enc_keys[NUM_ROUNDS], *map(int.to_bytes, inner, repeat(16), repeat("big")), enc_keys[0])
     ints = (enc_ints[NUM_ROUNDS], *inner, enc_ints[0])
     return tuple.__new__(RoundKeySet, (keys, DECRYPT, ints))
 

@@ -56,7 +56,9 @@ cycle's keys and injects. The power-up passes of held lines, a fresh
 key's initialization and the flush, it computes at once to the end state
 that follows from the tables and the key store. An untraced pass takes
 all but its last two cycles position-major, events included, each
-position's words in table-lookup rounds built from the model's images. A
+position's words in table-lookup rounds built from the model's images;
+the words that run all nine rounds inside it, when a mode has a loop's
+worth, go through their rounds together, one byte string per mode. A
 lockstep test replays a simulator run into both and compares every tap
 on every cycle.
 """
@@ -65,7 +67,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from operator import is_not, itemgetter, lshift
+from operator import is_not, itemgetter, lshift, or_
+from struct import unpack
 from typing import NamedTuple, Sequence
 
 from .aesref import _DEC_ROWS, _DEC_SHIFT, _ENC_ROWS, _ENC_SHIFT, NUM_ROUNDS
@@ -121,6 +124,10 @@ _CLEAR_TAG3 = ~(TAG_FIELD << 3 * TAG_BITS)
 # Row shift of a 16-byte state, per mode bit.
 _SHIFT_ROWS = (_ENC_ROWS, _DEC_ROWS)
 _ZERO_STATE = (0,) * 16
+# The row shift's moved bytes per mode bit, ``(to, at)``: byte ``to`` of its
+# output is byte ``at`` of its input, and row 0 stays.
+_ROW_MOVES = tuple(tuple((to, at) for to, at in enumerate(shift) if to != at)
+                   for shift in (_ENC_SHIFT, _DEC_SHIFT))
 # The tap record of a cycle that carries no tag.
 _UNTAGGED = (0, 0, 0, bytes(16), _ZERO_STATE, 0, 0)
 
@@ -403,6 +410,9 @@ class DatapathTables:
     by the other mode's row shift, as :mod:`~drablocus.aesref` builds its
     round tables, so byte i takes the table of the position the row shift
     moves it to.
+    ``fields[mode][f]``, built on first use, is the ``bytes.translate`` table
+    of byte f of each byte's substituted product entry, for rounds of many
+    words at once (:meth:`whole_legs`).
     ``power_up[flush]`` holds the ranks a key-initialization or flush pass
     ends on: the idle word, S2, its products and their S6, S7 and S8 folds.
     """
@@ -434,6 +444,45 @@ class DatapathTables:
                       for n in range(16)]
             fused.append(_SHIFT_ROWS[1 - mode](placed))
         return tuple(fused)
+
+    @cached_property
+    def fields(self):
+        return tuple(tuple([bytes(map(itemgetter(f), itemgetter(*s)(lanes[0]))) for f in range(4)])
+                     for s, lanes in zip(self.sbox, self.lanes))
+
+    def whole_legs(self, mode, legs, keys) -> list[tuple[int, int, int]]:
+        """The completions ``(offset, tag, data)`` of whole legs ``(value,
+        offset, tag)`` of one ``mode``, each value its word's S11 value on
+        admission, under ``keys``, the mode's nine main round keys and its
+        final key, as :meth:`RoundDatapath._window` would complete each.
+
+        Every round serves all the legs' words at once, their states joined
+        in one byte string: a gather of each byte the row shift moves, four
+        translates to fields 0..3 of each byte's product entry, fields 1..3
+        rotated right within their 32-bit columns, and their XOR with the key
+        in every word. The last round is the translate, gather and final key.
+        """
+        values, offsets, tags = zip(*legs)
+        n, moves, (f0, f1, f2, f3) = len(legs), _ROW_MOVES[mode], self.fields[mode]
+        # The low byte of every 32-bit column.
+        low = int.from_bytes(b"\0\0\0\xff" * 4 * n, "big")
+        x = b"".join(map(int.to_bytes, values, repeat(16), repeat("big")))
+        for r, key in enumerate(keys):
+            y = bytearray(x)
+            for to, at in moves:
+                y[to::16] = x[at::16]
+            if r < MAIN_ROUNDS:
+                # Field f rotated right by f bytes, as the fields folded from
+                # 3 down, each rotated right by one byte before the next joins.
+                a = int.from_bytes(y.translate(f3), "big")
+                for f in (f2, f1, f0):
+                    m = a & low
+                    a = int.from_bytes(y.translate(f), "big") ^ (a ^ m) >> 8 ^ m << 24
+            else:
+                a = int.from_bytes(y.translate(self.sbox[mode]), "big")
+            x = (a ^ int.from_bytes(key.to_bytes(16, "big") * n, "big")).to_bytes(16 * n, "big")
+        halves = unpack(f">{2 * n}Q", x)
+        return list(zip(offsets, tags, map(or_, map(lshift, halves[::2], repeat(64)), halves[1::2])))
 
 
 _tables_of = lru_cache(maxsize=1)(DatapathTables)
@@ -594,7 +643,10 @@ class RoundDatapath:
         traversal and it admits on neither cycle before them. Any other
         entry, a stray tag bit, a divert that finds no word or an arrival
         one, a slot live at two positions or a key read past round 9
-        declines, and the pass steps every cycle.
+        declines, and the pass steps every cycle. The window computes a
+        mode's whole legs, words admitted and diverted in it after nine
+        rounds, at once (:meth:`DatapathTables.whole_legs`) when the mode has
+        at least :data:`NUM_LOOP_STAGES` of them.
 
         Returns each completion of the pass as ``(offset, tag, data)``: the
         cycle's offset from the first, the tag of the word the final key-add
@@ -872,14 +924,20 @@ class RoundDatapath:
         be on its way in at the end, any other entry, or an event a check
         could fire on, declines. A position's diverts and arrivals
         alternate, so its legs run in turn: the starting word, then after
-        each divert the next arriving word, or what the last divert leaves."""
+        each divert the next arriving word, or what the last divert leaves.
+        A whole leg, an arriving word that reads all nine main keys and is
+        diverted before the next arrival at its position, feeds only its
+        completion: when the scan counts at least :data:`NUM_LOOP_STAGES` of
+        its mode, the leg only records its value, completion offset and tag,
+        and :meth:`DatapathTables.whole_legs` completes the mode's all at once
+        after the positions, every check having run on each."""
         end = cycles - 1
         if (end < NUM_LOOP_STAGES or plan[end - 1][0] or plan[end - 2][0]
                 or tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD)):
             return 0
         # Each position's event offsets, then ``end``. A divert needs a word
         # and an arrival a free S0, so from the start the two alternate.
-        events = [[] for _ in range(NUM_LOOP_STAGES)]
+        events, whole = [[] for _ in range(NUM_LOOP_STAGES)], [0, 0]
         occupied = [tags >> TAG_BITS * p & TAG_VALID for p in range(NUM_LOOP_STAGES)]
         for o in compress(range(end), map(is_not, plan[:end], repeat(QUIET))):
             admit, divert, initial_reset, main_reset = plan[o]
@@ -889,14 +947,18 @@ class RoundDatapath:
                     or divert and not occupied[at2]):
                 return 0
             if admit:
-                occupied[at11] = TAG_VALID
-                events[at11].append(o)
+                occupied[at11], at = TAG_VALID, events[at11]
+                # The word this position admitted two events back left after
+                # nine rounds: a whole leg, which this admission follows.
+                if len(at) > 1 and at[-1] - at[-2] == TRACK_CYCLES:
+                    whole[plan[at[-2]][0][2] & 1] += 1
+                at.append(o)
             if divert:
                 occupied[at2] = 0
                 events[at2].append(o)
         sbox, lanes, idle = self._sbox, self._lanes, image[0]
         out, done, owners, counts, entered, new_tags = [0] * 14, [], {}, counters[:], seqs[:], 0
-        probe, fused = type(counters)(counters), self._tables.fused
+        probe, fused, batch = type(counters)(counters), self._tables.fused, ([], [])
         for p, offsets in enumerate(events):
             code = tags >> TAG_BITS * p & TAG_FIELD
             e, m, slot = (p + end) % NUM_LOOP_STAGES, code & 1, code >> 1 & _SLOT_FIELD
@@ -930,8 +992,17 @@ class RoundDatapath:
                     if (reads and not 0 < first <= MAIN_ROUNDS + 1 - reads
                             or owners.setdefault(slot, p) != p):
                         return 0
-                    keys = image[m << 4 | first : (m << 4 | first) + reads]
                     counts[slot] = count + (stop - s8 + 11) // NUM_LOOP_STAGES
+                    # A whole leg feeds only its completion, as the next arrival
+                    # follows its divert. When its mode has a loop's worth of
+                    # them (all at once pays from about ten), it joins them,
+                    # computed at once after the positions.
+                    if (leg == "arriving" and reads == MAIN_ROUNDS and whole[m] >= NUM_LOOP_STAGES
+                            and stop < end > offsets[i + 1]):
+                        batch[m].append((v, stop + 2, tag))
+                        i += 1
+                        continue
+                    keys = image[m << 4 | first : (m << 4 | first) + reads]
                 if leg == "starting":
                     if stop < 11 - p:  # diverted before its S11 visit
                         u = v if p == 2 else _SHIFT_ROWS[m](v)
@@ -975,6 +1046,9 @@ class RoundDatapath:
             else:
                 out[e] = ((v ^ key) << 128 | key, (v ^ key) << 128 | key, v)[e - 9]
             new_tags |= field << TAG_BITS * e
+        for m, legs in enumerate(batch):
+            if legs:
+                done += self._tables.whole_legs(m, legs, image[m << 4 | 1 : m << 4 | 11])
         counters[:], seqs[:], self.fused_cycles = counts, entered, self.fused_cycles + end
         out[13] = image[(new_tags >> _TAG2_SHIFT & 1) << 4 | NUM_ROUNDS]
         ranks[:] = out + [new_tags]

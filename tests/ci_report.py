@@ -11,7 +11,13 @@ passes, and the key-initialization cycles the untraced and the traced
 fresh-key run step through the cycle loop (each one resume of the
 key-store program after the reset cycle's), and the bytes per job a
 completed 20,000-job untraced run retains and its peak bytes per job,
-both under ``tracemalloc``. Last, the set-up every
+both under ``tracemalloc``. Then the share of a 2,000-job untraced run's
+words its window computes in whole legs at once, and the cost of a
+word's round on the model's tables, in ns per word-round, best of 7 in
+this process: the batched calls on that run's whole legs, each call's
+time over its words' nine main rounds (its final round and the joins of
+its words included), beside the same words in bare per-word fused rounds,
+the rounds a smaller pass runs. Last, the set-up every
 process pays, ``import drablocus`` and ``PipelineSimulator()``: the
 median wall time of 5 fresh interpreters on a copy of the package with
 no bytecode, once compiling the source each time and once reading the
@@ -40,10 +46,12 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import timeit
 import tokenize
 import tracemalloc
 from pathlib import Path
 
+from drablocus.datapath import MAIN_ROUNDS, DatapathTables
 from drablocus.keyschedule import KeyScheduler
 from drablocus.simulator import PipelineSimulator
 from test_simulator import FIPS_KEY, mixed_jobs, python_calls_per_cycle
@@ -81,6 +89,7 @@ COUNT_GF_MUL = (
 )
 
 MEMORY_JOBS = 20_000
+BATCHED_JOBS = 2_000
 
 ORACLE_CALLS = ("encrypt_block(enc, block)", "decrypt_block(dec, block)", "key_expand(key)",
                 "key_expand_equivalent_inverse(key)")
@@ -110,6 +119,42 @@ def set_up_ms(write_bytecode: bool, timed: str = TIME_SET_UP) -> float:
                         ignore=shutil.ignore_patterns("__pycache__"))
         times = [float(fresh_interpreter(timed, src, write_bytecode)) for _ in range(6)]
     return statistics.median(times[1:]) * 1000
+
+
+def fused_rounds(fused, values, keys) -> None:
+    """Each of ``values`` through a bare fused round per key, as a window
+    runs a leg word by word."""
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15 = fused
+    for v in values:
+        for key in keys:
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = v.to_bytes(16, "big")
+            v = (f0[b0] ^ f1[b1] ^ f2[b2] ^ f3[b3] ^ f4[b4] ^ f5[b5] ^ f6[b6] ^ f7[b7] ^ f8[b8]
+                 ^ f9[b9] ^ f10[b10] ^ f11[b11] ^ f12[b12] ^ f13[b13] ^ f14[b14] ^ f15[b15] ^ key)
+
+
+def whole_leg_report(sim) -> str:
+    """The share of a saturated run's words computed in whole legs at once,
+    and ns per word-round of the batched round and of the per-word one."""
+    calls, whole_legs = [], DatapathTables.whole_legs
+    DatapathTables.whole_legs = lambda *call: calls.append(call) or whole_legs(*call)
+    try:
+        sim.run(FIPS_KEY, mixed_jobs(BATCHED_JOBS, seed=1))
+    finally:
+        DatapathTables.whole_legs = whole_legs
+    words = sum(len(legs) for _, _, legs, _ in calls)
+    batched = per_word = 0.0
+    for tables, mode, legs, keys in calls:
+        values = [v for v, _, _ in legs]
+        batched += min(timeit.repeat(lambda: whole_legs(tables, mode, legs, keys),
+                                     number=1, repeat=7))
+        per_word += min(timeit.repeat(
+            lambda: fused_rounds(tables.fused[mode], values, keys[:MAIN_ROUNDS]),
+            number=1, repeat=7))
+    rounds = words * MAIN_ROUNDS / 1e9
+    return (f"Whole legs of a {BATCHED_JOBS:,}-job untraced run: {words:,} of its words "
+            f"({words / BATCHED_JOBS:.1%}) at once in {len(calls)} calls; ns per word-round on "
+            f"the model's tables, best of 7: batched {batched / rounds:.0f}, per-word fused "
+            f"{per_word / rounds:.0f}")
 
 
 def main() -> None:
@@ -153,6 +198,7 @@ def main() -> None:
     print(f"Memory of a {MEMORY_JOBS:,}-job untraced run under tracemalloc: "
           f"{retained / MEMORY_JOBS:.0f} B a job retained once it ends, "
           f"{peak / MEMORY_JOBS:.0f} B a job at its peak")
+    print(whole_leg_report(sim))
     print(f"Set-up (import drablocus; PipelineSimulator()), median of 5 fresh interpreters: "
           f"{set_up_ms(False):.1f} ms compiling the source, {set_up_ms(True):.1f} ms from "
           f"bytecode; gf_mul calls {fresh_interpreter(COUNT_GF_MUL, 'src').strip()}; CLI start-up "

@@ -318,12 +318,15 @@ def test_runs_cut_in_different_passes_take_equal_summaries(sim):
 
 def test_set_up_imports_no_dataclasses():
     # -S keeps site-packages' .pth files, which may import anything, out.
-    code = "import sys, drablocus; drablocus.PipelineSimulator(); print('dataclasses' in sys.modules)"
+    # The CLI, which loads metrics, is imported too: every command pays it.
+    code = ("import sys, drablocus; drablocus.PipelineSimulator(); import drablocus.cli; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules, "
+            "'drablocus.metrics' in sys.modules)")
     src = str(Path(drablocus.__file__).parent.parent)
     done = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("key", ["0123456789abcdef", 16], ids=["str", "int"])

@@ -44,7 +44,7 @@ from drablocus.controller import (
 )
 from drablocus.datapath import (
     _SLOT_FIELD, BLOCK_LATENCY, MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES,
-    RoundDatapath, Word,
+    DatapathTables, RoundDatapath, Word,
 )
 from drablocus.faults import (
     CollisionError, ControlFault, KeyStoreFault, ProtocolError, SimulationFault, TimingFault,
@@ -169,6 +169,74 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
     assert passed.summary == stepped.summary
     assert passed.summary.stall_cycles == stepped.summary.stall_cycles
     assert passed.summary.max_loop_occupancy == stepped.summary.max_loop_occupancy
+
+
+def batched_calls(monkeypatch):
+    """The ``(mode, legs)`` of each call that computes a mode's whole legs at once."""
+    calls = []
+    whole_legs = DatapathTables.whole_legs
+
+    def recorded(self, mode, legs, keys):
+        calls.append((mode, len(legs)))
+        return whole_legs(self, mode, legs, keys)
+
+    monkeypatch.setattr(DatapathTables, "whole_legs", recorded)
+    return calls
+
+
+def jobs_holding(whole, seed):
+    """Jobs whose run holds ``whole[mode]`` whole legs of each mode: in a
+    run that admits every job as its slot frees, each job but the last
+    twelve is diverted in the run pass's window and followed by an arrival
+    at its loop position."""
+    rng = random.Random(seed)
+    modes = [MODE_ENCRYPT] * whole[MODE_ENCRYPT] + [MODE_DECRYPT] * whole[MODE_DECRYPT]
+    rng.shuffle(modes)
+    modes += rng.choices((MODE_ENCRYPT, MODE_DECRYPT), k=NUM_LOOP_STAGES)
+    return [Job(i, mode, rng.randbytes(16)) for i, mode in enumerate(modes)]
+
+
+def random_images(seed):
+    """An S-box image of two random permutations and a product image of
+    random 32-bit words, which no column mix, linear or not, gives."""
+    rng = random.Random(seed)
+    sbox = rng.sample(range(256), 256) + rng.sample(range(256), 256)
+    return {"sbox_image": sbox, "mc_image": [rng.getrandbits(32) for _ in range(512)]}
+
+
+# Whole legs per mode on both sides of the break-even of twelve, one mode
+# or both, and about forty; the last on random images too.
+@pytest.mark.parametrize("whole, images", [
+    ((11, 0), False), ((0, 12), False), ((13, 0), False), ((0, 40), False),
+    ((12, 11), False), ((11, 13), False), ((40, 12), False), ((13, 41), True),
+], ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else
+   "random-images" if value else "built-in")
+def test_whole_legs_at_once_match_stepping(monkeypatch, whole, images):
+    jobs = jobs_holding(whole, seed=sum(whole))
+    images = random_images(sum(whole)) if images else {}
+    calls, batched = batched_calls(monkeypatch), [
+        (mode, n) for mode, n in enumerate(whole) if n >= NUM_LOOP_STAGES]
+    passed = PipelineSimulator(**images).run(FIPS_KEY, jobs)
+    assert calls == batched
+    step_every_cycle(monkeypatch)
+    stepped = PipelineSimulator(**images).run(FIPS_KEY, jobs)
+    assert calls == batched and stepped.passes == stepped.summary.total_cycles
+    assert passed.outputs == stepped.outputs
+    assert passed.summary == stepped.summary
+    assert passed.fused_cycles == passed.summary.total_cycles - RUN_START_CYCLE - 2
+    assert stepped.fused_cycles == 0
+
+
+def test_a_full_loop_computes_each_mode_whole_legs_in_one_call(monkeypatch):
+    # A saturated run's one run pass completes nearly all of its words as
+    # whole legs; a run that fills the loop about once completes none so.
+    calls = batched_calls(monkeypatch)
+    PipelineSimulator().run(FIPS_KEY, mixed_jobs(500, seed=500))
+    assert sorted(mode for mode, _ in calls) == [MODE_ENCRYPT, MODE_DECRYPT]
+    assert min(legs for _, legs in calls) >= 200
+    calls.clear()
+    PipelineSimulator().run(FIPS_KEY, mixed_jobs(13, seed=13))
+    assert calls == []
 
 
 def test_steady_passes_give_each_position_one_divert_admission_and_reset():
