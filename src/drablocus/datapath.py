@@ -67,8 +67,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from operator import is_not, itemgetter, lshift, or_
-from struct import unpack
+from operator import is_not, itemgetter, lshift
+from struct import iter_unpack
 from typing import NamedTuple, Sequence
 
 from .aesref import _DEC_ROWS, _DEC_SHIFT, _ENC_ROWS, _ENC_SHIFT, NUM_ROUNDS
@@ -451,10 +451,11 @@ class DatapathTables:
                      for s, lanes in zip(self.sbox, self.lanes))
 
     def whole_legs(self, mode, legs, keys) -> list[tuple[int, int, int]]:
-        """The completions ``(offset, tag, data)`` of whole legs ``(value,
-        offset, tag)`` of one ``mode``, each value its word's S11 value on
-        admission, under ``keys``, the mode's nine main round keys and its
-        final key, as :meth:`RoundDatapath._window` would complete each.
+        """The completions ``(offset, tag, data)`` of whole legs of one
+        ``mode``, ``legs`` holding each leg's value, offset and tag in turn,
+        the value its word's S11 value on admission as 16 bytes, under
+        ``keys``, the mode's nine main round keys and its final key, as
+        :meth:`RoundDatapath._window` would complete each.
 
         Every round serves all the legs' words at once, their states joined
         in one byte string: a gather of each byte the row shift moves, four
@@ -462,11 +463,10 @@ class DatapathTables:
         rotated right within their 32-bit columns, and their XOR with the key
         in every word. The last round is the translate, gather and final key.
         """
-        values, offsets, tags = zip(*legs)
-        n, moves, (f0, f1, f2, f3) = len(legs), _ROW_MOVES[mode], self.fields[mode]
+        n, moves, (f0, f1, f2, f3) = len(legs) // 3, _ROW_MOVES[mode], self.fields[mode]
         # The low byte of every 32-bit column.
         low = int.from_bytes(b"\0\0\0\xff" * 4 * n, "big")
-        x = b"".join(map(int.to_bytes, values, repeat(16), repeat("big")))
+        x = b"".join(legs[::3])
         for r, key in enumerate(keys):
             y = bytearray(x)
             for to, at in moves:
@@ -481,8 +481,8 @@ class DatapathTables:
             else:
                 a = int.from_bytes(y.translate(self.sbox[mode]), "big")
             x = (a ^ int.from_bytes(key.to_bytes(16, "big") * n, "big")).to_bytes(16 * n, "big")
-        halves = unpack(f">{2 * n}Q", x)
-        return list(zip(offsets, tags, map(or_, map(lshift, halves[::2], repeat(64)), halves[1::2])))
+        words = map(int.from_bytes, map(itemgetter(0), iter_unpack("16s", x)), repeat("big"))
+        return list(zip(legs[1::3], legs[2::3], words))
 
 
 _tables_of = lru_cache(maxsize=1)(DatapathTables)
@@ -927,17 +927,18 @@ class RoundDatapath:
         each divert the next arriving word, or what the last divert leaves.
         A whole leg, an arriving word that reads all nine main keys and is
         diverted before the next arrival at its position, feeds only its
-        completion: when the scan counts at least :data:`NUM_LOOP_STAGES` of
-        its mode, the leg only records its value, completion offset and tag,
-        and :meth:`DatapathTables.whole_legs` completes the mode's all at once
-        after the positions, every check having run on each."""
+        completion. The scan finds each by its admission offset; when it
+        finds at least :data:`NUM_LOOP_STAGES` of a mode, each of that
+        mode's runs its checks and only records its value, completion offset
+        and tag, and :meth:`DatapathTables.whole_legs` completes them all at
+        once after the positions."""
         end = cycles - 1
         if (end < NUM_LOOP_STAGES or plan[end - 1][0] or plan[end - 2][0]
                 or tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD)):
             return 0
         # Each position's event offsets, then ``end``. A divert needs a word
         # and an arrival a free S0, so from the start the two alternate.
-        events, whole = [[] for _ in range(NUM_LOOP_STAGES)], [0, 0]
+        events, whole = [[] for _ in range(NUM_LOOP_STAGES)], (set(), set())
         occupied = [tags >> TAG_BITS * p & TAG_VALID for p in range(NUM_LOOP_STAGES)]
         for o in compress(range(end), map(is_not, plan[:end], repeat(QUIET))):
             admit, divert, initial_reset, main_reset = plan[o]
@@ -949,16 +950,17 @@ class RoundDatapath:
             if admit:
                 occupied[at11], at = TAG_VALID, events[at11]
                 # The word this position admitted two events back left after
-                # nine rounds: a whole leg, which this admission follows.
+                # nine rounds and this admission follows it: a whole leg, by
+                # its admission offset under its mode.
                 if len(at) > 1 and at[-1] - at[-2] == TRACK_CYCLES:
-                    whole[plan[at[-2]][0][2] & 1] += 1
+                    whole[plan[at[-2]][0][2] & 1].add(at[-2])
                 at.append(o)
             if divert:
                 occupied[at2] = 0
                 events[at2].append(o)
         sbox, lanes, idle = self._sbox, self._lanes, image[0]
         out, done, owners, counts, entered, new_tags = [0] * 14, [], {}, counters[:], seqs[:], 0
-        probe, fused, batch = type(counters)(counters), self._tables.fused, ([], [])
+        probe, fused, batch = type(counters)(counters), self._tables.fused, [[], []]
         for p, offsets in enumerate(events):
             code = tags >> TAG_BITS * p & TAG_FIELD
             e, m, slot = (p + end) % NUM_LOOP_STAGES, code & 1, code >> 1 & _SLOT_FIELD
@@ -993,13 +995,12 @@ class RoundDatapath:
                             or owners.setdefault(slot, p) != p):
                         return 0
                     counts[slot] = count + (stop - s8 + 11) // NUM_LOOP_STAGES
-                    # A whole leg feeds only its completion, as the next arrival
-                    # follows its divert. When its mode has a loop's worth of
-                    # them (all at once pays from about ten), it joins them,
-                    # computed at once after the positions.
-                    if (leg == "arriving" and reads == MAIN_ROUNDS and whole[m] >= NUM_LOOP_STAGES
-                            and stop < end > offsets[i + 1]):
-                        batch[m].append((v, stop + 2, tag))
+                    # A whole leg, as the scan found it, feeds only its
+                    # completion. When its mode has a loop's worth of them (all
+                    # at once pays from about ten), it joins them, computed at
+                    # once after the positions.
+                    if leg == "arriving" and len(whole[m]) >= NUM_LOOP_STAGES and a in whole[m]:
+                        batch[m] += v.to_bytes(16, "big"), stop + 2, tag
                         i += 1
                         continue
                     keys = image[m << 4 | first : (m << 4 | first) + reads]
@@ -1046,7 +1047,9 @@ class RoundDatapath:
             else:
                 out[e] = ((v ^ key) << 128 | key, (v ^ key) << 128 | key, v)[e - 9]
             new_tags |= field << TAG_BITS * e
-        for m, legs in enumerate(batch):
+        for m in (0, 1):
+            # Each mode's legs are let go as the next mode's call starts.
+            legs, batch[m] = batch[m], None
             if legs:
                 done += self._tables.whole_legs(m, legs, image[m << 4 | 1 : m << 4 | 11])
         counters[:], seqs[:], self.fused_cycles = counts, entered, self.fused_cycles + end

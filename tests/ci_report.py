@@ -49,6 +49,7 @@ import tempfile
 import timeit
 import tokenize
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 from drablocus.datapath import MAIN_ROUNDS, DatapathTables
@@ -141,10 +142,10 @@ def whole_leg_report(sim) -> str:
         sim.run(FIPS_KEY, mixed_jobs(BATCHED_JOBS, seed=1))
     finally:
         DatapathTables.whole_legs = whole_legs
-    words = sum(len(legs) for _, _, legs, _ in calls)
+    words = sum(len(legs) // 3 for _, _, legs, _ in calls)
     batched = per_word = 0.0
     for tables, mode, legs, keys in calls:
-        values = [v for v, _, _ in legs]
+        values = list(map(int.from_bytes, legs[::3], repeat("big")))
         batched += min(timeit.repeat(lambda: whole_legs(tables, mode, legs, keys),
                                      number=1, repeat=7))
         per_word += min(timeit.repeat(

@@ -172,12 +172,13 @@ def test_window_ends_match_per_cycle_stepping(monkeypatch, n_jobs, corrupt, fres
 
 
 def batched_calls(monkeypatch):
-    """The ``(mode, legs)`` of each call that computes a mode's whole legs at once."""
+    """The ``(mode, legs)`` of each call that computes a mode's whole legs at
+    once, ``legs`` their number."""
     calls = []
     whole_legs = DatapathTables.whole_legs
 
     def recorded(self, mode, legs, keys):
-        calls.append((mode, len(legs)))
+        calls.append((mode, len(legs) // 3))
         return whole_legs(self, mode, legs, keys)
 
     monkeypatch.setattr(DatapathTables, "whole_legs", recorded)
