@@ -33,14 +33,14 @@ shifts all twelve with one shift and one mask.
 
 Each pass of a run has one shape, and one controller call per duty.
 :meth:`Controller.begin_cycle` plans the pass from registered state alone
-(the FSM, the cycle, the track rank and the occupancy register): the
-lines of every cycle of the pass, the first included. In run, given the
-count of pending jobs and a limit, a pass lasts up to the limit or the
-last pending job's completion, however many batch periods that takes;
-its lines follow from those registers, since a divert waits for a track
-chain's final bit and an admission for its slot's chain to empty, so a
-saturated slot admits once a batch period.
-Outside run a pass holds :data:`HOLD` lines up to the end of its phase.
+(the FSM, the cycle, the track rank, the occupancy register and the
+arriving registers): the events of every cycle of the pass, the first
+included. In run, given the count of pending jobs and a limit, a pass
+lasts up to the limit or the last pending job's completion, however many
+batch periods that takes; its events follow from those registers, since a
+divert waits for a track chain's final bit and an admission for its
+slot's chain to empty, so a saturated slot admits once a batch period.
+Outside run a pass is held, with no event, up to the end of its phase.
 Power-up is a fixed program, so each phase before run ends on a constant
 cycle, read from one table: the reset cycle, key initialization up to
 :data:`KEY_READY_CYCLE`, the cycle the key schedule's program reports
@@ -49,20 +49,23 @@ reads nothing from the key store. The one line held over a pass,
 ``held_reset`` (rule 6), is a plain attribute, and the admission
 handshake is the plan's admission offsets: a waiting job stalls on every
 other cycle. :meth:`Controller.admit` writes the pass's jobs in order
-into the plan's entries of the cycles it admits on.
-:meth:`Controller.check_against` reconciles the registers and the first
-cycle's lines with the datapath's tags once the datapath has computed
-the pass. :meth:`Controller.commit` moves the registers over
-every cycle the plan covers, with the admissions and diverts it holds;
-no other method shifts them or moves the cycle.
+into the plan's words. :meth:`Controller.check_against` reconciles the
+registers and the first cycle's lines with the datapath's tags once the
+datapath has computed the pass. :meth:`Controller.commit` moves the
+registers over every cycle the plan covers, with the admissions and
+diverts it holds; no other method shifts them or moves the cycle.
 
-A plan is a list with one entry per cycle of the pass, each ``(admit,
-divert, initial_reset, main_reset)``, the lines the datapath takes. A
-cycle with no admission, divert or arriving word shares the one entry
-:data:`QUIET`, and every cycle outside run shares :data:`HOLD`; an event
-cycle has a list of its own, whose ``admit`` :meth:`Controller.admit`
-fills with the admitted job's block, initial key and tag, an int in the
-datapath's layout: ``seq << TAG_BITS | valid << 5 | slot << 1 | mode``.
+The plan is one :class:`~drablocus.datapath.Plan`, the only record of
+the pass's events from planning to commit: its cycles, its ascending
+admission offsets, the admitted words, its ascending divert offsets,
+whether a word arrives on offset 0 and whether it is held outside run.
+The controller drives only two kinds of event, admissions and diverts;
+the reset lines follow from the admissions by rules 4-6 and are not
+stored, so no record can hold a reset that disagrees with them. For each
+admission :meth:`Controller.admit` appends the job's block, initial key
+and tag to the words, the tag an int in the datapath's layout: ``seq <<
+TAG_BITS | valid << 5 | slot << 1 | mode``. A pass's record grows with
+its events, not its cycles.
 
 The occupancy and mode registers rotate with the words, so they are held
 in the datapath's tag layout: ``Controller.tags`` has one 6-bit
@@ -79,12 +82,13 @@ compare walks the stages, to name the one at fault.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Sequence
 
 from .datapath import (
-    _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, HOLD, MAIN_ROUNDS, NUM_LOOP_STAGES,
-    QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, RoundDatapath,
+    _SLOT_FIELD, _TAGS_MASK, _VALID2, BLOCK_LATENCY, FIELD_LSBS, MAIN_ROUNDS, NUM_LOOP_STAGES,
+    TAG_BITS, TAG_FIELD, TAG_VALID, TRACK_CYCLES, Plan, RoundDatapath,
 )
 from .faults import AdmissionError, ControlFault
 from .keyschedule import KEY_INIT_CYCLES
@@ -155,6 +159,8 @@ _DIVERT_PHASE = STAGE_PHASE_OFFSET + 2
 # pass that t + 1 rotations bring to S0 and to S3.
 _S0_SHIFTS = tuple(TAG_BITS * (-1 - t) % _RANK_BITS for t in range(NUM_LOOP_STAGES))
 _S3_SHIFTS = tuple(TAG_BITS * (2 - t) % _RANK_BITS for t in range(NUM_LOOP_STAGES))
+# The record a controller holds from reset to its first plan.
+_RESET_PLAN = Plan(1, (), (), (), False, True)
 
 
 class Controller:
@@ -174,31 +180,29 @@ class Controller:
         # to stage 0 will take there, ``TAG_VALID | mode``, or 0 for none.
         self._arriving0 = 0
         self._arriving1 = 0
-        # The pass's plan, its admission offsets and its planned diverts.
-        self.plan = [HOLD]
-        self.admissions = ()
-        self._diverts = ()
+        # The record of the pass's events.
+        self.plan = _RESET_PLAN
 
     # FSM sequencing and every control line, evaluated from registered
     # conditions at the top of each pass.
-    def begin_cycle(self, pending: int = 0, limit: int = 1) -> list[Sequence]:
-        """Decide the lines of the pass of up to ``limit`` cycles that
+    def begin_cycle(self, pending: int = 0, limit: int = 1) -> Plan:
+        """Decide the events of the pass of up to ``limit`` cycles that
         starts on this cycle: in run up to the last pending job's
         completion, and outside run up to the end of the phase.
 
-        Returns the plan, the lines of each cycle of the pass, and sets
-        ``admissions``: the offsets of the cycles the pass admits
-        ``pending`` jobs on, in order. Outside run each cycle's lines are
-        :data:`HOLD`, and each phase ends on its constant cycle.
+        Returns the plan, the record of the pass, whose admissions are the
+        offsets of the cycles the pass admits ``pending`` jobs on, in order.
+        Outside run the pass is held with no event, and each phase ends on
+        its constant cycle.
         """
         fsm = self.fsm
         while fsm != RUN:
             after, end = _PHASE_ENDS[fsm]
             if self.cycle < end:
-                # The resets are held up to the flush.
-                self.held_reset = fsm != FLUSH
-                self.admissions = ()
-                self.plan = plan = [HOLD] * min(limit, end - self.cycle)
+                # The resets are held up to the flush. Each record is built as
+                # word_view builds a Word, without a Python-level __new__.
+                self.held_reset, cycles = fsm != FLUSH, min(limit, end - self.cycle)
+                self.plan = plan = tuple.__new__(Plan, (cycles, (), (), (), False, True))
                 return plan
             self.fsm = fsm = after
         stage9_busy = bool(self.tags & _VALID9)
@@ -217,8 +221,9 @@ class Controller:
         waiting job takes the slot when the phase next brings it round, and
         the slot's next job a batch period later. A block admitted in the
         pass diverts TRACK_CYCLES later, and a word arrives from the initial
-        key-add the cycle after its admission. The pass ends at ``limit`` or
-        on the cycle the last pending job completes. Every cycle of the pass
+        key-add the cycle after its admission, and one admitted on the cycle
+        before the pass on its first cycle. The pass ends at ``limit`` or on
+        the cycle the last pending job completes. Every cycle of the pass
         follows these rules, the first included: its admissions and its
         diverts, at any offset, are the events :meth:`commit` applies.
         """
@@ -252,43 +257,29 @@ class Controller:
             admissions.append(offset)
         if admissions and len(admissions) == pending:
             span = min(span, admissions[-1] + BLOCK_LATENCY + 1)
-
-        # Each event cycle has an entry of its own. admit() fills in an
-        # admission's; the word arrives from the initial key-add the cycle
-        # after, which lifts the initial key-add's reset and resets the main.
-        events = {0: [None, False, False, True]} if self._arriving0 else {}
-        for offset in admissions:
-            events.setdefault(offset, list(QUIET))
-            if offset + 1 < span:
-                events.setdefault(offset + 1, list(QUIET))[2:] = False, True
-            diverts.append(offset + TRACK_CYCLES)
+        # Each block admitted in the pass diverts TRACK_CYCLES on.
+        diverts += map(TRACK_CYCLES.__add__, admissions)
         diverts.sort()
-        diverts = diverts[:bisect_left(diverts, span)]
-        for offset in diverts:
-            events.setdefault(offset, list(QUIET))[1] = True
-        self._diverts = diverts
-        self.plan = plan = [QUIET] * span
-        for offset, entry in events.items():
-            plan[offset] = entry
-        self.admissions = admissions
+        del diverts[bisect_left(diverts, span):]
+        # Built as begin_cycle builds a held pass's record.
+        self.plan = tuple.__new__(Plan, (span, admissions, [], diverts, bool(self._arriving0), False))
 
     def admit(self, jobs: Sequence, initial_keys: Sequence[int]) -> None:
         """Admit ``jobs``, each with a ``seq``, a ``mode`` and a ``block``, in
-        order on the cycles the plan admits on, one for each: each job's
-        entry takes its block, the initial key of its mode from
+        order on the cycles the plan admits on, one for each: the plan's
+        words take each job's block, the initial key of its mode from
         ``initial_keys`` and its tag."""
         if self.fsm != RUN:
             raise AdmissionError(f"admission while controller is in {self.fsm}")
-        planned = len(self.admissions)
-        if len(jobs) > planned:
+        cycle, admissions, words = self.cycle, self.plan.admissions, self.plan.words
+        if len(jobs) > len(admissions):
             raise AdmissionError("admission attempted on a stalled cycle")
-        if len(jobs) < planned:
-            raise AdmissionError(f"admission given {len(jobs)} of {planned} planned jobs")
-        cycle, plan = self.cycle, self.plan
-        for offset, job in zip(self.admissions, jobs):
+        if len(jobs) < len(admissions):
+            raise AdmissionError(f"admission given {len(jobs)} of {len(admissions)} planned jobs")
+        for offset, job in zip(admissions, jobs):
             slot = (cycle + offset) % NUM_LOOP_STAGES
-            tag = job.seq << TAG_BITS | TAG_VALID | slot << 1 | job.mode
-            plan[offset][0] = (int.from_bytes(job.block, "big"), initial_keys[job.mode], tag)
+            words += (int.from_bytes(job.block, "big"), initial_keys[job.mode],
+                      job.seq << TAG_BITS | TAG_VALID | slot << 1 | job.mode)
 
     @property
     def occupancy(self) -> int:
@@ -297,11 +288,11 @@ class Controller:
 
     def check_against(self, datapath: RoundDatapath) -> None:
         """Reconcile the registers and this cycle's lines with the datapath's
-        tags, or raise :class:`ControlFault` naming the first disagreement."""
-        phase = self.cycle % NUM_LOOP_STAGES
-        dp_tags = datapath.tags
-        tags = self.tags
-        _, divert, _, main_reset = self.plan[0]
+        tags, or raise :class:`ControlFault` naming the first disagreement.
+        The plan gives offset 0's divert and its main reset, set on an
+        arrival and in a held pass."""
+        phase, dp_tags, tags = self.cycle % NUM_LOOP_STAGES, datapath.tags, self.tags
+        divert, main_reset = 0 in self.plan.diverts[:1], self.plan.arriving or self.plan.held
         # Bit 0 of the field of each stage live on either side; times
         # TAG_FIELD, the whole fields.
         live = (dp_tags | tags) >> 5 & FIELD_LSBS
@@ -350,48 +341,48 @@ class Controller:
         registers rotate as many stages, and on each commit an arriving
         word's field takes S0 and a divert clears S3: the arriving
         registers' fields on commits 0 and 1, an admission's on commit o + 2
-        and a divert's on its own. A field whose commit falls past the pass
-        stays in the arriving registers. The pass's admissions and diverts
-        are spent: a later commit without a new plan applies none of them
-        again.
+        and a divert's on its own, in one ordered walk of the plan's offsets
+        that builds no event list and sorts nothing. A field whose commit
+        falls past the pass stays in the arriving registers. The pass's
+        admissions and diverts are spent: a later commit without a new plan
+        applies none of them again.
         """
-        plan = self.plan
-        cycles = len(plan)
+        cycles, admissions, words, diverts, _, held = self.plan
         track = self.track
         if track:
             track = (track & _TRACK_KEEP[cycles if cycles < TRACK_CYCLES else TRACK_CYCLES]) << cycles
-        # The events, (commit offset, clears S3, field entering S0), in
-        # commit order; on one commit the field enters S0 before S3 clears.
-        events = [(0, 0, self._arriving1), (1, 0, self._arriving0)]
-        for offset in self.admissions:
-            tag = plan[offset][0][2]
-            events.append((offset + 2, 0, tag & (TAG_VALID | 1)))
-            age = cycles - 1 - offset
-            if age < TRACK_CYCLES:
-                track |= _TRACK_ADMIT[tag >> 1 & _SLOT_FIELD] << age
-        self.admissions = ()
+        # Only an admission on the last TRACK_CYCLES cycles keeps its bit.
+        k = bisect_right(admissions, cycles - 1 - TRACK_CYCLES)
+        for offset, tag in zip(admissions[k:], words[3 * k + 2::3]):
+            track |= _TRACK_ADMIT[tag >> 1 & _SLOT_FIELD] << cycles - 1 - offset
         self.track = track
-        for offset in self._diverts:
-            if plan[offset][1]:
-                events.append((offset, 1, 0))
-        self._diverts = ()
-        events.sort()
-        # Commit t rotates the rank t + 1 stages from the pass's first, so each
-        # event lands on the field that rotates into S0 or S3 by then.
-        tags = self.tags
-        arriving = [0, 0]
-        for offset, clear, field in events:
-            if offset >= cycles:
-                arriving[offset - cycles] = field
-            elif clear:
-                tags &= ~(TAG_FIELD << _S3_SHIFTS[offset % NUM_LOOP_STAGES])
+        # One walk of both offset lists in commit order. Commit t rotates the
+        # rank t + 1 stages from the pass's first, so each event lands on the
+        # field that rotates into S0 or S3 by then: each divert clears S3 on
+        # its own commit, and each admission's field, the arriving registers'
+        # as admissions on offsets -2 and -1, takes S0 on commit o + 2, after
+        # the clears of earlier commits and before those of its own.
+        tags, arriving, d = self.tags, [0, 0], 0
+        for offset, tag in zip(chain((-2, -1), admissions),
+                               chain((self._arriving1, self._arriving0), words[2::3])):
+            t = offset + 2
+            while d < len(diverts) and diverts[d] < t:
+                tags &= ~(TAG_FIELD << _S3_SHIFTS[diverts[d] % NUM_LOOP_STAGES])
+                d += 1
+            field = tag & (TAG_VALID | 1)
+            if t >= cycles:
+                arriving[t - cycles] = field
             elif field:
-                shift = _S0_SHIFTS[offset % NUM_LOOP_STAGES]
+                shift = _S0_SHIFTS[t % NUM_LOOP_STAGES]
                 if tags >> shift & TAG_VALID:
                     fault = ControlFault("occupancy wrap collides with admission")
-                    fault.offset = offset
+                    fault.offset = t
                     raise fault
                 tags = tags & ~(TAG_FIELD << shift) | field << shift
+        for offset in diverts[d:]:
+            tags &= ~(TAG_FIELD << _S3_SHIFTS[offset % NUM_LOOP_STAGES])
+        # The events are spent: a later commit without a new plan applies none.
+        self.plan = tuple.__new__(Plan, (cycles, (), (), (), False, held))
         tags <<= TAG_BITS * (cycles % NUM_LOOP_STAGES)
         self.tags = (tags | tags >> _RANK_BITS) & _TAGS_MASK
         self._arriving1, self._arriving0 = arriving

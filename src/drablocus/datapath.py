@@ -46,13 +46,14 @@ and register at a time; they are the unit-tested specification.
 in straight-line code, with substitution as ``bytes.translate`` and the
 product lookups as per-lane tables (:class:`DatapathTables`), so a cycle
 makes no per-primitive calls. The same code steps a pass of one cycle or
-of many, in one frame over locals, under the lines the controller's plan
-gives each cycle, by the same rules on every cycle, the first and the
-last included. It takes every cycle's keys from the key store: in
-service it serves the store's three consumers on each cycle from the tag
-rank it holds, the one copy of the rank's movement, and before service
-it resumes the key schedule's program on each cycle, which gives the
-cycle's keys and injects. The power-up passes of held lines, a fresh
+of many, in one frame over locals, under the lines the events of the
+controller's record of the pass (:class:`Plan`) give each cycle, by the
+same rules on every cycle, the first and the last included. It takes
+every cycle's keys from the key store: in service it serves the store's
+three consumers on each cycle from the tag rank it holds, the one copy
+of the rank's movement, and before service it resumes the key
+schedule's program on each cycle, which gives the cycle's keys and
+injects. The power-up passes of held lines, a fresh
 key's initialization and the flush, it computes at once to the end state
 that follows from the tables and the key store. An untraced pass takes
 all but its last two cycles position-major, events included, each
@@ -65,9 +66,10 @@ on every cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
-from operator import is_not, itemgetter, lshift
+from itertools import repeat
+from operator import itemgetter, lshift
 from struct import iter_unpack
 from typing import NamedTuple, Sequence
 
@@ -131,12 +133,6 @@ _ROW_MOVES = tuple(tuple((to, at) for to, at in enumerate(shift) if to != at)
 # The tap record of a cycle that carries no tag.
 _UNTAGGED = (0, 0, 0, bytes(16), _ZERO_STATE, 0, 0)
 
-# The lines of a planned cycle with no admission, divert or arriving word.
-QUIET = (None, False, True, False)
-# The lines of every cycle outside run: both key-add outputs held in reset,
-# no admission and no divert.
-HOLD = (None, False, True, True)
-
 
 def or_mux_tap(*operands: int) -> int:
     """Bitwise-OR source multiplexing; at most one operand may be nonzero."""
@@ -161,6 +157,27 @@ class Word(NamedTuple):
     seq: int
     mode: int
     slot: int
+
+
+class Plan(NamedTuple):
+    """The one record of a pass's events, from the controller's plan to its
+    commit: the pass's ``cycles``, the ascending offsets it admits on, the
+    block, initial key and tag of each admission in turn in ``words``, which
+    :meth:`~drablocus.controller.Controller.admit` fills, the ascending
+    offsets it diverts on, whether a word ``arriving`` from the initial
+    key-add reaches it on offset 0, and whether it is ``held`` outside run.
+
+    The reset lines follow from the record by the controller's rules 4-6:
+    the main key-add output is reset on each arrival, the cycle after an
+    admission or offset 0 when a word is arriving, and the initial key-add
+    output on every other cycle; a held pass resets both on every cycle."""
+
+    cycles: int
+    admissions: list[int]
+    words: list[int]
+    diverts: list[int]
+    arriving: bool
+    held: bool
 
 
 def _permute_bytes(data: int, perm: tuple[int, ...]) -> int:
@@ -530,8 +547,8 @@ def _cascade(x: int) -> tuple[int, int, int]:
 class RoundDatapath:
     """The loop plus initial/final key-add instances and tap points.
 
-    Per pass, drive :meth:`compute_cycle` with the plan of its cycles'
-    control lines and the key store, then :meth:`commit_cycle`. Compute
+    Per pass, drive :meth:`compute_cycle` with the record of its events
+    (:class:`Plan`) and the key store, then :meth:`commit_cycle`. Compute
     derives the next value of every rank and tag (raising the S0 collision
     there) after each cycle, and the words completed on the way; commit
     only latches the last. Between the two, :meth:`taps` and the tags show
@@ -606,16 +623,22 @@ class RoundDatapath:
     def compute_cycle(
         self,
         *,
-        plan: Sequence[Sequence],
+        plan: Plan,
         store,
         held_reset: bool = False,
         taps: list | None = None,
     ) -> list[tuple[int, int, int]]:
-        """Compute a cycle for each entry of ``plan``, under its ``(admit,
-        divert, initial_reset, main_reset)`` lines; ``held_reset``, the reset
-        of the shift-rows register and the final key-add output, holds over
-        the pass. Each cycle but the last is committed in locals, and
-        the last one's next state awaits :meth:`commit_cycle`.
+        """Compute each cycle of the pass ``plan`` records, under the lines
+        its events give the cycle: an admission presents its word's block and
+        initial key, a divert sends S2's word into the final instance, and
+        the reset lines follow from the arrivals (:class:`Plan`). The loop
+        walks the record, with the next admission and divert held as
+        offsets: it decodes the admission and reset lines only on an
+        admission or arrival cycle and the cycle after it, and takes each
+        divert on its own cycle. ``held_reset``, the reset of the shift-rows
+        register and the final key-add output, holds over the pass. Each
+        cycle but the last is committed in locals, and the last one's next
+        state awaits :meth:`commit_cycle`.
 
         The key ``store`` (a :class:`~drablocus.keyschedule.KeyScheduler`)
         gives every cycle's keys and injects. In service the first cycle's
@@ -631,19 +654,19 @@ class RoundDatapath:
         keys and its substitution and product injects, ``(data, mode)``
         each.
 
-        A pass of :data:`HOLD` lines, key initialization from the reset
-        cycle's state or a flush of at least :data:`NUM_LOOP_STAGES` cycles
-        with no tag, is computed at once (:meth:`_power_up`); from any other
-        state, or shorter, it steps every cycle.
+        A held pass with no event, key initialization from the reset cycle's
+        state or a flush of at least :data:`NUM_LOOP_STAGES` cycles with no
+        tag, is computed at once (:meth:`_power_up`); from any other state,
+        or shorter, it steps every cycle.
 
         An untraced pass in service that opens with no word on its way in
         computes all but its last two cycles position-major
         (:meth:`_window`), any number of diverts, admissions and their S11
         resets at each position included, if those are at least a loop
-        traversal and it admits on neither cycle before them. Any other
-        entry, a stray tag bit, a divert that finds no word or an arrival
-        one, a slot live at two positions or a key read past round 9
-        declines, and the pass steps every cycle. The window computes a
+        traversal and it admits on neither cycle before them. A stray tag
+        bit, a divert that finds no word or an arrival one, a slot live at
+        two positions or a key read past round 9 declines, and the pass
+        steps every cycle. The window computes a
         mode's whole legs, words admitted and diverted in it after nine
         rounds, at once (:meth:`DatapathTables.whole_legs`) when the mode has
         at least :data:`NUM_LOOP_STAGES` of them.
@@ -656,11 +679,10 @@ class RoundDatapath:
         each cycle's committed ``(tags, ia_out, ia_out_tag, s1, s2, s8,
         s11)``, s1 and s2 as bytes.
         """
-        held = plan[0] is HOLD
+        held = plan.held
         if held and self._power_up(plan, store, held_reset, taps):
             return []
-        sbox = self._sbox
-        lanes = self._lanes
+        sbox, lanes = self._sbox, self._lanes
         # The slots' sequence ids, latched with the ranks at commit.
         seqs = self.seqs[:]
 
@@ -687,7 +709,7 @@ class RoundDatapath:
         # cycle, the committed input rank's on the second, and each word
         # diverted in the pass two cycles after its divert, with the row
         # shift it left S2 with under that cycle's final key.
-        cycles = len(plan) - 1
+        cycles = plan.cycles - 1
         completions = [(0, fa_out_tag, self.fa_out)] if fa_out_tag & TAG_VALID else []
         if cycles and fa_in_tag & TAG_VALID:
             data = 0 if held_reset else (fa_in >> 128) ^ last_final_key
@@ -702,11 +724,10 @@ class RoundDatapath:
             ks_sub_bytes, ks_mix_columns = store.sub_bytes_inject, store.mix_columns_inject
         else:
             main_key, final_key, ks_sub_bytes, ks_mix_columns = resume(s1, s8)
-        ks_sb_data, ks_sb_mode = ks_sub_bytes
-        ks_mc_data, ks_mc_mode = ks_mix_columns
+        (ks_sb_data, ks_sb_mode), (ks_mc_data, ks_mc_mode) = ks_sub_bytes, ks_mix_columns
         # An untraced pass in service with no word on its way in tries one
         # window, from its first cycle.
-        cycle, current = 0, None
+        cycle = 0
         if not (held or held_reset or taps is not None or image is None
                 or ks_sb_data or ks_sb_mode or ks_mc_data or ks_mc_mode
                 or ia_in or ia_out or (entering | ia_in_tag) & TAG_VALID):
@@ -714,16 +735,27 @@ class RoundDatapath:
             cycle = self._window(plan, cycles, ranks, tags, seqs, image, counters, completions)
             if cycle:
                 s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, main_key, final_key, tags = ranks
+        # The record from this cycle on, an offset past the pass standing for
+        # no next admission or divert; ``arriving`` holds whether the next
+        # decoded cycle is an arrival. The window declines an admission whose
+        # word would arrive on its end, so only offset 0 opens on an arrival.
+        _, admissions, words, diverts, arriving, _ = plan
+        never, a, d = cycles + 1, bisect_left(admissions, cycle), bisect_left(diverts, cycle)
+        admits, words, diverts = iter(admissions[a:]), iter(words[3 * a:]), iter(diverts[d:])
+        next_admit, next_divert, event = next(admits, never), next(diverts, never), cycle
         try:
             while True:
-                # The cycle's lines; a run of QUIET cycles decodes its first.
-                lines = plan[cycle]
-                if lines is not current:
-                    current = lines
-                    admit, divert, initial_reset, main_reset = lines
-                    if admit is not None:
-                        block, key, admitted = admit
-                        ia_in_next = (block << 128) | key
+                if cycle == event:
+                    # The lines of the first cycle, an admission or arrival
+                    # cycle, or the cycle after one, which has none unless it
+                    # is one too. A divert is read where it acts.
+                    initial_reset, main_reset = held or not arriving, held or arriving
+                    event = cycle + 1 if arriving else next_admit
+                    arriving = cycle == next_admit
+                    if arriving:
+                        block, key, admitted = next(words), next(words), next(words)
+                        ia_in_next, event = (block << 128) | key, cycle + 1
+                        next_admit = next(admits, never)
                     else:
                         ia_in_next = admitted = 0
                 if taps is not None:
@@ -819,7 +851,8 @@ class RoundDatapath:
                     seqs[entering >> 1 & _SLOT_FIELD] = entering >> TAG_BITS
                     rotated |= entering & TAG_FIELD
                 diverted = 0
-                if divert:
+                if cycle == next_divert:
+                    next_divert = next(diverts, never)
                     code = tags >> _TAG2_SHIFT & TAG_FIELD
                     if code & TAG_VALID:
                         diverted = seqs[code >> 1 & _SLOT_FIELD] << TAG_BITS | code
@@ -867,7 +900,7 @@ class RoundDatapath:
         return completions
 
     def _power_up(self, plan, store, held_reset, taps) -> bool:
-        """Compute a power-up pass of held lines at once, to the end state
+        """Compute a held power-up pass with no event at once, to the end state
         that follows from these tables and the key store alone: no tag, the
         idle word (a zero word substituted in encrypt mode) in S0 and S1,
         and S2 and its encrypt-lane products and cascade folds down to S8.
@@ -885,8 +918,8 @@ class RoundDatapath:
         of each cycle that carries no tag. Returns False, changing nothing,
         for any other pass, such as a flush shorter than
         :data:`NUM_LOOP_STAGES`."""
-        n, flush = len(plan), store.resume is None
-        if (n < (NUM_LOOP_STAGES if flush else 2) or plan.count(HOLD) != n
+        n, flush = plan.cycles, store.resume is None
+        if (n < (NUM_LOOP_STAGES if flush else 2) or plan.admissions or plan.diverts
                 or held_reset == flush or self.tags
                 or (self.ia_in_tag | self.ia_out_tag | self.fa_in_tag | self.fa_out_tag) & TAG_VALID
                 or flush and (self.s11 and self.ia_out
@@ -920,44 +953,59 @@ class RoundDatapath:
         to S11 value, restarting to its stage at the end: a divert completes
         its word from its last S11 value, an admitted word starts as its
         block XOR the initial key on the S11 visit the reset clears. A
-        window shorter than a loop traversal, an admission whose word would
-        be on its way in at the end, any other entry, or an event a check
-        could fire on, declines. A position's diverts and arrivals
-        alternate, so its legs run in turn: the starting word, then after
-        each divert the next arriving word, or what the last divert leaves.
-        A whole leg, an arriving word that reads all nine main keys and is
-        diverted before the next arrival at its position, feeds only its
-        completion. The scan finds each by its admission offset; when it
-        finds at least :data:`NUM_LOOP_STAGES` of a mode, each of that
-        mode's runs its checks and only records its value, completion offset
-        and tag, and :meth:`DatapathTables.whole_legs` completes them all at
-        once after the positions."""
+        window shorter than a loop traversal, a word arriving on its first
+        cycle, an admission whose word would be on its way in at the end, or
+        an event a check could fire on, declines. The record's offsets give
+        each position its events by arithmetic, in one walk of both lists in
+        offset order, with no cycle scanned: an admission on offset o
+        arrives at position (9 - o) mod 12, and a divert on o leaves (2 - o)
+        mod 12. A position's diverts and arrivals alternate, so its legs run
+        in turn: the starting word, then after each divert the next arriving
+        word, or what the last divert leaves. A whole leg, an arriving word
+        that reads all nine main keys and is diverted before the next
+        arrival at its position, feeds only its completion. The walk finds
+        each by its admission offset; when it finds at least
+        :data:`NUM_LOOP_STAGES` of a mode, each of that mode's runs its
+        checks and only records its value, completion offset and tag, and
+        :meth:`DatapathTables.whole_legs` completes them all at once after
+        the positions."""
         end = cycles - 1
-        if (end < NUM_LOOP_STAGES or plan[end - 1][0] or plan[end - 2][0]
+        admissions, diverts, words = plan.admissions, plan.diverts, plan.words
+        # The admissions inside the window: none on the two cycles before the
+        # end, whose words would still be on their way in there.
+        na, nd = bisect_left(admissions, end - 2), bisect_left(diverts, end)
+        if (end < NUM_LOOP_STAGES or plan.arriving or na < len(admissions) and admissions[na] < end
                 or tags & ~((tags >> 5 & FIELD_LSBS) * TAG_FIELD)):
             return 0
-        # Each position's event offsets, then ``end``. A divert needs a word
-        # and an arrival a free S0, so from the start the two alternate.
-        events, whole = [[] for _ in range(NUM_LOOP_STAGES)], (set(), set())
+        # Each position's event offsets, then ``end``, and the words its
+        # arrivals take, by their first index into the plan's words. An
+        # arrival needs a free S0 and a divert a word, so from the start the
+        # two alternate. Both offset lists end on ``end``, past any event.
+        lists, whole = [[] for _ in range(2 * NUM_LOOP_STAGES)], (set(), set())
+        events, taken = lists[:NUM_LOOP_STAGES], lists[NUM_LOOP_STAGES:]
         occupied = [tags >> TAG_BITS * p & TAG_VALID for p in range(NUM_LOOP_STAGES)]
-        for o in compress(range(end), map(is_not, plan[:end], repeat(QUIET))):
-            admit, divert, initial_reset, main_reset = plan[o]
-            at2, at11 = (2 - o) % NUM_LOOP_STAGES, (9 - o) % NUM_LOOP_STAGES
-            if (initial_reset == main_reset or main_reset and (not o or not plan[o - 1][0])
-                    or admit and (occupied[at11] or not plan[o + 1][3])
-                    or divert and not occupied[at2]):
-                return 0
-            if admit:
-                occupied[at11], at = TAG_VALID, events[at11]
+        admits, stops, k, j = admissions[:na] + [end], diverts[:nd] + [end], 0, 0
+        while k < na or j < nd:
+            o, d = admits[k], stops[j]
+            if o < d:
+                p = (9 - o) % NUM_LOOP_STAGES
+                if occupied[p]:
+                    return 0
+                occupied[p], at = TAG_VALID, events[p]
                 # The word this position admitted two events back left after
                 # nine rounds and this admission follows it: a whole leg, by
                 # its admission offset under its mode.
                 if len(at) > 1 and at[-1] - at[-2] == TRACK_CYCLES:
-                    whole[plan[at[-2]][0][2] & 1].add(at[-2])
+                    whole[words[taken[p][-1] + 2] & 1].add(at[-2])
                 at.append(o)
-            if divert:
-                occupied[at2] = 0
-                events[at2].append(o)
+                taken[p].append(3 * k)
+                k += 1
+            else:
+                p = (2 - d) % NUM_LOOP_STAGES
+                if not occupied[p]:
+                    return 0
+                occupied[p], j = 0, j + 1
+                events[p].append(d)
         sbox, lanes, idle = self._sbox, self._lanes, image[0]
         out, done, owners, counts, entered, new_tags = [0] * 14, [], {}, counters[:], seqs[:], 0
         probe, fused, batch = type(counters)(counters), self._tables.fused, [[], []]
@@ -967,12 +1015,12 @@ class RoundDatapath:
             # Its legs: the word at the start, unless an arrival resets it away
             # first; each arriving word; what a divert leaves, while it reads.
             offsets.append(end)
-            i, u, key, field = 0, None, 0, code
+            i, u, key, field, arrivals = 0, None, 0, code, iter(taken[p])
             leg = "arriving" if offsets[0] < end and code < TAG_VALID else "starting"
             while leg:
                 if leg == "arriving":
-                    a = offsets[i]
-                    block, initial_key, tag = plan[a][0]
+                    a, w = offsets[i], next(arrivals)
+                    block, initial_key, tag = words[w:w + 3]
                     field, v, u, live = tag & TAG_FIELD, block ^ initial_key, None, True
                     seq, m, slot = tag >> TAG_BITS, tag & 1, tag >> 1 & _SLOT_FIELD
                     probe[slot] = 0  # the admission's reset, as the loop makes it
@@ -988,8 +1036,9 @@ class RoundDatapath:
                 # A tagged word reads its next key at S7 each turn and counts it
                 # at S8; S7 reads word 0 while untagged.
                 reads = (stop - s7 + 11) // NUM_LOOP_STAGES
-                keys = [idle] * reads
-                if live:
+                if not live:
+                    keys = [idle] * reads
+                else:
                     first = count + 1 + (s8 < s7)
                     if (reads and not 0 < first <= MAIN_ROUNDS + 1 - reads
                             or owners.setdefault(slot, p) != p):

@@ -14,23 +14,24 @@ initialization pass. The flush is one pass like any other, whose
 controller commit covers all its cycles.
 
 The run is a sequence of passes. Each pass makes one call to the
-datapath, which takes the controller's plan, the lines of every cycle of
-the pass, the first included, and takes every cycle's keys from the key
-store: it serves the store on each of them, or resumes the store's
-program once per cycle with the ranks the program reads back (the
-datapath computes key initialization and the flush at once). In run,
-the controller plans a pass from registered state and the count of
-pending jobs: the cycles it admits on, its diverts and its reset lines,
-which follow from the track chains alone. A pass ends at the budget,
-the last job's completion or :data:`PASS_CYCLES`, so an untraced run
-phase of up to 3,072 saturated jobs is one pass, and a traced pass,
+datapath, which takes the controller's plan, the one record of the
+pass's events (its admissions, with their words, and its diverts, from
+which the reset lines of every cycle follow, the first included), and
+takes every cycle's keys from the key store: it serves the store on each
+of them, or resumes the store's program once per cycle with the ranks the
+program reads back (the datapath computes key initialization and the
+flush at once). In run, the controller plans a pass from registered
+state and the count of pending jobs: the cycles it admits on and its
+diverts, which follow from the track chains alone. A pass ends at the
+budget, the last job's completion or :data:`PASS_CYCLES`, so an untraced
+run phase of up to 3,072 saturated jobs is one pass, and a traced pass,
 which holds each cycle's taps until it ends, within one batch period.
-Each phase before run is one pass of held lines, up to the constant
-cycle the controller ends it on: the reset cycle, key initialization up
-to the cycle the key store's program reports ready on, and the flush.
-The run admits the next jobs, one for each planned admission, in one
-controller call that writes each into the plan's entry for its
-cycle, records their admission cycles, from which ``RunSummary`` derives
+Each phase before run is one held pass, up to the constant cycle the
+controller ends it on: the reset cycle, key initialization up to the
+cycle the key store's program reports ready on, and the flush. The run
+takes the next jobs, one for each of the plan's admissions, and admits
+them in one controller call that appends each job's word to the plan,
+records their admission cycles, from which ``RunSummary`` derives
 the stalls, the peak loop occupancy and the completions, and checks the
 latency of every completion the datapath returns with its offset, so the
 completions it derives are the ones the run saw; the controller checks
@@ -90,11 +91,12 @@ NOMINAL_BLOCKS_PER_CYCLE = NUM_LOOP_STAGES / BLOCK_LATENCY
 # The published clock of the core; derived figures use it unless given another.
 CLOCK_MHZ = 528.262
 
-# The longest untraced pass. A pass holds its plan, an entry a cycle, and
-# its admitted blocks and completions until it ends, about 1 KB a job, and
-# pays a fixed cost of some 70 us: 256 batch periods (3,072 jobs of a
-# saturated run) bound the one and make the other negligible. A traced pass
-# also holds each cycle's taps and trace text, and lasts one batch period.
+# The longest untraced pass. A pass holds the record of its events, its
+# admitted blocks and its completions until it ends, a few hundred bytes a
+# job, and pays a fixed cost of some 70 us: 256 batch periods (3,072 jobs
+# of a saturated run) bound the one and make the other negligible. A traced
+# pass also holds each cycle's taps and trace text, and lasts one batch
+# period.
 PASS_CYCLES = 256 * BATCH_PERIOD
 
 
@@ -290,7 +292,7 @@ class PipelineSimulator:
                 fsm = ctrl.fsm
 
                 # The planned admissions take the next jobs in order.
-                admissions = ctrl.admissions
+                admissions = plan.admissions
                 if admissions:
                     admitted = jobs[taken:taken + len(admissions)]
                     taken += len(admissions)

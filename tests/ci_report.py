@@ -17,7 +17,12 @@ word's round on the model's tables, in ns per word-round, best of 7 in
 this process: the batched calls on that run's whole legs, each call's
 time over its words' nine main rounds (its final round and the joins of
 its words included), beside the same words in bare per-word fused rounds,
-the rounds a smaller pass runs. Last, the set-up every
+the rounds a smaller pass runs. Then the same run's best-of-7 CPU time
+split by where it goes, timed by wrappers on the methods: the controller
+(``begin_cycle``, ``admit`` and ``commit``), the window outside its
+batched rounds (``_window`` less ``whole_legs``), the batched rounds
+(``whole_legs``) and the rest, and the run's ratio to its batched rounds,
+the floor the window's bookkeeping sits on. Last, the set-up every
 process pays, ``import drablocus`` and ``PipelineSimulator()``: the
 median wall time of 5 fresh interpreters on a copy of the package with
 no bytecode, once compiling the source each time and once reading the
@@ -46,13 +51,15 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import timeit
 import tokenize
 import tracemalloc
 from itertools import repeat
 from pathlib import Path
 
-from drablocus.datapath import MAIN_ROUNDS, DatapathTables
+from drablocus.controller import Controller
+from drablocus.datapath import MAIN_ROUNDS, DatapathTables, RoundDatapath
 from drablocus.keyschedule import KeyScheduler
 from drablocus.simulator import PipelineSimulator
 from test_simulator import FIPS_KEY, mixed_jobs, python_calls_per_cycle
@@ -158,6 +165,48 @@ def whole_leg_report(sim) -> str:
             f"{per_word / rounds:.0f}")
 
 
+# The methods the CPU split times, by the part of the run each belongs to.
+SPLIT_METHODS = ((Controller, "begin_cycle", "controller"), (Controller, "admit", "controller"),
+                 (Controller, "commit", "controller"), (RoundDatapath, "_window", "window"),
+                 (DatapathTables, "whole_legs", "whole_legs"))
+
+
+def cpu_split_report(sim) -> str:
+    """The best of 7 runs' CPU time of the whole-leg report's run, split by
+    the methods each part's wrappers time."""
+    spent = {}
+
+    def timed(method, part):
+        def wrapper(*args, **kwargs):
+            start = time.process_time_ns()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                spent[part] += time.process_time_ns() - start
+        return wrapper
+
+    originals = [(cls, name, vars(cls)[name]) for cls, name, _ in SPLIT_METHODS]
+    for cls, name, part in SPLIT_METHODS:
+        setattr(cls, name, timed(vars(cls)[name], part))
+    jobs, runs = mixed_jobs(BATCHED_JOBS, seed=1), []
+    try:
+        for _ in range(7):
+            spent.update(controller=0, window=0, whole_legs=0)
+            start = time.process_time_ns()
+            sim.run(FIPS_KEY, jobs)
+            runs.append((time.process_time_ns() - start, dict(spent)))
+    finally:
+        for cls, name, method in originals:
+            setattr(cls, name, method)
+    total, parts = min(runs, key=lambda run: run[0])
+    rest = total - parts["controller"] - parts["window"]
+    return (f"CPU split of the {BATCHED_JOBS:,}-job untraced run, best of 7: {total / 1e6:.2f} ms; "
+            f"controller (begin_cycle + admit + commit) {parts['controller'] / 1e6:.2f}, window "
+            f"outside whole legs {(parts['window'] - parts['whole_legs']) / 1e6:.2f}, whole legs "
+            f"{parts['whole_legs'] / 1e6:.2f}, the rest {rest / 1e6:.2f}; "
+            f"{total / parts['whole_legs']:.2f}x its batched rounds")
+
+
 def main() -> None:
     total = 0
     for path in sorted(Path("src/drablocus").glob("*.py")):
@@ -200,6 +249,7 @@ def main() -> None:
           f"{retained / MEMORY_JOBS:.0f} B a job retained once it ends, "
           f"{peak / MEMORY_JOBS:.0f} B a job at its peak")
     print(whole_leg_report(sim))
+    print(cpu_split_report(sim))
     print(f"Set-up (import drablocus; PipelineSimulator()), median of 5 fresh interpreters: "
           f"{set_up_ms(False):.1f} ms compiling the source, {set_up_ms(True):.1f} ms from "
           f"bytecode; gf_mul calls {fresh_interpreter(COUNT_GF_MUL, 'src').strip()}; CLI start-up "

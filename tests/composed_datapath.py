@@ -10,6 +10,7 @@ both and compares every tap on every cycle.
 
 from __future__ import annotations
 
+from cycle_protocol import lines
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
     AddRoundKeyUnit,
@@ -27,7 +28,8 @@ class ComposedDatapath:
     """The loop composed from the unit classes, stepped unit by unit.
 
     Same stepping interface as :class:`RoundDatapath` (``compute_cycle``,
-    ``commit_cycle``, ``taps``, ``loop_tags``) for passes of one cycle,
+    ``commit_cycle``, ``taps``, ``loop_tags``) for passes of one cycle, whose
+    lines it decodes from the pass's record as the test side does,
     whose keys and injects a key store before service gives, with its own
     list-based tag pipeline shifted at commit (where it raises the S0
     collision), so the flat step's next-state tags are checked against an
@@ -67,7 +69,7 @@ class ComposedDatapath:
         store,
         held_reset: bool = False,
     ) -> None:
-        ((admit, divert, initial_reset, main_reset),) = plan
+        ((admit, divert, initial_reset, main_reset),) = lines(plan)
         main_key, final_key, ks_sub_bytes, ks_mix_columns = store.resume(
             self.sub_bytes.out.to_bytes(16, "big"), self.mix_columns.out
         )

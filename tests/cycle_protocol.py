@@ -2,15 +2,22 @@
 
 :func:`step_cycle` makes the calls :meth:`PipelineSimulator.run` makes on
 each pass of its loop, in its order, for a pass of one cycle: the
-controller's FSM step and plan of the cycle's lines, the controller's
+controller's FSM step and plan of the cycle's events, the controller's
 admission into the plan, the datapath, which takes the plan and the
 cycle's keys from the key store, the controller's check, then the three
 commits. A planned pass gives the datapath a plan of many cycles, and the
 controller's one commit covers every cycle of the plan, before the key
 schedule commits.
-:func:`set_line` edits one line of a plan, which both the datapath and
-the controller's check read. :func:`word_tag` builds the int tag of a
-word, as a plan's admission, an edge rank and a completion carry it.
+
+A plan is the record of a pass's events (:class:`~drablocus.datapath.Plan`),
+which the datapath, the controller's check and its commit all read. A
+test edits one in place, as removing an offset from its diverts drops that
+divert for every reader. :func:`lines` decodes the per-cycle lines the
+datapath takes from a record, :func:`make_plan` builds one by hand, and
+:func:`cut` and :func:`single_cycles` cut one into the records of shorter
+passes.
+:func:`word_tag` builds the int tag of a word, as a plan's admission, an
+edge rank and a completion carry it.
 
 :class:`ScriptedStore` stands in for the key store in a datapath driven
 without a key schedule: it gives each cycle scripted keys and injects.
@@ -28,7 +35,7 @@ passes before and after it.
 """
 
 from drablocus.controller import RUN, Controller
-from drablocus.datapath import TAG_BITS, TAG_VALID, RoundDatapath, word_view
+from drablocus.datapath import TAG_BITS, TAG_VALID, Plan, RoundDatapath, word_view
 from drablocus.keyschedule import KeyScheduler
 from drablocus.simulator import Job
 
@@ -36,8 +43,10 @@ from drablocus.simulator import Job
 # the substitution and product injects as ``(data, mode)``.
 NO_KEYS = (0, 0, (0, 0), (0, 0))
 
-# The lines of a plan entry, in order.
-LINE_NAMES = ("admit", "divert", "initial_reset", "main_reset")
+# The lines of a cycle with no event, ``(admit, divert, initial_reset,
+# main_reset)``, and of every cycle of a held pass.
+QUIET = (None, False, True, False)
+HELD = (None, False, True, True)
 
 
 class ScriptedStore:
@@ -59,12 +68,51 @@ def word_tag(seq, mode, slot):
     return seq << TAG_BITS | TAG_VALID | slot << 1 | mode
 
 
-def set_line(plan, offset, name, value):
-    """Set the ``name``d line of the plan's cycle at ``offset``, on a list
-    of its own: :data:`~drablocus.datapath.QUIET` and
-    :data:`~drablocus.controller.HOLD` entries are shared tuples."""
-    entry = plan[offset] = list(plan[offset])
-    entry[LINE_NAMES.index(name)] = value
+def lines(plan):
+    """The ``(admit, divert, initial_reset, main_reset)`` lines of each cycle
+    of ``plan``, as the datapath takes them: ``admit`` an admission's
+    ``(block, initial key, tag)`` once admitted, else None, and the resets
+    by the controller's rules, the main one on each arrival and the initial
+    one on every other cycle, both on every cycle of a held pass."""
+    admitted = dict(zip(plan.admissions, zip(*[iter(plan.words)] * 3)))
+    admissions, diverts = set(plan.admissions), set(plan.diverts)
+    cycles = []
+    for offset in range(plan.cycles):
+        arrived = offset - 1 in admissions if offset else plan.arriving
+        cycles.append((admitted.get(offset), offset in diverts,
+                       plan.held or not arrived, plan.held or arrived))
+    return cycles
+
+
+def make_plan(cycles, admissions=None, diverts=(), arriving=False, held=False):
+    """A record made by hand: ``admissions`` maps each offset to its
+    ``(block, initial key, tag)``."""
+    admitted = sorted((admissions or {}).items())
+    return Plan(cycles, [offset for offset, _ in admitted],
+                [value for _, word in admitted for value in word],
+                sorted(diverts), arriving, held)
+
+
+def cut(plan, *ends):
+    """The records of the passes ``plan`` takes when it is cut at each of
+    the offsets ``ends``: a word admitted on the cycle before a cut arrives
+    on the next record's first cycle."""
+    records, start = [], 0
+    for end in (*sorted(ends), plan.cycles):
+        taken = [k for k, offset in enumerate(plan.admissions) if start <= offset < end]
+        records.append(Plan(
+            end - start, [plan.admissions[k] - start for k in taken],
+            [value for k in taken for value in plan.words[3 * k:3 * k + 3]],
+            [offset - start for offset in plan.diverts if start <= offset < end],
+            start - 1 in plan.admissions if start else plan.arriving, plan.held,
+        ))
+        start = end
+    return records
+
+
+def single_cycles(plan):
+    """The records of ``plan``'s cycles as passes of one cycle each."""
+    return cut(plan, *range(1, plan.cycles))
 
 
 def new_core(key: int):
@@ -83,12 +131,12 @@ def step_cycle(dp, ctrl, ks, job=None, mid_cycle=None):
     """
     plan = ctrl.begin_cycle(0 if job is None else 1)
     admitted = None
-    if ctrl.admissions:
+    if plan.admissions:
         seq, mode, block = job
         ctrl.admit([Job(seq, mode, block.to_bytes(16, "big"))], ks.initial_keys)
-        admitted = word_view(plan[0][0][2])
+        admitted = word_view(plan.words[2])
     if mid_cycle is not None:
-        mid_cycle(plan[0][1])
+        mid_cycle(bool(plan.diverts))
     dp.compute_cycle(plan=plan, store=ks, held_reset=ctrl.held_reset)
     ctrl.check_against(dp)
     dp.commit_cycle()

@@ -300,28 +300,26 @@ def test_simulate_modelled_fault_exits_1_with_one_line(tmp_path, capsys, monkeyp
 
 
 def test_simulate_datapath_fault_names_its_cycle(tmp_path, capsys, monkeypatch):
-    # The block is admitted on the first run cycle, which opens a pass. Its
-    # plan leaves the main key-add output out of reset on the cycle before
-    # the block leaves the initial key-add, so stale loop contents and the
-    # block reach the OR mux together, two cycles into the pass.
-    original_begin = Controller.begin_cycle
+    # The block is admitted on the first run cycle. Two cycles on, as it
+    # leaves the initial key-add, the main key-add output, which its arrival
+    # reset, takes a stray bit, so the two reach the OR mux together on the
+    # cycle a pass opens on.
     upsets = []
 
-    def begin_cycle(self, *args):
-        plan = original_begin(self, *args)
-        if self.fsm == RUN and not upsets:
-            assert self.admissions == [0] and plan[1][3]
-            upsets.append(self.cycle)
-            plan[1][3] = False
-        return plan
+    def upset(ctrl, dp, ks):
+        if ctrl.cycle == RUN_START_CYCLE + 2:
+            assert dp.ia_out_tag & TAG_VALID and not dp.s11
+            upsets.append(ctrl.cycle)
+            dp.s11 ^= 1
 
-    monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
+    end_passes_at(monkeypatch, [RUN_START_CYCLE + 2])
+    before_each_pass(monkeypatch, upset)
     jobs = tmp_path / "jobs.txt"
     jobs.write_text("0 enc 00112233445566778899aabbccddeeff\n")
     assert main(["simulate", "--key", FIPS_KEY_HEX, "--jobs", str(jobs)]) == EXIT_FAILURE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert upsets == [RUN_START_CYCLE]
+    assert upsets == [RUN_START_CYCLE + 2]
     assert err.startswith(
         f"simulation fault: cycle {RUN_START_CYCLE + 2}: OR-mux driven by multiple nonzero sources"
     )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cycle_protocol import core_in_run, new_core, step_cycle, step_every_cycle
+from cycle_protocol import core_in_run, lines, new_core, step_cycle, step_every_cycle
 from drablocus.controller import FLUSH, KEY_INIT, RESET, RUN, Controller
 from drablocus.datapath import NUM_LOOP_STAGES, TAG_BITS, TRACK_CYCLES, word_view
 from drablocus.fabric import LutShiftRegister
@@ -63,8 +63,7 @@ def test_stall_exactly_when_stage9_occupied():
 
     def record(divert):
         offered = copy.deepcopy(ctrl)
-        offered.begin_cycle(1)
-        if not offered.admissions:
+        if not offered.begin_cycle(1).admissions:
             assert ctrl.occupancy >> 9 & 1
             stalled_cycles.append(ctrl.cycle)
 
@@ -117,7 +116,7 @@ def test_requirement5_reset_never_hits_valid_data():
     sent = 0
 
     def scrubs_only_stale_contents(divert):
-        if ctrl.plan[0][3]:
+        if lines(ctrl.plan)[0][3]:
             assert dp.loop_tags[10] is None
 
     for _ in range(400):
@@ -148,8 +147,8 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
 
     def admit_into_chain(self, jobs, initial_keys):
         admit(self, jobs, initial_keys)
-        for offset in self.admissions[:len(jobs)]:
-            chains[word_view(self.plan[offset][0][2]).slot].present(1)
+        for tag in self.plan.words[2::3]:
+            chains[word_view(tag).slot].present(1)
 
     def counted_check(self, datapath):
         check_against(self, datapath)
@@ -158,7 +157,7 @@ def test_packed_track_rank_matches_lut_chains(monkeypatch):
         occupancies.append(live)
 
     def lockstep_commit(self):
-        cycles = len(self.plan)
+        cycles = self.plan.cycles
         commit(self)
         for slot, chain in enumerate(chains):
             for _ in range(cycles):

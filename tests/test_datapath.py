@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cycle_protocol import NO_KEYS, ScriptedStore, word_tag
+from cycle_protocol import NO_KEYS, ScriptedStore, make_plan, single_cycles, word_tag
 from drablocus import aesref
 from drablocus.datapath import (
     BLOCK_LATENCY,
@@ -242,11 +242,9 @@ class TestSingleRoundTraversal:
                 x, key = rand128(rng), rand128(rng)
                 tag = Word(seq=0, mode=mode, slot=0)
                 store = ScriptedStore([NO_KEYS] * 11 + [(key, 0, (0, 0), (0, 0))])
-                for cycle in range(15):
-                    admit = (x, 0, word_tag(*tag)) if cycle == 0 else None
-                    dp.compute_cycle(
-                        plan=[(admit, False, cycle != 1, cycle == 1)], store=store
-                    )
+                plans = single_cycles(make_plan(15, {0: (x, 0, word_tag(*tag))}))
+                for cycle, plan in enumerate(plans):
+                    dp.compute_cycle(plan=plan, store=store)
                     if cycle == 14:
                         value, out_tag = dp.s11, dp.loop_tags[11]
                         assert out_tag == tag
@@ -269,9 +267,8 @@ class TestSingleRoundTraversal:
         tag = Word(seq=7, mode=MODE_ENCRYPT, slot=0)
         positions = {}
         store = ScriptedStore()
-        for cycle in range(16):
-            admit = (0x123, 0, word_tag(*tag)) if cycle == 0 else None
-            dp.compute_cycle(plan=[(admit, False, cycle != 1, cycle == 1)], store=store)
+        for cycle, plan in enumerate(single_cycles(make_plan(16, {0: (0x123, 0, word_tag(*tag))}))):
+            dp.compute_cycle(plan=plan, store=store)
             for k, t in enumerate(dp.loop_tags):
                 if t == tag:
                     positions[cycle] = k

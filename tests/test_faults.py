@@ -4,8 +4,9 @@ Every fault type derives from :class:`SimulationFault`. The datapath
 faults are raised by driving the flat :class:`RoundDatapath` and the
 composition of the unit classes with the same inputs; both must fail
 the same way. The controller faults come from single upsets of its
-registers or control lines in the middle of a simulator run, made after
-:meth:`Controller.begin_cycle` has decided the cycle; upsets of the
+registers or of the record of a pass in the middle of a simulator run,
+made after :meth:`Controller.begin_cycle` has decided the cycle, or
+before it plans one; upsets of the
 datapath's packed tag rank show that each compare of it fires, and every
 single-bit upset of either side's tag rank on sampled cycles fails or
 passes the one-compare check as the ordered checks would. Upsets made
@@ -23,17 +24,17 @@ import pytest
 
 from composed_datapath import ComposedDatapath
 from cycle_protocol import (
-    NO_KEYS, ScriptedStore, before_each_pass, cap_passes, core_in_run, set_line, step_cycle,
-    step_every_cycle, word_tag,
+    NO_KEYS, ScriptedStore, before_each_pass, cap_passes, core_in_run, lines, make_plan,
+    single_cycles, step_cycle, step_every_cycle, word_tag,
 )
 from drablocus import aesref
 from drablocus.controller import FLUSH, RUN, Controller
 from drablocus.datapath import (
     NUM_LOOP_STAGES,
-    QUIET,
     TAG_BITS,
     TAG_VALID,
     TRACK_CYCLES,
+    Plan,
     RoundDatapath,
     Word,
 )
@@ -67,16 +68,16 @@ def mixed_jobs(n, seed=7):
     ]
 
 
-def drive_both(lines, script, fault):
-    """Step both datapaths a cycle under each entry of ``lines``, with the
-    keys and injects of ``script``; both must raise ``fault``, with one
-    message."""
+def drive_both(plan, script, fault):
+    """Step both datapaths through each cycle of ``plan``, a pass of one
+    cycle each, with the keys and injects of ``script``; both must raise
+    ``fault``, with one message."""
     messages = []
     for dp in (ComposedDatapath(), RoundDatapath()):
         store = ScriptedStore(script)
         with pytest.raises(fault) as err:
-            for entry in lines:
-                dp.compute_cycle(plan=[entry], store=store)
+            for record in single_cycles(plan):
+                dp.compute_cycle(plan=record, store=store)
                 dp.commit_cycle()
         messages.append(str(err.value))
     assert messages[0] == messages[1]
@@ -107,10 +108,9 @@ def test_every_modelled_fault_is_a_simulation_fault(fault):
 def test_substitution_mux_with_two_sources_raises_protocol_error():
     # The admitted block leaves the initial key-add on cycle 2, when the
     # key schedule also drives the substitution input.
-    tag = word_tag(0, MODE_ENCRYPT, 0)
-    lines = [((0xAB, 0, tag), False, True, False), (None, False, False, False), QUIET]
+    plan = make_plan(3, {0: (0xAB, 0, word_tag(0, MODE_ENCRYPT, 0))})
     script = [NO_KEYS, NO_KEYS, (0, 0, (0xCD, MODE_ENCRYPT), (0, 0))]
-    message = drive_both(lines, script, ProtocolError)
+    message = drive_both(plan, script, ProtocolError)
     assert message == (
         "OR-mux driven by multiple nonzero sources: "
         "0x00000000000000000000000000000000, "
@@ -123,7 +123,7 @@ def test_product_mux_with_two_sources_raises_protocol_error():
     # Out of reset the shift-rows register holds the substitution of zero,
     # so an injected key on the product path collides with it.
     script = [NO_KEYS] * 3 + [(0, 0, (0, 0), (0x1, MODE_DECRYPT))]
-    message = drive_both([QUIET] * 4, script, ProtocolError)
+    message = drive_both(make_plan(4), script, ProtocolError)
     assert message == (
         "OR-mux driven by multiple nonzero sources: "
         f"{int.from_bytes(bytes([0x63] * 16), 'big'):#034x}, "
@@ -136,11 +136,8 @@ def test_word_arriving_at_s0_as_another_wraps_raises_collision_error():
     # second, admitted at cycle 12 with zero data and key, arrives then.
     first = Word(seq=0, mode=MODE_ENCRYPT, slot=0)
     second = Word(seq=1, mode=MODE_ENCRYPT, slot=0)
-    lines = []
-    for cycle in range(15):
-        admit = {0: (0x1234, 0, word_tag(*first)), 12: (0, 0, word_tag(*second))}.get(cycle)
-        lines.append((admit, False, cycle not in (1, 13), False))
-    message = drive_both(lines, [], CollisionError)
+    plan = make_plan(15, {0: (0x1234, 0, word_tag(*first)), 12: (0, 0, word_tag(*second))})
+    message = drive_both(plan, [], CollisionError)
     assert message == f"stage S0 claimed by arriving {second} and recirculating {first}"
 
 
@@ -151,18 +148,23 @@ def loop_full(ctrl):
     return ctrl.occupancy == FULL_LOOP
 
 
-def run_with_upset(monkeypatch, upset, jobs, when=lambda ctrl: True):
+def run_with_upset(monkeypatch, upset, jobs, when=lambda ctrl: True, planned=True):
     """Run ``jobs`` and apply ``upset(controller)`` once the cycle is decided,
-    on the first run cycle for which ``when(controller)`` holds."""
+    or before the controller plans it unless ``planned``, on the first run
+    cycle for which ``when(controller)`` holds."""
     step_every_cycle(monkeypatch)
     original = Controller.begin_cycle
     state = {"done": False}
 
-    def begin_cycle(self, *args):
-        plan = original(self, *args)
-        if self.fsm == RUN and not state["done"] and when(self):
+    def due(ctrl, decided):
+        if decided == planned and ctrl.fsm == RUN and not state["done"] and when(ctrl):
             state["done"] = True
-            upset(self)
+            upset(ctrl)
+
+    def begin_cycle(self, *args):
+        due(self, False)
+        plan = original(self, *args)
+        due(self, True)
         return plan
 
     monkeypatch.setattr(Controller, "begin_cycle", begin_cycle)
@@ -242,24 +244,31 @@ def test_phantom_arrival_raises_control_fault(monkeypatch):
 
 
 def test_output_reset_on_a_live_block_raises_control_fault(monkeypatch):
+    # The arriving register claims a word admitted on the cycle before, so
+    # the controller plans its arrival, and the main key-add output's reset,
+    # on a cycle whose S10 holds a live block.
     def upset(ctrl):
-        set_line(ctrl.plan, 0, "main_reset", True)
+        ctrl._arriving0 = TAG_VALID | MODE_ENCRYPT
 
-    with pytest.raises(ControlFault, match="output reset would scrub live block"):
-        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full)
+    with pytest.raises(ControlFault) as err:
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=loop_full, planned=False)
+    assert str(err.value) == (
+        "cycle 175: output reset would scrub live block Word(seq=1, mode=0, slot=6)"
+    )
+    assert err.value.cycle == 175
 
 
 def test_dropped_divert_raises_key_store_fault(monkeypatch):
     # The first block due to divert stays in the loop; the controller's
-    # occupancy follows the same dropped line, so no check of it fires.
-    # Five cycles on the block reaches stage 7 and asks for a tenth
-    # main-loop key.
+    # occupancy follows the same record, from which the divert is removed,
+    # so no check of it fires. Five cycles on the block reaches stage 7 and
+    # asks for a tenth main-loop key.
     def upset(ctrl):
         assert ctrl.cycle == 274
-        set_line(ctrl.plan, 0, "divert", False)
+        ctrl.plan.diverts.remove(0)
 
     with pytest.raises(KeyStoreFault) as err:
-        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=lambda ctrl: ctrl.plan[0][1])
+        run_with_upset(monkeypatch, upset, mixed_jobs(13), when=lambda ctrl: ctrl.plan.diverts)
     assert str(err.value) == "cycle 279: slot 5 requested main-loop key for round 10"
     # The run names the cycle on the fault the key store raised, not on a copy.
     assert err.value.cycle == 279
@@ -378,7 +387,7 @@ def test_slot_field_upset_past_eleven_raises_control_fault(monkeypatch, stage, m
     # table has an entry for it, so the check names the fault.
     def when(ctrl, dp):
         word = dp.loop_tags[stage]
-        return word is not None and 4 <= word.slot < 8 and (stage != 2 or ctrl.plan[0][1])
+        return word is not None and 4 <= word.slot < 8 and (stage != 2 or ctrl.plan.diverts[:1] == [0])
 
     def upset(ctrl, dp):
         dp.tags ^= 1 << 4 << TAG_BITS * stage
@@ -401,7 +410,7 @@ def reference_check(ctrl, dp):
 
     valid, dp_modes = bits(dp.tags, 5), bits(dp.tags, 0)
     occupancy, modes = bits(ctrl.tags, 5), bits(ctrl.tags, 0)
-    _, divert, _, main_reset = ctrl.plan[0]
+    _, divert, _, main_reset = lines(ctrl.plan)[0]
     if divert and (not valid & 1 << 2 or slots[2] != expected[2]):
         found = Word(dp.seqs[slots[2]], fields[2] & 1, slots[2]) if valid & 1 << 2 else None
         return (
@@ -609,7 +618,7 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
     for _ in range(11):
         step_cycle(dp, ctrl, ks)
     ctrl.begin_cycle(1)
-    assert ctrl.admissions == [] and ctrl.occupancy >> 9 & 1
+    assert ctrl.plan.admissions == [] and ctrl.occupancy >> 9 & 1
     with pytest.raises(AdmissionError, match="^admission attempted on a stalled cycle$") as err:
         ctrl.admit([Job(1, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
     assert err.value.cycle is None
@@ -617,15 +626,15 @@ def test_admission_on_a_stalled_cycle_raises_admission_error():
 
 def test_admission_of_fewer_jobs_than_planned_raises_admission_error():
     # A pass planned with two jobs waiting admits on its first two cycles; a
-    # caller giving one job is refused before any entry is written, so no
+    # caller giving one job is refused before any word is written, so no
     # unfilled admission reaches the datapath or the commit.
     dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
     ctrl.begin_cycle(2, 130)
-    assert ctrl.admissions == [0, 1]
+    assert ctrl.plan.admissions == [0, 1]
     with pytest.raises(AdmissionError, match="^admission given 1 of 2 planned jobs$") as err:
         ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))], ks.initial_keys)
     assert err.value.cycle is None
-    assert ctrl.plan[0][0] is None and ctrl.plan[1][0] is None
+    assert ctrl.plan.words == []
 
 
 def test_occupancy_wrap_into_an_arriving_word_raises_control_fault():
@@ -649,9 +658,7 @@ def test_occupancy_wrap_on_a_later_commit_carries_its_offset():
     # of that commit, from which a run names the cycle.
     ctrl = Controller()
     ctrl.fsm = RUN
-    ctrl.plan = [QUIET] * 8
-    ctrl.plan[3] = list(QUIET)
-    ctrl.admissions = (3,)
+    ctrl.plan = Plan(8, [3], [], [], False, False)
     ctrl.admit([Job(0, MODE_ENCRYPT, bytes(16))], (0, 0))
     ctrl.tags = TAG_VALID << TAG_BITS * 6
     with pytest.raises(ControlFault, match="^occupancy wrap collides with admission$") as err:

@@ -105,7 +105,7 @@ def test_trace_writer_matches_reference_rendering_every_cycle(monkeypatch, fresh
 
     def deciding(self, pending=0, limit=1):
         plan = begin_cycle(self, pending, limit)
-        state["stalled"] = self.fsm == RUN and pending > 0 and not self.admissions
+        state["stalled"] = self.fsm == RUN and pending > 0 and not plan.admissions
         return plan
 
     def rendering(self, datapath):

@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from cycle_protocol import before_each_pass, core_in_run, step_every_cycle
+from cycle_protocol import before_each_pass, core_in_run, make_plan, step_every_cycle
 from drablocus import aesref
 from drablocus.datapath import (
-    MAIN_ROUNDS, QUIET, TAG_BITS, TAG_FIELD, TAG_VALID, RoundDatapath, Word,
+    MAIN_ROUNDS, TAG_BITS, TAG_FIELD, TAG_VALID, RoundDatapath, Word,
 )
 from drablocus.fabric import BramModel
 from drablocus.faults import KeyStoreFault
@@ -91,7 +91,7 @@ def test_three_consumers_served_same_cycle():
     place_tag(dp, 7, Word(seq=0, mode=MODE_ENCRYPT, slot=3))
     place_tag(dp, 1, Word(seq=1, mode=MODE_ENCRYPT, slot=5))
     ks.round_counters[3] = 3
-    dp.compute_cycle(plan=[QUIET], store=ks)
+    dp.compute_cycle(plan=make_plan(1), store=ks)
     ks.commit()
     assert ks.out_a == int.from_bytes(oracle[4], "big")
     assert ks.out_b == int.from_bytes(oracle[10], "big")
@@ -103,7 +103,7 @@ def test_decrypt_arbitrary_round_is_transformed_key():
     enc = aesref.key_expand(FIPS_KEY).keys
     place_tag(dp, 7, Word(seq=0, mode=MODE_DECRYPT, slot=2))
     ks.round_counters[2] = 3
-    dp.compute_cycle(plan=[QUIET], store=ks)
+    dp.compute_cycle(plan=make_plan(1), store=ks)
     ks.commit()
     expected = aesref.mix_columns(enc[6], inverse=True)
     assert ks.out_a == int.from_bytes(expected, "big")
@@ -114,7 +114,7 @@ def test_counter_past_final_main_round_faults():
     place_tag(dp, 7, Word(seq=0, mode=MODE_ENCRYPT, slot=0))
     ks.round_counters[0] = 9
     with pytest.raises(KeyStoreFault, match="^slot 0 requested main-loop key for round 10$") as err:
-        dp.compute_cycle(plan=[QUIET], store=ks)
+        dp.compute_cycle(plan=make_plan(1), store=ks)
     assert err.value.cycle is None
 
 
@@ -128,7 +128,7 @@ def test_service_addresses_follow_the_store_layout(mode, round_index):
     place_tag(dp, 7, Word(seq=0, mode=mode, slot=4))
     place_tag(dp, 1, Word(seq=1, mode=mode, slot=10))
     ks.round_counters[4] = round_index - 1
-    dp.compute_cycle(plan=[QUIET], store=ks)
+    dp.compute_cycle(plan=make_plan(1), store=ks)
     assert ks.addr_a == key_store_address(mode, round_index)
     assert ks.addr_b == key_store_address(mode, 10)
 
@@ -137,7 +137,7 @@ def test_taps_quiet_once_ready():
     dp, ctrl, ks = initialize(FIPS_KEY)
     assert ks.fsm == READY and ks.resume is None
     for _ in range(50):
-        dp.compute_cycle(plan=[QUIET], store=ks)
+        dp.compute_cycle(plan=make_plan(1), store=ks)
         assert ks.sub_bytes_inject == (0, 0)
         assert ks.mix_columns_inject == (0, 0)
         dp.commit_cycle()

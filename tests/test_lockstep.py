@@ -2,9 +2,10 @@
 
 A seeded simulator run, stepping every cycle, records the arguments of
 every ``compute_cycle`` call but the key store, through reset, key
-initialization, flush and run; each call is one cycle, a plan of one
-entry, and the keys and injects the store gave it, read off the store
-after the call, make the cycle's line of a script. The same calls drive
+initialization, flush and run; each call is one cycle, the record of a
+pass of one cycle, whose lines the composition decodes from it, and the
+keys and injects the store gave it, read off the store after the call,
+make the cycle's line of a script. The same calls drive
 :class:`ComposedDatapath` (the unit classes stepped through the fabric
 primitives) and a fresh :class:`RoundDatapath`, each with a
 :class:`ScriptedStore` of the script; every tap, its tag, and the
@@ -46,7 +47,7 @@ def recorded_run(monkeypatch, jobs):
     # Each call is one cycle; its tap records are the trace's.
     assert len(calls) == summary.total_cycles
     for kwargs in calls:
-        assert len(kwargs["plan"]) == 1
+        assert kwargs["plan"].cycles == 1
         kwargs.pop("taps")
     phases = [line.split()[1].removeprefix("fsm=")
               for line in trace.getvalue().splitlines() if " fsm=" in line]

@@ -1,20 +1,24 @@
 """Simulator harness: oracle equivalence, timing, tracing, file formats."""
 
+import copy
 import io
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import drablocus
-from cycle_protocol import before_each_pass, cap_passes, step_every_cycle
+from cycle_protocol import (
+    HELD, before_each_pass, cap_passes, core_in_run, lines, step_every_cycle,
+)
 from drablocus import aesref
 from drablocus.controller import (
-    FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET, Controller,
+    FLUSH, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, STAGE_PHASE_OFFSET, Controller,
 )
 from drablocus.datapath import (
     BLOCK_LATENCY, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES, DatapathTables,
@@ -162,16 +166,15 @@ def test_every_rank_and_tag_of_the_core_is_an_int(sim, monkeypatch, way):
 
     def checked_compute(self, **kwargs):
         completions = compute_cycle(self, **kwargs)
-        seen["cycles"] += len(kwargs["plan"])
+        seen["cycles"] += kwargs["plan"].cycles
         seen["completions"] += len(completions)
         strays.update("completion" for _, tag, _ in completions if type(tag) is not int)
         return completions
 
     def checked_admit(self, jobs, initial_keys):
         admit(self, jobs, initial_keys)
-        seen["admissions"] += len(self.admissions)
-        strays.update("admission" for offset in self.admissions
-                      if type(self.plan[offset][0][2]) is not int)
+        seen["admissions"] += len(self.plan.admissions)
+        strays.update("admission" for tag in self.plan.words[2::3] if type(tag) is not int)
 
     monkeypatch.setattr(RoundDatapath, "commit_cycle", checked_commit)
     monkeypatch.setattr(RoundDatapath, "compute_cycle", checked_compute)
@@ -562,8 +565,8 @@ def test_fresh_key_run_takes_one_pass_per_phase(sim, monkeypatch):
     summary = result.summary
     assert passes == {RESET: 1, KEY_INIT: 1, FLUSH: 1, RUN: 1}
     assert [fsm for fsm, _ in plans] == [RESET, KEY_INIT, FLUSH, RUN]
-    assert [plan for _, plan in plans[:3]] == [
-        [HOLD], [HOLD] * (KEY_INIT_CYCLES + 1), [HOLD] * TRACK_CYCLES,
+    assert [lines(plan) for _, plan in plans[:3]] == [
+        [HELD], [HELD] * (KEY_INIT_CYCLES + 1), [HELD] * TRACK_CYCLES,
     ]
     assert (summary.total_cycles, result.passes, result.fused_cycles) == (277, 4, 114)
     assert summary.key_init_cycles == KEY_INIT_CYCLES
@@ -615,10 +618,7 @@ def test_saturated_run_makes_at_most_two_passes_per_batch_period(sim, monkeypatc
     summary = result.summary
     assert summary.max_loop_occupancy == NUM_LOOP_STAGES
     assert sum(passes.values()) == result.passes
-    assert admitted == [
-        sum(entry[0] is not None for entry in plan) for _, plan in plans
-        if any(entry[0] is not None for entry in plan)
-    ]
+    assert admitted == [len(plan.admissions) for _, plan in plans if plan.admissions]
     assert sum(admitted) == 500
     assert passes[KEY_INIT] == 1
     periods = (summary.total_cycles - summary.run_start_cycle) / BATCH_PERIOD
@@ -662,6 +662,35 @@ class TestJobFile:
         assert stream.getvalue().splitlines() == ["1 " + "11" * 16, "0 " + "00" * 16]
 
 
+def planned_peak(ctrl, pending):
+    """The record a copy of ``ctrl`` plans for the longest pass with
+    ``pending`` jobs waiting, and the peak bytes planning it allocates under
+    ``tracemalloc``."""
+    ctrl = copy.deepcopy(ctrl)
+    tracemalloc.start()
+    try:
+        plan = ctrl.begin_cycle(pending, PASS_CYCLES)
+        return plan, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_pass_record_grows_with_its_events_not_its_cycles():
+    # With no job waiting, the longest pass from an empty loop has no event,
+    # and its record holds nothing a cycle: planning it allocates under 4 KB,
+    # where a list of lines a cycle takes about 245 KB. A saturated pass over
+    # the same cycles, 3,072 admissions and their diverts, allocates under
+    # 64 bytes an event.
+    dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
+    quiet, quiet_peak = planned_peak(ctrl, 0)
+    assert quiet.cycles == PASS_CYCLES and not (quiet.admissions or quiet.diverts)
+    assert quiet_peak < 4096
+    full, full_peak = planned_peak(ctrl, PASS_CYCLES // BATCH_PERIOD * NUM_LOOP_STAGES)
+    events = len(full.admissions) + len(full.diverts)
+    assert full.cycles == PASS_CYCLES and len(full.admissions) == 3072
+    assert full_peak < 64 * events
+
+
 def test_passes_end_within_the_longest_pass(sim, monkeypatch):
     # A pass holds its plan and completions until it ends, so an untraced
     # run phase longer than PASS_CYCLES splits: 3,100 saturated jobs take a
@@ -672,7 +701,7 @@ def test_passes_end_within_the_longest_pass(sim, monkeypatch):
     passes = passes_by_phase(monkeypatch, plans)
     jobs = mixed_jobs(3100, seed=31)
     result = sim.run(FIPS_KEY, jobs)
-    lengths = [len(plan) for fsm, plan in plans if fsm == RUN]
+    lengths = [plan.cycles for fsm, plan in plans if fsm == RUN]
     assert lengths == [PASS_CYCLES, result.summary.total_cycles - RUN_START_CYCLE - PASS_CYCLES]
     assert passes[RUN] == 2 and result.passes == 5
     assert result.summary.max_loop_occupancy == NUM_LOOP_STAGES
@@ -684,5 +713,5 @@ def test_passes_end_within_the_longest_pass(sim, monkeypatch):
     ]
     plans.clear()
     sim.run(FIPS_KEY, jobs[:40], trace=io.StringIO())
-    lengths = [len(plan) for fsm, plan in plans if fsm == RUN]
+    lengths = [plan.cycles for fsm, plan in plans if fsm == RUN]
     assert len(lengths) == 4 and max(lengths) == BATCH_PERIOD

@@ -35,12 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycle_protocol import (
-    before_each_pass, cap_passes, core_in_run, end_passes_at, new_core, set_line, step_cycle,
-    step_every_cycle, word_tag,
+    HELD, QUIET, before_each_pass, cap_passes, core_in_run, cut, end_passes_at, lines, make_plan,
+    new_core, single_cycles, step_cycle, step_every_cycle, word_tag,
 )
 from drablocus import aesref
 from drablocus.controller import (
-    BATCH_PERIOD, FLUSH, HOLD, KEY_INIT, KEY_READY_CYCLE, QUIET, RESET, RUN, Controller,
+    BATCH_PERIOD, FLUSH, KEY_INIT, KEY_READY_CYCLE, RESET, RUN, Controller,
 )
 from drablocus.datapath import (
     _SLOT_FIELD, BLOCK_LATENCY, MAIN_ROUNDS, NUM_LOOP_STAGES, TAG_BITS, TAG_VALID, TRACK_CYCLES,
@@ -98,7 +98,7 @@ def committed_states(monkeypatch, key, jobs, stepped=False, sbox_image=None, mc_
         states[ctrl.cycle] = snapshot(core[RoundDatapath], ctrl, self)
 
     def recorded_ctrl_commit(self):
-        cycles = len(self.plan)
+        cycles = self.plan.cycles
         ctrl_commit(self)
         if cycles > 1 and self.fsm == RUN:
             pass_ends.append(self.cycle)
@@ -258,21 +258,21 @@ def test_steady_passes_give_each_position_one_divert_admission_and_reset():
         end_passes_at(monkeypatch, [second_batch])
         before_each_pass(monkeypatch, lambda ctrl, dp, ks: plans.append((ctrl.cycle, ctrl.plan)))
         PipelineSimulator().run(FIPS_KEY, mixed_jobs(500, seed=500))
-    (last,) = [plan for cycle, plan in plans if cycle == second_batch]
+    (last,) = [lines(plan) for cycle, plan in plans if cycle == second_batch]
     assert len(last) > 40 * BATCH_PERIOD
     periods = [last[start:start + BATCH_PERIOD] for start in range(0, len(last), BATCH_PERIOD)]
     steady = [
-        plan for plan in periods if len(plan) == BATCH_PERIOD
-        and sum(lines[0] is not None for lines in plan) == sum(lines[1] for lines in plan) == 12
+        period for period in periods if len(period) == BATCH_PERIOD
+        and sum(entry[0] is not None for entry in period) == sum(entry[1] for entry in period) == 12
     ]
     assert len(steady) == 500 // NUM_LOOP_STAGES - 1
-    for plan in steady:
-        diverts = [o for o, lines in enumerate(plan) if lines[1]]
-        admissions = [o for o, lines in enumerate(plan) if lines[0] is not None]
-        resets = [o for o, lines in enumerate(plan) if lines[3]]
+    for period in steady:
+        diverts = [o for o, entry in enumerate(period) if entry[1]]
+        admissions = [o for o, entry in enumerate(period) if entry[0] is not None]
+        resets = [o for o, entry in enumerate(period) if entry[3]]
         assert diverts == [*range(5), *range(113, 120)]
         assert admissions == list(range(12)) and resets == list(range(1, 13))
-        assert all(lines[2] != lines[3] for lines in plan)
+        assert all(entry[2] != entry[3] for entry in period)
         # The position at S2, at S11 two cycles on, or at S10 on each cycle.
         divert_at = {(2 - o) % NUM_LOOP_STAGES: o for o in diverts}
         admit_at = {(9 - o) % NUM_LOOP_STAGES: o for o in admissions}
@@ -305,13 +305,13 @@ def test_capped_passes_with_events_on_every_offset_match_stepping(monkeypatch, c
 
         def record(ctrl, dp, ks):
             if ctrl.fsm == RUN:
-                n = len(ctrl.plan)
+                n = ctrl.plan.cycles
                 lengths.append(n)
                 if n == cap:
-                    offsets.update(o for o, lines in enumerate(ctrl.plan) if lines is not QUIET)
+                    offsets.update(o for o, entry in enumerate(lines(ctrl.plan)) if entry != QUIET)
                 quiet_in = not (dp.ia_in or dp.ia_out or (dp.ia_in_tag | dp.ia_out_tag) & TAG_VALID)
                 fuses = (n >= NUM_LOOP_STAGES + 2 and quiet_in
-                         and not {n - 4, n - 3} & set(ctrl.admissions))
+                         and not {n - 4, n - 3} & set(ctrl.plan.admissions))
                 fused_before.append(dp.fused_cycles)
                 expected.append(n - 2 if fuses else 0)
 
@@ -538,7 +538,7 @@ def flush_passes(monkeypatch):
     def recorded(self, plan, store, *lines):
         computed = power_up(self, plan, store, *lines)
         if store.resume is None:
-            passes.append((len(plan), computed))
+            passes.append((plan.cycles, computed))
         return computed
 
     monkeypatch.setattr(RoundDatapath, "_power_up", recorded)
@@ -704,13 +704,14 @@ def flush_by_hand(upset, planned):
         step_cycle(dp, ctrl, ks)
     upset(ks, dp)
     done, completions = 0, []
+    held = make_plan(TRACK_CYCLES, held=True)
     try:
-        for plan in [[HOLD] * TRACK_CYCLES] if planned else [[HOLD]] * TRACK_CYCLES:
+        for plan in [held] if planned else single_cycles(held):
             completions += [(done + offset, tag, data)
                             for offset, tag, data in dp.compute_cycle(plan=plan, store=ks)]
             dp.commit_cycle()
             ks.commit()
-            done += len(plan)
+            done += plan.cycles
     except SimulationFault as fault:
         return type(fault), str(fault), done + fault.offset
     return snapshot(dp, ctrl, ks), completions
@@ -735,8 +736,8 @@ def registers(ctrl):
     return ctrl.track, ctrl.tags, ctrl._arriving0, ctrl._arriving1, ctrl.cycle
 
 
-def lines(ctrl):
-    return ctrl.fsm, tuple(ctrl.plan[0]), ctrl.held_reset, tuple(ctrl.admissions)
+def decided(ctrl):
+    return ctrl.fsm, lines(ctrl.plan)[0], ctrl.held_reset, tuple(ctrl.plan.admissions)
 
 
 def step_each_cycle(ctrl, pending, cycles, modes):
@@ -746,8 +747,8 @@ def step_each_cycle(ctrl, pending, cycles, modes):
     admissions, taken = [], []
     for offset in range(cycles):
         plan = ctrl.begin_cycle(pending - len(admissions))
-        taken.append(tuple(plan[0][1:]))
-        if ctrl.admissions:
+        taken.append(lines(plan)[0][1:])
+        if plan.admissions:
             job = Job(len(admissions), modes[len(admissions) % len(modes)], bytes(16))
             ctrl.admit([job], (0, 0))
             admissions.append(offset)
@@ -779,8 +780,7 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
     queue = 0
     for _ in range(warmup):
         queue += rng.random() < arrival
-        ctrl.begin_cycle(queue)
-        if ctrl.admissions:
+        if ctrl.begin_cycle(queue).admissions:
             ctrl.admit([Job(0, rng.randrange(2), bytes(16))], (0, 0))
             queue -= 1
         ctrl.commit()
@@ -788,20 +788,20 @@ def test_planned_lines_equal_single_cycle_steps(seed, warmup, arrival, pending, 
 
     planned = copy.deepcopy(ctrl)
     plan = planned.begin_cycle(pending, limit)
-    span = len(plan)
+    span = plan.cycles
     admissions, taken = step_each_cycle(copy.deepcopy(ctrl), pending, span, modes)
 
-    assert list(planned.admissions) == admissions
-    assert [tuple(entry[1:]) for entry in plan] == taken
+    assert plan.admissions == admissions
+    assert [entry[1:] for entry in lines(plan)] == taken
     single = copy.deepcopy(ctrl).begin_cycle(pending, 1)
-    assert len(single) == 1 and tuple(single[0]) == tuple(plan[0])
+    assert single.cycles == 1 and lines(single)[0] == lines(plan)[0]
     expected = limit
     if pending and len(admissions) == pending:
         expected = min(expected, admissions[-1] + BLOCK_LATENCY + 1)
     assert span == expected
 
     planned.admit([
-        Job(index, modes[index % len(modes)], bytes(16)) for index in range(len(planned.admissions))
+        Job(index, modes[index % len(modes)], bytes(16)) for index in range(len(plan.admissions))
     ], (0, 0))
     planned.commit()
     stepped = copy.deepcopy(ctrl)
@@ -820,10 +820,10 @@ def test_key_init_plan_holds_the_lines_of_its_cycles():
     planned = copy.deepcopy(ctrl)
     plan = planned.begin_cycle(0, 10 * BATCH_PERIOD)
     assert planned.fsm == KEY_INIT and KEY_READY_CYCLE == 47
-    assert plan == [HOLD] * 47 and HOLD == (None, False, True, True)
-    admissions, taken = step_each_cycle(ctrl, 0, len(plan), [MODE_ENCRYPT])
+    assert lines(plan) == [HELD] * 47 and HELD == (None, False, True, True)
+    admissions, taken = step_each_cycle(ctrl, 0, plan.cycles, [MODE_ENCRYPT])
     assert admissions == []
-    assert taken == [tuple(entry[1:]) for entry in plan]
+    assert taken == [entry[1:] for entry in lines(plan)]
 
 
 def test_commit_over_a_span_matches_its_single_commits():
@@ -846,10 +846,11 @@ def test_commit_over_a_span_matches_its_single_commits():
             spanned.commit()
         elif fsm == RUN:
             spanned = copy.deepcopy(ctrl)
-            span = len(spanned.begin_cycle(len(jobs), 1000))
+            plan = spanned.begin_cycle(len(jobs), 1000)
+            span = plan.cycles
             spanned.admit([
                 Job(index, modes[index % len(modes)], bytes(16))
-                for index in range(len(spanned.admissions))
+                for index in range(len(plan.admissions))
             ], (0, 0))
             spanned.commit()
         else:
@@ -861,7 +862,7 @@ def test_commit_over_a_span_matches_its_single_commits():
             # With a job waiting, both admit it on the next cycle or stall.
             spanned.begin_cycle(1)
             stepped.begin_cycle(1)
-            assert lines(spanned) == lines(stepped), probe.cycle
+            assert decided(spanned) == decided(stepped), probe.cycle
             checked[fsm] += 1
         if step_cycle(dp, ctrl, ks, job=jobs[0] if jobs else None) is not None:
             jobs.popleft()
@@ -892,7 +893,7 @@ def test_commit_of_n_run_cycles_equals_n_commits(data, cycles, tags, cycle):
     ctrl.tags = tags
     ctrl.track = sum(chain << TRACK_CYCLES * slot for slot, chain in enumerate(chains))
     spanned = copy.copy(ctrl)
-    spanned.plan = [QUIET] * cycles
+    spanned.plan = make_plan(cycles)
     spanned.commit()
     for _ in range(cycles):
         ctrl.commit()
@@ -906,13 +907,11 @@ def commit_outcome(ctrl, plans):
     done = 0
     for plan in plans:
         ctrl.plan = plan
-        ctrl.admissions = [offset for offset, lines in enumerate(plan) if lines[0] is not None]
-        ctrl._diverts = [offset for offset, lines in enumerate(plan) if lines[1]]
         try:
             ctrl.commit()
         except ControlFault as fault:
             return str(fault), done + fault.offset
-        done += len(plan)
+        done += plan.cycles
     return registers(ctrl)
 
 
@@ -949,17 +948,14 @@ def test_commit_past_a_chain_length_equals_its_single_commits(
     ctrl.tags = tags
     ctrl.track = sum(chain << TRACK_CYCLES * slot for slot, chain in enumerate(chains))
     ctrl._arriving0, ctrl._arriving1 = arriving
-    entries = {}
-    for offset, mode in zip((cycles - 2, cycles - 1), late):
-        if offset >= 0 and mode is not None:
-            tag = word_tag(offset, mode, (cycle + offset) % NUM_LOOP_STAGES)
-            entries.setdefault(offset, list(QUIET))[0] = (0, 0, tag)
-    for offset in diverts:
-        if offset < cycles:
-            entries.setdefault(offset, list(QUIET))[1] = True
-    plan = [entries.get(offset, QUIET) for offset in range(cycles)]
+    admissions = {
+        offset: (0, 0, word_tag(offset, mode, (cycle + offset) % NUM_LOOP_STAGES))
+        for offset, mode in zip((cycles - 2, cycles - 1), late)
+        if offset >= 0 and mode is not None
+    }
+    plan = make_plan(cycles, admissions, [offset for offset in diverts if offset < cycles])
     spanned = commit_outcome(copy.copy(ctrl), [plan])
-    assert spanned == commit_outcome(ctrl, [[lines] for lines in plan])
+    assert spanned == commit_outcome(ctrl, single_cycles(plan))
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -994,16 +990,16 @@ def test_untraced_run_equals_traced_run(modes_and_blocks, key):
 
 
 # Faults inside a pass. Each upset is made on a cycle that opens a pass in
-# the planned runs, or on the lines a pass plans for a later cycle, and the
+# the planned runs, or on the record a pass plans for a later cycle, and the
 # same upset is made on the same cycle of a run that steps every cycle.
 
 
-def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lines=None, core=None):
-    """Run ``jobs``, setting the named ``lines`` of ``cycle`` in the plan
-    of the pass that covers it, or applying ``core(ks, dp)`` before the
-    datapath computes ``cycle``, on which a pass then opens; a ``stepped``
-    run takes passes of one cycle. Returns the fault the run raises and
-    each pass's first cycle and planned length."""
+def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, edit=None, core=None):
+    """Run ``jobs``, applying ``edit(plan, offset)`` to the record of the
+    pass that covers ``cycle``, at its offset, or applying ``core(ks, dp)``
+    before the datapath computes ``cycle``, on which a pass then opens; a
+    ``stepped`` run takes passes of one cycle. Returns the fault the run
+    raises and each pass's first cycle and planned length."""
     passes = []
     if core is not None:
         end_passes_at(monkeypatch, [cycle])
@@ -1013,11 +1009,10 @@ def run_with_pass_upset(monkeypatch, jobs, cycle, trace=None, stepped=False, lin
 
     def begin_cycle(self, *args):
         plan = original_begin(self, *args)
-        passes.append((self.cycle, len(plan)))
+        passes.append((self.cycle, plan.cycles))
         offset = cycle - self.cycle
-        for name, value in (lines or {}).items():
-            if 0 <= offset < len(plan):
-                set_line(plan, offset, name, value)
+        if edit is not None and 0 <= offset < plan.cycles:
+            edit(plan, offset)
         return plan
 
     def upset_pass(ctrl, dp, ks):
@@ -1085,16 +1080,30 @@ def product_mux_second_source(ks, dp):
     ks.mix_columns_inject = (1, MODE_DECRYPT)
 
 
+def substitution_mux_second_source(ks, dp):
+    # The key store drives the substitution path as the run opens, with
+    # S10 holding a zero word and key, so that S11 stays clear up to the
+    # first block's arrival; the block from the initial key-add collides
+    # with it there.
+    dp.s10 = 0
+    ks.sub_bytes_inject = (1, MODE_ENCRYPT)
+
+
+def drop_divert(plan, offset):
+    # The divert is removed from the record, for every reader.
+    plan.diverts.remove(offset)
+
+
 # name: (jobs, upset cycle, upset, fault, message prefix)
 PASS_FAULTS = {
     # The plan's divert of the first block due is dropped for every
     # consumer; five cycles on it asks the key store for a tenth key.
-    "dropped_divert": (13, 274, {"lines": {"divert": False}}, KeyStoreFault,
+    "dropped_divert": (13, 274, {"edit": drop_divert}, KeyStoreFault,
                        "cycle 279: slot 5 requested main-loop key for round 10"),
-    # The main key-add output is left out of reset on the cycle before the
-    # first block leaves the initial key-add: two sources on the S-box mux.
-    "substitution_mux": (13, RUN_START_CYCLE + 1, {"lines": {"main_reset": False}}, ProtocolError,
-                         "cycle 163: OR-mux driven by multiple nonzero sources"),
+    # The key store drives the S-box mux from the run's first cycle, and the
+    # first block leaves the initial key-add two cycles in.
+    "substitution_mux": (13, RUN_START_CYCLE, {"core": substitution_mux_second_source},
+                         ProtocolError, "cycle 163: OR-mux driven by multiple nonzero sources"),
     "product_mux": (13, RUN_START_CYCLE, {"core": product_mux_second_source}, ProtocolError,
                     "cycle 162: OR-mux driven by multiple nonzero sources"),
     "collision": (36, 281, {"core": phantom_arrival}, CollisionError,
@@ -1106,12 +1115,6 @@ PASS_FAULTS = {
                        "cycle 283: block 40 completed without an admission"),
     "admitted_later": (36, 281, {"core": seq_admitted_later}, TimingFault,
                        "cycle 283: block 15 completed without an admission"),
-    # The S11 reset before the fourth word's arrival in the second batch is
-    # dropped: the arriving word meets the S11 value of the word diverted
-    # seven cycles before its admission, on the cycle it arrives. The fused
-    # window declines the entry, and the cycle loop raises there.
-    "unreset_arrival": (36, 286, {"lines": {"main_reset": False}}, ProtocolError,
-                        "cycle 287: OR-mux driven by multiple nonzero sources"),
     # From the pass opening at the second batch on, an admission resets its
     # slot's round counter to the last main round: the window, which resets the slots it
     # admits to as the loop does, declines, and the first word admitted asks
@@ -1278,8 +1281,8 @@ def test_no_window_while_a_word_is_on_its_way_in():
             word = Word(seq=0, mode=MODE_DECRYPT, slot=ctrl.cycle % NUM_LOOP_STAGES)
             block = int.from_bytes(bytes(range(16)), "big")
             admission = (block, ks.initial_keys[MODE_DECRYPT], word_tag(*word))
-            cycles = [(admission, False, True, False), (None, False, False, True)] + [QUIET] * 40
-            for plan in [cycles[:split], cycles[split:]] if planned else [[lines] for lines in cycles]:
+            cycles = make_plan(42, {0: admission})
+            for plan in cut(cycles, split) if planned else single_cycles(cycles):
                 dp.compute_cycle(plan=plan, store=ks)
                 dp.commit_cycle()
                 ks.commit()
@@ -1288,23 +1291,30 @@ def test_no_window_while_a_word_is_on_its_way_in():
         assert states[0] == states[1], split
 
 
+def lose_the_arriving_block(dp):
+    # The initial key-add input rank loses its block and key.
+    dp.ia_in = 0
+
+
 # Hand-made runs of admissions the controller does not plan: per shape,
-# each admission's (offset, slot offset), more lines by offset, the cycle
-# that splits the planned passes, and the cycles the windows fuse.
+# each admission's (offset, slot offset), the diverts, the cycles that
+# split the planned passes, an upset ``(cycle, core(dp))`` made before the
+# datapath computes that cycle, which opens a pass, and the cycles the
+# windows fuse.
 BY_HAND = {
     # The second word arrives at the first one's S11 visit, behind the S11
     # reset, while the first is still in the loop: they collide on cycle 38.
-    "live": ([(0, 0), (36, 0)], {}, 24, 22),
-    # The first word diverts on cycle 29, but the initial key-add's reset is
-    # held on the second one's arrival cycle, so that word arrives as zero.
-    "held": ([(0, 0), (36, 0)], {29: (None, True, True, False), 37: (None, False, True, True)},
-             24, 22),
+    "live": ([(0, 0), (36, 0)], (), (24,), None, 22),
+    # The first word diverts on cycle 29, and the initial key-add input rank
+    # loses the second one's block and key on its arrival cycle, so that
+    # word arrives as zero, as with the initial key-add's reset held there.
+    "held": ([(0, 0), (36, 0)], (29,), (24,), (37, lose_the_arriving_block), 22),
     # The second word takes the first one's slot at another loop position,
     # and both read and count the one round counter.
-    "shared": ([(0, 0), (6, 0)], {}, None, 0),
+    "shared": ([(0, 0), (6, 0)], (), (), None, 0),
     # One pass of 140 cycles that does not divert its word: the word asks
     # for a tenth key on cycle 118.
-    "unending": ([(0, 0)], {}, None, 0),
+    "unending": ([(0, 0)], (), (), None, 0),
 }
 
 
@@ -1312,24 +1322,25 @@ def run_by_hand(shape, planned):
     """Compute the ``shape``'s cycles on a core in run, as planned passes or
     single-cycle passes. Returns the core's state, or the fault's type,
     message and cycle, and the cycles fused."""
-    admissions, more, split, _ = BY_HAND[shape]
+    admissions, diverts, ends, upset, _ = BY_HAND[shape]
     dp, ctrl, ks = core_in_run(int.from_bytes(FIPS_KEY, "big"))
-    cycles = [QUIET] * (140 if shape == "unending" else 72)
+    words = {}
     for seq, (offset, slot) in enumerate(admissions):
         tag = word_tag(seq, MODE_DECRYPT, (ctrl.cycle + slot) % NUM_LOOP_STAGES)
         block = int.from_bytes(bytes(range(seq, seq + 16)), "big")
-        cycles[offset] = ((block, ks.initial_keys[MODE_DECRYPT], tag), False, True, False)
-        cycles[offset + 1] = (None, False, False, True)
-    for offset, lines in more.items():
-        cycles[offset] = lines
-    plans = [cycles[:split], cycles[split:]] if split else [cycles]
+        words[offset] = (block, ks.initial_keys[MODE_DECRYPT], tag)
+    cycles = make_plan(140 if shape == "unending" else 72, words, diverts)
+    if upset is not None:
+        ends = (*ends, upset[0])
     done = 0
     try:
-        for plan in plans if planned else [[lines] for lines in cycles]:
+        for plan in cut(cycles, *ends) if planned else single_cycles(cycles):
+            if upset is not None and done == upset[0]:
+                upset[1](dp)
             dp.compute_cycle(plan=plan, store=ks)
             dp.commit_cycle()
             ks.commit()
-            done += len(plan)
+            done += plan.cycles
     except SimulationFault as fault:
         return (type(fault), str(fault), done + fault.offset), dp.fused_cycles
     return snapshot(dp, ctrl, ks), dp.fused_cycles
@@ -1342,7 +1353,7 @@ def test_admission_of_no_steady_shape_falls_back(shape):
     # it, or leave their state. A pass before the one that declines fuses
     # its window, an admission of the steady shape included.
     (planned, fused), (stepped, _) = run_by_hand(shape, True), run_by_hand(shape, False)
-    assert planned == stepped and fused == BY_HAND[shape][3]
+    assert planned == stepped and fused == BY_HAND[shape][-1]
     if shape == "live":
         assert planned[0] is CollisionError and planned[2] == 38
         assert planned[1].startswith("stage S0 claimed by arriving Word(seq=1,")
@@ -1361,10 +1372,10 @@ def test_window_starts_on_a_quiet_first_cycle(monkeypatch):
     compute_cycle = RoundDatapath.compute_cycle
 
     def counted(self, **kwargs):
-        before = self.fused_cycles
+        before, plan = self.fused_cycles, kwargs["plan"]
         completions = compute_cycle(self, **kwargs)
-        if all(lines is QUIET for lines in kwargs["plan"]):
-            quiet_passes.append((len(kwargs["plan"]), self.fused_cycles - before))
+        if all(entry == QUIET for entry in lines(plan)):
+            quiet_passes.append((plan.cycles, self.fused_cycles - before))
         return completions
 
     monkeypatch.setattr(RoundDatapath, "compute_cycle", counted)
